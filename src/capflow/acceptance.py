@@ -12,17 +12,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .adjoint import assemble_adjoint_system, solve_adjoint
-from .ale import solve_domain_velocity
+from .adjoint import adjoint_rhs, solve_adjoint
 from .config import RunConfig, num_params, phys_params
 from .control import run_instantaneous_control
 from .errors import DomainEmptied
-from .fields import VectorFieldP1
-from .forms import _flatten, assemble_state_system, mass_matrix, solve
-from .geometry import build_structured_mesh, displace_mesh
+from .fields import NumParams, PhysParams, VectorFieldP1
+from .forms import _flatten, _free_dofs, bottom_load_vector, mass_matrix, solve, state_blocks
+from .geometry import AxiMesh
 from .observables import equilibrium_height, transient_time
-from .stepping import FlowState, initial_state
+from .stepping import initial_state, step
 
 # reference anchors (uncontrolled / controlled runs, 16x32 grid, dt = 2e-3 s)
 FIRST_PEAK = 1.608e-4
@@ -159,7 +159,9 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
 
     The slab objective is exactly quadratic in zeta for frozen geometry, so
     agreement is limited only by solver roundoff; epsilon is swept over three
-    decades and the best agreement per slab is reported.
+    decades and the best agreement per slab is reported.  zeta enters the
+    frozen-geometry slab only through the bottom load, so every perturbed
+    solve reuses the slab's LU.
     """
     cfg = replace(tc1_config(), lam=0.0)
     phys, num = phys_params(cfg), num_params(cfg)
@@ -169,57 +171,64 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
     worst = 0.0
     details = []
     for n in range(max(slabs) + 1):
-        V = solve_domain_velocity(state.mesh, state.u)
-        mesh_new = displace_mesh(state.mesh, V.field, num.dt)
-
-        def solve_j(zeta):
-            sysz = assemble_state_system(mesh_new, state.mesh, state.u, V.field,
-                                         zeta, phys, num)
-            uz, pz, _ = solve(sysz)
-            uf = _flatten(uz.values)
-            return uz, pz, 0.5 * float(uf @ (mass_matrix(mesh_new) @ uf))
-
-        u_new, p_new, _ = solve_j(0.0)
+        state, _, system, lu = step(state, 0.0, phys, num)
         if n in slabs:
-            asys = assemble_adjoint_system(mesh_new, state.mesh, state.u, V.field,
-                                           u_new, phys, num)
-            adj = solve_adjoint(asys, slab_index=n)
+            adj = solve_adjoint(system, lu, state.u, slab_index=n)
+            load = np.pad(bottom_load_vector(state.mesh), (0, state.mesh.num_nodes))[system.free]
+            mass = mass_matrix(state.mesh)
+
+            def j_of(eps):
+                u, _, _ = solve(replace(system, rhs=system.rhs + eps * load), lu)
+                uf = _flatten(u.values)
+                return 0.5 * float(uf @ (mass @ uf))
+
             best = math.inf
             for eps in (1e-5, 1e-4, 1e-3):
-                jp = solve_j(eps)[2]
-                jm = solve_j(-eps)[2]
-                fd = (jp - jm) / (2 * eps)
+                fd = (j_of(eps) - j_of(-eps)) / (2 * eps)
                 rel = abs(fd - adj.bottom_integral) / max(abs(fd), 1e-300)
                 best = min(best, rel)
             worst = max(worst, best)
             details.append(f"slab {n}: {best:.2e}")
-        state = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
+        del system, lu      # freed before the next step factors
     ok = worst <= 1e-4
     return CriterionResult("adjoint gradient vs finite differences", ok,
                            f"worst relative error {worst:.2e} (<= 1e-4); " + ", ".join(details))
 
 
+def reference_adjoint_matrix(mesh_old: AxiMesh, u_old: VectorFieldP1, mesh_new: AxiMesh,
+                             phys: PhysParams, num: NumParams) -> sp.csr_matrix:
+    """Reduced adjoint [[K^T, -B], [B^T, Sp]] of one slab, assembled from its state blocks
+    as the reference for the transposed-LU adjoint solve; V is recovered from the mesh motion."""
+    V = VectorFieldP1((mesh_new.nodes - mesh_old.nodes) / num.dt, mesh_old)
+    K, B, Sp, _ = state_blocks(mesh_new, mesh_old, u_old, V, 0.0, phys, num)
+    mat = sp.bmat([[K.T, -B], [B.T, Sp]], format="csr")
+    free = _free_dofs(mesh_new)
+    return mat[np.ix_(free, free)].tocsr()
+
+
 def criterion_transpose() -> CriterionResult:
-    """Adjoint velocity block equals the state velocity block transposed (2x2 cells)."""
+    """Independently assembled adjoint operator equals the state operator
+    transposed, and the LU^T adjoint solution solves it (2x2 cells)."""
     cfg = replace(tc1_config(), N1=2, N3=2)
     phys, num = phys_params(cfg), num_params(cfg)
-    mesh = build_structured_mesh(cfg.radius, cfg.init_height, 2, 2)
+    state = initial_state(cfg.radius, cfg.init_height, num)
     rng = np.random.default_rng(7)
-    vals = rng.standard_normal((mesh.num_nodes, 2)) * 1e-3
-    vals[mesh.radial_constrained_nodes, 0] = 0.0
-    u_old = VectorFieldP1(vals, mesh)
-    V = solve_domain_velocity(mesh, u_old)
-    mesh_new = displace_mesh(mesh, V.field, num.dt)
-    sys_state = assemble_state_system(mesh_new, mesh, u_old, V.field, 0.0, phys, num)
-    u_new, _, _ = solve(sys_state)
-    sys_adj = assemble_adjoint_system(mesh_new, mesh, u_old, V.field, u_new, phys, num)
-    a = sys_state.velocity_block()
-    b = sys_adj.velocity_block()
-    diff = abs(a.T - b).max()
-    scale = max(abs(a).max(), 1e-300)
-    ok = diff <= 1e-13 * scale
+    vals = rng.standard_normal((state.mesh.num_nodes, 2)) * 1e-3
+    vals[state.mesh.radial_constrained_nodes, 0] = 0.0
+    state = replace(state, u=VectorFieldP1(vals, state.mesh))
+    new, _, system, lu = step(state, 0.0, phys, num)
+    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, phys, num)
+    vel = system.free < system.n_velocity
+    diff = abs(ref - system.matrix.T).max()
+    scale = max(abs(system.matrix[vel][:, vel]).max(), 1e-300)
+    adj = solve_adjoint(system, lu, new.u)
+    rhs = adjoint_rhs(system, new.u)
+    x = np.concatenate((_flatten(adj.z.values), adj.q.values))[system.free]
+    res = np.linalg.norm(ref @ x - rhs) / np.linalg.norm(rhs)
+    ok = diff <= 1e-13 * scale and res <= 1e-10
     return CriterionResult("discrete transpose", ok,
-                           f"max |A_adj - A_state^T| = {diff:.3e} (<= 1e-13 * {scale:.3e})")
+                           f"max |A_adj - A_state^T| = {diff:.3e} (<= 1e-13 * {scale:.3e}), "
+                           f"LU^T adjoint residual in A_adj = {res:.3e} (<= 1e-10)")
 
 
 def criterion_equilibrium_shift(zeta_const: float = -2e-4) -> CriterionResult:

@@ -4,20 +4,19 @@ The adjoint operator is exactly the transpose of the state operator of the
 same slab (bilinear forms evaluated with trial and test slots swapped, the
 transport fields unchanged), with the velocity mass action on the new state
 as right-hand side.  The pressure stabilization is symmetric, so including
-it keeps the discrete transpose relation exact.
+it keeps the discrete transpose relation exact.  The adjoint is therefore
+solved with the slab's state LU, transposed: no second assembly or
+factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
-from .forms import (LinearSystem, _flatten, _free_dofs, bottom_load_vector,
-                    mass_matrix, solve, state_blocks)
-from .geometry import AxiMesh
+from .fields import ScalarFieldP1, VectorFieldP1
+from .forms import LinearSystem, SuperLU, _flatten, bottom_load_vector, mass_matrix, solve
 
 
 @dataclass(frozen=True)
@@ -29,23 +28,19 @@ class AdjointState:
     residual: float
 
 
-def assemble_adjoint_system(mesh_new: AxiMesh, mesh_old: AxiMesh,
-                            u_old: VectorFieldP1, V_old: VectorFieldP1,
-                            u_new: VectorFieldP1,
-                            phys: PhysParams, num: NumParams) -> LinearSystem:
-    """Transpose of the slab's state system, rhs = mass action on u_new."""
-    K, B, Sp, _ = state_blocks(mesh_new, mesh_old, u_old, V_old, 0.0, phys, num)
-    n = mesh_new.num_nodes
-    mat = sp.bmat([[K.T.tocsr(), -B], [B.T, Sp]], format="csr")
-    rhs = np.concatenate((mass_matrix(mesh_new) @ _flatten(u_new.values), np.zeros(n)))
-    free = _free_dofs(mesh_new)
-    return LinearSystem(matrix=mat[np.ix_(free, free)].tocsr(), rhs=rhs[free],
-                        free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh_new)
+def adjoint_rhs(system: LinearSystem, u_new: VectorFieldP1) -> np.ndarray:
+    """Mass action on u_new, zero in the pressure rows, on the free dofs."""
+    mass_action = mass_matrix(system.mesh) @ _flatten(u_new.values)
+    return np.pad(mass_action, (0, system.mesh.num_nodes))[system.free]
 
 
-def solve_adjoint(system: LinearSystem, slab_index: int = 0) -> AdjointState:
-    """Solve one slab's adjoint; records the bottom integral of z . e3 r dr."""
-    z, q, residual = solve(system)
+def solve_adjoint(system: LinearSystem, lu: SuperLU, u_new: VectorFieldP1,
+                  slab_index: int = 0) -> AdjointState:
+    """Solve one slab's adjoint with the state LU of ``system``, transposed.
+
+    Records the bottom integral of z . e3 r dr.
+    """
+    z, q, residual = solve(replace(system, rhs=adjoint_rhs(system, u_new)), lu, trans="T")
     ib = float(bottom_load_vector(system.mesh) @ _flatten(z.values))
     return AdjointState(z=z, q=q, slab_index=slab_index,
                         bottom_integral=ib, residual=residual)

@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import assemble_adjoint_system, solve_adjoint
-from .ale import solve_domain_velocity
-from .errors import CapflowError, DomainEmptied
+from .adjoint import solve_adjoint
+from .errors import CapflowError
 from .fields import NumParams, PhysParams
-from .forms import _flatten, assemble_state_system, mass_matrix, solve
-from .geometry import contact_line_height, displace_mesh
-from .stepping import FlowState, initial_state
+from .forms import _flatten, mass_matrix
+from .geometry import contact_line_height
+from .stepping import FlowState, initial_state, step
 
 EMPTY_FRACTION = 0.02   # abort when Z_CL drops below this fraction of the start height
 
@@ -107,43 +106,21 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
 
     for n in range(nsteps):
         try:
-            V = solve_domain_velocity(state.mesh, state.u)
-            z_next = contact_line_height(state.mesh) \
-                + num.dt * V.field.values[state.mesh.contact_node, 1]
-            if z_next <= EMPTY_FRACTION * init_height:
-                # checked before displacing: an emptying column is reported as
-                # DomainEmptied, not as the mesh tangle it would soon cause
-                raise DomainEmptied(
-                    f"contact line headed to {z_next:.3e} m in step {n} "
-                    f"(guard {EMPTY_FRACTION:.0%} of {init_height:.3e} m)"
-                )
-            mesh_new = displace_mesh(state.mesh, V.field, num.dt)
-            z_cl = contact_line_height(mesh_new)
-            system = assemble_state_system(mesh_new, state.mesh, state.u,
-                                           V.field, ctrl.zeta, phys, num)
-            u_new, p_new, _ = solve(system)
+            state, diag, system, lu = step(state, ctrl.zeta, phys, num,
+                                           EMPTY_FRACTION * init_height)
+            j_inc = objective_increment(state, ctrl.zeta, ctrl)
+            grad_val = 0.0
+            if controlled:
+                adj = solve_adjoint(system, lu, state.u, slab_index=n)
+                grad_val = gradient(ctrl.zeta, adj.bottom_integral, ctrl)
+                ctrl = update_control(ctrl, adj.bottom_integral)
+            del system, lu      # the next step factors only after this LU is freed
         except CapflowError as exc:
             history.abort_reason = exc
             history.abort_step = n
             break
 
-        new_state = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
-        j_inc = objective_increment(new_state, ctrl.zeta, ctrl)
-        grad_val = 0.0
-        if controlled:
-            try:
-                asys = assemble_adjoint_system(mesh_new, state.mesh, state.u,
-                                               V.field, u_new, phys, num)
-                adj = solve_adjoint(asys, slab_index=n)
-            except CapflowError as exc:
-                history.abort_reason = exc
-                history.abort_step = n
-                break
-            grad_val = gradient(ctrl.zeta, adj.bottom_integral, ctrl)
-            ctrl = update_control(ctrl, adj.bottom_integral)
-
-        state = new_state
-        history.append(state.t, z_cl, ctrl.zeta, j_inc, grad_val, u_new.magnitude_max)
+        history.append(state.t, diag.z_cl, ctrl.zeta, j_inc, grad_val, diag.u_max)
         if snapshot_cb is not None:
             snapshot_cb(n + 1, state)
 

@@ -13,12 +13,11 @@ saddle system.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
@@ -376,7 +375,7 @@ def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
-    """Reduced saddle system for one state or adjoint solve."""
+    """Reduced saddle system of one slab's state solve."""
 
     matrix: sp.csr_matrix      # free dofs only
     rhs: np.ndarray
@@ -384,12 +383,6 @@ class LinearSystem:
     size_full: int
     n_velocity: int            # 2 * num_nodes
     mesh: AxiMesh
-
-    def velocity_block(self) -> sp.csr_matrix:
-        """Free velocity-velocity subblock (for transpose diagnostics)."""
-        vel = self.free < self.n_velocity
-        idx = np.where(vel)[0]
-        return self.matrix[np.ix_(idx, idx)].tocsr()
 
 
 def _free_dofs(mesh: AxiMesh) -> np.ndarray:
@@ -436,18 +429,26 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
                         free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh_new)
 
 
-def solve(system: LinearSystem) -> tuple[VectorFieldP1, ScalarFieldP1, float]:
-    """Direct sparse solve; returns (velocity, pressure, relative residual)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            x = spla.spsolve(system.matrix.tocsc(), system.rhs)
-        except (spla.MatrixRankWarning, RuntimeError) as exc:
-            raise SingularMatrix(str(exc)) from exc
+def factorize(system: LinearSystem) -> SuperLU:
+    """LU of the reduced saddle matrix, shared by the state and adjoint solves."""
+    try:
+        return splu(system.matrix.tocsc())
+    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+        raise SingularMatrix(str(exc)) from exc
+
+
+def solve(system: LinearSystem, lu: SuperLU | None = None,
+          trans: str = "N") -> tuple[VectorFieldP1, ScalarFieldP1, float]:
+    """Solve the system (trans="N") or its transpose (trans="T") with lu, its LU
+    (made here if not given); returns (velocity, pressure, relative residual),
+    the residual gated at 1e-10."""
+    lu = factorize(system) if lu is None else lu
+    matrix = system.matrix.T if trans == "T" else system.matrix
+    x = lu.solve(system.rhs, trans=trans)
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
     bnorm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(system.matrix @ x - system.rhs)
+    res = np.linalg.norm(matrix @ x - system.rhs)
     rel = res / bnorm if bnorm > 0 else res
     if rel > 1e-10:
         raise ResidualTooLarge(f"relative residual {rel:.3e}")

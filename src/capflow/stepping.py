@@ -3,6 +3,8 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
+This is the only code that advances a slab; the control loop, the adjoint
+and the finite-difference check all reuse its system and factorization.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ale import solve_domain_velocity
+from .errors import DomainEmptied
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import assemble_state_system, solve
+from .forms import LinearSystem, SuperLU, assemble_state_system, factorize, solve
 from .geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh, mesh_quality
 
 
@@ -38,15 +41,27 @@ def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
     return FlowState(mesh=mesh, u=zero_vector_field(mesh), p=zero_scalar_field(mesh), t=0.0)
 
 
-def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams) -> tuple[FlowState, StepDiagnostics]:
-    """Advance by dt with the bottom control stress zeta held fixed over the slab."""
+def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
+         floor: float = 0.0) -> tuple[FlowState, StepDiagnostics, LinearSystem, SuperLU]:
+    """Advance by dt with the bottom control stress zeta held fixed over the slab.
+
+    Returns the new state, its diagnostics, and the slab's system and LU; drop
+    the LU before the next step, so that one factorization is alive at a time.
+    Raises DomainEmptied if the contact line would reach ``floor``.
+    """
     V = solve_domain_velocity(state.mesh, state.u)
+    z_next = contact_line_height(state.mesh) + num.dt * V.field.values[state.mesh.contact_node, 1]
+    if z_next <= floor:
+        # checked before displacing: an emptying column is reported as
+        # DomainEmptied, not as the mesh tangle it would soon cause
+        raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
     mesh_new = displace_mesh(state.mesh, V.field, num.dt)
     system = assemble_state_system(mesh_new, state.mesh, state.u, V.field, zeta, phys, num)
-    u_new, p_new, residual = solve(system)
+    lu = factorize(system)
+    u_new, p_new, residual = solve(system, lu)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     min_area, max_aspect = mesh_quality(mesh_new)
     diag = StepDiagnostics(residual=residual, u_max=u_new.magnitude_max,
                            z_cl=contact_line_height(mesh_new),
                            min_area=min_area, max_aspect=max_aspect)
-    return new, diag
+    return new, diag, system, lu

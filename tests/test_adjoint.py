@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from capflow.adjoint import assemble_adjoint_system, solve_adjoint
-from capflow.ale import solve_domain_velocity
-from capflow.fields import NumParams, PhysParams, VectorFieldP1, zero_vector_field
-from capflow.forms import assemble_state_system, solve
-from capflow.geometry import build_structured_mesh, displace_mesh
+from capflow.acceptance import reference_adjoint_matrix
+from capflow.adjoint import solve_adjoint
+from capflow.fields import (NumParams, PhysParams, VectorFieldP1, zero_scalar_field,
+                            zero_vector_field)
+from capflow.forms import _flatten, mass_matrix
+from capflow.geometry import build_structured_mesh
+from capflow.stepping import FlowState, step
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.1)
 
 
-def one_slab(seed=None, radius=5e-4, height=1e-4):
+def start_state(seed=None, radius=5e-4, height=1e-4):
     mesh = build_structured_mesh(radius, height, NUM.N1, NUM.N3)
     if seed is None:
         u_old = zero_vector_field(mesh)
@@ -21,49 +23,37 @@ def one_slab(seed=None, radius=5e-4, height=1e-4):
         vals = 1e-3 * rng.standard_normal((mesh.num_nodes, 2))
         vals[mesh.radial_constrained_nodes, 0] = 0.0
         u_old = VectorFieldP1(vals, mesh)
-    V = solve_domain_velocity(mesh, u_old)
-    mesh_new = displace_mesh(mesh, V.field, NUM.dt)
-    return mesh, mesh_new, u_old, V
+    return FlowState(mesh=mesh, u=u_old, p=zero_scalar_field(mesh), t=0.0)
 
 
 def test_rest_state_has_zero_adjoint():
-    mesh, mesh_new, u_old, V = one_slab()
-    sys_state = assemble_state_system(mesh_new, mesh, u_old, V.field, 0.0, PHYS, NUM)
-    u_new, _, _ = solve(sys_state)
+    new, _, system, lu = step(start_state(), 0.0, PHYS, NUM)
     # hydrostatic rest at the equilibrium height: the new velocity is noise-level
-    asys = assemble_adjoint_system(mesh_new, mesh, u_old, V.field,
-                                   zero_vector_field(mesh_new), PHYS, NUM)
-    adj = solve_adjoint(asys)
+    adj = solve_adjoint(system, lu, zero_vector_field(new.mesh))
     assert np.abs(adj.z.values).max() == 0.0
     assert np.abs(adj.q.values).max() == 0.0
     assert adj.bottom_integral == 0.0
 
 
 def test_velocity_block_is_state_transpose():
-    mesh, mesh_new, u_old, V = one_slab(seed=12)
-    sys_state = assemble_state_system(mesh_new, mesh, u_old, V.field, 0.0, PHYS, NUM)
-    u_new, _, _ = solve(sys_state)
-    asys = assemble_adjoint_system(mesh_new, mesh, u_old, V.field, u_new, PHYS, NUM)
-    a = sys_state.velocity_block()
-    b = asys.velocity_block()
-    scale = abs(a).max()
-    assert abs(a.T - b).max() <= 1e-13 * scale
-    # the full monolithic operator is the exact transpose as well
-    assert abs(sys_state.matrix.T - asys.matrix).max() <= 1e-13 * scale
+    state = start_state(seed=12)
+    new, _, system, _ = step(state, 0.0, PHYS, NUM)
+    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, PHYS, NUM)
+    vel = system.free < system.n_velocity
+    scale = abs(system.matrix[vel][:, vel]).max()
+    # the full monolithic operator is the exact transpose
+    assert abs(system.matrix.T - ref).max() <= 1e-13 * scale
 
 
 def test_slab_adjoint_is_a_pure_function():
-    mesh, mesh_new, u_old, V = one_slab(seed=3)
-    sys_state = assemble_state_system(mesh_new, mesh, u_old, V.field, 0.0, PHYS, NUM)
-    u_new, _, _ = solve(sys_state)
-    first = solve_adjoint(assemble_adjoint_system(mesh_new, mesh, u_old, V.field,
-                                                  u_new, PHYS, NUM), slab_index=4)
+    state = start_state(seed=3)
+    new, _, system, lu = step(state, 0.0, PHYS, NUM)
+    first = solve_adjoint(system, lu, new.u, slab_index=4)
+    del system, lu
     # advance another unrelated slab, then recompute the same adjoint
-    V2 = solve_domain_velocity(mesh_new, u_new)
-    mesh3 = displace_mesh(mesh_new, V2.field, NUM.dt)
-    assemble_state_system(mesh3, mesh_new, u_new, V2.field, 0.0, PHYS, NUM)
-    second = solve_adjoint(assemble_adjoint_system(mesh_new, mesh, u_old, V.field,
-                                                   u_new, PHYS, NUM), slab_index=4)
+    step(new, 0.0, PHYS, NUM)
+    new, _, system, lu = step(state, 0.0, PHYS, NUM)
+    second = solve_adjoint(system, lu, new.u, slab_index=4)
     assert np.array_equal(first.z.values, second.z.values)
     assert first.bottom_integral == second.bottom_integral
 
@@ -71,11 +61,8 @@ def test_slab_adjoint_is_a_pure_function():
 def test_hydrostatic_gradient_is_negligible():
     # at rest the objective is at a minimum w.r.t. zeta: near-zero bottom integral
     phys = PHYS
-    mesh, mesh_new, u_old, V = one_slab(height=phys.p_bar / phys.g)
-    sys_state = assemble_state_system(mesh_new, mesh, u_old, V.field, 0.0, phys, NUM)
-    u_new, _, _ = solve(sys_state)
-    asys = assemble_adjoint_system(mesh_new, mesh, u_old, V.field, u_new, phys, NUM)
-    adj = solve_adjoint(asys)
+    new, _, system, lu = step(start_state(height=phys.p_bar / phys.g), 0.0, phys, NUM)
+    adj = solve_adjoint(system, lu, new.u)
     # the floor is set by the pressure-stabilization perturbation of the
     # otherwise exact hydrostatic balance; compare against the transient
     # magnitude of the same quantity (~4e-12 for the filling flow)
@@ -84,27 +71,23 @@ def test_hydrostatic_gradient_is_negligible():
 
 def test_gradient_sign_from_rest_below_equilibrium():
     # capillary/pressure inflow: the first control update must be negative
-    mesh, mesh_new, u_old, V = one_slab(height=5e-5)
-    sys_state = assemble_state_system(mesh_new, mesh, u_old, V.field, 0.0, PHYS, NUM)
-    u_new, _, _ = solve(sys_state)
-    asys = assemble_adjoint_system(mesh_new, mesh, u_old, V.field, u_new, PHYS, NUM)
-    adj = solve_adjoint(asys)
+    new, _, system, lu = step(start_state(height=5e-5), 0.0, PHYS, NUM)
+    adj = solve_adjoint(system, lu, new.u)
     assert adj.bottom_integral > 0.0        # update -alpha * I_b < 0
 
 
 def test_finite_difference_duality_single_slab():
-    from capflow.forms import _flatten, mass_matrix
-    mesh, mesh_new, u_old, V = one_slab(height=5e-5)
+    # the perturbed objectives come from full reassembled steps, independent
+    # of the LU reuse in the acceptance check
+    state = start_state(height=5e-5)
 
     def j_of(zeta):
-        s = assemble_state_system(mesh_new, mesh, u_old, V.field, zeta, PHYS, NUM)
-        u, _, _ = solve(s)
-        uf = _flatten(u.values)
-        return u, 0.5 * float(uf @ (mass_matrix(mesh_new) @ uf))
+        new, _, _, _ = step(state, zeta, PHYS, NUM)
+        uf = _flatten(new.u.values)
+        return 0.5 * float(uf @ (mass_matrix(new.mesh) @ uf))
 
-    u_new, _ = j_of(0.0)
-    adj = solve_adjoint(assemble_adjoint_system(mesh_new, mesh, u_old, V.field,
-                                                u_new, PHYS, NUM))
+    new, _, system, lu = step(state, 0.0, PHYS, NUM)
+    adj = solve_adjoint(system, lu, new.u)
     eps = 1e-4
-    fd = (j_of(eps)[1] - j_of(-eps)[1]) / (2 * eps)
+    fd = (j_of(eps) - j_of(-eps)) / (2 * eps)
     assert fd == pytest.approx(adj.bottom_integral, rel=1e-6)

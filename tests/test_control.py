@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capflow.forms
+from capflow.acceptance import run_tc1, tc1_config
 from capflow.control import (ControlState, gradient, objective_increment,
                              run_instantaneous_control, update_control)
 from capflow.errors import DomainEmptied
@@ -134,3 +136,38 @@ class TestRunLoop:
         assert hist.abort_step is not None
         assert (hist.abort_step + 1) * num.dt <= 0.012
         assert len(hist.t) == hist.abort_step + 1   # history up to the failure
+
+    def test_refined_controlled_run_passes_residual_gates(self):
+        # the adjoint residual on 32x64 stays under the 1e-10 gate when the
+        # adjoint is solved with the state LU, transposed
+        dt = tc1_config().dt
+        hist = run_tc1(controlled=True, N1=32, N3=64, T=5 * dt)
+        assert hist.abort_reason is None
+        assert len(hist.t) == 6
+
+    def test_one_factorization_per_step_at_most_one_alive(self, monkeypatch):
+        splu = capflow.forms.splu
+        alive = []          # factorizations alive when each new one is made
+        live = [0]
+
+        class Counted:
+            def __init__(self, lu):
+                self._lu = lu
+                live[0] += 1
+
+            def __del__(self):
+                live[0] -= 1
+
+            def __getattr__(self, key):
+                return getattr(self._lu, key)
+
+        def counting_splu(*args, **kwargs):
+            alive.append(live[0])
+            return Counted(splu(*args, **kwargs))
+
+        monkeypatch.setattr(capflow.forms, "splu", counting_splu)
+        dt = tc1_config().dt
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * dt)
+        assert hist.abort_reason is None
+        assert len(alive) == 3
+        assert alive == [0, 0, 0]

@@ -23,7 +23,7 @@ def test_hydrostatic_state_is_steady():
     phys, num = tc1_params()
     z_eq = phys.p_bar / phys.g
     state = initial_state(5e-4, z_eq, num)
-    new, diag = step(state, 0.0, phys, num)
+    new, diag, _, _ = step(state, 0.0, phys, num)
     assert diag.u_max <= 1e-8
     assert abs(diag.z_cl - z_eq) <= 1e-12
 
@@ -33,7 +33,7 @@ def test_rise_from_rest_matches_reference_peak():
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     for _ in range(5):
-        state, diag = step(state, 0.0, phys, num)
+        state, diag, _, _ = step(state, 0.0, phys, num)
     assert diag.z_cl == pytest.approx(1.608e-4, rel=0.05)
     assert state.t == pytest.approx(0.01)
 
@@ -42,7 +42,7 @@ def test_first_step_moves_upward():
     # below the rest height the net bottom/capillary imbalance drives inflow
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
-    new, diag = step(state, 0.0, phys, num)
+    new, diag, _, _ = step(state, 0.0, phys, num)
     assert new.u.values[:, 1].max() > 0.0
     surface = new.u.values[new.mesh.surface_nodes, 1]
     assert surface.mean() > 0.0
@@ -51,8 +51,8 @@ def test_first_step_moves_upward():
 def test_step_is_bitwise_deterministic():
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
-    a1, _ = step(state, 1e-4, phys, num)
-    a2, _ = step(state, 1e-4, phys, num)
+    a1, *_ = step(state, 1e-4, phys, num)
+    a2, *_ = step(state, 1e-4, phys, num)
     assert np.array_equal(a1.u.values, a2.u.values)
     assert np.array_equal(a1.p.values, a2.p.values)
     assert np.array_equal(a1.mesh.nodes, a2.mesh.nodes)
@@ -65,7 +65,7 @@ def test_volume_change_equals_bottom_flux():
     state = initial_state(5e-4, 5e-5, num)
     for _ in range(3):
         prev = state
-        state, _ = step(state, 0.0, phys, num)
+        state, *_ = step(state, 0.0, phys, num)
     dvol = _volume(state.mesh) - _volume(prev.mesh)
     flux = float(bottom_load_vector(prev.mesh) @ _flatten(prev.u.values))
     assert dvol == pytest.approx(num.dt * flux, rel=1e-6)
@@ -76,7 +76,7 @@ def test_stability_over_full_run():
     state = initial_state(5e-4, 5e-5, num)
     radius = state.mesh.radius
     for _ in range(100):
-        state, diag = step(state, 0.0, phys, num)
+        state, diag, _, _ = step(state, 0.0, phys, num)
         assert diag.min_area > 0
         assert diag.residual <= 1e-10
         # structural degrees of freedom are never written
