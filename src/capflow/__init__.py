@@ -11,9 +11,9 @@ from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied
                      WallViolation)
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
 from .forms import (LinearSystem, assemble_state_system, beta_h, form_a, form_b,
-                    form_c_ALE, form_S_Gamma, form_s, form_s_p, mass_matrix,
-                    rhs_F, solve)
-from .geometry import (AxiMesh, BoundaryTag, build_structured_mesh,
+                    form_c_ALE, form_S_Gamma, form_s, form_s_p, mass_action,
+                    mass_matrix, rhs_F, solve)
+from .geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                        contact_line_height, displace_mesh, mesh_quality,
                        surface_normals)
 from .observables import equilibrium_height, transient_time

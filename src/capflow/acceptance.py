@@ -19,7 +19,7 @@ from .config import RunConfig, num_params, phys_params
 from .control import run_instantaneous_control
 from .errors import DomainEmptied
 from .fields import NumParams, PhysParams, VectorFieldP1
-from .forms import _flatten, _free_dofs, bottom_load_vector, mass_matrix, solve, state_blocks
+from .forms import _flatten, bottom_load_vector, mass_action, solve, state_blocks
 from .geometry import AxiMesh
 from .observables import equilibrium_height, transient_time
 from .stepping import initial_state, step
@@ -175,12 +175,10 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
         if n in slabs:
             adj = solve_adjoint(system, lu, state.u, slab_index=n)
             load = np.pad(bottom_load_vector(state.mesh), (0, state.mesh.num_nodes))[system.free]
-            mass = mass_matrix(state.mesh)
 
             def j_of(eps):
                 u, _, _ = solve(replace(system, rhs=system.rhs + eps * load), lu)
-                uf = _flatten(u.values)
-                return 0.5 * float(uf @ (mass @ uf))
+                return 0.5 * float(_flatten(u.values) @ mass_action(u))
 
             best = math.inf
             for eps in (1e-5, 1e-4, 1e-3):
@@ -202,7 +200,7 @@ def reference_adjoint_matrix(mesh_old: AxiMesh, u_old: VectorFieldP1, mesh_new: 
     V = VectorFieldP1((mesh_new.nodes - mesh_old.nodes) / num.dt, mesh_old)
     K, B, Sp, _ = state_blocks(mesh_new, mesh_old, u_old, V, 0.0, phys, num)
     mat = sp.bmat([[K.T, -B], [B.T, Sp]], format="csr")
-    free = _free_dofs(mesh_new)
+    free = mesh_new.topology.free_dofs
     return mat[np.ix_(free, free)].tocsr()
 
 

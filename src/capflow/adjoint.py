@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import ScalarFieldP1, VectorFieldP1
-from .forms import LinearSystem, SuperLU, _flatten, bottom_load_vector, mass_matrix, solve
+from .forms import LinearSystem, SuperLU, _flatten, bottom_load_vector, mass_action, solve
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class AdjointState:
 
 def adjoint_rhs(system: LinearSystem, u_new: VectorFieldP1) -> np.ndarray:
     """Mass action on u_new, zero in the pressure rows, on the free dofs."""
-    mass_action = mass_matrix(system.mesh) @ _flatten(u_new.values)
-    return np.pad(mass_action, (0, system.mesh.num_nodes))[system.free]
+    return np.pad(mass_action(u_new), (0, system.mesh.num_nodes))[system.free]
 
 
 def solve_adjoint(system: LinearSystem, lu: SuperLU, u_new: VectorFieldP1,

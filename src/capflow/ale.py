@@ -18,8 +18,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrix
 from .fields import VectorFieldP1
-from .forms import element_data
-from .geometry import AxiMesh, surface_slopes
+from .forms import FixedPattern, _coo, _r_stiffness_block, element_data
+from .geometry import AxiMesh, MeshTopology, surface_slopes
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,18 @@ class DomainVelocity:
 
 
 def scalar_stiffness(mesh: AxiMesh) -> sp.csr_matrix:
-    """r-weighted P1 stiffness matrix, shared quadrature with the flow forms."""
+    """r-weighted P1 stiffness matrix, assembled through COO: the reference for
+    the reduced matrix :func:`solve_domain_velocity` fills."""
     ed = element_data(mesh)
-    n = mesh.num_nodes
-    ir = (ed.wq[:, None] * ed.rq).sum(axis=1)
-    gg = np.einsum("mic,mjc->mij", ed.grad, ed.grad) * ir[:, None, None]
-    rows = np.repeat(ed.tri[:, :, None], 3, axis=2)
-    cols = np.repeat(ed.tri[:, None, :], 3, axis=1)
-    return sp.coo_matrix((gg.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n)).tocsr()
+    return _coo((mesh.num_nodes, mesh.num_nodes), (ed.tri, ed.tri, _r_stiffness_block(ed)))
+
+
+def _extension_pattern(topology: MeshTopology) -> FixedPattern:
+    """Reduced stiffness pattern; surface and bottom nodes carry Dirichlet data."""
+    mask = np.ones(topology.num_nodes, dtype=bool)
+    mask[topology.surface_nodes] = False
+    mask[topology.bottom_nodes] = False
+    return FixedPattern.build([topology.triangles], np.flatnonzero(mask), topology.num_nodes)
 
 
 def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
@@ -49,30 +52,20 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
     # vertical surface speed: (u . nu)/nu_3 = u_z - slope * u_r at surface nodes
     snodes = mesh.surface_nodes
     slopes = surface_slopes(mesh)
-    f = u.values[snodes, 1] - slopes * u.values[snodes, 0]
-
     n = mesh.num_nodes
-    dirichlet = np.concatenate((snodes, mesh.bottom_nodes))
-    dir_vals = np.concatenate((f, np.zeros(len(mesh.bottom_nodes))))
-    # the contact node is on the surface, never on the bottom, so no clash
-    A = scalar_stiffness(mesh)
-    mask = np.ones(n, dtype=bool)
-    mask[dirichlet] = False
-    free = np.where(mask)[0]
+    g = np.zeros(n)             # Dirichlet data; zero on the bottom
+    g[snodes] = u.values[snodes, 1] - slopes * u.values[snodes, 0]
 
-    g = np.zeros(n)
-    g[dirichlet] = dir_vals
-    rhs = -(A @ g)[free]
-    try:
-        x = spla.spsolve(A[np.ix_(free, free)].tocsc(), rhs)
-    except (spla.MatrixRankWarning, RuntimeError) as exc:  # pragma: no cover
-        raise SingularMatrix(str(exc)) from exc
+    ed = element_data(mesh)
+    stiffness = _r_stiffness_block(ed)
+    pattern = mesh.topology.memo(_extension_pattern)
+    lifted = np.bincount(ed.tri.ravel(), minlength=n,
+                         weights=np.einsum("mij,mj->mi", stiffness, g[ed.tri]).ravel())
+    x = spla.spsolve(pattern.fill(stiffness.ravel()), -lifted[pattern.free])
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("mesh-velocity solve produced non-finite values")
 
-    vz = g.copy()
-    vz[free] = x
     values = np.zeros((n, 2))
-    values[:, 1] = vz
-    values[mesh.bottom_nodes, 1] = 0.0
+    values[:, 1] = g
+    values[pattern.free, 1] = x
     return DomainVelocity(field=VectorFieldP1(values, mesh))

@@ -15,7 +15,7 @@ import numpy as np
 from .adjoint import solve_adjoint
 from .errors import CapflowError
 from .fields import NumParams, PhysParams
-from .forms import _flatten, mass_matrix
+from .forms import _flatten, mass_action
 from .geometry import contact_line_height
 from .stepping import FlowState, initial_state, step
 
@@ -66,8 +66,7 @@ class RunHistory:
 
 def objective_increment(state_new: FlowState, zeta: float, ctrl: ControlState) -> float:
     """Per-slab objective: kinetic energy of the new state plus the control penalty."""
-    u = _flatten(state_new.u.values)
-    kin = 0.5 * float(u @ (mass_matrix(state_new.mesh) @ u))
+    kin = 0.5 * float(_flatten(state_new.u.values) @ mass_action(state_new.u))
     return kin + 0.5 * ctrl.lam * zeta ** 2 * ctrl.sigma_b_measure
 
 

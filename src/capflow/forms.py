@@ -9,6 +9,12 @@ the wall radius.  Volume terms use the 3-point mid-edge rule on triangles
 Velocity dof layout: radial components first (node k -> row k), then vertical
 components (node k -> row N + k); pressure dofs follow in the monolithic
 saddle system.
+
+Every form is a kernel of dense per-element (or per-edge) blocks.  The run
+path sums those blocks straight into the reduced saddle matrix through a
+:class:`FixedPattern` built once per mesh topology; the ``form_*`` functions
+and :func:`state_blocks` sum the same blocks through COO and are the
+reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
-from .geometry import AxiMesh, BoundaryTag, contact_line_height, surface_normals
+from .geometry import AxiMesh, BoundaryTag, MeshTopology, contact_line_height, surface_normals
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -46,6 +52,11 @@ class ElementData:
 
 
 def element_data(mesh: AxiMesh) -> ElementData:
+    """Per-triangle geometry of mesh, computed once per mesh."""
+    return mesh.memo(_element_data)
+
+
+def _element_data(mesh: AxiMesh) -> ElementData:
     tri = mesh.triangles
     p = mesh.nodes[tri]                      # (M, 3, 2)
     r, z = p[..., 0], p[..., 1]
@@ -75,101 +86,77 @@ def _edge_geometry(mesh: AxiMesh, tag: BoundaryTag):
     return edges, length, rq, basis
 
 
-def _vector_coo(mesh, rows_local, cols_local, vals):
-    """Scatter per-element local blocks into a (2N, 2N) CSR matrix."""
-    n = mesh.num_nodes
-    return sp.coo_matrix((vals.ravel(), (rows_local.ravel(), cols_local.ravel())),
-                         shape=(2 * n, 2 * n)).tocsr()
-
-
-def _local_dof_grid(mesh, tri):
-    """Global dof indices per element in local order (r0 r1 r2 z0 z1 z2)."""
-    n = mesh.num_nodes
-    gdof = np.concatenate((tri, tri + n), axis=1)  # (M, 6)
-    rows = np.repeat(gdof[:, :, None], 6, axis=2)
-    cols = np.repeat(gdof[:, None, :], 6, axis=1)
-    return rows, cols
-
-
 def _quad_values(ed: ElementData, nodal: np.ndarray) -> np.ndarray:
     """Values of a P1 nodal field at the quadrature points, (M, 3q, ...)."""
     return np.einsum("qk,mk...->mq...", _QBASIS, nodal[ed.tri])
 
 
-def form_a(mesh: AxiMesh, beta: float, params: PhysParams) -> sp.csr_matrix:
-    """Viscous rate-of-strain form plus wall friction.
+# -- local blocks -------------------------------------------------------------
 
-    2 nu (D(u), D(v)) with the axisymmetric hoop contribution
-    2 nu u_r v_r / r^2, plus beta * integral of u . v over the wall.
-    Entries of 1/r terms at quadrature points on the axis are skipped; the
-    affected dofs carry an essential zero and are eliminated from the system.
-    """
-    if beta < 0:
-        raise ValueError("friction coefficient must be nonnegative")
-    ed = element_data(mesh)
-    nu = params.nu
+def _vector_dofs(nodes: np.ndarray, n: int) -> np.ndarray:
+    """Velocity dofs of per-element node lists, local order (r..., z...)."""
+    return np.concatenate((nodes, nodes + n), axis=1)
+
+
+def _on_both_components(block: np.ndarray) -> np.ndarray:
+    """A (E, k, k) nodal block acting alike on u_r and u_z, on dofs (r..., z...)."""
+    e, k, _ = block.shape
+    out = np.zeros((e, 2 * k, 2 * k))
+    out[:, :k, :k] = block
+    out[:, k:, k:] = block
+    return out
+
+
+def _r_integral(ed: ElementData) -> np.ndarray:
+    return (ed.wq[:, None] * ed.rq).sum(axis=1)
+
+
+def _mass_block(ed: ElementData, weight_q: np.ndarray | None = None) -> np.ndarray:
+    """Per-element 3x3 blocks of integral r weight(q) N_i N_j (weight 1 if None)."""
+    wr = ed.wq[:, None] * ed.rq
+    if weight_q is not None:
+        wr = wr * weight_q
+    return np.einsum("mq,qi,qj->mij", wr, _QBASIS, _QBASIS)
+
+
+def _viscous_block(ed: ElementData, nu: float) -> np.ndarray:
+    """(M, 6, 6) rate-of-strain blocks, with the hoop term 2 nu u_r v_r / r."""
     b = ed.grad[:, :, 0]
     c = ed.grad[:, :, 1]
-    ir = (ed.wq[:, None] * ed.rq).sum(axis=1)    # integral of r over element
-
-    m = len(ed.tri)
-    E = np.zeros((m, 6, 6))
     bb = np.einsum("mi,mj->mij", b, b)
     cc = np.einsum("mi,mj->mij", c, c)
     cb = np.einsum("mi,mj->mij", c, b)
-    E[:, :3, :3] += nu * (2.0 * bb + cc) * ir[:, None, None]
-    E[:, :3, 3:] += nu * cb * ir[:, None, None]
-    E[:, 3:, :3] += nu * cb.transpose(0, 2, 1) * ir[:, None, None]
-    E[:, 3:, 3:] += nu * (2.0 * cc + bb) * ir[:, None, None]
-
-    # hoop term 2 nu u_r v_r / r
+    E = np.empty((len(ed.tri), 6, 6))
+    E[:, :3, :3] = 2.0 * bb + cc
+    E[:, :3, 3:] = cb
+    E[:, 3:, :3] = cb.transpose(0, 2, 1)
+    E[:, 3:, 3:] = 2.0 * cc + bb
+    E *= nu * _r_integral(ed)[:, None, None]
     mask = ed.rq > ed.axis_tol
     inv_r = np.where(mask, 1.0 / np.where(mask, ed.rq, 1.0), 0.0)
-    hoop = 2.0 * nu * np.einsum("mq,qi,qj->mij", ed.wq[:, None] * inv_r, _QBASIS, _QBASIS)
-    E[:, :3, :3] += hoop
-
-    rows, cols = _local_dof_grid(mesh, ed.tri)
-    mat = _vector_coo(mesh, rows, cols, E)
-
-    if beta > 0.0:
-        edges, length, rq, basis = _edge_geometry(mesh, BoundaryTag.WALL)
-        w = 0.5 * length[:, None] * rq                       # (E, 2q)
-        ee = beta * np.einsum("eq,qi,qj->eij", w, basis, basis)
-        n = mesh.num_nodes
-        for shift in (0, n):
-            g = edges + shift
-            rows_e = np.repeat(g[:, :, None], 2, axis=2)
-            cols_e = np.repeat(g[:, None, :], 2, axis=1)
-            mat = mat + sp.coo_matrix(
-                (ee.ravel(), (rows_e.ravel(), cols_e.ravel())),
-                shape=(2 * n, 2 * n)).tocsr()
-    return mat
+    E[:, :3, :3] += 2.0 * nu * np.einsum("mq,qi,qj->mij", ed.wq[:, None] * inv_r,
+                                         _QBASIS, _QBASIS)
+    return E
 
 
-def form_b(mesh: AxiMesh) -> sp.csr_matrix:
-    """Velocity-pressure coupling b(v, pi) = -(div v, pi).
+def _wall_friction_block(mesh: AxiMesh, beta: float) -> np.ndarray:
+    """(E, 2, 2) blocks of beta * integral of r N_i N_j over each wall edge."""
+    _, length, rq, basis = _edge_geometry(mesh, BoundaryTag.WALL)
+    w = 0.5 * length[:, None] * rq                        # (E, 2q)
+    return beta * np.einsum("eq,qi,qj->eij", w, basis, basis)
 
-    The axisymmetric divergence dr(v_r) + v_r/r + dz(v_z) is integrated
-    against r, which cancels the 1/r singularity exactly.
-    Rows are velocity dofs, columns pressure dofs.
-    """
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    m = len(ed.tri)
+
+def _coupling_block(ed: ElementData) -> np.ndarray:
+    """(M, 6, 3) blocks of -(div v, pi) r: velocity dofs by pressure dofs."""
     b = ed.grad[:, :, 0]
     c = ed.grad[:, :, 1]
     # r-component: -(b_i r + N_i) N_j ; z-component: -c_i r N_j
     wr = ed.wq[:, None] * ed.rq                           # (M, 3q)
-    E = np.zeros((m, 6, 3))
-    E[:, :3, :] -= np.einsum("mq,mi,qj->mij", wr, b, _QBASIS)
+    E = np.empty((len(ed.tri), 6, 3))
+    E[:, :3, :] = -np.einsum("mq,mi,qj->mij", wr, b, _QBASIS)
     E[:, :3, :] -= np.einsum("m,qi,qj->mij", ed.wq, _QBASIS, _QBASIS)
-    E[:, 3:, :] -= np.einsum("mq,mi,qj->mij", wr, c, _QBASIS)
-
-    gdof = np.concatenate((ed.tri, ed.tri + n), axis=1)
-    rows = np.repeat(gdof[:, :, None], 3, axis=2)
-    cols = np.repeat(ed.tri[:, None, :], 6, axis=1)
-    return sp.coo_matrix((E.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(2 * n, n)).tocsr()
+    E[:, 3:, :] = -np.einsum("mq,mi,qj->mij", wr, c, _QBASIS)
+    return E
 
 
 def _div_at_quad(ed: ElementData, field: np.ndarray) -> np.ndarray:
@@ -188,9 +175,102 @@ def _div_at_quad(ed: ElementData, field: np.ndarray) -> np.ndarray:
     return d_planar[:, None] + hoop                       # (M, 3q)
 
 
-def _mass_pattern(ed: ElementData, weight_q: np.ndarray) -> np.ndarray:
-    """Per-element 3x3 blocks of integral weight(q) N_i N_j."""
-    return np.einsum("mq,qi,qj->mij", weight_q, _QBASIS, _QBASIS)
+def _transport_block(ed: ElementData, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) nodal blocks of N_i ((w - V) . grad) N_j - div(V) N_i N_j, r-weighted."""
+    rel = _quad_values(ed, w - V)                         # (M, 3q, 2)
+    wr = ed.wq[:, None] * ed.rq
+    rel_grad = np.einsum("mqc,mjc->mqj", rel, ed.grad)
+    adv = np.einsum("mq,qi,mqj->mij", wr, _QBASIS, rel_grad)
+    return adv - _mass_block(ed, _div_at_quad(ed, V))
+
+
+def _divergence_stab_block(ed: ElementData, w: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) nodal blocks of 1/2 div(w) N_i N_j, r-weighted."""
+    return 0.5 * _mass_block(ed, _div_at_quad(ed, w))
+
+
+def _surface_flux_block(mesh: AxiMesh, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(E, 2, 2) nodal blocks of -1/2 ((w - V) . nu) N_i N_j r on free-surface edges."""
+    normals = surface_normals(mesh)
+    edges, length, rq, basis = _edge_geometry(mesh, BoundaryTag.FREE_SURFACE)
+    rel = w[edges] - V[edges]                             # (E, 2 nodes, 2)
+    rel_q = np.einsum("qk,ekc->eqc", basis, rel)
+    flux = np.einsum("eqc,ec->eq", rel_q, normals)        # (E, 2q)
+    wgt = -0.5 * 0.5 * length[:, None] * rq * flux
+    return np.einsum("eq,qi,qj->eij", wgt, basis, basis)
+
+
+def _surface_stab_block(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
+    """(E, 4, 4) free-surface stabilization blocks on dofs (r0, r1, z0, z1).
+
+    D(u) = -(f1 - f0)/L with f = u.nu/nu_3, squared, weighted by gamma/2
+    and the surface measure.
+    """
+    normals = surface_normals(mesh)
+    edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
+    p1 = mesh.nodes[edges[:, 0]]
+    p2 = mesh.nodes[edges[:, 1]]
+    d = p2 - p1
+    length = np.sqrt((d ** 2).sum(axis=1))
+    rbar = 0.5 * (p1[:, 0] + p2[:, 0])
+    nu1, nu3 = normals[:, 0], normals[:, 1]
+    coef = np.stack((-nu1, nu1, -nu3, nu3), axis=1)       # (E, 4)
+    scale = 0.5 * params.gamma * rbar / length
+    return scale[:, None, None] * np.einsum("ei,ej->eij", coef, coef)
+
+
+def _r_stiffness_block(ed: ElementData) -> np.ndarray:
+    """(M, 3, 3) blocks of integral r grad N_i . grad N_j, the kernel of the
+    pressure stabilization and of the mesh-velocity extension."""
+    gg = np.einsum("mic,mjc->mij", ed.grad, ed.grad)
+    return gg * _r_integral(ed)[:, None, None]
+
+
+def _pressure_stab_block(ed: ElementData, Cs: float, h: float | None = None) -> np.ndarray:
+    h2 = 2.0 * ed.area if h is None else np.full(len(ed.tri), float(h) ** 2)
+    return Cs * h2[:, None, None] * _r_stiffness_block(ed)
+
+
+def _coo(shape: tuple[int, int], *parts) -> sp.csr_matrix:
+    """Sum local blocks into a matrix; each part is (row_dofs, col_dofs, blocks),
+    and blocks[e, i, j] adds to entry (row_dofs[e, i], col_dofs[e, j])."""
+    rows = [np.broadcast_to(r[:, :, None], b.shape).ravel() for r, _, b in parts]
+    cols = [np.broadcast_to(c[:, None, :], b.shape).ravel() for _, c, b in parts]
+    vals = [b.ravel() for _, _, b in parts]
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=shape).tocsr()
+
+
+# -- reference forms ----------------------------------------------------------
+
+def form_a(mesh: AxiMesh, beta: float, params: PhysParams) -> sp.csr_matrix:
+    """Viscous rate-of-strain form plus wall friction.
+
+    2 nu (D(u), D(v)) with the axisymmetric hoop contribution
+    2 nu u_r v_r / r^2, plus beta * integral of u . v over the wall.
+    Entries of 1/r terms at quadrature points on the axis are skipped; the
+    affected dofs carry an essential zero and are eliminated from the system.
+    """
+    if beta < 0:
+        raise ValueError("friction coefficient must be nonnegative")
+    ed = element_data(mesh)
+    n = mesh.num_nodes
+    dofs = _vector_dofs(ed.tri, n)
+    wall = _vector_dofs(mesh.boundary_edges[BoundaryTag.WALL], n)
+    return _coo((2 * n, 2 * n), (dofs, dofs, _viscous_block(ed, params.nu)),
+                (wall, wall, _on_both_components(_wall_friction_block(mesh, beta))))
+
+
+def form_b(mesh: AxiMesh) -> sp.csr_matrix:
+    """Velocity-pressure coupling b(v, pi) = -(div v, pi).
+
+    The axisymmetric divergence dr(v_r) + v_r/r + dz(v_z) is integrated
+    against r, which cancels the 1/r singularity exactly.
+    Rows are velocity dofs, columns pressure dofs.
+    """
+    ed = element_data(mesh)
+    n = mesh.num_nodes
+    return _coo((2 * n, n), (_vector_dofs(ed.tri, n), ed.tri, _coupling_block(ed)))
 
 
 def form_c_ALE(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matrix:
@@ -201,41 +281,23 @@ def form_c_ALE(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matr
     """
     _check_fields(mesh, w, V)
     ed = element_data(mesh)
-    rel = _quad_values(ed, w.values - V.values)           # (M, 3q, 2)
-    wr = ed.wq[:, None] * ed.rq
-    # transport: N_i (rel . grad) N_j, identical on both components
-    rel_grad = np.einsum("mqc,mjc->mqj", rel, ed.grad)
-    adv = np.einsum("mq,qi,mqj->mij", wr, _QBASIS, rel_grad)
-    divv = _div_at_quad(ed, V.values)
-    msub = _mass_pattern(ed, wr * divv)
-    block = adv - msub
-    return _scatter_diag_block(mesh, ed, block)
+    n = mesh.num_nodes
+    dofs = _vector_dofs(ed.tri, n)
+    block = _on_both_components(_transport_block(ed, w.values, V.values))
+    return _coo((2 * n, 2 * n), (dofs, dofs, block))
 
 
 def form_s(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matrix:
     """Transport stabilization 1/2 (div(w) u, v) - 1/2 surface flux on the free surface."""
     _check_fields(mesh, w, V)
     ed = element_data(mesh)
-    wr = ed.wq[:, None] * ed.rq
-    divw = _div_at_quad(ed, w.values)
-    block = 0.5 * _mass_pattern(ed, wr * divw)
-    mat = _scatter_diag_block(mesh, ed, block)
-
-    normals = surface_normals(mesh)
-    edges, length, rq, basis = _edge_geometry(mesh, BoundaryTag.FREE_SURFACE)
-    rel = w.values[edges] - V.values[edges]               # (E, 2 nodes, 2)
-    rel_q = np.einsum("qk,ekc->eqc", basis, rel)
-    flux = np.einsum("eqc,ec->eq", rel_q, normals)        # (E, 2q)
-    wgt = -0.5 * 0.5 * length[:, None] * rq * flux
-    ee = np.einsum("eq,qi,qj->eij", wgt, basis, basis)
     n = mesh.num_nodes
-    for shift in (0, n):
-        g = edges + shift
-        rows = np.repeat(g[:, :, None], 2, axis=2)
-        cols = np.repeat(g[:, None, :], 2, axis=1)
-        mat = mat + sp.coo_matrix((ee.ravel(), (rows.ravel(), cols.ravel())),
-                                  shape=(2 * n, 2 * n)).tocsr()
-    return mat
+    dofs = _vector_dofs(ed.tri, n)
+    surface = _vector_dofs(mesh.boundary_edges[BoundaryTag.FREE_SURFACE], n)
+    volume = _divergence_stab_block(ed, w.values)
+    flux = _surface_flux_block(mesh, w.values, V.values)
+    return _coo((2 * n, 2 * n), (dofs, dofs, _on_both_components(volume)),
+                (surface, surface, _on_both_components(flux)))
 
 
 def form_S_Gamma(mesh: AxiMesh, params: PhysParams) -> sp.csr_matrix:
@@ -245,24 +307,9 @@ def form_S_Gamma(mesh: AxiMesh, params: PhysParams) -> sp.csr_matrix:
     velocity, squared, weighted by gamma/2 and the surface measure.  Rigid
     vertical motion is annihilated exactly.
     """
-    normals = surface_normals(mesh)
-    edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    d = p2 - p1
-    length = np.sqrt((d ** 2).sum(axis=1))
-    rbar = 0.5 * (p1[:, 0] + p2[:, 0])
-    nu1, nu3 = normals[:, 0], normals[:, 1]
-    # local dofs (n1r, n1z, n2r, n2z); D(u) = -(f2 - f1)/L with f = u.nu/nu3
-    coef = np.stack((-nu1, -nu3, nu1, nu3), axis=1)       # (E, 4)
-    scale = 0.5 * params.gamma * rbar / length
-    blocks = scale[:, None, None] * np.einsum("ei,ej->eij", coef, coef)
     n = mesh.num_nodes
-    g = np.stack((edges[:, 0], edges[:, 0] + n, edges[:, 1], edges[:, 1] + n), axis=1)
-    rows = np.repeat(g[:, :, None], 4, axis=2)
-    cols = np.repeat(g[:, None, :], 4, axis=1)
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(2 * n, 2 * n)).tocsr()
+    surface = _vector_dofs(mesh.boundary_edges[BoundaryTag.FREE_SURFACE], n)
+    return _coo((2 * n, 2 * n), (surface, surface, _surface_stab_block(mesh, params)))
 
 
 def form_s_p(mesh: AxiMesh, Cs: float, h: float | None = None) -> sp.csr_matrix:
@@ -278,25 +325,24 @@ def form_s_p(mesh: AxiMesh, Cs: float, h: float | None = None) -> sp.csr_matrix:
         raise ValueError("Cs must be nonnegative")
     ed = element_data(mesh)
     n = mesh.num_nodes
-    if h is None:
-        h2 = 2.0 * ed.area
-    else:
-        h2 = np.full(len(ed.tri), float(h) ** 2)
-    ir = (ed.wq[:, None] * ed.rq).sum(axis=1)
-    gg = np.einsum("mic,mjc->mij", ed.grad, ed.grad)
-    blocks = Cs * (h2 * ir)[:, None, None] * gg
-    rows = np.repeat(ed.tri[:, :, None], 3, axis=2)
-    cols = np.repeat(ed.tri[:, None, :], 3, axis=1)
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n)).tocsr()
+    return _coo((n, n), (ed.tri, ed.tri, _pressure_stab_block(ed, Cs, h)))
 
 
 def mass_matrix(mesh: AxiMesh) -> sp.csr_matrix:
     """Consistent r-weighted mass matrix on vector fields, (2N, 2N)."""
     ed = element_data(mesh)
-    wr = ed.wq[:, None] * ed.rq
-    block = _mass_pattern(ed, wr)
-    return _scatter_diag_block(mesh, ed, block)
+    n = mesh.num_nodes
+    dofs = _vector_dofs(ed.tri, n)
+    return _coo((2 * n, 2 * n), (dofs, dofs, _on_both_components(_mass_block(ed))))
+
+
+def mass_action(u: VectorFieldP1) -> np.ndarray:
+    """mass_matrix(u.mesh) @ u, flattened, summed element by element."""
+    ed = element_data(u.mesh)
+    local = np.einsum("mij,mjc->mci", _mass_block(ed), u.values[ed.tri])   # (M, 2, 3)
+    n = u.mesh.num_nodes
+    return np.bincount(_vector_dofs(ed.tri, n).ravel(), weights=local.ravel(),
+                       minlength=2 * n)
 
 
 def beta_h(chi: float, h3: float, nu: float) -> float:
@@ -373,11 +419,76 @@ def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
 
 # -- monolithic system ------------------------------------------------------
 
+@dataclass(frozen=True)
+class FixedPattern:
+    """CSC sparsity of a reduced square matrix summed from local blocks, and
+    the position in its data of every local entry.
+
+    Connectivity never changes, so a pattern is built once per mesh topology
+    and each fill is one bincount.  Local entries on an eliminated row or
+    column go to the trash slot len(indices), past the stored entries.  The
+    pattern depends on no values: entries that cancel to zero stay stored.
+    """
+
+    free: np.ndarray      # kept dofs, in the order of the reduced rows/columns
+    shapes: list          # (E, k) of each family of local blocks
+    slot: np.ndarray      # int32 data position of each local entry, families in order
+    indices: np.ndarray   # int32 row of each stored entry
+    indptr: np.ndarray    # int32 column starts
+
+    @classmethod
+    def build(cls, families: list[np.ndarray], free: np.ndarray, size: int) -> "FixedPattern":
+        """families: (E, k) dof arrays; entry (i, j) of element e's k x k block
+        adds to row dofs[e, i], column dofs[e, j] of the size x size matrix."""
+        nf = len(free)
+        base = nf + 1
+        key_type = np.int32 if base ** 2 < 2 ** 31 else np.int64
+        trash = key_type(nf * base)                 # sorts after every kept (column, row)
+        reduced = np.full(size, nf, dtype=key_type)
+        reduced[free] = np.arange(nf)
+        keys = np.empty(sum(d.size * d.shape[1] for d in families), key_type)
+        at = 0
+        for dofs in families:
+            r = reduced[dofs]
+            block = keys[at:at + r.size * r.shape[1]].reshape(*r.shape, r.shape[1])
+            np.add(r[:, None, :] * key_type(base), r[:, :, None], out=block)
+            block[(r == nf)[:, :, None] | (r == nf)[:, None, :]] = trash
+            at += block.size
+        # sort-based unique: np.unique's temporaries cost more resident memory
+        stored = np.sort(keys)                      # column-major order
+        stored = stored[np.concatenate(([True], stored[1:] != stored[:-1]))]
+        slot = np.searchsorted(stored, keys).astype(np.int32)
+        if stored[-1] == trash:
+            stored = stored[:-1]
+        indptr = np.searchsorted(stored // base, np.arange(nf + 1)).astype(np.int32)
+        indices = (stored % base).astype(np.int32)
+        for a in (slot, indices, indptr):   # every filled matrix shares indices and indptr
+            a.setflags(write=False)
+        return cls(free=free, shapes=[d.shape for d in families], slot=slot,
+                   indices=indices, indptr=indptr)
+
+    def values(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """An uninitialised flat value array for :meth:`fill`, and its (E, k, k)
+        view per family, in build order."""
+        vals = np.empty(len(self.slot))
+        views, at = [], 0
+        for e, k in self.shapes:
+            views.append(vals[at:at + e * k * k].reshape(e, k, k))
+            at += e * k * k
+        return vals, views
+
+    def fill(self, vals: np.ndarray) -> sp.csc_matrix:
+        """The reduced matrix summing the flat local values (layout of :meth:`values`)."""
+        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices) + 1)
+        n = len(self.free)
+        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
+
+
 @dataclass
 class LinearSystem:
     """Reduced saddle system of one slab's state solve."""
 
-    matrix: sp.csr_matrix      # free dofs only
+    matrix: sp.spmatrix        # free dofs only
     rhs: np.ndarray
     free: np.ndarray           # global indices of free dofs
     size_full: int
@@ -385,16 +496,9 @@ class LinearSystem:
     mesh: AxiMesh
 
 
-def _free_dofs(mesh: AxiMesh) -> np.ndarray:
-    n = mesh.num_nodes
-    fixed = mesh.radial_constrained_nodes           # radial dofs only
-    mask = np.ones(3 * n, dtype=bool)
-    mask[fixed] = False
-    return np.where(mask)[0]
-
-
 def state_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num):
-    """All blocks of the semi-implicit step on the updated geometry.
+    """All blocks of the semi-implicit step on the updated geometry, assembled
+    form by form; the reference for :func:`assemble_state_system`.
 
     Returns (K, B, Sp, rhs_top) with K the velocity-velocity operator,
     B the pressure coupling, Sp the pressure stabilization and rhs_top the
@@ -418,19 +522,54 @@ def state_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num):
     return K, B, Sp, rhs_top
 
 
+def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
+    """Triangles over (u_r, u_z, p) of their vertices, then wall and
+    free-surface edges over (u_r, u_z) of their ends."""
+    n = topology.num_nodes
+    tri = topology.triangles
+    edges = [_vector_dofs(topology.boundary_edges[tag], n)
+             for tag in (BoundaryTag.WALL, BoundaryTag.FREE_SURFACE)]
+    return FixedPattern.build([np.concatenate((tri, tri + n, tri + 2 * n), axis=1), *edges],
+                              topology.free_dofs, 3 * n)
+
+
 def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
-    """Monolithic [[K, B], [-B^T, Sp]] system with essential radial dofs eliminated."""
-    K, B, Sp, rhs_top = state_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num)
+    """Monolithic [[K, B], [-B^T, Sp]] system with essential radial dofs eliminated.
+
+    The local blocks of :func:`state_blocks`, summed into the saddle pattern
+    of the mesh topology, which both meshes must share.
+    """
+    _check_fields(mesh_old, u_old, V_old)
+    if mesh_new.topology is not mesh_old.topology:
+        raise DimensionMismatch("old and new mesh must share one topology")
+    dt = num.dt
+    beta = beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
+    ed = element_data(mesh_new)
+    u, V = u_old.values, V_old.values
+    pattern = mesh_new.topology.memo(_saddle_pattern)
+    vals, (tri, wall, surface) = pattern.values()
+    # each triangle's block couples (u_r, u_z, p) of its three vertices
+    tri[:, :6, :6] = _viscous_block(ed, phys.nu)
+    diag = _mass_block(ed) / dt + _transport_block(ed, u, V) + _divergence_stab_block(ed, u)
+    tri[:, :3, :3] += diag
+    tri[:, 3:6, 3:6] += diag
+    coupling = _coupling_block(ed)
+    tri[:, :6, 6:] = coupling
+    tri[:, 6:, :6] = -coupling.transpose(0, 2, 1)
+    tri[:, 6:, 6:] = _pressure_stab_block(ed, num.Cs)
+    wall[:] = _on_both_components(_wall_friction_block(mesh_new, beta))
+    surface[:] = (_on_both_components(_surface_flux_block(mesh_new, u, V))
+                  + dt * _surface_stab_block(mesh_new, phys))
     n = mesh_new.num_nodes
-    mat = sp.bmat([[K, B], [-B.T, Sp]], format="csr")
-    rhs = np.concatenate((rhs_top, np.zeros(n)))
-    free = _free_dofs(mesh_new)
-    return LinearSystem(matrix=mat[np.ix_(free, free)].tocsr(), rhs=rhs[free],
-                        free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh_new)
+    rhs = np.zeros(3 * n)
+    rhs[:2 * n] = mass_action(u_old) / dt + rhs_F(mesh_new, zeta, phys)
+    return LinearSystem(matrix=pattern.fill(vals), rhs=rhs[pattern.free],
+                        free=pattern.free, size_full=3 * n, n_velocity=2 * n, mesh=mesh_new)
 
 
 def factorize(system: LinearSystem) -> SuperLU:
-    """LU of the reduced saddle matrix, shared by the state and adjoint solves."""
+    """LU of the reduced saddle matrix, shared by the state and adjoint solves
+    (.tocsc() copies nothing for the CSC matrix the assembly fills)."""
     try:
         return splu(system.matrix.tocsc())
     except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
@@ -471,13 +610,3 @@ def _check_fields(mesh, *fields):
         if f.mesh is not mesh:
             raise DimensionMismatch("field defined on a different mesh")
 
-
-def _scatter_diag_block(mesh: AxiMesh, ed: ElementData, block: np.ndarray) -> sp.csr_matrix:
-    """Scatter a (M, 3, 3) nodal block onto both velocity components."""
-    n = mesh.num_nodes
-    rows = np.repeat(ed.tri[:, :, None], 3, axis=2)
-    cols = np.repeat(ed.tri[:, None, :], 3, axis=1)
-    data = np.concatenate((block.ravel(), block.ravel()))
-    rr = np.concatenate((rows.ravel(), rows.ravel() + n))
-    cc = np.concatenate((cols.ravel(), cols.ravel() + n))
-    return sp.coo_matrix((data, (rr, cc)), shape=(2 * n, 2 * n)).tocsr()

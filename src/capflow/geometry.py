@@ -11,7 +11,7 @@ Meshes are immutable; :func:`displace_mesh` returns a new mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -28,50 +28,46 @@ class BoundaryTag(Enum):
     AXIS = "axis"
 
 
-@dataclass(frozen=True)
-class AxiMesh:
-    """Triangulated half-section with tagged boundary arcs.
+class _Memo:
+    """Per-object cache of derived data; the object itself is immutable."""
 
-    nodes          (N, 2) array of (r, z) coordinates [m]
-    triangles      (M, 3) vertex index triples, positively oriented
-    boundary_edges tag -> (E, 2) node-pair array; free-surface edges are
-                   ordered by increasing r with each pair (left, right)
-    contact_node   index of the single node shared by free surface and wall
-    radius         cylinder radius [m]
+    def memo(self, build):
+        """build(self) on the first call with this build function, its stored result after."""
+        cache = self.__dict__.setdefault("_memo", {})
+        if build not in cache:
+            cache[build] = build(self)
+        return cache[build]
+
+
+@dataclass(frozen=True, eq=False)
+class MeshTopology(_Memo):
+    """Connectivity and tagged boundary arcs, shared by a mesh and every mesh
+    displaced from it.
+
+    Mesh motion never changes connectivity, so whatever derives from it alone
+    (boundary node sets, free dofs, sparsity patterns through :meth:`memo`)
+    is computed once per topology, not once per mesh.
     """
 
-    nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: dict
     contact_node: int
-    radius: float
+    num_nodes: int
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        tris = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        nodes.setflags(write=False)
-        tris.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "triangles", tris)
-        for tag in BoundaryTag:
-            edges = np.ascontiguousarray(self.boundary_edges[tag], dtype=np.int64)
-            edges.setflags(write=False)
-            self.boundary_edges[tag] = edges
-        self._validate()
+        gamma = self.boundary_edges[BoundaryTag.FREE_SURFACE]
+        wall = self.boundary_edges[BoundaryTag.WALL]
+        shared = np.intersect1d(gamma.ravel(), wall.ravel())
+        if shared.size != 1 or shared[0] != self.contact_node:
+            raise DimensionMismatch("free surface and wall must share exactly the contact node")
 
-    # -- derived data ------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @cached_property
-    def areas(self) -> np.ndarray:
-        """Signed triangle areas."""
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    def matches(self, triangles, boundary_edges, contact_node, num_nodes) -> bool:
+        """Whether these are this topology's connectivity and tags."""
+        def same(a, b):
+            return a is b or np.array_equal(a, b)
+        return (num_nodes == self.num_nodes and contact_node == self.contact_node
+                and same(triangles, self.triangles)
+                and all(same(boundary_edges[t], self.boundary_edges[t]) for t in BoundaryTag))
 
     def _boundary_nodes(self, tag: BoundaryTag) -> np.ndarray:
         return np.unique(self.boundary_edges[tag])
@@ -101,6 +97,79 @@ class AxiMesh:
         """Nodes whose radial velocity component is an essential zero."""
         return np.union1d(self.wall_nodes, self.axis_nodes)
 
+    @cached_property
+    def free_dofs(self) -> np.ndarray:
+        """Free dofs of the monolithic (u_r, u_z, p) system: all but the radial
+        dofs of the wall and axis nodes."""
+        mask = np.ones(3 * self.num_nodes, dtype=bool)
+        mask[self.radial_constrained_nodes] = False
+        return np.flatnonzero(mask)
+
+
+def _on_topology(name: str) -> property:
+    return property(lambda mesh: getattr(mesh.topology, name),
+                    doc=f"The shared topology's ``{name}``.")
+
+
+@dataclass(frozen=True)
+class AxiMesh(_Memo):
+    """Triangulated half-section with tagged boundary arcs.
+
+    nodes          (N, 2) array of (r, z) coordinates [m]
+    triangles      (M, 3) vertex index triples, positively oriented
+    boundary_edges tag -> (E, 2) node-pair array; free-surface edges are
+                   ordered by increasing r with each pair (left, right)
+    contact_node   index of the single node shared by free surface and wall
+    radius         cylinder radius [m]
+    topology       the :class:`MeshTopology` of the four above; built when not
+                   given, and rejected with DimensionMismatch when it differs
+    """
+
+    nodes: np.ndarray
+    triangles: np.ndarray
+    boundary_edges: dict
+    contact_node: int
+    radius: float
+    topology: MeshTopology | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes = np.ascontiguousarray(self.nodes, dtype=float)
+        tris = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        nodes.setflags(write=False)
+        tris.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "triangles", tris)
+        for tag in BoundaryTag:
+            edges = np.ascontiguousarray(self.boundary_edges[tag], dtype=np.int64)
+            edges.setflags(write=False)
+            self.boundary_edges[tag] = edges
+        parts = (tris, self.boundary_edges, self.contact_node, len(nodes))
+        if self.topology is None:
+            object.__setattr__(self, "topology", MeshTopology(*parts))
+        elif not self.topology.matches(*parts):
+            raise DimensionMismatch("mesh connectivity differs from the topology it was given")
+        self._validate()
+
+    # -- derived data ------------------------------------------------------
+
+    @property
+    def num_nodes(self) -> int:
+        return self.nodes.shape[0]
+
+    @cached_property
+    def areas(self) -> np.ndarray:
+        """Signed triangle areas."""
+        p = self.nodes[self.triangles]
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+    wall_nodes = _on_topology("wall_nodes")
+    axis_nodes = _on_topology("axis_nodes")
+    bottom_nodes = _on_topology("bottom_nodes")
+    surface_nodes = _on_topology("surface_nodes")
+    radial_constrained_nodes = _on_topology("radial_constrained_nodes")
+
     # -- invariants --------------------------------------------------------
 
     def _validate(self):
@@ -118,11 +187,6 @@ class AxiMesh:
             raise MeshTangled(
                 f"{int(np.sum(self.areas <= 0.0))} triangle(s) with non-positive area"
             )
-        gamma = self.boundary_edges[BoundaryTag.FREE_SURFACE]
-        wall = self.boundary_edges[BoundaryTag.WALL]
-        shared = np.intersect1d(gamma.ravel(), wall.ravel())
-        if shared.size != 1 or shared[0] != self.contact_node:
-            raise DimensionMismatch("free surface and wall must share exactly the contact node")
         surface_normals(self)  # raises SurfaceFolded on a folded surface
 
 
@@ -174,7 +238,7 @@ def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> Axi
 
 
 def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
-    """Move node positions by dt * V, keeping connectivity and tags."""
+    """Move node positions by dt * V, keeping connectivity, tags and the shared topology."""
     if V.mesh is not mesh:
         raise DimensionMismatch("domain velocity lives on a different mesh")
     vals = V.values
@@ -190,6 +254,7 @@ def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
         boundary_edges=dict(mesh.boundary_edges),
         contact_node=mesh.contact_node,
         radius=mesh.radius,
+        topology=mesh.topology,
     )
 
 

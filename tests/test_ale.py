@@ -1,6 +1,7 @@
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from capflow.ale import solve_domain_velocity
+from capflow.ale import scalar_stiffness, solve_domain_velocity
 from capflow.fields import VectorFieldP1
 from capflow.geometry import build_structured_mesh, contact_line_height, displace_mesh
 
@@ -68,3 +69,22 @@ def test_zero_on_bottom_and_wall_radial():
     V = solve_domain_velocity(mesh, u)
     assert np.abs(V.field.values[mesh.bottom_nodes]).max() == 0.0
     assert np.abs(V.field.values[:, 0]).max() == 0.0
+
+
+def test_fixed_pattern_extension_matches_coo_reference():
+    # the same Dirichlet problem solved on the COO-assembled stiffness, sliced
+    rng = np.random.default_rng(4)
+    flat = build_structured_mesh(1.0, 1.0, 6, 6)
+    lift = np.zeros((flat.num_nodes, 2))
+    lift[:, 1] = 0.05 * rng.uniform(-1, 1, flat.num_nodes) * (flat.nodes[:, 1] > 0)
+    mesh = displace_mesh(flat, VectorFieldP1(lift, flat), 1.0)
+    vals = rng.standard_normal((mesh.num_nodes, 2))
+    vals[mesh.radial_constrained_nodes, 0] = 0.0
+    V = solve_domain_velocity(mesh, VectorFieldP1(vals, mesh)).field.values[:, 1]
+    A = scalar_stiffness(mesh)
+    fixed = np.union1d(mesh.surface_nodes, mesh.bottom_nodes)
+    free = np.setdiff1d(np.arange(mesh.num_nodes), fixed)
+    g = np.zeros(mesh.num_nodes)
+    g[fixed] = V[fixed]
+    ref = spla.spsolve(A[np.ix_(free, free)].tocsc(), -(A @ g)[free])
+    assert np.abs(V[free] - ref).max() <= 1e-13 * np.abs(ref).max()

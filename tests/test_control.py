@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capflow.forms
 from capflow.acceptance import run_tc1, tc1_config
+from capflow.config import num_params
 from capflow.control import (ControlState, gradient, objective_increment,
                              run_instantaneous_control, update_control)
 from capflow.errors import DomainEmptied
 from capflow.fields import NumParams, PhysParams, ScalarFieldP1, zero_vector_field
 from capflow.forms import _flatten
 from capflow.geometry import build_structured_mesh
-from capflow.stepping import FlowState
+from capflow.stepping import FlowState, initial_state
 
 from . import oracles
 from .conftest import random_vector_field
@@ -171,3 +175,32 @@ class TestRunLoop:
         assert hist.abort_reason is None
         assert len(alive) == 3
         assert alive == [0, 0, 0]
+
+    def test_pattern_built_once_and_no_sparse_construction_per_step(self, monkeypatch):
+        build = capflow.forms.FixedPattern.build.__func__
+        builds = []
+        calls = []
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(args[2])
+            return build(cls, *args, **kwargs)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(capflow.forms.FixedPattern, "build", classmethod(counting_build))
+        for owner, name in ((scipy.sparse, "coo_matrix"), (scipy.sparse, "bmat"), (np, "ix_"),
+                            (capflow.forms, "mass_matrix"), (capflow.forms, "state_blocks")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        cfg = tc1_config()
+        initial_state(cfg.radius, cfg.init_height, replace(num_params(cfg), N1=4, N3=4))
+        assert builds == []         # patterns are built lazily, on the first step
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * cfg.dt)
+        assert hist.abort_reason is None
+        assert len(hist.t) == 4
+        # one saddle pattern (3 dofs per node) and one mesh-extension pattern
+        assert sorted(builds) == [25, 75]
+        assert calls == []

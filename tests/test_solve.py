@@ -14,14 +14,13 @@ NUM = NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.1)
 
 def wrap_system(mesh, matrix, rhs):
     """Embed a (2N, 2N) velocity operator in a reduced monolithic system."""
-    from capflow.forms import _free_dofs
     n = mesh.num_nodes
     full = sp.lil_matrix((3 * n, 3 * n))
     full[:2 * n, :2 * n] = matrix
     full[2 * n:, 2 * n:] = sp.eye(n, format="lil")
     b = np.zeros(3 * n)
     b[:len(rhs)] = rhs
-    free = _free_dofs(mesh)
+    free = mesh.topology.free_dofs
     return LinearSystem(matrix=full.tocsr()[np.ix_(free, free)].tocsr(), rhs=b[free],
                         free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh)
 
