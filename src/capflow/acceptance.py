@@ -194,13 +194,13 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
 
 
 def reference_adjoint_matrix(mesh_old: AxiMesh, u_old: VectorFieldP1, mesh_new: AxiMesh,
-                             phys: PhysParams, num: NumParams) -> sp.csr_matrix:
+                             phys: PhysParams, num: NumParams, free: np.ndarray) -> sp.csr_matrix:
     """Reduced adjoint [[K^T, -B], [B^T, Sp]] of one slab, assembled from its state blocks
-    as the reference for the transposed-LU adjoint solve; V is recovered from the mesh motion."""
+    as the reference for the transposed-LU adjoint solve; V is recovered from the mesh motion.
+    Rows and columns are the dofs ``free``, in that order (a system's ``free``)."""
     V = VectorFieldP1((mesh_new.nodes - mesh_old.nodes) / num.dt, mesh_old)
     K, B, Sp, _ = state_blocks(mesh_new, mesh_old, u_old, V, 0.0, phys, num)
     mat = sp.bmat([[K.T, -B], [B.T, Sp]], format="csr")
-    free = mesh_new.topology.free_dofs
     return mat[np.ix_(free, free)].tocsr()
 
 
@@ -215,7 +215,7 @@ def criterion_transpose() -> CriterionResult:
     vals[state.mesh.radial_constrained_nodes, 0] = 0.0
     state = replace(state, u=VectorFieldP1(vals, state.mesh))
     new, _, system, lu = step(state, 0.0, phys, num)
-    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, phys, num)
+    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, phys, num, system.free)
     vel = system.free < system.n_velocity
     diff = abs(ref - system.matrix.T).max()
     scale = max(abs(system.matrix[vel][:, vel]).max(), 1e-300)

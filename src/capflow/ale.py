@@ -61,7 +61,9 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
     pattern = mesh.topology.memo(_extension_pattern)
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
                          weights=np.einsum("mij,mj->mi", stiffness, g[ed.tri]).ravel())
-    x = spla.spsolve(pattern.fill(stiffness.ravel()), -lifted[pattern.free])
+    # the pattern is pre-ordered: no column ordering per solve
+    x = spla.spsolve(pattern.fill(stiffness.ravel()), -lifted[pattern.free],
+                     permc_spec="NATURAL")
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("mesh-velocity solve produced non-finite values")
 

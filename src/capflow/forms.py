@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import SuperLU, spilu, splu
 
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
@@ -151,11 +151,11 @@ def _coupling_block(ed: ElementData) -> np.ndarray:
     b = ed.grad[:, :, 0]
     c = ed.grad[:, :, 1]
     # r-component: -(b_i r + N_i) N_j ; z-component: -c_i r N_j
-    wr = ed.wq[:, None] * ed.rq                           # (M, 3q)
+    rn = (ed.wq[:, None] * ed.rq) @ _QBASIS               # (M, 3): integral r N_j
     E = np.empty((len(ed.tri), 6, 3))
-    E[:, :3, :] = -np.einsum("mq,mi,qj->mij", wr, b, _QBASIS)
-    E[:, :3, :] -= np.einsum("m,qi,qj->mij", ed.wq, _QBASIS, _QBASIS)
-    E[:, 3:, :] = -np.einsum("mq,mi,qj->mij", wr, c, _QBASIS)
+    E[:, :3, :] = -b[:, :, None] * rn[:, None, :]
+    E[:, :3, :] -= ed.wq[:, None, None] * (_QBASIS.T @ _QBASIS)
+    E[:, 3:, :] = -c[:, :, None] * rn[:, None, :]
     return E
 
 
@@ -419,6 +419,27 @@ def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
 
 # -- monolithic system ------------------------------------------------------
 
+def _csc_pattern(keys: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 (indices, indptr) of the sorted entry keys column * base + row of a
+    square matrix of size base - 1."""
+    indptr = np.searchsorted(keys // base, np.arange(base)).astype(np.int32)
+    return (keys % base).astype(np.int32), indptr
+
+
+def _fill_reducing_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The column order SuperLU's splu would choose for this CSC pattern, as q
+    with the symmetric renumbering P A P^T = A[q][:, q].
+
+    COLAMD and the postorder after it read the pattern alone, so they are run
+    on a diagonally dominant matrix of this pattern, through an incomplete LU
+    that drops every entry and costs little more than the ordering.
+    """
+    n = len(indptr) - 1
+    diagonal = indices == np.repeat(np.arange(n), np.diff(indptr))
+    probe = sp.csc_matrix((np.where(diagonal, n + 1.0, 1.0), indices, indptr), shape=(n, n))
+    return np.argsort(spilu(probe, drop_tol=1e300, fill_factor=1).perm_c)
+
+
 @dataclass(frozen=True)
 class FixedPattern:
     """CSC sparsity of a reduced square matrix summed from local blocks, and
@@ -428,9 +449,14 @@ class FixedPattern:
     and each fill is one bincount.  Local entries on an eliminated row or
     column go to the trash slot len(indices), past the stored entries.  The
     pattern depends on no values: entries that cancel to zero stay stored.
+
+    The reduced rows and columns are numbered in SuperLU's fill-reducing
+    column order of the pattern (COLAMD, then its elimination-tree postorder),
+    found once at build time, not in sorted dof order; every fill is factored
+    in natural order (:func:`factorize`), so no step orders columns again.
     """
 
-    free: np.ndarray      # kept dofs, in the order of the reduced rows/columns
+    free: np.ndarray      # kept dofs, in the fill-reducing order of the reduced rows/columns
     shapes: list          # (E, k) of each family of local blocks
     slot: np.ndarray      # int32 data position of each local entry, families in order
     indices: np.ndarray   # int32 row of each stored entry
@@ -458,13 +484,23 @@ class FixedPattern:
         stored = np.sort(keys)                      # column-major order
         stored = stored[np.concatenate(([True], stored[1:] != stored[:-1]))]
         slot = np.searchsorted(stored, keys).astype(np.int32)
+        del keys, block, reduced        # freed before the order probe: peak memory
         if stored[-1] == trash:
             stored = stored[:-1]
-        indptr = np.searchsorted(stored // base, np.arange(nf + 1)).astype(np.int32)
-        indices = (stored % base).astype(np.int32)
+        # renumber by the fill-reducing order, P A P^T: sort the stored entries
+        # by their renumbered (column, row) and move each slot along
+        q = _fill_reducing_order(*_csc_pattern(stored, base))
+        renumber = np.argsort(q).astype(key_type)             # reduced index -> new
+        stored = renumber[stored // base] * key_type(base) + renumber[stored % base]
+        order = np.argsort(stored)
+        moved = np.empty(len(order) + 1, dtype=np.int32)        # old data position -> new
+        moved[order] = np.arange(len(order))
+        moved[-1] = len(order)                                  # the trash slot stays last
+        slot = moved[slot]
+        indices, indptr = _csc_pattern(stored[order], base)
         for a in (slot, indices, indptr):   # every filled matrix shares indices and indptr
             a.setflags(write=False)
-        return cls(free=free, shapes=[d.shape for d in families], slot=slot,
+        return cls(free=free[q], shapes=[d.shape for d in families], slot=slot,
                    indices=indices, indptr=indptr)
 
     def values(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -490,7 +526,8 @@ class LinearSystem:
 
     matrix: sp.spmatrix        # free dofs only
     rhs: np.ndarray
-    free: np.ndarray           # global indices of free dofs
+    free: np.ndarray           # global dof of each reduced row/column: the pattern's
+                               # fill-reducing order, not sorted
     size_full: int
     n_velocity: int            # 2 * num_nodes
     mesh: AxiMesh
@@ -568,10 +605,14 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
 
 
 def factorize(system: LinearSystem) -> SuperLU:
-    """LU of the reduced saddle matrix, shared by the state and adjoint solves
-    (.tocsc() copies nothing for the CSC matrix the assembly fills)."""
+    """LU of the reduced saddle matrix, shared by the state and adjoint solves.
+
+    The matrix comes pre-ordered (the fill-reducing order of its
+    :class:`FixedPattern`), so SuperLU factors it in natural column order and
+    orders no columns itself (.tocsc() copies nothing for the CSC matrix the
+    assembly fills)."""
     try:
-        return splu(system.matrix.tocsc())
+        return splu(system.matrix.tocsc(), permc_spec="NATURAL")
     except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
 

@@ -38,7 +38,7 @@ def test_rest_state_has_zero_adjoint():
 def test_velocity_block_is_state_transpose():
     state = start_state(seed=12)
     new, _, system, _ = step(state, 0.0, PHYS, NUM)
-    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, PHYS, NUM)
+    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, PHYS, NUM, system.free)
     vel = system.free < system.n_velocity
     scale = abs(system.matrix[vel][:, vel]).max()
     # the full monolithic operator is the exact transpose

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from capflow.acceptance import tc1_config
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import assemble_state_system, state_blocks
+from capflow.forms import assemble_state_system, factorize, state_blocks
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
@@ -19,13 +20,20 @@ from .test_forms import PHYS, meshes
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=2, N3=2, alpha=0.0, lam=0.0, T=0.1)
 
 
-def reference_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num):
-    """Reduced matrix and rhs from state_blocks, bmat and dof slicing."""
+def reference_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num, free):
+    """Reduced matrix and rhs from state_blocks, bmat and slicing to the dofs free,
+    in that order."""
     K, B, Sp, rhs_top = state_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num)
     matrix = sp.bmat([[K, B], [-B.T, Sp]], format="csr")
     rhs = np.concatenate((rhs_top, np.zeros(mesh_new.num_nodes)))
-    free = mesh_new.topology.free_dofs
     return matrix[np.ix_(free, free)], rhs[free]
+
+
+def same_grid(mesh):
+    """mesh with a topology of its own, built independently of mesh's."""
+    return AxiMesh(nodes=mesh.nodes, triangles=mesh.triangles,
+                   boundary_edges=dict(mesh.boundary_edges),
+                   contact_node=mesh.contact_node, radius=mesh.radius)
 
 
 def form_case(idx):
@@ -56,11 +64,26 @@ def rel(a, b):
 def test_fixed_pattern_equals_coo_reference(case):
     args = case()
     system = assemble_state_system(*args)
-    matrix, rhs = reference_system(*args)
-    assert np.array_equal(system.free, args[0].topology.free_dofs)
+    matrix, rhs = reference_system(*args, system.free)
+    # the reduced order is a permutation of the free dofs fixed by the connectivity alone
+    assert np.array_equal(np.sort(system.free), args[0].topology.free_dofs)
+    twin = same_grid(args[0])
+    assert twin.topology is not args[0].topology
+    u0 = zero_vector_field(twin)
+    assert np.array_equal(assemble_state_system(twin, twin, u0, u0, *args[4:]).free, system.free)
     assert system.matrix.shape == matrix.shape
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+
+def test_fixed_order_fills_no_more_than_colamd_per_step():
+    system = assemble_state_system(*tc1_slab())
+    lu = factorize(system)
+    order = np.argsort(system.free)             # back to sorted dof order
+    colamd = splu(system.matrix[order][:, order].tocsc())
+    assert system.matrix.nnz == 31811
+    assert np.array_equal(lu.perm_c, np.arange(len(order)))
+    assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
 
 def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
@@ -85,6 +108,6 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
 
     w = random_vector_field(flipped, seed=4)
     system = assemble_state_system(flipped, flipped, w, w, 0.0, PHYS, NUM)
-    matrix, rhs = reference_system(flipped, flipped, w, w, 0.0, PHYS, NUM)
+    matrix, rhs = reference_system(flipped, flipped, w, w, 0.0, PHYS, NUM, system.free)
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,3 +205,41 @@ class TestRunLoop:
         # one saddle pattern (3 dofs per node) and one mesh-extension pattern
         assert sorted(builds) == [25, 75]
         assert calls == []
+
+    def test_factorizations_run_in_the_pattern_order(self, monkeypatch):
+        # the patterns come pre-ordered, so no solve on the run path orders columns
+        splu, spsolve = capflow.forms.splu, scipy.sparse.linalg.spsolve
+        specs = {"splu": [], "spsolve": []}
+        identity = []
+
+        def checked_splu(a, **kwargs):
+            specs["splu"].append(kwargs.get("permc_spec"))
+            lu = splu(a, **kwargs)
+            identity.append(np.array_equal(lu.perm_c, np.arange(a.shape[0])))
+            return lu
+
+        def checked_spsolve(a, b, **kwargs):
+            specs["spsolve"].append(kwargs.get("permc_spec"))
+            return spsolve(a, b, **kwargs)
+
+        monkeypatch.setattr(capflow.forms, "splu", checked_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", checked_spsolve)
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
+        assert hist.abort_reason is None
+        assert specs == {"splu": ["NATURAL"] * 3, "spsolve": ["NATURAL"] * 3}
+        assert identity == [True] * 3
+
+    def test_order_found_once_per_pattern(self, monkeypatch):
+        spilu = capflow.forms.spilu
+        probes = []
+
+        def counting_spilu(a, **kwargs):
+            probes.append(a.shape[0])
+            return spilu(a, **kwargs)
+
+        monkeypatch.setattr(capflow.forms, "spilu", counting_spilu)
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
+        assert hist.abort_reason is None
+        # one probe for the saddle pattern (65 kept dofs), one for the
+        # mesh-extension pattern (15 nodes off the surface and the bottom)
+        assert sorted(probes) == [15, 65]
