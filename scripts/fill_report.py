@@ -7,14 +7,16 @@ the assembly numbers its dofs in (what every step does), and in sorted dof
 order with SuperLU's default COLAMD ordering (what a step would do that
 orders its columns itself).  Prints the number of reduced dofs, the stored
 entries, L+U of both factorizations, the median factor times and the one-time
-cost of finding the fixed order.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) for comparable times.
+cost of finding the fixed order, timed on the pattern in sorted dof order as
+the pattern build sees it.  Exits with an error if the fixed order fills more
+than per-step COLAMD.  Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) for
+comparable times.
 
-    PYTHONPATH=src python scripts/fill_report.py [--grids 16x32 32x64 64x128]
+    PYTHONPATH=src python scripts/fill_report.py
 """
 
-import argparse
 import platform
+import sys
 import time
 from dataclasses import replace
 
@@ -26,6 +28,9 @@ from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
 from capflow.forms import _fill_reducing_order, factorize
 from capflow.stepping import initial_state, step
+
+GRIDS = ((16, 32), (32, 64), (64, 128))   # N1 x N3
+REPEATS = 3                               # factorizations timed per grid
 
 
 def timed(fn, repeats):
@@ -39,7 +44,7 @@ def timed(fn, repeats):
     return float(np.median(times)), result
 
 
-def report(n1: int, n3: int, repeats: int) -> str:
+def report(n1: int, n3: int) -> str:
     cfg = replace(tc1_config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
@@ -47,34 +52,34 @@ def report(n1: int, n3: int, repeats: int) -> str:
     _, _, system, lu = step(state, 0.0, phys, num)
     del lu
     matrix = system.matrix
-    order_ms, _ = timed(lambda: _fill_reducing_order(matrix.indices, matrix.indptr), repeats)
-    fixed_ms, lu = timed(lambda: factorize(system), repeats)
-    fixed_fill = lu.L.nnz + lu.U.nnz
-    del lu
     ordered = np.argsort(system.free)                  # back to sorted dof order
     sorted_matrix = matrix[ordered][:, ordered].tocsc()
-    colamd_ms, lu = timed(lambda: splu(sorted_matrix), repeats)
+    sorted_matrix.sort_indices()
+    order_ms, q = timed(lambda: _fill_reducing_order(sorted_matrix.indices,
+                                                     sorted_matrix.indptr), REPEATS)
+    if not np.array_equal(np.sort(system.free)[q], system.free):
+        sys.exit(f"{n1}x{n3}: the order found on the sorted pattern is not the system's order")
+    fixed_ms, lu = timed(lambda: factorize(system), REPEATS)
+    fixed_fill = lu.L.nnz + lu.U.nnz
+    del lu
+    colamd_ms, lu = timed(lambda: splu(sorted_matrix), REPEATS)
     colamd_fill = lu.L.nnz + lu.U.nnz
     del lu
+    if fixed_fill > colamd_fill:
+        sys.exit(f"{n1}x{n3}: L+U in the fixed order {fixed_fill} exceeds "
+                 f"per-step COLAMD's {colamd_fill}")
     return (f"{n1}x{n3:<6} {matrix.shape[0]:>7} {matrix.nnz:>9} {fixed_fill:>11} "
             f"{colamd_fill:>11} {fixed_ms:>10.1f} {colamd_ms:>10.1f} {order_ms:>9.1f}")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--grids", nargs="+", default=["16x32", "32x64", "64x128"],
-                        help="N1xN3 grids to report")
-    parser.add_argument("--repeats", type=int, default=3, help="factorizations timed per grid")
-    args = parser.parse_args()
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}; times are medians of "
-          f"{args.repeats} in ms")
+          f"{REPEATS} in ms")
     print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'L+U fixed':>11} {'L+U COLAMD':>11} "
           f"{'fixed ms':>10} {'COLAMD ms':>10} {'order ms':>9}")
-    for grid in args.grids:
-        n1, n3 = (int(v) for v in grid.split("x"))
-        print(report(n1, n3, args.repeats), flush=True)
+    for n1, n3 in GRIDS:
+        print(report(n1, n3), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """The fixed-pattern assembly against the form-by-form COO reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -43,9 +45,10 @@ def form_case(idx):
     return mesh, mesh, u, V, 0.3e-3, PHYS, NUM
 
 
-def tc1_slab():
-    """The fourth slab of the 16x32 reference refill, zeta = 1e-4."""
-    cfg = tc1_config()
+def tc1_slab(n1=16, n3=32):
+    """The fourth slab of the tc1 refill on an n1 x n3 grid (16x32 is the
+    reference), zeta = 1e-4."""
+    cfg = replace(tc1_config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
@@ -76,12 +79,14 @@ def test_fixed_pattern_equals_coo_reference(case):
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
-def test_fixed_order_fills_no_more_than_colamd_per_step():
-    system = assemble_state_system(*tc1_slab())
+@pytest.mark.parametrize("grid, nnz", [((16, 32), 31811), ((32, 64), 128147)],
+                         ids=["16x32", "32x64"])
+def test_fixed_order_fills_no_more_than_colamd_per_step(grid, nnz):
+    system = assemble_state_system(*tc1_slab(*grid))
     lu = factorize(system)
     order = np.argsort(system.free)             # back to sorted dof order
     colamd = splu(system.matrix[order][:, order].tocsc())
-    assert system.matrix.nnz == 31811
+    assert system.matrix.nnz == nnz
     assert np.array_equal(lu.perm_c, np.arange(len(order)))
     assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
