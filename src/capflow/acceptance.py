@@ -173,7 +173,7 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
     for n in range(max(slabs) + 1):
         state, _, system, lu = step(state, 0.0, phys, num)
         if n in slabs:
-            adj = solve_adjoint(system, lu, state.u, slab_index=n)
+            adj = solve_adjoint(system, lu, mass_action(state.u), slab_index=n)
             load = np.pad(bottom_load_vector(state.mesh), (0, state.mesh.num_nodes))[system.free]
 
             def j_of(eps):
@@ -219,8 +219,9 @@ def criterion_transpose() -> CriterionResult:
     vel = system.free < system.n_velocity
     diff = abs(ref - system.matrix.T).max()
     scale = max(abs(system.matrix[vel][:, vel]).max(), 1e-300)
-    adj = solve_adjoint(system, lu, new.u)
-    rhs = adjoint_rhs(system, new.u)
+    mass_u = mass_action(new.u)
+    adj = solve_adjoint(system, lu, mass_u)
+    rhs = adjoint_rhs(system, mass_u)
     x = np.concatenate((_flatten(adj.z.values), adj.q.values))[system.free]
     res = np.linalg.norm(ref @ x - rhs) / np.linalg.norm(rhs)
     ok = diff <= 1e-13 * scale and res <= 1e-10

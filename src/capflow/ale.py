@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrix
 from .fields import VectorFieldP1
-from .forms import FixedPattern, _coo, _r_stiffness_block, element_data
+from .forms import FixedPattern, _coo, _r_stiffness_block, element_data, factorize
 from .geometry import AxiMesh, MeshTopology, surface_slopes
 
 
@@ -61,9 +60,8 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
     pattern = mesh.topology.memo(_extension_pattern)
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
                          weights=np.einsum("mij,mj->mi", stiffness, g[ed.tri]).ravel())
-    # the pattern is pre-ordered: no column ordering per solve
-    x = spla.spsolve(pattern.fill(stiffness.ravel()), -lifted[pattern.free],
-                     permc_spec="NATURAL")
+    # the pattern is in its bandwidth-reducing order: one banded LU
+    x = factorize(pattern.fill(stiffness.ravel())).solve(-lifted[pattern.free])
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("mesh-velocity solve produced non-finite values")
 

@@ -64,9 +64,11 @@ class RunHistory:
                 ("t", "z_cl", "zeta", "j_increment", "grad", "u_max")}
 
 
-def objective_increment(state_new: FlowState, zeta: float, ctrl: ControlState) -> float:
-    """Per-slab objective: kinetic energy of the new state plus the control penalty."""
-    kin = 0.5 * float(_flatten(state_new.u.values) @ mass_action(state_new.u))
+def objective_increment(state_new: FlowState, zeta: float, ctrl: ControlState,
+                        mass_u: np.ndarray) -> float:
+    """Per-slab objective: kinetic energy of the new state plus the control penalty;
+    mass_u is the mass action on the new velocity, which the adjoint reuses."""
+    kin = 0.5 * float(_flatten(state_new.u.values) @ mass_u)
     return kin + 0.5 * ctrl.lam * zeta ** 2 * ctrl.sigma_b_measure
 
 
@@ -107,10 +109,11 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
         try:
             state, diag, system, lu = step(state, ctrl.zeta, phys, num,
                                            EMPTY_FRACTION * init_height)
-            j_inc = objective_increment(state, ctrl.zeta, ctrl)
+            mass_u = mass_action(state.u)
+            j_inc = objective_increment(state, ctrl.zeta, ctrl, mass_u)
             grad_val = 0.0
             if controlled:
-                adj = solve_adjoint(system, lu, state.u, slab_index=n)
+                adj = solve_adjoint(system, lu, mass_u, slab_index=n)
                 grad_val = gradient(ctrl.zeta, adj.bottom_integral, ctrl)
                 ctrl = update_control(ctrl, adj.bottom_integral)
             del system, lu      # the next step factors only after this LU is freed

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, spilu, splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
@@ -357,22 +358,25 @@ def gravity_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     n = mesh.num_nodes
     wr = ed.wq[:, None] * ed.rq
     vals = -params.g * np.einsum("mq,qi->mi", wr, _QBASIS)
-    f = np.zeros(2 * n)
-    np.add.at(f, ed.tri + n, vals)
-    return f
+    return np.bincount((ed.tri + n).ravel(), weights=vals.ravel(), minlength=2 * n)
 
 
 def bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
     """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr.
 
     The same vector weights the adjoint bottom integral, which keeps the
-    discrete gradient exactly dual to the state response.
+    discrete gradient exactly dual to the state response.  Computed once per
+    mesh and shared, so it is read-only.
     """
+    return mesh.memo(_bottom_load_vector)
+
+
+def _bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
     edges, length, rq, basis = _edge_geometry(mesh, BoundaryTag.BOTTOM)
     n = mesh.num_nodes
     vals = np.einsum("eq,qi->ei", 0.5 * length[:, None] * rq, basis)
-    f = np.zeros(2 * n)
-    np.add.at(f, edges + n, vals)
+    f = np.bincount((edges + n).ravel(), weights=vals.ravel(), minlength=2 * n)
+    f.setflags(write=False)
     return f
 
 
@@ -392,12 +396,12 @@ def surface_tension_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     rbar = 0.5 * (p1[:, 0] + p2[:, 0])
     g = params.gamma
     n = mesh.num_nodes
-    f = np.zeros(2 * n)
-    np.add.at(f, edges[:, 0], g * tau[:, 0] * rbar - 0.5 * g * length)
-    np.add.at(f, edges[:, 1], -g * tau[:, 0] * rbar - 0.5 * g * length)
-    np.add.at(f, edges[:, 0] + n, g * tau[:, 1] * rbar)
-    np.add.at(f, edges[:, 1] + n, -g * tau[:, 1] * rbar)
-    return f
+    dofs = np.concatenate((edges[:, 0], edges[:, 1], edges[:, 0] + n, edges[:, 1] + n))
+    vals = np.concatenate((g * tau[:, 0] * rbar - 0.5 * g * length,
+                           -g * tau[:, 0] * rbar - 0.5 * g * length,
+                           g * tau[:, 1] * rbar,
+                           -g * tau[:, 1] * rbar))
+    return np.bincount(dofs, weights=vals, minlength=2 * n)
 
 
 def contact_line_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
@@ -426,20 +430,6 @@ def _csc_pattern(keys: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     return (keys % base).astype(np.int32), indptr
 
 
-def _fill_reducing_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """The column order SuperLU's splu would choose for this CSC pattern, as q
-    with the symmetric renumbering P A P^T = A[q][:, q].
-
-    COLAMD and the postorder after it read the pattern alone, so they are run
-    on a diagonally dominant matrix of this pattern, through an incomplete LU
-    that drops every entry and costs little more than the ordering.
-    """
-    n = len(indptr) - 1
-    diagonal = indices == np.repeat(np.arange(n), np.diff(indptr))
-    probe = sp.csc_matrix((np.where(diagonal, n + 1.0, 1.0), indices, indptr), shape=(n, n))
-    return np.argsort(spilu(probe, drop_tol=1e300, fill_factor=1).perm_c)
-
-
 @dataclass(frozen=True)
 class FixedPattern:
     """CSC sparsity of a reduced square matrix summed from local blocks, and
@@ -450,13 +440,13 @@ class FixedPattern:
     column go to the trash slot len(indices), past the stored entries.  The
     pattern depends on no values: entries that cancel to zero stay stored.
 
-    The reduced rows and columns are numbered in SuperLU's fill-reducing
-    column order of the pattern (COLAMD, then its elimination-tree postorder),
-    found once at build time, not in sorted dof order; every fill is factored
-    in natural order (:func:`factorize`), so no step orders columns again.
+    The reduced rows and columns are numbered in the reverse Cuthill-McKee
+    order of the pattern, found once at build time, not in sorted dof order:
+    it keeps every stored entry in a narrow band about the diagonal, which
+    :func:`factorize` factors as a banded matrix.
     """
 
-    free: np.ndarray      # kept dofs, in the fill-reducing order of the reduced rows/columns
+    free: np.ndarray      # kept dofs, in the bandwidth-reducing order of the reduced rows/columns
     shapes: list          # (E, k) of each family of local blocks
     slot: np.ndarray      # int32 data position of each local entry, families in order
     indices: np.ndarray   # int32 row of each stored entry
@@ -484,12 +474,15 @@ class FixedPattern:
         stored = np.sort(keys)                      # column-major order
         stored = stored[np.concatenate(([True], stored[1:] != stored[:-1]))]
         slot = np.searchsorted(stored, keys).astype(np.int32)
-        del keys, block, reduced        # freed before the order probe: peak memory
+        del keys, block, reduced        # freed before the ordering: peak memory
         if stored[-1] == trash:
             stored = stored[:-1]
-        # renumber by the fill-reducing order, P A P^T: sort the stored entries
-        # by their renumbered (column, row) and move each slot along
-        q = _fill_reducing_order(*_csc_pattern(stored, base))
+        # renumber by the bandwidth-reducing order, P A P^T: sort the stored
+        # entries by their renumbered (column, row) and move each slot along;
+        # every pattern is structurally symmetric
+        indices, indptr = _csc_pattern(stored, base)
+        q = reverse_cuthill_mckee(sp.csc_matrix((np.ones(len(indices)), indices, indptr),
+                                                shape=(nf, nf)), symmetric_mode=True)
         renumber = np.argsort(q).astype(key_type)             # reduced index -> new
         stored = renumber[stored // base] * key_type(base) + renumber[stored % base]
         order = np.argsort(stored)
@@ -527,7 +520,7 @@ class LinearSystem:
     matrix: sp.spmatrix        # free dofs only
     rhs: np.ndarray
     free: np.ndarray           # global dof of each reduced row/column: the pattern's
-                               # fill-reducing order, not sorted
+                               # bandwidth-reducing order, not sorted
     size_full: int
     n_velocity: int            # 2 * num_nodes
     mesh: AxiMesh
@@ -604,25 +597,50 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
                         free=pattern.free, size_full=3 * n, n_velocity=2 * n, mesh=mesh_new)
 
 
-def factorize(system: LinearSystem) -> SuperLU:
-    """LU of the reduced saddle matrix, shared by the state and adjoint solves.
+@dataclass(frozen=True)
+class BandLU:
+    """LAPACK banded LU with partial pivoting (dgbtrf) of a square matrix."""
 
-    The matrix comes pre-ordered (the fill-reducing order of its
-    :class:`FixedPattern`), so SuperLU factors it in natural column order and
-    orders no columns itself (.tocsc() copies nothing for the CSC matrix the
-    assembly fills)."""
-    try:
-        return splu(system.matrix.tocsc(), permc_spec="NATURAL")
-    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
-        raise SingularMatrix(str(exc)) from exc
+    lu: np.ndarray      # (2 kl + ku + 1, n) band storage, Fortran order
+    ipiv: np.ndarray
+    kl: int             # subdiagonals
+    ku: int             # superdiagonals
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """x with A x = rhs (trans="N") or A^T x = rhs (trans="T")."""
+        x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, trans={"N": 0, "T": 1}[trans])
+        return x
 
 
-def solve(system: LinearSystem, lu: SuperLU | None = None,
+def factorize(matrix: sp.spmatrix) -> BandLU:
+    """Banded LU of a square sparse matrix, the one factorization of the run path:
+    the state and adjoint solves share the saddle matrix's, the mesh-velocity
+    extension factors its stiffness.
+
+    The band is read from the stored entries; the matrices the assembly fills
+    come in the bandwidth-reducing order of their :class:`FixedPattern`, so
+    the band is narrow.  Raises SingularMatrix on an exactly zero pivot."""
+    matrix = sp.csc_matrix(matrix)      # no copy for the CSC matrices the assembly fills
+    n = matrix.shape[0]
+    column = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    offset = matrix.indices - column                    # row - column
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    ldab = 2 * kl + ku + 1      # dgbtrf keeps the kl rows of fill from pivoting on top
+    # entry (i, j) goes to band row kl + ku + i - j of column j
+    band = np.bincount(kl + ku + offset + ldab * column, weights=matrix.data,
+                       minlength=ldab * n).reshape((ldab, n), order="F")
+    lu, ipiv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
+    return BandLU(lu=lu, ipiv=ipiv, kl=kl, ku=ku)
+
+
+def solve(system: LinearSystem, lu: BandLU | None = None,
           trans: str = "N") -> tuple[VectorFieldP1, ScalarFieldP1, float]:
     """Solve the system (trans="N") or its transpose (trans="T") with lu, its LU
     (made here if not given); returns (velocity, pressure, relative residual),
     the residual gated at 1e-10."""
-    lu = factorize(system) if lu is None else lu
+    lu = factorize(system.matrix) if lu is None else lu
     matrix = system.matrix.T if trans == "T" else system.matrix
     x = lu.solve(system.rhs, trans=trans)
     if not np.all(np.isfinite(x)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .ale import solve_domain_velocity
 from .errors import DomainEmptied
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import LinearSystem, SuperLU, assemble_state_system, factorize, solve
+from .forms import BandLU, LinearSystem, assemble_state_system, factorize, solve
 from .geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh, mesh_quality
 
 
@@ -42,7 +42,7 @@ def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
 
 
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
-         floor: float = 0.0) -> tuple[FlowState, StepDiagnostics, LinearSystem, SuperLU]:
+         floor: float = 0.0) -> tuple[FlowState, StepDiagnostics, LinearSystem, BandLU]:
     """Advance by dt with the bottom control stress zeta held fixed over the slab.
 
     Returns the new state, its diagnostics, and the slab's system and LU; drop
@@ -57,7 +57,7 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
         raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
     mesh_new = displace_mesh(state.mesh, V.field, num.dt)
     system = assemble_state_system(mesh_new, state.mesh, state.u, V.field, zeta, phys, num)
-    lu = factorize(system)
+    lu = factorize(system.matrix)
     u_new, p_new, residual = solve(system, lu)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     min_area, max_aspect = mesh_quality(mesh_new)

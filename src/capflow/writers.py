@@ -6,6 +6,7 @@ lowercase 'e' exponents, 17 significant digits so floats round-trip exactly.
 
 from __future__ import annotations
 
+from .geometry import MeshTopology
 from .stepping import FlowState
 
 CSV_HEADER = "t,Z_CL,zeta,J_increment,grad,u_max"
@@ -25,32 +26,35 @@ def write_history_csv(history, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
+def _cells_text(topology: MeshTopology) -> str:
+    """The CELLS and CELL_TYPES sections, the same for every mesh of a topology."""
+    tri = topology.triangles
+    m = len(tri)
+    return (f"CELLS {m} {4 * m}\n" + ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist())
+            + f"CELL_TYPES {m}\n" + "5\n" * m)
+
+
 def write_vtk_snapshot(state: FlowState, path) -> None:
-    """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid."""
+    """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid.
+
+    Each block is one %-format over all its values ("%.17g" writes what
+    format(x, ".17g") does)."""
     mesh = state.mesh
     n = mesh.num_nodes
-    m = len(mesh.triangles)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        f"capflow snapshot t={_fmt(state.t)}",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    for r, z in mesh.nodes:
-        lines.append(f"{_fmt(r)} {_fmt(z)} 0")
-    lines.append(f"CELLS {m} {4 * m}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {m}")
-    lines.extend(["5"] * m)
-    lines.append(f"POINT_DATA {n}")
-    lines.append("VECTORS velocity double")
-    for ur, uz in state.u.values:
-        lines.append(f"{_fmt(ur)} {_fmt(uz)} 0")
-    lines.append("SCALARS pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    for p in state.p.values:
-        lines.append(_fmt(p))
+    text = "".join((
+        "# vtk DataFile Version 3.0\n",
+        f"capflow snapshot t={_fmt(state.t)}\n",
+        "ASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n} double\n",
+        ("%.17g %.17g 0\n" * n) % tuple(mesh.nodes.ravel().tolist()),
+        mesh.topology.memo(_cells_text),
+        f"POINT_DATA {n}\n",
+        "VECTORS velocity double\n",
+        ("%.17g %.17g 0\n" * n) % tuple(state.u.values.ravel().tolist()),
+        "SCALARS pressure double 1\n",
+        "LOOKUP_TABLE default\n",
+        ("%.17g\n" * n) % tuple(state.p.values.tolist()),
+    ))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

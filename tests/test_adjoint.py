@@ -5,7 +5,7 @@ from capflow.acceptance import reference_adjoint_matrix
 from capflow.adjoint import solve_adjoint
 from capflow.fields import (NumParams, PhysParams, VectorFieldP1, zero_scalar_field,
                             zero_vector_field)
-from capflow.forms import _flatten, mass_matrix
+from capflow.forms import _flatten, mass_action, mass_matrix
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
@@ -29,7 +29,7 @@ def start_state(seed=None, radius=5e-4, height=1e-4):
 def test_rest_state_has_zero_adjoint():
     new, _, system, lu = step(start_state(), 0.0, PHYS, NUM)
     # hydrostatic rest at the equilibrium height: the new velocity is noise-level
-    adj = solve_adjoint(system, lu, zero_vector_field(new.mesh))
+    adj = solve_adjoint(system, lu, mass_action(zero_vector_field(new.mesh)))
     assert np.abs(adj.z.values).max() == 0.0
     assert np.abs(adj.q.values).max() == 0.0
     assert adj.bottom_integral == 0.0
@@ -48,12 +48,12 @@ def test_velocity_block_is_state_transpose():
 def test_slab_adjoint_is_a_pure_function():
     state = start_state(seed=3)
     new, _, system, lu = step(state, 0.0, PHYS, NUM)
-    first = solve_adjoint(system, lu, new.u, slab_index=4)
+    first = solve_adjoint(system, lu, mass_action(new.u), slab_index=4)
     del system, lu
     # advance another unrelated slab, then recompute the same adjoint
     step(new, 0.0, PHYS, NUM)
     new, _, system, lu = step(state, 0.0, PHYS, NUM)
-    second = solve_adjoint(system, lu, new.u, slab_index=4)
+    second = solve_adjoint(system, lu, mass_action(new.u), slab_index=4)
     assert np.array_equal(first.z.values, second.z.values)
     assert first.bottom_integral == second.bottom_integral
 
@@ -62,7 +62,7 @@ def test_hydrostatic_gradient_is_negligible():
     # at rest the objective is at a minimum w.r.t. zeta: near-zero bottom integral
     phys = PHYS
     new, _, system, lu = step(start_state(height=phys.p_bar / phys.g), 0.0, phys, NUM)
-    adj = solve_adjoint(system, lu, new.u)
+    adj = solve_adjoint(system, lu, mass_action(new.u))
     # the floor is set by the pressure-stabilization perturbation of the
     # otherwise exact hydrostatic balance; compare against the transient
     # magnitude of the same quantity (~4e-12 for the filling flow)
@@ -72,7 +72,7 @@ def test_hydrostatic_gradient_is_negligible():
 def test_gradient_sign_from_rest_below_equilibrium():
     # capillary/pressure inflow: the first control update must be negative
     new, _, system, lu = step(start_state(height=5e-5), 0.0, PHYS, NUM)
-    adj = solve_adjoint(system, lu, new.u)
+    adj = solve_adjoint(system, lu, mass_action(new.u))
     assert adj.bottom_integral > 0.0        # update -alpha * I_b < 0
 
 
@@ -87,7 +87,7 @@ def test_finite_difference_duality_single_slab():
         return 0.5 * float(uf @ (mass_matrix(new.mesh) @ uf))
 
     new, _, system, lu = step(state, 0.0, PHYS, NUM)
-    adj = solve_adjoint(system, lu, new.u)
+    adj = solve_adjoint(system, lu, mass_action(new.u))
     eps = 1e-4
     fd = (j_of(eps) - j_of(-eps)) / (2 * eps)
     assert fd == pytest.approx(adj.bottom_integral, rel=1e-6)

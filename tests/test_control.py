@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from capflow.control import (ControlState, gradient, objective_increment,
                              run_instantaneous_control, update_control)
 from capflow.errors import DomainEmptied
 from capflow.fields import NumParams, PhysParams, ScalarFieldP1, zero_vector_field
-from capflow.forms import _flatten
+from capflow.forms import _flatten, mass_action
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, initial_state
 
@@ -33,12 +34,14 @@ def make_state(u=None, radius=5e-4, height=1e-4):
 class TestObjective:
     def test_zero_state_zero_control(self):
         ctrl = ControlState(zeta=0.0, alpha=1.0, lam=1.0, sigma_b_measure=SB)
-        assert objective_increment(make_state(), 0.0, ctrl) == 0.0
+        state = make_state()
+        assert objective_increment(state, 0.0, ctrl, mass_action(state.u)) == 0.0
 
     def test_pure_penalty(self):
         c = 0.37
         ctrl = ControlState(zeta=c, alpha=1.0, lam=1.0, sigma_b_measure=SB)
-        assert objective_increment(make_state(), c, ctrl) == pytest.approx(
+        state = make_state()
+        assert objective_increment(state, c, ctrl, mass_action(state.u)) == pytest.approx(
             0.5 * c * c * SB, rel=1e-15)
 
     def test_kinetic_term_matches_mass_oracle(self):
@@ -46,7 +49,7 @@ class TestObjective:
         ctrl = ControlState(zeta=0.0, alpha=1.0, lam=0.0, sigma_b_measure=SB)
         dense = oracles.oracle_mass(state.mesh)
         uf = _flatten(state.u.values)
-        assert objective_increment(state, 0.0, ctrl) == pytest.approx(
+        assert objective_increment(state, 0.0, ctrl, mass_action(state.u)) == pytest.approx(
             0.5 * uf @ dense @ uf, rel=1e-12)
 
 
@@ -151,31 +154,27 @@ class TestRunLoop:
         assert len(hist.t) == 6
 
     def test_one_factorization_per_step_at_most_one_alive(self, monkeypatch):
-        splu = capflow.forms.splu
         alive = []          # factorizations alive when each new one is made
+        sizes = []
         live = [0]
 
-        class Counted:
-            def __init__(self, lu):
-                self._lu = lu
+        class Counted(capflow.forms.BandLU):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                alive.append(live[0])
+                sizes.append(self.lu.shape[1])
                 live[0] += 1
 
             def __del__(self):
                 live[0] -= 1
 
-            def __getattr__(self, key):
-                return getattr(self._lu, key)
-
-        def counting_splu(*args, **kwargs):
-            alive.append(live[0])
-            return Counted(splu(*args, **kwargs))
-
-        monkeypatch.setattr(capflow.forms, "splu", counting_splu)
+        monkeypatch.setattr(capflow.forms, "BandLU", Counted)
         dt = tc1_config().dt
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * dt)
         assert hist.abort_reason is None
-        assert len(alive) == 3
-        assert alive == [0, 0, 0]
+        # per step: the mesh-velocity stiffness (15 dofs), then the saddle matrix (65)
+        assert sizes == [15, 65] * 3
+        assert alive == [0] * 6
 
     def test_pattern_built_once_and_no_sparse_construction_per_step(self, monkeypatch):
         build = capflow.forms.FixedPattern.build.__func__
@@ -207,39 +206,54 @@ class TestRunLoop:
         assert calls == []
 
     def test_factorizations_run_in_the_pattern_order(self, monkeypatch):
-        # the patterns come pre-ordered, so no solve on the run path orders columns
-        splu, spsolve = capflow.forms.splu, scipy.sparse.linalg.spsolve
-        specs = {"splu": [], "spsolve": []}
-        identity = []
+        # the patterns come in their bandwidth-reducing order, so every step
+        # factors one narrow band and orders nothing
+        dgbtrf = capflow.forms.dgbtrf
+        bands = []          # (size, kl, ku) of each band factorization
+        orders = []         # band factorizations made before each ordering
 
-        def checked_splu(a, **kwargs):
-            specs["splu"].append(kwargs.get("permc_spec"))
-            lu = splu(a, **kwargs)
-            identity.append(np.array_equal(lu.perm_c, np.arange(a.shape[0])))
-            return lu
+        def counting_dgbtrf(ab, kl, ku, **kwargs):
+            bands.append((ab.shape[1], kl, ku))
+            return dgbtrf(ab, kl, ku, **kwargs)
 
-        def checked_spsolve(a, b, **kwargs):
-            specs["spsolve"].append(kwargs.get("permc_spec"))
-            return spsolve(a, b, **kwargs)
+        def counting_rcm(graph, **kwargs):
+            orders.append(len(bands))
+            return rcm(graph, **kwargs)
 
-        monkeypatch.setattr(capflow.forms, "splu", checked_splu)
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", checked_spsolve)
+        def forbidden(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} called on the run path")
+            return fail
+
+        rcm = capflow.forms.reverse_cuthill_mckee
+        sparse_solvers = ("splu", "spsolve", "spilu", "factorized")
+        originals = [getattr(scipy.sparse.linalg, name) for name in sparse_solvers]
+        for mod in [m for name, m in sys.modules.items() if name.startswith("capflow")]:
+            assert not any(val is f for val in vars(mod).values() for f in originals)
+        for name in sparse_solvers:
+            monkeypatch.setattr(scipy.sparse.linalg, name, forbidden(name))
+        monkeypatch.setattr(capflow.forms, "dgbtrf", counting_dgbtrf)
+        monkeypatch.setattr(capflow.forms, "reverse_cuthill_mckee", counting_rcm)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
         assert hist.abort_reason is None
-        assert specs == {"splu": ["NATURAL"] * 3, "spsolve": ["NATURAL"] * 3}
-        assert identity == [True] * 3
+        # 3 mesh-velocity (15 dofs) and 3 saddle (65 dofs) band factorizations
+        assert [n for n, *_ in bands] == [15, 65] * 3
+        assert len(set(bands)) == 2         # the same band every step
+        assert all(kl == ku <= 3 * (4 + 2) for _, kl, ku in bands)
+        # both orders are found in the first step, before its saddle factorization
+        assert orders == [0, 1]
 
     def test_order_found_once_per_pattern(self, monkeypatch):
-        spilu = capflow.forms.spilu
-        probes = []
+        rcm = capflow.forms.reverse_cuthill_mckee
+        orders = []
 
-        def counting_spilu(a, **kwargs):
-            probes.append(a.shape[0])
-            return spilu(a, **kwargs)
+        def counting_rcm(graph, **kwargs):
+            orders.append(graph.shape[0])
+            return rcm(graph, **kwargs)
 
-        monkeypatch.setattr(capflow.forms, "spilu", counting_spilu)
+        monkeypatch.setattr(capflow.forms, "reverse_cuthill_mckee", counting_rcm)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
         assert hist.abort_reason is None
-        # one probe for the saddle pattern (65 kept dofs), one for the
+        # one order for the saddle pattern (65 kept dofs), one for the
         # mesh-extension pattern (15 nodes off the surface and the bottom)
-        assert sorted(probes) == [15, 65]
+        assert sorted(orders) == [15, 65]

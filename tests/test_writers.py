@@ -73,3 +73,35 @@ def test_vtk_snapshot_structure(tmp_path):
     assert "VECTORS velocity double" in text
     assert "SCALARS pressure double 1" in text
     assert b"\r" not in path.read_bytes()
+
+
+def reference_vtk(state):
+    """The snapshot written value by value with format(v, ".17g")."""
+    f = lambda v: format(float(v), ".17g")      # noqa: E731
+    mesh = state.mesh
+    n, m = mesh.num_nodes, len(mesh.triangles)
+    lines = ["# vtk DataFile Version 3.0", f"capflow snapshot t={f(state.t)}", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
+    lines += [f"{f(r)} {f(z)} 0" for r, z in mesh.nodes]
+    lines.append(f"CELLS {m} {4 * m}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines.append(f"CELL_TYPES {m}")
+    lines += ["5"] * m
+    lines += [f"POINT_DATA {n}", "VECTORS velocity double"]
+    lines += [f"{f(ur)} {f(uz)} 0" for ur, uz in state.u.values]
+    lines += ["SCALARS pressure double 1", "LOOKUP_TABLE default"]
+    lines += [f(p) for p in state.p.values]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_vtk_snapshot_bytes_match_per_value_format(tmp_path):
+    mesh = build_structured_mesh(5e-4, 1e-4, 3, 4)
+    u = random_vector_field(mesh, seed=9)
+    p = np.random.default_rng(3).standard_normal(mesh.num_nodes) * 1e3
+    # zeros, signed zero, subnormal, huge, exact integers and short decimals
+    p[:8] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 3.0, -2.0, 0.1, 1 / 3]
+    for t in (0.0, 0.002, 1 / 3):
+        state = FlowState(mesh=mesh, u=u, p=ScalarFieldP1(p, mesh), t=t)
+        path = tmp_path / "s.vtk"
+        write_vtk_snapshot(state, path)
+        assert path.read_bytes() == reference_vtk(state)
