@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time of each phase of one slab step, kernel by kernel, on refined grids.
+
+For each grid, advances the controlled test-case-1 refill three slabs and
+times the phases of the fourth on their own: the mesh-velocity extension
+(ALE), the mesh displacement, the element geometry, each element kernel,
+the whole saddle assembly, the fill, the banded factorization, the state
+solve and the adjoint solve, then the whole step.  Each figure is the
+minimum over REPEATS calls, in ms.  The mass action row calls the uncached
+builder; the assembly and step rows find the mass action of the old
+velocity already computed, as a step after a previous one does, and the
+assembly row works on a new mesh each call, as a step does.  Pin BLAS to
+one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
+
+    PYTHONPATH=src python scripts/step_profile.py
+"""
+
+import platform
+import time
+from dataclasses import replace
+
+import numpy as np
+import scipy
+
+from capflow import forms
+from capflow.acceptance import tc1_config
+from capflow.adjoint import solve_adjoint
+from capflow.ale import solve_domain_velocity
+from capflow.config import num_params, phys_params
+from capflow.geometry import contact_line_height, displace_mesh
+from capflow.stepping import initial_state, step
+
+GRIDS = ((16, 32), (32, 64))    # N1 x N3
+REPEATS = 20                    # calls per phase; the minimum is reported
+ZETA = 1e-4                     # bottom control stress held over the slabs
+
+
+def best_ms(fn, prepare=None):
+    """Minimum wall time in ms of REPEATS calls of fn(prepare()), prepare untimed."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        arg = prepare() if prepare is not None else None
+        t0 = time.perf_counter()
+        fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def phases(n1: int, n3: int) -> list[tuple[str, float]]:
+    cfg = replace(tc1_config(), N1=n1, N3=n3)
+    phys, num = phys_params(cfg), num_params(cfg)
+    state = initial_state(cfg.radius, cfg.init_height, num)
+    for _ in range(3):
+        state, *_ = step(state, ZETA, phys, num)
+    mesh, u = state.mesh, state.u
+    forms.mass_action(u)                    # made by the previous step's loop
+    V = solve_domain_velocity(mesh, u).field
+    mesh_new = displace_mesh(mesh, V, num.dt)
+    ed = forms.element_data(mesh_new)
+    uv, Vv = u.values, V.values
+    beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
+    system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
+    lu = forms.factorize(system.matrix, system.band)
+    u_new, _, _ = forms.solve(system, lu)
+    mass_u = forms.mass_action(u_new)
+    pattern = mesh.topology.memo(forms._saddle_pattern)
+    vals, _ = pattern.values()
+    vals[:] = 1.0
+
+    def fresh_mesh(_=None):
+        """A new mesh at the new positions: nothing memoised on it yet."""
+        return displace_mesh(mesh, V, num.dt)
+
+    return [
+        ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
+        ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
+        ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
+        ("  viscous block", best_ms(lambda _: forms._viscous_block(ed, phys.nu))),
+        ("  mass block", best_ms(lambda _: forms._mass_block(ed))),
+        ("  transport block", best_ms(lambda _: forms._transport_block(ed, uv, Vv))),
+        ("  divergence stab block", best_ms(lambda _: forms._divergence_stab_block(ed, uv))),
+        ("  coupling block", best_ms(lambda _: forms._coupling_block(ed))),
+        ("  r-stiffness block", best_ms(lambda _: forms._r_stiffness_block(ed))),
+        ("  pressure stab block", best_ms(lambda _: forms._pressure_stab_block(ed, num.Cs))),
+        ("  wall friction block", best_ms(lambda _: forms._wall_friction_block(mesh_new, beta))),
+        ("  surface flux block", best_ms(lambda _: forms._surface_flux_block(mesh_new, uv, Vv))),
+        ("  surface stab block", best_ms(lambda _: forms._surface_stab_block(mesh_new, phys))),
+        ("  mass action", best_ms(lambda _: forms._mass_action(u))),
+        ("  load vector", best_ms(lambda _: forms.rhs_F(mesh_new, ZETA, phys))),
+        ("assembly (fresh mesh)", best_ms(
+            lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
+        ("  fill", best_ms(lambda _: pattern.fill(vals))),
+        ("factorize", best_ms(lambda _: forms.factorize(system.matrix, system.band))),
+        ("state solve", best_ms(lambda _: forms.solve(system, lu))),
+        ("adjoint solve", best_ms(lambda _: solve_adjoint(system, lu, mass_u))),
+        ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
+    ]
+
+
+def main() -> None:
+    print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
+          f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls, ms")
+    columns = [phases(n1, n3) for n1, n3 in GRIDS]
+    print(f"{'phase':<26}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
+    for i, (name, _) in enumerate(columns[0]):
+        print(f"{name:<26}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
+
+
+if __name__ == "__main__":
+    main()

@@ -59,9 +59,9 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
     stiffness = _r_stiffness_block(ed)
     pattern = mesh.topology.memo(_extension_pattern)
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
-                         weights=np.einsum("mij,mj->mi", stiffness, g[ed.tri]).ravel())
+                         weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
     # the pattern is in its bandwidth-reducing order: one banded LU
-    x = factorize(pattern.fill(stiffness.ravel())).solve(-lifted[pattern.free])
+    x = factorize(pattern.fill(stiffness.ravel()), pattern.band).solve(-lifted[pattern.free])
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("mesh-velocity solve produced non-finite values")
 

@@ -20,6 +20,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .geometry import AxiMesh
 
 
+class _Memo:
+    """Per-object cache of derived data; the object itself is immutable."""
+
+    def memo(self, build):
+        """build(self) on the first call with this build function, its stored result after."""
+        cache = self.__dict__.setdefault("_memo", {})
+        if build not in cache:
+            cache[build] = build(self)
+        return cache[build]
+
+
 @dataclass(frozen=True)
 class ScalarFieldP1:
     """One scalar value per mesh node."""
@@ -40,12 +51,13 @@ class ScalarFieldP1:
 
 
 @dataclass(frozen=True)
-class VectorFieldP1:
+class VectorFieldP1(_Memo):
     """One (r, z) vector per mesh node.
 
     Nodes on the wall or on the symmetry axis must carry a zero radial
     component (the essential condition of the flow problem); this is checked
-    on construction.
+    on construction.  Values are read-only, so products of the field alone
+    (its mass action) are computed once through :meth:`memo`.
     """
 
     values: np.ndarray

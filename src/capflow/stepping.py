@@ -57,7 +57,7 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
         raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
     mesh_new = displace_mesh(state.mesh, V.field, num.dt)
     system = assemble_state_system(mesh_new, state.mesh, state.u, V.field, zeta, phys, num)
-    lu = factorize(system.matrix)
+    lu = factorize(system.matrix, system.band)
     u_new, p_new, residual = solve(system, lu)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     min_area, max_aspect = mesh_quality(mesh_new)

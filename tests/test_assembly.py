@@ -11,7 +11,7 @@ from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import assemble_state_system, factorize, state_blocks
+from capflow.forms import BandLayout, assemble_state_system, factorize, state_blocks
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
@@ -82,8 +82,15 @@ def test_fixed_pattern_equals_coo_reference(case):
                          ids=["16x32", "32x64"])
 def test_pattern_order_keeps_the_band_narrow(grid, nnz):
     system = assemble_state_system(*tc1_slab(*grid))
-    lu = factorize(system.matrix)
+    lu = factorize(system.matrix, system.band)
     assert system.matrix.nnz == nnz
+    # the layout found once with the pattern is the layout of every fill
+    own = BandLayout.of(system.matrix.indices, system.matrix.indptr)
+    assert (own.kl, own.ku, own.ldab) == (lu.kl, lu.ku, system.band.ldab)
+    assert np.array_equal(own.position, system.band.position)
+    assert system.band.position.dtype == np.int32
+    with pytest.raises(DimensionMismatch):
+        factorize(system.matrix.tocsr(), system.band)
     # in reverse Cuthill-McKee order the band is 3 (N1 + 2) wide: 54 at 16x32, 102 at 32x64
     assert lu.kl == lu.ku <= 3 * (grid[0] + 2)
     bnorm = np.linalg.norm(system.rhs)

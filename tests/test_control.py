@@ -257,3 +257,35 @@ class TestRunLoop:
         # one order for the saddle pattern (65 kept dofs), one for the
         # mesh-extension pattern (15 nodes off the surface and the bottom)
         assert sorted(orders) == [15, 65]
+
+    def test_mass_action_once_per_field_and_band_layout_once_per_pattern(self, monkeypatch):
+        # an N-step run has N + 1 velocity fields: each field's mass action
+        # serves its step's objective and adjoint and the next step's assembly
+        mass_fields, layouts, einsums = [], [], []
+
+        def counting_mass_action(u):
+            mass_fields.append(u)
+            return build(u)
+
+        def counting_layout(cls, indices, indptr):
+            layouts.append(len(indptr) - 1)
+            return layout(indices, indptr)
+
+        def counting_einsum(*operands, **kwargs):
+            einsums.append(len(operands) - isinstance(operands[0], str))
+            return einsum(*operands, **kwargs)
+
+        build, layout, einsum = capflow.forms._mass_action, capflow.forms.BandLayout.of, np.einsum
+        monkeypatch.setattr(capflow.forms, "_mass_action", counting_mass_action)
+        monkeypatch.setattr(capflow.forms.BandLayout, "of", classmethod(counting_layout))
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        nsteps = 3
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=nsteps * tc1_config().dt)
+        assert hist.abort_reason is None
+        assert len(hist.t) == nsteps + 1
+        assert len(mass_fields) == nsteps + 1
+        assert len({id(u) for u in mass_fields}) == nsteps + 1
+        # the band layout is found once per pattern; every factorization reads it
+        assert sorted(layouts) == [15, 65]
+        # the kernels are planned products: no contraction of three operands
+        assert [n for n in einsums if n >= 3] == []

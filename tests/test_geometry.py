@@ -79,6 +79,19 @@ class TestDisplace:
         with pytest.raises(DimensionMismatch):
             displace_mesh(mesh, VectorFieldP1(vals, mesh), 1.0)
 
+    def test_nonzero_radial_velocity_rejected(self):
+        # radii never change: a radial mesh velocity off the wall and the axis,
+        # which the field itself allows, is rejected as well
+        mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+        interior = np.setdiff1d(np.arange(mesh.num_nodes), np.concatenate(
+            (mesh.radial_constrained_nodes, mesh.bottom_nodes, mesh.surface_nodes)))
+        for node in (interior[0], mesh.surface_nodes[1]):
+            vals = np.zeros((mesh.num_nodes, 2))
+            vals[:, 1] = 0.1 * mesh.nodes[:, 1]
+            vals[node, 0] = 1e-300
+            with pytest.raises(DimensionMismatch, match="radial"):
+                displace_mesh(mesh, VectorFieldP1(vals, mesh), 1.0)
+
     def test_roundtrip_restores_coordinates(self):
         mesh = build_structured_mesh(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(1)
