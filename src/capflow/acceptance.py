@@ -1,9 +1,10 @@
 """Reference checks for the capillary-rise test case.
 
-Each check returns a :class:`CriterionResult`; the CLI ``verify`` subcommand
-runs the whole set and prints one pass/fail line per criterion.  Reference
-values are the contact-line trajectory anchors for the 16x32 grid with
-dt = 2e-3 s.
+Each check returns a :class:`CriterionResult`.  The CLI ``verify`` subcommand
+runs the five test-case-1 criteria of :func:`run_tc1_verification` and prints
+one pass/fail line per criterion; the test suite runs these and the rest.
+Reference values are the contact-line trajectory anchors for the 16x32 grid
+with dt = 2e-3 s.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .adjoint import adjoint_rhs, solve_adjoint
+from .adjoint import solve_adjoint
 from .config import RunConfig, num_params, phys_params
 from .control import run_instantaneous_control
 from .errors import DomainEmptied
-from .fields import NumParams, PhysParams, VectorFieldP1
-from .forms import _flatten, bottom_load_vector, mass_action, solve, state_blocks
-from .geometry import AxiMesh
+from .forms import _flatten, bottom_load_vector, mass_action, solve
 from .observables import equilibrium_height, transient_time
 from .stepping import initial_state, step
 
@@ -191,43 +189,6 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
     ok = worst <= 1e-4
     return CriterionResult("adjoint gradient vs finite differences", ok,
                            f"worst relative error {worst:.2e} (<= 1e-4); " + ", ".join(details))
-
-
-def reference_adjoint_matrix(mesh_old: AxiMesh, u_old: VectorFieldP1, mesh_new: AxiMesh,
-                             phys: PhysParams, num: NumParams, free: np.ndarray) -> sp.csr_matrix:
-    """Reduced adjoint [[K^T, -B], [B^T, Sp]] of one slab, assembled from its state blocks
-    as the reference for the transposed-LU adjoint solve; V is recovered from the mesh motion.
-    Rows and columns are the dofs ``free``, in that order (a system's ``free``)."""
-    V = VectorFieldP1((mesh_new.nodes - mesh_old.nodes) / num.dt, mesh_old)
-    K, B, Sp, _ = state_blocks(mesh_new, mesh_old, u_old, V, 0.0, phys, num)
-    mat = sp.bmat([[K.T, -B], [B.T, Sp]], format="csr")
-    return mat[np.ix_(free, free)].tocsr()
-
-
-def criterion_transpose() -> CriterionResult:
-    """Independently assembled adjoint operator equals the state operator
-    transposed, and the LU^T adjoint solution solves it (2x2 cells)."""
-    cfg = replace(tc1_config(), N1=2, N3=2)
-    phys, num = phys_params(cfg), num_params(cfg)
-    state = initial_state(cfg.radius, cfg.init_height, num)
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal((state.mesh.num_nodes, 2)) * 1e-3
-    vals[state.mesh.radial_constrained_nodes, 0] = 0.0
-    state = replace(state, u=VectorFieldP1(vals, state.mesh))
-    new, _, system, lu = step(state, 0.0, phys, num)
-    ref = reference_adjoint_matrix(state.mesh, state.u, new.mesh, phys, num, system.free)
-    vel = system.free < system.n_velocity
-    diff = abs(ref - system.matrix.T).max()
-    scale = max(abs(system.matrix[vel][:, vel]).max(), 1e-300)
-    mass_u = mass_action(new.u)
-    adj = solve_adjoint(system, lu, mass_u)
-    rhs = adjoint_rhs(system, mass_u)
-    x = np.concatenate((_flatten(adj.z.values), adj.q.values))[system.free]
-    res = np.linalg.norm(ref @ x - rhs) / np.linalg.norm(rhs)
-    ok = diff <= 1e-13 * scale and res <= 1e-10
-    return CriterionResult("discrete transpose", ok,
-                           f"max |A_adj - A_state^T| = {diff:.3e} (<= 1e-13 * {scale:.3e}), "
-                           f"LU^T adjoint residual in A_adj = {res:.3e} (<= 1e-10)")
 
 
 def criterion_equilibrium_shift(zeta_const: float = -2e-4) -> CriterionResult:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SingularMatrix
 from .fields import VectorFieldP1
-from .forms import FixedPattern, _coo, _r_stiffness_block, element_data, factorize
+from .forms import FixedPattern, _r_stiffness_block, element_data, factorize
 from .geometry import AxiMesh, MeshTopology, surface_slopes
 
 
@@ -26,13 +25,6 @@ class DomainVelocity:
     """Vertical-only mesh velocity; zero radial component everywhere."""
 
     field: VectorFieldP1
-
-
-def scalar_stiffness(mesh: AxiMesh) -> sp.csr_matrix:
-    """r-weighted P1 stiffness matrix, assembled through COO: the reference for
-    the reduced matrix :func:`solve_domain_velocity` fills."""
-    ed = element_data(mesh)
-    return _coo((mesh.num_nodes, mesh.num_nodes), (ed.tri, ed.tri, _r_stiffness_block(ed)))
 
 
 def _extension_pattern(topology: MeshTopology) -> FixedPattern:

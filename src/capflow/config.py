@@ -44,7 +44,8 @@ _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value config; unknown or malformed keys raise ConfigError."""
+    """Parse a flat key = value config.  Unknown or malformed keys, non-finite
+    numbers and values the parameter records reject raise ConfigError."""
     values = {}
     types = {f.name: type(getattr(RunConfig(), f.name)) for f in dc_fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,11 +74,21 @@ def parse_config(text: str) -> RunConfig:
                 values[attr] = int(val)
             elif ty is float:
                 values[attr] = float(val)
+                if not math.isfinite(values[attr]):
+                    raise ConfigError(f"line {lineno}: {key!r} must be finite, got {val!r}")
             else:
                 values[attr] = val
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    if not (cfg.radius > 0 and cfg.init_height > 0):
+        raise ConfigError("invalid config: radius and init_height must be positive")
+    try:
+        phys_params(cfg)
+        num_params(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:

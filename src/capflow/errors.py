@@ -34,4 +34,4 @@ class DomainEmptied(CapflowError):
 
 
 class ConfigError(CapflowError):
-    """A run configuration file could not be parsed."""
+    """A run configuration could not be parsed or holds an invalid value."""

@@ -112,9 +112,10 @@ class PhysParams:
     g: float
 
     def __post_init__(self):
-        if self.nu <= 0 or self.gamma <= 0 or self.g <= 0:
+        # written so that NaN fails every check
+        if not (self.nu > 0 and self.gamma > 0 and self.g > 0):
             raise ValueError("nu, gamma and g must be positive")
-        if self.chi <= 0:
+        if not self.chi > 0:
             raise ValueError("chi must be positive")
         if not 0.0 < self.theta_s < math.pi:
             raise ValueError("theta_s must lie strictly between 0 and pi")
@@ -141,9 +142,10 @@ class NumParams:
     T: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        # written so that NaN fails every check
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.Cs < 0 or self.alpha < 0 or self.lam < 0:
+        if not (self.Cs >= 0 and self.alpha >= 0 and self.lam >= 0):
             raise ValueError("Cs, alpha and lam must be nonnegative")
-        if self.N1 < 2 or self.N3 < 2:
+        if not (self.N1 >= 2 and self.N3 >= 2):
             raise ValueError("N1 and N3 must be at least 2")

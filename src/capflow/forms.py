@@ -10,11 +10,12 @@ Velocity dof layout: radial components first (node k -> row k), then vertical
 components (node k -> row N + k); pressure dofs follow in the monolithic
 saddle system.
 
-Every form is a kernel of dense per-element (or per-edge) blocks.  The run
-path sums those blocks straight into the reduced saddle matrix through a
-:class:`FixedPattern` built once per mesh topology; the ``form_*`` functions
-and :func:`state_blocks` sum the same blocks through COO and are the
-reference the tests compare it against.
+Every form is a kernel of dense per-element (or per-edge) blocks, and there
+is one assembly path: :func:`assemble_state_system` sums the blocks of all
+forms straight into the reduced saddle matrix through a :class:`FixedPattern`
+built once per mesh topology, and the mesh-velocity extension fills its
+stiffness the same way.  The tests check that fill against dense
+element-by-element quadrature written apart from these kernels.
 
 The kernels are planned products, not general contractions.  A block
 weighted at the quadrature points, integral of w N_i N_j, is one
@@ -262,113 +263,9 @@ def _pressure_stab_block(ed: ElementData, Cs: float, h: float | None = None) -> 
     return Cs * h2[:, None, None] * _r_stiffness_block(ed)
 
 
-def _coo(shape: tuple[int, int], *parts) -> sp.csr_matrix:
-    """Sum local blocks into a matrix; each part is (row_dofs, col_dofs, blocks),
-    and blocks[e, i, j] adds to entry (row_dofs[e, i], col_dofs[e, j])."""
-    rows = [np.broadcast_to(r[:, :, None], b.shape).ravel() for r, _, b in parts]
-    cols = [np.broadcast_to(c[:, None, :], b.shape).ravel() for _, c, b in parts]
-    vals = [b.ravel() for _, _, b in parts]
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=shape).tocsr()
-
-
-# -- reference forms ----------------------------------------------------------
-
-def form_a(mesh: AxiMesh, beta: float, params: PhysParams) -> sp.csr_matrix:
-    """Viscous rate-of-strain form plus wall friction.
-
-    2 nu (D(u), D(v)) with the axisymmetric hoop contribution
-    2 nu u_r v_r / r^2, plus beta * integral of u . v over the wall.
-    Entries of 1/r terms at quadrature points on the axis are skipped; the
-    affected dofs carry an essential zero and are eliminated from the system.
-    """
-    if beta < 0:
-        raise ValueError("friction coefficient must be nonnegative")
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    dofs = _vector_dofs(ed.tri, n)
-    wall = _vector_dofs(mesh.boundary_edges[BoundaryTag.WALL], n)
-    return _coo((2 * n, 2 * n), (dofs, dofs, _viscous_block(ed, params.nu)),
-                (wall, wall, _on_both_components(_wall_friction_block(mesh, beta))))
-
-
-def form_b(mesh: AxiMesh) -> sp.csr_matrix:
-    """Velocity-pressure coupling b(v, pi) = -(div v, pi).
-
-    The axisymmetric divergence dr(v_r) + v_r/r + dz(v_z) is integrated
-    against r, which cancels the 1/r singularity exactly.
-    Rows are velocity dofs, columns pressure dofs.
-    """
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    return _coo((2 * n, n), (_vector_dofs(ed.tri, n), ed.tri, _coupling_block(ed)))
-
-
-def form_c_ALE(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matrix:
-    """Relative transport ([(w - V) . grad] u, v) - (div(V) u, v).
-
-    w and V are nodal fields carried over from the previous mesh by nodal
-    identification; gradients and measures are those of the given mesh.
-    """
-    _check_fields(mesh, w, V)
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    dofs = _vector_dofs(ed.tri, n)
-    block = _on_both_components(_transport_block(ed, w.values, V.values))
-    return _coo((2 * n, 2 * n), (dofs, dofs, block))
-
-
-def form_s(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matrix:
-    """Transport stabilization 1/2 (div(w) u, v) - 1/2 surface flux on the free surface."""
-    _check_fields(mesh, w, V)
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    dofs = _vector_dofs(ed.tri, n)
-    surface = _vector_dofs(mesh.boundary_edges[BoundaryTag.FREE_SURFACE], n)
-    volume = _divergence_stab_block(ed, w.values)
-    flux = _surface_flux_block(mesh, w.values, V.values)
-    return _coo((2 * n, 2 * n), (dofs, dofs, _on_both_components(volume)),
-                (surface, surface, _on_both_components(flux)))
-
-
-def form_S_Gamma(mesh: AxiMesh, params: PhysParams) -> sp.csr_matrix:
-    """Free-surface stabilization damping tangential variation of u . nu / nu_3.
-
-    Edge-wise: the meridian tangential derivative of the vertical surface
-    velocity, squared, weighted by gamma/2 and the surface measure.  Rigid
-    vertical motion is annihilated exactly.
-    """
-    n = mesh.num_nodes
-    surface = _vector_dofs(mesh.boundary_edges[BoundaryTag.FREE_SURFACE], n)
-    return _coo((2 * n, 2 * n), (surface, surface, _surface_stab_block(mesh, params)))
-
-
-def form_s_p(mesh: AxiMesh, Cs: float, h: float | None = None) -> sp.csr_matrix:
-    """Pressure-gradient stabilization Cs h_K^2 (grad p, grad pi) per element.
-
-    By default h_K^2 is the area-equivalent size 2 * |K| per element (the
-    choice of element-size measure only rescales the constant Cs; the
-    area-based one keeps the spurious force the stabilization exerts on the
-    exact hydrostatic pressure below the rest-state tolerance on stretched
-    cells).  Passing h uses that global value instead.
-    """
-    if Cs < 0:
-        raise ValueError("Cs must be nonnegative")
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    return _coo((n, n), (ed.tri, ed.tri, _pressure_stab_block(ed, Cs, h)))
-
-
-def mass_matrix(mesh: AxiMesh) -> sp.csr_matrix:
-    """Consistent r-weighted mass matrix on vector fields, (2N, 2N)."""
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    dofs = _vector_dofs(ed.tri, n)
-    return _coo((2 * n, 2 * n), (dofs, dofs, _on_both_components(_mass_block(ed))))
-
-
 def mass_action(u: VectorFieldP1) -> np.ndarray:
-    """mass_matrix(u.mesh) @ u, flattened, summed element by element.
+    """The consistent r-weighted mass matrix of u.mesh times u, flattened,
+    summed element by element.
 
     Computed once per field: the objective and the adjoint of the slab that
     made u, and the assembly of the next slab, share it, so it is read-only."""
@@ -596,33 +493,7 @@ class LinearSystem:
     size_full: int
     n_velocity: int            # 2 * num_nodes
     mesh: AxiMesh
-    band: BandLayout | None = None     # the band layout of the matrix's pattern
-
-
-def state_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num):
-    """All blocks of the semi-implicit step on the updated geometry, assembled
-    form by form; the reference for :func:`assemble_state_system`.
-
-    Returns (K, B, Sp, rhs_top) with K the velocity-velocity operator,
-    B the pressure coupling, Sp the pressure stabilization and rhs_top the
-    momentum right-hand side (old-mesh mass action plus loads).
-    """
-    _check_fields(mesh_old, u_old, V_old)
-    dt = num.dt
-    h3 = contact_line_height(mesh_new) / num.N3
-    beta = beta_h(phys.chi, h3, phys.nu)
-    u_new_mesh = VectorFieldP1(u_old.values, mesh_new)
-    v_new_mesh = VectorFieldP1(V_old.values, mesh_new)
-    K = (mass_matrix(mesh_new) / dt
-         + form_a(mesh_new, beta, phys)
-         + form_c_ALE(mesh_new, u_new_mesh, v_new_mesh)
-         + form_s(mesh_new, u_new_mesh, v_new_mesh)
-         + dt * form_S_Gamma(mesh_new, phys))
-    B = form_b(mesh_new)
-    Sp = form_s_p(mesh_new, num.Cs)
-    rhs_top = mass_matrix(mesh_old) @ _flatten(u_old.values) / dt \
-        + rhs_F(mesh_new, zeta, phys)
-    return K, B, Sp, rhs_top
+    band: BandLayout           # the band layout of the matrix's pattern
 
 
 def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
@@ -639,8 +510,13 @@ def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
 def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
     """Monolithic [[K, B], [-B^T, Sp]] system with essential radial dofs eliminated.
 
-    The local blocks of :func:`state_blocks`, summed into the saddle pattern
-    of the mesh topology, which both meshes must share.
+    K = M/dt + A + C + S + dt S_Gamma on the new mesh: the mass, the viscous
+    form with wall friction, the relative transport, its stabilization and
+    the free-surface stabilization; B is the velocity-pressure coupling and
+    Sp the pressure stabilization.  Their local blocks are summed into the
+    saddle pattern of the mesh topology, which both meshes must share.  The
+    right-hand side is the mass action of u_old on the old mesh over dt
+    plus the loads of :func:`rhs_F`.
     """
     _check_fields(mesh_old, u_old, V_old)
     if mesh_new.topology is not mesh_old.topology:
@@ -685,20 +561,16 @@ class BandLU:
         return x
 
 
-def factorize(matrix: sp.spmatrix, band: BandLayout | None = None) -> BandLU:
-    """Banded LU of a square sparse matrix, the one factorization of the run path:
+def factorize(matrix: sp.spmatrix, band: BandLayout) -> BandLU:
+    """Banded LU of a square CSC matrix, the one factorization of the run path:
     the state and adjoint solves share the saddle matrix's, the mesh-velocity
     extension factors its stiffness.
 
-    band is the layout of the :class:`FixedPattern` that filled the CSC matrix
-    (``pattern.band``, ``LinearSystem.band``); those matrices come in the
-    pattern's bandwidth-reducing order, so the band is narrow.  Without it the
-    layout is worked out from the matrix's own structure.  Raises
-    SingularMatrix on an exactly zero pivot."""
-    if band is None:
-        matrix = sp.csc_matrix(matrix)
-        band = BandLayout.of(matrix.indices, matrix.indptr)
-    elif matrix.format != "csc" or matrix.nnz != len(band.position):
+    band is the layout of the matrix's structure: ``pattern.band`` (or
+    ``LinearSystem.band``) of the :class:`FixedPattern` that filled it, whose
+    bandwidth-reducing order keeps the band narrow.  Raises SingularMatrix on
+    an exactly zero pivot."""
+    if matrix.format != "csc" or matrix.nnz != len(band.position):
         raise DimensionMismatch("matrix is not the CSC fill of the band layout's pattern")
     n = matrix.shape[0]
     ab = np.bincount(band.position, weights=matrix.data,
@@ -709,12 +581,10 @@ def factorize(matrix: sp.spmatrix, band: BandLayout | None = None) -> BandLU:
     return BandLU(lu=lu, ipiv=ipiv, kl=band.kl, ku=band.ku)
 
 
-def solve(system: LinearSystem, lu: BandLU | None = None,
+def solve(system: LinearSystem, lu: BandLU,
           trans: str = "N") -> tuple[VectorFieldP1, ScalarFieldP1, float]:
-    """Solve the system (trans="N") or its transpose (trans="T") with lu, its LU
-    (made here if not given); returns (velocity, pressure, relative residual),
-    the residual gated at 1e-10."""
-    lu = factorize(system.matrix, system.band) if lu is None else lu
+    """Solve the system (trans="N") or its transpose (trans="T") with lu, its LU;
+    returns (velocity, pressure, relative residual), the residual gated at 1e-10."""
     matrix = system.matrix.T if trans == "T" else system.matrix
     x = lu.solve(system.rhs, trans=trans)
     if not np.all(np.isfinite(x)):

@@ -6,11 +6,14 @@ with explicit loops over elements, quadrature points and local dofs.  The
 quadrature rules (3-point mid-edge on triangles, 2-point Gauss on edges) and
 the axis conventions (skip 1/r hoop entries at r = 0 points, replace v_r/r
 by dr(v_r) there) are shared with the implementation; the arithmetic is not.
+:func:`oracle_saddle` composes the forms into the whole step system, with
+the wall friction coefficient of ``forms.beta_h``.
 """
 
 import numpy as np
 
-from capflow.geometry import BoundaryTag, surface_normals
+from capflow.forms import beta_h
+from capflow.geometry import BoundaryTag, contact_line_height, surface_normals
 
 MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -277,3 +280,35 @@ def oracle_rhs_F(mesh, zeta, phys):
     r_wall = mesh.nodes[mesh.contact_node, 0]
     f[mesh.contact_node + n] += phys.gamma * np.cos(phys.theta_s) * r_wall
     return f
+
+
+def _oracle_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num):
+    """Dense (K, B, Sp, rhs_top) of the semi-implicit step on the new mesh:
+    K = M/dt + A + C + S + dt S_Gamma, the coupling B, the pressure
+    stabilization Sp and the momentum right-hand side.  u_old and V_old are
+    read by their nodal values, which the new mesh shares."""
+    dt = num.dt
+    beta = beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
+    K = (oracle_mass(mesh_new) / dt
+         + oracle_form_a(mesh_new, beta, phys.nu)
+         + oracle_form_c(mesh_new, u_old, V_old)
+         + oracle_form_s(mesh_new, u_old, V_old)
+         + dt * oracle_form_SG(mesh_new, phys.gamma))
+    u = u_old.values
+    rhs_top = oracle_mass(mesh_old) @ np.concatenate((u[:, 0], u[:, 1])) / dt \
+        + oracle_rhs_F(mesh_new, zeta, phys)
+    return K, oracle_form_b(mesh_new), oracle_form_sp(mesh_new, num.Cs), rhs_top
+
+
+def oracle_saddle(mesh_new, mesh_old, u_old, V_old, zeta, phys, num):
+    """The full dense state system [[K, B], [-B^T, Sp]] over every dof, (3N, 3N),
+    and its right-hand side."""
+    K, B, Sp, rhs_top = _oracle_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num)
+    matrix = np.block([[K, B], [-B.T, Sp]])
+    return matrix, np.concatenate((rhs_top, np.zeros(mesh_new.num_nodes)))
+
+
+def oracle_adjoint(mesh_new, mesh_old, u_old, V_old, phys, num):
+    """The full dense adjoint operator [[K^T, -B], [B^T, Sp]] of the same step."""
+    K, B, Sp, _ = _oracle_blocks(mesh_new, mesh_old, u_old, V_old, 0.0, phys, num)
+    return np.block([[K.T, -B], [B.T, Sp]])

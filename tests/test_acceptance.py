@@ -5,15 +5,21 @@ values (run with -s to see them inline).  Desk scale: 16x32 grid, dt = 2e-3 s
 for the nozzle case, seconds-to-minutes total runtime.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from capflow import acceptance
-from capflow.fields import PhysParams
-from capflow.forms import form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p
+from capflow.adjoint import adjoint_rhs, solve_adjoint
+from capflow.config import num_params, phys_params
+from capflow.fields import PhysParams, VectorFieldP1
+from capflow.forms import _flatten, mass_action
 from capflow.geometry import build_structured_mesh
+from capflow.stepping import initial_state, step
 
 from . import oracles
 from .conftest import perturbed_mesh, random_vector_field, two_triangle_mesh
+from .pattern_forms import form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p
 
 
 def report(result):
@@ -43,7 +49,33 @@ def test_criterion_5_adjoint_gradient_fd():
 
 
 def test_criterion_6_discrete_transpose():
-    report(acceptance.criterion_transpose())
+    """The dense oracle adjoint operator equals the state operator transposed,
+    and the LU^T adjoint solution solves it (2x2 cells)."""
+    cfg = replace(acceptance.tc1_config(), N1=2, N3=2)
+    phys, num = phys_params(cfg), num_params(cfg)
+    state = initial_state(cfg.radius, cfg.init_height, num)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((state.mesh.num_nodes, 2)) * 1e-3
+    vals[state.mesh.radial_constrained_nodes, 0] = 0.0
+    state = replace(state, u=VectorFieldP1(vals, state.mesh))
+    new, _, system, lu = step(state, 0.0, phys, num)
+    # the mesh velocity, recovered from the mesh motion
+    V = VectorFieldP1((new.mesh.nodes - state.mesh.nodes) / num.dt, state.mesh)
+    free = system.free
+    ref = oracles.oracle_adjoint(new.mesh, state.mesh, state.u, V, phys, num)[np.ix_(free, free)]
+    vel = free < system.n_velocity
+    diff = np.abs(ref - system.matrix.T.toarray()).max()
+    scale = max(abs(system.matrix[vel][:, vel]).max(), 1e-300)
+    mass_u = mass_action(new.u)
+    adj = solve_adjoint(system, lu, mass_u)
+    rhs = adjoint_rhs(system, mass_u)
+    x = np.concatenate((_flatten(adj.z.values), adj.q.values))[free]
+    res = np.linalg.norm(ref @ x - rhs) / np.linalg.norm(rhs)
+    ok = diff <= 1e-13 * scale and res <= 1e-10
+    report(acceptance.CriterionResult(
+        "discrete transpose", ok,
+        f"max |A_adj - A_state^T| = {diff:.3e} (<= 1e-13 * {scale:.3e}), "
+        f"LU^T adjoint residual in A_adj = {res:.3e} (<= 1e-10)"))
 
 
 def test_criterion_7_form_oracles():

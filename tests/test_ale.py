@@ -1,11 +1,11 @@
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from capflow.ale import scalar_stiffness, solve_domain_velocity
+from capflow.ale import solve_domain_velocity
 from capflow.fields import VectorFieldP1
 from capflow.geometry import build_structured_mesh, contact_line_height, displace_mesh
 
 from .conftest import perturbed_mesh
+from .oracles import oracle_form_sp
 
 
 def test_zero_velocity_extends_to_zero():
@@ -72,7 +72,8 @@ def test_zero_on_bottom_and_wall_radial():
 
 
 def test_fixed_pattern_extension_matches_coo_reference():
-    # the same Dirichlet problem solved on the COO-assembled stiffness, sliced
+    # the same Dirichlet problem solved densely on the oracle r-weighted stiffness
+    # (the pressure stabilization with Cs = h = 1)
     rng = np.random.default_rng(4)
     flat = build_structured_mesh(1.0, 1.0, 6, 6)
     lift = np.zeros((flat.num_nodes, 2))
@@ -81,10 +82,10 @@ def test_fixed_pattern_extension_matches_coo_reference():
     vals = rng.standard_normal((mesh.num_nodes, 2))
     vals[mesh.radial_constrained_nodes, 0] = 0.0
     V = solve_domain_velocity(mesh, VectorFieldP1(vals, mesh)).field.values[:, 1]
-    A = scalar_stiffness(mesh)
+    A = oracle_form_sp(mesh, 1.0, h=1.0)
     fixed = np.union1d(mesh.surface_nodes, mesh.bottom_nodes)
     free = np.setdiff1d(np.arange(mesh.num_nodes), fixed)
     g = np.zeros(mesh.num_nodes)
     g[fixed] = V[fixed]
-    ref = spla.spsolve(A[np.ix_(free, free)].tocsc(), -(A @ g)[free])
+    ref = np.linalg.solve(A[np.ix_(free, free)], -(A @ g)[free])
     assert np.abs(V[free] - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -1,32 +1,29 @@
-"""The fixed-pattern assembly against the form-by-form COO reference."""
+"""The step's fixed-pattern assembly against the dense oracle of the whole system."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from capflow.acceptance import tc1_config
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import BandLayout, assemble_state_system, factorize, state_blocks
+from capflow.forms import BandLayout, assemble_state_system, factorize
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
 from .conftest import random_vector_field
+from .oracles import oracle_saddle
 from .test_forms import PHYS, meshes
 
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=2, N3=2, alpha=0.0, lam=0.0, T=0.1)
 
 
 def reference_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num, free):
-    """Reduced matrix and rhs from state_blocks, bmat and slicing to the dofs free,
-    in that order."""
-    K, B, Sp, rhs_top = state_blocks(mesh_new, mesh_old, u_old, V_old, zeta, phys, num)
-    matrix = sp.bmat([[K, B], [-B.T, Sp]], format="csr")
-    rhs = np.concatenate((rhs_top, np.zeros(mesh_new.num_nodes)))
+    """Dense reduced matrix and rhs of the oracle, on the dofs free in that order."""
+    matrix, rhs = oracle_saddle(mesh_new, mesh_old, u_old, V_old, zeta, phys, num)
     return matrix[np.ix_(free, free)], rhs[free]
 
 
@@ -56,14 +53,15 @@ def tc1_slab(n1=16, n3=32):
     return displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
 
 
-def rel(a, b):
-    return abs(a - b).max() / abs(b).max()
+def rel(matrix, dense):
+    return np.abs(matrix.toarray() - dense).max() / np.abs(dense).max()
 
 
 @pytest.mark.parametrize("case", [lambda: form_case(0), lambda: form_case(1),
                                   lambda: form_case(2), tc1_slab],
                          ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab"])
 def test_fixed_pattern_equals_coo_reference(case):
+    """The step's reduced matrix and rhs equal the dense oracle's on its dofs."""
     args = case()
     system = assemble_state_system(*args)
     matrix, rhs = reference_system(*args, system.free)

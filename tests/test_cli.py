@@ -74,6 +74,15 @@ def test_unreadable_config_exits_nonzero(tmp_path, capsys):
     assert "missing.cfg" in capsys.readouterr().err
 
 
+def test_invalid_config_value_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dt = nan\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'dt' must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_reports_and_aggregates(monkeypatch, capsys):
     results = [CriterionResult("a", True, "ok"), CriterionResult("b", True, "ok")]
     monkeypatch.setattr(cli, "run_tc1_verification", lambda: results)

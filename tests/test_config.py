@@ -27,6 +27,22 @@ def test_bad_value_reported():
         parse_config("dt = fast\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nu = -1\n", "nu, gamma and g must be positive"),
+    ("N1 = 1\n", "N1 and N3 must be at least 2"),
+    ("\ndt = nan\n", "line 2: 'dt' must be finite"),
+    ("gamma = inf\n", "line 1: 'gamma' must be finite"),
+    ("theta_s = 180\n", "theta_s"),
+    ("Cs = -0.1\n", "nonnegative"),
+    ("radius = 0\n", "radius and init_height must be positive"),
+    ("init_height = -1e-5\n", "radius and init_height must be positive"),
+], ids=["negative-nu", "one-cell", "nan-dt", "inf-gamma", "flat-angle", "negative-Cs",
+        "zero-radius", "negative-height"])
+def test_invalid_values_are_config_errors(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("dt = 1e-3\ndt = 2e-3\n")

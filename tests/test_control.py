@@ -8,6 +8,8 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capflow.acceptance
+import capflow.ale
 import capflow.forms
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params
@@ -192,8 +194,14 @@ class TestRunLoop:
             return wrapper
 
         monkeypatch.setattr(capflow.forms.FixedPattern, "build", classmethod(counting_build))
-        for owner, name in ((scipy.sparse, "coo_matrix"), (scipy.sparse, "bmat"), (np, "ix_"),
-                            (capflow.forms, "mass_matrix"), (capflow.forms, "state_blocks")):
+        # the run path has one assembly path: the COO reference forms are gone
+        retired = {capflow.forms: ("_coo", "form_a", "form_b", "form_c_ALE", "form_s",
+                                   "form_S_Gamma", "form_s_p", "mass_matrix", "state_blocks"),
+                   capflow.ale: ("scalar_stiffness",),
+                   capflow.acceptance: ("reference_adjoint_matrix", "criterion_transpose")}
+        assert [name for module, names in retired.items() for name in names
+                if hasattr(capflow, name) or hasattr(module, name)] == []
+        for owner, name in ((scipy.sparse, "coo_matrix"), (scipy.sparse, "bmat"), (np, "ix_")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         cfg = tc1_config()
         initial_state(cfg.radius, cfg.init_height, replace(num_params(cfg), N1=4, N3=4))

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import (beta_h, bottom_load_vector, form_a, form_b, form_c_ALE,
-                           form_S_Gamma, form_s, form_s_p, gravity_load,
-                           mass_matrix, rhs_F, surface_tension_load)
+from capflow.forms import beta_h, bottom_load_vector, gravity_load, rhs_F, surface_tension_load
 from capflow.geometry import BoundaryTag, build_structured_mesh
 
 from . import oracles
 from .conftest import perturbed_mesh, random_vector_field, two_triangle_mesh
+from .pattern_forms import (form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p,
+                            mass_matrix)
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)

@@ -4,12 +4,24 @@ import scipy.sparse as sp
 
 from capflow.errors import DimensionMismatch, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_vector_field
-from capflow.forms import LinearSystem, assemble_state_system, form_a, mass_matrix, solve
+from capflow.forms import BandLayout, LinearSystem, assemble_state_system, factorize, solve
 from capflow.geometry import build_structured_mesh
+
+from .pattern_forms import form_a, mass_matrix
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.1)
+
+
+def system_of(matrix, **parts):
+    """A LinearSystem on a hand-built CSC matrix, with the band layout of its structure."""
+    return LinearSystem(matrix=matrix, band=BandLayout.of(matrix.indices, matrix.indptr),
+                        **parts)
+
+
+def lu_solve(system):
+    return solve(system, factorize(system.matrix, system.band))
 
 
 def wrap_system(mesh, matrix, rhs):
@@ -21,8 +33,8 @@ def wrap_system(mesh, matrix, rhs):
     b = np.zeros(3 * n)
     b[:len(rhs)] = rhs
     free = mesh.topology.free_dofs
-    return LinearSystem(matrix=full.tocsr()[np.ix_(free, free)].tocsr(), rhs=b[free],
-                        free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh)
+    return system_of(full.tocsr()[np.ix_(free, free)].tocsc(), rhs=b[free],
+                     free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh)
 
 
 def test_identity_system_returns_rhs():
@@ -31,10 +43,10 @@ def test_identity_system_returns_rhs():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(3 * n)
     b[mesh.radial_constrained_nodes] = 0.0      # scattered into u_r slots
-    sys = LinearSystem(matrix=sp.eye(3 * n, format="csr"), rhs=b,
-                       free=np.arange(3 * n), size_full=3 * n,
-                       n_velocity=2 * n, mesh=mesh)
-    u, p, res = solve(sys)
+    sys = system_of(sp.eye(3 * n, format="csc"), rhs=b,
+                    free=np.arange(3 * n), size_full=3 * n,
+                    n_velocity=2 * n, mesh=mesh)
+    u, p, res = lu_solve(sys)
     assert np.array_equal(np.concatenate((u.values[:, 0], u.values[:, 1], p.values)), b)
     assert res <= 1e-15
 
@@ -48,7 +60,7 @@ def test_spd_block_manufactured_solution():
     x[mesh.radial_constrained_nodes] = 0.0
     b = np.asarray(A.tocsr() @ x)
     sys = wrap_system(mesh, A, b)
-    u, p, res = solve(sys)
+    u, p, res = lu_solve(sys)
     got = np.concatenate((u.values[:, 0], u.values[:, 1]))
     assert np.abs(got - x).max() <= 1e-10 * max(np.abs(x).max(), 1.0)
 
@@ -58,11 +70,11 @@ def test_singular_matrix_detected():
     n = mesh.num_nodes
     mat = sp.eye(3 * n, format="lil")
     mat[0, 0] = 0.0
-    sys = LinearSystem(matrix=mat.tocsr(), rhs=np.ones(3 * n),
-                       free=np.arange(3 * n), size_full=3 * n,
-                       n_velocity=2 * n, mesh=mesh)
+    sys = system_of(mat.tocsc(), rhs=np.ones(3 * n),
+                    free=np.arange(3 * n), size_full=3 * n,
+                    n_velocity=2 * n, mesh=mesh)
     with pytest.raises(SingularMatrix):
-        solve(sys)
+        lu_solve(sys)
 
 
 def test_mismatched_field_mesh_rejected():
@@ -79,5 +91,5 @@ def test_solved_velocity_respects_essential_conditions():
     u = zero_vector_field(mesh_old)
     V = zero_vector_field(mesh_old)
     sys = assemble_state_system(mesh_old, mesh_old, u, V, 0.0, PHYS, NUM)
-    u_new, _, _ = solve(sys)
+    u_new, _, _ = lu_solve(sys)
     assert np.abs(u_new.values[mesh_old.radial_constrained_nodes, 0]).max() == 0.0
