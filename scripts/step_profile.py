@@ -5,7 +5,8 @@ For each grid, advances the controlled test-case-1 refill three slabs and
 times the phases of the fourth on their own: the mesh-velocity extension
 (ALE), the mesh displacement, the element geometry, each element kernel,
 the whole saddle assembly, the fill, the banded factorization, the state
-solve and the adjoint solve, then the whole step.  Each figure is the
+solve and the adjoint solve, then the whole step, and last the VTK snapshot
+of the state into a temporary directory.  Each figure is the
 minimum over REPEATS calls, in ms.  The mass action row calls the uncached
 builder; the assembly and step rows find the mass action of the old
 velocity already computed, as a step after a previous one does, and the
@@ -16,8 +17,10 @@ one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
 """
 
 import platform
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -29,6 +32,7 @@ from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.geometry import contact_line_height, displace_mesh
 from capflow.stepping import initial_state, step
+from capflow.writers import write_vtk_snapshot
 
 GRIDS = ((16, 32), (32, 64))    # N1 x N3
 REPEATS = 20                    # calls per phase; the minimum is reported
@@ -94,7 +98,15 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("state solve", best_ms(lambda _: forms.solve(system, lu))),
         ("adjoint solve", best_ms(lambda _: solve_adjoint(system, lu, mass_u))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
+        ("VTK snapshot", snapshot_ms(state)),
     ]
+
+
+def snapshot_ms(state) -> float:
+    """write_vtk_snapshot of the state into a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.vtk"
+        return best_ms(lambda _: write_vtk_snapshot(state, path))
 
 
 def main() -> None:

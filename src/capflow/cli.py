@@ -14,7 +14,7 @@ from pathlib import Path
 from .acceptance import run_tc1_verification
 from .config import load_config, num_params, phys_params
 from .control import run_instantaneous_control
-from .errors import CapflowError
+from .errors import CapflowError, ConfigError
 from .writers import write_history_csv, write_vtk_snapshot
 
 
@@ -41,6 +41,8 @@ def _cmd_run(args) -> int:
     if args.uncontrolled:
         cfg = replace(cfg, controlled=False)
     if args.snapshots is not None:
+        if args.snapshots < 0:
+            raise ConfigError("--snapshots must be nonnegative")
         cfg = replace(cfg, snapshot_every=args.snapshots)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)

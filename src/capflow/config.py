@@ -83,6 +83,8 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**values)
     if not (cfg.radius > 0 and cfg.init_height > 0):
         raise ConfigError("invalid config: radius and init_height must be positive")
+    if cfg.snapshot_every < 0:
+        raise ConfigError("invalid config: snapshot_every must be nonnegative")
     try:
         phys_params(cfg)
         num_params(cfg)

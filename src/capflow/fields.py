@@ -130,7 +130,7 @@ class NumParams:
     N1, N3 radial / vertical cell counts
     alpha  gradient step length of the controller
     lam    Tikhonov weight of the control penalty
-    T      final time [s]
+    T      final time [s], a whole number of steps dt
     """
 
     dt: float
@@ -149,3 +149,8 @@ class NumParams:
             raise ValueError("Cs, alpha and lam must be nonnegative")
         if not (self.N1 >= 2 and self.N3 >= 2):
             raise ValueError("N1 and N3 must be at least 2")
+        steps = self.T / self.dt
+        whole = round(steps) if math.isfinite(steps) else 0
+        if not (self.T > 0 and whole >= 1 and abs(steps - whole) <= 1e-9 * whole):
+            raise ValueError(f"T must be a positive whole number of time steps dt, "
+                             f"got T/dt = {steps!r}")

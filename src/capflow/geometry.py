@@ -260,8 +260,13 @@ def surface_normals(mesh: AxiMesh) -> np.ndarray:
     """Outward unit normals per free-surface edge (same order as the edge list).
 
     The free surface must be a graph over r; every normal satisfies nu_3 > 0,
-    otherwise :class:`SurfaceFolded` is raised.
+    otherwise :class:`SurfaceFolded` is raised.  Computed once per mesh (mesh
+    validation does it) and read-only.
     """
+    return mesh.memo(_surface_normals)
+
+
+def _surface_normals(mesh: AxiMesh) -> np.ndarray:
     edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
     p1 = mesh.nodes[edges[:, 0]]
     p2 = mesh.nodes[edges[:, 1]]
@@ -272,6 +277,7 @@ def surface_normals(mesh: AxiMesh) -> np.ndarray:
     normals = np.column_stack((-t[:, 1], t[:, 0])) / length[:, None]
     if np.any(normals[:, 1] <= 0.0):
         raise SurfaceFolded("free surface stopped being a graph over r (nu_3 <= 0)")
+    normals.setflags(write=False)
     return normals
 
 

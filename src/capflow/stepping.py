@@ -9,7 +9,7 @@ and the finite-difference check all reuse its system and factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ale import solve_domain_velocity
 from .errors import DomainEmptied
@@ -28,11 +28,25 @@ class FlowState:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """What a step reports about the slab it solved.
+
+    ``min_area`` and ``max_aspect`` are the new mesh's :func:`mesh_quality`,
+    read-only properties computed on first read and memoised on the mesh, so
+    a loop that never reads them pays nothing for them.
+    """
+
     residual: float
     u_max: float
     z_cl: float
-    min_area: float
-    max_aspect: float
+    mesh: AxiMesh = field(repr=False)
+
+    @property
+    def min_area(self) -> float:
+        return self.mesh.memo(mesh_quality)[0]
+
+    @property
+    def max_aspect(self) -> float:
+        return self.mesh.memo(mesh_quality)[1]
 
 
 def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
@@ -60,8 +74,6 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     lu = factorize(system.matrix, system.band)
     u_new, p_new, residual = solve(system, lu)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
-    min_area, max_aspect = mesh_quality(mesh_new)
     diag = StepDiagnostics(residual=residual, u_max=u_new.magnitude_max,
-                           z_cl=contact_line_height(mesh_new),
-                           min_area=min_area, max_aspect=max_aspect)
+                           z_cl=contact_line_height(mesh_new), mesh=mesh_new)
     return new, diag, system, lu

@@ -2,11 +2,26 @@
 
 Both formats are bit-specified: LF line endings, '.' decimal separator,
 lowercase 'e' exponents, 17 significant digits so floats round-trip exactly.
+
+A VTK snapshot goes through one %-format template per mesh topology.  The
+template bakes in the text that is the same for every mesh a run reaches:
+the header and section lines, the node and cell counts, the ``CELLS`` and
+``CELL_TYPES`` sections and the radius column of ``POINTS``.  Radii can be
+baked in because mesh motion is vertical only (``displace_mesh`` rejects any
+radial mesh velocity).  A snapshot then formats only t, the z column, the
+velocity and the pressure, in a single % operation.  Field values are never
+baked in, not even the essential zero radial velocity on the wall and axis,
+which a field may hold as -0.0.  The template is built on the first
+snapshot and kept with the radii it bakes in, compared byte for byte (so
+-0.0 differs from 0.0); a mesh of the same topology with other radii
+replaces it.
 """
 
 from __future__ import annotations
 
-from .geometry import MeshTopology
+import numpy as np
+
+from .geometry import AxiMesh, MeshTopology
 from .stepping import FlowState
 
 CSV_HEADER = "t,Z_CL,zeta,J_increment,grad,u_max"
@@ -26,35 +41,55 @@ def write_history_csv(history, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _cells_text(topology: MeshTopology) -> str:
-    """The CELLS and CELL_TYPES sections, the same for every mesh of a topology."""
-    tri = topology.triangles
-    m = len(tri)
-    return (f"CELLS {m} {4 * m}\n" + ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist())
-            + f"CELL_TYPES {m}\n" + "5\n" * m)
-
-
-def write_vtk_snapshot(state: FlowState, path) -> None:
-    """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid.
-
-    Each block is one %-format over all its values ("%.17g" writes what
-    format(x, ".17g") does)."""
-    mesh = state.mesh
+def _snapshot_template(mesh: AxiMesh) -> str:
+    """The whole snapshot of this mesh's topology and radii as one %-format
+    over (t, z column, velocity, pressure); "%.17g" writes what
+    format(x, ".17g") does."""
     n = mesh.num_nodes
-    text = "".join((
+    tri = mesh.triangles
+    m = len(tri)
+    return "".join((
         "# vtk DataFile Version 3.0\n",
-        f"capflow snapshot t={_fmt(state.t)}\n",
+        "capflow snapshot t=%.17g\n",
         "ASCII\n",
         "DATASET UNSTRUCTURED_GRID\n",
         f"POINTS {n} double\n",
-        ("%.17g %.17g 0\n" * n) % tuple(mesh.nodes.ravel().tolist()),
-        mesh.topology.memo(_cells_text),
+        # the radii are written now; each "%%" leaves the z column's "%.17g"
+        ("%.17g %%.17g 0\n" * n) % tuple(mesh.nodes[:, 0].tolist()),
+        f"CELLS {m} {4 * m}\n",
+        ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist()),
+        f"CELL_TYPES {m}\n",
+        "5\n" * m,
         f"POINT_DATA {n}\n",
         "VECTORS velocity double\n",
-        ("%.17g %.17g 0\n" * n) % tuple(state.u.values.ravel().tolist()),
+        "%.17g %.17g 0\n" * n,
         "SCALARS pressure double 1\n",
         "LOOKUP_TABLE default\n",
-        ("%.17g\n" * n) % tuple(state.p.values.tolist()),
+        "%.17g\n" * n,
     ))
+
+
+def _template_slot(topology: MeshTopology) -> list:
+    """Holds the topology's one (radii bytes, template) pair, or None."""
+    return [None]
+
+
+def _template(mesh: AxiMesh) -> str:
+    """The snapshot template of the mesh, rebuilt when its radii differ bit
+    for bit from those baked into the topology's current one."""
+    slot = mesh.topology.memo(_template_slot)
+    radii = mesh.nodes[:, 0].tobytes()
+    entry = slot[0]
+    if entry is None or entry[0] != radii:
+        entry = slot[0] = (radii, _snapshot_template(mesh))
+    return entry[1]
+
+
+def write_vtk_snapshot(state: FlowState, path) -> None:
+    """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid."""
+    mesh = state.mesh
+    values = np.concatenate(((float(state.t),), mesh.nodes[:, 1],
+                             state.u.values.ravel(), state.p.values))
+    text = _template(mesh) % tuple(values.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)

@@ -83,6 +83,24 @@ def test_invalid_config_value_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("T", [-1.0, 0.005], ids=["negative", "fractional-steps"])
+def test_final_time_off_the_step_grid_exits_nonzero(tmp_path, capsys, T):
+    # dt = 2e-3: T = -1 would run no step, T = 0.005 would stop at t = 0.004
+    cfg = tiny_config(tmp_path, T=T)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "T must be a positive whole number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_snapshot_cadence_exits_nonzero(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--snapshots", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --snapshots must be nonnegative")
+    assert not out.exists()
+
+
 def test_verify_reports_and_aggregates(monkeypatch, capsys):
     results = [CriterionResult("a", True, "ok"), CriterionResult("b", True, "ok")]
     monkeypatch.setattr(cli, "run_tc1_verification", lambda: results)

@@ -36,11 +36,23 @@ def test_bad_value_reported():
     ("Cs = -0.1\n", "nonnegative"),
     ("radius = 0\n", "radius and init_height must be positive"),
     ("init_height = -1e-5\n", "radius and init_height must be positive"),
+    ("T = -1\n", "T must be a positive whole number of time steps dt"),
+    ("T = 0\n", "T must be a positive whole number of time steps dt"),
+    ("dt = 2e-3\nT = 0.005\n", r"T must be .* T/dt = 2\.5"),
+    ("dt = 2e-3\nT = 1e-3\n", r"T must be .* T/dt = 0\.5"),
+    ("snapshot_every = -1\n", "snapshot_every must be nonnegative"),
 ], ids=["negative-nu", "one-cell", "nan-dt", "inf-gamma", "flat-angle", "negative-Cs",
-        "zero-radius", "negative-height"])
+        "zero-radius", "negative-height", "negative-T", "zero-T", "fractional-steps",
+        "half-step", "negative-snapshot-cadence"])
 def test_invalid_values_are_config_errors(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+def test_final_time_within_roundoff_of_whole_steps_is_accepted():
+    # 0.2 / 2e-3 is 100.00000000000001 in floating point
+    assert num_params(parse_config("dt = 2e-3\nT = 0.2\n")).T == 0.2
+    assert parse_config("snapshot_every = 0\n").snapshot_every == 0
 
 
 def test_duplicate_key_rejected():

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 import capflow.acceptance
 import capflow.ale
 import capflow.forms
+import capflow.geometry
+import capflow.writers
 from capflow.acceptance import run_tc1, tc1_config
-from capflow.config import num_params
+from capflow.config import num_params, phys_params
 from capflow.control import (ControlState, gradient, objective_increment,
                              run_instantaneous_control, update_control)
 from capflow.errors import DomainEmptied
 from capflow.fields import NumParams, PhysParams, ScalarFieldP1, zero_vector_field
 from capflow.forms import _flatten, mass_action
 from capflow.geometry import build_structured_mesh
-from capflow.stepping import FlowState, initial_state
+from capflow.stepping import FlowState, initial_state, step
+from capflow.writers import write_vtk_snapshot
 
 from . import oracles
 from .conftest import random_vector_field
@@ -212,6 +215,49 @@ class TestRunLoop:
         # one saddle pattern (3 dofs per node) and one mesh-extension pattern
         assert sorted(builds) == [25, 75]
         assert calls == []
+
+    def test_no_discarded_geometry_work_on_the_run_path(self, monkeypatch, tmp_path):
+        # mesh quality is computed only when read, the normals once per mesh
+        # (by its validation), and the snapshot template once per run
+        quality, normals, templates = [], [], []
+
+        def counting(calls, fn):
+            def wrapper(mesh):
+                calls.append(mesh)
+                return fn(mesh)
+            return wrapper
+
+        mesh_quality = capflow.geometry.mesh_quality
+        for mod in [m for name, m in sys.modules.items() if name.startswith("capflow")]:
+            if getattr(mod, "mesh_quality", None) is mesh_quality:
+                monkeypatch.setattr(mod, "mesh_quality", counting(quality, mesh_quality))
+        monkeypatch.setattr(capflow.geometry, "_surface_normals",
+                            counting(normals, capflow.geometry._surface_normals))
+        monkeypatch.setattr(capflow.writers, "_snapshot_template",
+                            counting(templates, capflow.writers._snapshot_template))
+        snapshots = []
+
+        def snapshot(n, state):
+            snapshots.append(state.mesh)
+            write_vtk_snapshot(state, tmp_path / f"snapshot_{n:05d}.vtk")
+
+        nsteps = 3
+        cfg = tc1_config()
+        phys, num = phys_params(cfg), replace(num_params(cfg), N1=4, N3=4, T=nsteps * cfg.dt)
+        hist = run_instantaneous_control(phys, num, cfg.radius, cfg.init_height,
+                                         controlled=True, snapshot_cb=snapshot)
+        assert hist.abort_reason is None
+        assert len(snapshots) == nsteps + 1
+        assert quality == []
+        # one mesh per step plus the initial one, each with its normals built once
+        assert [id(m) for m in normals] == [id(m) for m in snapshots]
+        assert len({id(m) for m in normals}) == nsteps + 1
+        assert len(templates) == 1
+        # the counters see the calls: reading a step's diagnostics fills its memo once
+        state = initial_state(cfg.radius, cfg.init_height, num)
+        _, diag, _, _ = step(state, 0.0, phys, num)
+        assert (diag.min_area, diag.max_aspect) == mesh_quality(diag.mesh)
+        assert len(quality) == 1
 
     def test_factorizations_run_in_the_pattern_order(self, monkeypatch):
         # the patterns come in their bandwidth-reducing order, so every step

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,11 @@ def test_num_params_validation():
         NumParams(dt=1e-3, Cs=-0.1, N1=4, N3=4, alpha=0.0, lam=0.0, T=1.0)
     with pytest.raises(ValueError):
         NumParams(dt=1e-3, Cs=0.4, N1=1, N3=4, alpha=0.0, lam=0.0, T=1.0)
+    # the final time is a whole number of steps; NaN and infinity fail the check
+    for T in (-1e-3, 0.0, 5e-4, 2.5e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number of time steps"):
+            NumParams(dt=1e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=T)
+    assert NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.2).T == 0.2
 
 
 def test_magnitude_max():

@@ -118,6 +118,9 @@ class TestSurface:
         mesh = build_structured_mesh(1.0, 1.0, 4, 4)
         normals = surface_normals(mesh)
         assert np.allclose(normals, [[0.0, 1.0]] * 4)
+        # computed once per mesh, by its validation, and shared read-only
+        assert surface_normals(mesh) is normals
+        assert not normals.flags.writeable
 
     def test_tilted_plane_normals(self):
         mesh = two_triangle_mesh()

@@ -22,5 +22,5 @@ def test_step_profile_times_every_phase():
     step_profile = load("step_profile")
     step_profile.REPEATS = 1
     rows = step_profile.phases(4, 8)
-    assert len(rows) == 21
+    assert len(rows) == 22
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows), rows

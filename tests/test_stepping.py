@@ -3,6 +3,7 @@ import pytest
 
 from capflow.fields import NumParams, PhysParams
 from capflow.forms import bottom_load_vector, _flatten
+from capflow.geometry import mesh_quality
 from capflow.stepping import initial_state, step
 
 
@@ -56,6 +57,17 @@ def test_step_is_bitwise_deterministic():
     assert np.array_equal(a1.u.values, a2.u.values)
     assert np.array_equal(a1.p.values, a2.p.values)
     assert np.array_equal(a1.mesh.nodes, a2.mesh.nodes)
+
+
+def test_mesh_quality_diagnostics_are_those_of_the_new_mesh():
+    phys, num = tc1_params()
+    state = initial_state(5e-4, 5e-5, num)
+    for _ in range(2):
+        state, diag, _, _ = step(state, 1e-4, phys, num)
+        assert diag.mesh is state.mesh
+        assert (diag.min_area, diag.max_aspect) == mesh_quality(state.mesh)
+    with pytest.raises(AttributeError):
+        diag.min_area = 1.0
 
 
 def test_volume_change_equals_bottom_flux():

@@ -3,8 +3,8 @@ import csv
 import numpy as np
 
 from capflow.control import RunHistory
-from capflow.fields import ScalarFieldP1
-from capflow.geometry import build_structured_mesh
+from capflow.fields import ScalarFieldP1, VectorFieldP1
+from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import FlowState
 from capflow.writers import CSV_HEADER, write_history_csv, write_vtk_snapshot
 
@@ -100,8 +100,40 @@ def test_vtk_snapshot_bytes_match_per_value_format(tmp_path):
     p = np.random.default_rng(3).standard_normal(mesh.num_nodes) * 1e3
     # zeros, signed zero, subnormal, huge, exact integers and short decimals
     p[:8] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 3.0, -2.0, 0.1, 1 / 3]
-    for t in (0.0, 0.002, 1 / 3):
+    path = tmp_path / "s.vtk"
+
+    def check(mesh, u, t):
         state = FlowState(mesh=mesh, u=u, p=ScalarFieldP1(p, mesh), t=t)
-        path = tmp_path / "s.vtk"
         write_vtk_snapshot(state, path)
         assert path.read_bytes() == reference_vtk(state)
+
+    for t in (0.0, 0.002, 1 / 3):
+        check(mesh, u, t)
+    # meshes of one topology share a template keyed on their radii, bit for bit
+    stretch = np.zeros((mesh.num_nodes, 2))
+    stretch[:, 1] = mesh.nodes[:, 1]
+    V = VectorFieldP1(stretch, mesh)
+    moved = [displace_mesh(mesh, V, dt) for dt in (0.25, -0.125)]
+    for k, m in enumerate(moved * 2):
+        check(m, VectorFieldP1(u.values, m), 0.002 * k)
+
+    def same_topology(radii):
+        nodes = mesh.nodes.copy()
+        nodes[:, 0] = radii
+        return AxiMesh(nodes=nodes, triangles=mesh.triangles,
+                       boundary_edges=dict(mesh.boundary_edges),
+                       contact_node=mesh.contact_node, radius=mesh.radius,
+                       topology=mesh.topology)
+
+    negative_axis = mesh.nodes[:, 0].copy()
+    negative_axis[mesh.axis_nodes[1]] = -0.0
+    ulp_wall = mesh.nodes[:, 0].copy()
+    ulp_wall[mesh.wall_nodes[1]] = np.nextafter(mesh.radius, np.inf)
+    for m in (same_topology(negative_axis), moved[0], same_topology(ulp_wall), mesh):
+        assert m.topology is mesh.topology
+        check(m, VectorFieldP1(u.values, m), 0.5)
+    # a field may hold the essential zero radial velocity as -0.0
+    signed = u.values.copy()
+    signed[mesh.wall_nodes[1], 0] = -0.0
+    check(mesh, VectorFieldP1(signed, mesh), 0.5)
+    assert "\n-0 " in path.read_text()
