@@ -5,13 +5,13 @@ For each grid, advances the controlled test-case-1 refill three slabs and
 times the phases of the fourth on their own: the mesh-velocity extension
 (ALE), the mesh displacement, the element geometry, each element kernel,
 the whole saddle assembly, the fill, the banded factorization, the state
-solve and the adjoint solve, then the whole step, and last the VTK snapshot
-of the state into a temporary directory.  Each figure is the
-minimum over REPEATS calls, in ms.  The mass action row calls the uncached
-builder; the assembly and step rows find the mass action of the old
-velocity already computed, as a step after a previous one does, and the
-assembly row works on a new mesh each call, as a step does.  Pin BLAS to
-one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
+solve and the bottom-load solve of the control gradient, then the whole
+step, and last the VTK snapshot of the state into a temporary directory.
+Each figure is the minimum over REPEATS calls, in ms.  The mass action row
+calls the uncached builder; the assembly and step rows find the mass action
+of the old velocity already computed, as a step after a previous one does,
+and the assembly row works on a new mesh each call, as a step does.  Pin
+BLAS to one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
 
     PYTHONPATH=src python scripts/step_profile.py
 """
@@ -27,7 +27,7 @@ import scipy
 
 from capflow import forms
 from capflow.acceptance import tc1_config
-from capflow.adjoint import solve_adjoint
+from capflow.adjoint import solve_bottom_sensitivity
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.geometry import contact_line_height, displace_mesh
@@ -96,7 +96,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("  fill", best_ms(lambda _: pattern.fill(vals))),
         ("factorize", best_ms(lambda _: forms.factorize(system.matrix, system.band))),
         ("state solve", best_ms(lambda _: forms.solve(system, lu))),
-        ("adjoint solve", best_ms(lambda _: solve_adjoint(system, lu, mass_u))),
+        ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(system, lu, mass_u))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
         ("VTK snapshot", snapshot_ms(state)),
     ]

@@ -1,48 +1,46 @@
-"""Per-slab steady adjoint problem feeding the control gradient.
+"""The bottom integral of the control gradient, from one plain solve per slab.
 
-The adjoint operator is exactly the transpose of the state operator of the
-same slab (bilinear forms evaluated with trial and test slots swapped, the
-transport fields unchanged), with the velocity mass action on the new state
-as right-hand side (the same vector as in the slab's kinetic energy, so the
-caller computes it once).  The pressure stabilization is symmetric, so including
-it keeps the discrete transpose relation exact.  The adjoint is therefore
-solved with the slab's state LU, transposed: no second assembly or
-factorization.
+The gradient of the slab objective with respect to the scalar bottom stress
+zeta needs the bottom integral I_b = b^T A^{-T} m of the slab's adjoint:
+A is the reduced saddle matrix of the slab's state solve, m the mass action
+on the new velocity (the vector of the slab's kinetic energy, so the caller
+computes it once), zero in the pressure rows, and b the load of a unit
+bottom stress, which is also d rhs / d zeta.  zeta is one scalar, so the
+same number is I_b = m^T (A^{-1} b): the tangent response w = A^{-1} b of
+the state to a unit bottom stress, weighted by m (the adjoint/tangent
+duality; Giles & Pierce 2000, Flow Turbul. Combust. 65).  The run path
+therefore solves A w = b with the slab's state LU, a plain solve gated like
+the state solve, and never solves with A transposed.  The tests keep the
+transposed adjoint solve as the reference this bottom integral must match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarFieldP1, VectorFieldP1
-from .forms import BandLU, LinearSystem, _flatten, bottom_load_vector, solve
+from .forms import BandLU, LinearSystem, bottom_load_vector, gated_solve
 
 
 @dataclass(frozen=True)
-class AdjointState:
-    z: VectorFieldP1
-    q: ScalarFieldP1
-    slab_index: int
+class BottomSensitivity:
+    """One slab's bottom integral and the relative residual of its solve."""
+
     bottom_integral: float
     residual: float
 
 
-def adjoint_rhs(system: LinearSystem, mass_u: np.ndarray) -> np.ndarray:
-    """mass_u, the mass action on the new velocity (:func:`forms.mass_action`),
-    zero in the pressure rows, on the free dofs."""
-    return np.pad(mass_u, (0, system.mesh.num_nodes))[system.free]
+def bottom_load(system: LinearSystem) -> np.ndarray:
+    """b, the load of a unit vertical bottom stress, on the reduced dofs of
+    system: d rhs / d zeta."""
+    return system.reduce(bottom_load_vector(system.mesh))
 
 
-def solve_adjoint(system: LinearSystem, lu: BandLU, mass_u: np.ndarray,
-                  slab_index: int = 0) -> AdjointState:
-    """Solve one slab's adjoint with the state LU of ``system``, transposed;
-    mass_u is the mass action on the new velocity.
-
-    Records the bottom integral of z . e3 r dr.
-    """
-    z, q, residual = solve(replace(system, rhs=adjoint_rhs(system, mass_u)), lu, trans="T")
-    ib = float(bottom_load_vector(system.mesh) @ _flatten(z.values))
-    return AdjointState(z=z, q=q, slab_index=slab_index,
-                        bottom_integral=ib, residual=residual)
+def solve_bottom_sensitivity(system: LinearSystem, lu: BandLU,
+                             mass_u: np.ndarray) -> BottomSensitivity:
+    """Solve A w = b with lu, the state LU of ``system``, and weight w by
+    mass_u, the mass action on the new velocity: I_b = m . w."""
+    w, residual = gated_solve(system, lu, bottom_load(system))
+    return BottomSensitivity(bottom_integral=float(system.reduce(mass_u) @ w),
+                             residual=residual)

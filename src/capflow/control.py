@@ -1,9 +1,11 @@
-"""Instantaneous control loop: one state step, one adjoint solve, one gradient
-update of the scalar bottom stress per time step.
+"""Instantaneous control loop: one state step, one gradient of the slab
+objective and one update of the scalar bottom stress per time step.
 
 The control is constant in space and vertical, so a single scalar zeta is
-updated each slab from the adjoint bottom integral.  One gradient step per
-slab; no line search.
+updated each slab from the adjoint bottom integral.  That integral comes
+from a second plain solve with the slab's state LU (the adjoint/tangent
+duality of :mod:`capflow.adjoint`), so each controlled step factors once and
+solves twice.  One gradient step per slab; no line search.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import solve_adjoint
+from .adjoint import solve_bottom_sensitivity
 from .errors import CapflowError
 from .fields import NumParams, PhysParams
 from .forms import _flatten, mass_action
@@ -67,7 +69,7 @@ class RunHistory:
 def objective_increment(state_new: FlowState, zeta: float, ctrl: ControlState,
                         mass_u: np.ndarray) -> float:
     """Per-slab objective: kinetic energy of the new state plus the control penalty;
-    mass_u is the mass action on the new velocity, which the adjoint reuses."""
+    mass_u is the mass action on the new velocity, which the gradient reuses."""
     kin = 0.5 * float(_flatten(state_new.u.values) @ mass_u)
     return kin + 0.5 * ctrl.lam * zeta ** 2 * ctrl.sigma_b_measure
 
@@ -91,7 +93,7 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
                               snapshot_cb=None) -> RunHistory:
     """March the controlled (or plain) flow over [0, T] and record the history.
 
-    With controlled=False the adjoint solve and control update are skipped
+    With controlled=False the gradient solve and control update are skipped
     and zeta stays at zeta0 for the whole run (the alpha = 0 path).  Solver
     and mesh failures abort the run; the history up to the failure is
     returned with the abort reason attached.
@@ -113,9 +115,9 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
             j_inc = objective_increment(state, ctrl.zeta, ctrl, mass_u)
             grad_val = 0.0
             if controlled:
-                adj = solve_adjoint(system, lu, mass_u, slab_index=n)
-                grad_val = gradient(ctrl.zeta, adj.bottom_integral, ctrl)
-                ctrl = update_control(ctrl, adj.bottom_integral)
+                ib = solve_bottom_sensitivity(system, lu, mass_u).bottom_integral
+                grad_val = gradient(ctrl.zeta, ib, ctrl)
+                ctrl = update_control(ctrl, ib)
             del system, lu      # the next step factors only after this LU is freed
         except CapflowError as exc:
             history.abort_reason = exc

@@ -27,7 +27,7 @@ the transport block is two of them: the moments of (w - V)_r and (w - V)_z
 times the constant gradients.  Geometry every kernel reads (r-weighted
 quadrature weights, 1/r at the points, the integral of r) is computed once
 per mesh in :class:`ElementData`, and the mass action (:func:`mass_action`)
-once per velocity field, where the objective and adjoint of step n and the
+once per velocity field, where the objective and gradient of step n and the
 assembly of step n+1 meet; it is read-only.  The r-weighted stiffness is
 not kept per mesh: held from step n's pressure stabilization to step n+1's
 mesh-velocity extension, it raised the 32x64 peak resident memory by about
@@ -45,7 +45,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
-from .geometry import AxiMesh, BoundaryTag, MeshTopology, contact_line_height, surface_normals
+from .geometry import (AxiMesh, BoundaryTag, EdgeGeometry, MeshTopology, contact_line_height,
+                       edge_geometry, surface_edges, surface_normals)
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -107,15 +108,10 @@ def _element_data(mesh: AxiMesh) -> ElementData:
                        r_int=wr[:, 0] + wr[:, 1] + wr[:, 2], inv_r=inv_r, on_axis=on_axis)
 
 
-def _edge_geometry(mesh: AxiMesh, tag: BoundaryTag):
-    """(edges, length, r at the 2 Gauss points)."""
-    edges = mesh.boundary_edges[tag]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    d = p2 - p1
-    length = np.sqrt((d ** 2).sum(axis=1))
-    rq = p1[:, 0, None] * _EDGE_BASIS[None, :, 0] + p2[:, 0, None] * _EDGE_BASIS[None, :, 1]
-    return edges, length, rq
+def _gauss_radii(geom: EdgeGeometry) -> np.ndarray:
+    """(E, 2q) r at the 2 Gauss points of each edge."""
+    return (geom.p1[:, 0, None] * _EDGE_BASIS[None, :, 0]
+            + geom.p2[:, 0, None] * _EDGE_BASIS[None, :, 1])
 
 
 def _quad_values(ed: ElementData, nodal: np.ndarray) -> np.ndarray:
@@ -176,8 +172,8 @@ def _viscous_block(ed: ElementData, nu: float) -> np.ndarray:
 
 def _wall_friction_block(mesh: AxiMesh, beta: float) -> np.ndarray:
     """(E, 2, 2) blocks of beta * integral of r N_i N_j over each wall edge."""
-    _, length, rq = _edge_geometry(mesh, BoundaryTag.WALL)
-    w = 0.5 * length[:, None] * rq                        # (E, 2q)
+    wall = edge_geometry(mesh, BoundaryTag.WALL)
+    w = 0.5 * wall.length[:, None] * _gauss_radii(wall)   # (E, 2q)
     return beta * (w @ _EDGE_BB).reshape(-1, 2, 2)
 
 
@@ -224,10 +220,11 @@ def _divergence_stab_block(ed: ElementData, w: np.ndarray) -> np.ndarray:
 def _surface_flux_block(mesh: AxiMesh, w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """(E, 2, 2) nodal blocks of -1/2 ((w - V) . nu) N_i N_j r on free-surface edges."""
     normals = surface_normals(mesh)
-    edges, length, rq = _edge_geometry(mesh, BoundaryTag.FREE_SURFACE)
+    surface = surface_edges(mesh)
+    edges = surface.edges
     rel = w[edges] - V[edges]                             # (E, 2 nodes, 2)
     flux = (rel * normals[:, None, :]).sum(axis=2) @ _EDGE_BASIS.T    # (E, 2q)
-    wgt = -0.5 * 0.5 * length[:, None] * rq * flux
+    wgt = -0.5 * 0.5 * surface.length[:, None] * _gauss_radii(surface) * flux
     return (wgt @ _EDGE_BB).reshape(-1, 2, 2)
 
 
@@ -238,15 +235,11 @@ def _surface_stab_block(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     and the surface measure.
     """
     normals = surface_normals(mesh)
-    edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    d = p2 - p1
-    length = np.sqrt((d ** 2).sum(axis=1))
-    rbar = 0.5 * (p1[:, 0] + p2[:, 0])
+    surface = surface_edges(mesh)
+    rbar = 0.5 * (surface.p1[:, 0] + surface.p2[:, 0])
     nu1, nu3 = normals[:, 0], normals[:, 1]
     coef = np.stack((-nu1, nu1, -nu3, nu3), axis=1)       # (E, 4)
-    scale = 0.5 * params.gamma * rbar / length
+    scale = 0.5 * params.gamma * rbar / surface.length
     return scale[:, None, None] * (coef[:, :, None] * coef[:, None, :])
 
 
@@ -267,8 +260,9 @@ def mass_action(u: VectorFieldP1) -> np.ndarray:
     """The consistent r-weighted mass matrix of u.mesh times u, flattened,
     summed element by element.
 
-    Computed once per field: the objective and the adjoint of the slab that
-    made u, and the assembly of the next slab, share it, so it is read-only."""
+    Computed once per field: the objective and the control gradient of the
+    slab that made u, and the assembly of the next slab, share it, so it is
+    read-only."""
     return u.memo(_mass_action)
 
 
@@ -300,18 +294,19 @@ def gravity_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
 def bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
     """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr.
 
-    The same vector weights the adjoint bottom integral, which keeps the
-    discrete gradient exactly dual to the state response.  Computed once per
-    mesh and shared, so it is read-only.
+    It is d rhs / d zeta, the right-hand side of the solve that gives the
+    control gradient (:mod:`capflow.adjoint`), so that gradient is the exact
+    derivative of the discrete objective.  Computed once per mesh and shared,
+    so it is read-only.
     """
     return mesh.memo(_bottom_load_vector)
 
 
 def _bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
-    edges, length, rq = _edge_geometry(mesh, BoundaryTag.BOTTOM)
+    bottom = edge_geometry(mesh, BoundaryTag.BOTTOM)
     n = mesh.num_nodes
-    vals = (0.5 * length[:, None] * rq) @ _EDGE_BASIS
-    f = np.bincount((edges + n).ravel(), weights=vals.ravel(), minlength=2 * n)
+    vals = (0.5 * bottom.length[:, None] * _gauss_radii(bottom)) @ _EDGE_BASIS
+    f = np.bincount((bottom.edges + n).ravel(), weights=vals.ravel(), minlength=2 * n)
     f.setflags(write=False)
     return f
 
@@ -323,13 +318,10 @@ def surface_tension_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     contributes gamma tau rbar at the edge ends, the azimuthal part the
     -gamma v_r line integral.
     """
-    edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    d = p2 - p1
-    length = np.sqrt((d ** 2).sum(axis=1))
-    tau = d / length[:, None]
-    rbar = 0.5 * (p1[:, 0] + p2[:, 0])
+    surface = surface_edges(mesh)
+    edges, length = surface.edges, surface.length
+    tau = surface.d / length[:, None]
+    rbar = 0.5 * (surface.p1[:, 0] + surface.p2[:, 0])
     g = params.gamma
     n = mesh.num_nodes
     dofs = np.concatenate((edges[:, 0], edges[:, 1], edges[:, 0] + n, edges[:, 1] + n))
@@ -495,6 +487,11 @@ class LinearSystem:
     mesh: AxiMesh
     band: BandLayout           # the band layout of the matrix's pattern
 
+    def reduce(self, f: np.ndarray) -> np.ndarray:
+        """A vector f on the velocity dofs, (2 N,), on the reduced dofs in
+        their order, zero in the pressure rows."""
+        return np.pad(f, (0, self.size_full - self.n_velocity))[self.free]
+
 
 def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
     """Triangles over (u_r, u_z, p) of their vertices, then wall and
@@ -556,15 +553,18 @@ class BandLU:
     ku: int             # superdiagonals
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """x with A x = rhs (trans="N") or A^T x = rhs (trans="T")."""
+        """x with A x = rhs (trans="N") or A^T x = rhs (trans="T").
+
+        The run path makes only plain solves; the transposed one is the
+        tests' reference for the control gradient."""
         x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, trans={"N": 0, "T": 1}[trans])
         return x
 
 
 def factorize(matrix: sp.spmatrix, band: BandLayout) -> BandLU:
     """Banded LU of a square CSC matrix, the one factorization of the run path:
-    the state and adjoint solves share the saddle matrix's, the mesh-velocity
-    extension factors its stiffness.
+    the state solve and the bottom-load solve of the control gradient share
+    the saddle matrix's, the mesh-velocity extension factors its stiffness.
 
     band is the layout of the matrix's structure: ``pattern.band`` (or
     ``LinearSystem.band``) of the :class:`FixedPattern` that filled it, whose
@@ -581,19 +581,27 @@ def factorize(matrix: sp.spmatrix, band: BandLayout) -> BandLU:
     return BandLU(lu=lu, ipiv=ipiv, kl=band.kl, ku=band.ku)
 
 
-def solve(system: LinearSystem, lu: BandLU,
-          trans: str = "N") -> tuple[VectorFieldP1, ScalarFieldP1, float]:
-    """Solve the system (trans="N") or its transpose (trans="T") with lu, its LU;
-    returns (velocity, pressure, relative residual), the residual gated at 1e-10."""
-    matrix = system.matrix.T if trans == "T" else system.matrix
-    x = lu.solve(system.rhs, trans=trans)
+def gated_solve(system: LinearSystem, lu: BandLU, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """x on the reduced dofs with system.matrix x = rhs, from lu, the matrix's LU,
+    and the relative residual ||A x - rhs|| / ||rhs||.
+
+    Every solve with the saddle LU goes through here: a non-finite x raises
+    SingularMatrix and a relative residual above 1e-10 ResidualTooLarge."""
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
-    bnorm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(matrix @ x - system.rhs)
+    bnorm = np.linalg.norm(rhs)
+    res = np.linalg.norm(system.matrix @ x - rhs)
     rel = res / bnorm if bnorm > 0 else res
     if rel > 1e-10:
         raise ResidualTooLarge(f"relative residual {rel:.3e}")
+    return x, rel
+
+
+def solve(system: LinearSystem, lu: BandLU) -> tuple[VectorFieldP1, ScalarFieldP1, float]:
+    """Solve the system with lu, its LU, through :func:`gated_solve`; returns
+    (velocity, pressure, relative residual)."""
+    x, rel = gated_solve(system, lu, system.rhs)
     full = np.zeros(system.size_full)
     full[system.free] = x
     n = system.mesh.num_nodes

@@ -256,6 +256,42 @@ def contact_line_height(mesh: AxiMesh) -> float:
     return float(mesh.nodes[mesh.contact_node, 1])
 
 
+@dataclass(frozen=True)
+class EdgeGeometry:
+    """The edges of one tagged boundary arc, in edge-list order, and their ends,
+    differences and lengths; read-only."""
+
+    edges: np.ndarray     # (E, 2) node pairs
+    p1: np.ndarray        # (E, 2) first ends
+    p2: np.ndarray        # (E, 2) second ends
+    d: np.ndarray         # (E, 2) p2 - p1
+    length: np.ndarray    # (E,) |p2 - p1|
+
+
+def edge_geometry(mesh: AxiMesh, tag: BoundaryTag) -> EdgeGeometry:
+    """The geometry of the edges tagged tag; see :func:`surface_edges` for the
+    free surface's, which is kept per mesh."""
+    edges = mesh.boundary_edges[tag]
+    p1 = mesh.nodes[edges[:, 0]]
+    p2 = mesh.nodes[edges[:, 1]]
+    d = p2 - p1
+    length = np.sqrt((d ** 2).sum(axis=1))
+    for a in (p1, p2, d, length):
+        a.setflags(write=False)
+    return EdgeGeometry(edges=edges, p1=p1, p2=p2, d=d, length=length)
+
+
+def surface_edges(mesh: AxiMesh) -> EdgeGeometry:
+    """The free-surface edge geometry, computed once per mesh (mesh validation
+    does it) and shared by the normals, the slopes, the surface forms and the
+    surface-tension load."""
+    return mesh.memo(_surface_edges)
+
+
+def _surface_edges(mesh: AxiMesh) -> EdgeGeometry:
+    return edge_geometry(mesh, BoundaryTag.FREE_SURFACE)
+
+
 def surface_normals(mesh: AxiMesh) -> np.ndarray:
     """Outward unit normals per free-surface edge (same order as the edge list).
 
@@ -267,11 +303,8 @@ def surface_normals(mesh: AxiMesh) -> np.ndarray:
 
 
 def _surface_normals(mesh: AxiMesh) -> np.ndarray:
-    edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    t = p2 - p1
-    length = np.sqrt((t ** 2).sum(axis=1))
+    surface = surface_edges(mesh)
+    t, length = surface.d, surface.length
     if np.any(length == 0.0):
         raise SurfaceFolded("degenerate free-surface edge")
     normals = np.column_stack((-t[:, 1], t[:, 0])) / length[:, None]
@@ -287,13 +320,11 @@ def surface_slopes(mesh: AxiMesh) -> np.ndarray:
     Interior surface nodes average the two adjacent edge slopes; the end
     nodes take the one-sided value.
     """
-    edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    dr = p2[:, 0] - p1[:, 0]
+    d = surface_edges(mesh).d
+    dr = d[:, 0]
     if np.any(dr <= 0.0):
         raise SurfaceFolded("free-surface edges must advance in r")
-    e_slope = (p2[:, 1] - p1[:, 1]) / dr
+    e_slope = d[:, 1] / dr
     n = len(e_slope)
     slopes = np.empty(n + 1)
     slopes[0] = e_slope[0]

@@ -3,8 +3,9 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
-This is the only code that advances a slab; the control loop, the adjoint
-and the finite-difference check all reuse its system and factorization.
+This is the only code that advances a slab; the control loop's gradient
+and the finite-difference check reuse its system and factorization for
+plain solves with other right-hand sides.
 """
 
 from __future__ import annotations

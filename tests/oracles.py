@@ -7,12 +7,14 @@ quadrature rules (3-point mid-edge on triangles, 2-point Gauss on edges) and
 the axis conventions (skip 1/r hoop entries at r = 0 points, replace v_r/r
 by dr(v_r) there) are shared with the implementation; the arithmetic is not.
 :func:`oracle_saddle` composes the forms into the whole step system, with
-the wall friction coefficient of ``forms.beta_h``.
+the wall friction coefficient of ``forms.beta_h``.  :func:`oracle_bottom_integral`
+is the reference for the control gradient: the adjoint bottom integral from
+the transposed solve with the slab's LU, which the run path never makes.
 """
 
 import numpy as np
 
-from capflow.forms import beta_h
+from capflow.forms import beta_h, bottom_load_vector
 from capflow.geometry import BoundaryTag, contact_line_height, surface_normals
 
 MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -312,3 +314,25 @@ def oracle_adjoint(mesh_new, mesh_old, u_old, V_old, phys, num):
     """The full dense adjoint operator [[K^T, -B], [B^T, Sp]] of the same step."""
     K, B, Sp, _ = _oracle_blocks(mesh_new, mesh_old, u_old, V_old, 0.0, phys, num)
     return np.block([[K.T, -B], [B.T, Sp]])
+
+
+def oracle_adjoint_rhs(system, mass_u):
+    """The adjoint right-hand side on the reduced dofs of system: the mass
+    action on the new velocity, zero in the pressure rows."""
+    rhs = np.zeros(system.size_full)
+    rhs[:system.n_velocity] = mass_u
+    return rhs[system.free]
+
+
+def oracle_adjoint_solution(system, lu, mass_u):
+    """The adjoint z, on the reduced dofs, with A^T z = m: the transposed solve
+    with lu, the slab's state LU."""
+    return lu.solve(oracle_adjoint_rhs(system, mass_u), trans="T")
+
+
+def oracle_bottom_integral(system, lu, mass_u):
+    """The bottom integral b . z of the adjoint z of :func:`oracle_adjoint_solution`,
+    with b the bottom load on all velocity dofs."""
+    z = np.zeros(system.size_full)
+    z[system.free] = oracle_adjoint_solution(system, lu, mass_u)
+    return float(bottom_load_vector(system.mesh) @ z[:system.n_velocity])

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from capflow.adjoint import solve_adjoint
+import capflow.control
+from capflow.acceptance import run_tc1, tc1_config
+from capflow.adjoint import solve_bottom_sensitivity
 from capflow.fields import (NumParams, PhysParams, VectorFieldP1, zero_scalar_field,
                             zero_vector_field)
 from capflow.forms import _flatten, mass_action
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
-from .oracles import oracle_adjoint
+from .oracles import oracle_adjoint, oracle_adjoint_solution, oracle_bottom_integral
 from .pattern_forms import mass_matrix
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -31,10 +33,10 @@ def start_state(seed=None, radius=5e-4, height=1e-4):
 def test_rest_state_has_zero_adjoint():
     new, _, system, lu = step(start_state(), 0.0, PHYS, NUM)
     # hydrostatic rest at the equilibrium height: the new velocity is noise-level
-    adj = solve_adjoint(system, lu, mass_action(zero_vector_field(new.mesh)))
-    assert np.abs(adj.z.values).max() == 0.0
-    assert np.abs(adj.q.values).max() == 0.0
-    assert adj.bottom_integral == 0.0
+    mass_u = mass_action(zero_vector_field(new.mesh))
+    assert np.abs(oracle_adjoint_solution(system, lu, mass_u)).max() == 0.0
+    assert oracle_bottom_integral(system, lu, mass_u) == 0.0
+    assert solve_bottom_sensitivity(system, lu, mass_u).bottom_integral == 0.0
 
 
 def test_velocity_block_is_state_transpose():
@@ -52,13 +54,14 @@ def test_velocity_block_is_state_transpose():
 def test_slab_adjoint_is_a_pure_function():
     state = start_state(seed=3)
     new, _, system, lu = step(state, 0.0, PHYS, NUM)
-    first = solve_adjoint(system, lu, mass_action(new.u), slab_index=4)
+    first = solve_bottom_sensitivity(system, lu, mass_action(new.u))
+    z_first = oracle_adjoint_solution(system, lu, mass_action(new.u))
     del system, lu
     # advance another unrelated slab, then recompute the same adjoint
     step(new, 0.0, PHYS, NUM)
     new, _, system, lu = step(state, 0.0, PHYS, NUM)
-    second = solve_adjoint(system, lu, mass_action(new.u), slab_index=4)
-    assert np.array_equal(first.z.values, second.z.values)
+    second = solve_bottom_sensitivity(system, lu, mass_action(new.u))
+    assert np.array_equal(z_first, oracle_adjoint_solution(system, lu, mass_action(new.u)))
     assert first.bottom_integral == second.bottom_integral
 
 
@@ -66,18 +69,18 @@ def test_hydrostatic_gradient_is_negligible():
     # at rest the objective is at a minimum w.r.t. zeta: near-zero bottom integral
     phys = PHYS
     new, _, system, lu = step(start_state(height=phys.p_bar / phys.g), 0.0, phys, NUM)
-    adj = solve_adjoint(system, lu, mass_action(new.u))
+    ib = solve_bottom_sensitivity(system, lu, mass_action(new.u)).bottom_integral
     # the floor is set by the pressure-stabilization perturbation of the
     # otherwise exact hydrostatic balance; compare against the transient
     # magnitude of the same quantity (~4e-12 for the filling flow)
-    assert abs(adj.bottom_integral) <= 1e-7 * 4e-12
+    assert abs(ib) <= 1e-7 * 4e-12
 
 
 def test_gradient_sign_from_rest_below_equilibrium():
     # capillary/pressure inflow: the first control update must be negative
     new, _, system, lu = step(start_state(height=5e-5), 0.0, PHYS, NUM)
-    adj = solve_adjoint(system, lu, mass_action(new.u))
-    assert adj.bottom_integral > 0.0        # update -alpha * I_b < 0
+    ib = solve_bottom_sensitivity(system, lu, mass_action(new.u)).bottom_integral
+    assert ib > 0.0        # update -alpha * I_b < 0
 
 
 def test_finite_difference_duality_single_slab():
@@ -91,7 +94,36 @@ def test_finite_difference_duality_single_slab():
         return 0.5 * float(uf @ (mass_matrix(new.mesh) @ uf))
 
     new, _, system, lu = step(state, 0.0, PHYS, NUM)
-    adj = solve_adjoint(system, lu, mass_action(new.u))
+    ib = solve_bottom_sensitivity(system, lu, mass_action(new.u)).bottom_integral
     eps = 1e-4
     fd = (j_of(eps) - j_of(-eps)) / (2 * eps)
-    assert fd == pytest.approx(adj.bottom_integral, rel=1e-6)
+    assert fd == pytest.approx(ib, rel=1e-6)
+
+
+def relative_gap(ib, ref):
+    return abs(ib - ref) / abs(ref)
+
+
+def test_bottom_integral_matches_transposed_reference_on_a_random_slab():
+    new, _, system, lu = step(start_state(seed=12), 0.0, PHYS, NUM)
+    mass_u = mass_action(new.u)
+    ib = solve_bottom_sensitivity(system, lu, mass_u).bottom_integral
+    assert relative_gap(ib, oracle_bottom_integral(system, lu, mass_u)) <= 1e-12
+
+
+def test_run_path_bottom_integral_matches_transposed_reference(monkeypatch):
+    # m . A^-1 b from the loop's plain solve equals b . A^-T m on each slab
+    # of a controlled 16x32 refill
+    gaps = []
+
+    def checked(system, lu, mass_u):
+        got = solve_bottom_sensitivity(system, lu, mass_u)
+        gaps.append(relative_gap(got.bottom_integral,
+                                 oracle_bottom_integral(system, lu, mass_u)))
+        return got
+
+    monkeypatch.setattr(capflow.control, "solve_bottom_sensitivity", checked)
+    hist = run_tc1(controlled=True, T=10 * tc1_config().dt)
+    assert hist.abort_reason is None
+    assert len(gaps) == 10
+    assert max(gaps) <= 1e-12, gaps

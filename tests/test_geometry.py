@@ -7,7 +7,7 @@ from capflow.errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallVi
 from capflow.fields import VectorFieldP1
 from capflow.geometry import (AxiMesh, BoundaryTag, build_structured_mesh,
                               contact_line_height, displace_mesh, mesh_quality,
-                              surface_normals)
+                              surface_edges, surface_normals)
 
 from .conftest import perturbed_mesh, two_triangle_mesh
 
@@ -121,6 +121,18 @@ class TestSurface:
         # computed once per mesh, by its validation, and shared read-only
         assert surface_normals(mesh) is normals
         assert not normals.flags.writeable
+
+    def test_surface_edge_geometry_shared_and_read_only(self):
+        mesh = perturbed_mesh(seed=5)
+        surface = surface_edges(mesh)
+        assert surface_edges(mesh) is surface
+        edges = mesh.boundary_edges[BoundaryTag.FREE_SURFACE]
+        assert np.array_equal(surface.edges, edges)
+        assert np.array_equal(surface.d, mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]])
+        assert np.allclose(surface.length, np.hypot(surface.d[:, 0], surface.d[:, 1]),
+                           rtol=1e-15, atol=0.0)
+        assert not any(a.flags.writeable
+                       for a in (surface.p1, surface.p2, surface.d, surface.length))
 
     def test_tilted_plane_normals(self):
         mesh = two_triangle_mesh()
