@@ -52,7 +52,7 @@ def report(n1: int, n3: int) -> str:
     _, _, system, lu = step(state, 0.0, phys, num)
     del lu
     matrix = system.matrix
-    band_ms, lu = timed(lambda: factorize(matrix, system.band), REPEATS)
+    band_ms, lu = timed(lambda: factorize(system), REPEATS)
     kl, ku, band_size = lu.kl, lu.ku, lu.lu.size
     del lu
     ordered = np.argsort(system.free)                  # back to sorted dof order

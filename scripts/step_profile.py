@@ -58,13 +58,13 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         state, *_ = step(state, ZETA, phys, num)
     mesh, u = state.mesh, state.u
     forms.mass_action(u)                    # made by the previous step's loop
-    V = solve_domain_velocity(mesh, u).field
+    V, _ = solve_domain_velocity(mesh, u)
     mesh_new = displace_mesh(mesh, V, num.dt)
     ed = forms.element_data(mesh_new)
     uv, Vv = u.values, V.values
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
-    lu = forms.factorize(system.matrix, system.band)
+    lu = forms.factorize(system)
     u_new, _, _ = forms.solve(system, lu)
     mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
@@ -94,7 +94,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("assembly (fresh mesh)", best_ms(
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("  fill", best_ms(lambda _: pattern.fill(vals))),
-        ("factorize", best_ms(lambda _: forms.factorize(system.matrix, system.band))),
+        ("factorize", best_ms(lambda _: forms.factorize(system))),
         ("state solve", best_ms(lambda _: forms.solve(system, lu))),
         ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(system, lu, mass_u))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),

@@ -41,6 +41,6 @@ def solve_bottom_sensitivity(system: LinearSystem, lu: BandLU,
                              mass_u: np.ndarray) -> BottomSensitivity:
     """Solve A w = b with lu, the state LU of ``system``, and weight w by
     mass_u, the mass action on the new velocity: I_b = m . w."""
-    w, residual = gated_solve(system, lu, bottom_load(system))
+    w, residual = gated_solve(system, lu, bottom_load(system), "bottom-load")
     return BottomSensitivity(bottom_integral=float(system.reduce(mass_u) @ w),
                              residual=residual)

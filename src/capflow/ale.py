@@ -6,25 +6,21 @@ Laplace problem for V_z with Dirichlet data (u . nu)/nu_3 on the free surface
 zero-flux conditions on the wall and the axis.  The resulting V = (0, V_z)
 satisfies every boundary condition of the extension problem: V . nu matches
 u . nu on the surface, the wall stays a cylinder, and the bottom is fixed.
+
+The stiffness is filled on a pattern built once per topology and solved like
+the state: one banded LU and one :func:`~capflow.forms.gated_solve`, with its
+finite check and residual gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import DimensionMismatch
 from .fields import VectorFieldP1
-from .forms import FixedPattern, _r_stiffness_block, element_data, factorize
+from .forms import (FixedPattern, LinearSystem, _r_stiffness_block, element_data, factorize,
+                    gated_solve)
 from .geometry import AxiMesh, MeshTopology, surface_slopes
-
-
-@dataclass(frozen=True)
-class DomainVelocity:
-    """Vertical-only mesh velocity; zero radial component everywhere."""
-
-    field: VectorFieldP1
 
 
 def _extension_pattern(topology: MeshTopology) -> FixedPattern:
@@ -35,10 +31,11 @@ def _extension_pattern(topology: MeshTopology) -> FixedPattern:
     return FixedPattern.build([topology.triangles], np.flatnonzero(mask), topology.num_nodes)
 
 
-def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
-    """Harmonic vertical extension of the surface speed of u."""
+def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
+    """Harmonic vertical extension of the surface speed of u, and the relative
+    residual of its solve."""
     if u.mesh is not mesh:
-        raise ValueError("velocity field lives on a different mesh")
+        raise DimensionMismatch("velocity field lives on a different mesh")
 
     # vertical surface speed: (u . nu)/nu_3 = u_z - slope * u_r at surface nodes
     snodes = mesh.surface_nodes
@@ -52,12 +49,11 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> DomainVelocity:
     pattern = mesh.topology.memo(_extension_pattern)
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
                          weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
-    # the pattern is in its bandwidth-reducing order: one banded LU
-    x = factorize(pattern.fill(stiffness.ravel()), pattern.band).solve(-lifted[pattern.free])
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("mesh-velocity solve produced non-finite values")
+    system = LinearSystem(pattern=pattern, matrix=pattern.fill(stiffness.ravel()),
+                          rhs=-lifted[pattern.free], mesh=mesh)
+    x, residual = gated_solve(system, factorize(system), system.rhs, "mesh-velocity")
 
     values = np.zeros((n, 2))
     values[:, 1] = g
     values[pattern.free, 1] = x
-    return DomainVelocity(field=VectorFieldP1(values, mesh))
+    return VectorFieldP1(values, mesh), residual

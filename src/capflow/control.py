@@ -61,22 +61,19 @@ class RunHistory:
         self.grad.append(float(grad))
         self.u_max.append(float(u_max))
 
-    def arrays(self) -> dict:
-        return {k: np.asarray(getattr(self, k)) for k in
-                ("t", "z_cl", "zeta", "j_increment", "grad", "u_max")}
 
-
-def objective_increment(state_new: FlowState, zeta: float, ctrl: ControlState,
-                        mass_u: np.ndarray) -> float:
-    """Per-slab objective: kinetic energy of the new state plus the control penalty;
-    mass_u is the mass action on the new velocity, which the gradient reuses."""
+def objective_increment(state_new: FlowState, ctrl: ControlState, mass_u: np.ndarray) -> float:
+    """Per-slab objective: kinetic energy of the new state plus the penalty of
+    ctrl.zeta, the slab's control; mass_u is the mass action on the new
+    velocity, which the gradient reuses."""
     kin = 0.5 * float(_flatten(state_new.u.values) @ mass_u)
-    return kin + 0.5 * ctrl.lam * zeta ** 2 * ctrl.sigma_b_measure
+    return kin + 0.5 * ctrl.lam * ctrl.zeta ** 2 * ctrl.sigma_b_measure
 
 
-def gradient(zeta: float, adjoint_bottom_integral: float, ctrl: ControlState) -> float:
-    """Scalar objective gradient lam |Sigma_b| zeta + integral of z . e3 over the bottom."""
-    return ctrl.lam * ctrl.sigma_b_measure * zeta + adjoint_bottom_integral
+def gradient(adjoint_bottom_integral: float, ctrl: ControlState) -> float:
+    """Scalar objective gradient lam |Sigma_b| zeta + integral of z . e3 over the
+    bottom, at zeta = ctrl.zeta."""
+    return ctrl.lam * ctrl.sigma_b_measure * ctrl.zeta + adjoint_bottom_integral
 
 
 def update_control(ctrl: ControlState, adjoint_bottom_integral: float) -> ControlState:
@@ -112,11 +109,11 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
             state, diag, system, lu = step(state, ctrl.zeta, phys, num,
                                            EMPTY_FRACTION * init_height)
             mass_u = mass_action(state.u)
-            j_inc = objective_increment(state, ctrl.zeta, ctrl, mass_u)
+            j_inc = objective_increment(state, ctrl, mass_u)
             grad_val = 0.0
             if controlled:
                 ib = solve_bottom_sensitivity(system, lu, mass_u).bottom_integral
-                grad_val = gradient(ctrl.zeta, ib, ctrl)
+                grad_val = gradient(ib, ctrl)
                 ctrl = update_control(ctrl, ib)
             del system, lu      # the next step factors only after this LU is freed
         except CapflowError as exc:

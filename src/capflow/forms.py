@@ -15,7 +15,9 @@ is one assembly path: :func:`assemble_state_system` sums the blocks of all
 forms straight into the reduced saddle matrix through a :class:`FixedPattern`
 built once per mesh topology, and the mesh-velocity extension fills its
 stiffness the same way.  The tests check that fill against dense
-element-by-element quadrature written apart from these kernels.
+element-by-element quadrature written apart from these kernels.  A
+:class:`LinearSystem` carries its pattern, whose band layout
+:func:`factorize` reads, and every solve is one :func:`gated_solve`.
 
 The kernels are planned products, not general contractions.  A block
 weighted at the quadrature points, integral of w N_i N_j, is one
@@ -251,9 +253,9 @@ def _r_stiffness_block(ed: ElementData) -> np.ndarray:
     return (_outer(b, b) + _outer(c, c)) * ed.r_int[:, None, None]
 
 
-def _pressure_stab_block(ed: ElementData, Cs: float, h: float | None = None) -> np.ndarray:
-    h2 = 2.0 * ed.area if h is None else np.full(len(ed.tri), float(h) ** 2)
-    return Cs * h2[:, None, None] * _r_stiffness_block(ed)
+def _pressure_stab_block(ed: ElementData, Cs: float) -> np.ndarray:
+    """(M, 3, 3) blocks of Cs h_K^2 (grad p, grad pi), r-weighted, h_K^2 = 2 |K|."""
+    return Cs * (2.0 * ed.area)[:, None, None] * _r_stiffness_block(ed)
 
 
 def mass_action(u: VectorFieldP1) -> np.ndarray:
@@ -476,21 +478,23 @@ class FixedPattern:
 
 @dataclass
 class LinearSystem:
-    """Reduced saddle system of one slab's state solve."""
+    """A reduced system filled on a :class:`FixedPattern`: the saddle system
+    of one slab's state solve, or the mesh-velocity extension's."""
 
-    matrix: sp.spmatrix        # free dofs only
+    pattern: FixedPattern      # the matrix's sparsity, dof order and band layout
+    matrix: sp.spmatrix        # the pattern's fill, kept dofs only
     rhs: np.ndarray
-    free: np.ndarray           # global dof of each reduced row/column: the pattern's
-                               # bandwidth-reducing order, not sorted
-    size_full: int
-    n_velocity: int            # 2 * num_nodes
     mesh: AxiMesh
-    band: BandLayout           # the band layout of the matrix's pattern
+
+    @property
+    def free(self) -> np.ndarray:
+        """Global dof of each reduced row/column, in the pattern's order."""
+        return self.pattern.free
 
     def reduce(self, f: np.ndarray) -> np.ndarray:
-        """A vector f on the velocity dofs, (2 N,), on the reduced dofs in
-        their order, zero in the pressure rows."""
-        return np.pad(f, (0, self.size_full - self.n_velocity))[self.free]
+        """A vector f on the velocity dofs of a saddle system, (2 N,), on the
+        reduced dofs in their order, zero in the pressure rows."""
+        return np.pad(f, (0, self.mesh.num_nodes))[self.free]
 
 
 def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
@@ -539,8 +543,8 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     n = mesh_new.num_nodes
     rhs = np.zeros(3 * n)
     rhs[:2 * n] = mass_action(u_old) / dt + rhs_F(mesh_new, zeta, phys)
-    return LinearSystem(matrix=pattern.fill(vals), rhs=rhs[pattern.free], free=pattern.free,
-                        size_full=3 * n, n_velocity=2 * n, mesh=mesh_new, band=pattern.band)
+    return LinearSystem(pattern=pattern, matrix=pattern.fill(vals), rhs=rhs[pattern.free],
+                        mesh=mesh_new)
 
 
 @dataclass(frozen=True)
@@ -561,19 +565,17 @@ class BandLU:
         return x
 
 
-def factorize(matrix: sp.spmatrix, band: BandLayout) -> BandLU:
-    """Banded LU of a square CSC matrix, the one factorization of the run path:
+def factorize(system: LinearSystem) -> BandLU:
+    """Banded LU of system's matrix, the one factorization of the run path:
     the state solve and the bottom-load solve of the control gradient share
     the saddle matrix's, the mesh-velocity extension factors its stiffness.
 
-    band is the layout of the matrix's structure: ``pattern.band`` (or
-    ``LinearSystem.band``) of the :class:`FixedPattern` that filled it, whose
-    bandwidth-reducing order keeps the band narrow.  Raises SingularMatrix on
-    an exactly zero pivot."""
-    if matrix.format != "csc" or matrix.nnz != len(band.position):
-        raise DimensionMismatch("matrix is not the CSC fill of the band layout's pattern")
-    n = matrix.shape[0]
-    ab = np.bincount(band.position, weights=matrix.data,
+    The band layout is that of system's pattern, whose bandwidth-reducing
+    order keeps the band narrow.  Raises SingularMatrix on an exactly zero
+    pivot."""
+    band = system.pattern.band
+    n = system.matrix.shape[0]
+    ab = np.bincount(band.position, weights=system.matrix.data,
                      minlength=band.ldab * n).reshape((band.ldab, n), order="F")
     lu, ipiv, info = dgbtrf(ab, band.kl, band.ku, overwrite_ab=1)
     if info > 0:
@@ -581,30 +583,32 @@ def factorize(matrix: sp.spmatrix, band: BandLayout) -> BandLU:
     return BandLU(lu=lu, ipiv=ipiv, kl=band.kl, ku=band.ku)
 
 
-def gated_solve(system: LinearSystem, lu: BandLU, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def gated_solve(system: LinearSystem, lu: BandLU, rhs: np.ndarray,
+                what: str) -> tuple[np.ndarray, float]:
     """x on the reduced dofs with system.matrix x = rhs, from lu, the matrix's LU,
     and the relative residual ||A x - rhs|| / ||rhs||.
 
-    Every solve with the saddle LU goes through here: a non-finite x raises
-    SingularMatrix and a relative residual above 1e-10 ResidualTooLarge."""
+    Every solve of the run path goes through here: a non-finite x raises
+    SingularMatrix and a relative residual above 1e-10 ResidualTooLarge, each
+    naming the solve by what ("state", "bottom-load" or "mesh-velocity")."""
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
-        raise SingularMatrix("factorization produced non-finite values")
+        raise SingularMatrix(f"{what} solve produced non-finite values")
     bnorm = np.linalg.norm(rhs)
     res = np.linalg.norm(system.matrix @ x - rhs)
     rel = res / bnorm if bnorm > 0 else res
     if rel > 1e-10:
-        raise ResidualTooLarge(f"relative residual {rel:.3e}")
+        raise ResidualTooLarge(f"{what} solve: relative residual {rel:.3e}")
     return x, rel
 
 
 def solve(system: LinearSystem, lu: BandLU) -> tuple[VectorFieldP1, ScalarFieldP1, float]:
     """Solve the system with lu, its LU, through :func:`gated_solve`; returns
     (velocity, pressure, relative residual)."""
-    x, rel = gated_solve(system, lu, system.rhs)
-    full = np.zeros(system.size_full)
-    full[system.free] = x
+    x, rel = gated_solve(system, lu, system.rhs, "state")
     n = system.mesh.num_nodes
+    full = np.zeros(3 * n)
+    full[system.free] = x
     u = VectorFieldP1(np.column_stack((full[:n], full[n:2 * n])), system.mesh)
     p = ScalarFieldP1(full[2 * n:], system.mesh)
     return u, p, rel

@@ -6,7 +6,9 @@ the free surface on top, the wall on the right, the open bottom, and the
 symmetry axis on the left.  Mesh motion is vertical only, so radial node
 positions (and with them the wall and axis) are invariant for all time.
 
-Meshes are immutable; :func:`displace_mesh` returns a new mesh.
+A mesh is node positions over a :class:`MeshTopology`, which holds the
+connectivity and tags once.  Meshes are immutable; :func:`displace_mesh`
+returns a new mesh over the same topology.
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ class MeshTopology(_Memo):
     """Connectivity and tagged boundary arcs, shared by a mesh and every mesh
     displaced from it.
 
-    Mesh motion never changes connectivity, so whatever derives from it alone
-    (boundary node sets, free dofs, sparsity patterns through :meth:`memo`)
-    is computed once per topology, not once per mesh.
+    triangles      (M, 3) vertex index triples, positively oriented
+    boundary_edges tag -> (E, 2) node-pair array; free-surface edges are
+                   ordered by increasing r with each pair (left, right)
+    contact_node   index of the single node shared by free surface and wall
+    num_nodes      number of mesh nodes
+
+    The arrays are kept as read-only int64 copies; the caller's stay as they
+    were.  Whatever derives from the connectivity alone (boundary node sets,
+    free dofs, sparsity patterns through :meth:`memo`) is computed once per
+    topology, not once per mesh.
     """
 
     triangles: np.ndarray
@@ -44,19 +53,17 @@ class MeshTopology(_Memo):
     num_nodes: int
 
     def __post_init__(self):
+        tris = np.array(self.triangles, dtype=np.int64)
+        edges = {tag: np.array(self.boundary_edges[tag], dtype=np.int64) for tag in BoundaryTag}
+        for a in (tris, *edges.values()):
+            a.setflags(write=False)
+        object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "boundary_edges", edges)
         gamma = self.boundary_edges[BoundaryTag.FREE_SURFACE]
         wall = self.boundary_edges[BoundaryTag.WALL]
         shared = np.intersect1d(gamma.ravel(), wall.ravel())
         if shared.size != 1 or shared[0] != self.contact_node:
             raise DimensionMismatch("free surface and wall must share exactly the contact node")
-
-    def matches(self, triangles, boundary_edges, contact_node, num_nodes) -> bool:
-        """Whether these are this topology's connectivity and tags."""
-        def same(a, b):
-            return a is b or np.array_equal(a, b)
-        return (num_nodes == self.num_nodes and contact_node == self.contact_node
-                and same(triangles, self.triangles)
-                and all(same(boundary_edges[t], self.boundary_edges[t]) for t in BoundaryTag))
 
     def _boundary_nodes(self, tag: BoundaryTag) -> np.ndarray:
         return np.unique(self.boundary_edges[tag])
@@ -102,41 +109,24 @@ def _on_topology(name: str) -> property:
 
 @dataclass(frozen=True)
 class AxiMesh(_Memo):
-    """Triangulated half-section with tagged boundary arcs.
+    """Node positions over a :class:`MeshTopology`.
 
-    nodes          (N, 2) array of (r, z) coordinates [m]
-    triangles      (M, 3) vertex index triples, positively oriented
-    boundary_edges tag -> (E, 2) node-pair array; free-surface edges are
-                   ordered by increasing r with each pair (left, right)
-    contact_node   index of the single node shared by free surface and wall
+    nodes          (N, 2) array of (r, z) coordinates [m], N = topology.num_nodes
+    topology       connectivity and tags, also read through the mesh's properties
     radius         cylinder radius [m]
-    topology       the :class:`MeshTopology` of the four above; built when not
-                   given, and rejected with DimensionMismatch when it differs
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
-    boundary_edges: dict
-    contact_node: int
+    topology: MeshTopology = field(repr=False)
     radius: float
-    topology: MeshTopology | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        tris = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        if nodes.shape != (self.topology.num_nodes, 2):
+            raise DimensionMismatch(f"mesh nodes have shape {nodes.shape}, the topology "
+                                    f"has {self.topology.num_nodes} nodes")
         nodes.setflags(write=False)
-        tris.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "triangles", tris)
-        for tag in BoundaryTag:
-            edges = np.ascontiguousarray(self.boundary_edges[tag], dtype=np.int64)
-            edges.setflags(write=False)
-            self.boundary_edges[tag] = edges
-        parts = (tris, self.boundary_edges, self.contact_node, len(nodes))
-        if self.topology is None:
-            object.__setattr__(self, "topology", MeshTopology(*parts))
-        elif not self.topology.matches(*parts):
-            raise DimensionMismatch("mesh connectivity differs from the topology it was given")
         self._validate()
 
     # -- derived data ------------------------------------------------------
@@ -153,6 +143,9 @@ class AxiMesh(_Memo):
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
+    triangles = _on_topology("triangles")
+    boundary_edges = _on_topology("boundary_edges")
+    contact_node = _on_topology("contact_node")
     wall_nodes = _on_topology("wall_nodes")
     axis_nodes = _on_topology("axis_nodes")
     bottom_nodes = _on_topology("bottom_nodes")
@@ -217,17 +210,13 @@ def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> Axi
         BoundaryTag.FREE_SURFACE: [(idx(i, n3), idx(i + 1, n3)) for i in range(n1)],
         BoundaryTag.AXIS: [(idx(0, j), idx(0, j + 1)) for j in range(n3)],
     }
-    return AxiMesh(
-        nodes=nodes,
-        triangles=np.asarray(tris),
-        boundary_edges={t: np.asarray(e) for t, e in edges.items()},
-        contact_node=idx(n1, n3),
-        radius=float(radius),
-    )
+    topology = MeshTopology(triangles=tris, boundary_edges=edges,
+                            contact_node=idx(n1, n3), num_nodes=len(nodes))
+    return AxiMesh(nodes=nodes, topology=topology, radius=float(radius))
 
 
 def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
-    """Move node positions by dt * V, keeping connectivity, tags and the shared topology.
+    """Move node positions by dt * V over the same topology.
 
     Mesh motion is vertical only: a radial component anywhere, or a nonzero
     velocity on the bottom, raises DimensionMismatch, so radii never change.
@@ -241,14 +230,7 @@ def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
         raise DimensionMismatch("domain velocity must vanish on the bottom boundary")
     new_nodes = mesh.nodes.copy()
     new_nodes[:, 1] += dt * vals[:, 1]
-    return AxiMesh(
-        nodes=new_nodes,
-        triangles=mesh.triangles,
-        boundary_edges=dict(mesh.boundary_edges),
-        contact_node=mesh.contact_node,
-        radius=mesh.radius,
-        topology=mesh.topology,
-    )
+    return AxiMesh(nodes=new_nodes, topology=mesh.topology, radius=mesh.radius)
 
 
 def contact_line_height(mesh: AxiMesh) -> float:

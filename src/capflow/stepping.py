@@ -5,7 +5,9 @@ mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
 This is the only code that advances a slab; the control loop's gradient
 and the finite-difference check reuse its system and factorization for
-plain solves with other right-hand sides.
+plain solves with other right-hand sides.  Both of the step's solves, the
+mesh velocity and the state, are gated on their relative residuals, and
+the step reports both.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ class FlowState:
 class StepDiagnostics:
     """What a step reports about the slab it solved.
 
-    ``min_area`` and ``max_aspect`` are the new mesh's :func:`mesh_quality`,
-    read-only properties computed on first read and memoised on the mesh, so
-    a loop that never reads them pays nothing for them.
+    ``residual`` and ``ale_residual`` are the relative residuals of the state
+    and the mesh-velocity solves.  ``min_area`` and ``max_aspect`` are the new
+    mesh's :func:`mesh_quality`, read-only properties computed on first read
+    and memoised on the mesh, so a loop that never reads them pays nothing for
+    them.
     """
 
     residual: float
+    ale_residual: float
     u_max: float
     z_cl: float
     mesh: AxiMesh = field(repr=False)
@@ -64,17 +69,18 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     the LU before the next step, so that one factorization is alive at a time.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
-    V = solve_domain_velocity(state.mesh, state.u)
-    z_next = contact_line_height(state.mesh) + num.dt * V.field.values[state.mesh.contact_node, 1]
+    V, ale_residual = solve_domain_velocity(state.mesh, state.u)
+    z_next = contact_line_height(state.mesh) + num.dt * V.values[state.mesh.contact_node, 1]
     if z_next <= floor:
         # checked before displacing: an emptying column is reported as
         # DomainEmptied, not as the mesh tangle it would soon cause
         raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
-    mesh_new = displace_mesh(state.mesh, V.field, num.dt)
-    system = assemble_state_system(mesh_new, state.mesh, state.u, V.field, zeta, phys, num)
-    lu = factorize(system.matrix, system.band)
+    mesh_new = displace_mesh(state.mesh, V, num.dt)
+    system = assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num)
+    lu = factorize(system)
     u_new, p_new, residual = solve(system, lu)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
-    diag = StepDiagnostics(residual=residual, u_max=u_new.magnitude_max,
+    diag = StepDiagnostics(residual=residual, ale_residual=ale_residual,
+                           u_max=u_new.magnitude_max,
                            z_cl=contact_line_height(mesh_new), mesh=mesh_new)
     return new, diag, system, lu

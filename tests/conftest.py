@@ -4,7 +4,7 @@ import pytest
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.fields import VectorFieldP1
-from capflow.geometry import AxiMesh, BoundaryTag, build_structured_mesh
+from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh
 
 
 def two_triangle_mesh(radius=1.0, height=1.0):
@@ -17,8 +17,8 @@ def two_triangle_mesh(radius=1.0, height=1.0):
         BoundaryTag.FREE_SURFACE: np.array([[3, 2]]),
         BoundaryTag.AXIS: np.array([[0, 3]]),
     }
-    return AxiMesh(nodes=nodes, triangles=tris, boundary_edges=edges,
-                   contact_node=2, radius=radius)
+    topology = MeshTopology(triangles=tris, boundary_edges=edges, contact_node=2, num_nodes=4)
+    return AxiMesh(nodes=nodes, topology=topology, radius=radius)
 
 
 def perturbed_mesh(seed=3, amplitude=0.05):
@@ -38,9 +38,7 @@ def perturbed_mesh(seed=3, amplitude=0.05):
     nodes[surf, 1] += amplitude * rng.uniform(-1, 1, len(surf))
     nodes[mesh.axis_nodes, 1] += amplitude * rng.uniform(-1, 1, len(mesh.axis_nodes)) \
         * (mesh.nodes[mesh.axis_nodes, 1] > 0) * (mesh.nodes[mesh.axis_nodes, 1] < 1)
-    return AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                   boundary_edges=dict(mesh.boundary_edges),
-                   contact_node=mesh.contact_node, radius=mesh.radius)
+    return AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
 
 
 def random_vector_field(mesh, seed=0, scale=1.0):

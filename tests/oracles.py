@@ -319,8 +319,8 @@ def oracle_adjoint(mesh_new, mesh_old, u_old, V_old, phys, num):
 def oracle_adjoint_rhs(system, mass_u):
     """The adjoint right-hand side on the reduced dofs of system: the mass
     action on the new velocity, zero in the pressure rows."""
-    rhs = np.zeros(system.size_full)
-    rhs[:system.n_velocity] = mass_u
+    rhs = np.zeros(3 * system.mesh.num_nodes)
+    rhs[:len(mass_u)] = mass_u
     return rhs[system.free]
 
 
@@ -333,6 +333,6 @@ def oracle_adjoint_solution(system, lu, mass_u):
 def oracle_bottom_integral(system, lu, mass_u):
     """The bottom integral b . z of the adjoint z of :func:`oracle_adjoint_solution`,
     with b the bottom load on all velocity dofs."""
-    z = np.zeros(system.size_full)
+    z = np.zeros(3 * system.mesh.num_nodes)
     z[system.free] = oracle_adjoint_solution(system, lu, mass_u)
-    return float(bottom_load_vector(system.mesh) @ z[:system.n_velocity])
+    return float(bottom_load_vector(system.mesh) @ z[:len(mass_u)])

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 from capflow.fields import PhysParams, VectorFieldP1
 from capflow.forms import (FixedPattern, _check_fields, _coupling_block,
                            _divergence_stab_block, _mass_block, _on_both_components,
-                           _pressure_stab_block, _surface_flux_block, _surface_stab_block,
-                           _transport_block, _vector_dofs, _viscous_block,
+                           _pressure_stab_block, _r_stiffness_block, _surface_flux_block,
+                           _surface_stab_block, _transport_block, _vector_dofs, _viscous_block,
                            _wall_friction_block, element_data)
 from capflow.geometry import AxiMesh, BoundaryTag
 
@@ -80,10 +80,16 @@ def form_S_Gamma(mesh: AxiMesh, params: PhysParams) -> sp.csr_matrix:
                  2 * mesh.num_nodes)
 
 
-def form_s_p(mesh: AxiMesh, Cs: float, h: float | None = None) -> sp.csr_matrix:
-    """Pressure stabilization Cs h_K^2 (grad p, grad pi); h_K^2 = 2 |K| unless h is given."""
+def form_s_p(mesh: AxiMesh, Cs: float) -> sp.csr_matrix:
+    """Pressure stabilization Cs h_K^2 (grad p, grad pi), h_K^2 = 2 |K|."""
     ed = element_data(mesh)
-    return _fill([ed.tri], [_pressure_stab_block(ed, Cs, h)], mesh.num_nodes)
+    return _fill([ed.tri], [_pressure_stab_block(ed, Cs)], mesh.num_nodes)
+
+
+def r_stiffness(mesh: AxiMesh) -> sp.csr_matrix:
+    """The r-weighted stiffness (grad u, grad v) of the mesh-velocity extension."""
+    ed = element_data(mesh)
+    return _fill([ed.tri], [_r_stiffness_block(ed)], mesh.num_nodes)
 
 
 def mass_matrix(mesh: AxiMesh) -> sp.csr_matrix:

@@ -11,7 +11,7 @@ from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
 from capflow.forms import BandLayout, assemble_state_system, factorize
-from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
+from capflow.geometry import AxiMesh, MeshTopology, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
 from .conftest import random_vector_field
@@ -29,9 +29,16 @@ def reference_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num, free):
 
 def same_grid(mesh):
     """mesh with a topology of its own, built independently of mesh's."""
-    return AxiMesh(nodes=mesh.nodes, triangles=mesh.triangles,
-                   boundary_edges=dict(mesh.boundary_edges),
-                   contact_node=mesh.contact_node, radius=mesh.radius)
+    return AxiMesh(nodes=mesh.nodes, topology=own_topology(mesh), radius=mesh.radius)
+
+
+def own_topology(mesh, triangles=None):
+    """A new topology with mesh's boundary arcs and contact node, over
+    triangles (by default mesh's)."""
+    topo = mesh.topology
+    return MeshTopology(triangles=topo.triangles if triangles is None else triangles,
+                        boundary_edges=topo.boundary_edges, contact_node=topo.contact_node,
+                        num_nodes=topo.num_nodes)
 
 
 def form_case(idx):
@@ -49,7 +56,7 @@ def tc1_slab(n1=16, n3=32):
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
         state, *_ = step(state, 1e-4, phys, num)
-    V = solve_domain_velocity(state.mesh, state.u).field
+    V, _ = solve_domain_velocity(state.mesh, state.u)
     return displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
 
 
@@ -80,15 +87,13 @@ def test_fixed_pattern_equals_coo_reference(case):
                          ids=["16x32", "32x64"])
 def test_pattern_order_keeps_the_band_narrow(grid, nnz):
     system = assemble_state_system(*tc1_slab(*grid))
-    lu = factorize(system.matrix, system.band)
+    lu = factorize(system)
     assert system.matrix.nnz == nnz
     # the layout found once with the pattern is the layout of every fill
     own = BandLayout.of(system.matrix.indices, system.matrix.indptr)
-    assert (own.kl, own.ku, own.ldab) == (lu.kl, lu.ku, system.band.ldab)
-    assert np.array_equal(own.position, system.band.position)
-    assert system.band.position.dtype == np.int32
-    with pytest.raises(DimensionMismatch):
-        factorize(system.matrix.tocsr(), system.band)
+    assert (own.kl, own.ku, own.ldab) == (lu.kl, lu.ku, system.pattern.band.ldab)
+    assert np.array_equal(own.position, system.pattern.band.position)
+    assert system.pattern.band.position.dtype == np.int32
     # in reverse Cuthill-McKee order the band is 3 (N1 + 2) wide: 54 at 16x32, 102 at 32x64
     assert lu.kl == lu.ku <= 3 * (grid[0] + 2)
     bnorm = np.linalg.norm(system.rhs)
@@ -105,13 +110,8 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
         for j in range(2):
             a, b, c, d = 3 * i + j, 3 * (i + 1) + j, 3 * (i + 1) + j + 1, 3 * i + j + 1
             other += [(a, b, d), (b, c, d)]
-    parts = dict(nodes=mesh.nodes, triangles=np.array(other),
-                 boundary_edges=dict(mesh.boundary_edges),
-                 contact_node=mesh.contact_node, radius=mesh.radius)
-    with pytest.raises(DimensionMismatch):
-        AxiMesh(**parts, topology=mesh.topology)
-
-    flipped = AxiMesh(**parts)
+    flipped = AxiMesh(nodes=mesh.nodes, topology=own_topology(mesh, np.array(other)),
+                      radius=mesh.radius)
     u, V = zero_vector_field(mesh), zero_vector_field(mesh)
     assemble_state_system(mesh, mesh, u, V, 0.0, PHYS, NUM)   # builds mesh's pattern
     with pytest.raises(DimensionMismatch):

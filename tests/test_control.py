@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capflow.acceptance
+import capflow.adjoint
 import capflow.ale
+import capflow.control
 import capflow.forms
 import capflow.geometry
 import capflow.writers
@@ -17,7 +19,7 @@ from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.control import (ControlState, gradient, objective_increment,
                              run_instantaneous_control, update_control)
-from capflow.errors import DomainEmptied
+from capflow.errors import DomainEmptied, ResidualTooLarge
 from capflow.fields import NumParams, PhysParams, ScalarFieldP1, zero_vector_field
 from capflow.forms import _flatten, mass_action
 from capflow.geometry import build_structured_mesh
@@ -40,13 +42,13 @@ class TestObjective:
     def test_zero_state_zero_control(self):
         ctrl = ControlState(zeta=0.0, alpha=1.0, lam=1.0, sigma_b_measure=SB)
         state = make_state()
-        assert objective_increment(state, 0.0, ctrl, mass_action(state.u)) == 0.0
+        assert objective_increment(state, ctrl, mass_action(state.u)) == 0.0
 
     def test_pure_penalty(self):
         c = 0.37
         ctrl = ControlState(zeta=c, alpha=1.0, lam=1.0, sigma_b_measure=SB)
         state = make_state()
-        assert objective_increment(state, c, ctrl, mass_action(state.u)) == pytest.approx(
+        assert objective_increment(state, ctrl, mass_action(state.u)) == pytest.approx(
             0.5 * c * c * SB, rel=1e-15)
 
     def test_kinetic_term_matches_mass_oracle(self):
@@ -54,18 +56,18 @@ class TestObjective:
         ctrl = ControlState(zeta=0.0, alpha=1.0, lam=0.0, sigma_b_measure=SB)
         dense = oracles.oracle_mass(state.mesh)
         uf = _flatten(state.u.values)
-        assert objective_increment(state, 0.0, ctrl, mass_action(state.u)) == pytest.approx(
+        assert objective_increment(state, ctrl, mass_action(state.u)) == pytest.approx(
             0.5 * uf @ dense @ uf, rel=1e-12)
 
 
 class TestGradientUpdate:
     def test_gradient_reduces_to_bottom_integral_without_penalty(self):
         ctrl = ControlState(zeta=2.0, alpha=1.0, lam=0.0, sigma_b_measure=SB)
-        assert gradient(2.0, 3.5e-12, ctrl) == 3.5e-12
+        assert gradient(3.5e-12, ctrl) == 3.5e-12
 
     def test_gradient_pure_penalty(self):
         ctrl = ControlState(zeta=1.0, alpha=1.0, lam=1e-5, sigma_b_measure=SB)
-        assert gradient(1.0, 0.0, ctrl) == pytest.approx(1e-5 * SB, rel=1e-15)
+        assert gradient(0.0, ctrl) == pytest.approx(1e-5 * SB, rel=1e-15)
 
     def test_update_identity_cases(self):
         ctrl = ControlState(zeta=0.7, alpha=0.0, lam=1e-5, sigma_b_measure=SB)
@@ -198,6 +200,56 @@ class TestRunLoop:
         # per step: the mesh velocity (15 dofs), then the state and the
         # bottom-load solve with the saddle LU (65); none transposed
         assert solves == [(15, "N"), (65, "N"), (65, "N")] * nsteps
+
+    @pytest.mark.parametrize("controlled, per_step",
+                             [(True, ["mesh-velocity", "state", "bottom-load"]),
+                              (False, ["mesh-velocity", "state"])])
+    def test_every_solve_is_gated(self, monkeypatch, controlled, per_step):
+        gated_solve = capflow.forms.gated_solve
+        gated = []          # the name of each gated solve
+
+        def counting(system, lu, rhs, what):
+            gated.append(what)
+            return gated_solve(system, lu, rhs, what)
+
+        for module in (capflow.forms, capflow.ale, capflow.adjoint):
+            monkeypatch.setattr(module, "gated_solve", counting)
+        nsteps = 3
+        hist = run_tc1(controlled=controlled, N1=4, N3=4, T=nsteps * tc1_config().dt)
+        assert hist.abort_reason is None
+        assert gated == per_step * nsteps
+
+    def test_mesh_velocity_solve_over_the_gate_aborts_the_run(self, monkeypatch):
+        factorize = capflow.ale.factorize
+
+        class Perturbed:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                x = self.lu.solve(rhs)
+                return x + 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(len(x))
+
+        monkeypatch.setattr(capflow.ale, "factorize", lambda system: Perturbed(factorize(system)))
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
+        assert isinstance(hist.abort_reason, ResidualTooLarge)
+        assert "mesh-velocity solve" in str(hist.abort_reason)
+        assert hist.abort_step == 0
+        assert len(hist.t) == 1
+
+    def test_mesh_velocity_residual_in_every_step_diagnostics(self, monkeypatch):
+        residuals = []
+
+        def recording(*args):
+            out = step(*args)
+            residuals.append(out[1].ale_residual)
+            return out
+
+        monkeypatch.setattr(capflow.control, "step", recording)
+        hist = run_tc1(controlled=True)
+        assert hist.abort_reason is None
+        assert len(residuals) == len(hist.t) - 1
+        assert all(np.isfinite(r) and r <= 1e-10 for r in residuals), max(residuals)
 
     def test_pattern_built_once_and_no_sparse_construction_per_step(self, monkeypatch):
         build = capflow.forms.FixedPattern.build.__func__

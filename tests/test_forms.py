@@ -10,7 +10,7 @@ from capflow.geometry import BoundaryTag, build_structured_mesh
 from . import oracles
 from .conftest import perturbed_mesh, random_vector_field, two_triangle_mesh
 from .pattern_forms import (form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p,
-                            mass_matrix)
+                            mass_matrix, r_stiffness)
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -64,8 +64,8 @@ class TestOracleAgreement:
     def test_form_s_p(self, idx):
         mesh = meshes()[idx]
         assert rel_err(oracles.oracle_form_sp(mesh, 0.4), form_s_p(mesh, 0.4)) < 1e-12
-        assert rel_err(oracles.oracle_form_sp(mesh, 0.4, h=0.3),
-                       form_s_p(mesh, 0.4, h=0.3)) < 1e-12
+        # the extension's stiffness is the stabilization kernel with Cs h_K^2 = 1
+        assert rel_err(oracles.oracle_form_sp(mesh, 1.0, h=1.0), r_stiffness(mesh)) < 1e-12
 
     @pytest.mark.parametrize("idx", range(3))
     def test_mass(self, idx):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from capflow.errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallViolation
 from capflow.fields import VectorFieldP1
-from capflow.geometry import (AxiMesh, BoundaryTag, build_structured_mesh,
+from capflow.geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                               contact_line_height, displace_mesh, mesh_quality,
                               surface_edges, surface_normals)
 
@@ -44,6 +44,37 @@ class TestBuild:
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             mesh.nodes[0, 0] = 1.0
+
+    def test_topology_leaves_the_callers_arrays_alone(self):
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        edges = {tag: np.array(e, dtype=np.int32) for tag, e in mesh.boundary_edges.items()}
+        given = dict(edges)
+        triangles = np.array(mesh.triangles, dtype=np.int32)
+        topology = MeshTopology(triangles=triangles, boundary_edges=edges,
+                                contact_node=mesh.contact_node, num_nodes=mesh.num_nodes)
+        AxiMesh(nodes=mesh.nodes, topology=topology, radius=mesh.radius)
+        assert all(edges[tag] is given[tag] for tag in BoundaryTag)
+        assert all(e.dtype == np.int32 and e.flags.writeable for e in edges.values())
+        assert triangles.dtype == np.int32 and triangles.flags.writeable
+        # the topology holds read-only int64 copies of its own
+        own = [topology.triangles, *topology.boundary_edges.values()]
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in own)
+        assert topology.boundary_edges is not edges
+
+    def test_node_count_must_match_the_topology(self):
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        for nodes in (mesh.nodes[:-1], np.vstack((mesh.nodes, mesh.nodes[-1:]))):
+            with pytest.raises(DimensionMismatch, match="topology"):
+                AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+
+    def test_meshes_read_connectivity_from_their_topology(self):
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        moved = displace_mesh(mesh, VectorFieldP1(np.zeros((mesh.num_nodes, 2)), mesh), 0.1)
+        for m in (mesh, moved):
+            assert m.topology is mesh.topology
+            assert m.triangles is mesh.topology.triangles
+            assert m.boundary_edges is mesh.topology.boundary_edges
+            assert m.contact_node == mesh.topology.contact_node
 
 
 class TestDisplace:
@@ -108,9 +139,7 @@ class TestDisplace:
         nodes = mesh.nodes.copy()
         nodes[mesh.wall_nodes[0], 0] += 1e-9
         with pytest.raises(WallViolation):
-            AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                    boundary_edges=dict(mesh.boundary_edges),
-                    contact_node=mesh.contact_node, radius=mesh.radius)
+            AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
 
 
 class TestSurface:
@@ -139,9 +168,7 @@ class TestSurface:
         nodes = mesh.nodes.copy()
         phi = 0.3
         nodes[:, 1] += np.tan(phi) * nodes[:, 0] * (nodes[:, 1] > 0)
-        tilted = AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                         boundary_edges=dict(mesh.boundary_edges),
-                         contact_node=mesh.contact_node, radius=mesh.radius)
+        tilted = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
         normals = surface_normals(tilted)
         assert np.allclose(normals[0], [-np.sin(phi), np.cos(phi)], rtol=1e-12)
 
@@ -157,9 +184,7 @@ class TestSurface:
             r = nodes[:, 0]
             surf = mesh.surface_nodes
             nodes[surf, 1] = zc + np.sqrt(R ** 2 - r[surf] ** 2) - np.sqrt(R ** 2 - radius ** 2)
-            cap = AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                          boundary_edges=dict(mesh.boundary_edges),
-                          contact_node=mesh.contact_node, radius=mesh.radius)
+            cap = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
             normals = surface_normals(cap)
             edges = cap.boundary_edges[BoundaryTag.FREE_SURFACE]
             mid = 0.5 * (cap.nodes[edges[:, 0]] + cap.nodes[edges[:, 1]])
@@ -176,9 +201,7 @@ class TestSurface:
                  and i not in mesh.axis_nodes][0]
         nodes[inner, 0] = 1.2          # pull past the wall: edge runs backwards in r
         with pytest.raises((SurfaceFolded, MeshTangled, WallViolation, DimensionMismatch)):
-            AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                    boundary_edges=dict(mesh.boundary_edges),
-                    contact_node=mesh.contact_node, radius=mesh.radius)
+            AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
 
 
 def test_contact_height_is_surface_max_when_rising_toward_wall():
@@ -186,9 +209,7 @@ def test_contact_height_is_surface_max_when_rising_toward_wall():
     nodes = mesh.nodes.copy()
     surf = mesh.surface_nodes
     nodes[surf, 1] += 0.3 * nodes[surf, 0] ** 2     # monotone rise toward the wall
-    risen = AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                    boundary_edges=dict(mesh.boundary_edges),
-                    contact_node=mesh.contact_node, radius=mesh.radius)
+    risen = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
     assert contact_line_height(risen) == risen.nodes[surf, 1].max()
 
 

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from capflow.errors import DimensionMismatch, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_vector_field
-from capflow.forms import BandLayout, LinearSystem, assemble_state_system, factorize, solve
+from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
+                           factorize, solve)
 from capflow.geometry import build_structured_mesh
 
 from .pattern_forms import form_a, mass_matrix
@@ -14,14 +15,17 @@ PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.1)
 
 
-def system_of(matrix, **parts):
-    """A LinearSystem on a hand-built CSC matrix, with the band layout of its structure."""
-    return LinearSystem(matrix=matrix, band=BandLayout.of(matrix.indices, matrix.indptr),
-                        **parts)
+def system_of(matrix, rhs, free, mesh):
+    """A LinearSystem on a hand-built CSC matrix, over a pattern of the matrix's
+    own structure whose reduced rows are the dofs free, in that order."""
+    pattern = FixedPattern(free=free, shapes=[], slot=np.empty(0, np.int32),
+                           indices=matrix.indices, indptr=matrix.indptr,
+                           band=BandLayout.of(matrix.indices, matrix.indptr))
+    return LinearSystem(pattern=pattern, matrix=matrix, rhs=rhs, mesh=mesh)
 
 
 def lu_solve(system):
-    return solve(system, factorize(system.matrix, system.band))
+    return solve(system, factorize(system))
 
 
 def wrap_system(mesh, matrix, rhs):
@@ -34,7 +38,7 @@ def wrap_system(mesh, matrix, rhs):
     b[:len(rhs)] = rhs
     free = mesh.topology.free_dofs
     return system_of(full.tocsr()[np.ix_(free, free)].tocsc(), rhs=b[free],
-                     free=free, size_full=3 * n, n_velocity=2 * n, mesh=mesh)
+                     free=free, mesh=mesh)
 
 
 def test_identity_system_returns_rhs():
@@ -44,8 +48,7 @@ def test_identity_system_returns_rhs():
     b = rng.standard_normal(3 * n)
     b[mesh.radial_constrained_nodes] = 0.0      # scattered into u_r slots
     sys = system_of(sp.eye(3 * n, format="csc"), rhs=b,
-                    free=np.arange(3 * n), size_full=3 * n,
-                    n_velocity=2 * n, mesh=mesh)
+                    free=np.arange(3 * n), mesh=mesh)
     u, p, res = lu_solve(sys)
     assert np.array_equal(np.concatenate((u.values[:, 0], u.values[:, 1], p.values)), b)
     assert res <= 1e-15
@@ -71,8 +74,7 @@ def test_singular_matrix_detected():
     mat = sp.eye(3 * n, format="lil")
     mat[0, 0] = 0.0
     sys = system_of(mat.tocsc(), rhs=np.ones(3 * n),
-                    free=np.arange(3 * n), size_full=3 * n,
-                    n_velocity=2 * n, mesh=mesh)
+                    free=np.arange(3 * n), mesh=mesh)
     with pytest.raises(SingularMatrix):
         lu_solve(sys)
 

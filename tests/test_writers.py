@@ -120,10 +120,7 @@ def test_vtk_snapshot_bytes_match_per_value_format(tmp_path):
     def same_topology(radii):
         nodes = mesh.nodes.copy()
         nodes[:, 0] = radii
-        return AxiMesh(nodes=nodes, triangles=mesh.triangles,
-                       boundary_edges=dict(mesh.boundary_edges),
-                       contact_node=mesh.contact_node, radius=mesh.radius,
-                       topology=mesh.topology)
+        return AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
 
     negative_axis = mesh.nodes[:, 0].copy()
     negative_axis[mesh.axis_nodes[1]] = -0.0
