@@ -19,16 +19,15 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fields import VectorFieldP1
 from .forms import (FixedPattern, LinearSystem, _r_stiffness_block, element_data, factorize,
-                    gated_solve)
+                    gated_solve, in_vertex_order)
 from .geometry import AxiMesh, MeshTopology, surface_slopes
 
 
 def _extension_pattern(topology: MeshTopology) -> FixedPattern:
-    """Reduced stiffness pattern; surface and bottom nodes carry Dirichlet data."""
-    mask = np.ones(topology.num_nodes, dtype=bool)
-    mask[topology.surface_nodes] = False
-    mask[topology.bottom_nodes] = False
-    return FixedPattern.build([topology.triangles], np.flatnonzero(mask), topology.num_nodes)
+    """Reduced stiffness pattern, its nodes in the topology's vertex order;
+    surface and bottom nodes carry Dirichlet data."""
+    free = in_vertex_order(topology, 1, np.union1d(topology.surface_nodes, topology.bottom_nodes))
+    return FixedPattern.build([topology.triangles], free, topology.num_nodes)
 
 
 def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:

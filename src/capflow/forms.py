@@ -353,13 +353,6 @@ def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
 
 # -- monolithic system ------------------------------------------------------
 
-def _csc_pattern(keys: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (indices, indptr) of the sorted entry keys column * base + row of a
-    square matrix of size base - 1."""
-    indptr = np.searchsorted(keys // base, np.arange(base)).astype(np.int32)
-    return (keys % base).astype(np.int32), indptr
-
-
 @dataclass(frozen=True)
 class BandLayout:
     """Where each stored entry of a CSC matrix goes in LAPACK band storage.
@@ -400,14 +393,15 @@ class FixedPattern:
     column go to the trash slot len(indices), past the stored entries.  The
     pattern depends on no values: entries that cancel to zero stay stored.
 
-    The reduced rows and columns are numbered in the reverse Cuthill-McKee
-    order of the pattern, found once at build time, not in sorted dof order:
-    it keeps every stored entry in a narrow band about the diagonal, which
+    Reduced row and column k is the dof free[k]: the caller numbers the kept
+    dofs, and the build keeps that order.  Both patterns of a step pass them
+    vertex by vertex in the topology's :func:`vertex_order`, which keeps
+    every stored entry in a narrow band about the diagonal that
     :func:`factorize` factors as a banded matrix.  The band layout of the
-    stored entries is found with the order, once.
+    stored entries is found once, at build time.
     """
 
-    free: np.ndarray      # kept dofs, in the bandwidth-reducing order of the reduced rows/columns
+    free: np.ndarray      # kept dof of each reduced row/column, in the caller's order
     shapes: list          # (E, k) of each family of local blocks
     slot: np.ndarray      # int32 data position of each local entry, families in order
     indices: np.ndarray   # int32 row of each stored entry
@@ -436,27 +430,15 @@ class FixedPattern:
         stored = np.sort(keys)                      # column-major order
         stored = stored[np.concatenate(([True], stored[1:] != stored[:-1]))]
         slot = np.searchsorted(stored, keys).astype(np.int32)
-        del keys, block, reduced        # freed before the ordering: peak memory
+        del keys, block, reduced        # freed before the CSC arrays: peak memory
         if stored[-1] == trash:
             stored = stored[:-1]
-        # renumber by the bandwidth-reducing order, P A P^T: sort the stored
-        # entries by their renumbered (column, row) and move each slot along;
-        # every pattern is structurally symmetric
-        indices, indptr = _csc_pattern(stored, base)
-        q = reverse_cuthill_mckee(sp.csc_matrix((np.ones(len(indices)), indices, indptr),
-                                                shape=(nf, nf)), symmetric_mode=True)
-        renumber = np.argsort(q).astype(key_type)             # reduced index -> new
-        stored = renumber[stored // base] * key_type(base) + renumber[stored % base]
-        order = np.argsort(stored)
-        moved = np.empty(len(order) + 1, dtype=np.int32)        # old data position -> new
-        moved[order] = np.arange(len(order))
-        moved[-1] = len(order)                                  # the trash slot stays last
-        slot = moved[slot]
-        indices, indptr = _csc_pattern(stored[order], base)
+        indices = (stored % base).astype(np.int32)
+        indptr = np.searchsorted(stored // base, np.arange(base)).astype(np.int32)
         for a in (slot, indices, indptr):   # every filled matrix shares indices and indptr
             a.setflags(write=False)
-        del stored, order, moved
-        return cls(free=free[q], shapes=[d.shape for d in families], slot=slot,
+        del stored
+        return cls(free=free, shapes=[d.shape for d in families], slot=slot,
                    indices=indices, indptr=indptr, band=BandLayout.of(indices, indptr))
 
     def values(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -497,15 +479,44 @@ class LinearSystem:
         return np.pad(f, (0, self.mesh.num_nodes))[self.free]
 
 
+def vertex_order(topology: MeshTopology) -> np.ndarray:
+    """The reverse Cuthill-McKee order of topology's vertices, found once per
+    topology; read-only.  Both patterns number their kept dofs vertex by
+    vertex in it, which keeps the band about as narrow as the vertex graph's
+    times the dofs per vertex (the quotient graph; George & Liu 1981, ch. 4)."""
+    return topology.memo(_vertex_order)
+
+
+def _vertex_order(topology: MeshTopology) -> np.ndarray:
+    tri, n = topology.triangles, topology.num_nodes
+    edges = np.unique(tri[:, _COL].ravel() * n + tri[:, _ROW].ravel())  # column * n + row, no COO
+    graph = sp.csc_matrix((np.ones(len(edges)), edges % n,
+                           np.searchsorted(edges // n, np.arange(n + 1))), shape=(n, n))
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    order.setflags(write=False)
+    return order
+
+
+def in_vertex_order(topology: MeshTopology, components: int, fixed: np.ndarray) -> np.ndarray:
+    """The dofs of a field with components dofs per vertex (c N + v is component
+    c of vertex v) less the dofs fixed, vertex by vertex in :func:`vertex_order`
+    with each vertex's kept dofs next to each other."""
+    dofs = (vertex_order(topology)[:, None] + topology.num_nodes * np.arange(components)).ravel()
+    return dofs[~np.isin(dofs, fixed)]
+
+
 def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
     """Triangles over (u_r, u_z, p) of their vertices, then wall and
-    free-surface edges over (u_r, u_z) of their ends."""
+    free-surface edges over (u_r, u_z) of their ends.  The radial dofs of the
+    wall and axis nodes are eliminated, and each vertex's kept dofs are
+    numbered together, in vertex order."""
     n = topology.num_nodes
     tri = topology.triangles
     edges = [_vector_dofs(topology.boundary_edges[tag], n)
              for tag in (BoundaryTag.WALL, BoundaryTag.FREE_SURFACE)]
+    free = in_vertex_order(topology, 3, topology.radial_constrained_nodes)
     return FixedPattern.build([np.concatenate((tri, tri + n, tri + 2 * n), axis=1), *edges],
-                              topology.free_dofs, 3 * n)
+                              free, 3 * n)
 
 
 def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
@@ -556,12 +567,9 @@ class BandLU:
     kl: int             # subdiagonals
     ku: int             # superdiagonals
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """x with A x = rhs (trans="N") or A^T x = rhs (trans="T").
-
-        The run path makes only plain solves; the transposed one is the
-        tests' reference for the control gradient."""
-        x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, trans={"N": 0, "T": 1}[trans])
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs."""
+        x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)
         return x
 
 
@@ -570,9 +578,9 @@ def factorize(system: LinearSystem) -> BandLU:
     the state solve and the bottom-load solve of the control gradient share
     the saddle matrix's, the mesh-velocity extension factors its stiffness.
 
-    The band layout is that of system's pattern, whose bandwidth-reducing
-    order keeps the band narrow.  Raises SingularMatrix on an exactly zero
-    pivot."""
+    The band layout is that of system's pattern, whose dofs come vertex by
+    vertex in the topology's reverse Cuthill-McKee order, which keeps the
+    band narrow.  Raises SingularMatrix on an exactly zero pivot."""
     band = system.pattern.band
     n = system.matrix.shape[0]
     ab = np.bincount(band.position, weights=system.matrix.data,

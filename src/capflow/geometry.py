@@ -43,8 +43,8 @@ class MeshTopology(_Memo):
 
     The arrays are kept as read-only int64 copies; the caller's stay as they
     were.  Whatever derives from the connectivity alone (boundary node sets,
-    free dofs, sparsity patterns through :meth:`memo`) is computed once per
-    topology, not once per mesh.
+    the vertex order and sparsity patterns through :meth:`memo`) is computed
+    once per topology, not once per mesh.
     """
 
     triangles: np.ndarray
@@ -93,14 +93,6 @@ class MeshTopology(_Memo):
         """Nodes whose radial velocity component is an essential zero."""
         return np.union1d(self.wall_nodes, self.axis_nodes)
 
-    @cached_property
-    def free_dofs(self) -> np.ndarray:
-        """Free dofs of the monolithic (u_r, u_z, p) system: all but the radial
-        dofs of the wall and axis nodes."""
-        mask = np.ones(3 * self.num_nodes, dtype=bool)
-        mask[self.radial_constrained_nodes] = False
-        return np.flatnonzero(mask)
-
 
 def _on_topology(name: str) -> property:
     return property(lambda mesh: getattr(mesh.topology, name),
@@ -111,7 +103,8 @@ def _on_topology(name: str) -> property:
 class AxiMesh(_Memo):
     """Node positions over a :class:`MeshTopology`.
 
-    nodes          (N, 2) array of (r, z) coordinates [m], N = topology.num_nodes
+    nodes          (N, 2) array of (r, z) coordinates [m], N = topology.num_nodes;
+                   kept as a read-only copy
     topology       connectivity and tags, also read through the mesh's properties
     radius         cylinder radius [m]
     """
@@ -121,7 +114,7 @@ class AxiMesh(_Memo):
     radius: float
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float, order="C")   # the caller's array stays writeable
         if nodes.shape != (self.topology.num_nodes, 2):
             raise DimensionMismatch(f"mesh nodes have shape {nodes.shape}, the topology "
                                     f"has {self.topology.num_nodes} nodes")

@@ -13,6 +13,7 @@ the transposed solve with the slab's LU, which the run path never makes.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrs
 
 from capflow.forms import beta_h, bottom_load_vector
 from capflow.geometry import BoundaryTag, contact_line_height, surface_normals
@@ -327,7 +328,8 @@ def oracle_adjoint_rhs(system, mass_u):
 def oracle_adjoint_solution(system, lu, mass_u):
     """The adjoint z, on the reduced dofs, with A^T z = m: the transposed solve
     with lu, the slab's state LU."""
-    return lu.solve(oracle_adjoint_rhs(system, mass_u), trans="T")
+    z, _ = dgbtrs(lu.lu, lu.kl, lu.ku, oracle_adjoint_rhs(system, mass_u), lu.ipiv, trans=1)
+    return z
 
 
 def oracle_bottom_integral(system, lu, mass_u):

@@ -2,7 +2,7 @@
 
 The element kernels of :mod:`capflow.forms` are summed through a
 :class:`~capflow.forms.FixedPattern` over all dofs, with none eliminated, and
-its ``fill``; the result is put back in dof order.  This is the one scatter
+its ``fill``, whose rows are the dofs in order.  This is the one scatter
 of the run path, so the oracle, identity and symmetry tests that use these
 matrices check the kernels and the fill the step uses, one form at a time.
 """
@@ -25,8 +25,7 @@ def _fill(families: list[np.ndarray], blocks: list[np.ndarray], size: int) -> sp
     vals, views = pattern.values()
     for view, block in zip(views, blocks):
         view[:] = block
-    back = np.argsort(pattern.free)         # dof -> row of the pattern's order
-    return pattern.fill(vals)[back][:, back].tocsr()
+    return pattern.fill(vals).tocsr()
 
 
 def _surface_dofs(mesh: AxiMesh) -> np.ndarray:

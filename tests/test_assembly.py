@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrs
 
 from capflow.acceptance import tc1_config
-from capflow.ale import solve_domain_velocity
+from capflow.ale import _extension_pattern, solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import BandLayout, assemble_state_system, factorize
+from capflow.forms import (BandLayout, FixedPattern, _saddle_pattern, assemble_state_system,
+                           factorize, vertex_order)
 from capflow.geometry import AxiMesh, MeshTopology, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
@@ -73,7 +75,8 @@ def test_fixed_pattern_equals_coo_reference(case):
     system = assemble_state_system(*args)
     matrix, rhs = reference_system(*args, system.free)
     # the reduced order is a permutation of the free dofs fixed by the connectivity alone
-    assert np.array_equal(np.sort(system.free), args[0].topology.free_dofs)
+    kept = np.setdiff1d(np.arange(3 * args[0].num_nodes), args[0].radial_constrained_nodes)
+    assert np.array_equal(np.sort(system.free), kept)
     twin = same_grid(args[0])
     assert twin.topology is not args[0].topology
     u0 = zero_vector_field(twin)
@@ -83,9 +86,9 @@ def test_fixed_pattern_equals_coo_reference(case):
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
-@pytest.mark.parametrize("grid, nnz", [((16, 32), 31811), ((32, 64), 128147)],
+@pytest.mark.parametrize("grid, nnz, band", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],
                          ids=["16x32", "32x64"])
-def test_pattern_order_keeps_the_band_narrow(grid, nnz):
+def test_pattern_order_keeps_the_band_narrow(grid, nnz, band):
     system = assemble_state_system(*tc1_slab(*grid))
     lu = factorize(system)
     assert system.matrix.nnz == nnz
@@ -94,12 +97,52 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz):
     assert (own.kl, own.ku, own.ldab) == (lu.kl, lu.ku, system.pattern.band.ldab)
     assert np.array_equal(own.position, system.pattern.band.position)
     assert system.pattern.band.position.dtype == np.int32
-    # in reverse Cuthill-McKee order the band is 3 (N1 + 2) wide: 54 at 16x32, 102 at 32x64
-    assert lu.kl == lu.ku <= 3 * (grid[0] + 2)
+    # with (u_r, u_z, p) of each vertex together, vertex by vertex in the
+    # vertex graph's reverse Cuthill-McKee order, the band is about 3 N1
+    # wide: 51 at 16x32, 102 at 32x64
+    assert lu.kl == lu.ku
+    assert lu.kl == band if grid == (16, 32) else lu.kl <= band
     bnorm = np.linalg.norm(system.rhs)
-    for trans, matrix in (("N", system.matrix), ("T", system.matrix.T)):
-        x = lu.solve(system.rhs, trans=trans)
+    for trans, matrix in ((0, system.matrix), (1, system.matrix.T)):
+        x, _ = dgbtrs(lu.lu, lu.kl, lu.ku, system.rhs, lu.ipiv, trans=trans)
         assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * bnorm
+
+
+@pytest.mark.parametrize("pattern_of, components", [(_saddle_pattern, 3), (_extension_pattern, 1)],
+                         ids=["saddle", "mesh-velocity"])
+def test_patterns_number_dofs_vertex_by_vertex(pattern_of, components):
+    topology = build_structured_mesh(1.0, 1.0, 6, 10).topology
+    n = topology.num_nodes
+    free = topology.memo(pattern_of).free
+    vertex, component = free % n, free // n
+    # each vertex's kept dofs are consecutive, in component order (u_r, u_z, p)
+    starts = np.flatnonzero(np.diff(vertex, prepend=-1))
+    assert len(starts) == len(np.unique(vertex))
+    assert np.all(np.diff(component)[np.diff(vertex) == 0] > 0)
+    assert component.max() == components - 1
+    # and the vertices come in the topology's one order, shared by both patterns
+    order = vertex_order(topology)
+    assert vertex_order(topology) is order
+    assert np.array_equal(vertex[starts], order[np.isin(order, vertex)])
+
+
+def test_build_keeps_the_callers_dof_order():
+    mesh = build_structured_mesh(1.0, 1.0, 3, 4)
+    n = mesh.num_nodes
+    free = np.setdiff1d(np.arange(n), mesh.surface_nodes)
+    shuffled = np.random.default_rng(3).permutation(free)
+    blocks = np.random.default_rng(4).standard_normal((len(mesh.triangles), 3, 3))
+    matrices = []
+    for dofs in (free, shuffled):
+        pattern = FixedPattern.build([mesh.triangles], dofs, n)
+        assert pattern.free is dofs
+        vals, (view,) = pattern.values()
+        view[:] = blocks
+        matrices.append(pattern.fill(vals).toarray())
+    # row and column k of a fill are the dof free[k]
+    sorted_matrix, shuffled_matrix = matrices
+    at = np.searchsorted(free, shuffled)
+    assert np.array_equal(shuffled_matrix, sorted_matrix[np.ix_(at, at)])
 
 
 def test_other_connectivity_is_rejected_and_gets_its_own_pattern():

@@ -187,19 +187,19 @@ class TestRunLoop:
 
     def test_two_plain_solves_per_step_with_the_saddle_lu(self, monkeypatch):
         solve = capflow.forms.BandLU.solve
-        solves = []         # (size, trans) of each solve with a band LU
+        solves = []         # size of each solve with a band LU, which solves only A x = b
 
-        def counting_solve(lu, rhs, trans="N"):
-            solves.append((lu.lu.shape[1], trans))
-            return solve(lu, rhs, trans)
+        def counting_solve(lu, rhs):
+            solves.append(lu.lu.shape[1])
+            return solve(lu, rhs)
 
         monkeypatch.setattr(capflow.forms.BandLU, "solve", counting_solve)
         nsteps = 3
         hist = run_tc1(controlled=True, N1=4, N3=4, T=nsteps * tc1_config().dt)
         assert hist.abort_reason is None
         # per step: the mesh velocity (15 dofs), then the state and the
-        # bottom-load solve with the saddle LU (65); none transposed
-        assert solves == [(15, "N"), (65, "N"), (65, "N")] * nsteps
+        # bottom-load solve with the saddle LU (65)
+        assert solves == [15, 65, 65] * nsteps
 
     @pytest.mark.parametrize("controlled, per_step",
                              [(True, ["mesh-velocity", "state", "bottom-load"]),
@@ -335,18 +335,18 @@ class TestRunLoop:
         assert len(quality) == 1
 
     def test_factorizations_run_in_the_pattern_order(self, monkeypatch):
-        # the patterns come in their bandwidth-reducing order, so every step
+        # the patterns come in the topology's vertex order, so every step
         # factors one narrow band and orders nothing
         dgbtrf = capflow.forms.dgbtrf
         bands = []          # (size, kl, ku) of each band factorization
-        orders = []         # band factorizations made before each ordering
+        orders = []         # (band factorizations made before, vertices) of each ordering
 
         def counting_dgbtrf(ab, kl, ku, **kwargs):
             bands.append((ab.shape[1], kl, ku))
             return dgbtrf(ab, kl, ku, **kwargs)
 
         def counting_rcm(graph, **kwargs):
-            orders.append(len(bands))
+            orders.append((len(bands), graph.shape[0]))
             return rcm(graph, **kwargs)
 
         def forbidden(name):
@@ -369,23 +369,35 @@ class TestRunLoop:
         assert [n for n, *_ in bands] == [15, 65] * 3
         assert len(set(bands)) == 2         # the same band every step
         assert all(kl == ku <= 3 * (4 + 2) for _, kl, ku in bands)
-        # both orders are found in the first step, before its saddle factorization
-        assert orders == [0, 1]
+        # one order of the 25 vertices, found in the first step before any factorization
+        assert orders == [(0, 25)]
 
-    def test_order_found_once_per_pattern(self, monkeypatch):
+    def test_vertex_order_found_once_per_topology(self, monkeypatch):
         rcm = capflow.forms.reverse_cuthill_mckee
-        orders = []
+        orders = []         # the vertex order of each ordering
+        meshes = []
 
         def counting_rcm(graph, **kwargs):
-            orders.append(graph.shape[0])
-            return rcm(graph, **kwargs)
+            orders.append(rcm(graph, **kwargs))
+            return orders[-1]
 
         monkeypatch.setattr(capflow.forms, "reverse_cuthill_mckee", counting_rcm)
-        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
+        cfg = replace(tc1_config(), N1=4, N3=4, T=3 * tc1_config().dt)
+        hist = run_instantaneous_control(phys_params(cfg), num_params(cfg), cfg.radius,
+                                         cfg.init_height,
+                                         snapshot_cb=lambda n, state: meshes.append(state.mesh))
         assert hist.abort_reason is None
-        # one order for the saddle pattern (65 kept dofs), one for the
-        # mesh-extension pattern (15 nodes off the surface and the bottom)
-        assert sorted(orders) == [15, 65]
+        # one order of the vertex graph (25 nodes) serves the saddle pattern
+        # (65 kept dofs) and the mesh-extension pattern (15 nodes off the
+        # surface and the bottom): both number their dofs vertex by vertex in it
+        topology = meshes[0].topology
+        assert all(m.topology is topology for m in meshes)
+        assert [len(order) for order in orders] == [25]
+        assert capflow.forms.vertex_order(topology) is orders[0]
+        for build in (capflow.forms._saddle_pattern, capflow.ale._extension_pattern):
+            vertex = topology.memo(build).free % topology.num_nodes
+            runs = vertex[np.diff(vertex, prepend=-1) != 0]
+            assert np.array_equal(runs, orders[0][np.isin(orders[0], vertex)])
 
     def test_mass_action_once_per_field_and_band_layout_once_per_pattern(self, monkeypatch):
         # an N-step run has N + 1 velocity fields: each field's mass action

@@ -61,6 +61,15 @@ class TestBuild:
         assert all(a.dtype == np.int64 and not a.flags.writeable for a in own)
         assert topology.boundary_edges is not edges
 
+    def test_mesh_leaves_the_callers_nodes_alone(self):
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        n = mesh.nodes.copy()
+        m = AxiMesh(nodes=n, topology=mesh.topology, radius=mesh.radius)
+        assert n.flags.writeable
+        assert m.nodes is not n and not m.nodes.flags.writeable
+        n[0, 1] = 0.5           # the caller may still edit its array; the mesh keeps its copy
+        assert m.nodes[0, 1] == mesh.nodes[0, 1]
+
     def test_node_count_must_match_the_topology(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         for nodes in (mesh.nodes[:-1], np.vstack((mesh.nodes, mesh.nodes[-1:]))):

@@ -14,8 +14,15 @@ def load(name):
     return module
 
 
-def test_fill_report_loads():
-    assert callable(load("fill_report").report)
+def test_fill_report_reports_the_band():
+    fill_report = load("fill_report")
+    fill_report.REPEATS = 1
+    grid, n, nnz, kl, ku, pivoted, ms = fill_report.report(4, 8).split()
+    assert grid == "4x8"
+    assert int(n) > 0 and int(nnz) > int(n)
+    assert 0 < int(kl) == int(ku) < int(n)
+    assert 0.0 <= float(pivoted) <= 100.0
+    assert math.isfinite(float(ms)) and float(ms) >= 0.0
 
 
 def test_step_profile_times_every_phase():

@@ -36,7 +36,7 @@ def wrap_system(mesh, matrix, rhs):
     full[2 * n:, 2 * n:] = sp.eye(n, format="lil")
     b = np.zeros(3 * n)
     b[:len(rhs)] = rhs
-    free = mesh.topology.free_dofs
+    free = np.setdiff1d(np.arange(3 * n), mesh.radial_constrained_nodes)
     return system_of(full.tocsr()[np.ix_(free, free)].tocsc(), rhs=b[free],
                      free=free, mesh=mesh)
 
