@@ -3,20 +3,24 @@
 
 For each grid, advances the controlled test-case-1 refill three slabs and
 times the phases of the fourth on their own: the mesh-velocity extension
-(ALE), the mesh displacement, the element geometry, each element kernel,
-the whole saddle assembly, the fill, the banded factorization, the state
-solve and the bottom-load solve of the control gradient, then the whole
-step, and last the VTK snapshot of the state into a temporary directory.
-Each figure is the minimum over REPEATS calls, in ms.  The mass action row
-calls the uncached builder; the assembly and step rows find the mass action
-of the old velocity already computed, as a step after a previous one does,
-and the assembly row works on a new mesh each call, as a step does.  Pin
-BLAS to one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
+(ALE), the mesh displacement, the element geometry, the radial table (built
+once per run), each element kernel, the whole saddle assembly, the fill, the
+banded factorization, the state solve and the bottom-load solve of the
+control gradient, then the whole step, and last the VTK snapshot of the
+state into a temporary directory.  Each figure is the minimum over REPEATS
+calls, in ms.  The mass action row calls the uncached builder; the assembly
+and step rows find the mass action of the old velocity already computed, as
+a step after a previous one does, and the assembly row works on a new mesh
+each call, as a step does.  The last line is the median number of minor page
+faults per step (ru_minflt) over a FAULT_STEPS-step controlled run of each
+grid, counted between the run's per-step callbacks.  Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1) for comparable times.
 
     PYTHONPATH=src python scripts/step_profile.py
 """
 
 import platform
+import resource
 import tempfile
 import time
 from dataclasses import replace
@@ -30,6 +34,7 @@ from capflow.acceptance import tc1_config
 from capflow.adjoint import solve_bottom_sensitivity
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
+from capflow.control import run_instantaneous_control
 from capflow.geometry import contact_line_height, displace_mesh
 from capflow.stepping import initial_state, step
 from capflow.writers import write_vtk_snapshot
@@ -37,6 +42,7 @@ from capflow.writers import write_vtk_snapshot
 GRIDS = ((16, 32), (32, 64))    # N1 x N3
 REPEATS = 20                    # calls per phase; the minimum is reported
 ZETA = 1e-4                     # bottom control stress held over the slabs
+FAULT_STEPS = 20                # steps of the run whose page faults are counted
 
 
 def best_ms(fn, prepare=None):
@@ -62,13 +68,14 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     mesh_new = displace_mesh(mesh, V, num.dt)
     ed = forms.element_data(mesh_new)
     uv, Vv = u.values, V.values
+    grads = forms._gradient_products(ed)
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
     lu = forms.factorize(system)
     u_new, _, _ = forms.solve(system, lu)
     mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
-    vals, _ = pattern.values()
+    _, vals, _ = pattern.values()
     vals[:] = 1.0
 
     def fresh_mesh(_=None):
@@ -79,13 +86,13 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
-        ("  viscous block", best_ms(lambda _: forms._viscous_block(ed, phys.nu))),
-        ("  mass block", best_ms(lambda _: forms._mass_block(ed))),
-        ("  transport block", best_ms(lambda _: forms._transport_block(ed, uv, Vv))),
-        ("  divergence stab block", best_ms(lambda _: forms._divergence_stab_block(ed, uv))),
+        ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh_new))),
+        ("  gradient products", best_ms(lambda _: forms._gradient_products(ed))),
+        ("  viscous block", best_ms(lambda _: forms._viscous_block(ed, phys.nu, grads))),
+        ("  momentum block", best_ms(lambda _: forms._momentum_block(ed, uv, Vv, num.dt))),
         ("  coupling block", best_ms(lambda _: forms._coupling_block(ed))),
-        ("  r-stiffness block", best_ms(lambda _: forms._r_stiffness_block(ed))),
-        ("  pressure stab block", best_ms(lambda _: forms._pressure_stab_block(ed, num.Cs))),
+        ("  pressure stab block",
+         best_ms(lambda _: forms._pressure_stab_block(ed, num.Cs, grads[2]))),
         ("  wall friction block", best_ms(lambda _: forms._wall_friction_block(mesh_new, beta))),
         ("  surface flux block", best_ms(lambda _: forms._surface_flux_block(mesh_new, uv, Vv))),
         ("  surface stab block", best_ms(lambda _: forms._surface_stab_block(mesh_new, phys))),
@@ -93,7 +100,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("  load vector", best_ms(lambda _: forms.rhs_F(mesh_new, ZETA, phys))),
         ("assembly (fresh mesh)", best_ms(
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
-        ("  fill", best_ms(lambda _: pattern.fill(vals))),
+        ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
         ("state solve", best_ms(lambda _: forms.solve(system, lu))),
         ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(system, lu, mass_u))),
@@ -109,6 +116,20 @@ def snapshot_ms(state) -> float:
         return best_ms(lambda _: write_vtk_snapshot(state, path))
 
 
+def faults_per_step(n1: int, n3: int) -> float:
+    """Median minor page faults per step of a FAULT_STEPS-step controlled run."""
+    cfg = replace(tc1_config(), N1=n1, N3=n3)
+    phys, num = phys_params(cfg), replace(num_params(cfg), T=FAULT_STEPS * cfg.dt)
+    faults = []
+
+    def count(n, state):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    run_instantaneous_control(phys, num, cfg.radius, cfg.init_height, controlled=True,
+                              snapshot_cb=count)
+    return float(np.median(np.diff(faults)))
+
+
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls, ms")
@@ -116,6 +137,8 @@ def main() -> None:
     print(f"{'phase':<26}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
     for i, (name, _) in enumerate(columns[0]):
         print(f"{name:<26}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
+    print(f"{'minor faults / step':<26}"
+          + "".join(f"{faults_per_step(n1, n3):>10.0f}" for n1, n3 in GRIDS))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fields import VectorFieldP1
-from .forms import (FixedPattern, LinearSystem, _r_stiffness_block, element_data, factorize,
+from .forms import (FixedPattern, LinearSystem, _gradient_products, element_data, factorize,
                     gated_solve, in_vertex_order)
 from .geometry import AxiMesh, MeshTopology, surface_slopes
 
@@ -44,11 +44,12 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     g[snodes] = u.values[snodes, 1] - slopes * u.values[snodes, 0]
 
     ed = element_data(mesh)
-    stiffness = _r_stiffness_block(ed)
     pattern = mesh.topology.memo(_extension_pattern)
+    data, vals, (stiffness,) = pattern.values()
+    stiffness[:] = _gradient_products(ed)[2]
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
                          weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
-    system = LinearSystem(pattern=pattern, matrix=pattern.fill(stiffness.ravel()),
+    system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals),
                           rhs=-lifted[pattern.free], mesh=mesh)
     x, residual = gated_solve(system, factorize(system), system.rhs, "mesh-velocity")
 

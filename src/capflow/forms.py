@@ -25,13 +25,21 @@ weighted at the quadrature points, integral of w N_i N_j, is one
 on edges).  Field values at the points, and the moments integral of
 r w N_i, are (M, 3) @ (3, 3) matmuls with the basis table.  Per-element
 outer products x_i y_j are one elementwise product of gathered columns, and
-the transport block is two of them: the moments of (w - V)_r and (w - V)_z
-times the constant gradients.  Geometry every kernel reads (r-weighted
-quadrature weights, 1/r at the points, the integral of r) is computed once
-per mesh in :class:`ElementData`, and the mass action (:func:`mass_action`)
-once per velocity field, where the objective and gradient of step n and the
-assembly of step n+1 meet; it is read-only.  The r-weighted stiffness is
-not kept per mesh: held from step n's pressure stabilization to step n+1's
+the advection block is two of them: the moments of (w - V)_r and (w - V)_z
+times the constant gradients.
+
+Each element tensor splits into a part that depends on the radii alone and
+a small geometric part that changes with z (Kirby & Logg 2006, ACM TOMS
+32(3)).  Mesh motion is vertical, so the first part, the
+:class:`RadialTable`, is computed once per topology and radii and shared by
+every mesh of a run: r and 1/r at the points, the r-differences that give
+dN/dz, the z rows of the coupling block, the hoop block per unit area and
+the dN/dz products times the area.  What changes with z (the area, dN/dr,
+the r-weighted quadrature weights) is computed once per mesh in
+:class:`ElementData`, and the mass action (:func:`mass_action`) once per
+velocity field, where the objective and gradient of step n and the assembly
+of step n+1 meet; it is read-only.  The r-weighted stiffness is not kept
+per mesh: held from step n's pressure stabilization to step n+1's
 mesh-velocity extension, it raised the 32x64 peak resident memory by about
 4 MiB to save 0.2 ms per step.
 """
@@ -48,7 +56,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
 from .geometry import (AxiMesh, BoundaryTag, EdgeGeometry, MeshTopology, contact_line_height,
-                       edge_geometry, surface_edges, surface_normals)
+                       edge_geometry, radial_differences, surface_edges, surface_normals)
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -58,6 +66,8 @@ _QBASIS = np.array([
 ])
 # basis products at each point: _QQ[q, 3 i + j] = _QBASIS[q, i] * _QBASIS[q, j]
 _QQ = (_QBASIS[:, :, None] * _QBASIS[:, None, :]).reshape(3, 9)
+# integral of N_i N_j over a triangle per unit area: 1/6 on the diagonal, 1/12 off it
+_NN = _QBASIS.T @ _QBASIS / 3.0
 # (i, j) of entry 3 i + j of a flattened 3 x 3 block
 _ROW, _COL = np.divmod(np.arange(9), 3)
 # x @ _ONES sums the rows of an (M, 3) array, faster than a short-axis sum
@@ -70,17 +80,55 @@ _EDGE_BB = (_EDGE_BASIS[:, :, None] * _EDGE_BASIS[:, None, :]).reshape(2, 4)
 
 
 @dataclass(frozen=True)
-class ElementData:
-    """Per-triangle geometry reused by every volume form."""
+class RadialTable:
+    """The parts of the volume kernels that depend on the node radii alone,
+    computed once per topology and radii (see :func:`radial_table`); read-only.
+    A is a triangle's signed area."""
 
-    tri: np.ndarray      # (M, 3) vertex indices
-    area: np.ndarray     # (M,)
-    grad: np.ndarray     # (M, 3, 2) constant P1 gradients (d/dr, d/dz)
-    wq: np.ndarray       # (M,) quadrature weight area/3
-    wr: np.ndarray       # (M, 3) r-weighted quadrature weight: wq times r at each point
-    r_int: np.ndarray    # (M,) integral of r over the element
-    inv_r: np.ndarray    # (M, 3) 1/r at quadrature points, 0 on the axis
-    on_axis: np.ndarray  # (M, 3) points within 1e-14 radius of the axis: 1/r terms skipped
+    rq: np.ndarray          # (M, 3) r at the quadrature points
+    inv_r: np.ndarray       # (M, 3) 1/r at the points, 0 on the axis
+    on_axis: np.ndarray     # (M, 3) points within 1e-14 radius of the axis: 1/r terms skipped
+    dr: np.ndarray          # (M, 3) r_{i+2} - r_{i+1}: dN_i/dz = dr_i / 2A
+    rn: np.ndarray          # (M, 3) integral of r N_j over the element, per unit area
+    hoop: np.ndarray        # (M, 9) integral of N_i N_j / r, per unit area
+    zz: np.ndarray          # (M, 3, 3) integral of r dN_i/dz dN_j/dz, times A
+    coupling_z: np.ndarray  # (M, 3, 3) -integral of r dN_i/dz N_j, the z rows of the coupling
+
+
+def radial_table(mesh: AxiMesh) -> RadialTable:
+    """The radial table of mesh's topology and radii, shared by every mesh a
+    run reaches."""
+    return mesh.radial_memo(_radial_table)
+
+
+def _radial_table(mesh: AxiMesh) -> RadialTable:
+    rq = mesh.nodes[:, 0][mesh.triangles] @ _QBASIS.T
+    on_axis = rq <= 1e-14 * mesh.radius
+    inv_r = np.where(on_axis, 0.0, 1.0 / np.where(on_axis, 1.0, rq))
+    dr = radial_differences(mesh)
+    rn = (rq @ _QBASIS) / 3.0
+    r_mean = (rq @ _ONES) / 3.0
+    table = RadialTable(rq=rq, inv_r=inv_r, on_axis=on_axis, dr=dr, rn=rn,
+                        hoop=(inv_r @ _QQ) / 3.0,
+                        zz=_outer(dr, dr) * (0.25 * r_mean)[:, None, None],
+                        coupling_z=-0.5 * _outer(dr, rn))
+    for a in vars(table).values():
+        a.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True)
+class ElementData:
+    """Per-triangle geometry reused by every volume form: what changes with z,
+    and the mesh's :class:`RadialTable`."""
+
+    tri: np.ndarray         # (M, 3) vertex indices
+    area: np.ndarray        # (M,)
+    grad_r: np.ndarray      # (M, 3) constant dN_i/dr
+    grad_z: np.ndarray      # (M, 3) constant dN_i/dz
+    wr: np.ndarray          # (M, 3) r-weighted quadrature weight: area/3 times r at each point
+    r_int: np.ndarray       # (M,) integral of r over the element
+    radial: RadialTable
 
 
 def element_data(mesh: AxiMesh) -> ElementData:
@@ -90,24 +138,14 @@ def element_data(mesh: AxiMesh) -> ElementData:
 
 def _element_data(mesh: AxiMesh) -> ElementData:
     tri = mesh.triangles
-    p = mesh.nodes[tri]                      # (M, 3, 2)
-    r, z = p[..., 0], p[..., 1]
+    table = radial_table(mesh)
+    z = mesh.nodes[:, 1][tri]
     area = mesh.areas
-    inv2a = 1.0 / (2.0 * area)
-    grad = np.empty((len(tri), 3, 2))
-    grad[:, 0, 0] = (z[:, 1] - z[:, 2]) * inv2a
-    grad[:, 1, 0] = (z[:, 2] - z[:, 0]) * inv2a
-    grad[:, 2, 0] = (z[:, 0] - z[:, 1]) * inv2a
-    grad[:, 0, 1] = (r[:, 2] - r[:, 1]) * inv2a
-    grad[:, 1, 1] = (r[:, 0] - r[:, 2]) * inv2a
-    grad[:, 2, 1] = (r[:, 1] - r[:, 0]) * inv2a
-    rq = r @ _QBASIS.T
-    wq = area / 3.0
-    wr = wq[:, None] * rq
-    on_axis = rq <= 1e-14 * mesh.radius
-    inv_r = np.where(on_axis, 0.0, 1.0 / np.where(on_axis, 1.0, rq))
-    return ElementData(tri=tri, area=area, grad=grad, wq=wq, wr=wr,
-                       r_int=wr[:, 0] + wr[:, 1] + wr[:, 2], inv_r=inv_r, on_axis=on_axis)
+    inv2a = (1.0 / (2.0 * area))[:, None]
+    wr = (area / 3.0)[:, None] * table.rq
+    return ElementData(tri=tri, area=area, grad_r=(z[:, [1, 2, 0]] - z[:, [2, 0, 1]]) * inv2a,
+                       grad_z=table.dr * inv2a, wr=wr, r_int=wr[:, 0] + wr[:, 1] + wr[:, 2],
+                       radial=table)
 
 
 def _gauss_radii(geom: EdgeGeometry) -> np.ndarray:
@@ -157,18 +195,27 @@ def _mass_block(ed: ElementData, weight_q: np.ndarray | None = None) -> np.ndarr
     return _quad_block(ed.wr if weight_q is None else ed.wr * weight_q)
 
 
-def _viscous_block(ed: ElementData, nu: float) -> np.ndarray:
-    """(M, 6, 6) rate-of-strain blocks, with the hoop term 2 nu u_r v_r / r."""
-    b = ed.grad[:, :, 0]
-    c = ed.grad[:, :, 1]
-    bb, cc, cb = _outer(b, b), _outer(c, c), _outer(c, b)
-    scale = nu * ed.r_int[:, None, None]
-    hoop = 2.0 * nu * _quad_block(ed.wq[:, None] * ed.inv_r)
+def _gradient_products(ed: ElementData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rr, zz, rr + zz), (M, 3, 3) blocks of integral r dN_i/dr dN_j/dr, of
+    integral r dN_i/dz dN_j/dz (the radial table's over the area) and of
+    integral r grad N_i . grad N_j: the r-weighted stiffness that the pressure
+    stabilization and the mesh-velocity extension read, which the viscous
+    block shares."""
+    rr = _outer(ed.grad_r, ed.grad_r) * ed.r_int[:, None, None]
+    zz = ed.radial.zz / ed.area[:, None, None]
+    return rr, zz, rr + zz
+
+
+def _viscous_block(ed: ElementData, nu: float, grads: tuple) -> np.ndarray:
+    """(M, 6, 6) rate-of-strain blocks, with the hoop term 2 nu u_r v_r / r;
+    grads is :func:`_gradient_products` (ed)."""
+    rr, zz, stiffness = grads
+    hoop = ((2.0 * nu) * ed.area[:, None] * ed.radial.hoop).reshape(-1, 3, 3)
     E = np.empty((len(ed.tri), 6, 6))
-    E[:, :3, :3] = (2.0 * bb + cc) * scale + hoop
-    E[:, :3, 3:] = cb * scale
+    E[:, :3, :3] = nu * (stiffness + rr) + hoop
+    E[:, :3, 3:] = _outer(ed.grad_z, ed.grad_r) * (nu * ed.r_int)[:, None, None]
     E[:, 3:, :3] = E[:, :3, 3:].transpose(0, 2, 1)
-    E[:, 3:, 3:] = (2.0 * cc + bb) * scale
+    E[:, 3:, 3:] = nu * (stiffness + zz)
     return E
 
 
@@ -181,12 +228,10 @@ def _wall_friction_block(mesh: AxiMesh, beta: float) -> np.ndarray:
 
 def _coupling_block(ed: ElementData) -> np.ndarray:
     """(M, 6, 3) blocks of -(div v, pi) r: velocity dofs by pressure dofs."""
-    # r-component: -(b_i r + N_i) N_j ; z-component: -c_i r N_j
-    rn = ed.wr @ _QBASIS                                  # (M, 3): integral r N_j
+    # r-component: -(dN_i/dr r + N_i) N_j ; z-component: -dN_i/dz r N_j, from the table
     E = np.empty((len(ed.tri), 6, 3))
-    E[:, :3, :] = -_outer(ed.grad[:, :, 0], rn)
-    E[:, :3, :] -= ed.wq[:, None, None] * (_QBASIS.T @ _QBASIS)
-    E[:, 3:, :] = -_outer(ed.grad[:, :, 1], rn)
+    E[:, :3, :] = -(_outer(ed.grad_r, ed.radial.rn) + _NN) * ed.area[:, None, None]
+    E[:, 3:, :] = ed.radial.coupling_z
     return E
 
 
@@ -197,26 +242,27 @@ def _div_at_quad(ed: ElementData, field: np.ndarray) -> np.ndarray:
     exact for fields that vanish on the axis.
     """
     vr = field[:, 0][ed.tri]                              # (M, 3) nodal values
-    dr_vr = (ed.grad[:, :, 0] * vr) @ _ONES
-    d_planar = dr_vr + (ed.grad[:, :, 1] * field[:, 1][ed.tri]) @ _ONES
-    hoop = np.where(ed.on_axis, dr_vr[:, None], (vr @ _QBASIS.T) * ed.inv_r)
+    dr_vr = (ed.grad_r * vr) @ _ONES
+    d_planar = dr_vr + (ed.grad_z * field[:, 1][ed.tri]) @ _ONES
+    hoop = np.where(ed.radial.on_axis, dr_vr[:, None], (vr @ _QBASIS.T) * ed.radial.inv_r)
     return d_planar[:, None] + hoop                       # (M, 3q)
 
 
-def _transport_block(ed: ElementData, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) nodal blocks of N_i ((w - V) . grad) N_j - div(V) N_i N_j, r-weighted.
-
-    The advection is integral r N_i (w - V)_c times the constant dc N_j,
-    summed over the components c = r, z."""
-    rel = w - V
-    adv = _outer(_moments(ed, _quad_values(ed, rel[:, 0])), ed.grad[:, :, 0]) \
-        + _outer(_moments(ed, _quad_values(ed, rel[:, 1])), ed.grad[:, :, 1])
-    return adv - _mass_block(ed, _div_at_quad(ed, V))
+def _advection_block(ed: ElementData, rel: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) nodal blocks of N_i (rel . grad) N_j, r-weighted: integral
+    r N_i rel_c times the constant dc N_j, summed over the components c = r, z."""
+    return (_outer(_moments(ed, _quad_values(ed, rel[:, 0])), ed.grad_r)
+            + _outer(_moments(ed, _quad_values(ed, rel[:, 1])), ed.grad_z))
 
 
-def _divergence_stab_block(ed: ElementData, w: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) nodal blocks of 1/2 div(w) N_i N_j, r-weighted."""
-    return 0.5 * _mass_block(ed, _div_at_quad(ed, w))
+def _momentum_block(ed: ElementData, w: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
+    """(M, 3, 3) nodal blocks, r-weighted, of the step's mass over dt, relative
+    transport and its stabilization, the part of K acting alike on u_r and u_z:
+    N_i ((w - V) . grad) N_j + (1/dt + div(w)/2 - div(V)) N_i N_j, the three
+    mass-like terms in one quadrature product; the divergence is linear, so
+    div(w)/2 - div(V) is that of w/2 - V."""
+    weight = 1.0 / dt + _div_at_quad(ed, 0.5 * w - V)
+    return _advection_block(ed, w - V) + _mass_block(ed, weight)
 
 
 def _surface_flux_block(mesh: AxiMesh, w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -245,17 +291,10 @@ def _surface_stab_block(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     return scale[:, None, None] * (coef[:, :, None] * coef[:, None, :])
 
 
-def _r_stiffness_block(ed: ElementData) -> np.ndarray:
-    """(M, 3, 3) blocks of integral r grad N_i . grad N_j, the kernel of the
-    pressure stabilization and of the mesh-velocity extension."""
-    b = ed.grad[:, :, 0]
-    c = ed.grad[:, :, 1]
-    return (_outer(b, b) + _outer(c, c)) * ed.r_int[:, None, None]
-
-
-def _pressure_stab_block(ed: ElementData, Cs: float) -> np.ndarray:
-    """(M, 3, 3) blocks of Cs h_K^2 (grad p, grad pi), r-weighted, h_K^2 = 2 |K|."""
-    return Cs * (2.0 * ed.area)[:, None, None] * _r_stiffness_block(ed)
+def _pressure_stab_block(ed: ElementData, Cs: float, stiffness: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) blocks of Cs h_K^2 (grad p, grad pi), r-weighted, h_K^2 = 2 |K|;
+    stiffness is the r-weighted stiffness of :func:`_gradient_products`."""
+    return (Cs * 2.0 * ed.area)[:, None, None] * stiffness
 
 
 def mass_action(u: VectorFieldP1) -> np.ndarray:
@@ -389,7 +428,7 @@ class FixedPattern:
     the position in its data of every local entry.
 
     Connectivity never changes, so a pattern is built once per mesh topology
-    and each fill is one bincount.  Local entries on an eliminated row or
+    and each fill is one ``np.add.at``.  Local entries on an eliminated row or
     column go to the trash slot len(indices), past the stored entries.  The
     pattern depends on no values: entries that cancel to zero stay stored.
 
@@ -441,19 +480,24 @@ class FixedPattern:
         return cls(free=free, shapes=[d.shape for d in families], slot=slot,
                    indices=indices, indptr=indptr, band=BandLayout.of(indices, indptr))
 
-    def values(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """An uninitialised flat value array for :meth:`fill`, and its (E, k, k)
-        view per family, in build order."""
+    def values(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """A zeroed data array and an uninitialised flat value array for
+        :meth:`fill`, and the value array's (E, k, k) view per family, in build
+        order.  The data array comes first, below the values and the kernel
+        temporaries on the heap: allocated after them, it kept glibc from
+        giving their pages back and raised the first step's peak memory."""
+        data = np.zeros(len(self.indices) + 1)
         vals = np.empty(len(self.slot))
         views, at = [], 0
         for e, k in self.shapes:
             views.append(vals[at:at + e * k * k].reshape(e, k, k))
             at += e * k * k
-        return vals, views
+        return data, vals, views
 
-    def fill(self, vals: np.ndarray) -> sp.csc_matrix:
-        """The reduced matrix summing the flat local values (layout of :meth:`values`)."""
-        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices) + 1)
+    def fill(self, data: np.ndarray, vals: np.ndarray) -> sp.csc_matrix:
+        """The reduced matrix summing the flat local values into data, both from
+        :meth:`values`; the sums are those of a bincount, bit for bit."""
+        np.add.at(data, self.slot, vals)
         n = len(self.free)
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 
@@ -538,23 +582,24 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     ed = element_data(mesh_new)
     u, V = u_old.values, V_old.values
     pattern = mesh_new.topology.memo(_saddle_pattern)
-    vals, (tri, wall, surface) = pattern.values()
+    data, vals, (tri, wall, surface) = pattern.values()
     # each triangle's block couples (u_r, u_z, p) of its three vertices
-    tri[:, :6, :6] = _viscous_block(ed, phys.nu)
-    diag = _mass_block(ed) / dt + _transport_block(ed, u, V) + _divergence_stab_block(ed, u)
+    grads = _gradient_products(ed)
+    tri[:, :6, :6] = _viscous_block(ed, phys.nu, grads)
+    diag = _momentum_block(ed, u, V, dt)
     tri[:, :3, :3] += diag
     tri[:, 3:6, 3:6] += diag
     coupling = _coupling_block(ed)
     tri[:, :6, 6:] = coupling
     tri[:, 6:, :6] = -coupling.transpose(0, 2, 1)
-    tri[:, 6:, 6:] = _pressure_stab_block(ed, num.Cs)
+    tri[:, 6:, 6:] = _pressure_stab_block(ed, num.Cs, grads[2])
     wall[:] = _on_both_components(_wall_friction_block(mesh_new, beta))
     surface[:] = (_on_both_components(_surface_flux_block(mesh_new, u, V))
                   + dt * _surface_stab_block(mesh_new, phys))
     n = mesh_new.num_nodes
     rhs = np.zeros(3 * n)
     rhs[:2 * n] = mass_action(u_old) / dt + rhs_F(mesh_new, zeta, phys)
-    return LinearSystem(pattern=pattern, matrix=pattern.fill(vals), rhs=rhs[pattern.free],
+    return LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs[pattern.free],
                         mesh=mesh_new)
 
 

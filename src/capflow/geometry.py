@@ -8,7 +8,9 @@ positions (and with them the wall and axis) are invariant for all time.
 
 A mesh is node positions over a :class:`MeshTopology`, which holds the
 connectivity and tags once.  Meshes are immutable; :func:`displace_mesh`
-returns a new mesh over the same topology.
+returns a new mesh over the same topology.  What depends on the topology and
+the radii alone is kept once per topology and radii
+(:meth:`AxiMesh.radial_memo`), so every mesh of a run shares it.
 """
 
 from __future__ import annotations
@@ -94,6 +96,11 @@ class MeshTopology(_Memo):
         return np.union1d(self.wall_nodes, self.axis_nodes)
 
 
+def _radial_slot(topology: MeshTopology) -> list:
+    """The topology's [radii bytes, {build: result}] for the radii last asked for."""
+    return [None, {}]
+
+
 def _on_topology(name: str) -> property:
     return property(lambda mesh: getattr(mesh.topology, name),
                     doc=f"The shared topology's ``{name}``.")
@@ -128,13 +135,31 @@ class AxiMesh(_Memo):
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    def radial_memo(self, build):
+        """build(self) on the first call with this build function and these
+        radii, its stored result after, for every mesh of the topology.
+
+        Mesh motion is vertical only, so every mesh a run reaches has the radii
+        of the first and shares what depends on the topology and the radii
+        alone; build must read nothing else.  The radii are compared byte for
+        byte (so -0.0 differs from 0.0): a mesh of the same topology with other
+        radii replaces every stored result."""
+        slot = self.topology.memo(_radial_slot)
+        radii = self.nodes[:, 0].tobytes()
+        if slot[0] != radii:
+            slot[:] = [radii, {}]
+        results = slot[1]
+        if build not in results:
+            results[build] = build(self)
+        return results[build]
+
     @cached_property
     def areas(self) -> np.ndarray:
-        """Signed triangle areas."""
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Signed triangle areas: half the sum of z_i dr_i over the vertices,
+        with dr the :func:`radial_differences`, taken relative to z_0."""
+        z = self.nodes[:, 1][self.triangles]
+        dr = radial_differences(self)
+        return 0.5 * ((z[:, 1] - z[:, 0]) * dr[:, 1] + (z[:, 2] - z[:, 0]) * dr[:, 2])
 
     triangles = _on_topology("triangles")
     boundary_edges = _on_topology("boundary_edges")
@@ -163,6 +188,20 @@ class AxiMesh(_Memo):
                 f"{int(np.sum(self.areas <= 0.0))} triangle(s) with non-positive area"
             )
         surface_normals(self)  # raises SurfaceFolded on a folded surface
+
+
+def radial_differences(mesh: AxiMesh) -> np.ndarray:
+    """(M, 3) r_{i+2} - r_{i+1} for each vertex i of each triangle, indices mod 3:
+    with A the signed area, dN_i/dz = dr_i / 2A and 2A = sum_i z_i dr_i.  Kept
+    once per topology and radii (:meth:`AxiMesh.radial_memo`); read-only."""
+    return mesh.radial_memo(_radial_differences)
+
+
+def _radial_differences(mesh: AxiMesh) -> np.ndarray:
+    r = mesh.nodes[:, 0][mesh.triangles]
+    dr = r[:, [2, 0, 1]] - r[:, [1, 2, 0]]
+    dr.setflags(write=False)
+    return dr
 
 
 def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> AxiMesh:

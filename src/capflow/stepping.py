@@ -8,10 +8,18 @@ and the finite-difference check reuse its system and factorization for
 plain solves with other right-hand sides.  Both of the step's solves, the
 mesh velocity and the state, are gated on their relative residuals, and
 the step reports both.
+
+A run frees and reallocates the same few megabytes every step (the band, the
+element blocks).  glibc's default thresholds move with allocation order: its
+trim threshold is twice the largest mmapped block freed so far, and a step
+that leaves more free space than that at the heap top gives the pages back
+and faults them in again on the next step.  :func:`initial_state` fixes both
+thresholds once (:func:`pin_heap`), so every step reuses the same pages.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 from .ale import solve_domain_velocity
@@ -55,8 +63,30 @@ class StepDiagnostics:
         return self.mesh.memo(mesh_quality)[1]
 
 
+# glibc's mallopt parameters, and the values fixed for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # blocks below it (the 32x64 band, 15.5 MiB) come from the heap
+_TRIM_THRESHOLD = 64 << 20  # free space at the heap top is kept up to it
+
+
+def pin_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds, so that they no longer follow
+    allocation order; True if both were set.  Idempotent, and a no-op where
+    the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) \
+        and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
 def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
-    """Liquid column at rest."""
+    """Liquid column at rest; pins the heap (:func:`pin_heap`) for the steps
+    that follow."""
+    pin_heap()
     mesh = build_structured_mesh(radius, height, num.N1, num.N3)
     return FlowState(mesh=mesh, u=zero_vector_field(mesh), p=zero_scalar_field(mesh), t=0.0)
 

@@ -3,25 +3,25 @@
 Both formats are bit-specified: LF line endings, '.' decimal separator,
 lowercase 'e' exponents, 17 significant digits so floats round-trip exactly.
 
-A VTK snapshot goes through one %-format template per mesh topology.  The
-template bakes in the text that is the same for every mesh a run reaches:
-the header and section lines, the node and cell counts, the ``CELLS`` and
-``CELL_TYPES`` sections and the radius column of ``POINTS``.  Radii can be
+A VTK snapshot goes through one %-format template per mesh topology and
+radii.  The template bakes in the text that is the same for every mesh a run
+reaches: the header and section lines, the node and cell counts, the
+``CELLS`` and ``CELL_TYPES`` sections and the radius column of ``POINTS``.  Radii can be
 baked in because mesh motion is vertical only (``displace_mesh`` rejects any
 radial mesh velocity).  A snapshot then formats only t, the z column, the
 velocity and the pressure, in a single % operation.  Field values are never
 baked in, not even the essential zero radial velocity on the wall and axis,
 which a field may hold as -0.0.  The template is built on the first
-snapshot and kept with the radii it bakes in, compared byte for byte (so
--0.0 differs from 0.0); a mesh of the same topology with other radii
-replaces it.
+snapshot and kept by :meth:`~capflow.geometry.AxiMesh.radial_memo`, the
+per-topology memo keyed by the radii bytes that the element kernels' radial
+table shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import AxiMesh, MeshTopology
+from .geometry import AxiMesh
 from .stepping import FlowState
 
 CSV_HEADER = "t,Z_CL,zeta,J_increment,grad,u_max"
@@ -69,27 +69,11 @@ def _snapshot_template(mesh: AxiMesh) -> str:
     ))
 
 
-def _template_slot(topology: MeshTopology) -> list:
-    """Holds the topology's one (radii bytes, template) pair, or None."""
-    return [None]
-
-
-def _template(mesh: AxiMesh) -> str:
-    """The snapshot template of the mesh, rebuilt when its radii differ bit
-    for bit from those baked into the topology's current one."""
-    slot = mesh.topology.memo(_template_slot)
-    radii = mesh.nodes[:, 0].tobytes()
-    entry = slot[0]
-    if entry is None or entry[0] != radii:
-        entry = slot[0] = (radii, _snapshot_template(mesh))
-    return entry[1]
-
-
 def write_vtk_snapshot(state: FlowState, path) -> None:
     """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid."""
     mesh = state.mesh
     values = np.concatenate(((float(state.t),), mesh.nodes[:, 1],
                              state.u.values.ravel(), state.p.values))
-    text = _template(mesh) % tuple(values.tolist())
+    text = mesh.radial_memo(_snapshot_template) % tuple(values.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)

@@ -126,6 +126,17 @@ def test_patterns_number_dofs_vertex_by_vertex(pattern_of, components):
     assert np.array_equal(vertex[starts], order[np.isin(order, vertex)])
 
 
+def test_fill_sums_like_bincount():
+    """The fill adds each local value into its slot in order, as a bincount
+    does, bit for bit."""
+    mesh = build_structured_mesh(1.0, 1.0, 3, 4)
+    pattern = mesh.topology.memo(_saddle_pattern)
+    data, vals, _ = pattern.values()
+    vals[:] = np.random.default_rng(5).standard_normal(len(vals))
+    reference = np.bincount(pattern.slot, weights=vals, minlength=len(pattern.indices) + 1)
+    assert np.array_equal(pattern.fill(data, vals).data, reference[:-1])
+
+
 def test_build_keeps_the_callers_dof_order():
     mesh = build_structured_mesh(1.0, 1.0, 3, 4)
     n = mesh.num_nodes
@@ -136,9 +147,9 @@ def test_build_keeps_the_callers_dof_order():
     for dofs in (free, shuffled):
         pattern = FixedPattern.build([mesh.triangles], dofs, n)
         assert pattern.free is dofs
-        vals, (view,) = pattern.values()
+        data, vals, (view,) = pattern.values()
         view[:] = blocks
-        matrices.append(pattern.fill(vals).toarray())
+        matrices.append(pattern.fill(data, vals).toarray())
     # row and column k of a fill are the dof free[k]
     sorted_matrix, shuffled_matrix = matrices
     at = np.searchsorted(free, shuffled)

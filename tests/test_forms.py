@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import beta_h, bottom_load_vector, gravity_load, rhs_F, surface_tension_load
-from capflow.geometry import BoundaryTag, build_structured_mesh
+from capflow.forms import (_QBASIS, _QQ, _coupling_block, _gradient_products, _viscous_block,
+                           beta_h, bottom_load_vector, element_data, gravity_load, radial_table,
+                           rhs_F, surface_tension_load)
+from capflow.geometry import AxiMesh, BoundaryTag, build_structured_mesh, displace_mesh
+from capflow.writers import _snapshot_template
 
 from . import oracles
 from .conftest import perturbed_mesh, random_vector_field, two_triangle_mesh
@@ -253,3 +256,96 @@ class TestSymmetryPositivity:
         a1 = form_c_ALE(mesh, w, v)
         a2 = form_c_ALE(mesh, w, v)
         assert np.array_equal(a1.toarray(), a2.toarray())
+
+
+def direct_element_data(mesh):
+    """Area, gradients, r-weighted weights, r at the points and 1/r, and the
+    viscous and coupling blocks, straight from the node positions."""
+    p = mesh.nodes[mesh.triangles]
+    r, z = p[..., 0], p[..., 1]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    b = (z[:, [1, 2, 0]] - z[:, [2, 0, 1]]) / (2.0 * area[:, None])
+    c = (r[:, [2, 0, 1]] - r[:, [1, 2, 0]]) / (2.0 * area[:, None])
+    rq = r @ _QBASIS.T
+    wq = area / 3.0
+    wr = wq[:, None] * rq
+    r_int = wr.sum(axis=1)
+    on_axis = rq <= 1e-14 * mesh.radius
+    inv_r = np.where(on_axis, 0.0, 1.0 / np.where(on_axis, 1.0, rq))
+    outer = lambda x, y: x[:, :, None] * y[:, None, :]      # noqa: E731
+    nu = PHYS.nu
+    viscous = np.zeros((len(area), 6, 6))
+    viscous[:, :3, :3] = nu * r_int[:, None, None] * (2 * outer(b, b) + outer(c, c)) \
+        + 2 * nu * ((wq[:, None] * inv_r) @ _QQ).reshape(-1, 3, 3)
+    viscous[:, :3, 3:] = nu * r_int[:, None, None] * outer(c, b)
+    viscous[:, 3:, :3] = viscous[:, :3, 3:].transpose(0, 2, 1)
+    viscous[:, 3:, 3:] = nu * r_int[:, None, None] * (2 * outer(c, c) + outer(b, b))
+    rn = wr @ _QBASIS
+    coupling = np.zeros((len(area), 6, 3))
+    coupling[:, :3] = -outer(b, rn) - wq[:, None, None] * (_QBASIS.T @ _QBASIS)
+    coupling[:, 3:] = -outer(c, rn)
+    return dict(area=area, grad_r=b, grad_z=c, wr=wr, r_int=r_int, rq=rq, inv_r=inv_r,
+                on_axis=on_axis, viscous=viscous, coupling=coupling)
+
+
+def assert_direct_formulas(mesh):
+    """element_data(mesh), its radial table and the kernels that read the table
+    equal the direct formulas to 1e-14 relative."""
+    ed = element_data(mesh)
+    t = ed.radial
+    ours = dict(area=ed.area, grad_r=ed.grad_r, grad_z=ed.grad_z, wr=ed.wr, r_int=ed.r_int,
+                rq=t.rq, inv_r=t.inv_r, on_axis=t.on_axis,
+                viscous=_viscous_block(ed, PHYS.nu, _gradient_products(ed)),
+                coupling=_coupling_block(ed))
+    for key, want in direct_element_data(mesh).items():
+        if want.dtype == bool:
+            assert np.array_equal(ours[key], want), key
+        else:
+            assert np.abs(ours[key] - want).max() <= 1e-14 * np.abs(want).max(), key
+
+
+def other_radii(mesh):
+    """A mesh of mesh's topology with one interior node moved radially."""
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.num_nodes), np.concatenate(
+        (mesh.radial_constrained_nodes, mesh.bottom_nodes, mesh.surface_nodes)))
+    nodes[interior[0], 0] += 0.02
+    return AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+
+
+class TestRadialTable:
+    """The radial table is built for the first mesh of a topology and radii,
+    and every later mesh of them reads it."""
+
+    def test_displaced_mesh_matches_the_direct_formulas(self):
+        mesh = perturbed_mesh(seed=11)
+        table = radial_table(mesh)
+        element_data(mesh)
+        vals = np.zeros((mesh.num_nodes, 2))
+        vals[:, 1] = 0.4 * mesh.nodes[:, 1] ** 2 - 0.2 * mesh.nodes[:, 0] * mesh.nodes[:, 1]
+        for moved in (displace_mesh(mesh, VectorFieldP1(vals, mesh), dt) for dt in (0.5, -0.3)):
+            assert element_data(moved).radial is table
+            assert_direct_formulas(moved)
+
+    def test_other_radii_rebuild_the_table(self):
+        mesh = perturbed_mesh(seed=11)
+        table, template = radial_table(mesh), mesh.radial_memo(_snapshot_template)
+        other = other_radii(mesh)
+        assert other.topology is mesh.topology
+        # one memo, keyed by the radii bytes, holds the table and the VTK template
+        assert radial_table(other) is not table
+        assert other.radial_memo(_snapshot_template) != template
+        assert_direct_formulas(other)
+        # -0.0 on the axis is other radii, bit for bit
+        nodes = mesh.nodes.copy()
+        nodes[mesh.axis_nodes[1], 0] = -0.0
+        signed = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+        assert radial_table(signed) is not radial_table(mesh)
+
+    def test_table_is_read_only(self):
+        table = radial_table(perturbed_mesh(seed=11))
+        for name, a in vars(table).items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0

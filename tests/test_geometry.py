@@ -7,7 +7,7 @@ from capflow.errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallVi
 from capflow.fields import VectorFieldP1
 from capflow.geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                               contact_line_height, displace_mesh, mesh_quality,
-                              surface_edges, surface_normals)
+                              radial_differences, surface_edges, surface_normals)
 
 from .conftest import perturbed_mesh, two_triangle_mesh
 
@@ -142,6 +142,20 @@ class TestDisplace:
         there = displace_mesh(mesh, V, 0.3)
         back = displace_mesh(there, VectorFieldP1(vals, there), -0.3)
         assert np.allclose(back.nodes, mesh.nodes, rtol=1e-14, atol=1e-16)
+
+    def test_areas_of_a_displaced_mesh_match_the_cross_product(self):
+        # the areas read the radial differences kept for the first mesh
+        mesh = perturbed_mesh(seed=8)
+        dr = radial_differences(mesh)
+        vals = np.zeros((mesh.num_nodes, 2))
+        vals[:, 1] = 0.3 * mesh.nodes[:, 1] ** 2 + 0.1 * mesh.nodes[:, 0] * mesh.nodes[:, 1]
+        moved = displace_mesh(mesh, VectorFieldP1(vals, mesh), 0.7)
+        assert radial_differences(moved) is dr
+        p = moved.nodes[moved.triangles]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        cross = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        assert np.abs(moved.areas - cross).max() <= 1e-14 * np.abs(cross).max()
+        assert not np.allclose(moved.areas, mesh.areas)
 
     def test_wall_violation_detected_on_construction(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)

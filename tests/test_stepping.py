@@ -1,10 +1,13 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+import capflow.stepping
 from capflow.fields import NumParams, PhysParams
 from capflow.forms import bottom_load_vector, _flatten
 from capflow.geometry import mesh_quality
-from capflow.stepping import initial_state, step
+from capflow.stepping import initial_state, pin_heap, step
 
 
 def _volume(mesh):
@@ -96,3 +99,23 @@ def test_stability_over_full_run():
         assert np.all(state.mesh.nodes[state.mesh.bottom_nodes, 1] == 0.0)
         assert np.all(state.mesh.nodes[state.mesh.axis_nodes, 0] == 0.0)
     assert state.t == pytest.approx(0.2)
+
+
+def test_pin_heap_is_idempotent():
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    assert pin_heap() is True
+    assert pin_heap() is True
+
+
+@pytest.mark.parametrize("libc", ["raises", "no mallopt"])
+def test_pin_heap_is_a_no_op_without_mallopt(monkeypatch, libc):
+    def cdll(name):
+        if libc == "raises":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(capflow.stepping.ctypes, "CDLL", cdll)
+    assert pin_heap() is False
+    _, num = tc1_params()
+    assert initial_state(5e-4, 5e-5, num).t == 0.0
