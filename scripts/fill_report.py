@@ -2,11 +2,11 @@
 """The band of the saddle system on refined grids, and its factorization.
 
 For each grid, takes the second slab of the uncontrolled test-case-1 refill
-and fills the band of its reduced saddle matrix the way ``forms.factorize``
-does, in the pattern's vertex-by-vertex reverse Cuthill-McKee order.  Prints
-the number of reduced dofs, the stored entries, the band's kl and ku, the
-share of columns where dgbtrf's partial pivoting swapped rows, and the median
-time of the dgbtrf call alone.  Pin BLAS to one thread
+and fills the band of its reduced saddle matrix with ``forms.band_storage``,
+as ``forms.factorize`` does, in the pattern's vertex-by-vertex reverse
+Cuthill-McKee order.  Prints the number of reduced dofs, the stored entries,
+the band's kl and ku, the share of columns where dgbtrf's partial pivoting
+swapped rows, and the median time of the dgbtrf call alone.  Pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1) for comparable times.
 
     PYTHONPATH=src python scripts/fill_report.py
@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dgbtrf
 
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
+from capflow.forms import band_storage
 from capflow.stepping import initial_state, step
 
 GRIDS = ((16, 32), (32, 64), (64, 128))   # N1 x N3
@@ -37,8 +38,7 @@ def report(n1: int, n3: int) -> str:
     del lu
     matrix, band = system.matrix, system.pattern.band
     n = matrix.shape[0]
-    ab = np.bincount(band.position, weights=matrix.data,
-                     minlength=band.ldab * n).reshape((band.ldab, n), order="F")
+    ab = band_storage(system)
     times = []
     for _ in range(REPEATS):
         work = ab.copy(order="F")

@@ -86,7 +86,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
-        ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh_new))),
+        ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
         ("  gradient products", best_ms(lambda _: forms._gradient_products(ed))),
         ("  viscous block", best_ms(lambda _: forms._viscous_block(ed, phys.nu, grads))),
         ("  momentum block", best_ms(lambda _: forms._momentum_block(ed, uv, Vv, num.dt))),

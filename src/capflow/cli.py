@@ -88,7 +88,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_verify()
-    except CapflowError as exc:
+    except (CapflowError, OSError) as exc:     # OSError: creating or writing the outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

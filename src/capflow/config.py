@@ -111,9 +111,10 @@ def serialize_config(cfg: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def phys_params(cfg: RunConfig) -> PhysParams:

@@ -30,11 +30,11 @@ times the constant gradients.
 
 Each element tensor splits into a part that depends on the radii alone and
 a small geometric part that changes with z (Kirby & Logg 2006, ACM TOMS
-32(3)).  Mesh motion is vertical, so the first part, the
-:class:`RadialTable`, is computed once per topology and radii and shared by
-every mesh of a run: r and 1/r at the points, the r-differences that give
-dN/dz, the z rows of the coupling block, the hoop block per unit area and
-the dN/dz products times the area.  What changes with z (the area, dN/dr,
+32(3)).  Mesh motion is vertical, so the radii live on the mesh topology and
+the first part, the :class:`RadialTable`, is computed once per topology and
+shared by every mesh of a run: r and 1/r at the points, the r-differences
+that give dN/dz, the z rows of the coupling block, the hoop block per unit
+area and the dN/dz products times the area.  What changes with z (the area, dN/dr,
 the r-weighted quadrature weights) is computed once per mesh in
 :class:`ElementData`, and the mass action (:func:`mass_action`) once per
 velocity field, where the objective and gradient of step n and the assembly
@@ -82,7 +82,7 @@ _EDGE_BB = (_EDGE_BASIS[:, :, None] * _EDGE_BASIS[:, None, :]).reshape(2, 4)
 @dataclass(frozen=True)
 class RadialTable:
     """The parts of the volume kernels that depend on the node radii alone,
-    computed once per topology and radii (see :func:`radial_table`); read-only.
+    computed once per topology (see :func:`radial_table`); read-only.
     A is a triangle's signed area."""
 
     rq: np.ndarray          # (M, 3) r at the quadrature points
@@ -95,17 +95,16 @@ class RadialTable:
     coupling_z: np.ndarray  # (M, 3, 3) -integral of r dN_i/dz N_j, the z rows of the coupling
 
 
-def radial_table(mesh: AxiMesh) -> RadialTable:
-    """The radial table of mesh's topology and radii, shared by every mesh a
-    run reaches."""
-    return mesh.radial_memo(_radial_table)
+def radial_table(topology: MeshTopology) -> RadialTable:
+    """The radial table of topology, shared by every mesh a run reaches."""
+    return topology.memo(_radial_table)
 
 
-def _radial_table(mesh: AxiMesh) -> RadialTable:
-    rq = mesh.nodes[:, 0][mesh.triangles] @ _QBASIS.T
-    on_axis = rq <= 1e-14 * mesh.radius
+def _radial_table(topology: MeshTopology) -> RadialTable:
+    rq = topology.radii[topology.triangles] @ _QBASIS.T
+    on_axis = rq <= 1e-14 * topology.radius
     inv_r = np.where(on_axis, 0.0, 1.0 / np.where(on_axis, 1.0, rq))
-    dr = radial_differences(mesh)
+    dr = radial_differences(topology)
     rn = (rq @ _QBASIS) / 3.0
     r_mean = (rq @ _ONES) / 3.0
     table = RadialTable(rq=rq, inv_r=inv_r, on_axis=on_axis, dr=dr, rn=rn,
@@ -138,8 +137,8 @@ def element_data(mesh: AxiMesh) -> ElementData:
 
 def _element_data(mesh: AxiMesh) -> ElementData:
     tri = mesh.triangles
-    table = radial_table(mesh)
-    z = mesh.nodes[:, 1][tri]
+    table = radial_table(mesh.topology)
+    z = mesh.z[tri]
     area = mesh.areas
     inv2a = (1.0 / (2.0 * area))[:, None]
     wr = (area / 3.0)[:, None] * table.rq
@@ -377,7 +376,7 @@ def contact_line_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     """Contact-line force gamma cos(theta_s) along the wall, weighted by the contact-circle measure."""
     n = mesh.num_nodes
     f = np.zeros(2 * n)
-    r_wall = mesh.nodes[mesh.contact_node, 0]
+    r_wall = mesh.topology.radii[mesh.contact_node]
     f[mesh.contact_node + n] = params.gamma * np.cos(params.theta_s) * r_wall
     return f
 
@@ -618,6 +617,15 @@ class BandLU:
         return x
 
 
+def band_storage(system: LinearSystem) -> np.ndarray:
+    """System's matrix in the (ldab, n) Fortran-ordered LAPACK band storage
+    that dgbtrf factors in place, scattered through its pattern's band layout."""
+    band = system.pattern.band
+    n = system.matrix.shape[0]
+    return np.bincount(band.position, weights=system.matrix.data,
+                       minlength=band.ldab * n).reshape((band.ldab, n), order="F")
+
+
 def factorize(system: LinearSystem) -> BandLU:
     """Banded LU of system's matrix, the one factorization of the run path:
     the state solve and the bottom-load solve of the control gradient share
@@ -627,10 +635,7 @@ def factorize(system: LinearSystem) -> BandLU:
     vertex in the topology's reverse Cuthill-McKee order, which keeps the
     band narrow.  Raises SingularMatrix on an exactly zero pivot."""
     band = system.pattern.band
-    n = system.matrix.shape[0]
-    ab = np.bincount(band.position, weights=system.matrix.data,
-                     minlength=band.ldab * n).reshape((band.ldab, n), order="F")
-    lu, ipiv, info = dgbtrf(ab, band.kl, band.ku, overwrite_ab=1)
+    lu, ipiv, info = dgbtrf(band_storage(system), band.kl, band.ku, overwrite_ab=1)
     if info > 0:
         raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
     return BandLU(lu=lu, ipiv=ipiv, kl=band.kl, ku=band.ku)

@@ -6,11 +6,11 @@ the free surface on top, the wall on the right, the open bottom, and the
 symmetry axis on the left.  Mesh motion is vertical only, so radial node
 positions (and with them the wall and axis) are invariant for all time.
 
-A mesh is node positions over a :class:`MeshTopology`, which holds the
-connectivity and tags once.  Meshes are immutable; :func:`displace_mesh`
-returns a new mesh over the same topology.  What depends on the topology and
-the radii alone is kept once per topology and radii
-(:meth:`AxiMesh.radial_memo`), so every mesh of a run shares it.
+A mesh is the node heights over a :class:`MeshTopology`, which holds what a
+run never changes: the connectivity, the tags and the node radii.  Meshes
+are immutable; :func:`displace_mesh` returns a new mesh over the same
+topology, so what depends on the topology alone is computed once per run
+through :meth:`MeshTopology.memo`.
 """
 
 from __future__ import annotations
@@ -34,38 +34,59 @@ class BoundaryTag(Enum):
 
 @dataclass(frozen=True, eq=False)
 class MeshTopology(_Memo):
-    """Connectivity and tagged boundary arcs, shared by a mesh and every mesh
-    displaced from it.
+    """Connectivity, tagged boundary arcs and node radii, shared by a mesh and
+    every mesh displaced from it.
 
     triangles      (M, 3) vertex index triples, positively oriented
     boundary_edges tag -> (E, 2) node-pair array; free-surface edges are
                    ordered by increasing r with each pair (left, right)
     contact_node   index of the single node shared by free surface and wall
-    num_nodes      number of mesh nodes
+    radii          (N,) node radii r [m]: mesh motion is vertical only, so
+                   they are fixed for a run; N is num_nodes
+    radius         cylinder radius [m]
 
-    The arrays are kept as read-only int64 copies; the caller's stay as they
-    were.  Whatever derives from the connectivity alone (boundary node sets,
-    the vertex order and sparsity patterns through :meth:`memo`) is computed
-    once per topology, not once per mesh.
+    The arrays are kept as read-only copies (int64 indices, float radii); the
+    caller's stay as they were.  The radii are checked once, here: none
+    negative, the axis nodes on r = 0 and the wall nodes on the cylinder.
+    Whatever derives from the topology alone (boundary node sets, the radial
+    kernel table, the vertex order and sparsity patterns through
+    :meth:`memo`) is computed once per topology, not once per mesh.
     """
 
     triangles: np.ndarray
     boundary_edges: dict
     contact_node: int
-    num_nodes: int
+    radii: np.ndarray
+    radius: float
 
     def __post_init__(self):
         tris = np.array(self.triangles, dtype=np.int64)
         edges = {tag: np.array(self.boundary_edges[tag], dtype=np.int64) for tag in BoundaryTag}
-        for a in (tris, *edges.values()):
+        r = np.array(self.radii, dtype=float)
+        for a in (tris, *edges.values(), r):
             a.setflags(write=False)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "boundary_edges", edges)
+        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "radius", float(self.radius))
+        if r.ndim != 1 or max(a.max(initial=-1) for a in (tris, *edges.values())) >= len(r):
+            raise DimensionMismatch(f"radii of shape {r.shape} must give one r per vertex index")
         gamma = self.boundary_edges[BoundaryTag.FREE_SURFACE]
         wall = self.boundary_edges[BoundaryTag.WALL]
         shared = np.intersect1d(gamma.ravel(), wall.ravel())
         if shared.size != 1 or shared[0] != self.contact_node:
             raise DimensionMismatch("free surface and wall must share exactly the contact node")
+        if np.any(r < -1e-15 * self.radius):
+            raise DimensionMismatch("negative radial coordinate")
+        if np.any(np.abs(r[self.axis_nodes]) > 1e-15 * self.radius):
+            raise DimensionMismatch("axis node off r = 0")
+        dev = np.abs(r[self.wall_nodes] - self.radius)
+        if np.any(dev > 1e-12 * self.radius):
+            raise WallViolation(f"wall node off the cylinder by {dev.max():.3e} m")
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.radii)
 
     def _boundary_nodes(self, tag: BoundaryTag) -> np.ndarray:
         return np.unique(self.boundary_edges[tag])
@@ -96,11 +117,6 @@ class MeshTopology(_Memo):
         return np.union1d(self.wall_nodes, self.axis_nodes)
 
 
-def _radial_slot(topology: MeshTopology) -> list:
-    """The topology's [radii bytes, {build: result}] for the radii last asked for."""
-    return [None, {}]
-
-
 def _on_topology(name: str) -> property:
     return property(lambda mesh: getattr(mesh.topology, name),
                     doc=f"The shared topology's ``{name}``.")
@@ -108,59 +124,45 @@ def _on_topology(name: str) -> property:
 
 @dataclass(frozen=True)
 class AxiMesh(_Memo):
-    """Node positions over a :class:`MeshTopology`.
+    """Node heights over a :class:`MeshTopology`.
 
-    nodes          (N, 2) array of (r, z) coordinates [m], N = topology.num_nodes;
-                   kept as a read-only copy
-    topology       connectivity and tags, also read through the mesh's properties
-    radius         cylinder radius [m]
+    z              (N,) node heights [m], N = topology.num_nodes; kept as a
+                   read-only copy
+    topology       connectivity, tags and radii, also read through the mesh's
+                   properties
     """
 
-    nodes: np.ndarray
+    z: np.ndarray
     topology: MeshTopology = field(repr=False)
-    radius: float
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float, order="C")   # the caller's array stays writeable
-        if nodes.shape != (self.topology.num_nodes, 2):
-            raise DimensionMismatch(f"mesh nodes have shape {nodes.shape}, the topology "
+        z = np.array(self.z, dtype=float)   # the caller's array stays writeable
+        if z.shape != (self.topology.num_nodes,):
+            raise DimensionMismatch(f"mesh heights have shape {z.shape}, the topology "
                                     f"has {self.topology.num_nodes} nodes")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
         self._validate()
 
     # -- derived data ------------------------------------------------------
 
-    @property
-    def num_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    def radial_memo(self, build):
-        """build(self) on the first call with this build function and these
-        radii, its stored result after, for every mesh of the topology.
-
-        Mesh motion is vertical only, so every mesh a run reaches has the radii
-        of the first and shares what depends on the topology and the radii
-        alone; build must read nothing else.  The radii are compared byte for
-        byte (so -0.0 differs from 0.0): a mesh of the same topology with other
-        radii replaces every stored result."""
-        slot = self.topology.memo(_radial_slot)
-        radii = self.nodes[:, 0].tobytes()
-        if slot[0] != radii:
-            slot[:] = [radii, {}]
-        results = slot[1]
-        if build not in results:
-            results[build] = build(self)
-        return results[build]
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(N, 2) (r, z) node coordinates [m]; read-only."""
+        nodes = np.column_stack((self.topology.radii, self.z))
+        nodes.setflags(write=False)
+        return nodes
 
     @cached_property
     def areas(self) -> np.ndarray:
         """Signed triangle areas: half the sum of z_i dr_i over the vertices,
         with dr the :func:`radial_differences`, taken relative to z_0."""
-        z = self.nodes[:, 1][self.triangles]
-        dr = radial_differences(self)
+        z = self.z[self.triangles]
+        dr = radial_differences(self.topology)
         return 0.5 * ((z[:, 1] - z[:, 0]) * dr[:, 1] + (z[:, 2] - z[:, 0]) * dr[:, 2])
 
+    num_nodes = _on_topology("num_nodes")
+    radius = _on_topology("radius")
     triangles = _on_topology("triangles")
     boundary_edges = _on_topology("boundary_edges")
     contact_node = _on_topology("contact_node")
@@ -173,16 +175,6 @@ class AxiMesh(_Memo):
     # -- invariants --------------------------------------------------------
 
     def _validate(self):
-        r = self.nodes[:, 0]
-        if np.any(r < -1e-15 * self.radius):
-            raise DimensionMismatch("negative radial coordinate")
-        if np.any(np.abs(r[self.axis_nodes]) > 1e-15 * self.radius):
-            raise DimensionMismatch("axis node off r = 0")
-        dev = np.abs(r[self.wall_nodes] - self.radius)
-        if np.any(dev > 1e-12 * self.radius):
-            raise WallViolation(
-                f"wall node off the cylinder by {dev.max():.3e} m"
-            )
         if np.any(self.areas <= 0.0):
             raise MeshTangled(
                 f"{int(np.sum(self.areas <= 0.0))} triangle(s) with non-positive area"
@@ -190,15 +182,15 @@ class AxiMesh(_Memo):
         surface_normals(self)  # raises SurfaceFolded on a folded surface
 
 
-def radial_differences(mesh: AxiMesh) -> np.ndarray:
+def radial_differences(topology: MeshTopology) -> np.ndarray:
     """(M, 3) r_{i+2} - r_{i+1} for each vertex i of each triangle, indices mod 3:
     with A the signed area, dN_i/dz = dr_i / 2A and 2A = sum_i z_i dr_i.  Kept
-    once per topology and radii (:meth:`AxiMesh.radial_memo`); read-only."""
-    return mesh.radial_memo(_radial_differences)
+    once per topology; read-only."""
+    return topology.memo(_radial_differences)
 
 
-def _radial_differences(mesh: AxiMesh) -> np.ndarray:
-    r = mesh.nodes[:, 0][mesh.triangles]
+def _radial_differences(topology: MeshTopology) -> np.ndarray:
+    r = topology.radii[topology.triangles]
     dr = r[:, [2, 0, 1]] - r[:, [1, 2, 0]]
     dr.setflags(write=False)
     return dr
@@ -220,13 +212,8 @@ def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> Axi
         return i * (n3 + 1) + j
 
     rr = radius * np.arange(n1 + 1) / n1
+    rr[-1] = radius                    # exact wall radius; rr[0] = 0 is the exact axis
     zz = height * np.arange(n3 + 1) / n3
-    nodes = np.empty(((n1 + 1) * (n3 + 1), 2))
-    for i in range(n1 + 1):
-        nodes[idx(i, 0):idx(i, n3) + 1, 0] = rr[i]
-        nodes[idx(i, 0):idx(i, n3) + 1, 1] = zz
-    nodes[n1 * (n3 + 1):, 0] = radius  # exact wall radius
-    nodes[: n3 + 1, 0] = 0.0           # exact axis
 
     tris = []
     for i in range(n1):
@@ -242,13 +229,13 @@ def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> Axi
         BoundaryTag.FREE_SURFACE: [(idx(i, n3), idx(i + 1, n3)) for i in range(n1)],
         BoundaryTag.AXIS: [(idx(0, j), idx(0, j + 1)) for j in range(n3)],
     }
-    topology = MeshTopology(triangles=tris, boundary_edges=edges,
-                            contact_node=idx(n1, n3), num_nodes=len(nodes))
-    return AxiMesh(nodes=nodes, topology=topology, radius=float(radius))
+    topology = MeshTopology(triangles=tris, boundary_edges=edges, contact_node=idx(n1, n3),
+                            radii=np.repeat(rr, n3 + 1), radius=radius)
+    return AxiMesh(z=np.tile(zz, n1 + 1), topology=topology)
 
 
 def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
-    """Move node positions by dt * V over the same topology.
+    """Move the node heights by dt * V_z over the same topology.
 
     Mesh motion is vertical only: a radial component anywhere, or a nonzero
     velocity on the bottom, raises DimensionMismatch, so radii never change.
@@ -260,14 +247,12 @@ def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
         raise DimensionMismatch("domain velocity must be vertical: radial component nonzero")
     if np.any(vals[mesh.bottom_nodes, 1] != 0.0):
         raise DimensionMismatch("domain velocity must vanish on the bottom boundary")
-    new_nodes = mesh.nodes.copy()
-    new_nodes[:, 1] += dt * vals[:, 1]
-    return AxiMesh(nodes=new_nodes, topology=mesh.topology, radius=mesh.radius)
+    return AxiMesh(z=mesh.z + dt * vals[:, 1], topology=mesh.topology)
 
 
 def contact_line_height(mesh: AxiMesh) -> float:
     """Height of the contact line, i.e. the z of the node on the wall/surface junction."""
-    return float(mesh.nodes[mesh.contact_node, 1])
+    return float(mesh.z[mesh.contact_node])
 
 
 @dataclass(frozen=True)

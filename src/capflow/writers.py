@@ -3,25 +3,24 @@
 Both formats are bit-specified: LF line endings, '.' decimal separator,
 lowercase 'e' exponents, 17 significant digits so floats round-trip exactly.
 
-A VTK snapshot goes through one %-format template per mesh topology and
-radii.  The template bakes in the text that is the same for every mesh a run
-reaches: the header and section lines, the node and cell counts, the
-``CELLS`` and ``CELL_TYPES`` sections and the radius column of ``POINTS``.  Radii can be
-baked in because mesh motion is vertical only (``displace_mesh`` rejects any
-radial mesh velocity).  A snapshot then formats only t, the z column, the
-velocity and the pressure, in a single % operation.  Field values are never
-baked in, not even the essential zero radial velocity on the wall and axis,
-which a field may hold as -0.0.  The template is built on the first
-snapshot and kept by :meth:`~capflow.geometry.AxiMesh.radial_memo`, the
-per-topology memo keyed by the radii bytes that the element kernels' radial
-table shares.
+A VTK snapshot goes through one %-format template per mesh topology.  The
+template bakes in the text that is the same for every mesh a run reaches:
+the header and section lines, the node and cell counts, the ``CELLS`` and
+``CELL_TYPES`` sections and the radius column of ``POINTS``.  Radii can be
+baked in because mesh motion is vertical only, so they live on the topology
+(``displace_mesh`` rejects any radial mesh velocity).  A snapshot then
+formats only t, the z column, the velocity and the pressure, in a single %
+operation.  Field values are never baked in, not even the essential zero
+radial velocity on the wall and axis, which a field may hold as -0.0.  The
+template is built on the first snapshot and kept by the topology's
+:meth:`~capflow.geometry.MeshTopology.memo`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import AxiMesh
+from .geometry import MeshTopology
 from .stepping import FlowState
 
 CSV_HEADER = "t,Z_CL,zeta,J_increment,grad,u_max"
@@ -41,12 +40,12 @@ def write_history_csv(history, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _snapshot_template(mesh: AxiMesh) -> str:
-    """The whole snapshot of this mesh's topology and radii as one %-format
-    over (t, z column, velocity, pressure); "%.17g" writes what
-    format(x, ".17g") does."""
-    n = mesh.num_nodes
-    tri = mesh.triangles
+def _snapshot_template(topology: MeshTopology) -> str:
+    """The whole snapshot of a mesh of topology as one %-format over
+    (t, z column, velocity, pressure); "%.17g" writes what format(x, ".17g")
+    does."""
+    n = topology.num_nodes
+    tri = topology.triangles
     m = len(tri)
     return "".join((
         "# vtk DataFile Version 3.0\n",
@@ -55,7 +54,7 @@ def _snapshot_template(mesh: AxiMesh) -> str:
         "DATASET UNSTRUCTURED_GRID\n",
         f"POINTS {n} double\n",
         # the radii are written now; each "%%" leaves the z column's "%.17g"
-        ("%.17g %%.17g 0\n" * n) % tuple(mesh.nodes[:, 0].tolist()),
+        ("%.17g %%.17g 0\n" * n) % tuple(topology.radii.tolist()),
         f"CELLS {m} {4 * m}\n",
         ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist()),
         f"CELL_TYPES {m}\n",
@@ -72,8 +71,7 @@ def _snapshot_template(mesh: AxiMesh) -> str:
 def write_vtk_snapshot(state: FlowState, path) -> None:
     """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid."""
     mesh = state.mesh
-    values = np.concatenate(((float(state.t),), mesh.nodes[:, 1],
-                             state.u.values.ravel(), state.p.values))
-    text = mesh.radial_memo(_snapshot_template) % tuple(values.tolist())
+    values = np.concatenate(((float(state.t),), mesh.z, state.u.values.ravel(), state.p.values))
+    text = mesh.topology.memo(_snapshot_template) % tuple(values.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,19 @@ def two_triangle_mesh(radius=1.0, height=1.0):
         BoundaryTag.FREE_SURFACE: np.array([[3, 2]]),
         BoundaryTag.AXIS: np.array([[0, 3]]),
     }
-    topology = MeshTopology(triangles=tris, boundary_edges=edges, contact_node=2, num_nodes=4)
-    return AxiMesh(nodes=nodes, topology=topology, radius=radius)
+    topology = MeshTopology(triangles=tris, boundary_edges=edges, contact_node=2,
+                            radii=nodes[:, 0], radius=radius)
+    return AxiMesh(z=nodes[:, 1], topology=topology)
+
+
+def mesh_at(mesh, nodes):
+    """A mesh at the (N, 2) nodes over mesh's topology where nodes keep its
+    radii, else over a copy of that topology with nodes' radii."""
+    nodes = np.asarray(nodes, dtype=float)
+    topology = mesh.topology
+    if not np.array_equal(nodes[:, 0], topology.radii):
+        topology = replace(topology, radii=nodes[:, 0])
+    return AxiMesh(z=nodes[:, 1], topology=topology)
 
 
 def perturbed_mesh(seed=3, amplitude=0.05):
@@ -38,7 +51,7 @@ def perturbed_mesh(seed=3, amplitude=0.05):
     nodes[surf, 1] += amplitude * rng.uniform(-1, 1, len(surf))
     nodes[mesh.axis_nodes, 1] += amplitude * rng.uniform(-1, 1, len(mesh.axis_nodes)) \
         * (mesh.nodes[mesh.axis_nodes, 1] > 0) * (mesh.nodes[mesh.axis_nodes, 1] < 1)
-    return AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+    return mesh_at(mesh, nodes)
 
 
 def random_vector_field(mesh, seed=0, scale=1.0):

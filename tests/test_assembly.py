@@ -12,8 +12,8 @@ from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, _saddle_pattern, assemble_state_system,
-                           factorize, vertex_order)
-from capflow.geometry import AxiMesh, MeshTopology, build_structured_mesh, displace_mesh
+                           band_storage, factorize, vertex_order)
+from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
 from .conftest import random_vector_field
@@ -31,16 +31,7 @@ def reference_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num, free):
 
 def same_grid(mesh):
     """mesh with a topology of its own, built independently of mesh's."""
-    return AxiMesh(nodes=mesh.nodes, topology=own_topology(mesh), radius=mesh.radius)
-
-
-def own_topology(mesh, triangles=None):
-    """A new topology with mesh's boundary arcs and contact node, over
-    triangles (by default mesh's)."""
-    topo = mesh.topology
-    return MeshTopology(triangles=topo.triangles if triangles is None else triangles,
-                        boundary_edges=topo.boundary_edges, contact_node=topo.contact_node,
-                        num_nodes=topo.num_nodes)
+    return AxiMesh(z=mesh.z, topology=replace(mesh.topology))
 
 
 def form_case(idx):
@@ -108,6 +99,19 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, band):
         assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * bnorm
 
 
+def test_band_storage_holds_the_matrix_on_its_diagonals():
+    system = assemble_state_system(*tc1_slab(4, 8))
+    band, dense = system.pattern.band, system.matrix.toarray()
+    ab = band_storage(system)
+    assert ab.shape == (band.ldab, len(dense)) and ab.flags.f_contiguous
+    # entry (i, j) sits in row kl + ku + i - j of column j, bit for bit
+    i, j = np.indices(dense.shape)
+    inside = (i - j <= band.kl) & (j - i <= band.ku)
+    assert np.array_equal(ab[(band.kl + band.ku + i - j)[inside], j[inside]], dense[inside])
+    assert not dense[~inside].any()
+    assert not ab[:band.kl].any()       # the rows dgbtrf fills while pivoting
+
+
 @pytest.mark.parametrize("pattern_of, components", [(_saddle_pattern, 3), (_extension_pattern, 1)],
                          ids=["saddle", "mesh-velocity"])
 def test_patterns_number_dofs_vertex_by_vertex(pattern_of, components):
@@ -164,8 +168,7 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
         for j in range(2):
             a, b, c, d = 3 * i + j, 3 * (i + 1) + j, 3 * (i + 1) + j + 1, 3 * i + j + 1
             other += [(a, b, d), (b, c, d)]
-    flipped = AxiMesh(nodes=mesh.nodes, topology=own_topology(mesh, np.array(other)),
-                      radius=mesh.radius)
+    flipped = AxiMesh(z=mesh.z, topology=replace(mesh.topology, triangles=other))
     u, V = zero_vector_field(mesh), zero_vector_field(mesh)
     assemble_state_system(mesh, mesh, u, V, 0.0, PHYS, NUM)   # builds mesh's pattern
     with pytest.raises(DimensionMismatch):

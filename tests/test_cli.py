@@ -69,9 +69,22 @@ def test_run_aborted_simulation_exits_nonzero(tmp_path, capsys):
 
 
 def test_unreadable_config_exits_nonzero(tmp_path, capsys):
-    rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
-    assert rc == 1
-    assert "missing.cfg" in capsys.readouterr().err
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nT = 0.01\n".encode("latin-1"))
+    for name in ("missing.cfg", "latin1.cfg"):     # absent, and not valid UTF-8
+        rc = cli.main(["run", "--config", str(tmp_path / name)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+
+
+def test_output_path_that_is_a_file_exits_nonzero(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "taken" in err
+    assert taken.read_text() == ""
 
 
 def test_invalid_config_value_exits_nonzero(tmp_path, capsys):

@@ -7,11 +7,11 @@ from capflow.fields import PhysParams, VectorFieldP1
 from capflow.forms import (_QBASIS, _QQ, _coupling_block, _gradient_products, _viscous_block,
                            beta_h, bottom_load_vector, element_data, gravity_load, radial_table,
                            rhs_F, surface_tension_load)
-from capflow.geometry import AxiMesh, BoundaryTag, build_structured_mesh, displace_mesh
+from capflow.geometry import BoundaryTag, build_structured_mesh, displace_mesh
 from capflow.writers import _snapshot_template
 
 from . import oracles
-from .conftest import perturbed_mesh, random_vector_field, two_triangle_mesh
+from .conftest import mesh_at, perturbed_mesh, random_vector_field, two_triangle_mesh
 from .pattern_forms import (form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p,
                             mass_matrix, r_stiffness)
 
@@ -306,21 +306,22 @@ def assert_direct_formulas(mesh):
 
 
 def other_radii(mesh):
-    """A mesh of mesh's topology with one interior node moved radially."""
+    """A mesh at mesh's nodes with one interior node moved radially, over a
+    copy of mesh's topology."""
     nodes = mesh.nodes.copy()
     interior = np.setdiff1d(np.arange(mesh.num_nodes), np.concatenate(
         (mesh.radial_constrained_nodes, mesh.bottom_nodes, mesh.surface_nodes)))
     nodes[interior[0], 0] += 0.02
-    return AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+    return mesh_at(mesh, nodes)
 
 
 class TestRadialTable:
-    """The radial table is built for the first mesh of a topology and radii,
-    and every later mesh of them reads it."""
+    """The radial table is built once per topology, and every mesh over that
+    topology reads it."""
 
     def test_displaced_mesh_matches_the_direct_formulas(self):
         mesh = perturbed_mesh(seed=11)
-        table = radial_table(mesh)
+        table = radial_table(mesh.topology)
         element_data(mesh)
         vals = np.zeros((mesh.num_nodes, 2))
         vals[:, 1] = 0.4 * mesh.nodes[:, 1] ** 2 - 0.2 * mesh.nodes[:, 0] * mesh.nodes[:, 1]
@@ -330,21 +331,25 @@ class TestRadialTable:
 
     def test_other_radii_rebuild_the_table(self):
         mesh = perturbed_mesh(seed=11)
-        table, template = radial_table(mesh), mesh.radial_memo(_snapshot_template)
+        table = radial_table(mesh.topology)
+        template = mesh.topology.memo(_snapshot_template)
+        # displaced meshes share the topology, and with it the table and the VTK template
+        vals = np.zeros((mesh.num_nodes, 2))
+        vals[:, 1] = 0.1 * mesh.z
+        moved = displace_mesh(mesh, VectorFieldP1(vals, mesh), 0.5)
+        assert moved.topology is mesh.topology
+        assert radial_table(moved.topology) is table
+        assert moved.topology.memo(_snapshot_template) is template
+        # a topology copy with other radii builds its own
         other = other_radii(mesh)
-        assert other.topology is mesh.topology
-        # one memo, keyed by the radii bytes, holds the table and the VTK template
-        assert radial_table(other) is not table
-        assert other.radial_memo(_snapshot_template) != template
+        assert other.topology is not mesh.topology
+        assert radial_table(other.topology) is not table
+        assert other.topology.memo(_snapshot_template) != template
+        assert radial_table(mesh.topology) is table
         assert_direct_formulas(other)
-        # -0.0 on the axis is other radii, bit for bit
-        nodes = mesh.nodes.copy()
-        nodes[mesh.axis_nodes[1], 0] = -0.0
-        signed = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
-        assert radial_table(signed) is not radial_table(mesh)
 
     def test_table_is_read_only(self):
-        table = radial_table(perturbed_mesh(seed=11))
+        table = radial_table(perturbed_mesh(seed=11).topology)
         for name, a in vars(table).items():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from capflow.geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structur
                               contact_line_height, displace_mesh, mesh_quality,
                               radial_differences, surface_edges, surface_normals)
 
-from .conftest import perturbed_mesh, two_triangle_mesh
+from .conftest import mesh_at, perturbed_mesh, two_triangle_mesh
 
 
 class TestBuild:
@@ -45,36 +47,64 @@ class TestBuild:
         with pytest.raises(ValueError):
             mesh.nodes[0, 0] = 1.0
 
+    def test_nodes_are_the_topology_radii_beside_the_heights(self):
+        mesh = perturbed_mesh(seed=2)
+        vals = np.zeros((mesh.num_nodes, 2))
+        vals[:, 1] = 0.2 * mesh.z
+        for m in (mesh, displace_mesh(mesh, VectorFieldP1(vals, mesh), 0.5)):
+            assert np.array_equal(m.nodes, np.column_stack((mesh.topology.radii, m.z)))
+            assert m.nodes is m.nodes and not m.nodes.flags.writeable
+            assert not m.z.flags.writeable and not m.topology.radii.flags.writeable
+
     def test_topology_leaves_the_callers_arrays_alone(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         edges = {tag: np.array(e, dtype=np.int32) for tag, e in mesh.boundary_edges.items()}
         given = dict(edges)
         triangles = np.array(mesh.triangles, dtype=np.int32)
+        radii = np.array(mesh.topology.radii, dtype=np.float32)
         topology = MeshTopology(triangles=triangles, boundary_edges=edges,
-                                contact_node=mesh.contact_node, num_nodes=mesh.num_nodes)
-        AxiMesh(nodes=mesh.nodes, topology=topology, radius=mesh.radius)
+                                contact_node=mesh.contact_node, radii=radii, radius=1)
+        AxiMesh(z=mesh.z, topology=topology)
         assert all(edges[tag] is given[tag] for tag in BoundaryTag)
         assert all(e.dtype == np.int32 and e.flags.writeable for e in edges.values())
         assert triangles.dtype == np.int32 and triangles.flags.writeable
-        # the topology holds read-only int64 copies of its own
+        assert radii.dtype == np.float32 and radii.flags.writeable
+        # the topology holds read-only int64 and float copies of its own
         own = [topology.triangles, *topology.boundary_edges.values()]
         assert all(a.dtype == np.int64 and not a.flags.writeable for a in own)
         assert topology.boundary_edges is not edges
+        assert topology.radii.dtype == float and not topology.radii.flags.writeable
+        assert type(topology.radius) is float
 
     def test_mesh_leaves_the_callers_nodes_alone(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
-        n = mesh.nodes.copy()
-        m = AxiMesh(nodes=n, topology=mesh.topology, radius=mesh.radius)
-        assert n.flags.writeable
-        assert m.nodes is not n and not m.nodes.flags.writeable
-        n[0, 1] = 0.5           # the caller may still edit its array; the mesh keeps its copy
-        assert m.nodes[0, 1] == mesh.nodes[0, 1]
+        z = mesh.z.copy()
+        m = AxiMesh(z=z, topology=mesh.topology)
+        assert z.flags.writeable
+        assert m.z is not z and not m.z.flags.writeable
+        z[0] = 0.5              # the caller may still edit its array; the mesh keeps its copy
+        assert m.z[0] == mesh.z[0] and m.nodes[0, 1] == mesh.nodes[0, 1]
 
     def test_node_count_must_match_the_topology(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
-        for nodes in (mesh.nodes[:-1], np.vstack((mesh.nodes, mesh.nodes[-1:]))):
+        radii = mesh.topology.radii
+        # radii that miss a vertex of a triangle, or are not one per node
+        for bad in (radii[:-1], radii[:, None]):
+            with pytest.raises(DimensionMismatch, match="vertex index"):
+                replace(mesh.topology, radii=bad)
+        for z in (mesh.z[:-1], np.append(mesh.z, 1.0), mesh.nodes):
             with pytest.raises(DimensionMismatch, match="topology"):
-                AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+                AxiMesh(z=z, topology=mesh.topology)
+
+    @pytest.mark.parametrize("node, r, message", [("axis", 1e-9, "axis node off r = 0"),
+                                                   ("interior", -1e-9, "negative radial")],
+                             ids=["axis-off-zero", "negative"])
+    def test_radii_are_checked_on_the_topology(self, node, r, message):
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        radii = mesh.topology.radii.copy()
+        radii[mesh.axis_nodes[1] if node == "axis" else 4] = r     # 4: the centre node
+        with pytest.raises(DimensionMismatch, match=message):
+            replace(mesh.topology, radii=radii)
 
     def test_meshes_read_connectivity_from_their_topology(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
@@ -144,13 +174,13 @@ class TestDisplace:
         assert np.allclose(back.nodes, mesh.nodes, rtol=1e-14, atol=1e-16)
 
     def test_areas_of_a_displaced_mesh_match_the_cross_product(self):
-        # the areas read the radial differences kept for the first mesh
+        # the areas read the radial differences kept on the topology
         mesh = perturbed_mesh(seed=8)
-        dr = radial_differences(mesh)
+        dr = radial_differences(mesh.topology)
         vals = np.zeros((mesh.num_nodes, 2))
         vals[:, 1] = 0.3 * mesh.nodes[:, 1] ** 2 + 0.1 * mesh.nodes[:, 0] * mesh.nodes[:, 1]
         moved = displace_mesh(mesh, VectorFieldP1(vals, mesh), 0.7)
-        assert radial_differences(moved) is dr
+        assert radial_differences(moved.topology) is dr
         p = moved.nodes[moved.triangles]
         d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         cross = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -159,10 +189,10 @@ class TestDisplace:
 
     def test_wall_violation_detected_on_construction(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
-        nodes = mesh.nodes.copy()
-        nodes[mesh.wall_nodes[0], 0] += 1e-9
+        radii = mesh.topology.radii.copy()
+        radii[mesh.wall_nodes[0]] += 1e-9
         with pytest.raises(WallViolation):
-            AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+            replace(mesh.topology, radii=radii)
 
 
 class TestSurface:
@@ -191,7 +221,7 @@ class TestSurface:
         nodes = mesh.nodes.copy()
         phi = 0.3
         nodes[:, 1] += np.tan(phi) * nodes[:, 0] * (nodes[:, 1] > 0)
-        tilted = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+        tilted = AxiMesh(z=nodes[:, 1], topology=mesh.topology)
         normals = surface_normals(tilted)
         assert np.allclose(normals[0], [-np.sin(phi), np.cos(phi)], rtol=1e-12)
 
@@ -207,7 +237,7 @@ class TestSurface:
             r = nodes[:, 0]
             surf = mesh.surface_nodes
             nodes[surf, 1] = zc + np.sqrt(R ** 2 - r[surf] ** 2) - np.sqrt(R ** 2 - radius ** 2)
-            cap = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+            cap = AxiMesh(z=nodes[:, 1], topology=mesh.topology)
             normals = surface_normals(cap)
             edges = cap.boundary_edges[BoundaryTag.FREE_SURFACE]
             mid = 0.5 * (cap.nodes[edges[:, 0]] + cap.nodes[edges[:, 1]])
@@ -224,7 +254,7 @@ class TestSurface:
                  and i not in mesh.axis_nodes][0]
         nodes[inner, 0] = 1.2          # pull past the wall: edge runs backwards in r
         with pytest.raises((SurfaceFolded, MeshTangled, WallViolation, DimensionMismatch)):
-            AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+            mesh_at(mesh, nodes)
 
 
 def test_contact_height_is_surface_max_when_rising_toward_wall():
@@ -232,7 +262,7 @@ def test_contact_height_is_surface_max_when_rising_toward_wall():
     nodes = mesh.nodes.copy()
     surf = mesh.surface_nodes
     nodes[surf, 1] += 0.3 * nodes[surf, 0] ** 2     # monotone rise toward the wall
-    risen = AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
+    risen = AxiMesh(z=nodes[:, 1], topology=mesh.topology)
     assert contact_line_height(risen) == risen.nodes[surf, 1].max()
 
 

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 
@@ -6,7 +7,7 @@ from capflow.control import RunHistory
 from capflow.fields import ScalarFieldP1, VectorFieldP1
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import FlowState
-from capflow.writers import CSV_HEADER, write_history_csv, write_vtk_snapshot
+from capflow.writers import CSV_HEADER, _snapshot_template, write_history_csv, write_vtk_snapshot
 
 from .conftest import random_vector_field
 
@@ -109,26 +110,26 @@ def test_vtk_snapshot_bytes_match_per_value_format(tmp_path):
 
     for t in (0.0, 0.002, 1 / 3):
         check(mesh, u, t)
-    # meshes of one topology share a template keyed on their radii, bit for bit
+    # displaced meshes share their topology's template
+    template = mesh.topology.memo(_snapshot_template)
     stretch = np.zeros((mesh.num_nodes, 2))
     stretch[:, 1] = mesh.nodes[:, 1]
     V = VectorFieldP1(stretch, mesh)
     moved = [displace_mesh(mesh, V, dt) for dt in (0.25, -0.125)]
     for k, m in enumerate(moved * 2):
         check(m, VectorFieldP1(u.values, m), 0.002 * k)
-
-    def same_topology(radii):
-        nodes = mesh.nodes.copy()
-        nodes[:, 0] = radii
-        return AxiMesh(nodes=nodes, topology=mesh.topology, radius=mesh.radius)
-
-    negative_axis = mesh.nodes[:, 0].copy()
+        assert m.topology.memo(_snapshot_template) is template
+    # a topology copy with other radii, -0.0 on the axis or a wall radius one
+    # ulp out, gets a template of its own
+    negative_axis = mesh.topology.radii.copy()
     negative_axis[mesh.axis_nodes[1]] = -0.0
-    ulp_wall = mesh.nodes[:, 0].copy()
+    ulp_wall = mesh.topology.radii.copy()
     ulp_wall[mesh.wall_nodes[1]] = np.nextafter(mesh.radius, np.inf)
-    for m in (same_topology(negative_axis), moved[0], same_topology(ulp_wall), mesh):
-        assert m.topology is mesh.topology
+    for radii in (negative_axis, ulp_wall):
+        m = AxiMesh(z=mesh.z, topology=replace(mesh.topology, radii=radii))
         check(m, VectorFieldP1(u.values, m), 0.5)
+        assert m.topology.memo(_snapshot_template) is not template
+    check(mesh, VectorFieldP1(u.values, mesh), 0.5)
     # a field may hold the essential zero radial velocity as -0.0
     signed = u.values.copy()
     signed[mesh.wall_nodes[1], 0] = -0.0
