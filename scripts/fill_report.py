@@ -33,9 +33,8 @@ def report(n1: int, n3: int) -> str:
     cfg = replace(tc1_config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
-    state, _, _, _ = step(state, 0.0, phys, num)
-    _, _, system, lu = step(state, 0.0, phys, num)
-    del lu
+    state, _, _ = step(state, 0.0, phys, num)
+    system = step(state, 0.0, phys, num)[2].system     # the LU itself is not kept
     matrix, band = system.matrix, system.pattern.band
     n = matrix.shape[0]
     ab = band_storage(system)

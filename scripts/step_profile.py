@@ -72,7 +72,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
     lu = forms.factorize(system)
-    u_new, _, _ = forms.solve(system, lu)
+    u_new, _, _ = forms.solve(lu, system.rhs)
     mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
     _, vals, _ = pattern.values()
@@ -102,8 +102,8 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
-        ("state solve", best_ms(lambda _: forms.solve(system, lu))),
-        ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(system, lu, mass_u))),
+        ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
+        ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(lu, mass_u))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
         ("VTK snapshot", snapshot_ms(state)),
     ]

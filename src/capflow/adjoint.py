@@ -9,26 +9,17 @@ bottom stress, which is also d rhs / d zeta.  zeta is one scalar, so the
 same number is I_b = m^T (A^{-1} b): the tangent response w = A^{-1} b of
 the state to a unit bottom stress, weighted by m (the adjoint/tangent
 duality; Giles & Pierce 2000, Flow Turbul. Combust. 65).  The run path
-therefore solves A w = b with the slab's state LU, a plain solve gated like
-the state solve, and never solves with A transposed.  The tests keep the
+therefore solves A w = b with the slab's state LU, which carries the slab's
+system, in one :meth:`~capflow.forms.BandLU.solve` gated like the state
+solve, and never solves with A transposed.  The tests keep the
 transposed adjoint solve as the reference this bottom integral must match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .forms import BandLU, LinearSystem, bottom_load_vector, gated_solve
-
-
-@dataclass(frozen=True)
-class BottomSensitivity:
-    """One slab's bottom integral and the relative residual of its solve."""
-
-    bottom_integral: float
-    residual: float
+from .forms import BandLU, LinearSystem, bottom_load_vector
 
 
 def bottom_load(system: LinearSystem) -> np.ndarray:
@@ -37,10 +28,10 @@ def bottom_load(system: LinearSystem) -> np.ndarray:
     return system.reduce(bottom_load_vector(system.mesh))
 
 
-def solve_bottom_sensitivity(system: LinearSystem, lu: BandLU,
-                             mass_u: np.ndarray) -> BottomSensitivity:
-    """Solve A w = b with lu, the state LU of ``system``, and weight w by
-    mass_u, the mass action on the new velocity: I_b = m . w."""
-    w, residual = gated_solve(system, lu, bottom_load(system), "bottom-load")
-    return BottomSensitivity(bottom_integral=float(system.reduce(mass_u) @ w),
-                             residual=residual)
+def solve_bottom_sensitivity(lu: BandLU, mass_u: np.ndarray) -> tuple[float, float]:
+    """(I_b, residual): I_b = m . w, where w solves A w = b with lu, the slab's
+    state LU, and m is mass_u, the mass action on the new velocity; residual
+    is the relative residual of that solve."""
+    system = lu.system
+    w, residual = lu.solve(bottom_load(system), "bottom-load")
+    return float(system.reduce(mass_u) @ w), residual

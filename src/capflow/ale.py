@@ -8,8 +8,8 @@ satisfies every boundary condition of the extension problem: V . nu matches
 u . nu on the surface, the wall stays a cylinder, and the bottom is fixed.
 
 The stiffness is filled on a pattern built once per topology and solved like
-the state: one banded LU and one :func:`~capflow.forms.gated_solve`, with its
-finite check and residual gate.
+the state: one banded LU, which carries the system, and one
+:meth:`~capflow.forms.BandLU.solve`, with its finite check and residual gate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fields import VectorFieldP1
 from .forms import (FixedPattern, LinearSystem, _gradient_products, element_data, factorize,
-                    gated_solve, in_vertex_order)
+                    in_vertex_order)
 from .geometry import AxiMesh, MeshTopology, surface_slopes
 
 
@@ -51,7 +51,7 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
                          weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
     system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals),
                           rhs=-lifted[pattern.free], mesh=mesh)
-    x, residual = gated_solve(system, factorize(system), system.rhs, "mesh-velocity")
+    x, residual = factorize(system).solve(system.rhs, "mesh-velocity")
 
     values = np.zeros((n, 2))
     values[:, 1] = g

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .adjoint import solve_bottom_sensitivity
 from .errors import CapflowError
 from .fields import NumParams, PhysParams
-from .forms import _flatten, mass_action
+from .forms import kinetic_energy, mass_action
 from .geometry import contact_line_height
 from .stepping import FlowState, initial_state, step
 
@@ -62,12 +60,10 @@ class RunHistory:
         self.u_max.append(float(u_max))
 
 
-def objective_increment(state_new: FlowState, ctrl: ControlState, mass_u: np.ndarray) -> float:
+def objective_increment(state_new: FlowState, ctrl: ControlState) -> float:
     """Per-slab objective: kinetic energy of the new state plus the penalty of
-    ctrl.zeta, the slab's control; mass_u is the mass action on the new
-    velocity, which the gradient reuses."""
-    kin = 0.5 * float(_flatten(state_new.u.values) @ mass_u)
-    return kin + 0.5 * ctrl.lam * ctrl.zeta ** 2 * ctrl.sigma_b_measure
+    ctrl.zeta, the slab's control."""
+    return kinetic_energy(state_new.u) + 0.5 * ctrl.lam * ctrl.zeta ** 2 * ctrl.sigma_b_measure
 
 
 def gradient(adjoint_bottom_integral: float, ctrl: ControlState) -> float:
@@ -106,16 +102,14 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
 
     for n in range(nsteps):
         try:
-            state, diag, system, lu = step(state, ctrl.zeta, phys, num,
-                                           EMPTY_FRACTION * init_height)
-            mass_u = mass_action(state.u)
-            j_inc = objective_increment(state, ctrl, mass_u)
+            state, diag, lu = step(state, ctrl.zeta, phys, num, EMPTY_FRACTION * init_height)
+            j_inc = objective_increment(state, ctrl)
             grad_val = 0.0
             if controlled:
-                ib = solve_bottom_sensitivity(system, lu, mass_u).bottom_integral
+                ib, _ = solve_bottom_sensitivity(lu, mass_action(state.u))
                 grad_val = gradient(ib, ctrl)
                 ctrl = update_control(ctrl, ib)
-            del system, lu      # the next step factors only after this LU is freed
+            del lu      # the next step factors only after this LU is freed
         except CapflowError as exc:
             history.abort_reason = exc
             history.abort_step = n

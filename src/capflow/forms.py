@@ -17,7 +17,9 @@ built once per mesh topology, and the mesh-velocity extension fills its
 stiffness the same way.  The tests check that fill against dense
 element-by-element quadrature written apart from these kernels.  A
 :class:`LinearSystem` carries its pattern, whose band layout
-:func:`factorize` reads, and every solve is one :func:`gated_solve`.
+:func:`factorize` reads, and the :class:`BandLU` it returns carries the
+system it factors: every solve is one :meth:`BandLU.solve`, gated on the
+residual in that system's matrix.
 
 The kernels are planned products, not general contractions.  A block
 weighted at the quadrature points, integral of w N_i N_j, is one
@@ -37,11 +39,11 @@ that give dN/dz, the z rows of the coupling block, the hoop block per unit
 area and the dN/dz products times the area.  What changes with z (the area, dN/dr,
 the r-weighted quadrature weights) is computed once per mesh in
 :class:`ElementData`, and the mass action (:func:`mass_action`) once per
-velocity field, where the objective and gradient of step n and the assembly
-of step n+1 meet; it is read-only.  The r-weighted stiffness is not kept
-per mesh: held from step n's pressure stabilization to step n+1's
-mesh-velocity extension, it raised the 32x64 peak resident memory by about
-4 MiB to save 0.2 ms per step.
+velocity field, where the objective (:func:`kinetic_energy`) and gradient of
+step n and the assembly of step n+1 meet; it is read-only.  The r-weighted
+stiffness is not kept per mesh: held from step n's pressure stabilization to
+step n+1's mesh-velocity extension, it raised the 32x64 peak resident memory
+by about 4 MiB to save 0.2 ms per step.
 """
 
 from __future__ import annotations
@@ -317,6 +319,12 @@ def _mass_action(u: VectorFieldP1) -> np.ndarray:
     return f
 
 
+def kinetic_energy(u: VectorFieldP1) -> float:
+    """Half u^T M u, M the consistent r-weighted mass matrix, from the
+    memoised :func:`mass_action`."""
+    return 0.5 * float(_flatten(u.values) @ mass_action(u))
+
+
 def beta_h(chi: float, h3: float, nu: float) -> float:
     """Discrete wall friction nu/(chi * h3); h3 is the current vertical mesh size at the wall."""
     if chi <= 0 or h3 <= 0:
@@ -501,10 +509,11 @@ class FixedPattern:
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
     """A reduced system filled on a :class:`FixedPattern`: the saddle system
-    of one slab's state solve, or the mesh-velocity extension's."""
+    of one slab's state solve, or the mesh-velocity extension's; frozen, so a
+    :class:`BandLU` gates on the matrix it factored."""
 
     pattern: FixedPattern      # the matrix's sparsity, dof order and band layout
     matrix: sp.spmatrix        # the pattern's fill, kept dofs only
@@ -602,21 +611,6 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
                         mesh=mesh_new)
 
 
-@dataclass(frozen=True)
-class BandLU:
-    """LAPACK banded LU with partial pivoting (dgbtrf) of a square matrix."""
-
-    lu: np.ndarray      # (2 kl + ku + 1, n) band storage, Fortran order
-    ipiv: np.ndarray
-    kl: int             # subdiagonals
-    ku: int             # superdiagonals
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs."""
-        x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)
-        return x
-
-
 def band_storage(system: LinearSystem) -> np.ndarray:
     """System's matrix in the (ldab, n) Fortran-ordered LAPACK band storage
     that dgbtrf factors in place, scattered through its pattern's band layout."""
@@ -624,6 +618,33 @@ def band_storage(system: LinearSystem) -> np.ndarray:
     n = system.matrix.shape[0]
     return np.bincount(band.position, weights=system.matrix.data,
                        minlength=band.ldab * n).reshape((band.ldab, n), order="F")
+
+
+@dataclass(frozen=True)
+class BandLU:
+    """LAPACK banded LU with partial pivoting (dgbtrf) of system's matrix,
+    from :func:`factorize`; the band's kl and ku are its pattern's."""
+
+    system: LinearSystem
+    lu: np.ndarray      # (2 kl + ku + 1, n) band storage, Fortran order
+    ipiv: np.ndarray
+
+    def solve(self, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+        """x on the reduced dofs with A x = rhs, A the system's matrix, and the
+        relative residual ||A x - rhs|| / ||rhs||; every solve of the run path.
+        A non-finite x raises SingularMatrix and a relative residual above 1e-10
+        ResidualTooLarge, each naming the solve by what ("state", "bottom-load"
+        or "mesh-velocity")."""
+        band = self.system.pattern.band
+        x, _ = dgbtrs(self.lu, band.kl, band.ku, rhs, self.ipiv)
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrix(f"{what} solve produced non-finite values")
+        bnorm = np.linalg.norm(rhs)
+        res = np.linalg.norm(self.system.matrix @ x - rhs)
+        rel = res / bnorm if bnorm > 0 else res
+        if rel > 1e-10:
+            raise ResidualTooLarge(f"{what} solve: relative residual {rel:.3e}")
+        return x, rel
 
 
 def factorize(system: LinearSystem) -> BandLU:
@@ -638,32 +659,14 @@ def factorize(system: LinearSystem) -> BandLU:
     lu, ipiv, info = dgbtrf(band_storage(system), band.kl, band.ku, overwrite_ab=1)
     if info > 0:
         raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
-    return BandLU(lu=lu, ipiv=ipiv, kl=band.kl, ku=band.ku)
+    return BandLU(system=system, lu=lu, ipiv=ipiv)
 
 
-def gated_solve(system: LinearSystem, lu: BandLU, rhs: np.ndarray,
-                what: str) -> tuple[np.ndarray, float]:
-    """x on the reduced dofs with system.matrix x = rhs, from lu, the matrix's LU,
-    and the relative residual ||A x - rhs|| / ||rhs||.
-
-    Every solve of the run path goes through here: a non-finite x raises
-    SingularMatrix and a relative residual above 1e-10 ResidualTooLarge, each
-    naming the solve by what ("state", "bottom-load" or "mesh-velocity")."""
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix(f"{what} solve produced non-finite values")
-    bnorm = np.linalg.norm(rhs)
-    res = np.linalg.norm(system.matrix @ x - rhs)
-    rel = res / bnorm if bnorm > 0 else res
-    if rel > 1e-10:
-        raise ResidualTooLarge(f"{what} solve: relative residual {rel:.3e}")
-    return x, rel
-
-
-def solve(system: LinearSystem, lu: BandLU) -> tuple[VectorFieldP1, ScalarFieldP1, float]:
-    """Solve the system with lu, its LU, through :func:`gated_solve`; returns
-    (velocity, pressure, relative residual)."""
-    x, rel = gated_solve(system, lu, system.rhs, "state")
+def solve(lu: BandLU, rhs: np.ndarray) -> tuple[VectorFieldP1, ScalarFieldP1, float]:
+    """Solve lu's system for rhs with :meth:`BandLU.solve`; returns (velocity,
+    pressure, relative residual)."""
+    x, rel = lu.solve(rhs, "state")
+    system = lu.system
     n = system.mesh.num_nodes
     full = np.zeros(3 * n)
     full[system.free] = x

@@ -46,8 +46,9 @@ class MeshTopology(_Memo):
     radius         cylinder radius [m]
 
     The arrays are kept as read-only copies (int64 indices, float radii); the
-    caller's stay as they were.  The radii are checked once, here: none
-    negative, the axis nodes on r = 0 and the wall nodes on the cylinder.
+    caller's stay as they were.  All is checked once, here: the shapes, tags
+    and vertex indices, and finite radii, none negative, the axis nodes on
+    r = 0 and the wall nodes on a cylinder of finite positive radius.
     Whatever derives from the topology alone (boundary node sets, the radial
     kernel table, the vertex order and sparsity patterns through
     :meth:`memo`) is computed once per topology, not once per mesh.
@@ -60,6 +61,8 @@ class MeshTopology(_Memo):
     radius: float
 
     def __post_init__(self):
+        if not all(tag in self.boundary_edges for tag in BoundaryTag):
+            raise DimensionMismatch("every boundary tag must have its edges")
         tris = np.array(self.triangles, dtype=np.int64)
         edges = {tag: np.array(self.boundary_edges[tag], dtype=np.int64) for tag in BoundaryTag}
         r = np.array(self.radii, dtype=float)
@@ -69,15 +72,20 @@ class MeshTopology(_Memo):
         object.__setattr__(self, "boundary_edges", edges)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "radius", float(self.radius))
-        if r.ndim != 1 or max(a.max(initial=-1) for a in (tris, *edges.values())) >= len(r):
-            raise DimensionMismatch(f"radii of shape {r.shape} must give one r per vertex index")
+        if tris.shape[1:] != (3,) or any(e.shape[1:] != (2,) for e in edges.values()):
+            raise DimensionMismatch("triangles must be (M, 3) and boundary edges (E, 2)")
+        indices = (tris, *edges.values())
+        if r.ndim != 1 or any(a.min(initial=0) < 0 or a.max(initial=-1) >= len(r)
+                              for a in indices):
+            raise DimensionMismatch(f"radii of shape {r.shape} must give one r per vertex "
+                                    "index, and no vertex index may be negative")
         gamma = self.boundary_edges[BoundaryTag.FREE_SURFACE]
         wall = self.boundary_edges[BoundaryTag.WALL]
         shared = np.intersect1d(gamma.ravel(), wall.ravel())
         if shared.size != 1 or shared[0] != self.contact_node:
             raise DimensionMismatch("free surface and wall must share exactly the contact node")
-        if np.any(r < -1e-15 * self.radius):
-            raise DimensionMismatch("negative radial coordinate")
+        if not (0 < self.radius < np.inf and np.all((r >= -1e-15 * self.radius) & (r < np.inf))):
+            raise DimensionMismatch("negative radial coordinate, or r or the radius not finite")
         if np.any(np.abs(r[self.axis_nodes]) > 1e-15 * self.radius):
             raise DimensionMismatch("axis node off r = 0")
         dev = np.abs(r[self.wall_nodes] - self.radius)
@@ -126,8 +134,8 @@ def _on_topology(name: str) -> property:
 class AxiMesh(_Memo):
     """Node heights over a :class:`MeshTopology`.
 
-    z              (N,) node heights [m], N = topology.num_nodes; kept as a
-                   read-only copy
+    z              (N,) finite node heights [m], N = topology.num_nodes; kept
+                   as a read-only copy
     topology       connectivity, tags and radii, also read through the mesh's
                    properties
     """
@@ -140,6 +148,8 @@ class AxiMesh(_Memo):
         if z.shape != (self.topology.num_nodes,):
             raise DimensionMismatch(f"mesh heights have shape {z.shape}, the topology "
                                     f"has {self.topology.num_nodes} nodes")
+        if not np.all(np.isfinite(z)):
+            raise DimensionMismatch("non-finite mesh height")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
         self._validate()

@@ -3,11 +3,11 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
-This is the only code that advances a slab; the control loop's gradient
-and the finite-difference check reuse its system and factorization for
-plain solves with other right-hand sides.  Both of the step's solves, the
-mesh velocity and the state, are gated on their relative residuals, and
-the step reports both.
+This is the only code that advances a slab; it hands back the slab's LU,
+which carries the slab's system, and the control loop's gradient and the
+finite-difference check reuse it for plain solves with other right-hand
+sides.  Both of the step's solves, the mesh velocity and the state, are
+gated on their relative residuals, and the step reports both.
 
 A run frees and reallocates the same few megabytes every step (the band, the
 element blocks).  glibc's default thresholds move with allocation order: its
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .ale import solve_domain_velocity
 from .errors import DomainEmptied
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import BandLU, LinearSystem, assemble_state_system, factorize, solve
+from .forms import BandLU, assemble_state_system, factorize, solve
 from .geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh, mesh_quality
 
 
@@ -92,11 +92,12 @@ def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
 
 
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
-         floor: float = 0.0) -> tuple[FlowState, StepDiagnostics, LinearSystem, BandLU]:
+         floor: float = 0.0) -> tuple[FlowState, StepDiagnostics, BandLU]:
     """Advance by dt with the bottom control stress zeta held fixed over the slab.
 
-    Returns the new state, its diagnostics, and the slab's system and LU; drop
-    the LU before the next step, so that one factorization is alive at a time.
+    Returns the new state, its diagnostics, and the slab's LU, which carries
+    the slab's system; drop it before the next step, so that one
+    factorization is alive at a time.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
     V, ale_residual = solve_domain_velocity(state.mesh, state.u)
@@ -108,9 +109,9 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     mesh_new = displace_mesh(state.mesh, V, num.dt)
     system = assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num)
     lu = factorize(system)
-    u_new, p_new, residual = solve(system, lu)
+    u_new, p_new, residual = solve(lu, system.rhs)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     diag = StepDiagnostics(residual=residual, ale_residual=ale_residual,
                            u_max=u_new.magnitude_max,
                            z_cl=contact_line_height(mesh_new), mesh=mesh_new)
-    return new, diag, system, lu
+    return new, diag, lu

@@ -325,16 +325,19 @@ def oracle_adjoint_rhs(system, mass_u):
     return rhs[system.free]
 
 
-def oracle_adjoint_solution(system, lu, mass_u):
+def oracle_adjoint_solution(lu, mass_u):
     """The adjoint z, on the reduced dofs, with A^T z = m: the transposed solve
-    with lu, the slab's state LU."""
-    z, _ = dgbtrs(lu.lu, lu.kl, lu.ku, oracle_adjoint_rhs(system, mass_u), lu.ipiv, trans=1)
+    with lu, the slab's state LU, which carries the slab's system."""
+    band = lu.system.pattern.band
+    z, _ = dgbtrs(lu.lu, band.kl, band.ku, oracle_adjoint_rhs(lu.system, mass_u), lu.ipiv,
+                  trans=1)
     return z
 
 
-def oracle_bottom_integral(system, lu, mass_u):
+def oracle_bottom_integral(lu, mass_u):
     """The bottom integral b . z of the adjoint z of :func:`oracle_adjoint_solution`,
     with b the bottom load on all velocity dofs."""
+    system = lu.system
     z = np.zeros(3 * system.mesh.num_nodes)
-    z[system.free] = oracle_adjoint_solution(system, lu, mass_u)
+    z[system.free] = oracle_adjoint_solution(lu, mass_u)
     return float(bottom_load_vector(system.mesh) @ z[:len(mass_u)])

@@ -77,25 +77,26 @@ def test_fixed_pattern_equals_coo_reference(case):
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
-@pytest.mark.parametrize("grid, nnz, band", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],
+@pytest.mark.parametrize("grid, nnz, width", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],
                          ids=["16x32", "32x64"])
-def test_pattern_order_keeps_the_band_narrow(grid, nnz, band):
+def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
     system = assemble_state_system(*tc1_slab(*grid))
     lu = factorize(system)
+    band = lu.system.pattern.band       # the LU reads its band from its system's pattern
     assert system.matrix.nnz == nnz
     # the layout found once with the pattern is the layout of every fill
     own = BandLayout.of(system.matrix.indices, system.matrix.indptr)
-    assert (own.kl, own.ku, own.ldab) == (lu.kl, lu.ku, system.pattern.band.ldab)
-    assert np.array_equal(own.position, system.pattern.band.position)
-    assert system.pattern.band.position.dtype == np.int32
+    assert (own.kl, own.ku, own.ldab) == (band.kl, band.ku, band.ldab)
+    assert np.array_equal(own.position, band.position)
+    assert band.position.dtype == np.int32
     # with (u_r, u_z, p) of each vertex together, vertex by vertex in the
     # vertex graph's reverse Cuthill-McKee order, the band is about 3 N1
     # wide: 51 at 16x32, 102 at 32x64
-    assert lu.kl == lu.ku
-    assert lu.kl == band if grid == (16, 32) else lu.kl <= band
+    assert band.kl == band.ku
+    assert band.kl == width if grid == (16, 32) else band.kl <= width
     bnorm = np.linalg.norm(system.rhs)
     for trans, matrix in ((0, system.matrix), (1, system.matrix.T)):
-        x, _ = dgbtrs(lu.lu, lu.kl, lu.ku, system.rhs, lu.ipiv, trans=trans)
+        x, _ = dgbtrs(lu.lu, band.kl, band.ku, system.rhs, lu.ipiv, trans=trans)
         assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * bnorm
 
 

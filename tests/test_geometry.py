@@ -14,6 +14,13 @@ from capflow.geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structur
 from .conftest import mesh_at, perturbed_mesh, two_triangle_mesh
 
 
+def _with(a, index, value):
+    """A copy of a with a[index] = value."""
+    out = np.array(a, dtype=type(value))
+    out[index] = value
+    return out
+
+
 class TestBuild:
     def test_reference_grid_counts(self):
         mesh = build_structured_mesh(5e-4, 5e-5, 16, 32)
@@ -105,6 +112,26 @@ class TestBuild:
         radii[mesh.axis_nodes[1] if node == "axis" else 4] = r     # 4: the centre node
         with pytest.raises(DimensionMismatch, match=message):
             replace(mesh.topology, radii=radii)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: AxiMesh(z=_with(m.z, 4, np.nan), topology=m.topology),
+        lambda m: AxiMesh(z=_with(m.z, 4, np.inf), topology=m.topology),
+        lambda m: replace(m.topology, radii=_with(m.topology.radii, 4, np.nan)),
+        lambda m: replace(m.topology, radius=np.nan),
+        lambda m: replace(m.topology, triangles=_with(m.triangles, (0, 0), -1)),
+        lambda m: replace(m.topology, triangles=np.column_stack((m.triangles, m.triangles[:, 0]))),
+        lambda m: replace(m.topology, triangles=m.triangles[:, :2]),
+        lambda m: replace(m.topology, boundary_edges={
+            **m.boundary_edges, BoundaryTag.BOTTOM: np.tile(m.boundary_edges[BoundaryTag.BOTTOM],
+                                                             (1, 2))[:, :3]}),
+        lambda m: replace(m.topology, boundary_edges={
+            tag: e for tag, e in m.boundary_edges.items() if tag is not BoundaryTag.AXIS}),
+    ], ids=["nan-height", "inf-height", "nan-interior-radius", "nan-cylinder", "negative-vertex-index",
+            "triangles-Mx4", "triangles-Mx2", "edges-Ex3", "missing-tag"])
+    def test_bad_outside_input_is_a_dimension_mismatch(self, build):
+        # each was accepted, or failed later with an untyped or unrelated error
+        with pytest.raises(DimensionMismatch):
+            build(build_structured_mesh(1.0, 1.0, 2, 2))     # node 4 is the centre
 
     def test_meshes_read_connectivity_from_their_topology(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,7 +27,7 @@ def system_of(matrix, rhs, free, mesh):
 
 
 def lu_solve(system):
-    return solve(system, factorize(system))
+    return solve(factorize(system), system.rhs)
 
 
 def wrap_system(mesh, matrix, rhs):
@@ -95,3 +97,14 @@ def test_solved_velocity_respects_essential_conditions():
     sys = assemble_state_system(mesh_old, mesh_old, u, V, 0.0, PHYS, NUM)
     u_new, _, _ = lu_solve(sys)
     assert np.abs(u_new.values[mesh_old.radial_constrained_nodes, 0]).max() == 0.0
+
+
+def test_lu_carries_the_system_it_factors():
+    mesh = build_structured_mesh(5e-4, 5e-5, 4, 4)
+    u = zero_vector_field(mesh)
+    system = assemble_state_system(mesh, mesh, u, u, 0.0, PHYS, NUM)
+    lu = factorize(system)
+    assert lu.system is system
+    # frozen: the matrix the residual gate reads is the one factored
+    with pytest.raises(FrozenInstanceError):
+        system.matrix = sp.eye(system.matrix.shape[0], format="csc")

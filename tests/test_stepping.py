@@ -27,7 +27,7 @@ def test_hydrostatic_state_is_steady():
     phys, num = tc1_params()
     z_eq = phys.p_bar / phys.g
     state = initial_state(5e-4, z_eq, num)
-    new, diag, _, _ = step(state, 0.0, phys, num)
+    new, diag, _ = step(state, 0.0, phys, num)
     assert diag.u_max <= 1e-8
     assert abs(diag.z_cl - z_eq) <= 1e-12
 
@@ -37,7 +37,7 @@ def test_rise_from_rest_matches_reference_peak():
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     for _ in range(5):
-        state, diag, _, _ = step(state, 0.0, phys, num)
+        state, diag, _ = step(state, 0.0, phys, num)
     assert diag.z_cl == pytest.approx(1.608e-4, rel=0.05)
     assert state.t == pytest.approx(0.01)
 
@@ -46,7 +46,7 @@ def test_first_step_moves_upward():
     # below the rest height the net bottom/capillary imbalance drives inflow
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
-    new, diag, _, _ = step(state, 0.0, phys, num)
+    new, diag, _ = step(state, 0.0, phys, num)
     assert new.u.values[:, 1].max() > 0.0
     surface = new.u.values[new.mesh.surface_nodes, 1]
     assert surface.mean() > 0.0
@@ -66,7 +66,7 @@ def test_mesh_quality_diagnostics_are_those_of_the_new_mesh():
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     for _ in range(2):
-        state, diag, _, _ = step(state, 1e-4, phys, num)
+        state, diag, _ = step(state, 1e-4, phys, num)
         assert diag.mesh is state.mesh
         assert (diag.min_area, diag.max_aspect) == mesh_quality(state.mesh)
     with pytest.raises(AttributeError):
@@ -91,7 +91,7 @@ def test_stability_over_full_run():
     state = initial_state(5e-4, 5e-5, num)
     radius = state.mesh.radius
     for _ in range(100):
-        state, diag, _, _ = step(state, 0.0, phys, num)
+        state, diag, _ = step(state, 0.0, phys, num)
         assert diag.min_area > 0
         assert diag.residual <= 1e-10
         # structural degrees of freedom are never written
