@@ -10,6 +10,7 @@ solves twice.  One gradient step per slab; no line search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .adjoint import solve_bottom_sensitivity
@@ -32,10 +33,11 @@ class ControlState:
     sigma_b_measure: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.lam < 0:
+        # written so that NaN fails every check, as NumParams's do
+        if not (self.alpha >= 0 and self.lam >= 0):
             raise ValueError("alpha and lam must be nonnegative")
-        if self.sigma_b_measure <= 0:
-            raise ValueError("sigma_b_measure must be positive")
+        if not (abs(self.zeta) < math.inf and 0 < self.sigma_b_measure < math.inf):
+            raise ValueError("zeta must be finite, and sigma_b_measure finite and positive")
 
 
 @dataclass
@@ -92,9 +94,9 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
     returned with the abort reason attached.
     """
     nsteps = int(round(num.T / num.dt))
-    state = initial_state(radius, init_height, num)
     ctrl = ControlState(zeta=zeta0, alpha=num.alpha, lam=num.lam,
                         sigma_b_measure=radius ** 2 / 2.0)
+    state = initial_state(radius, init_height, num)
     history = RunHistory()
     history.append(0.0, contact_line_height(state.mesh), ctrl.zeta, 0.0, 0.0, 0.0)
     if snapshot_cb is not None:

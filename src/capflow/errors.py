@@ -14,7 +14,8 @@ class WallViolation(CapflowError):
 
 
 class SurfaceFolded(CapflowError):
-    """The free surface stopped being a graph over r (a normal with nu_3 <= 0)."""
+    """A topology's free surface is not a graph over r: its edges do not run from
+    the axis to the contact node, r increasing.  Vertical mesh motion cannot fold it."""
 
 
 class SingularMatrix(CapflowError):

@@ -10,7 +10,9 @@ A mesh is the node heights over a :class:`MeshTopology`, which holds what a
 run never changes: the connectivity, the tags and the node radii.  Meshes
 are immutable; :func:`displace_mesh` returns a new mesh over the same
 topology, so what depends on the topology alone is computed once per run
-through :meth:`MeshTopology.memo`.
+through :meth:`MeshTopology.memo`.  The topology checks its free-surface arc
+once; as the radii never change, it stays a graph over r, and a mesh checks
+only that its triangles keep positive areas.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ class MeshTopology(_Memo):
     every mesh displaced from it.
 
     triangles      (M, 3) vertex index triples, positively oriented
-    boundary_edges tag -> (E, 2) node-pair array; free-surface edges are
-                   ordered by increasing r with each pair (left, right)
+    boundary_edges tag -> (E, 2) node-pair array; the free-surface edges run
+                   as (left, right) pairs from an axis node to the contact
+                   node, each starting where the previous one ends, with r
+                   strictly increasing
     contact_node   index of the single node shared by free surface and wall
     radii          (N,) node radii r [m]: mesh motion is vertical only, so
                    they are fixed for a run; N is num_nodes
@@ -48,7 +52,8 @@ class MeshTopology(_Memo):
     The arrays are kept as read-only copies (int64 indices, float radii); the
     caller's stay as they were.  All is checked once, here: the shapes, tags
     and vertex indices, and finite radii, none negative, the axis nodes on
-    r = 0 and the wall nodes on a cylinder of finite positive radius.
+    r = 0 and the wall nodes on a cylinder of finite positive radius; a
+    free-surface arc that breaks its order raises :class:`SurfaceFolded`.
     Whatever derives from the topology alone (boundary node sets, the radial
     kernel table, the vertex order and sparsity patterns through
     :meth:`memo`) is computed once per topology, not once per mesh.
@@ -91,6 +96,14 @@ class MeshTopology(_Memo):
         dev = np.abs(r[self.wall_nodes] - self.radius)
         if np.any(dev > 1e-12 * self.radius):
             raise WallViolation(f"wall node off the cylinder by {dev.max():.3e} m")
+        left, right = gamma.T
+        bad = np.concatenate(([left[0] not in self.axis_nodes], left[1:] != right[:-1]))
+        bad |= r[left] >= r[right]
+        bad[-1] |= right[-1] != self.contact_node
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SurfaceFolded(f"free-surface edge {k} ({left[k]}, {right[k]}) breaks the arc "
+                                "from the axis to the contact node with r increasing")
 
     @property
     def num_nodes(self) -> int:
@@ -113,11 +126,10 @@ class MeshTopology(_Memo):
 
     @cached_property
     def surface_nodes(self) -> np.ndarray:
-        """Free-surface node indices ordered by increasing r."""
+        """Free-surface node indices along the arc, from the axis to the
+        contact node, r increasing."""
         edges = self.boundary_edges[BoundaryTag.FREE_SURFACE]
-        chain = [edges[0, 0]]
-        chain.extend(edges[:, 1])
-        return np.asarray(chain, dtype=np.int64)
+        return np.append(edges[0, 0], edges[:, 1])
 
     @cached_property
     def radial_constrained_nodes(self) -> np.ndarray:
@@ -152,7 +164,9 @@ class AxiMesh(_Memo):
             raise DimensionMismatch("non-finite mesh height")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        self._validate()
+        tangled = np.count_nonzero(self.areas <= 0.0)
+        if tangled:
+            raise MeshTangled(f"{tangled} triangle(s) with non-positive area")
 
     # -- derived data ------------------------------------------------------
 
@@ -181,15 +195,6 @@ class AxiMesh(_Memo):
     bottom_nodes = _on_topology("bottom_nodes")
     surface_nodes = _on_topology("surface_nodes")
     radial_constrained_nodes = _on_topology("radial_constrained_nodes")
-
-    # -- invariants --------------------------------------------------------
-
-    def _validate(self):
-        if np.any(self.areas <= 0.0):
-            raise MeshTangled(
-                f"{int(np.sum(self.areas <= 0.0))} triangle(s) with non-positive area"
-            )
-        surface_normals(self)  # raises SurfaceFolded on a folded surface
 
 
 def radial_differences(topology: MeshTopology) -> np.ndarray:
@@ -291,9 +296,8 @@ def edge_geometry(mesh: AxiMesh, tag: BoundaryTag) -> EdgeGeometry:
 
 
 def surface_edges(mesh: AxiMesh) -> EdgeGeometry:
-    """The free-surface edge geometry, computed once per mesh (mesh validation
-    does it) and shared by the normals, the slopes, the surface forms and the
-    surface-tension load."""
+    """The free-surface edge geometry, computed once per mesh and shared by the
+    normals, the slopes, the surface forms and the surface-tension load."""
     return mesh.memo(_surface_edges)
 
 
@@ -304,9 +308,9 @@ def _surface_edges(mesh: AxiMesh) -> EdgeGeometry:
 def surface_normals(mesh: AxiMesh) -> np.ndarray:
     """Outward unit normals per free-surface edge (same order as the edge list).
 
-    The free surface must be a graph over r; every normal satisfies nu_3 > 0,
-    otherwise :class:`SurfaceFolded` is raised.  Computed once per mesh (mesh
-    validation does it) and read-only.
+    The topology's arc makes the surface a graph over r: every edge has
+    dr > 0, so its length is positive and its normal has nu_3 > 0.  Computed
+    once per mesh, on first use, and read-only.
     """
     return mesh.memo(_surface_normals)
 
@@ -314,11 +318,7 @@ def surface_normals(mesh: AxiMesh) -> np.ndarray:
 def _surface_normals(mesh: AxiMesh) -> np.ndarray:
     surface = surface_edges(mesh)
     t, length = surface.d, surface.length
-    if np.any(length == 0.0):
-        raise SurfaceFolded("degenerate free-surface edge")
     normals = np.column_stack((-t[:, 1], t[:, 0])) / length[:, None]
-    if np.any(normals[:, 1] <= 0.0):
-        raise SurfaceFolded("free surface stopped being a graph over r (nu_3 <= 0)")
     normals.setflags(write=False)
     return normals
 
@@ -330,10 +330,7 @@ def surface_slopes(mesh: AxiMesh) -> np.ndarray:
     nodes take the one-sided value.
     """
     d = surface_edges(mesh).d
-    dr = d[:, 0]
-    if np.any(dr <= 0.0):
-        raise SurfaceFolded("free-surface edges must advance in r")
-    e_slope = d[:, 1] / dr
+    e_slope = d[:, 1] / d[:, 0]
     n = len(e_slope)
     slopes = np.empty(n + 1)
     slopes[0] = e_slope[0]

@@ -161,6 +161,30 @@ def test_build_keeps_the_callers_dof_order():
     assert np.array_equal(shuffled_matrix, sorted_matrix[np.ix_(at, at)])
 
 
+def test_build_with_int64_keys_fills_like_the_int32_build():
+    """From 46 340 kept dofs (nf + 1)^2 passes 2^31 and the build sorts int64
+    (column, row) keys: a family on the first 40 of 50 000 kept dofs fills as
+    it does on those 40 alone, bit for bit, with int32 slots and rows."""
+    rng = np.random.default_rng(0)
+    family = np.array([rng.choice(40, 3, replace=False) for _ in range(30)])
+    small = FixedPattern.build([family], np.arange(40), 40)
+    large = FixedPattern.build([family], np.arange(50_000), 50_000)
+    assert (len(small.indices), small.band.kl, small.band.ku) == (205, 35, 35)
+    assert all(a.dtype == np.int32 for a in (large.slot, large.indices, large.indptr))
+    assert np.array_equal(large.slot, small.slot)
+    assert np.array_equal(large.indices, small.indices)
+    assert np.array_equal(large.indptr[:41], small.indptr) and np.all(large.indptr[41:] == 205)
+    assert large.band.kl == large.band.ku == 35
+    blocks = rng.standard_normal((30, 3, 3))
+    fills = []
+    for pattern in (small, large):
+        data, vals, (view,) = pattern.values()
+        view[:] = blocks
+        fills.append(pattern.fill(data, vals))
+    assert np.array_equal(fills[1].data, fills[0].data)
+    assert np.array_equal(fills[1][:40, :40].toarray(), fills[0].toarray())
+
+
 def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     # the same nodes with every cell split along its other diagonal

@@ -108,6 +108,23 @@ class TestGradientUpdate:
 
 
 class TestRunLoop:
+    @pytest.mark.parametrize("bad", [dict(zeta=np.nan), dict(zeta=np.inf), dict(alpha=np.nan),
+                                     dict(lam=np.nan), dict(alpha=-1.0),
+                                     dict(sigma_b_measure=np.nan),
+                                     dict(sigma_b_measure=np.inf), dict(sigma_b_measure=0.0)],
+                             ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_control_inputs_rejected_before_any_step(self, bad, monkeypatch):
+        with pytest.raises(ValueError):
+            ControlState(**{**dict(zeta=0.0, alpha=1.0, lam=1.0, sigma_b_measure=SB), **bad})
+        if "zeta" in bad:
+            def no_step(*args):
+                raise AssertionError("a step ran")
+            monkeypatch.setattr(capflow.control, "step", no_step)
+            cfg = tc1_config()
+            with pytest.raises(ValueError, match="zeta must be finite"):
+                run_instantaneous_control(phys_params(cfg), num_params(cfg), cfg.radius,
+                                          cfg.init_height, zeta0=bad["zeta"])
+
     def test_uncontrolled_keeps_constant_control(self):
         phys = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                           p_bar=9.81e-4, g=9.81)
@@ -287,8 +304,8 @@ class TestRunLoop:
 
     def test_no_discarded_geometry_work_on_the_run_path(self, monkeypatch, tmp_path):
         # mesh quality is computed only when read, the surface edge geometry
-        # and the normals once per mesh (by its validation), and the snapshot
-        # template once per run
+        # once per mesh, the normals once per mesh a step assembles on (on
+        # first use), and the snapshot template once per run
         quality, edges, normals, templates = [], [], [], []
 
         def counting(calls, fn):
@@ -322,10 +339,11 @@ class TestRunLoop:
         assert len(snapshots) == nsteps + 1
         assert quality == []
         # one mesh per step plus the initial one, each with its edge geometry
-        # and normals built once
+        # built once; the initial mesh, which no step assembles on, gets no
+        # normals
         assert [id(m) for m in edges] == [id(m) for m in snapshots]
-        assert [id(m) for m in normals] == [id(m) for m in snapshots]
-        assert len({id(m) for m in normals}) == nsteps + 1
+        assert [id(m) for m in normals] == [id(m) for m in snapshots[1:]]
+        assert len({id(m) for m in normals}) == nsteps
         assert len(templates) == 1
         # the counters see the calls: reading a step's diagnostics fills its memo once
         state = initial_state(cfg.radius, cfg.init_height, num)

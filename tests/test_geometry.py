@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capflow.geometry
 from capflow.errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallViolation
 from capflow.fields import VectorFieldP1
 from capflow.geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
@@ -225,9 +226,11 @@ class TestDisplace:
 class TestSurface:
     def test_flat_surface_normals(self):
         mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+        # building a mesh computes no normals: its topology's arc makes them valid
+        assert capflow.geometry._surface_normals not in mesh.__dict__.get("_memo", {})
         normals = surface_normals(mesh)
         assert np.allclose(normals, [[0.0, 1.0]] * 4)
-        # computed once per mesh, by its validation, and shared read-only
+        # computed once per mesh, on first use, and shared read-only
         assert surface_normals(mesh) is normals
         assert not normals.flags.writeable
 
@@ -280,8 +283,23 @@ class TestSurface:
         inner = [i for i in mesh.surface_nodes if i not in mesh.wall_nodes
                  and i not in mesh.axis_nodes][0]
         nodes[inner, 0] = 1.2          # pull past the wall: edge runs backwards in r
-        with pytest.raises((SurfaceFolded, MeshTangled, WallViolation, DimensionMismatch)):
+        with pytest.raises(SurfaceFolded, match="edge 1 "):
             mesh_at(mesh, nodes)
+
+    @pytest.mark.parametrize("malformed, first_bad", [
+        pytest.param(lambda g: g[[0, 2, 1, 3]], 1, id="shuffled"),
+        pytest.param(lambda g: np.vstack((g[:2], g[2, ::-1], g[3:])), 2, id="reversed-pair"),
+        pytest.param(lambda g: g[[0, 1, 3]], 2, id="missing-middle"),
+        pytest.param(lambda g: g[1:], 0, id="missing-first"),   # starts off the axis
+    ])
+    def test_malformed_arc_rejected_by_the_topology(self, malformed, first_bad):
+        # the surface edges of a 4x4 grid, broken four ways; the error names
+        # the first edge that breaks the arc
+        topology = build_structured_mesh(1.0, 1.0, 4, 4).topology
+        edges = malformed(topology.boundary_edges[BoundaryTag.FREE_SURFACE])
+        with pytest.raises(SurfaceFolded, match=f"edge {first_bad} "):
+            replace(topology, boundary_edges={**topology.boundary_edges,
+                                              BoundaryTag.FREE_SURFACE: edges})
 
 
 def test_contact_height_is_surface_max_when_rising_toward_wall():
