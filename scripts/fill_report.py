@@ -2,12 +2,12 @@
 """The band of the saddle system on refined grids, and its factorization.
 
 For each grid, takes the second slab of the uncontrolled test-case-1 refill
-and fills the band of its reduced saddle matrix with ``forms.band_storage``,
-as ``forms.factorize`` does, in the pattern's vertex-by-vertex reverse
-Cuthill-McKee order.  Prints the number of reduced dofs, the stored entries,
-the band's kl and ku, the share of columns where dgbtrf's partial pivoting
-swapped rows, and the median time of the dgbtrf call alone.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) for comparable times.
+and factors its reduced saddle matrix with ``forms.factorize``, whose band
+comes from the pattern's vertex-by-vertex reverse Cuthill-McKee order.
+Prints the number of reduced dofs, the stored entries, the band's kl and ku,
+the share of columns where the LU's partial pivoting swapped rows, and the
+median time of ``factorize``: the scatter into band storage and dgbtrf.  Pin
+BLAS to one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
 
     PYTHONPATH=src python scripts/fill_report.py
 """
@@ -18,11 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgbtrf
 
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
-from capflow.forms import band_storage
+from capflow.forms import factorize
 from capflow.stepping import initial_state, step
 
 GRIDS = ((16, 32), (32, 64), (64, 128))   # N1 x N3
@@ -36,28 +35,22 @@ def report(n1: int, n3: int) -> str:
     state, _, _ = step(state, 0.0, phys, num)
     system = step(state, 0.0, phys, num)[2].system     # the LU itself is not kept
     matrix, band = system.matrix, system.pattern.band
-    n = matrix.shape[0]
-    ab = band_storage(system)
     times = []
     for _ in range(REPEATS):
-        work = ab.copy(order="F")
         t0 = time.perf_counter()
-        _, ipiv, info = dgbtrf(work, band.kl, band.ku, overwrite_ab=1)
+        lu = factorize(system)
         times.append(1e3 * (time.perf_counter() - t0))
-        del work
-    if info != 0:
-        raise RuntimeError(f"{n1}x{n3}: dgbtrf returned info {info}")
-    pivoted = float(np.mean(ipiv != np.arange(n)))     # scipy's ipiv is 0-based
-    return (f"{n1}x{n3:<6} {n:>7} {matrix.nnz:>9} {band.kl:>5} {band.ku:>5} "
-            f"{100 * pivoted:>8.1f} {float(np.median(times)):>10.2f}")
+    pivoted = float(np.mean(lu.ipiv != np.arange(matrix.shape[0])))   # scipy's ipiv is 0-based
+    return (f"{n1}x{n3:<6} {matrix.shape[0]:>7} {matrix.nnz:>9} {band.kl:>5} {band.ku:>5} "
+            f"{100 * pivoted:>8.1f} {float(np.median(times)):>12.2f}")
 
 
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
-          f"numpy {np.__version__}, scipy {scipy.__version__}; dgbtrf times are medians of "
+          f"numpy {np.__version__}, scipy {scipy.__version__}; factorize times are medians of "
           f"{REPEATS} in ms")
     print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'pivoted%':>8} "
-          f"{'dgbtrf ms':>10}")
+          f"{'factorize ms':>12}")
     for n1, n3 in GRIDS:
         print(report(n1, n3), flush=True)
 

@@ -11,8 +11,8 @@ the state to a unit bottom stress, weighted by m (the adjoint/tangent
 duality; Giles & Pierce 2000, Flow Turbul. Combust. 65).  The run path
 therefore solves A w = b with the slab's state LU, which carries the slab's
 system, in one :meth:`~capflow.forms.BandLU.solve` gated like the state
-solve, and never solves with A transposed.  The tests keep the
-transposed adjoint solve as the reference this bottom integral must match.
+solve, and never solves with A transposed.  The tests keep a dense
+transposed adjoint solve, independent of the LU, as the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .forms import BandLU, LinearSystem, bottom_load_vector
 def bottom_load(system: LinearSystem) -> np.ndarray:
     """b, the load of a unit vertical bottom stress, on the reduced dofs of
     system: d rhs / d zeta."""
-    return system.reduce(bottom_load_vector(system.mesh))
+    return system.pattern.reduce(bottom_load_vector(system.mesh))
 
 
 def solve_bottom_sensitivity(lu: BandLU, mass_u: np.ndarray) -> tuple[float, float]:
@@ -34,4 +34,4 @@ def solve_bottom_sensitivity(lu: BandLU, mass_u: np.ndarray) -> tuple[float, flo
     is the relative residual of that solve."""
     system = lu.system
     w, residual = lu.solve(bottom_load(system), "bottom-load")
-    return float(system.reduce(mass_u) @ w), residual
+    return float(system.pattern.reduce(mass_u) @ w), residual

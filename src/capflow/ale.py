@@ -50,7 +50,7 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
                          weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
     system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals),
-                          rhs=-lifted[pattern.free], mesh=mesh)
+                          rhs=pattern.reduce(-lifted), mesh=mesh)
     x, residual = factorize(system).solve(system.rhs, "mesh-velocity")
 
     values = np.zeros((n, 2))

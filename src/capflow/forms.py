@@ -16,10 +16,11 @@ forms straight into the reduced saddle matrix through a :class:`FixedPattern`
 built once per mesh topology, and the mesh-velocity extension fills its
 stiffness the same way.  The tests check that fill against dense
 element-by-element quadrature written apart from these kernels.  A
-:class:`LinearSystem` carries its pattern, whose band layout
-:func:`factorize` reads, and the :class:`BandLU` it returns carries the
-system it factors: every solve is one :meth:`BandLU.solve`, gated on the
-residual in that system's matrix.
+:class:`LinearSystem` carries its pattern, which maps every load onto the
+kept dofs (:meth:`FixedPattern.reduce`); only :func:`factorize` knows
+LAPACK's band storage, and the :class:`BandLU` it returns carries the system
+it factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
+that system's matrix.
 
 The kernels are planned products, not general contractions.  A block
 weighted at the quadrature points, integral of w N_i N_j, is one
@@ -440,14 +441,15 @@ class FixedPattern:
     pattern depends on no values: entries that cancel to zero stay stored.
 
     Reduced row and column k is the dof free[k]: the caller numbers the kept
-    dofs, and the build keeps that order.  Both patterns of a step pass them
-    vertex by vertex in the topology's :func:`vertex_order`, which keeps
-    every stored entry in a narrow band about the diagonal that
-    :func:`factorize` factors as a banded matrix.  The band layout of the
-    stored entries is found once, at build time.
+    dofs, the build keeps that order, and :meth:`reduce` maps every load onto
+    them.  Both patterns of a step pass them vertex by vertex in the
+    topology's :func:`vertex_order`, which keeps every stored entry in a
+    narrow band about the diagonal that :func:`factorize` factors as a banded
+    matrix.  The band layout of the stored entries is found once, at build time.
     """
 
     free: np.ndarray      # kept dof of each reduced row/column, in the caller's order
+    size: int             # number of dofs before the reduction
     shapes: list          # (E, k) of each family of local blocks
     slot: np.ndarray      # int32 data position of each local entry, families in order
     indices: np.ndarray   # int32 row of each stored entry
@@ -484,8 +486,13 @@ class FixedPattern:
         for a in (slot, indices, indptr):   # every filled matrix shares indices and indptr
             a.setflags(write=False)
         del stored
-        return cls(free=free, shapes=[d.shape for d in families], slot=slot,
+        return cls(free=free, size=size, shapes=[d.shape for d in families], slot=slot,
                    indices=indices, indptr=indptr, band=BandLayout.of(indices, indptr))
+
+    def reduce(self, f: np.ndarray) -> np.ndarray:
+        """A load f on the first len(f) dofs, zero on the rest (the pressure
+        rows, for a velocity load), on the reduced dofs in their order."""
+        return np.concatenate((f, np.zeros(self.size - len(f))))[self.free]
 
     def values(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """A zeroed data array and an uninitialised flat value array for
@@ -515,20 +522,10 @@ class LinearSystem:
     of one slab's state solve, or the mesh-velocity extension's; frozen, so a
     :class:`BandLU` gates on the matrix it factored."""
 
-    pattern: FixedPattern      # the matrix's sparsity, dof order and band layout
+    pattern: FixedPattern      # the matrix's sparsity, band layout, dof order and load reduction
     matrix: sp.spmatrix        # the pattern's fill, kept dofs only
     rhs: np.ndarray
     mesh: AxiMesh
-
-    @property
-    def free(self) -> np.ndarray:
-        """Global dof of each reduced row/column, in the pattern's order."""
-        return self.pattern.free
-
-    def reduce(self, f: np.ndarray) -> np.ndarray:
-        """A vector f on the velocity dofs of a saddle system, (2 N,), on the
-        reduced dofs in their order, zero in the pressure rows."""
-        return np.pad(f, (0, self.mesh.num_nodes))[self.free]
 
 
 def vertex_order(topology: MeshTopology) -> np.ndarray:
@@ -558,17 +555,18 @@ def in_vertex_order(topology: MeshTopology, components: int, fixed: np.ndarray) 
 
 
 def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
-    """Triangles over (u_r, u_z, p) of their vertices, then wall and
-    free-surface edges over (u_r, u_z) of their ends.  The radial dofs of the
-    wall and axis nodes are eliminated, and each vertex's kept dofs are
-    numbered together, in vertex order."""
+    """Triangles over (u_r, u_z, p) of their vertices, wall edges over u_z of
+    their ends, then free-surface edges over (u_r, u_z) of their ends.  The
+    radial dofs of the wall and axis nodes are eliminated, so the wall
+    friction acts on u_z alone, and each vertex's kept dofs are numbered
+    together, in vertex order."""
     n = topology.num_nodes
     tri = topology.triangles
-    edges = [_vector_dofs(topology.boundary_edges[tag], n)
-             for tag in (BoundaryTag.WALL, BoundaryTag.FREE_SURFACE)]
+    edges = topology.boundary_edges
     free = in_vertex_order(topology, 3, topology.radial_constrained_nodes)
-    return FixedPattern.build([np.concatenate((tri, tri + n, tri + 2 * n), axis=1), *edges],
-                              free, 3 * n)
+    return FixedPattern.build([np.concatenate((tri, tri + n, tri + 2 * n), axis=1),
+                               edges[BoundaryTag.WALL] + n,
+                               _vector_dofs(edges[BoundaryTag.FREE_SURFACE], n)], free, 3 * n)
 
 
 def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
@@ -601,23 +599,11 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     tri[:, :6, 6:] = coupling
     tri[:, 6:, :6] = -coupling.transpose(0, 2, 1)
     tri[:, 6:, 6:] = _pressure_stab_block(ed, num.Cs, grads[2])
-    wall[:] = _on_both_components(_wall_friction_block(mesh_new, beta))
+    wall[:] = _wall_friction_block(mesh_new, beta)
     surface[:] = (_on_both_components(_surface_flux_block(mesh_new, u, V))
                   + dt * _surface_stab_block(mesh_new, phys))
-    n = mesh_new.num_nodes
-    rhs = np.zeros(3 * n)
-    rhs[:2 * n] = mass_action(u_old) / dt + rhs_F(mesh_new, zeta, phys)
-    return LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs[pattern.free],
-                        mesh=mesh_new)
-
-
-def band_storage(system: LinearSystem) -> np.ndarray:
-    """System's matrix in the (ldab, n) Fortran-ordered LAPACK band storage
-    that dgbtrf factors in place, scattered through its pattern's band layout."""
-    band = system.pattern.band
-    n = system.matrix.shape[0]
-    return np.bincount(band.position, weights=system.matrix.data,
-                       minlength=band.ldab * n).reshape((band.ldab, n), order="F")
+    rhs = pattern.reduce(mass_action(u_old) / dt + rhs_F(mesh_new, zeta, phys))
+    return LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh_new)
 
 
 @dataclass(frozen=True)
@@ -654,9 +640,14 @@ def factorize(system: LinearSystem) -> BandLU:
 
     The band layout is that of system's pattern, whose dofs come vertex by
     vertex in the topology's reverse Cuthill-McKee order, which keeps the
-    band narrow.  Raises SingularMatrix on an exactly zero pivot."""
+    band narrow.  The matrix is scattered through that layout into the
+    (ldab, n) Fortran-ordered LAPACK band storage, which dgbtrf factors in
+    place.  Raises SingularMatrix on an exactly zero pivot."""
     band = system.pattern.band
-    lu, ipiv, info = dgbtrf(band_storage(system), band.kl, band.ku, overwrite_ab=1)
+    n = system.matrix.shape[0]
+    ab = np.bincount(band.position, weights=system.matrix.data,
+                     minlength=band.ldab * n).reshape((band.ldab, n), order="F")
+    lu, ipiv, info = dgbtrf(ab, band.kl, band.ku, overwrite_ab=1)
     if info > 0:
         raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
     return BandLU(system=system, lu=lu, ipiv=ipiv)
@@ -669,7 +660,7 @@ def solve(lu: BandLU, rhs: np.ndarray) -> tuple[VectorFieldP1, ScalarFieldP1, fl
     system = lu.system
     n = system.mesh.num_nodes
     full = np.zeros(3 * n)
-    full[system.free] = x
+    full[system.pattern.free] = x
     u = VectorFieldP1(np.column_stack((full[:n], full[n:2 * n])), system.mesh)
     p = ScalarFieldP1(full[2 * n:], system.mesh)
     return u, p, rel

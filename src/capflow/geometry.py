@@ -223,28 +223,21 @@ def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> Axi
     if n1 < 2 or n3 < 2:
         raise ValueError("n1 and n3 must be at least 2")
 
-    def idx(i, j):
-        return i * (n3 + 1) + j
-
+    ids = np.arange((n1 + 1) * (n3 + 1)).reshape(n1 + 1, n3 + 1)   # node at (rr[i], zz[j])
     rr = radius * np.arange(n1 + 1) / n1
     rr[-1] = radius                    # exact wall radius; rr[0] = 0 is the exact axis
     zz = height * np.arange(n3 + 1) / n3
 
-    tris = []
-    for i in range(n1):
-        for j in range(n3):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
+    # cell (i, j), i-major, splits into (a, b, c) and (a, c, d)
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    tris = np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3)
 
-    edges = {
-        BoundaryTag.BOTTOM: [(idx(i, 0), idx(i + 1, 0)) for i in range(n1)],
-        BoundaryTag.WALL: [(idx(n1, j), idx(n1, j + 1)) for j in range(n3)],
-        BoundaryTag.FREE_SURFACE: [(idx(i, n3), idx(i + 1, n3)) for i in range(n1)],
-        BoundaryTag.AXIS: [(idx(0, j), idx(0, j + 1)) for j in range(n3)],
-    }
-    topology = MeshTopology(triangles=tris, boundary_edges=edges, contact_node=idx(n1, n3),
+    def arc(nodes):
+        return np.column_stack((nodes[:-1], nodes[1:]))
+
+    edges = {BoundaryTag.BOTTOM: arc(ids[:, 0]), BoundaryTag.WALL: arc(ids[-1]),
+             BoundaryTag.FREE_SURFACE: arc(ids[:, -1]), BoundaryTag.AXIS: arc(ids[0])}
+    topology = MeshTopology(triangles=tris, boundary_edges=edges, contact_node=int(ids[-1, -1]),
                             radii=np.repeat(rr, n3 + 1), radius=radius)
     return AxiMesh(z=np.tile(zz, n1 + 1), topology=topology)
 

@@ -9,11 +9,11 @@ by dr(v_r) there) are shared with the implementation; the arithmetic is not.
 :func:`oracle_saddle` composes the forms into the whole step system, with
 the wall friction coefficient of ``forms.beta_h``.  :func:`oracle_bottom_integral`
 is the reference for the control gradient: the adjoint bottom integral from
-the transposed solve with the slab's LU, which the run path never makes.
+a dense solve with the slab's reduced matrix transposed, independent of the
+LU whose plain solve the run path uses.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrs
 
 from capflow.forms import beta_h, bottom_load_vector
 from capflow.geometry import BoundaryTag, contact_line_height, surface_normals
@@ -322,16 +322,14 @@ def oracle_adjoint_rhs(system, mass_u):
     action on the new velocity, zero in the pressure rows."""
     rhs = np.zeros(3 * system.mesh.num_nodes)
     rhs[:len(mass_u)] = mass_u
-    return rhs[system.free]
+    return rhs[system.pattern.free]
 
 
 def oracle_adjoint_solution(lu, mass_u):
-    """The adjoint z, on the reduced dofs, with A^T z = m: the transposed solve
-    with lu, the slab's state LU, which carries the slab's system."""
-    band = lu.system.pattern.band
-    z, _ = dgbtrs(lu.lu, band.kl, band.ku, oracle_adjoint_rhs(lu.system, mass_u), lu.ipiv,
-                  trans=1)
-    return z
+    """The adjoint z, on the reduced dofs, with A^T z = m: a dense solve with
+    the transposed matrix of the system lu carries, the slab's, not with lu."""
+    system = lu.system
+    return np.linalg.solve(system.matrix.T.toarray(), oracle_adjoint_rhs(system, mass_u))
 
 
 def oracle_bottom_integral(lu, mass_u):
@@ -339,5 +337,5 @@ def oracle_bottom_integral(lu, mass_u):
     with b the bottom load on all velocity dofs."""
     system = lu.system
     z = np.zeros(3 * system.mesh.num_nodes)
-    z[system.free] = oracle_adjoint_solution(lu, mass_u)
+    z[system.pattern.free] = oracle_adjoint_solution(lu, mass_u)
     return float(bottom_load_vector(system.mesh) @ z[:len(mass_u)])

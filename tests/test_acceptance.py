@@ -49,7 +49,7 @@ def test_criterion_5_adjoint_gradient_fd():
 
 def test_criterion_6_discrete_transpose():
     """The dense oracle adjoint operator equals the state operator transposed,
-    and the LU^T adjoint solution solves it (2x2 cells)."""
+    and the dense A^T adjoint solution solves it (2x2 cells)."""
     cfg = replace(acceptance.tc1_config(), N1=2, N3=2)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
@@ -61,7 +61,7 @@ def test_criterion_6_discrete_transpose():
     system = lu.system
     # the mesh velocity, recovered from the mesh motion
     V = VectorFieldP1((new.mesh.nodes - state.mesh.nodes) / num.dt, state.mesh)
-    free = system.free
+    free = system.pattern.free
     ref = oracles.oracle_adjoint(new.mesh, state.mesh, state.u, V, phys, num)[np.ix_(free, free)]
     vel = free < 2 * system.mesh.num_nodes
     diff = np.abs(ref - system.matrix.T.toarray()).max()
@@ -74,7 +74,7 @@ def test_criterion_6_discrete_transpose():
     report(acceptance.CriterionResult(
         "discrete transpose", ok,
         f"max |A_adj - A_state^T| = {diff:.3e} (<= 1e-13 * {scale:.3e}), "
-        f"LU^T adjoint residual in A_adj = {res:.3e} (<= 1e-10)"))
+        f"A^T adjoint residual in A_adj = {res:.3e} (<= 1e-10)"))
 
 
 def test_criterion_7_form_oracles():

@@ -44,7 +44,7 @@ def test_velocity_block_is_state_transpose():
     new, _, lu = step(state, 0.0, PHYS, NUM)
     system = lu.system
     V = VectorFieldP1((new.mesh.nodes - state.mesh.nodes) / NUM.dt, state.mesh)
-    free = system.free
+    free = system.pattern.free
     ref = oracle_adjoint(new.mesh, state.mesh, state.u, V, PHYS, NUM)[np.ix_(free, free)]
     vel = free < 2 * system.mesh.num_nodes
     scale = abs(system.matrix[vel][:, vel]).max()

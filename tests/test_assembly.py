@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgbtrs
 
-from capflow.acceptance import tc1_config
+import capflow.control
+import capflow.forms
+from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.ale import _extension_pattern, solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, _saddle_pattern, assemble_state_system,
-                           band_storage, factorize, vertex_order)
+                           factorize, vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.stepping import initial_state, step
 
@@ -64,14 +65,15 @@ def test_fixed_pattern_equals_coo_reference(case):
     """The step's reduced matrix and rhs equal the dense oracle's on its dofs."""
     args = case()
     system = assemble_state_system(*args)
-    matrix, rhs = reference_system(*args, system.free)
+    matrix, rhs = reference_system(*args, system.pattern.free)
     # the reduced order is a permutation of the free dofs fixed by the connectivity alone
     kept = np.setdiff1d(np.arange(3 * args[0].num_nodes), args[0].radial_constrained_nodes)
-    assert np.array_equal(np.sort(system.free), kept)
+    assert np.array_equal(np.sort(system.pattern.free), kept)
     twin = same_grid(args[0])
     assert twin.topology is not args[0].topology
     u0 = zero_vector_field(twin)
-    assert np.array_equal(assemble_state_system(twin, twin, u0, u0, *args[4:]).free, system.free)
+    twin_system = assemble_state_system(twin, twin, u0, u0, *args[4:])
+    assert np.array_equal(twin_system.pattern.free, system.pattern.free)
     assert system.matrix.shape == matrix.shape
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
@@ -94,16 +96,24 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
     # wide: 51 at 16x32, 102 at 32x64
     assert band.kl == band.ku
     assert band.kl == width if grid == (16, 32) else band.kl <= width
-    bnorm = np.linalg.norm(system.rhs)
-    for trans, matrix in ((0, system.matrix), (1, system.matrix.T)):
-        x, _ = dgbtrs(lu.lu, band.kl, band.ku, system.rhs, lu.ipiv, trans=trans)
-        assert np.linalg.norm(matrix @ x - system.rhs) <= 1e-10 * bnorm
+    x, _ = lu.solve(system.rhs, "state")
+    assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
 
-def test_band_storage_holds_the_matrix_on_its_diagonals():
+def test_band_storage_holds_the_matrix_on_its_diagonals(monkeypatch):
     system = assemble_state_system(*tc1_slab(4, 8))
     band, dense = system.pattern.band, system.matrix.toarray()
-    ab = band_storage(system)
+    handed = []         # the band storage factorize hands to dgbtrf, before it is factored
+    dgbtrf = capflow.forms.dgbtrf
+
+    def capturing(ab, kl, ku, **kwargs):
+        assert (kl, ku) == (band.kl, band.ku)
+        handed.append(ab.copy(order="K"))
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(capflow.forms, "dgbtrf", capturing)
+    factorize(system)
+    (ab,) = handed
     assert ab.shape == (band.ldab, len(dense)) and ab.flags.f_contiguous
     # entry (i, j) sits in row kl + ku + i - j of column j, bit for bit
     i, j = np.indices(dense.shape)
@@ -129,6 +139,50 @@ def test_patterns_number_dofs_vertex_by_vertex(pattern_of, components):
     order = vertex_order(topology)
     assert vertex_order(topology) is order
     assert np.array_equal(vertex[starts], order[np.isin(order, vertex)])
+
+
+@pytest.mark.parametrize("grid", [(4, 8), (8, 16)], ids=["4x8", "8x16"])
+@pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
+@pytest.mark.parametrize("config", [tc1_config, tc2_config], ids=["tc1", "tc2"])
+def test_symmetric_part_of_the_step_matrix_is_semidefinite(monkeypatch, config, controlled, grid):
+    """The scheme's energy estimate in discrete form: the symmetric part S of
+    the step matrix A = [[K, B], [-B^T, Sp]] is diag(K_sym, Sp), with K_sym
+    and Sp positive semidefinite, on every 5th of 40 steps."""
+    systems = []        # the saddle system of each step
+    run_step = capflow.control.step
+
+    def recording(*args):
+        out = run_step(*args)
+        systems.append(out[2].system)
+        return out
+
+    monkeypatch.setattr(capflow.control, "step", recording)
+    cfg = config()
+    hist = run_tc1(controlled, cfg, N1=grid[0], N3=grid[1], T=40 * cfg.dt)
+    assert hist.abort_reason is None and len(systems) == 40
+    eps = np.finfo(float).eps
+    for k in range(5, 41, 5):
+        system = systems[k - 1]
+        A = system.matrix.toarray()
+        S = 0.5 * (A + A.T)
+        vel = system.pattern.free < 2 * system.mesh.num_nodes
+        # B and -B^T cancel exactly in the symmetric part
+        assert not S[np.ix_(vel, ~vel)].any(), f"step {k}: velocity-pressure block"
+        for name, block in (("K_sym", S[np.ix_(vel, vel)]), ("Sp", S[np.ix_(~vel, ~vel)])):
+            lam = np.linalg.eigvalsh(block)
+            assert lam[0] >= -10 * eps * lam[-1], f"step {k}: {name} lambda_min {lam[0]:.3e}"
+
+
+def test_reduce_maps_a_load_onto_the_kept_dofs():
+    """A load on the first len(f) dofs, zero on the rest, in the pattern's order."""
+    mesh = build_structured_mesh(1.0, 1.0, 3, 4)
+    pattern = mesh.topology.memo(_saddle_pattern)
+    n = mesh.num_nodes
+    f = np.random.default_rng(6).standard_normal(2 * n)
+    full = np.concatenate((f, np.zeros(n)))
+    assert pattern.size == 3 * n
+    assert np.array_equal(pattern.reduce(f), full[pattern.free])
+    assert np.array_equal(pattern.reduce(full), full[pattern.free])
 
 
 def test_fill_sums_like_bincount():
@@ -201,6 +255,6 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
 
     w = random_vector_field(flipped, seed=4)
     system = assemble_state_system(flipped, flipped, w, w, 0.0, PHYS, NUM)
-    matrix, rhs = reference_system(flipped, flipped, w, w, 0.0, PHYS, NUM, system.free)
+    matrix, rhs = reference_system(flipped, flipped, w, w, 0.0, PHYS, NUM, system.pattern.free)
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()

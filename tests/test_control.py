@@ -188,7 +188,7 @@ class TestRunLoop:
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
                 alive.append(live[0])
-                sizes.append(self.lu.shape[1])
+                sizes.append(self.system.matrix.shape[0])
                 live[0] += 1
 
             def __del__(self):
@@ -207,7 +207,7 @@ class TestRunLoop:
         solves = []         # size of each solve with a band LU, which solves only A x = b
 
         def counting_solve(lu, rhs, what):
-            solves.append(lu.lu.shape[1])
+            solves.append(lu.system.matrix.shape[0])
             return solve(lu, rhs, what)
 
         monkeypatch.setattr(capflow.forms.BandLU, "solve", counting_solve)

@@ -1,8 +1,17 @@
-"""Smoke test of the profiling scripts, which reach private names of capflow.forms."""
+"""Smoke tests of the scripts: the profiling scripts, which reach private
+names of capflow.forms, and the two test-case runs on a coarse, short copy of
+their configurations."""
 
+import csv
 import importlib.util
 import math
+import sys
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
+
+from capflow.writers import CSV_HEADER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -34,3 +43,23 @@ def test_step_profile_times_every_phase():
     step_profile.FAULT_STEPS = 3
     faults = step_profile.faults_per_step(4, 8)
     assert math.isfinite(faults) and faults >= 0
+
+
+@pytest.mark.parametrize("name, config, extra",
+                         [("run_testcase1", "tc1_config", []),
+                          ("run_testcase2", "tc2_config", ["--snapshots", "1"])],
+                         ids=["tc1", "tc2"])
+def test_run_script_writes_its_outputs(monkeypatch, tmp_path, name, config, extra):
+    script = load(name)
+    full = getattr(script, config)()
+    monkeypatch.setattr(script, config, lambda: replace(full, N1=4, N3=4, T=3 * full.dt))
+    monkeypatch.setattr(sys, "argv", [name, "--out", str(tmp_path), *extra])
+    script.main()
+    case = name[-1]
+    for run in ("uncontrolled", "controlled"):
+        with open(tmp_path / f"tc{case}_{run}.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert ",".join(header) == CSV_HEADER
+        assert len(rows) == 4       # the initial state and 3 steps
+    vtk = sorted(p.name for p in tmp_path.glob("*.vtk"))
+    assert vtk == ([f"rise_{k:05d}.vtk" for k in range(4)] if case == "2" else [])

@@ -18,9 +18,11 @@ NUM = NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.1)
 
 
 def system_of(matrix, rhs, free, mesh):
-    """A LinearSystem on a hand-built CSC matrix, over a pattern of the matrix's
-    own structure whose reduced rows are the dofs free, in that order."""
-    pattern = FixedPattern(free=free, shapes=[], slot=np.empty(0, np.int32),
+    """A saddle LinearSystem on a hand-built CSC matrix, over a pattern of the
+    matrix's own structure whose reduced rows are the dofs free of mesh's 3 N,
+    in that order."""
+    pattern = FixedPattern(free=free, size=3 * mesh.num_nodes, shapes=[],
+                           slot=np.empty(0, np.int32),
                            indices=matrix.indices, indptr=matrix.indptr,
                            band=BandLayout.of(matrix.indices, matrix.indptr))
     return LinearSystem(pattern=pattern, matrix=matrix, rhs=rhs, mesh=mesh)
