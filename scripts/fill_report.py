@@ -5,9 +5,9 @@ For each grid, takes the second slab of the uncontrolled test-case-1 refill
 and factors its reduced saddle matrix with ``forms.factorize``, whose band
 comes from the pattern's vertex-by-vertex reverse Cuthill-McKee order.
 Prints the number of reduced dofs, the stored entries, the band's kl and ku,
-the share of columns where the LU's partial pivoting swapped rows, and the
-median time of ``factorize``: the scatter into band storage and dgbtrf.  Pin
-BLAS to one thread (OPENBLAS_NUM_THREADS=1) for comparable times.
+the growth max|U|/max|A| of the LU without pivoting, and the median time of
+``factorize``: the scatter into band storage and the compiled kernel, whose
+compiler flags the header gives.
 
     PYTHONPATH=src python scripts/fill_report.py
 """
@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import scipy
 
+from capflow import bandlu
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
 from capflow.forms import factorize
@@ -40,16 +41,16 @@ def report(n1: int, n3: int) -> str:
         t0 = time.perf_counter()
         lu = factorize(system)
         times.append(1e3 * (time.perf_counter() - t0))
-    pivoted = float(np.mean(lu.ipiv != np.arange(matrix.shape[0])))   # scipy's ipiv is 0-based
     return (f"{n1}x{n3:<6} {matrix.shape[0]:>7} {matrix.nnz:>9} {band.kl:>5} {band.ku:>5} "
-            f"{100 * pivoted:>8.1f} {float(np.median(times)):>12.2f}")
+            f"{lu.growth:>8.3f} {float(np.median(times)):>12.2f}")
 
 
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
-          f"numpy {np.__version__}, scipy {scipy.__version__}; factorize times are medians of "
+          f"numpy {np.__version__}, scipy {scipy.__version__}; kernel built with "
+          f"{bandlu.COMPILER} {' '.join(bandlu.FLAGS)}; factorize times are medians of "
           f"{REPEATS} in ms")
-    print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'pivoted%':>8} "
+    print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'growth':>8} "
           f"{'factorize ms':>12}")
     for n1, n3 in GRIDS:
         print(report(n1, n3), flush=True)

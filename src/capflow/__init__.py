@@ -7,8 +7,8 @@ from .config import RunConfig, load_config, num_params, parse_config, phys_param
 from .control import (ControlState, RunHistory, gradient, objective_increment,
                       run_instantaneous_control, update_control)
 from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied,
-                     MeshTangled, ResidualTooLarge, SingularMatrix, SurfaceFolded,
-                     WallViolation)
+                     KernelBuildError, MeshTangled, ResidualTooLarge, SingularMatrix,
+                     SurfaceFolded, WallViolation)
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
 from .forms import LinearSystem, assemble_state_system, beta_h, mass_action, rhs_F, solve
 from .geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,

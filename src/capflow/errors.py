@@ -36,3 +36,13 @@ class DomainEmptied(CapflowError):
 
 class ConfigError(CapflowError):
     """A run configuration could not be parsed or holds an invalid value."""
+
+
+class KernelBuildError(CapflowError):
+    """The compiled band LU kernel could not be built: the compiler is missing
+    or failed.  Carries the command and the compiler's stderr."""
+
+    def __init__(self, command: list[str], stderr: str):
+        super().__init__(f"building the band LU kernel failed: {' '.join(command)}\n{stderr}")
+        self.command = command
+        self.stderr = stderr

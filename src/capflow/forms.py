@@ -18,8 +18,9 @@ stiffness the same way.  The tests check that fill against dense
 element-by-element quadrature written apart from these kernels.  A
 :class:`LinearSystem` carries its pattern, which maps every load onto the
 kept dofs (:meth:`FixedPattern.reduce`); only :func:`factorize` knows
-LAPACK's band storage, and the :class:`BandLU` it returns carries the system
-it factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
+the band storage, and the :class:`BandLU` it returns, an LU without pivoting
+from the compiled kernel of :mod:`capflow.bandlu`, carries the system it
+factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
 that system's matrix.
 
 The kernels are planned products, not general contractions.  A block
@@ -53,9 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .bandlu import factor_band, solve_band
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
 from .geometry import (AxiMesh, BoundaryTag, EdgeGeometry, MeshTopology, contact_line_height,
@@ -402,16 +403,17 @@ def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandLayout:
-    """Where each stored entry of a CSC matrix goes in LAPACK band storage.
+    """Where each stored entry of a CSC matrix goes in band storage.
 
-    Entry (i, j) goes to row kl + ku + i - j of column j of the (ldab, n)
-    Fortran-ordered array :func:`factorize` hands to dgbtrf; ``position`` is
-    that flat index for every stored entry, in data order.
+    Entry (i, j) goes to row ku + i - j of column j of the (ldab, n)
+    Fortran-ordered array :func:`factorize` factors without pivoting, LAPACK's
+    column layout without fill rows; ``position`` is that flat index for
+    every stored entry, in data order.
     """
 
     kl: int                 # subdiagonals
     ku: int                 # superdiagonals
-    ldab: int               # 2 kl + ku + 1: dgbtrf keeps kl rows of fill from pivoting on top
+    ldab: int               # kl + ku + 1: without pivoting, U keeps the upper band
     position: np.ndarray    # int32 (int64 past 2**31 band entries) flat band index of each entry
 
     @classmethod
@@ -421,10 +423,10 @@ class BandLayout:
         column = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         offset = indices.astype(np.int32) - column          # row - column
         kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        ldab = 2 * kl + ku + 1
+        ldab = kl + ku + 1
         dtype = np.int32 if ldab * n < 2 ** 31 else np.int64
         position = offset.astype(dtype, copy=False)
-        position += kl + ku
+        position += ku
         position += column.astype(dtype, copy=False) * dtype(ldab)
         position.setflags(write=False)
         return cls(kl=kl, ku=ku, ldab=ldab, position=position)
@@ -608,12 +610,17 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
 
 @dataclass(frozen=True)
 class BandLU:
-    """LAPACK banded LU with partial pivoting (dgbtrf) of system's matrix,
-    from :func:`factorize`; the band's kl and ku are its pattern's."""
+    """LU without pivoting of system's matrix, from :func:`factorize`; the
+    band's kl and ku are its pattern's."""
 
     system: LinearSystem
-    lu: np.ndarray      # (2 kl + ku + 1, n) band storage, Fortran order
-    ipiv: np.ndarray
+    lu: np.ndarray      # (kl + ku + 1, n) band storage, Fortran order: U on and above row ku, L below
+
+    @property
+    def growth(self) -> float:
+        """max |U| / max |A|, the growth of the factorization; computed when read."""
+        ku = self.system.pattern.band.ku
+        return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.matrix.data).max())
 
     def solve(self, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
         """x on the reduced dofs with A x = rhs, A the system's matrix, and the
@@ -622,7 +629,8 @@ class BandLU:
         ResidualTooLarge, each naming the solve by what ("state", "bottom-load"
         or "mesh-velocity")."""
         band = self.system.pattern.band
-        x, _ = dgbtrs(self.lu, band.kl, band.ku, rhs, self.ipiv)
+        x = np.array(rhs, dtype=np.float64)
+        solve_band(self.lu, band.kl, band.ku, x)
         if not np.all(np.isfinite(x)):
             raise SingularMatrix(f"{what} solve produced non-finite values")
         bnorm = np.linalg.norm(rhs)
@@ -634,23 +642,26 @@ class BandLU:
 
 
 def factorize(system: LinearSystem) -> BandLU:
-    """Banded LU of system's matrix, the one factorization of the run path:
-    the state solve and the bottom-load solve of the control gradient share
-    the saddle matrix's, the mesh-velocity extension factors its stiffness.
+    """Banded LU without pivoting of system's matrix, the one factorization
+    of the run path: the state solve and the bottom-load solve of the control
+    gradient share the saddle matrix's, the mesh-velocity extension factors
+    its stiffness.  The saddle matrix's symmetric part is positive
+    semidefinite and the stiffness is positive definite, so neither needs
+    pivoting (see :mod:`capflow.bandlu`).
 
     The band layout is that of system's pattern, whose dofs come vertex by
     vertex in the topology's reverse Cuthill-McKee order, which keeps the
     band narrow.  The matrix is scattered through that layout into the
-    (ldab, n) Fortran-ordered LAPACK band storage, which dgbtrf factors in
-    place.  Raises SingularMatrix on an exactly zero pivot."""
+    (kl + ku + 1, n) Fortran-ordered band storage, which the kernel factors
+    in place.  Raises SingularMatrix on an exactly zero pivot."""
     band = system.pattern.band
     n = system.matrix.shape[0]
     ab = np.bincount(band.position, weights=system.matrix.data,
                      minlength=band.ldab * n).reshape((band.ldab, n), order="F")
-    lu, ipiv, info = dgbtrf(ab, band.kl, band.ku, overwrite_ab=1)
+    info = factor_band(ab, band.kl, band.ku)
     if info > 0:
         raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
-    return BandLU(system=system, lu=lu, ipiv=ipiv)
+    return BandLU(system=system, lu=ab)
 
 
 def solve(lu: BandLU, rhs: np.ndarray) -> tuple[VectorFieldP1, ScalarFieldP1, float]:

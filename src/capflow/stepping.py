@@ -65,7 +65,7 @@ class StepDiagnostics:
 
 # glibc's mallopt parameters, and the values fixed for them
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20  # blocks below it (the 32x64 band, 15.5 MiB) come from the heap
+_MMAP_THRESHOLD = 32 << 20  # blocks below it (the 32x64 band, 9.9 MiB) come from the heap
 _TRIM_THRESHOLD = 64 << 20  # free space at the heap top is kept up to it
 
 

@@ -103,24 +103,29 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
 def test_band_storage_holds_the_matrix_on_its_diagonals(monkeypatch):
     system = assemble_state_system(*tc1_slab(4, 8))
     band, dense = system.pattern.band, system.matrix.toarray()
-    handed = []         # the band storage factorize hands to dgbtrf, before it is factored
-    dgbtrf = capflow.forms.dgbtrf
+    handed = []         # the band storage factorize hands to the kernel, before it is factored
+    factor_band = capflow.forms.factor_band
 
-    def capturing(ab, kl, ku, **kwargs):
+    def capturing(ab, kl, ku):
         assert (kl, ku) == (band.kl, band.ku)
         handed.append(ab.copy(order="K"))
-        return dgbtrf(ab, kl, ku, **kwargs)
+        return factor_band(ab, kl, ku)
 
-    monkeypatch.setattr(capflow.forms, "dgbtrf", capturing)
+    monkeypatch.setattr(capflow.forms, "factor_band", capturing)
     factorize(system)
     (ab,) = handed
+    # no fill rows: without pivoting U keeps the upper band
+    assert band.ldab == band.kl + band.ku + 1
     assert ab.shape == (band.ldab, len(dense)) and ab.flags.f_contiguous
-    # entry (i, j) sits in row kl + ku + i - j of column j, bit for bit
+    # entry (i, j) sits in row ku + i - j of column j, bit for bit
     i, j = np.indices(dense.shape)
     inside = (i - j <= band.kl) & (j - i <= band.ku)
-    assert np.array_equal(ab[(band.kl + band.ku + i - j)[inside], j[inside]], dense[inside])
+    assert np.array_equal(ab[(band.ku + i - j)[inside], j[inside]], dense[inside])
     assert not dense[~inside].any()
-    assert not ab[:band.kl].any()       # the rows dgbtrf fills while pivoting
+    # the corners of the storage that no matrix entry reaches stay zero
+    outside = np.ones(ab.shape, dtype=bool)
+    outside[(band.ku + i - j)[inside], j[inside]] = False
+    assert not ab[outside].any()
 
 
 @pytest.mark.parametrize("pattern_of, components", [(_saddle_pattern, 3), (_extension_pattern, 1)],

@@ -238,15 +238,14 @@ class TestRunLoop:
     def test_mesh_velocity_solve_over_the_gate_aborts_the_run(self, monkeypatch):
         # x is perturbed beneath the gate: perturbed factors would still give
         # x = 0 for the zero right-hand side of the flow at rest
-        dgbtrs = capflow.forms.dgbtrs
+        solve_band = capflow.forms.solve_band
 
-        def perturbed(ab, kl, ku, rhs, ipiv):
-            x, info = dgbtrs(ab, kl, ku, rhs, ipiv)
+        def perturbed(lu, kl, ku, x):
+            solve_band(lu, kl, ku, x)
             if len(x) == 15:        # the mesh-velocity system of the 4x4 grid
-                x = x + 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(len(x))
-            return x, info
+                x += 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(len(x))
 
-        monkeypatch.setattr(capflow.forms, "dgbtrs", perturbed)
+        monkeypatch.setattr(capflow.forms, "solve_band", perturbed)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
         assert isinstance(hist.abort_reason, ResidualTooLarge)
         assert "mesh-velocity solve" in str(hist.abort_reason)
@@ -354,13 +353,13 @@ class TestRunLoop:
     def test_factorizations_run_in_the_pattern_order(self, monkeypatch):
         # the patterns come in the topology's vertex order, so every step
         # factors one narrow band and orders nothing
-        dgbtrf = capflow.forms.dgbtrf
+        factor_band = capflow.forms.factor_band
         bands = []          # (size, kl, ku) of each band factorization
         orders = []         # (band factorizations made before, vertices) of each ordering
 
-        def counting_dgbtrf(ab, kl, ku, **kwargs):
+        def counting_factor(ab, kl, ku):
             bands.append((ab.shape[1], kl, ku))
-            return dgbtrf(ab, kl, ku, **kwargs)
+            return factor_band(ab, kl, ku)
 
         def counting_rcm(graph, **kwargs):
             orders.append((len(bands), graph.shape[0]))
@@ -378,7 +377,7 @@ class TestRunLoop:
             assert not any(val is f for val in vars(mod).values() for f in originals)
         for name in sparse_solvers:
             monkeypatch.setattr(scipy.sparse.linalg, name, forbidden(name))
-        monkeypatch.setattr(capflow.forms, "dgbtrf", counting_dgbtrf)
+        monkeypatch.setattr(capflow.forms, "factor_band", counting_factor)
         monkeypatch.setattr(capflow.forms, "reverse_cuthill_mckee", counting_rcm)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
         assert hist.abort_reason is None

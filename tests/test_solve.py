@@ -1,16 +1,24 @@
+import ctypes
+import platform
+import subprocess
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from capflow.errors import DimensionMismatch, SingularMatrix
+import capflow.ale
+import capflow.stepping
+from capflow import bandlu
+from capflow.acceptance import run_tc1, tc1_config, tc2_config
+from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
                            factorize, solve)
 from capflow.geometry import build_structured_mesh
 
 from .pattern_forms import form_a, mass_matrix
+from .test_assembly import tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -79,7 +87,19 @@ def test_singular_matrix_detected():
     mat[0, 0] = 0.0
     sys = system_of(mat.tocsc(), rhs=np.ones(3 * n),
                     free=np.arange(3 * n), mesh=mesh)
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="zero pivot in column 1 "):
+        lu_solve(sys)
+
+
+def test_zero_pivot_left_by_the_elimination_names_its_column():
+    """The block [[1, 1], [1, 1]] on dofs 4 and 5 leaves U(5, 5) = 0: 1-based column 6."""
+    mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+    n = mesh.num_nodes
+    mat = sp.eye(3 * n, format="lil")
+    mat[4, 5] = mat[5, 4] = 1.0
+    sys = system_of(mat.tocsc(), rhs=np.ones(3 * n),
+                    free=np.arange(3 * n), mesh=mesh)
+    with pytest.raises(SingularMatrix, match="zero pivot in column 6 "):
         lu_solve(sys)
 
 
@@ -110,3 +130,155 @@ def test_lu_carries_the_system_it_factors():
     # frozen: the matrix the residual gate reads is the one factored
     with pytest.raises(FrozenInstanceError):
         system.matrix = sp.eye(system.matrix.shape[0], format="csc")
+
+
+# -- the compiled kernel -------------------------------------------------------
+
+def dense_lu_without_pivoting(A):
+    """Doolittle's LU of A, on a copy, one column at a time: the kernel's
+    arithmetic, one division or one multiply-subtract per entry and column."""
+    lu = A.copy()
+    for k in range(len(lu) - 1):
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu
+
+
+def on_band(A, kl, ku):
+    """The entries of A inside the band, and their places in band storage."""
+    i, j = np.indices(A.shape)
+    inside = (i - j <= kl) & (j - i <= ku)
+    return A[inside], ((ku + i - j)[inside], j[inside])
+
+
+def test_kernel_factors_equal_the_dense_lu_without_pivoting():
+    system = assemble_state_system(*tc1_slab(4, 8))
+    band = system.pattern.band
+    A = system.matrix.toarray()
+    reference = dense_lu_without_pivoting(A)
+    lu = factorize(system)
+    values, places = on_band(reference, band.kl, band.ku)
+    assert np.array_equal(lu.lu[places], values)
+    assert np.count_nonzero(values) == np.count_nonzero(reference)    # none outside the band
+    upper = np.triu(reference)
+    assert lu.growth == np.abs(upper).max() / np.abs(A).max()
+
+
+def test_kernel_handles_every_band_shape():
+    """kl and ku from 0 to 4 and n from 1 to 12, odd and even (the kernel
+    eliminates two columns at a time) and narrower than the band: the
+    factors equal the dense loop's bit for bit, and a solve matches a dense
+    solve."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 13):
+        for kl in range(5):
+            for ku in range(5):
+                i, j = np.indices((n, n))
+                A = np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((n, n)), 0.0)
+                A += 4.0 * np.eye(n)
+                values, places = on_band(A, kl, ku)
+                ab = np.zeros((kl + ku + 1, n), order="F")
+                ab[places] = values
+                assert bandlu.factor_band(ab, kl, ku) == 0
+                assert np.array_equal(ab[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
+                b = rng.standard_normal(n)
+                x = b.copy()
+                bandlu.solve_band(ab, kl, ku, x)
+                ref = np.linalg.solve(A, b)
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (n, kl, ku)
+
+
+@pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
+@pytest.mark.parametrize("config", [tc1_config, tc2_config], ids=["tc1", "tc2"])
+def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config, controlled):
+    """Every mesh-velocity and saddle LU of 20 steps at 8x16 solves the
+    system's own and a random right-hand side as a dense solve does, to
+    1e-10 relative, with growth max|U|/max|A| at most 10."""
+    lus = []
+    for module in (capflow.ale, capflow.stepping):
+        def recording(system, factorize=module.factorize):
+            lus.append(factorize(system))
+            return lus[-1]
+        monkeypatch.setattr(module, "factorize", recording)
+    cfg = config()
+    hist = run_tc1(controlled, cfg, N1=8, N3=16, T=20 * cfg.dt)
+    assert hist.abort_reason is None and len(lus) == 40
+    rng = np.random.default_rng(8)
+    for k, lu in enumerate(lus):
+        A = lu.system.matrix.toarray()
+        for b in (lu.system.rhs, rng.standard_normal(len(A))):
+            x, _ = lu.solve(b, "test")
+            ref = np.linalg.solve(A, b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), k
+        assert lu.growth <= 10.0, (k, lu.growth)
+
+
+def test_factorizations_are_bitwise_equal():
+    system = assemble_state_system(*tc1_slab(8, 16))
+    first, second = factorize(system), factorize(system)
+    assert np.array_equal(first.lu, second.lu)
+    assert np.array_equal(first.solve(system.rhs, "state")[0],
+                          second.solve(system.rhs, "state")[0])
+
+
+def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
+    """The source built without target clones, the code any x86-64 or other
+    host runs, factors and solves bit for bit as the run path's build."""
+    monkeypatch.setattr(bandlu, "CACHE", tmp_path)
+    path = bandlu.build(flags=bandlu.FLAGS + ("-DBANDLU_PORTABLE",))
+    portable = bandlu.Kernel(path)
+    if platform.machine() == "x86_64":      # only the cloned build dispatches
+        ctypes.CDLL(str(bandlu.build()))["band_factor.resolver"]
+        with pytest.raises(AttributeError):
+            ctypes.CDLL(str(path))["band_factor.resolver"]
+    system = assemble_state_system(*tc1_slab())
+    band = system.pattern.band
+    lu = factorize(system)
+    values, places = on_band(system.matrix.toarray(), band.kl, band.ku)
+    ab = np.zeros(lu.lu.shape, order="F")
+    ab[places] = values
+    assert portable.factor(ab.shape[1], band.kl, band.ku, ab) == 0
+    assert np.array_equal(ab, lu.lu)
+    x = system.rhs.copy()
+    portable.solve(len(x), band.kl, band.ku, ab, x)
+    assert np.array_equal(x, lu.solve(system.rhs, "state")[0])
+
+
+def test_band_arguments_are_checked_before_the_kernel_runs():
+    ab = np.zeros((5, 4), order="F")
+    with pytest.raises(DimensionMismatch):
+        bandlu.factor_band(ab, 2, 1)
+    with pytest.raises(DimensionMismatch):
+        bandlu.solve_band(ab, 2, 2, np.zeros(5))
+
+
+def test_a_cached_kernel_starts_no_compiler(monkeypatch):
+    path = bandlu.build()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("compiler started on a cache hit")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert bandlu.build() == path
+    bandlu.Kernel(path)
+
+
+def test_missing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):
+    missing = str(tmp_path / "no-such-cc")
+    monkeypatch.setattr(bandlu, "COMPILER", missing)
+    monkeypatch.setattr(bandlu, "CACHE", tmp_path / "cache")
+    with pytest.raises(KernelBuildError) as err:
+        bandlu.build()
+    assert err.value.command[0] == missing
+    assert "no-such-cc" in err.value.stderr
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_failing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(bandlu, "CACHE", tmp_path)
+    with pytest.raises(KernelBuildError) as err:
+        bandlu.build(source="this is not C")
+    assert err.value.command[0] == bandlu.COMPILER
+    assert "error" in err.value.stderr
+    assert str(err.value).startswith("building the band LU kernel failed: ")
+    assert list(tmp_path.iterdir()) == []
