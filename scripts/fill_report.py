@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import scipy
 
-from capflow import bandlu
+from capflow import kernels
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
 from capflow.forms import factorize
@@ -48,7 +48,7 @@ def report(n1: int, n3: int) -> str:
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}; kernel built with "
-          f"{bandlu.COMPILER} {' '.join(bandlu.FLAGS)}; factorize times are medians of "
+          f"{kernels.COMPILER} {' '.join(kernels.FLAGS)}; factorize times are medians of "
           f"{REPEATS} in ms")
     print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'growth':>8} "
           f"{'factorize ms':>12}")

@@ -4,7 +4,8 @@
 For each grid, advances the controlled test-case-1 refill three slabs and
 times the phases of the fourth on their own: the mesh-velocity extension
 (ALE), the mesh displacement, the element geometry, the radial table (built
-once per run), each element kernel, the whole saddle assembly, the fill, the
+once per run), the compiled triangle blocks, each edge kernel, the mass
+action and the loads, the whole saddle assembly, the fill, the
 banded factorization, the state solve and the bottom-load solve of the
 control gradient, then the whole step, and last the VTK snapshot of the
 state into a temporary directory.  Each figure is the minimum over REPEATS
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from capflow import forms
+from capflow import forms, kernels
 from capflow.acceptance import tc1_config
 from capflow.adjoint import solve_bottom_sensitivity
 from capflow.ale import solve_domain_velocity
@@ -68,14 +69,13 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     mesh_new = displace_mesh(mesh, V, num.dt)
     ed = forms.element_data(mesh_new)
     uv, Vv = u.values, V.values
-    grads = forms._gradient_products(ed)
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
     lu = forms.factorize(system)
     u_new, _, _ = forms.solve(lu, system.rhs)
     mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
-    _, vals, _ = pattern.values()
+    _, vals, (tri, _, _) = pattern.values()
     vals[:] = 1.0
 
     def fresh_mesh(_=None):
@@ -87,12 +87,8 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
-        ("  gradient products", best_ms(lambda _: forms._gradient_products(ed))),
-        ("  viscous block", best_ms(lambda _: forms._viscous_block(ed, phys.nu, grads))),
-        ("  momentum block", best_ms(lambda _: forms._momentum_block(ed, uv, Vv, num.dt))),
-        ("  coupling block", best_ms(lambda _: forms._coupling_block(ed))),
-        ("  pressure stab block",
-         best_ms(lambda _: forms._pressure_stab_block(ed, num.Cs, grads[2]))),
+        ("  triangle blocks (compiled)", best_ms(
+            lambda _: kernels.triangle_blocks(ed, uv, Vv, num.dt, phys.nu, num.Cs, tri))),
         ("  wall friction block", best_ms(lambda _: forms._wall_friction_block(mesh_new, beta))),
         ("  surface flux block", best_ms(lambda _: forms._surface_flux_block(mesh_new, uv, Vv))),
         ("  surface stab block", best_ms(lambda _: forms._surface_stab_block(mesh_new, phys))),
@@ -134,10 +130,10 @@ def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls, ms")
     columns = [phases(n1, n3) for n1, n3 in GRIDS]
-    print(f"{'phase':<26}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
+    print(f"{'phase':<30}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
     for i, (name, _) in enumerate(columns[0]):
-        print(f"{name:<26}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
-    print(f"{'minor faults / step':<26}"
+        print(f"{name:<30}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
+    print(f"{'minor faults / step':<30}"
           + "".join(f"{faults_per_step(n1, n3):>10.0f}" for n1, n3 in GRIDS))
 
 

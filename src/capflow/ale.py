@@ -7,7 +7,9 @@ zero-flux conditions on the wall and the axis.  The resulting V = (0, V_z)
 satisfies every boundary condition of the extension problem: V . nu matches
 u . nu on the surface, the wall stays a cylinder, and the bottom is fixed.
 
-The stiffness is filled on a pattern built once per topology and solved like
+The r-weighted stiffness comes from the compiled kernel that shares its
+gradient products with the saddle blocks (:func:`capflow.kernels.r_stiffness`);
+it is filled on a pattern built once per topology and solved like
 the state: one banded LU, which carries the system, and one
 :meth:`~capflow.forms.BandLU.solve`, with its finite check and residual gate.
 """
@@ -18,9 +20,9 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fields import VectorFieldP1
-from .forms import (FixedPattern, LinearSystem, _gradient_products, element_data, factorize,
-                    in_vertex_order)
+from .forms import FixedPattern, LinearSystem, element_data, factorize, in_vertex_order
 from .geometry import AxiMesh, MeshTopology, surface_slopes
+from .kernels import r_stiffness
 
 
 def _extension_pattern(topology: MeshTopology) -> FixedPattern:
@@ -46,7 +48,7 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     ed = element_data(mesh)
     pattern = mesh.topology.memo(_extension_pattern)
     data, vals, (stiffness,) = pattern.values()
-    stiffness[:] = _gradient_products(ed)[2]
+    r_stiffness(ed, stiffness)
     lifted = np.bincount(ed.tri.ravel(), minlength=n,
                          weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
     system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals),

@@ -39,10 +39,10 @@ class ConfigError(CapflowError):
 
 
 class KernelBuildError(CapflowError):
-    """The compiled band LU kernel could not be built: the compiler is missing
+    """The compiled kernels could not be built: the compiler is missing
     or failed.  Carries the command and the compiler's stderr."""
 
     def __init__(self, command: list[str], stderr: str):
-        super().__init__(f"building the band LU kernel failed: {' '.join(command)}\n{stderr}")
+        super().__init__(f"building the compiled kernels failed: {' '.join(command)}\n{stderr}")
         self.command = command
         self.stderr = stderr

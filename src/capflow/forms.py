@@ -19,18 +19,19 @@ element-by-element quadrature written apart from these kernels.  A
 :class:`LinearSystem` carries its pattern, which maps every load onto the
 kept dofs (:meth:`FixedPattern.reduce`); only :func:`factorize` knows
 the band storage, and the :class:`BandLU` it returns, an LU without pivoting
-from the compiled kernel of :mod:`capflow.bandlu`, carries the system it
+from the compiled kernels of :mod:`capflow.kernels`, carries the system it
 factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
 that system's matrix.
 
-The kernels are planned products, not general contractions.  A block
-weighted at the quadrature points, integral of w N_i N_j, is one
-(M, 3) @ (3, 9) matmul with the constant basis products ``_QQ`` (``_EDGE_BB``
-on edges).  Field values at the points, and the moments integral of
-r w N_i, are (M, 3) @ (3, 3) matmuls with the basis table.  Per-element
-outer products x_i y_j are one elementwise product of gathered columns, and
-the advection block is two of them: the moments of (w - V)_r and (w - V)_z
-times the constant gradients.
+The triangle family, which holds most of the saddle matrix's entries, is
+one compiled loop (:func:`~capflow.kernels.triangle_blocks`) that writes
+each triangle's 9x9 block straight into the pattern's values, and so is the
+fill (:func:`~capflow.kernels.scatter_add`); per-element numpy products
+cost more in call overhead than in arithmetic at these sizes.  The edge
+families, the loads and the mass action stay numpy, as planned products:
+a block weighted at the Gauss points is one (E, 2) @ (2, 4) matmul with the
+constant basis products ``_EDGE_BB``, and the moments integral of r w N_i
+are (M, 3) @ (3, 3) matmuls with the basis table.
 
 Each element tensor splits into a part that depends on the radii alone and
 a small geometric part that changes with z (Kirby & Logg 2006, ACM TOMS
@@ -42,10 +43,11 @@ area and the dN/dz products times the area.  What changes with z (the area, dN/d
 the r-weighted quadrature weights) is computed once per mesh in
 :class:`ElementData`, and the mass action (:func:`mass_action`) once per
 velocity field, where the objective (:func:`kinetic_energy`) and gradient of
-step n and the assembly of step n+1 meet; it is read-only.  The r-weighted
-stiffness is not kept per mesh: held from step n's pressure stabilization to
-step n+1's mesh-velocity extension, it raised the 32x64 peak resident memory
-by about 4 MiB to save 0.2 ms per step.
+step n and the assembly of step n+1 meet; it is read-only.  Both arrays are
+C-contiguous, as the compiled kernels read them.  The r-weighted stiffness
+is not kept per mesh: the saddle blocks of step n and the mesh-velocity
+extension of step n+1 each compute it, since holding it from one to the
+other raised the 32x64 peak resident memory by about 4 MiB.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .bandlu import factor_band, solve_band
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
 from .geometry import (AxiMesh, BoundaryTag, EdgeGeometry, MeshTopology, contact_line_height,
                        edge_geometry, radial_differences, surface_edges, surface_normals)
+from .kernels import factor_band, scatter_add, solve_band, triangle_blocks
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -70,8 +72,6 @@ _QBASIS = np.array([
 ])
 # basis products at each point: _QQ[q, 3 i + j] = _QBASIS[q, i] * _QBASIS[q, j]
 _QQ = (_QBASIS[:, :, None] * _QBASIS[:, None, :]).reshape(3, 9)
-# integral of N_i N_j over a triangle per unit area: 1/6 on the diagonal, 1/12 off it
-_NN = _QBASIS.T @ _QBASIS / 3.0
 # (i, j) of entry 3 i + j of a flattened 3 x 3 block
 _ROW, _COL = np.divmod(np.arange(9), 3)
 # x @ _ONES sums the rows of an (M, 3) array, faster than a short-axis sum
@@ -86,8 +86,8 @@ _EDGE_BB = (_EDGE_BASIS[:, :, None] * _EDGE_BASIS[:, None, :]).reshape(2, 4)
 @dataclass(frozen=True)
 class RadialTable:
     """The parts of the volume kernels that depend on the node radii alone,
-    computed once per topology (see :func:`radial_table`); read-only.
-    A is a triangle's signed area."""
+    computed once per topology (see :func:`radial_table`); read-only and
+    C-contiguous.  A is a triangle's signed area."""
 
     rq: np.ndarray          # (M, 3) r at the quadrature points
     inv_r: np.ndarray       # (M, 3) 1/r at the points, 0 on the axis
@@ -123,7 +123,7 @@ def _radial_table(topology: MeshTopology) -> RadialTable:
 @dataclass(frozen=True)
 class ElementData:
     """Per-triangle geometry reused by every volume form: what changes with z,
-    and the mesh's :class:`RadialTable`."""
+    C-contiguous, and the mesh's :class:`RadialTable`."""
 
     tri: np.ndarray         # (M, 3) vertex indices
     area: np.ndarray        # (M,)
@@ -146,7 +146,9 @@ def _element_data(mesh: AxiMesh) -> ElementData:
     area = mesh.areas
     inv2a = (1.0 / (2.0 * area))[:, None]
     wr = (area / 3.0)[:, None] * table.rq
-    return ElementData(tri=tri, area=area, grad_r=(z[:, [1, 2, 0]] - z[:, [2, 0, 1]]) * inv2a,
+    # np.take keeps the rows C-contiguous, as the compiled kernels read them
+    grad_r = (np.take(z, [1, 2, 0], axis=1) - np.take(z, [2, 0, 1], axis=1)) * inv2a
+    return ElementData(tri=tri, area=area, grad_r=grad_r,
                        grad_z=table.dr * inv2a, wr=wr, r_int=wr[:, 0] + wr[:, 1] + wr[:, 2],
                        radial=table)
 
@@ -168,8 +170,9 @@ def _moments(ed: ElementData, weight_q: np.ndarray) -> np.ndarray:
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) outer products x[m, i] y[m, j] of the rows of two (M, 3) arrays."""
-    return (x[:, _ROW] * y[:, _COL]).reshape(-1, 3, 3)
+    """(M, 3, 3) outer products x[m, i] y[m, j] of the rows of two (M, 3) arrays,
+    C-contiguous (np.take, unlike x[:, _ROW], keeps the rows' order)."""
+    return (np.take(x, _ROW, axis=1) * np.take(y, _COL, axis=1)).reshape(-1, 3, 3)
 
 
 # -- local blocks -------------------------------------------------------------
@@ -188,84 +191,11 @@ def _on_both_components(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad_block(weight_q: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) blocks of the sum over points q of weight_q[m, q] N_i N_j."""
-    return (weight_q @ _QQ).reshape(-1, 3, 3)
-
-
-def _mass_block(ed: ElementData, weight_q: np.ndarray | None = None) -> np.ndarray:
-    """Per-element 3x3 blocks of integral r weight(q) N_i N_j (weight 1 if None)."""
-    return _quad_block(ed.wr if weight_q is None else ed.wr * weight_q)
-
-
-def _gradient_products(ed: ElementData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rr, zz, rr + zz), (M, 3, 3) blocks of integral r dN_i/dr dN_j/dr, of
-    integral r dN_i/dz dN_j/dz (the radial table's over the area) and of
-    integral r grad N_i . grad N_j: the r-weighted stiffness that the pressure
-    stabilization and the mesh-velocity extension read, which the viscous
-    block shares."""
-    rr = _outer(ed.grad_r, ed.grad_r) * ed.r_int[:, None, None]
-    zz = ed.radial.zz / ed.area[:, None, None]
-    return rr, zz, rr + zz
-
-
-def _viscous_block(ed: ElementData, nu: float, grads: tuple) -> np.ndarray:
-    """(M, 6, 6) rate-of-strain blocks, with the hoop term 2 nu u_r v_r / r;
-    grads is :func:`_gradient_products` (ed)."""
-    rr, zz, stiffness = grads
-    hoop = ((2.0 * nu) * ed.area[:, None] * ed.radial.hoop).reshape(-1, 3, 3)
-    E = np.empty((len(ed.tri), 6, 6))
-    E[:, :3, :3] = nu * (stiffness + rr) + hoop
-    E[:, :3, 3:] = _outer(ed.grad_z, ed.grad_r) * (nu * ed.r_int)[:, None, None]
-    E[:, 3:, :3] = E[:, :3, 3:].transpose(0, 2, 1)
-    E[:, 3:, 3:] = nu * (stiffness + zz)
-    return E
-
-
 def _wall_friction_block(mesh: AxiMesh, beta: float) -> np.ndarray:
     """(E, 2, 2) blocks of beta * integral of r N_i N_j over each wall edge."""
     wall = edge_geometry(mesh, BoundaryTag.WALL)
     w = 0.5 * wall.length[:, None] * _gauss_radii(wall)   # (E, 2q)
     return beta * (w @ _EDGE_BB).reshape(-1, 2, 2)
-
-
-def _coupling_block(ed: ElementData) -> np.ndarray:
-    """(M, 6, 3) blocks of -(div v, pi) r: velocity dofs by pressure dofs."""
-    # r-component: -(dN_i/dr r + N_i) N_j ; z-component: -dN_i/dz r N_j, from the table
-    E = np.empty((len(ed.tri), 6, 3))
-    E[:, :3, :] = -(_outer(ed.grad_r, ed.radial.rn) + _NN) * ed.area[:, None, None]
-    E[:, 3:, :] = ed.radial.coupling_z
-    return E
-
-
-def _div_at_quad(ed: ElementData, field: np.ndarray) -> np.ndarray:
-    """Axisymmetric divergence of a P1 vector field at quadrature points.
-
-    On the axis (r = 0) the v_r/r term is replaced by its limit dr(v_r),
-    exact for fields that vanish on the axis.
-    """
-    vr = field[:, 0][ed.tri]                              # (M, 3) nodal values
-    dr_vr = (ed.grad_r * vr) @ _ONES
-    d_planar = dr_vr + (ed.grad_z * field[:, 1][ed.tri]) @ _ONES
-    hoop = np.where(ed.radial.on_axis, dr_vr[:, None], (vr @ _QBASIS.T) * ed.radial.inv_r)
-    return d_planar[:, None] + hoop                       # (M, 3q)
-
-
-def _advection_block(ed: ElementData, rel: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) nodal blocks of N_i (rel . grad) N_j, r-weighted: integral
-    r N_i rel_c times the constant dc N_j, summed over the components c = r, z."""
-    return (_outer(_moments(ed, _quad_values(ed, rel[:, 0])), ed.grad_r)
-            + _outer(_moments(ed, _quad_values(ed, rel[:, 1])), ed.grad_z))
-
-
-def _momentum_block(ed: ElementData, w: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
-    """(M, 3, 3) nodal blocks, r-weighted, of the step's mass over dt, relative
-    transport and its stabilization, the part of K acting alike on u_r and u_z:
-    N_i ((w - V) . grad) N_j + (1/dt + div(w)/2 - div(V)) N_i N_j, the three
-    mass-like terms in one quadrature product; the divergence is linear, so
-    div(w)/2 - div(V) is that of w/2 - V."""
-    weight = 1.0 / dt + _div_at_quad(ed, 0.5 * w - V)
-    return _advection_block(ed, w - V) + _mass_block(ed, weight)
 
 
 def _surface_flux_block(mesh: AxiMesh, w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -292,12 +222,6 @@ def _surface_stab_block(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
     coef = np.stack((-nu1, nu1, -nu3, nu3), axis=1)       # (E, 4)
     scale = 0.5 * params.gamma * rbar / surface.length
     return scale[:, None, None] * (coef[:, :, None] * coef[:, None, :])
-
-
-def _pressure_stab_block(ed: ElementData, Cs: float, stiffness: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) blocks of Cs h_K^2 (grad p, grad pi), r-weighted, h_K^2 = 2 |K|;
-    stiffness is the r-weighted stiffness of :func:`_gradient_products`."""
-    return (Cs * 2.0 * ed.area)[:, None, None] * stiffness
 
 
 def mass_action(u: VectorFieldP1) -> np.ndarray:
@@ -438,7 +362,7 @@ class FixedPattern:
     the position in its data of every local entry.
 
     Connectivity never changes, so a pattern is built once per mesh topology
-    and each fill is one ``np.add.at``.  Local entries on an eliminated row or
+    and each fill is one compiled :func:`~capflow.kernels.scatter_add`.  Local entries on an eliminated row or
     column go to the trash slot len(indices), past the stored entries.  The
     pattern depends on no values: entries that cancel to zero stay stored.
 
@@ -512,8 +436,11 @@ class FixedPattern:
 
     def fill(self, data: np.ndarray, vals: np.ndarray) -> sp.csc_matrix:
         """The reduced matrix summing the flat local values into data, both from
-        :meth:`values`; the sums are those of a bincount, bit for bit."""
-        np.add.at(data, self.slot, vals)
+        :meth:`values`, in their order; the sums are those of a bincount, bit
+        for bit."""
+        if data.shape != (len(self.indices) + 1,):
+            raise DimensionMismatch(f"data of shape {data.shape} for {len(self.indices)} entries")
+        scatter_add(data, self.slot, vals)
         n = len(self.free)
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 
@@ -592,15 +519,7 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     pattern = mesh_new.topology.memo(_saddle_pattern)
     data, vals, (tri, wall, surface) = pattern.values()
     # each triangle's block couples (u_r, u_z, p) of its three vertices
-    grads = _gradient_products(ed)
-    tri[:, :6, :6] = _viscous_block(ed, phys.nu, grads)
-    diag = _momentum_block(ed, u, V, dt)
-    tri[:, :3, :3] += diag
-    tri[:, 3:6, 3:6] += diag
-    coupling = _coupling_block(ed)
-    tri[:, :6, 6:] = coupling
-    tri[:, 6:, :6] = -coupling.transpose(0, 2, 1)
-    tri[:, 6:, 6:] = _pressure_stab_block(ed, num.Cs, grads[2])
+    triangle_blocks(ed, u, V, dt, phys.nu, num.Cs, tri)
     wall[:] = _wall_friction_block(mesh_new, beta)
     surface[:] = (_on_both_components(_surface_flux_block(mesh_new, u, V))
                   + dt * _surface_stab_block(mesh_new, phys))
@@ -647,7 +566,7 @@ def factorize(system: LinearSystem) -> BandLU:
     gradient share the saddle matrix's, the mesh-velocity extension factors
     its stiffness.  The saddle matrix's symmetric part is positive
     semidefinite and the stiffness is positive definite, so neither needs
-    pivoting (see :mod:`capflow.bandlu`).
+    pivoting (see :mod:`capflow.kernels`).
 
     The band layout is that of system's pattern, whose dofs come vertex by
     vertex in the topology's reverse Cuthill-McKee order, which keeps the

@@ -206,7 +206,8 @@ def radial_differences(topology: MeshTopology) -> np.ndarray:
 
 def _radial_differences(topology: MeshTopology) -> np.ndarray:
     r = topology.radii[topology.triangles]
-    dr = r[:, [2, 0, 1]] - r[:, [1, 2, 0]]
+    # np.take keeps dr, and the tables made from it, C-contiguous for the compiled kernels
+    dr = np.take(r, [2, 0, 1], axis=1) - np.take(r, [1, 2, 0], axis=1)
     dr.setflags(write=False)
     return dr
 

@@ -325,11 +325,20 @@ def oracle_adjoint_rhs(system, mass_u):
     return rhs[system.pattern.free]
 
 
+REFINEMENT_SWEEPS = 3     # the pivoted dense solve alone lay up to 1e-12 from the refined one
+
+
 def oracle_adjoint_solution(lu, mass_u):
     """The adjoint z, on the reduced dofs, with A^T z = m: a dense solve with
-    the transposed matrix of the system lu carries, the slab's, not with lu."""
+    the transposed matrix of the system lu carries, the slab's, not with lu,
+    refined by REFINEMENT_SWEEPS sweeps z += solve(A^T, m - A^T z)."""
     system = lu.system
-    return np.linalg.solve(system.matrix.T.toarray(), oracle_adjoint_rhs(system, mass_u))
+    At = system.matrix.T.toarray()
+    m = oracle_adjoint_rhs(system, mass_u)
+    z = np.linalg.solve(At, m)
+    for _ in range(REFINEMENT_SWEEPS):
+        z += np.linalg.solve(At, m - At @ z)
+    return z
 
 
 def oracle_bottom_integral(lu, mass_u):

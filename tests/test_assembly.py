@@ -13,12 +13,14 @@ from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, _saddle_pattern, assemble_state_system,
-                           factorize, vertex_order)
+                           element_data, factorize, vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
+from capflow.kernels import r_stiffness, triangle_blocks
 from capflow.stepping import initial_state, step
 
 from .conftest import random_vector_field
 from .oracles import oracle_saddle
+from .pattern_forms import _gradient_products, triangle_blocks_reference
 from .test_forms import PHYS, meshes
 
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=2, N3=2, alpha=0.0, lam=0.0, T=0.1)
@@ -45,7 +47,12 @@ def form_case(idx):
 def tc1_slab(n1=16, n3=32):
     """The fourth slab of the tc1 refill on an n1 x n3 grid (16x32 is the
     reference), zeta = 1e-4."""
-    cfg = replace(tc1_config(), N1=n1, N3=n3)
+    return slab(tc1_config, n1, n3)
+
+
+def slab(config, n1=16, n3=32):
+    """The fourth slab of the run of config on an n1 x n3 grid, zeta = 1e-4."""
+    cfg = replace(config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
@@ -77,6 +84,48 @@ def test_fixed_pattern_equals_coo_reference(case):
     assert system.matrix.shape == matrix.shape
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("case", [lambda: form_case(0), lambda: form_case(1),
+                                  lambda: form_case(2), tc1_slab, lambda: slab(tc2_config)],
+                         ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab",
+                              "tc2-16x32-slab"])
+def test_compiled_blocks_equal_the_numpy_kernels(case):
+    """The compiled triangle blocks of the saddle matrix and the compiled
+    r-weighted stiffness equal the numpy kernels they replaced to 1e-15 of
+    each block's largest entry, on random fields, perturbed meshes and
+    quadrature points on the axis."""
+    mesh, _, u, V, _, phys, num = case()
+    ed = element_data(mesh)
+    assert ed.radial.on_axis.any()
+    blocks = np.empty((len(ed.tri), 9, 9))
+    triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
+    stiffness = np.empty((len(ed.tri), 3, 3))
+    r_stiffness(ed, stiffness)
+    for got, want in ((blocks, triangle_blocks_reference(ed, u.values, V.values, num.dt,
+                                                         phys.nu, num.Cs)),
+                      (stiffness, _gradient_products(ed)[2])):
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+def test_kernel_arguments_are_checked_before_the_kernel_runs():
+    mesh, _, u, V, _, phys, num = form_case(1)
+    ed = element_data(mesh)
+    m = len(ed.tri)
+    with pytest.raises(DimensionMismatch):
+        triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, np.empty((m, 6, 6)))
+    with pytest.raises(DimensionMismatch):
+        triangle_blocks(ed, u.values, V.values[:-1], num.dt, phys.nu, num.Cs,
+                        np.empty((m, 9, 9)))
+    with pytest.raises(DimensionMismatch):
+        r_stiffness(ed, np.empty((m + 1, 3, 3)))
+    pattern = mesh.topology.memo(_saddle_pattern)
+    data, vals, _ = pattern.values()
+    with pytest.raises(DimensionMismatch):
+        pattern.fill(data[:-1], vals)
+    with pytest.raises(DimensionMismatch):
+        pattern.fill(data, vals[:-1])
 
 
 @pytest.mark.parametrize("grid, nnz, width", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],

@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import (_QBASIS, _QQ, _coupling_block, _gradient_products, _viscous_block,
-                           beta_h, bottom_load_vector, element_data, gravity_load, radial_table,
-                           rhs_F, surface_tension_load)
+from capflow.forms import (_QBASIS, _QQ, beta_h, bottom_load_vector, element_data, gravity_load,
+                           radial_table, rhs_F, surface_tension_load)
 from capflow.geometry import BoundaryTag, build_structured_mesh, displace_mesh
 from capflow.writers import _snapshot_template
 
 from . import oracles
 from .conftest import mesh_at, perturbed_mesh, random_vector_field, two_triangle_mesh
-from .pattern_forms import (form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p,
-                            mass_matrix, r_stiffness)
+from .pattern_forms import (_coupling_block, _gradient_products, _viscous_block, form_a, form_b,
+                            form_c_ALE, form_S_Gamma, form_s, form_s_p, mass_matrix, r_stiffness)
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import platform
 import subprocess
 from dataclasses import FrozenInstanceError
@@ -9,12 +10,12 @@ import scipy.sparse as sp
 
 import capflow.ale
 import capflow.stepping
-from capflow import bandlu
+from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
-                           factorize, solve)
+                           element_data, factorize, solve)
 from capflow.geometry import build_structured_mesh
 
 from .pattern_forms import form_a, mass_matrix
@@ -179,11 +180,11 @@ def test_kernel_handles_every_band_shape():
                 values, places = on_band(A, kl, ku)
                 ab = np.zeros((kl + ku + 1, n), order="F")
                 ab[places] = values
-                assert bandlu.factor_band(ab, kl, ku) == 0
+                assert kernels.factor_band(ab, kl, ku) == 0
                 assert np.array_equal(ab[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
                 b = rng.standard_normal(n)
                 x = b.copy()
-                bandlu.solve_band(ab, kl, ku, x)
+                kernels.solve_band(ab, kl, ku, x)
                 ref = np.linalg.solve(A, b)
                 assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (n, kl, ku)
 
@@ -223,15 +224,35 @@ def test_factorizations_are_bitwise_equal():
 
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     """The source built without target clones, the code any x86-64 or other
-    host runs, factors and solves bit for bit as the run path's build."""
-    monkeypatch.setattr(bandlu, "CACHE", tmp_path)
-    path = bandlu.build(flags=bandlu.FLAGS + ("-DBANDLU_PORTABLE",))
-    portable = bandlu.Kernel(path)
+    host runs, computes the triangle blocks, the stiffness and the fill, and
+    factors and solves, bit for bit as the run path's build, every function
+    of which dispatches among its clones on x86-64."""
+    cloned = ctypes.CDLL(str(kernels.build()))
+    monkeypatch.setattr(kernels, "CACHE", tmp_path)
+    path = kernels.build(flags=kernels.FLAGS + ("-DKERNELS_PORTABLE",))
+    portable = kernels.Kernel(path)
     if platform.machine() == "x86_64":      # only the cloned build dispatches
-        ctypes.CDLL(str(bandlu.build()))["band_factor.resolver"]
-        with pytest.raises(AttributeError):
-            ctypes.CDLL(str(path))["band_factor.resolver"]
-    system = assemble_state_system(*tc1_slab())
+        for name in ("triangle_blocks", "r_stiffness", "scatter_add", "band_factor",
+                     "band_solve"):
+            cloned[f"{name}.resolver"]
+            with pytest.raises(AttributeError):
+                ctypes.CDLL(str(path))[f"{name}.resolver"]
+    mesh_new, _, u, V, _, phys, num = slab = tc1_slab()
+    ed = element_data(mesh_new)
+
+    def assembled():
+        blocks = np.empty((len(ed.tri), 9, 9))
+        kernels.triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
+        stiffness = np.empty((len(ed.tri), 3, 3))
+        kernels.r_stiffness(ed, stiffness)
+        return blocks, stiffness, assemble_state_system(*slab).matrix.data
+
+    run_path = assembled()
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "kernel", lambda: portable)
+        for ours, theirs in zip(assembled(), run_path):
+            assert np.array_equal(ours, theirs)
+    system = assemble_state_system(*slab)
     band = system.pattern.band
     lu = factorize(system)
     values, places = on_band(system.matrix.toarray(), band.kl, band.ku)
@@ -247,38 +268,87 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
 def test_band_arguments_are_checked_before_the_kernel_runs():
     ab = np.zeros((5, 4), order="F")
     with pytest.raises(DimensionMismatch):
-        bandlu.factor_band(ab, 2, 1)
+        kernels.factor_band(ab, 2, 1)
     with pytest.raises(DimensionMismatch):
-        bandlu.solve_band(ab, 2, 2, np.zeros(5))
+        kernels.solve_band(ab, 2, 2, np.zeros(5))
+
+
+def test_kernel_calls_leave_no_garbage_cycles():
+    """Every kernel call frees what it allocates by reference counting, so
+    the calls of the steps never wake the cyclic garbage collector; an array
+    of the wrong dtype or layout is still refused before the kernel runs."""
+    mesh_new, _, u, V, _, phys, num = slab = tc1_slab(4, 8)
+    ed = element_data(mesh_new)
+    system = assemble_state_system(*slab)
+    band = system.pattern.band
+    lu = factorize(system)
+    pattern = system.pattern
+    blocks = np.empty((len(ed.tri), 9, 9))
+    stiffness = np.empty((len(ed.tri), 3, 3))
+    data = np.zeros(len(pattern.indices) + 1)
+    vals = np.zeros(len(pattern.slot))
+    x = system.rhs.copy()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            kernels.triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
+            kernels.r_stiffness(ed, stiffness)
+            kernels.scatter_add(data, pattern.slot, vals)
+            kernels.factor_band(lu.lu.copy(order="F"), band.kl, band.ku)
+            kernels.solve_band(lu.lu, band.kl, band.ku, x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    with pytest.raises(ctypes.ArgumentError):
+        kernels.scatter_add(data, pattern.slot.astype(np.int64), vals)
+    with pytest.raises(ctypes.ArgumentError):
+        kernels.factor_band(np.ascontiguousarray(lu.lu), band.kl, band.ku)
 
 
 def test_a_cached_kernel_starts_no_compiler(monkeypatch):
-    path = bandlu.build()
+    path = kernels.build()
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("compiler started on a cache hit")
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    assert bandlu.build() == path
-    bandlu.Kernel(path)
+    assert kernels.build() == path
+    kernels.Kernel(path)
+
+
+def test_a_build_removes_the_libraries_it_supersedes(monkeypatch, tmp_path):
+    """A build deletes every other library of the kernels' prefix in the
+    cache, and nothing else; a process that loaded one keeps it."""
+    monkeypatch.setattr(kernels, "CACHE", tmp_path)
+    stale = tmp_path / f"{kernels.PREFIX}-{'0' * 64}.so"
+    stale.write_bytes(b"")
+    unrelated = tmp_path / "other-0.so"
+    unrelated.write_bytes(b"")
+    first = kernels.build(source="int one(void) { return 1; }")
+    assert sorted(tmp_path.iterdir()) == [first, unrelated]
+    loaded = ctypes.CDLL(str(first))
+    second = kernels.build(source="int two(void) { return 2; }")
+    assert sorted(tmp_path.iterdir()) == [second, unrelated]
+    assert loaded.one() == 1
 
 
 def test_missing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):
     missing = str(tmp_path / "no-such-cc")
-    monkeypatch.setattr(bandlu, "COMPILER", missing)
-    monkeypatch.setattr(bandlu, "CACHE", tmp_path / "cache")
+    monkeypatch.setattr(kernels, "COMPILER", missing)
+    monkeypatch.setattr(kernels, "CACHE", tmp_path / "cache")
     with pytest.raises(KernelBuildError) as err:
-        bandlu.build()
+        kernels.build()
     assert err.value.command[0] == missing
     assert "no-such-cc" in err.value.stderr
     assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_failing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):
-    monkeypatch.setattr(bandlu, "CACHE", tmp_path)
+    monkeypatch.setattr(kernels, "CACHE", tmp_path)
     with pytest.raises(KernelBuildError) as err:
-        bandlu.build(source="this is not C")
-    assert err.value.command[0] == bandlu.COMPILER
+        kernels.build(source="this is not C")
+    assert err.value.command[0] == kernels.COMPILER
     assert "error" in err.value.stderr
-    assert str(err.value).startswith("building the band LU kernel failed: ")
+    assert str(err.value).startswith("building the compiled kernels failed: ")
     assert list(tmp_path.iterdir()) == []
