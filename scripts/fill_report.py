@@ -5,9 +5,11 @@ For each grid, takes the second slab of the uncontrolled test-case-1 refill
 and factors its reduced saddle matrix with ``forms.factorize``, whose band
 comes from the pattern's vertex-by-vertex reverse Cuthill-McKee order.
 Prints the number of reduced dofs, the stored entries, the band's kl and ku,
-the growth max|U|/max|A| of the LU without pivoting, and the median time of
-``factorize``: the scatter into band storage and the compiled kernel, whose
-compiler flags the header gives.
+the envelope's share of the band storage, the factor's multiply-subtracts
+within the envelope over those of the full band, the growth max|U|/max|A|
+of the LU without pivoting, and the median time of ``factorize``: the
+scatter into band storage and the compiled kernel, which loops over the
+envelope alone and whose compiler flags the header gives.
 
     PYTHONPATH=src python scripts/fill_report.py
 """
@@ -36,13 +38,19 @@ def report(n1: int, n3: int) -> str:
     state, _, _ = step(state, 0.0, phys, num)
     system = step(state, 0.0, phys, num)[2].system     # the LU itself is not kept
     matrix, band = system.matrix, system.pattern.band
+    n = matrix.shape[0]
+    last = n - 1 - np.arange(n)
+    share = (n + band.lower.sum() + band.upper.sum()) / (band.ldab * n)
+    # column j updates upper[j] later columns on lower[j] rows each
+    work = (np.dot(band.lower, band.upper.astype(np.int64))
+            / np.dot(np.minimum(band.kl, last), np.minimum(band.ku, last)))
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         lu = factorize(system)
         times.append(1e3 * (time.perf_counter() - t0))
-    return (f"{n1}x{n3:<6} {matrix.shape[0]:>7} {matrix.nnz:>9} {band.kl:>5} {band.ku:>5} "
-            f"{lu.growth:>8.3f} {float(np.median(times)):>12.2f}")
+    return (f"{n1}x{n3:<6} {n:>7} {matrix.nnz:>9} {band.kl:>5} {band.ku:>5} {share:>8.3f} "
+            f"{work:>8.3f} {lu.growth:>8.3f} {float(np.median(times)):>12.2f}")
 
 
 def main() -> None:
@@ -50,8 +58,8 @@ def main() -> None:
           f"numpy {np.__version__}, scipy {scipy.__version__}; kernel built with "
           f"{kernels.COMPILER} {' '.join(kernels.FLAGS)}; factorize times are medians of "
           f"{REPEATS} in ms")
-    print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'growth':>8} "
-          f"{'factorize ms':>12}")
+    print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'envelope':>8} "
+          f"{'work':>8} {'growth':>8} {'factorize ms':>12}")
     for n1, n3 in GRIDS:
         print(report(n1, n3), flush=True)
 

@@ -21,7 +21,9 @@ kept dofs (:meth:`FixedPattern.reduce`); only :func:`factorize` knows
 the band storage, and the :class:`BandLU` it returns, an LU without pivoting
 from the compiled kernels of :mod:`capflow.kernels`, carries the system it
 factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
-that system's matrix.
+that system's matrix.  The LU is restricted to the envelope of the
+pattern's structure, found once with its :class:`BandLayout`: without
+pivoting it makes no fill outside it (George & Liu 1981, ch. 4).
 
 The triangle family, which holds most of the saddle matrix's entries, is
 one compiled loop (:func:`~capflow.kernels.triangle_blocks`) that writes
@@ -90,8 +92,7 @@ class RadialTable:
     C-contiguous.  A is a triangle's signed area."""
 
     rq: np.ndarray          # (M, 3) r at the quadrature points
-    inv_r: np.ndarray       # (M, 3) 1/r at the points, 0 on the axis
-    on_axis: np.ndarray     # (M, 3) points within 1e-14 radius of the axis: 1/r terms skipped
+    inv_r: np.ndarray       # (M, 3) 1/r at the points, 0 within 1e-14 radius of the axis
     dr: np.ndarray          # (M, 3) r_{i+2} - r_{i+1}: dN_i/dz = dr_i / 2A
     rn: np.ndarray          # (M, 3) integral of r N_j over the element, per unit area
     hoop: np.ndarray        # (M, 9) integral of N_i N_j / r, per unit area
@@ -111,7 +112,7 @@ def _radial_table(topology: MeshTopology) -> RadialTable:
     dr = radial_differences(topology)
     rn = (rq @ _QBASIS) / 3.0
     r_mean = (rq @ _ONES) / 3.0
-    table = RadialTable(rq=rq, inv_r=inv_r, on_axis=on_axis, dr=dr, rn=rn,
+    table = RadialTable(rq=rq, inv_r=inv_r, dr=dr, rn=rn,
                         hoop=(inv_r @ _QQ) / 3.0,
                         zz=_outer(dr, dr) * (0.25 * r_mean)[:, None, None],
                         coupling_z=-0.5 * _outer(dr, rn))
@@ -327,33 +328,80 @@ def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandLayout:
-    """Where each stored entry of a CSC matrix goes in band storage.
+    """Where each stored entry of a CSC matrix goes in band storage, and the
+    envelope of the matrix's structure that its LU without pivoting fills.
 
     Entry (i, j) goes to row ku + i - j of column j of the (ldab, n)
     Fortran-ordered array :func:`factorize` factors without pivoting, LAPACK's
     column layout without fill rows; ``position`` is that flat index for
     every stored entry, in data order.
+
+    Without pivoting, L keeps the row profile of the structure and U its
+    column profile: no fill leaves the envelope (George & Liu 1981, ch. 4).
+    So column j of L reaches lower[j] rows below the diagonal, to the last
+    row whose first entry lies in a column up to j, and row j of U reaches
+    upper[j] columns right of it, the same over the columns.  j + lower[j]
+    and j + upper[j] never decrease; on a full band both are
+    min(k, n - 1 - j).  The compiled factor and solve loop over the envelope
+    alone.
     """
 
     kl: int                 # subdiagonals
     ku: int                 # superdiagonals
     ldab: int               # kl + ku + 1: without pivoting, U keeps the upper band
-    position: np.ndarray    # int32 (int64 past 2**31 band entries) flat band index of each entry
+    position: np.ndarray    # int32 flat band index of each entry
+    lower: np.ndarray       # int32 (n,) multipliers of column j of L
+    upper: np.ndarray       # int32 (n,) entries of row j of U right of the diagonal
+
+    def __post_init__(self):
+        # the compiled kernels index the band storage by the reaches
+        n = len(self.lower)
+        j = np.arange(n)
+        valid = self.ldab == self.kl + self.ku + 1 and all(
+            reach.dtype == np.int32 and reach.shape == (n,)
+            and np.all((reach >= 0) & (reach <= np.minimum(k, n - 1 - j)))
+            and np.all(np.diff(j + reach) >= 0)
+            for reach, k in ((self.lower, self.kl), (self.upper, self.ku)))
+        if not valid:
+            raise DimensionMismatch(f"no envelope of a band with kl = {self.kl}, "
+                                    f"ku = {self.ku} on {n} columns")
 
     @classmethod
     def of(cls, indices: np.ndarray, indptr: np.ndarray) -> "BandLayout":
-        """The layout of the square CSC structure (indices, indptr)."""
+        """The layout of the square CSC structure (indices, indptr).  Raises
+        DimensionMismatch when the band storage would pass 2**31 entries (16
+        GiB), beyond the int32 positions the compiled scatter reads."""
         n = len(indptr) - 1
+        row = indices.astype(np.int32, copy=False)
         column = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-        offset = indices.astype(np.int32) - column          # row - column
+        offset = row - column
         kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
         ldab = kl + ku + 1
-        dtype = np.int32 if ldab * n < 2 ** 31 else np.int64
-        position = offset.astype(dtype, copy=False)
+        if ldab * n >= 2 ** 31:
+            raise DimensionMismatch(f"band storage of {ldab} x {n} = {ldab * n} entries "
+                                    f"passes 2**31")
+        position = offset
         position += ku
-        position += column.astype(dtype, copy=False) * dtype(ldab)
+        position += column * np.int32(ldab)
         position.setflags(write=False)
-        return cls(kl=kl, ku=ku, ldab=ldab, position=position)
+        # the first column of each row and the first row of each column
+        first_column, first_row = np.full(n, n, np.int32), np.full(n, n, np.int32)
+        np.minimum.at(first_column, row, column)
+        np.minimum.at(first_row, column, row)
+        return cls(kl=kl, ku=ku, ldab=ldab, position=position,
+                   lower=_reach(first_column), upper=_reach(first_row))
+
+
+def _reach(first: np.ndarray) -> np.ndarray:
+    """max(j, max{i : first[i] <= j}) - j for each j, read-only int32: the
+    reach past the diagonal of an envelope whose line i starts at first[i]."""
+    n = len(first)
+    last = np.arange(n)
+    starts = first < n
+    np.maximum.at(last, first[starts], np.flatnonzero(starts))
+    reach = (np.maximum.accumulate(last) - np.arange(n)).astype(np.int32)
+    reach.setflags(write=False)
+    return reach
 
 
 @dataclass(frozen=True)
@@ -549,7 +597,7 @@ class BandLU:
         or "mesh-velocity")."""
         band = self.system.pattern.band
         x = np.array(rhs, dtype=np.float64)
-        solve_band(self.lu, band.kl, band.ku, x)
+        solve_band(self.lu, band, x)
         if not np.all(np.isfinite(x)):
             raise SingularMatrix(f"{what} solve produced non-finite values")
         bnorm = np.linalg.norm(rhs)
@@ -570,14 +618,18 @@ def factorize(system: LinearSystem) -> BandLU:
 
     The band layout is that of system's pattern, whose dofs come vertex by
     vertex in the topology's reverse Cuthill-McKee order, which keeps the
-    band narrow.  The matrix is scattered through that layout into the
-    (kl + ku + 1, n) Fortran-ordered band storage, which the kernel factors
-    in place.  Raises SingularMatrix on an exactly zero pivot."""
+    band narrow.  The matrix is scattered through that layout into zeroed
+    (kl + ku + 1, n) Fortran-ordered band storage by the compiled
+    :func:`~capflow.kernels.scatter_add`, and the kernel factors it in place
+    within the layout's envelope, outside which an LU without pivoting makes
+    no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly
+    zero pivot."""
     band = system.pattern.band
     n = system.matrix.shape[0]
-    ab = np.bincount(band.position, weights=system.matrix.data,
-                     minlength=band.ldab * n).reshape((band.ldab, n), order="F")
-    info = factor_band(ab, band.kl, band.ku)
+    ab = np.zeros(band.ldab * n)
+    scatter_add(ab, band.position, system.matrix.data)
+    ab = ab.reshape((band.ldab, n), order="F")
+    info = factor_band(ab, band)
     if info > 0:
         raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
     return BandLU(system=system, lu=ab)

@@ -25,7 +25,13 @@ upper band, so the storage is LAPACK's band column layout without the kl
 rows of fill that row interchanges need: an (ldab, n) Fortran-ordered array,
 ldab = kl + ku + 1, entry (i, j) in row ku + i - j of column j.  The
 factorization overwrites it with U on and above row ku and the multipliers
-of the unit lower L below it.
+of the unit lower L below it.  It makes no fill outside the matrix's
+envelope, L within the row profile and U within the column profile
+(George & Liu 1981, *Computer Solution of Large Sparse Positive Definite
+Systems*, ch. 4), so :func:`factor_band` and :func:`solve_band` loop over
+the envelope of the :class:`~capflow.forms.BandLayout` alone, each entry
+still taking the operations of the full band in its order; the rest of the
+band stays zero.
 
 The kernels are C, kept here as one :data:`SOURCE`.  The first use compiles
 it with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
@@ -90,14 +96,14 @@ CLONES void r_stiffness(ptrdiff_t m, const double *area, const double *r_int,
 /* Each of m triangles' 9x9 block of the saddle matrix, row-major on the
    local dofs (u_r, u_z, p) of its vertices, into out (m, 9, 9).  Per
    triangle: area, r_int and the rows of grad_r, grad_z and wr of the
-   element data; inv_r, on_axis, rn, hoop, zz_a and coupling_z of the radial
-   table; w and V are (N, 2) nodal fields.  Quadrature point q lies midway
-   between vertices q and q + 1 (mod 3). */
+   element data; inv_r, rn, hoop, zz_a and coupling_z of the radial table;
+   w and V are (N, 2) nodal fields.  Quadrature point q lies midway between
+   vertices q and q + 1 (mod 3). */
 CLONES void triangle_blocks(ptrdiff_t m, const int64_t *tri, const double *area,
                             const double *r_int, const double *grad_r, const double *grad_z,
-                            const double *wr, const double *inv_r, const uint8_t *on_axis,
-                            const double *rn, const double *hoop, const double *zz_a,
-                            const double *coupling_z, const double *w, const double *V,
+                            const double *wr, const double *inv_r, const double *rn,
+                            const double *hoop, const double *zz_a, const double *coupling_z,
+                            const double *w, const double *V,
                             double dt, double nu, double Cs, double *out)
 {
     const double inv_dt = 1.0 / dt, nu2 = 2.0 * nu, cs2 = Cs * 2.0;
@@ -117,15 +123,14 @@ CLONES void triangle_blocks(ptrdiff_t m, const int64_t *tri, const double *area,
             gr[i] = w[2 * n] - V[2 * n];
             gz[i] = w[2 * n + 1] - V[2 * n + 1];
         }
-        /* at the points, times wr: the mass weight 1/dt + div h, with h_r/r
-           replaced by its limit dr(h_r) on the axis, and g */
+        /* at the points, times wr: the mass weight 1/dt + div h, and g; on the
+           axis wr is 0 and so is inv_r, which drops h_r/r there */
         const double dr_hr = (b[0] * hr[0] + b[1] * hr[1]) + b[2] * hr[2];
         const double planar = dr_hr + ((c[0] * hz[0] + c[1] * hz[1]) + c[2] * hz[2]);
         double mass_q[3], gr_q[3], gz_q[3];
         for (int q = 0; q < 3; ++q) {
             const int p = (q + 1) % 3;
-            const double hoop_q = on_axis[3 * e + q] ? dr_hr
-                                                     : (0.5 * hr[q] + 0.5 * hr[p]) * inv_r[3 * e + q];
+            const double hoop_q = (0.5 * hr[q] + 0.5 * hr[p]) * inv_r[3 * e + q];
             mass_q[q] = wq[q] * (inv_dt + (planar + hoop_q));
             gr_q[q] = wq[q] * (0.5 * gr[q] + 0.5 * gr[p]);
             gz_q[q] = wq[q] * (0.5 * gz[q] + 0.5 * gz[p]);
@@ -168,8 +173,6 @@ CLONES void scatter_add(ptrdiff_t n, const int32_t *slot, const double *vals, do
         data[slot[k]] += vals[k];
 }
 
-static inline ptrdiff_t min(ptrdiff_t a, ptrdiff_t b) { return a < b ? a : b; }
-
 /* y -= a x on m entries that x and y never share. */
 static inline void update(ptrdiff_t m, double a, const double *restrict x, double *restrict y)
 {
@@ -194,23 +197,28 @@ static inline void scale(ptrdiff_t m, double *col)
 
 /* LU without pivoting of the n x n band matrix in ab, kl sub- and ku
    superdiagonals, column-major with ldab = kl + ku + 1: entry (i, j) at
-   ab[j ldab + ku + i - j].  Columns j and j + 1 are eliminated together:
-   each later column takes both updates in one pass, every entry the same
-   operations in the same order as one column at a time.  Returns 0, or
-   j + 1 for an exactly zero pivot in column j. */
-CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, double *ab)
+   ab[j ldab + ku + i - j], restricted to the matrix's envelope.  Column j
+   of L holds lower[j] multipliers below the diagonal and row j of U upper[j]
+   entries right of it; j + lower[j] and j + upper[j] never decrease, and
+   without pivoting no fill leaves that envelope (George & Liu 1981, ch. 4).
+   Columns j and j + 1 are eliminated together: each later column takes both
+   updates in one pass, every entry the same operations in the same order as
+   one column at a time.  Returns 0, or j + 1 for an exactly zero pivot in
+   column j. */
+CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
+                             const int32_t *upper, double *ab)
 {
     const ptrdiff_t ldab = kl + ku + 1;
     for (ptrdiff_t j = 0; j < n; j += 2) {
         double *c0 = ab + j * ldab + ku;                /* c0[r]: entry (j + r, j) */
-        const ptrdiff_t m0 = min(kl, n - 1 - j), u0 = min(ku, n - 1 - j);
+        const ptrdiff_t m0 = lower[j], u0 = upper[j];
         if (c0[0] == 0.0)
             return j + 1;
         scale(m0, c0);
         if (j + 1 == n)
             break;
         double *c1 = c0 + ldab;                         /* c1[r]: entry (j + 1 + r, j + 1) */
-        const ptrdiff_t m1 = min(kl, n - 2 - j), u1 = min(ku, n - 2 - j);
+        const ptrdiff_t m1 = lower[j + 1], u1 = upper[j + 1];
         if (u0 > 0)
             update(m0, c1[-1], c0 + 1, c1);
         if (c1[0] == 0.0)
@@ -230,16 +238,21 @@ CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, double *ab
     return 0;
 }
 
-/* x = (LU)^-1 x in place, with the factors of band_factor: L y = x
-   forward, then U x = y backward, column by column. */
-CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const double *ab, double *x)
+/* x = (LU)^-1 x in place, with the factors and the envelope of band_factor:
+   L y = x forward, then U x = y backward, column by column.  Column j of U
+   reaches up to row top, the first row whose reach gets to column j. */
+CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
+                       const int32_t *upper, const double *ab, double *x)
 {
     const ptrdiff_t ldab = kl + ku + 1;
     for (ptrdiff_t j = 0; j < n; ++j) {
-        update(min(kl, n - 1 - j), x[j], ab + j * ldab + ku + 1, x + j + 1);
+        update(lower[j], x[j], ab + j * ldab + ku + 1, x + j + 1);
     }
+    ptrdiff_t top = n - 1;
     for (ptrdiff_t j = n - 1; j >= 0; --j) {
-        const ptrdiff_t m = min(ku, j);
+        while (top > 0 && top - 1 + upper[top - 1] >= j)
+            --top;
+        const ptrdiff_t m = j - top;
         x[j] /= ab[j * ldab + ku];
         update(m, x[j], ab + j * ldab + ku - m, x + j - m);
     }
@@ -312,11 +325,10 @@ class Kernel:
 
         values, out = _Array(np.float64), _Array(np.float64, "C_CONTIGUOUS,WRITEABLE")
         self.triangle_blocks = bind("triangle_blocks", (
-            size, _Array(np.int64), *(values,) * 6, _Array(np.uint8), *(values,) * 6,
-            real, real, real, out))
+            size, _Array(np.int64), *(values,) * 12, real, real, real, out))
         self.r_stiffness = bind("r_stiffness", (size, *(values,) * 4, out))
         self.scatter_add = bind("scatter_add", (size, _Array(np.int32), values, out))
-        bands = (size,) * 3                     # n, kl, ku
+        bands = (size,) * 3 + (_Array(np.int32),) * 2       # n, kl, ku, lower, upper
         self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS,WRITEABLE")),
                            size)
         self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), out))
@@ -340,8 +352,7 @@ def triangle_blocks(ed, w: np.ndarray, V: np.ndarray, dt: float, nu: float, Cs: 
                                 f"fields of shape {w.shape} and {V.shape}")
     t = ed.radial
     kernel().triangle_blocks(m, ed.tri, ed.area, ed.r_int, ed.grad_r, ed.grad_z, ed.wr,
-                             t.inv_r, t.on_axis.view(np.uint8), t.rn, t.hoop, t.zz,
-                             t.coupling_z, w, V, dt, nu, Cs, out)
+                             t.inv_r, t.rn, t.hoop, t.zz, t.coupling_z, w, V, dt, nu, Cs, out)
 
 
 def r_stiffness(ed, out: np.ndarray) -> None:
@@ -361,22 +372,24 @@ def scatter_add(data: np.ndarray, slot: np.ndarray, vals: np.ndarray) -> None:
     kernel().scatter_add(len(slot), slot, vals, data)
 
 
-def _check(ab: np.ndarray, kl: int, ku: int) -> None:
-    if kl < 0 or ku < 0 or ab.ndim != 2 or ab.shape[0] != kl + ku + 1:
+def _check(ab: np.ndarray, band) -> None:
+    if ab.shape != (band.ldab, len(band.lower)):
         raise DimensionMismatch(f"band storage of shape {ab.shape} does not hold "
-                                f"kl = {kl}, ku = {ku}")
+                                f"kl = {band.kl}, ku = {band.ku} on {len(band.lower)} columns")
 
 
-def factor_band(ab: np.ndarray, kl: int, ku: int) -> int:
-    """Factor the band storage ab in place without pivoting; 0, or the
-    1-based column of the first exactly zero pivot."""
-    _check(ab, kl, ku)
-    return kernel().factor(ab.shape[1], kl, ku, ab)
+def factor_band(ab: np.ndarray, band) -> int:
+    """Factor the band storage ab in place without pivoting, within the
+    envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
+    column of the first exactly zero pivot."""
+    _check(ab, band)
+    return kernel().factor(ab.shape[1], band.kl, band.ku, band.lower, band.upper, ab)
 
 
-def solve_band(lu: np.ndarray, kl: int, ku: int, x: np.ndarray) -> None:
-    """Overwrite x with the solution of A x = x, lu A's :func:`factor_band`."""
-    _check(lu, kl, ku)
+def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
+    """Overwrite x with the solution of A x = x, lu A's :func:`factor_band`
+    with the same band."""
+    _check(lu, band)
     if x.shape != (lu.shape[1],):
         raise DimensionMismatch(f"right-hand side of shape {x.shape} for {lu.shape[1]} unknowns")
-    kernel().solve(lu.shape[1], kl, ku, lu, x)
+    kernel().solve(lu.shape[1], band.kl, band.ku, band.lower, band.upper, lu, x)

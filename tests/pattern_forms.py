@@ -84,7 +84,8 @@ def _div_at_quad(ed: ElementData, field: np.ndarray) -> np.ndarray:
     vr = field[:, 0][ed.tri]                              # (M, 3) nodal values
     dr_vr = (ed.grad_r * vr) @ _ONES
     d_planar = dr_vr + (ed.grad_z * field[:, 1][ed.tri]) @ _ONES
-    hoop = np.where(ed.radial.on_axis, dr_vr[:, None], (vr @ _QBASIS.T) * ed.radial.inv_r)
+    on_axis = ed.radial.inv_r == 0.0                      # the table's points on the axis
+    hoop = np.where(on_axis, dr_vr[:, None], (vr @ _QBASIS.T) * ed.radial.inv_r)
     return d_planar[:, None] + hoop                       # (M, 3q)
 
 

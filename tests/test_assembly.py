@@ -86,10 +86,14 @@ def test_fixed_pattern_equals_coo_reference(case):
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
-@pytest.mark.parametrize("case", [lambda: form_case(0), lambda: form_case(1),
-                                  lambda: form_case(2), tc1_slab, lambda: slab(tc2_config)],
-                         ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab",
-                              "tc2-16x32-slab"])
+# meshes with quadrature points on the axis
+BLOCK_CASES = pytest.mark.parametrize(
+    "case", [lambda: form_case(0), lambda: form_case(1), lambda: form_case(2), tc1_slab,
+             lambda: slab(tc2_config)],
+    ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab", "tc2-16x32-slab"])
+
+
+@BLOCK_CASES
 def test_compiled_blocks_equal_the_numpy_kernels(case):
     """The compiled triangle blocks of the saddle matrix and the compiled
     r-weighted stiffness equal the numpy kernels they replaced to 1e-15 of
@@ -97,7 +101,7 @@ def test_compiled_blocks_equal_the_numpy_kernels(case):
     quadrature points on the axis."""
     mesh, _, u, V, _, phys, num = case()
     ed = element_data(mesh)
-    assert ed.radial.on_axis.any()
+    assert (ed.radial.rq == 0.0).any()
     blocks = np.empty((len(ed.tri), 9, 9))
     triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
     stiffness = np.empty((len(ed.tri), 3, 3))
@@ -107,6 +111,18 @@ def test_compiled_blocks_equal_the_numpy_kernels(case):
                       (stiffness, _gradient_products(ed)[2])):
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+@BLOCK_CASES
+def test_axis_points_carry_no_weight(case):
+    """The radial table's axis points, where 1/r is 0, are the points at
+    r = 0 exactly, and there the r-weighted quadrature weight is exactly 0:
+    the 1/r terms of the triangle blocks need no branch for the axis."""
+    ed = element_data(case()[0])
+    on_axis = ed.radial.rq == 0.0
+    assert on_axis.any()
+    assert np.array_equal(ed.radial.inv_r == 0.0, on_axis)
+    assert np.all(ed.wr[on_axis] == 0.0)
 
 
 def test_kernel_arguments_are_checked_before_the_kernel_runs():
@@ -155,10 +171,10 @@ def test_band_storage_holds_the_matrix_on_its_diagonals(monkeypatch):
     handed = []         # the band storage factorize hands to the kernel, before it is factored
     factor_band = capflow.forms.factor_band
 
-    def capturing(ab, kl, ku):
-        assert (kl, ku) == (band.kl, band.ku)
+    def capturing(ab, layout):
+        assert layout is band
         handed.append(ab.copy(order="K"))
-        return factor_band(ab, kl, ku)
+        return factor_band(ab, layout)
 
     monkeypatch.setattr(capflow.forms, "factor_band", capturing)
     factorize(system)

@@ -240,8 +240,8 @@ class TestRunLoop:
         # x = 0 for the zero right-hand side of the flow at rest
         solve_band = capflow.forms.solve_band
 
-        def perturbed(lu, kl, ku, x):
-            solve_band(lu, kl, ku, x)
+        def perturbed(lu, band, x):
+            solve_band(lu, band, x)
             if len(x) == 15:        # the mesh-velocity system of the 4x4 grid
                 x += 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(len(x))
 
@@ -357,9 +357,9 @@ class TestRunLoop:
         bands = []          # (size, kl, ku) of each band factorization
         orders = []         # (band factorizations made before, vertices) of each ordering
 
-        def counting_factor(ab, kl, ku):
-            bands.append((ab.shape[1], kl, ku))
-            return factor_band(ab, kl, ku)
+        def counting_factor(ab, band):
+            bands.append((ab.shape[1], band.kl, band.ku))
+            return factor_band(ab, band)
 
         def counting_rcm(graph, **kwargs):
             orders.append((len(bands), graph.shape[0]))

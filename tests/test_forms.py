@@ -294,7 +294,7 @@ def assert_direct_formulas(mesh):
     ed = element_data(mesh)
     t = ed.radial
     ours = dict(area=ed.area, grad_r=ed.grad_r, grad_z=ed.grad_z, wr=ed.wr, r_int=ed.r_int,
-                rq=t.rq, inv_r=t.inv_r, on_axis=t.on_axis,
+                rq=t.rq, inv_r=t.inv_r, on_axis=t.inv_r == 0.0,
                 viscous=_viscous_block(ed, PHYS.nu, _gradient_products(ed)),
                 coupling=_coupling_block(ed))
     for key, want in direct_element_data(mesh).items():

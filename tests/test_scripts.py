@@ -26,10 +26,11 @@ def load(name):
 def test_fill_report_reports_the_band():
     fill_report = load("fill_report")
     fill_report.REPEATS = 1
-    grid, n, nnz, kl, ku, growth, ms = fill_report.report(4, 8).split()
+    grid, n, nnz, kl, ku, envelope, work, growth, ms = fill_report.report(4, 8).split()
     assert grid == "4x8"
     assert int(n) > 0 and int(nnz) > int(n)
     assert 0 < int(kl) == int(ku) < int(n)
+    assert 0.0 < float(envelope) <= 1.0 and 0.0 < float(work) <= 1.0
     assert 0.0 < float(growth) <= 10.0
     assert math.isfinite(float(ms)) and float(ms) >= 0.0
 

@@ -2,7 +2,7 @@ import ctypes
 import gc
 import platform
 import subprocess
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_stat
 from capflow.geometry import build_structured_mesh
 
 from .pattern_forms import form_a, mass_matrix
-from .test_assembly import tc1_slab
+from .test_assembly import slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -152,6 +152,18 @@ def on_band(A, kl, ku):
     return A[inside], ((ku + i - j)[inside], j[inside])
 
 
+def full_band(n, kl, ku):
+    """The layout of a full band on n columns, every reach min(k, n - 1 - j)."""
+    j = np.arange(n)
+    return BandLayout(kl=kl, ku=ku, ldab=kl + ku + 1, position=np.empty(0, np.int32),
+                      lower=np.minimum(kl, n - 1 - j).astype(np.int32),
+                      upper=np.minimum(ku, n - 1 - j).astype(np.int32))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_kernel_factors_equal_the_dense_lu_without_pivoting():
     system = assemble_state_system(*tc1_slab(4, 8))
     band = system.pattern.band
@@ -180,13 +192,156 @@ def test_kernel_handles_every_band_shape():
                 values, places = on_band(A, kl, ku)
                 ab = np.zeros((kl + ku + 1, n), order="F")
                 ab[places] = values
-                assert kernels.factor_band(ab, kl, ku) == 0
+                band = full_band(n, kl, ku)
+                assert kernels.factor_band(ab, band) == 0
                 assert np.array_equal(ab[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
                 b = rng.standard_normal(n)
                 x = b.copy()
-                kernels.solve_band(ab, kl, ku, x)
+                kernels.solve_band(ab, band, x)
                 ref = np.linalg.solve(A, b)
                 assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (n, kl, ku)
+
+
+def profile_reach(S):
+    """For each column j of the square boolean structure S, the reach below
+    the diagonal of its row profile: max(j, max{i : row i of S has an entry
+    in a column up to j}) - j."""
+    n = len(S)
+    first = [np.flatnonzero(row)[0] if row.any() else n for row in S]
+    return np.array([max([j] + [i for i in range(n) if first[i] <= j]) - j for j in range(n)])
+
+
+def outside_envelope(band, n):
+    """The places (i, j) of an n x n matrix outside band's envelope."""
+    i, j = np.indices((n, n))
+    below = (i > j) & (i - j <= band.lower[j])
+    above = (i < j) & (j - i <= band.upper[i])
+    return ~(below | above | (i == j))
+
+
+def unsymmetric_envelope():
+    """A 14 x 14 band, kl = 4 and ku = 3, whose row and column profiles
+    differ, every entry inside them nonzero and the pivots positive."""
+    rng = np.random.default_rng(11)
+    n, kl, ku = 14, 4, 3
+    i, j = np.indices((n, n))
+    first_column = np.maximum(np.arange(n) - rng.integers(0, kl + 1, n), 0)
+    first_row = np.maximum(np.arange(n) - rng.integers(0, ku + 1, n), 0)
+    inside = ((i >= j) & (j >= first_column[i])) | ((i < j) & (i >= first_row[j]))
+    return np.where(inside, rng.uniform(0.5, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n)),
+                    0.0) + 8.0 * np.eye(n)
+
+
+def extension_system(n1, n3):
+    """The mesh-velocity stiffness of the tc1 slab on an n1 x n3 grid, filled
+    on its pattern."""
+    mesh = tc1_slab(n1, n3)[0]
+    pattern = mesh.topology.memo(capflow.ale._extension_pattern)
+    data, vals, (stiffness,) = pattern.values()
+    kernels.r_stiffness(element_data(mesh), stiffness)
+    return pattern, pattern.fill(data, vals)
+
+
+def test_band_layout_reaches_are_the_profiles_of_the_structure():
+    """L's reach of every column is the row profile's, U's reach of every
+    row the column profile's; both stay in the band and never end earlier
+    for a later column."""
+    saddle = assemble_state_system(*tc1_slab(4, 8))
+    structures = [saddle.matrix, extension_system(4, 8)[1],
+                  sp.csc_matrix(unsymmetric_envelope())]
+    for matrix in structures:
+        band = BandLayout.of(matrix.indices, matrix.indptr)
+        S = sp.csc_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr),
+                          shape=matrix.shape).toarray() != 0        # stored zeros included
+        n = len(S)
+        j = np.arange(n)
+        for reach, profile, k in ((band.lower, S, band.kl), (band.upper, S.T, band.ku)):
+            assert reach.dtype == np.int32
+            assert np.array_equal(reach, profile_reach(profile))
+            assert np.all(np.diff(j + reach) >= 0)
+            assert np.all((reach >= 0) & (reach <= np.minimum(k, n - 1 - j)))
+    # the step matrices are structurally symmetric, the hand-built one is not
+    band = saddle.pattern.band
+    assert np.array_equal(band.lower, band.upper)
+    assert (band.lower < full_band(len(band.lower), band.kl, band.ku).lower).any()
+    other = BandLayout.of(structures[2].indices, structures[2].indptr)
+    assert not np.array_equal(other.lower, other.upper)
+
+
+@pytest.mark.parametrize("grid", [(4, 8), (8, 16)], ids=["4x8", "8x16"])
+def test_lu_without_pivoting_fills_nothing_outside_the_envelope(grid):
+    systems = [assemble_state_system(*slab(config, *grid)) for config in (tc1_config, tc2_config)]
+    matrices = [(system.pattern.band, system.matrix) for system in systems]
+    pattern, stiffness = extension_system(*grid)
+    matrices.append((pattern.band, stiffness))
+    for band, matrix in matrices:
+        lu = dense_lu_without_pivoting(matrix.toarray())
+        outside = outside_envelope(band, len(lu))
+        assert outside.any()
+        assert not lu[outside].any()
+
+
+def test_unsymmetric_envelope_factors_like_the_dense_loop():
+    """Row and column profiles that differ: swapping L's and U's reach would
+    leave entries of the factors out."""
+    A = unsymmetric_envelope()
+    matrix = sp.csc_matrix(A)
+    band = BandLayout.of(matrix.indices, matrix.indptr)
+    n = len(A)
+    values, places = on_band(A, band.kl, band.ku)
+    ab = np.zeros((band.ldab, n), order="F")
+    ab[places] = values
+    assert kernels.factor_band(ab, band) == 0
+    assert np.array_equal(bits(ab[places]), bits(on_band(dense_lu_without_pivoting(A),
+                                                         band.kl, band.ku)[0]))
+    b = np.random.default_rng(12).standard_normal(n)
+    x = b.copy()
+    kernels.solve_band(ab, band, x)
+    ref = np.linalg.solve(A, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    full = b.copy()
+    kernels.solve_band(ab, full_band(n, band.kl, band.ku), full)
+    assert np.array_equal(bits(x), bits(full))
+
+
+def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
+    """On the 16x32 tc1 slab, whose envelope leaves part of the band out,
+    the factors and a solve are those of the full band, bit for bit."""
+    system = assemble_state_system(*tc1_slab())
+    band = system.pattern.band
+    n = system.matrix.shape[0]
+    full = full_band(n, band.kl, band.ku)
+    assert band.lower.sum() < full.lower.sum() and band.upper.sum() < full.upper.sum()
+    lu = factorize(system)
+    ab = np.zeros(band.ldab * n)
+    ab[band.position] = system.matrix.data
+    ab = ab.reshape((band.ldab, n), order="F")
+    assert kernels.factor_band(ab, full) == 0
+    assert np.array_equal(bits(ab), bits(lu.lu))
+    x, y = system.rhs.copy(), system.rhs.copy()
+    kernels.solve_band(lu.lu, band, x)
+    kernels.solve_band(lu.lu, full, y)
+    assert np.array_equal(bits(x), bits(y))
+
+
+def test_band_storage_past_int32_positions_is_refused():
+    """Two entries n - 1 off the diagonal of n = 50 000 columns make a band
+    of 99 999 x 50 000 entries, past the int32 positions the compiled
+    scatter reads: refused before anything of the band's size is allocated."""
+    n = 50_000
+    indices = np.array([n - 1, 0], dtype=np.int32)
+    indptr = np.ones(n + 1, dtype=np.int32)
+    indptr[0], indptr[-1] = 0, 2
+    with pytest.raises(DimensionMismatch, match="99999 x 50000 = 4999950000 entries"):
+        BandLayout.of(indices, indptr)
+
+
+def test_band_layout_refuses_an_envelope_that_leaves_the_band():
+    band = full_band(6, 2, 1)
+    for lower, upper in ((band.lower + 1, band.upper), (band.lower, band.upper[::-1]),
+                         (band.lower.astype(np.int64), band.upper)):
+        with pytest.raises(DimensionMismatch):
+            replace(band, lower=lower, upper=np.ascontiguousarray(upper))
 
 
 @pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
@@ -258,19 +413,21 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     values, places = on_band(system.matrix.toarray(), band.kl, band.ku)
     ab = np.zeros(lu.lu.shape, order="F")
     ab[places] = values
-    assert portable.factor(ab.shape[1], band.kl, band.ku, ab) == 0
+    assert portable.factor(ab.shape[1], band.kl, band.ku, band.lower, band.upper, ab) == 0
     assert np.array_equal(ab, lu.lu)
     x = system.rhs.copy()
-    portable.solve(len(x), band.kl, band.ku, ab, x)
+    portable.solve(len(x), band.kl, band.ku, band.lower, band.upper, ab, x)
     assert np.array_equal(x, lu.solve(system.rhs, "state")[0])
 
 
 def test_band_arguments_are_checked_before_the_kernel_runs():
     ab = np.zeros((5, 4), order="F")
     with pytest.raises(DimensionMismatch):
-        kernels.factor_band(ab, 2, 1)
+        kernels.factor_band(ab, full_band(4, 2, 1))
     with pytest.raises(DimensionMismatch):
-        kernels.solve_band(ab, 2, 2, np.zeros(5))
+        kernels.factor_band(ab, full_band(5, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        kernels.solve_band(ab, full_band(4, 2, 2), np.zeros(5))
 
 
 def test_kernel_calls_leave_no_garbage_cycles():
@@ -295,15 +452,15 @@ def test_kernel_calls_leave_no_garbage_cycles():
             kernels.triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
             kernels.r_stiffness(ed, stiffness)
             kernels.scatter_add(data, pattern.slot, vals)
-            kernels.factor_band(lu.lu.copy(order="F"), band.kl, band.ku)
-            kernels.solve_band(lu.lu, band.kl, band.ku, x)
+            kernels.factor_band(lu.lu.copy(order="F"), band)
+            kernels.solve_band(lu.lu, band, x)
         assert gc.collect() == 0
     finally:
         gc.enable()
     with pytest.raises(ctypes.ArgumentError):
         kernels.scatter_add(data, pattern.slot.astype(np.int64), vals)
     with pytest.raises(ctypes.ArgumentError):
-        kernels.factor_band(np.ascontiguousarray(lu.lu), band.kl, band.ku)
+        kernels.factor_band(np.ascontiguousarray(lu.lu), band)
 
 
 def test_a_cached_kernel_starts_no_compiler(monkeypatch):
