@@ -3,16 +3,17 @@
 
 For each grid, advances the controlled test-case-1 refill three slabs and
 times the phases of the fourth on their own: the mesh-velocity extension
-(ALE), the mesh displacement, the element geometry, the radial table (built
-once per run), the compiled triangle blocks, each edge kernel, the mass
-action and the loads, the whole saddle assembly, the fill, the
-banded factorization, the state solve and the bottom-load solve of the
-control gradient, then the whole step, and last the VTK snapshot of the
+(ALE) with its compiled Dirichlet data and lifting, the mesh displacement,
+the compiled element data, the radial table (built once per run), the
+compiled triangle blocks, boundary-edge blocks, mass action and the loads
+summed into the reduced right-hand side, the whole saddle assembly, the
+fill, the banded factorization, the state solve and the bottom-load solve of
+the control gradient, then the whole step, and last the VTK snapshot of the
 state into a temporary directory.  Each figure is the minimum over REPEATS
-calls, in ms.  The mass action row calls the uncached builder; the assembly
-and step rows find the mass action of the old velocity already computed, as
-a step after a previous one does, and the assembly row works on a new mesh
-each call, as a step does.  The last line is the median number of minor page
+calls, in ms.  The element data and mass action rows call the uncached
+builders; the assembly and step rows find the mass action of the old
+velocity already computed, as a step after a previous one does, and the
+assembly row works on a new mesh each call, as a step does.  The last line is the median number of minor page
 faults per step (ru_minflt) over a FAULT_STEPS-step controlled run of each
 grid, counted between the run's per-step callbacks.  Pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1) for comparable times.
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from capflow import forms, kernels
+from capflow import ale, forms, kernels
 from capflow.acceptance import tc1_config
 from capflow.adjoint import solve_bottom_sensitivity
 from capflow.ale import solve_domain_velocity
@@ -68,15 +69,18 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     V, _ = solve_domain_velocity(mesh, u)
     mesh_new = displace_mesh(mesh, V, num.dt)
     ed = forms.element_data(mesh_new)
-    uv, Vv = u.values, V.values
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
     lu = forms.factorize(system)
     u_new, _, _ = forms.solve(lu, system.rhs)
     mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
-    _, vals, (tri, _, _) = pattern.values()
+    _, vals, (tri, wall, surface) = pattern.values()
     vals[:] = 1.0
+    extension = mesh.topology.memo(ale._extension_pattern)
+    _, _, (stiffness,) = extension.values()
+    kernels.r_stiffness(forms.element_data(mesh), stiffness)
+    mass_old = forms.mass_action(u)
 
     def fresh_mesh(_=None):
         """A new mesh at the new positions: nothing memoised on it yet."""
@@ -84,16 +88,20 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
 
     return [
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
+        ("  surface data and lifting", best_ms(
+            lambda _: ale._extension_rhs(u, forms.element_data(mesh), extension, stiffness))),
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
-        ("  triangle blocks (compiled)", best_ms(
-            lambda _: kernels.triangle_blocks(ed, uv, Vv, num.dt, phys.nu, num.Cs, tri))),
-        ("  wall friction block", best_ms(lambda _: forms._wall_friction_block(mesh_new, beta))),
-        ("  surface flux block", best_ms(lambda _: forms._surface_flux_block(mesh_new, uv, Vv))),
-        ("  surface stab block", best_ms(lambda _: forms._surface_stab_block(mesh_new, phys))),
+        ("  triangle blocks", best_ms(
+            lambda _: kernels.triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, tri))),
+        ("  edge blocks", best_ms(
+            lambda _: forms._edge_blocks(mesh_new, u, V, beta, phys.gamma, num.dt, wall,
+                                         surface))),
         ("  mass action", best_ms(lambda _: forms._mass_action(u))),
-        ("  load vector", best_ms(lambda _: forms.rhs_F(mesh_new, ZETA, phys))),
+        ("  loads, reduced", best_ms(
+            lambda _: forms._loads(mesh_new, mass_old, num.dt, ZETA, phys, len(pattern.free),
+                                   pattern.ptr.free))),
         ("assembly (fresh mesh)", best_ms(
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import DimensionMismatch
 from .fields import VectorFieldP1
 from .forms import FixedPattern, LinearSystem, element_data, factorize, in_vertex_order
-from .geometry import AxiMesh, MeshTopology, surface_slopes
+from .geometry import AxiMesh, BoundaryTag, MeshTopology
 from .kernels import r_stiffness
 
 
@@ -37,25 +38,29 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     residual of its solve."""
     if u.mesh is not mesh:
         raise DimensionMismatch("velocity field lives on a different mesh")
-
-    # vertical surface speed: (u . nu)/nu_3 = u_z - slope * u_r at surface nodes
-    snodes = mesh.surface_nodes
-    slopes = surface_slopes(mesh)
-    n = mesh.num_nodes
-    g = np.zeros(n)             # Dirichlet data; zero on the bottom
-    g[snodes] = u.values[snodes, 1] - slopes * u.values[snodes, 0]
-
     ed = element_data(mesh)
     pattern = mesh.topology.memo(_extension_pattern)
     data, vals, (stiffness,) = pattern.values()
     r_stiffness(ed, stiffness)
-    lifted = np.bincount(ed.tri.ravel(), minlength=n,
-                         weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
-    system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals),
-                          rhs=pattern.reduce(-lifted), mesh=mesh)
-    x, residual = factorize(system).solve(system.rhs, "mesh-velocity")
+    g, rhs = _extension_rhs(u, ed, pattern, stiffness)
+    system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
+    x, residual = factorize(system).solve(rhs, "mesh-velocity")
 
-    values = np.zeros((n, 2))
+    values = np.zeros((mesh.num_nodes, 2))
     values[:, 1] = g
     values[pattern.free, 1] = x
     return VectorFieldP1(values, mesh), residual
+
+
+def _extension_rhs(u, ed, pattern, stiffness) -> tuple[np.ndarray, np.ndarray]:
+    """The Dirichlet data g, the vertical surface speed (u . nu)/nu_3 of u
+    (zero on the bottom), and the reduced right-hand side, minus stiffness
+    (M, 3, 3) times g; ed is the element data of u's mesh."""
+    mesh = u.mesh
+    topology, n = mesh.topology, mesh.num_nodes
+    work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
+    kernels.kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
+                                   topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                                   u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness,
+                                   len(pattern.free), pattern.ptr.free, work, rhs)
+    return work[:n], rhs

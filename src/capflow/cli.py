@@ -66,8 +66,9 @@ def _cmd_run(args) -> int:
               f"{type(history.abort_reason).__name__}: {history.abort_reason}",
               file=sys.stderr)
         return 1
+    largest = ", ".join(f"{what} {res:.3e}" for what, res in history.residuals.items())
     print(f"final t={history.t[-1]:.6g} s, Z_CL={history.z_cl[-1]:.6e} m, "
-          f"zeta={history.zeta[-1]:.6e} m^2/s^2")
+          f"zeta={history.zeta[-1]:.6e} m^2/s^2; largest relative residuals: {largest}")
     return 0
 
 

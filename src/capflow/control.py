@@ -42,7 +42,11 @@ class ControlState:
 
 @dataclass
 class RunHistory:
-    """Per-step record (t, Z_CL, zeta, J increment, gradient, max |u|)."""
+    """Per-step record (t, Z_CL, zeta, J increment, gradient, max |u|), and
+    the largest relative residual over the run of each kind of solve, by the
+    name the solve reports: the state solve, the gradient's bottom-load solve
+    (0 in an uncontrolled run, which makes none) and the mesh-velocity
+    extension."""
 
     t: list = field(default_factory=list)
     z_cl: list = field(default_factory=list)
@@ -52,6 +56,8 @@ class RunHistory:
     u_max: list = field(default_factory=list)
     abort_reason: CapflowError | None = None
     abort_step: int | None = None
+    residuals: dict = field(default_factory=lambda: dict.fromkeys(
+        ("state", "bottom-load", "mesh-velocity"), 0.0))
 
     def append(self, t, z_cl, zeta, j_inc, grad, u_max):
         self.t.append(float(t))
@@ -60,6 +66,13 @@ class RunHistory:
         self.j_increment.append(float(j_inc))
         self.grad.append(float(grad))
         self.u_max.append(float(u_max))
+
+    def record_residuals(self, **by_solve: float) -> None:
+        """Keep the largest residual of each solve named (``bottom_load`` for
+        "bottom-load", ``mesh_velocity`` for "mesh-velocity")."""
+        for name, residual in by_solve.items():
+            what = name.replace("_", "-")
+            self.residuals[what] = max(self.residuals[what], float(residual))
 
 
 def objective_increment(state_new: FlowState, ctrl: ControlState) -> float:
@@ -106,9 +119,9 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
         try:
             state, diag, lu = step(state, ctrl.zeta, phys, num, EMPTY_FRACTION * init_height)
             j_inc = objective_increment(state, ctrl)
-            grad_val = 0.0
+            grad_val = bottom_residual = 0.0
             if controlled:
-                ib, _ = solve_bottom_sensitivity(lu, mass_action(state.u))
+                ib, bottom_residual = solve_bottom_sensitivity(lu, mass_action(state.u))
                 grad_val = gradient(ib, ctrl)
                 ctrl = update_control(ctrl, ib)
             del lu      # the next step factors only after this LU is freed
@@ -118,6 +131,8 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
             break
 
         history.append(state.t, diag.z_cl, ctrl.zeta, j_inc, grad_val, diag.u_max)
+        history.record_residuals(state=diag.residual, bottom_load=bottom_residual,
+                                 mesh_velocity=diag.ale_residual)
         if snapshot_cb is not None:
             snapshot_cb(n + 1, state)
 

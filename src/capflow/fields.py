@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch
+from .kernels import Pointers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .geometry import AxiMesh
@@ -78,6 +79,7 @@ class VectorFieldP1(_Memo):
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ptr", Pointers(values=values))
 
     @property
     def magnitude_max(self) -> float:

@@ -60,11 +60,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from . import kernels
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
 from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
-from .geometry import (AxiMesh, BoundaryTag, EdgeGeometry, MeshTopology, contact_line_height,
-                       edge_geometry, radial_differences, surface_edges, surface_normals)
-from .kernels import factor_band, scatter_add, solve_band, triangle_blocks
+from .geometry import AxiMesh, BoundaryTag, MeshTopology, contact_line_height, radial_differences
+from .kernels import Pointers, address, factor_band, solve_band, triangle_blocks
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -78,11 +78,6 @@ _QQ = (_QBASIS[:, :, None] * _QBASIS[:, None, :]).reshape(3, 9)
 _ROW, _COL = np.divmod(np.arange(9), 3)
 # x @ _ONES sums the rows of an (M, 3) array, faster than a short-axis sum
 _ONES = np.ones(3)
-# 2-point Gauss on [0, 1]
-_EDGE_Q = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-# edge basis values at the Gauss points, (2q, 2 nodes), and their products
-_EDGE_BASIS = np.column_stack((1.0 - _EDGE_Q, _EDGE_Q))
-_EDGE_BB = (_EDGE_BASIS[:, :, None] * _EDGE_BASIS[:, None, :]).reshape(2, 4)
 
 
 @dataclass(frozen=True)
@@ -99,6 +94,9 @@ class RadialTable:
     zz: np.ndarray          # (M, 3, 3) integral of r dN_i/dz dN_j/dz, times A
     coupling_z: np.ndarray  # (M, 3, 3) -integral of r dN_i/dz N_j, the z rows of the coupling
 
+    def __post_init__(self):
+        object.__setattr__(self, "ptr", Pointers(**vars(self)))
+
 
 def radial_table(topology: MeshTopology) -> RadialTable:
     """The radial table of topology, shared by every mesh a run reaches."""
@@ -112,19 +110,18 @@ def _radial_table(topology: MeshTopology) -> RadialTable:
     dr = radial_differences(topology)
     rn = (rq @ _QBASIS) / 3.0
     r_mean = (rq @ _ONES) / 3.0
-    table = RadialTable(rq=rq, inv_r=inv_r, dr=dr, rn=rn,
-                        hoop=(inv_r @ _QQ) / 3.0,
-                        zz=_outer(dr, dr) * (0.25 * r_mean)[:, None, None],
-                        coupling_z=-0.5 * _outer(dr, rn))
-    for a in vars(table).values():
+    parts = dict(rq=rq, inv_r=inv_r, dr=dr, rn=rn, hoop=(inv_r @ _QQ) / 3.0,
+                 zz=_outer(dr, dr) * (0.25 * r_mean)[:, None, None],
+                 coupling_z=-0.5 * _outer(dr, rn))
+    for a in parts.values():
         a.setflags(write=False)
-    return table
+    return RadialTable(**parts)
 
 
 @dataclass(frozen=True)
 class ElementData:
     """Per-triangle geometry reused by every volume form: what changes with z,
-    C-contiguous, and the mesh's :class:`RadialTable`."""
+    read-only and C-contiguous, and the mesh's :class:`RadialTable`."""
 
     tri: np.ndarray         # (M, 3) vertex indices
     area: np.ndarray        # (M,)
@@ -134,6 +131,11 @@ class ElementData:
     r_int: np.ndarray       # (M,) integral of r over the element
     radial: RadialTable
 
+    def __post_init__(self):
+        object.__setattr__(self, "ptr", Pointers(
+            tri=(self.tri, np.int64), area=self.area, grad_r=self.grad_r, grad_z=self.grad_z,
+            wr=self.wr, r_int=self.r_int))
+
 
 def element_data(mesh: AxiMesh) -> ElementData:
     """Per-triangle geometry of mesh, computed once per mesh."""
@@ -141,33 +143,15 @@ def element_data(mesh: AxiMesh) -> ElementData:
 
 
 def _element_data(mesh: AxiMesh) -> ElementData:
-    tri = mesh.triangles
     table = radial_table(mesh.topology)
-    z = mesh.z[tri]
-    area = mesh.areas
-    inv2a = (1.0 / (2.0 * area))[:, None]
-    wr = (area / 3.0)[:, None] * table.rq
-    # np.take keeps the rows C-contiguous, as the compiled kernels read them
-    grad_r = (np.take(z, [1, 2, 0], axis=1) - np.take(z, [2, 0, 1], axis=1)) * inv2a
-    return ElementData(tri=tri, area=area, grad_r=grad_r,
-                       grad_z=table.dr * inv2a, wr=wr, r_int=wr[:, 0] + wr[:, 1] + wr[:, 2],
-                       radial=table)
-
-
-def _gauss_radii(geom: EdgeGeometry) -> np.ndarray:
-    """(E, 2q) r at the 2 Gauss points of each edge."""
-    return (geom.p1[:, 0, None] * _EDGE_BASIS[None, :, 0]
-            + geom.p2[:, 0, None] * _EDGE_BASIS[None, :, 1])
-
-
-def _quad_values(ed: ElementData, nodal: np.ndarray) -> np.ndarray:
-    """Values of a P1 scalar field at the quadrature points, (M, 3q)."""
-    return nodal[ed.tri] @ _QBASIS.T
-
-
-def _moments(ed: ElementData, weight_q: np.ndarray) -> np.ndarray:
-    """(M, 3) integrals of r weight N_i, weight given at the quadrature points."""
-    return (ed.wr * weight_q) @ _QBASIS
+    m = len(mesh.triangles)
+    out = np.empty(10 * m)
+    kernels.kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.areas,
+                                  table.ptr.rq, table.ptr.dr, out)
+    out.setflags(write=False)
+    grad_r, grad_z, wr = out[:9 * m].reshape(3, m, 3)
+    return ElementData(tri=mesh.triangles, area=mesh.areas, grad_r=grad_r, grad_z=grad_z, wr=wr,
+                       r_int=out[9 * m:], radial=table)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,53 +160,11 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (np.take(x, _ROW, axis=1) * np.take(y, _COL, axis=1)).reshape(-1, 3, 3)
 
 
-# -- local blocks -------------------------------------------------------------
+# -- velocity dofs, mass action and loads -------------------------------------
 
 def _vector_dofs(nodes: np.ndarray, n: int) -> np.ndarray:
     """Velocity dofs of per-element node lists, local order (r..., z...)."""
     return np.concatenate((nodes, nodes + n), axis=1)
-
-
-def _on_both_components(block: np.ndarray) -> np.ndarray:
-    """A (E, k, k) nodal block acting alike on u_r and u_z, on dofs (r..., z...)."""
-    e, k, _ = block.shape
-    out = np.zeros((e, 2 * k, 2 * k))
-    out[:, :k, :k] = block
-    out[:, k:, k:] = block
-    return out
-
-
-def _wall_friction_block(mesh: AxiMesh, beta: float) -> np.ndarray:
-    """(E, 2, 2) blocks of beta * integral of r N_i N_j over each wall edge."""
-    wall = edge_geometry(mesh, BoundaryTag.WALL)
-    w = 0.5 * wall.length[:, None] * _gauss_radii(wall)   # (E, 2q)
-    return beta * (w @ _EDGE_BB).reshape(-1, 2, 2)
-
-
-def _surface_flux_block(mesh: AxiMesh, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(E, 2, 2) nodal blocks of -1/2 ((w - V) . nu) N_i N_j r on free-surface edges."""
-    normals = surface_normals(mesh)
-    surface = surface_edges(mesh)
-    edges = surface.edges
-    rel = w[edges] - V[edges]                             # (E, 2 nodes, 2)
-    flux = (rel * normals[:, None, :]).sum(axis=2) @ _EDGE_BASIS.T    # (E, 2q)
-    wgt = -0.5 * 0.5 * surface.length[:, None] * _gauss_radii(surface) * flux
-    return (wgt @ _EDGE_BB).reshape(-1, 2, 2)
-
-
-def _surface_stab_block(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
-    """(E, 4, 4) free-surface stabilization blocks on dofs (r0, r1, z0, z1).
-
-    D(u) = -(f1 - f0)/L with f = u.nu/nu_3, squared, weighted by gamma/2
-    and the surface measure.
-    """
-    normals = surface_normals(mesh)
-    surface = surface_edges(mesh)
-    rbar = 0.5 * (surface.p1[:, 0] + surface.p2[:, 0])
-    nu1, nu3 = normals[:, 0], normals[:, 1]
-    coef = np.stack((-nu1, nu1, -nu3, nu3), axis=1)       # (E, 4)
-    scale = 0.5 * params.gamma * rbar / surface.length
-    return scale[:, None, None] * (coef[:, :, None] * coef[:, None, :])
 
 
 def mass_action(u: VectorFieldP1) -> np.ndarray:
@@ -237,11 +179,9 @@ def mass_action(u: VectorFieldP1) -> np.ndarray:
 
 def _mass_action(u: VectorFieldP1) -> np.ndarray:
     ed = element_data(u.mesh)
-    # integral r N_i u_c per element, on the dofs (r..., z...) of its vertices
-    local = np.concatenate([_moments(ed, _quad_values(ed, u.values[:, c])) for c in (0, 1)],
-                           axis=1)
     n = u.mesh.num_nodes
-    f = np.bincount(_vector_dofs(ed.tri, n).ravel(), weights=local.ravel(), minlength=2 * n)
+    f = np.zeros(2 * n)
+    kernels.kernel().mass_action(len(ed.tri), n, ed.ptr.tri, ed.ptr.wr, u.ptr.values, f)
     f.setflags(write=False)
     return f
 
@@ -259,13 +199,6 @@ def beta_h(chi: float, h3: float, nu: float) -> float:
     return nu / (chi * h3)
 
 
-def gravity_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
-    ed = element_data(mesh)
-    n = mesh.num_nodes
-    vals = -params.g * (ed.wr @ _QBASIS)
-    return np.bincount((ed.tri + n).ravel(), weights=vals.ravel(), minlength=2 * n)
-
-
 def bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
     """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr.
 
@@ -278,50 +211,39 @@ def bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
 
 
 def _bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
-    bottom = edge_geometry(mesh, BoundaryTag.BOTTOM)
-    n = mesh.num_nodes
-    vals = (0.5 * bottom.length[:, None] * _gauss_radii(bottom)) @ _EDGE_BASIS
-    f = np.bincount((bottom.edges + n).ravel(), weights=vals.ravel(), minlength=2 * n)
+    n, topology = mesh.num_nodes, mesh.topology
+    f = np.zeros(2 * n)
+    kernels.kernel().bottom_load(n, len(topology.boundary_edges[BoundaryTag.BOTTOM]),
+                                 topology.ptr.bottom, topology.ptr.radii, mesh.ptr.z, f)
     f.setflags(write=False)
     return f
 
 
-def surface_tension_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
-    """Laplace-Beltrami weak form of surface tension, -gamma * integral of div_Gamma v.
-
-    Integrated by parts, so no curvature is ever evaluated; the meridian part
-    contributes gamma tau rbar at the edge ends, the azimuthal part the
-    -gamma v_r line integral.
-    """
-    surface = surface_edges(mesh)
-    edges, length = surface.edges, surface.length
-    tau = surface.d / length[:, None]
-    rbar = 0.5 * (surface.p1[:, 0] + surface.p2[:, 0])
-    g = params.gamma
-    n = mesh.num_nodes
-    dofs = np.concatenate((edges[:, 0], edges[:, 1], edges[:, 0] + n, edges[:, 1] + n))
-    vals = np.concatenate((g * tau[:, 0] * rbar - 0.5 * g * length,
-                           -g * tau[:, 0] * rbar - 0.5 * g * length,
-                           g * tau[:, 1] * rbar,
-                           -g * tau[:, 1] * rbar))
-    return np.bincount(dofs, weights=vals, minlength=2 * n)
-
-
-def contact_line_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
-    """Contact-line force gamma cos(theta_s) along the wall, weighted by the contact-circle measure."""
-    n = mesh.num_nodes
-    f = np.zeros(2 * n)
-    r_wall = mesh.topology.radii[mesh.contact_node]
-    f[mesh.contact_node + n] = params.gamma * np.cos(params.theta_s) * r_wall
-    return f
-
-
 def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
-    """Load vector: gravity, bottom stress (p_bar + zeta) e3, surface tension, contact line."""
-    return (gravity_load(mesh, params)
-            + (params.p_bar + zeta) * bottom_load_vector(mesh)
-            + surface_tension_load(mesh, params)
-            + contact_line_load(mesh, params))
+    """Load vector on the 2N velocity dofs: gravity, bottom stress (p_bar +
+    zeta) e3, the Laplace-Beltrami weak form of surface tension (integrated
+    by parts, so no curvature is evaluated) and the contact-line force gamma
+    cos(theta_s) on the contact circle.  The step sums the same loads straight
+    into its reduced right-hand side (:func:`assemble_state_system`)."""
+    dofs = np.arange(2 * mesh.num_nodes)
+    dofs.setflags(write=False)
+    return _loads(mesh, np.zeros(2 * mesh.num_nodes), 1.0, zeta, params, len(dofs),
+                  address(dofs, np.int64))
+
+
+def _loads(mesh, mass, dt, zeta, phys, nf, free) -> np.ndarray:
+    """mass / dt plus the loads of :func:`rhs_F` on the nf dofs at free, a
+    bound int64 array; 0 on a pressure dof."""
+    ed, topology, n = element_data(mesh), mesh.topology, mesh.num_nodes
+    surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
+    contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
+    rhs = np.empty(nf)
+    kernels.kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
+                               topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z, mass,
+                               bottom_load_vector(mesh), dt, phys.g, phys.p_bar + zeta,
+                               phys.gamma, mesh.contact_node, contact, nf, free,
+                               np.zeros(4 * n), rhs)
+    return rhs
 
 
 # -- monolithic system ------------------------------------------------------
@@ -365,6 +287,9 @@ class BandLayout:
         if not valid:
             raise DimensionMismatch(f"no envelope of a band with kl = {self.kl}, "
                                     f"ku = {self.ku} on {n} columns")
+        object.__setattr__(self, "ptr", Pointers(position=(self.position, np.int32),
+                                                 lower=(self.lower, np.int32),
+                                                 upper=(self.upper, np.int32)))
 
     @classmethod
     def of(cls, indices: np.ndarray, indptr: np.ndarray) -> "BandLayout":
@@ -430,10 +355,16 @@ class FixedPattern:
     indptr: np.ndarray    # int32 column starts
     band: BandLayout      # band storage position of each stored entry
 
+    def __post_init__(self):
+        object.__setattr__(self, "ptr", Pointers(free=(self.free, np.int64),
+                                                 slot=(self.slot, np.int32)))
+
     @classmethod
     def build(cls, families: list[np.ndarray], free: np.ndarray, size: int) -> "FixedPattern":
         """families: (E, k) dof arrays; entry (i, j) of element e's k x k block
         adds to row dofs[e, i], column dofs[e, j] of the size x size matrix."""
+        free = np.array(free, dtype=np.int64)
+        free.setflags(write=False)
         nf = len(free)
         base = nf + 1
         key_type = np.int32 if base ** 2 < 2 ** 31 else np.int64
@@ -464,9 +395,11 @@ class FixedPattern:
                    indices=indices, indptr=indptr, band=BandLayout.of(indices, indptr))
 
     def reduce(self, f: np.ndarray) -> np.ndarray:
-        """A load f on the first len(f) dofs, zero on the rest (the pressure
-        rows, for a velocity load), on the reduced dofs in their order."""
-        return np.concatenate((f, np.zeros(self.size - len(f))))[self.free]
+        """A load f, float64, on the first len(f) dofs, zero on the rest (the
+        pressure rows, for a velocity load), on the reduced dofs in their order."""
+        out = np.empty(len(self.free))
+        kernels.kernel().gather(len(self.free), self.ptr.free, len(f), f, out)
+        return out
 
     def values(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """A zeroed data array and an uninitialised flat value array for
@@ -486,9 +419,10 @@ class FixedPattern:
         """The reduced matrix summing the flat local values into data, both from
         :meth:`values`, in their order; the sums are those of a bincount, bit
         for bit."""
-        if data.shape != (len(self.indices) + 1,):
-            raise DimensionMismatch(f"data of shape {data.shape} for {len(self.indices)} entries")
-        scatter_add(data, self.slot, vals)
+        if data.shape != (len(self.indices) + 1,) or vals.shape != self.slot.shape:
+            raise DimensionMismatch(f"data of shape {data.shape} for {len(self.indices)} entries, "
+                                    f"values of shape {vals.shape} for {len(self.slot)}")
+        kernels.kernel().scatter_add(len(self.slot), self.ptr.slot, vals, data)
         n = len(self.free)
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 
@@ -546,6 +480,18 @@ def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
                                _vector_dofs(edges[BoundaryTag.FREE_SURFACE], n)], free, 3 * n)
 
 
+def _edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
+    """Write the wall friction, beta times the r-weighted edge mass on u_z of
+    each wall edge's ends, into wall (E, 2, 2), and on (u_r, u_z) of each
+    free-surface edge's ends the flux of w - V on both components plus dt
+    times the surface stabilization of tension gamma into surface (E, 4, 4);
+    w and V are fields over mesh's topology."""
+    topology = mesh.topology
+    kernels.kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface),
+                                 topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                                 w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
+
+
 def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
     """Monolithic [[K, B], [-B^T, Sp]] system with essential radial dofs eliminated.
 
@@ -562,16 +508,13 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
         raise DimensionMismatch("old and new mesh must share one topology")
     dt = num.dt
     beta = beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
-    ed = element_data(mesh_new)
-    u, V = u_old.values, V_old.values
-    pattern = mesh_new.topology.memo(_saddle_pattern)
+    topology = mesh_new.topology
+    pattern = topology.memo(_saddle_pattern)
     data, vals, (tri, wall, surface) = pattern.values()
     # each triangle's block couples (u_r, u_z, p) of its three vertices
-    triangle_blocks(ed, u, V, dt, phys.nu, num.Cs, tri)
-    wall[:] = _wall_friction_block(mesh_new, beta)
-    surface[:] = (_on_both_components(_surface_flux_block(mesh_new, u, V))
-                  + dt * _surface_stab_block(mesh_new, phys))
-    rhs = pattern.reduce(mass_action(u_old) / dt + rhs_F(mesh_new, zeta, phys))
+    triangle_blocks(element_data(mesh_new), u_old, V_old, dt, phys.nu, num.Cs, tri)
+    _edge_blocks(mesh_new, u_old, V_old, beta, phys.gamma, dt, wall, surface)
+    rhs = _loads(mesh_new, mass_action(u_old), dt, zeta, phys, len(pattern.free), pattern.ptr.free)
     return LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh_new)
 
 
@@ -626,8 +569,11 @@ def factorize(system: LinearSystem) -> BandLU:
     zero pivot."""
     band = system.pattern.band
     n = system.matrix.shape[0]
+    if system.matrix.data.shape != band.position.shape:
+        raise DimensionMismatch(f"{system.matrix.nnz} entries for a layout of "
+                                f"{len(band.position)}")
     ab = np.zeros(band.ldab * n)
-    scatter_add(ab, band.position, system.matrix.data)
+    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.matrix.data, ab)
     ab = ab.reshape((band.ldab, n), order="F")
     info = factor_band(ab, band)
     if info > 0:

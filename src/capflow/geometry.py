@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallViolation
 from .fields import VectorFieldP1, _Memo
+from .kernels import Pointers
 
 
 class BoundaryTag(Enum):
@@ -77,6 +78,9 @@ class MeshTopology(_Memo):
         object.__setattr__(self, "boundary_edges", edges)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "ptr", Pointers(
+            triangles=(tris, np.int64), radii=r,
+            **{tag.value: (edges[tag], np.int64) for tag in BoundaryTag}))
         if tris.shape[1:] != (3,) or any(e.shape[1:] != (2,) for e in edges.values()):
             raise DimensionMismatch("triangles must be (M, 3) and boundary edges (E, 2)")
         indices = (tris, *edges.values())
@@ -164,9 +168,15 @@ class AxiMesh(_Memo):
             raise DimensionMismatch("non-finite mesh height")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        tangled = np.count_nonzero(self.areas <= 0.0)
-        if tangled:
-            raise MeshTangled(f"{tangled} triangle(s) with non-positive area")
+        object.__setattr__(self, "ptr", Pointers(z=z))
+        tangled = self.areas <= 0.0
+        if tangled.any():
+            k = int(np.argmax(tangled))
+            at = ", ".join(f"({self.topology.radii[v]:.6e}, {z[v]:.6e})"
+                           for v in self.triangles[k])
+            raise MeshTangled(f"{np.count_nonzero(tangled)} triangle(s) with non-positive area, "
+                              f"the first triangle {k} of area {self.areas[k]:.3e} m^2 with "
+                              f"vertices (r, z) = {at} m")
 
     # -- derived data ------------------------------------------------------
 
@@ -183,7 +193,9 @@ class AxiMesh(_Memo):
         with dr the :func:`radial_differences`, taken relative to z_0."""
         z = self.z[self.triangles]
         dr = radial_differences(self.topology)
-        return 0.5 * ((z[:, 1] - z[:, 0]) * dr[:, 1] + (z[:, 2] - z[:, 0]) * dr[:, 2])
+        areas = 0.5 * ((z[:, 1] - z[:, 0]) * dr[:, 1] + (z[:, 2] - z[:, 0]) * dr[:, 2])
+        areas.setflags(write=False)
+        return areas
 
     num_nodes = _on_topology("num_nodes")
     radius = _on_topology("radius")
@@ -315,22 +327,6 @@ def _surface_normals(mesh: AxiMesh) -> np.ndarray:
     normals = np.column_stack((-t[:, 1], t[:, 0])) / length[:, None]
     normals.setflags(write=False)
     return normals
-
-
-def surface_slopes(mesh: AxiMesh) -> np.ndarray:
-    """Nodal slopes dz/dr along the free surface, ordered like surface_nodes.
-
-    Interior surface nodes average the two adjacent edge slopes; the end
-    nodes take the one-sided value.
-    """
-    d = surface_edges(mesh).d
-    e_slope = d[:, 1] / d[:, 0]
-    n = len(e_slope)
-    slopes = np.empty(n + 1)
-    slopes[0] = e_slope[0]
-    slopes[-1] = e_slope[-1]
-    slopes[1:-1] = 0.5 * (e_slope[:-1] + e_slope[1:])
-    return slopes
 
 
 def mesh_quality(mesh: AxiMesh) -> tuple[float, float]:

@@ -60,6 +60,7 @@ import numpy as np
 from .errors import DimensionMismatch, KernelBuildError
 
 SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -68,6 +69,26 @@ SOURCE = r"""
 #else
 #define CLONES
 #endif
+
+/* The element data of m triangles of areas area, from the node heights z and
+   the radial table's r at the points rq and r-differences dr, into out
+   (10 m): dN/dr (m, 3), dN/dz = dr / 2A (m, 3), the r-weighted quadrature
+   weights wr = A/3 r at the points (m, 3) and the integral of r (m). */
+CLONES void element_data(ptrdiff_t m, const int64_t *tri, const double *z, const double *area,
+                         const double *rq, const double *dr, double *out)
+{
+    double *grad_r = out, *grad_z = out + 3 * m, *wr = out + 6 * m, *r_int = out + 9 * m;
+    for (ptrdiff_t e = 0; e < m; ++e) {
+        const double a = area[e], inv2a = 1.0 / (2.0 * a), third = a / 3.0;
+        for (int i = 0; i < 3; ++i) {
+            const double zj = z[tri[3 * e + (i + 1) % 3]], zk = z[tri[3 * e + (i + 2) % 3]];
+            grad_r[3 * e + i] = (zj - zk) * inv2a;
+            grad_z[3 * e + i] = dr[3 * e + i] * inv2a;
+            wr[3 * e + i] = third * rq[3 * e + i];
+        }
+        r_int[e] = (wr[3 * e] + wr[3 * e + 1]) + wr[3 * e + 2];
+    }
+}
 
 /* The r-weighted gradient products of one triangle of area a, 3x3 row-major:
    rr = R dN_i/dr dN_j/dr, R the integral of r and b the dN/dr; zz, the
@@ -173,6 +194,193 @@ CLONES void scatter_add(ptrdiff_t n, const int32_t *slot, const double *vals, do
         data[slot[k]] += vals[k];
 }
 
+/* The value B[q][k] of an edge's basis function k at its Gauss point q, of
+   the 2-point rule on [0, 1]. */
+static inline void edge_basis(double B[2][2])
+{
+    const double point[2] = {0.5 - 0.5 / sqrt(3.0), 0.5 + 0.5 / sqrt(3.0)};
+    for (int q = 0; q < 2; ++q) {
+        B[q][0] = 1.0 - point[q];
+        B[q][1] = point[q];
+    }
+}
+
+/* An edge from node ends[0] to node ends[1]: its differences and length, and
+   its r-weighted Gauss weights, half its length times r at the points. */
+struct edge { double dr, dz, length, wr[2]; };
+
+static inline struct edge edge_of(const int64_t *ends, const double *r, const double *z,
+                                  const double B[2][2])
+{
+    const int64_t a = ends[0], b = ends[1];
+    struct edge g;
+    g.dr = r[b] - r[a];
+    g.dz = z[b] - z[a];
+    g.length = sqrt(g.dr * g.dr + g.dz * g.dz);
+    for (int q = 0; q < 2; ++q)
+        g.wr[q] = (0.5 * g.length) * (r[a] * B[q][0] + r[b] * B[q][1]);
+    return g;
+}
+
+/* The 2x2 nodal block, row-major, of an edge integral weighted by w[q] at
+   the Gauss points: sum over q of w[q] N_i N_j. */
+static inline void edge_mass(const double B[2][2], const double *w, double *block)
+{
+    for (int k = 0; k < 4; ++k)
+        block[k] = w[0] * (B[0][k / 2] * B[0][k % 2]) + w[1] * (B[1][k / 2] * B[1][k % 2]);
+}
+
+/* The boundary-edge blocks of the saddle matrix.  Each of the nw wall edges:
+   beta times the integral of r N_i N_j, 2x2 on u_z of its ends, into
+   wall_out (nw, 2, 2).  Each of the ns free-surface edges, 4x4 on
+   (u_r, u_z) of its ends (r0, r1, z0, z1), into surface_out (ns, 4, 4):
+   the flux -1/2 ((w - V) . nu) N_i N_j r on both components, plus dt times
+   the stabilization gamma/2 rbar / length c_i c_j, c = (-nu_r, nu_r, -nu_z,
+   nu_z) with nu the outward unit normal.  r and z are the node coordinates,
+   w and V (N, 2) nodal fields. */
+CLONES void edge_blocks(ptrdiff_t nw, const int64_t *wall, ptrdiff_t ns, const int64_t *surface,
+                        const double *r, const double *z, const double *w, const double *V,
+                        double beta, double gamma, double dt, double *wall_out,
+                        double *surface_out)
+{
+    double B[2][2];
+    edge_basis(B);
+    for (ptrdiff_t e = 0; e < nw; ++e) {
+        const struct edge g = edge_of(wall + 2 * e, r, z, B);
+        double block[4];
+        edge_mass(B, g.wr, block);
+        for (int k = 0; k < 4; ++k)
+            wall_out[4 * e + k] = beta * block[k];
+    }
+    for (ptrdiff_t e = 0; e < ns; ++e) {
+        const int64_t a = surface[2 * e], b = surface[2 * e + 1];
+        const struct edge g = edge_of(surface + 2 * e, r, z, B);
+        const double nr = -g.dz / g.length, nz = g.dr / g.length;
+        const double fa = (w[2 * a] - V[2 * a]) * nr + (w[2 * a + 1] - V[2 * a + 1]) * nz;
+        const double fb = (w[2 * b] - V[2 * b]) * nr + (w[2 * b + 1] - V[2 * b + 1]) * nz;
+        double weight[2], flux[4];
+        for (int q = 0; q < 2; ++q)
+            weight[q] = (-0.5 * g.wr[q]) * (fa * B[q][0] + fb * B[q][1]);
+        edge_mass(B, weight, flux);
+        const double scale = ((0.5 * gamma) * (0.5 * (r[a] + r[b]))) / g.length;
+        const double c[4] = {-nr, nr, -nz, nz};
+        double *S = surface_out + 16 * e;
+        for (int i = 0; i < 4; ++i)
+            for (int j = 0; j < 4; ++j) {
+                const double f = (i < 2) == (j < 2) ? flux[2 * (i % 2) + j % 2] : 0.0;
+                S[4 * i + j] = f + dt * (scale * (c[i] * c[j]));
+            }
+    }
+}
+
+/* f += the consistent r-weighted mass matrix times the nodal field u (N, 2),
+   triangle by triangle: the integral of r u_c N_i on dof c n + node i. */
+CLONES void mass_action(ptrdiff_t m, ptrdiff_t n, const int64_t *tri, const double *wr,
+                        const double *u, double *f)
+{
+    for (ptrdiff_t e = 0; e < m; ++e) {
+        const int64_t *t = tri + 3 * e;
+        for (int c = 0; c < 2; ++c) {
+            double x[3];
+            for (int q = 0; q < 3; ++q)
+                x[q] = wr[3 * e + q] * (0.5 * u[2 * t[q] + c] + 0.5 * u[2 * t[(q + 1) % 3] + c]);
+            for (int i = 0; i < 3; ++i)
+                f[c * n + t[i]] += 0.5 * x[i] + 0.5 * x[(i + 2) % 3];
+        }
+    }
+}
+
+/* f += the load of a unit vertical stress on the nb bottom edges, the
+   integral of N_i r on u_z of their ends. */
+CLONES void bottom_load(ptrdiff_t n, ptrdiff_t nb, const int64_t *bottom, const double *r,
+                        const double *z, double *f)
+{
+    double B[2][2];
+    edge_basis(B);
+    for (ptrdiff_t e = 0; e < nb; ++e) {
+        const struct edge g = edge_of(bottom + 2 * e, r, z, B);
+        for (int k = 0; k < 2; ++k)
+            f[n + bottom[2 * e + k]] += g.wr[0] * B[0][k] + g.wr[1] * B[1][k];
+    }
+}
+
+/* The state system's right-hand side on its nf kept dofs free: on velocity
+   dof d < 2n, mass[d] / dt plus the loads, ((gravity + stress bottom) +
+   tension) + the contact-line force on u_z of node contact; 0 on the
+   pressure dofs.  Gravity, -g times the integral of r N_i on u_z, and the
+   surface tension of the ns free-surface edges, gamma (tau_r rbar - length/2)
+   and gamma tau_z rbar on the first end, the negated meridian parts on the
+   second, are each summed into work (4n, zeroed) in their order first. */
+CLONES void state_rhs(ptrdiff_t n, ptrdiff_t m, const int64_t *tri, const double *wr,
+                      ptrdiff_t ns, const int64_t *surface, const double *r, const double *z,
+                      const double *mass, const double *bottom, double dt, double g,
+                      double stress, double gamma, ptrdiff_t contact, double contact_force,
+                      ptrdiff_t nf, const int64_t *free, double *work, double *rhs)
+{
+    double *gravity = work, *tension = work + 2 * n;
+    for (ptrdiff_t e = 0; e < m; ++e)
+        for (int i = 0; i < 3; ++i)
+            gravity[n + tri[3 * e + i]] += -g * (0.5 * wr[3 * e + i] + 0.5 * wr[3 * e + (i + 2) % 3]);
+    for (int end = 0; end < 2; ++end) {
+        const double sign = end == 0 ? gamma : -gamma;
+        for (ptrdiff_t e = 0; e < ns; ++e) {
+            const int64_t a = surface[2 * e], b = surface[2 * e + 1], k = surface[2 * e + end];
+            const double dr = r[b] - r[a], dz = z[b] - z[a];
+            const double length = sqrt(dr * dr + dz * dz), rbar = 0.5 * (r[a] + r[b]);
+            tension[k] += (sign * (dr / length)) * rbar - (0.5 * gamma) * length;
+            tension[n + k] += (sign * (dz / length)) * rbar;
+        }
+    }
+    for (ptrdiff_t k = 0; k < nf; ++k) {
+        const int64_t d = free[k];
+        if (d >= 2 * n) {
+            rhs[k] = 0.0;
+            continue;
+        }
+        const double load = ((gravity[d] + stress * bottom[d]) + tension[d])
+                            + (d == n + contact ? contact_force : 0.0);
+        rhs[k] = mass[d] / dt + load;
+    }
+}
+
+/* The mesh-velocity extension's right-hand side.  g (n, zeroed) gets the
+   vertical surface speed u_z - slope u_r at the nodes of the ns free-surface
+   edges, which run from the axis to the wall: the slope dz/dr of its edge at
+   an end node, the mean of its two edges' at an inner one.  lifted (n,
+   zeroed) sums the stiffness st (m, 3, 3) times g over the triangles, and
+   rhs[k] = -lifted[free[k]] on the nf unknowns.  work holds g, then lifted. */
+CLONES void extension_rhs(ptrdiff_t n, ptrdiff_t ns, const int64_t *surface, const double *r,
+                          const double *z, const double *u, ptrdiff_t m, const int64_t *tri,
+                          const double *st, ptrdiff_t nf, const int64_t *free, double *work,
+                          double *rhs)
+{
+    double *g = work, *lifted = work + n, previous = 0.0;
+    for (ptrdiff_t e = 0; e <= ns; ++e) {
+        const int64_t *ends = surface + 2 * (e < ns ? e : ns - 1);
+        const int64_t node = ends[e < ns ? 0 : 1];
+        const double here = (z[ends[1]] - z[ends[0]]) / (r[ends[1]] - r[ends[0]]);
+        const double slope = e == 0 ? here : e == ns ? previous : 0.5 * (previous + here);
+        g[node] = u[2 * node + 1] - slope * u[2 * node];
+        previous = here;
+    }
+    for (ptrdiff_t e = 0; e < m; ++e) {
+        const int64_t *t = tri + 3 * e;
+        const double *s = st + 9 * e;
+        for (int i = 0; i < 3; ++i)
+            lifted[t[i]] += (s[3 * i] * g[t[0]] + s[3 * i + 1] * g[t[1]]) + s[3 * i + 2] * g[t[2]];
+    }
+    for (ptrdiff_t k = 0; k < nf; ++k)
+        rhs[k] = -lifted[free[k]];
+}
+
+/* out[k] = f[free[k]] on the nf kept dofs, 0 where free[k] >= nfull. */
+CLONES void gather(ptrdiff_t nf, const int64_t *free, ptrdiff_t nfull, const double *f,
+                   double *out)
+{
+    for (ptrdiff_t k = 0; k < nf; ++k)
+        out[k] = free[k] < nfull ? f[free[k]] : 0.0;
+}
+
 /* y -= a x on m entries that x and y never share. */
 static inline void update(ptrdiff_t m, double a, const double *restrict x, double *restrict y)
 {
@@ -259,7 +467,9 @@ CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *l
 }
 """
 
-FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# -fno-math-errno: sqrt is the instruction, the same correctly rounded root, not a
+# libm call that sets errno
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 COMPILER = "cc"
 CACHE = Path(__file__).resolve().parent / "__pycache__"
 PREFIX = "kernels"
@@ -293,44 +503,87 @@ def build(source: str = SOURCE, flags: tuple[str, ...] = FLAGS) -> Path:
     return path
 
 
+_NO_BYTES = ctypes.c_char * 0
+
+
 class _Array:
-    """A ctypes argument type that passes a numpy array as its data pointer,
-    after the dtype and flag checks of ``np.ctypeslib.ndpointer``.
+    """A ctypes argument type that passes a numpy array of one dtype and
+    layout as its data pointer, checked on every call; a wrong array raises
+    ``ctypes.ArgumentError`` before the kernel runs.
 
-    ndpointer itself passes ``array.ctypes``, whose conversion (a
+    ``np.ctypeslib.ndpointer`` passes ``array.ctypes``, whose conversion (a
     ``ctypes.cast``) leaves a reference cycle on every call (CPython issue
-    12836, noted in numpy's ``_ctypes.data_as``).  At some thirty arrays a
-    step, that garbage woke the cyclic collector in about one step in
-    eleven, and its pauses landed in the step times."""
+    12836, noted in numpy's ``_ctypes.data_as``), garbage that woke the cyclic
+    collector in about one step in eleven.  This takes a writeable array's
+    pointer from its buffer and a read-only one's from ``array.ctypes.data``;
+    neither leaves garbage."""
 
-    def __init__(self, dtype, flags: str = "C_CONTIGUOUS"):
-        self._checked = np.ctypeslib.ndpointer(dtype, flags=flags)
+    def __init__(self, dtype, layout: str = "C_CONTIGUOUS", writeable: bool = False):
+        self.dtype, self.layout, self.writeable = np.dtype(dtype), layout, writeable
 
     def from_param(self, obj):
-        return ctypes.c_void_p(self._checked.from_param(obj).data)
+        if not (isinstance(obj, np.ndarray) and obj.dtype == self.dtype and obj.flags[self.layout]
+                and (obj.flags.writeable or not self.writeable)):
+            raise TypeError(f"a {'writeable ' * self.writeable}{self.layout} {self.dtype} "
+                            f"array is required")
+        if obj.flags.writeable:     # the buffer of a C-ordered view
+            c = obj if self.layout == "C_CONTIGUOUS" else obj.T
+            return ctypes.c_void_p(ctypes.addressof(_NO_BYTES.from_buffer(c)))
+        return ctypes.c_void_p(obj.ctypes.data)
+
+
+def address(array: np.ndarray, dtype=np.float64) -> int:
+    """The data pointer of array, for the kernels to read as long as array
+    lives.  array must be a read-only C-contiguous array of dtype: checked
+    here, once, so the kernel calls that pass the pointer check nothing, and
+    read-only, so what they read is what was bound.  Raises TypeError
+    otherwise."""
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.flags.c_contiguous and not array.flags.writeable):
+        raise TypeError(f"only a read-only C-contiguous {np.dtype(dtype)} array is bound, not "
+                        f"{getattr(array, 'dtype', type(array).__name__)} {getattr(array, 'flags', '')}")
+    return array.ctypes.data
+
+
+class Pointers:
+    """The data pointers of a record's arrays, each taken once by
+    :func:`address` and read as the attribute of its name; an array is
+    float64 unless given as (array, dtype)."""
+
+    def __init__(self, **arrays):
+        for name, a in arrays.items():
+            setattr(self, name, address(*a) if isinstance(a, tuple) else address(a))
 
 
 class Kernel:
-    """The functions of one built library (:func:`build`)."""
+    """The functions of one built library (:func:`build`).  Arguments bound by
+    :func:`address` pass as plain pointers; the others are checked per call."""
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
-        size = ctypes.c_ssize_t
-        real = ctypes.c_double
+        size, real, at = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 
         def bind(name, argtypes, restype=None):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             return fn
 
-        values, out = _Array(np.float64), _Array(np.float64, "C_CONTIGUOUS,WRITEABLE")
-        self.triangle_blocks = bind("triangle_blocks", (
-            size, _Array(np.int64), *(values,) * 12, real, real, real, out))
-        self.r_stiffness = bind("r_stiffness", (size, *(values,) * 4, out))
-        self.scatter_add = bind("scatter_add", (size, _Array(np.int32), values, out))
-        bands = (size,) * 3 + (_Array(np.int32),) * 2       # n, kl, ku, lower, upper
-        self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS,WRITEABLE")),
-                           size)
+        values, out = _Array(np.float64), _Array(np.float64, writeable=True)
+        self.element_data = bind("element_data", (size, at, at, values, at, at, out))
+        self.triangle_blocks = bind("triangle_blocks", (size, *(at,) * 13, real, real, real, out))
+        self.r_stiffness = bind("r_stiffness", (size, *(at,) * 4, out))
+        self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,
+                                                out, out))
+        self.mass_action = bind("mass_action", (size, size, at, at, at, out))
+        self.bottom_load = bind("bottom_load", (size, size, at, at, at, out))
+        self.state_rhs = bind("state_rhs", (size, size, at, at, size, at, at, at, values, values,
+                                            real, real, real, real, size, real, size, at, out, out))
+        self.extension_rhs = bind("extension_rhs", (size, size, at, at, at, at, size, at, values,
+                                                    size, at, out, out))
+        self.gather = bind("gather", (size, at, size, values, out))
+        self.scatter_add = bind("scatter_add", (size, at, values, out))
+        bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
+        self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)), size)
         self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), out))
 
 
@@ -340,19 +593,19 @@ def kernel() -> Kernel:
     return Kernel(build())
 
 
-def triangle_blocks(ed, w: np.ndarray, V: np.ndarray, dt: float, nu: float, Cs: float,
-                    out: np.ndarray) -> None:
+def triangle_blocks(ed, w, V, dt: float, nu: float, Cs: float, out: np.ndarray) -> None:
     """Write each triangle's 9x9 saddle block, on the local dofs (u_r, u_z, p)
     of its vertices, into out, (M, 9, 9): ed is the mesh's
     :class:`~capflow.forms.ElementData`, w the advecting velocity and V the
-    mesh velocity at the nodes, (N, 2) each."""
+    mesh velocity, :class:`~capflow.fields.VectorFieldP1` on the mesh."""
     m = len(ed.tri)
-    if out.shape != (m, 9, 9) or w.shape != V.shape or w.shape[1:] != (2,):
+    if out.shape != (m, 9, 9) or not (w.mesh.triangles is V.mesh.triangles is ed.tri):
         raise DimensionMismatch(f"triangle blocks of shape {out.shape} for {m} triangles, "
-                                f"fields of shape {w.shape} and {V.shape}")
-    t = ed.radial
-    kernel().triangle_blocks(m, ed.tri, ed.area, ed.r_int, ed.grad_r, ed.grad_z, ed.wr,
-                             t.inv_r, t.rn, t.hoop, t.zz, t.coupling_z, w, V, dt, nu, Cs, out)
+                                "or fields over another topology")
+    e, t = ed.ptr, ed.radial.ptr
+    kernel().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr, t.inv_r, t.rn,
+                             t.hoop, t.zz, t.coupling_z, w.ptr.values, V.ptr.values,
+                             dt, nu, Cs, out)
 
 
 def r_stiffness(ed, out: np.ndarray) -> None:
@@ -361,15 +614,7 @@ def r_stiffness(ed, out: np.ndarray) -> None:
     m = len(ed.tri)
     if out.shape != (m, 3, 3):
         raise DimensionMismatch(f"stiffness blocks of shape {out.shape} for {m} triangles")
-    kernel().r_stiffness(m, ed.area, ed.r_int, ed.grad_r, ed.radial.zz, out)
-
-
-def scatter_add(data: np.ndarray, slot: np.ndarray, vals: np.ndarray) -> None:
-    """data[slot[k]] += vals[k] in k order, the sums of ``np.add.at`` bit for
-    bit; every slot must index data."""
-    if vals.shape != slot.shape or data.ndim != 1:
-        raise DimensionMismatch(f"{vals.shape} values for {slot.shape} slots")
-    kernel().scatter_add(len(slot), slot, vals, data)
+    kernel().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz, out)
 
 
 def _check(ab: np.ndarray, band) -> None:
@@ -383,7 +628,7 @@ def factor_band(ab: np.ndarray, band) -> int:
     envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
     column of the first exactly zero pivot."""
     _check(ab, band)
-    return kernel().factor(ab.shape[1], band.kl, band.ku, band.lower, band.upper, ab)
+    return kernel().factor(ab.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab)
 
 
 def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
@@ -392,4 +637,4 @@ def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
     _check(lu, band)
     if x.shape != (lu.shape[1],):
         raise DimensionMismatch(f"right-hand side of shape {x.shape} for {lu.shape[1]} unknowns")
-    kernel().solve(lu.shape[1], band.kl, band.ku, band.lower, band.upper, lu, x)
+    kernel().solve(lu.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu, x)

@@ -1,33 +1,224 @@
-"""Each weak form's matrix, filled the way the step fills its saddle system,
-from the numpy kernels of the triangle blocks, the reference of the compiled
-ones.
+"""The numpy references of the compiled kernels, and each weak form's matrix
+filled the way the step fills its saddle system from the numpy kernels of the
+triangle blocks.
 
-The run path computes each triangle's saddle block and the mesh-velocity
-stiffness in one compiled loop (:mod:`capflow.kernels`).  The numpy kernels
-below are the per-form expressions that loop replaced, kept as they were,
-and :func:`triangle_blocks_reference` sums them as the step did; the tests
-check that the compiled blocks equal it.  Each form's kernel is summed
-through a :class:`~capflow.forms.FixedPattern` over all dofs, with none
-eliminated, and its ``fill``, whose rows are the dofs in order.  This is the
-one scatter of the run path, so the oracle, identity and symmetry tests
-that use these matrices check the reference kernels, and through them the
-compiled ones, and the fill the step uses, one form at a time.  The step
-sums the mass, transport and divergence-stabilization weights into one
-quadrature product (``_momentum_block``); here each form takes its own
-weight through the same ``_mass_block`` and ``_div_at_quad``."""
+The run path computes the element data, each triangle's saddle block, the
+mesh-velocity stiffness, the boundary-edge blocks, the mass action, the
+loads with the reduction onto the kept dofs and the mesh-velocity
+extension's data in compiled loops (:mod:`capflow.kernels`).  The numpy
+functions below are the expressions those loops replaced, kept as they were:
+:func:`triangle_blocks_reference` sums the triangle kernels as the step did,
+and the tests check that the compiled kernels equal these to 1e-15 of each
+block's largest entry.  Each form's kernel is summed through a
+:class:`~capflow.forms.FixedPattern` over all dofs, with none eliminated,
+and its ``fill``, whose rows are the dofs in order.  This is the one scatter
+of the run path, so the oracle, identity and symmetry tests that use these
+matrices check the reference kernels, and through them the compiled ones,
+and the fill the step uses, one form at a time.  The step sums the mass,
+transport and divergence-stabilization weights into one quadrature product
+(``_momentum_block``); here each form takes its own weight through the same
+``_mass_block`` and ``_div_at_quad``."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import (_ONES, _QBASIS, _QQ, ElementData, FixedPattern, _check_fields,
-                           _moments, _on_both_components, _outer, _quad_values,
-                           _surface_flux_block, _surface_stab_block, _vector_dofs,
-                           _wall_friction_block, element_data)
-from capflow.geometry import AxiMesh, BoundaryTag
+from capflow.forms import (_ONES, _QBASIS, _QQ, ElementData, FixedPattern, _check_fields, _outer,
+                           _vector_dofs, element_data, radial_table)
+from capflow.geometry import AxiMesh, BoundaryTag, EdgeGeometry, edge_geometry, surface_edges, \
+    surface_normals
 
 # integral of N_i N_j over a triangle per unit area: 1/6 on the diagonal, 1/12 off it
 _NN = _QBASIS.T @ _QBASIS / 3.0
+
+
+# 2-point Gauss on [0, 1]
+_EDGE_Q = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+# edge basis values at the Gauss points, (2q, 2 nodes), and their products
+_EDGE_BASIS = np.column_stack((1.0 - _EDGE_Q, _EDGE_Q))
+_EDGE_BB = (_EDGE_BASIS[:, :, None] * _EDGE_BASIS[:, None, :]).reshape(2, 4)
+
+
+# -- the numpy kernels of the element data, edge blocks, mass action and loads --
+
+def element_data_reference(mesh: AxiMesh) -> dict:
+    """The arrays of :func:`~capflow.forms.element_data`, from numpy."""
+    tri = mesh.triangles
+    table = radial_table(mesh.topology)
+    z = mesh.z[tri]
+    area = mesh.areas
+    inv2a = (1.0 / (2.0 * area))[:, None]
+    wr = (area / 3.0)[:, None] * table.rq
+    grad_r = (np.take(z, [1, 2, 0], axis=1) - np.take(z, [2, 0, 1], axis=1)) * inv2a
+    return dict(area=area, grad_r=grad_r, grad_z=table.dr * inv2a, wr=wr,
+                r_int=wr[:, 0] + wr[:, 1] + wr[:, 2])
+
+
+def _gauss_radii(geom: EdgeGeometry) -> np.ndarray:
+    """(E, 2q) r at the 2 Gauss points of each edge."""
+    return (geom.p1[:, 0, None] * _EDGE_BASIS[None, :, 0]
+            + geom.p2[:, 0, None] * _EDGE_BASIS[None, :, 1])
+
+
+def _quad_values(ed: ElementData, nodal: np.ndarray) -> np.ndarray:
+    """Values of a P1 scalar field at the quadrature points, (M, 3q)."""
+    return nodal[ed.tri] @ _QBASIS.T
+
+
+def _moments(ed: ElementData, weight_q: np.ndarray) -> np.ndarray:
+    """(M, 3) integrals of r weight N_i, weight given at the quadrature points."""
+    return (ed.wr * weight_q) @ _QBASIS
+
+
+def _on_both_components(block: np.ndarray) -> np.ndarray:
+    """A (E, k, k) nodal block acting alike on u_r and u_z, on dofs (r..., z...)."""
+    e, k, _ = block.shape
+    out = np.zeros((e, 2 * k, 2 * k))
+    out[:, :k, :k] = block
+    out[:, k:, k:] = block
+    return out
+
+
+def _wall_friction_block(mesh: AxiMesh, beta: float) -> np.ndarray:
+    """(E, 2, 2) blocks of beta * integral of r N_i N_j over each wall edge."""
+    wall = edge_geometry(mesh, BoundaryTag.WALL)
+    w = 0.5 * wall.length[:, None] * _gauss_radii(wall)   # (E, 2q)
+    return beta * (w @ _EDGE_BB).reshape(-1, 2, 2)
+
+
+def _surface_flux_block(mesh: AxiMesh, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(E, 2, 2) nodal blocks of -1/2 ((w - V) . nu) N_i N_j r on free-surface edges."""
+    normals = surface_normals(mesh)
+    surface = surface_edges(mesh)
+    edges = surface.edges
+    rel = w[edges] - V[edges]                             # (E, 2 nodes, 2)
+    flux = (rel * normals[:, None, :]).sum(axis=2) @ _EDGE_BASIS.T    # (E, 2q)
+    wgt = -0.5 * 0.5 * surface.length[:, None] * _gauss_radii(surface) * flux
+    return (wgt @ _EDGE_BB).reshape(-1, 2, 2)
+
+
+def _surface_stab_block(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
+    """(E, 4, 4) free-surface stabilization blocks on dofs (r0, r1, z0, z1).
+
+    D(u) = -(f1 - f0)/L with f = u.nu/nu_3, squared, weighted by gamma/2
+    and the surface measure.
+    """
+    normals = surface_normals(mesh)
+    surface = surface_edges(mesh)
+    rbar = 0.5 * (surface.p1[:, 0] + surface.p2[:, 0])
+    nu1, nu3 = normals[:, 0], normals[:, 1]
+    coef = np.stack((-nu1, nu1, -nu3, nu3), axis=1)       # (E, 4)
+    scale = 0.5 * params.gamma * rbar / surface.length
+    return scale[:, None, None] * (coef[:, :, None] * coef[:, None, :])
+
+
+def edge_blocks_reference(mesh: AxiMesh, w: np.ndarray, V: np.ndarray, beta: float,
+                          params: PhysParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The step's wall block (E, 2, 2) and free-surface block (E, 4, 4)."""
+    return (_wall_friction_block(mesh, beta),
+            _on_both_components(_surface_flux_block(mesh, w, V))
+            + dt * _surface_stab_block(mesh, params))
+
+
+def mass_action_reference(u: VectorFieldP1) -> np.ndarray:
+    """The consistent r-weighted mass matrix of u.mesh times u, flattened."""
+    ed = element_data(u.mesh)
+    # integral r N_i u_c per element, on the dofs (r..., z...) of its vertices
+    local = np.concatenate([_moments(ed, _quad_values(ed, u.values[:, c])) for c in (0, 1)],
+                           axis=1)
+    n = u.mesh.num_nodes
+    return np.bincount(_vector_dofs(ed.tri, n).ravel(), weights=local.ravel(), minlength=2 * n)
+
+
+def gravity_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
+    ed = element_data(mesh)
+    n = mesh.num_nodes
+    vals = -params.g * (ed.wr @ _QBASIS)
+    return np.bincount((ed.tri + n).ravel(), weights=vals.ravel(), minlength=2 * n)
+
+
+def bottom_load_reference(mesh: AxiMesh) -> np.ndarray:
+    """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr."""
+    bottom = edge_geometry(mesh, BoundaryTag.BOTTOM)
+    n = mesh.num_nodes
+    vals = (0.5 * bottom.length[:, None] * _gauss_radii(bottom)) @ _EDGE_BASIS
+    return np.bincount((bottom.edges + n).ravel(), weights=vals.ravel(), minlength=2 * n)
+
+
+def surface_tension_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
+    """Laplace-Beltrami weak form of surface tension, -gamma * integral of div_Gamma v.
+
+    Integrated by parts, so no curvature is ever evaluated; the meridian part
+    contributes gamma tau rbar at the edge ends, the azimuthal part the
+    -gamma v_r line integral.
+    """
+    surface = surface_edges(mesh)
+    edges, length = surface.edges, surface.length
+    tau = surface.d / length[:, None]
+    rbar = 0.5 * (surface.p1[:, 0] + surface.p2[:, 0])
+    g = params.gamma
+    n = mesh.num_nodes
+    dofs = np.concatenate((edges[:, 0], edges[:, 1], edges[:, 0] + n, edges[:, 1] + n))
+    vals = np.concatenate((g * tau[:, 0] * rbar - 0.5 * g * length,
+                           -g * tau[:, 0] * rbar - 0.5 * g * length,
+                           g * tau[:, 1] * rbar,
+                           -g * tau[:, 1] * rbar))
+    return np.bincount(dofs, weights=vals, minlength=2 * n)
+
+
+def contact_line_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
+    """Contact-line force gamma cos(theta_s) along the wall, weighted by the contact-circle measure."""
+    n = mesh.num_nodes
+    f = np.zeros(2 * n)
+    r_wall = mesh.topology.radii[mesh.contact_node]
+    f[mesh.contact_node + n] = params.gamma * np.cos(params.theta_s) * r_wall
+    return f
+
+
+def rhs_F_reference(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
+    """Load vector: gravity, bottom stress (p_bar + zeta) e3, surface tension, contact line."""
+    return (gravity_load(mesh, params)
+            + (params.p_bar + zeta) * bottom_load_reference(mesh)
+            + surface_tension_load(mesh, params)
+            + contact_line_load(mesh, params))
+
+
+def state_rhs_reference(pattern: FixedPattern, mesh_new: AxiMesh, u_old: VectorFieldP1,
+                        zeta: float, params: PhysParams, dt: float) -> np.ndarray:
+    """The step's reduced right-hand side: the old mass action over dt plus the loads."""
+    f = mass_action_reference(u_old) / dt + rhs_F_reference(mesh_new, zeta, params)
+    return np.concatenate((f, np.zeros(pattern.size - len(f))))[pattern.free]
+
+
+def surface_slopes(mesh: AxiMesh) -> np.ndarray:
+    """Nodal slopes dz/dr along the free surface, ordered like surface_nodes.
+
+    Interior surface nodes average the two adjacent edge slopes; the end
+    nodes take the one-sided value.
+    """
+    d = surface_edges(mesh).d
+    e_slope = d[:, 1] / d[:, 0]
+    n = len(e_slope)
+    slopes = np.empty(n + 1)
+    slopes[0] = e_slope[0]
+    slopes[-1] = e_slope[-1]
+    slopes[1:-1] = 0.5 * (e_slope[:-1] + e_slope[1:])
+    return slopes
+
+
+def extension_rhs_reference(pattern: FixedPattern, u: VectorFieldP1,
+                            stiffness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mesh-velocity extension's Dirichlet data g, the vertical surface
+    speed (u . nu)/nu_3 (zero on the bottom), and its reduced right-hand
+    side, minus the stiffness (M, 3, 3) times g."""
+    mesh = u.mesh
+    snodes = mesh.surface_nodes
+    g = np.zeros(mesh.num_nodes)
+    g[snodes] = u.values[snodes, 1] - surface_slopes(mesh) * u.values[snodes, 0]
+    ed = element_data(mesh)
+    lifted = np.bincount(ed.tri.ravel(), minlength=mesh.num_nodes,
+                         weights=(stiffness @ g[ed.tri][:, :, None]).ravel())
+    return g, np.concatenate((-lifted, np.zeros(pattern.size - len(lifted))))[pattern.free]
 
 
 # -- the numpy kernels of the triangle blocks ----------------------------------

@@ -8,19 +8,22 @@ import pytest
 import capflow.control
 import capflow.forms
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow.ale import _extension_pattern, solve_domain_velocity
+from capflow.ale import _extension_pattern, _extension_rhs, solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import (BandLayout, FixedPattern, _saddle_pattern, assemble_state_system,
-                           element_data, factorize, vertex_order)
-from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
+from capflow.forms import (BandLayout, FixedPattern, _edge_blocks, _loads, _saddle_pattern,
+                           assemble_state_system, beta_h, bottom_load_vector, element_data,
+                           factorize, mass_action, vertex_order)
+from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
 from capflow.kernels import r_stiffness, triangle_blocks
 from capflow.stepping import initial_state, step
 
 from .conftest import random_vector_field
 from .oracles import oracle_saddle
-from .pattern_forms import _gradient_products, triangle_blocks_reference
+from .pattern_forms import (_gradient_products, bottom_load_reference, edge_blocks_reference,
+                            element_data_reference, extension_rhs_reference,
+                            mass_action_reference, state_rhs_reference, triangle_blocks_reference)
 from .test_forms import PHYS, meshes
 
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=2, N3=2, alpha=0.0, lam=0.0, T=0.1)
@@ -93,24 +96,60 @@ BLOCK_CASES = pytest.mark.parametrize(
     ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab", "tc2-16x32-slab"])
 
 
+def compiled_kernels(mesh_new, mesh_old, u, V, zeta, phys, num):
+    """What each compiled kernel computes for a slab, by name, and the same
+    from the numpy kernels it replaced: the triangle blocks, the r-weighted
+    stiffness, the element data of the new mesh, the boundary-edge blocks,
+    the mass action of u, the bottom load, the reduced right-hand side and
+    the mesh-velocity extension's data and right-hand side on the old mesh."""
+    ed = element_data(mesh_new)
+    m = len(ed.tri)
+    blocks, stiffness = np.empty((m, 9, 9)), np.empty((m, 3, 3))
+    triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
+    r_stiffness(ed, stiffness)
+    got = {"triangle blocks": blocks, "stiffness": stiffness}
+    want = {"triangle blocks": triangle_blocks_reference(ed, u.values, V.values, num.dt,
+                                                         phys.nu, num.Cs),
+            "stiffness": _gradient_products(ed)[2]}
+    for name, array in element_data_reference(mesh_new).items():
+        got[name], want[name] = getattr(ed, name), array
+    saddle = mesh_new.topology.memo(_saddle_pattern)
+    _, _, (_, wall, surface) = saddle.values()
+    beta = beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
+    _edge_blocks(mesh_new, u, V, beta, phys.gamma, num.dt, wall, surface)
+    got["wall"], got["surface"] = wall, surface
+    want["wall"], want["surface"] = edge_blocks_reference(mesh_new, u.values, V.values, beta,
+                                                          phys, num.dt)
+    got["mass action"], want["mass action"] = mass_action(u), mass_action_reference(u)
+    got["bottom load"] = bottom_load_vector(mesh_new)
+    want["bottom load"] = bottom_load_reference(mesh_new)
+    got["rhs"] = _loads(mesh_new, mass_action(u), num.dt, zeta, phys, len(saddle.free),
+                        saddle.ptr.free)
+    want["rhs"] = state_rhs_reference(saddle, mesh_new, u, zeta, phys, num.dt)
+    old = element_data(mesh_old)
+    extension = mesh_old.topology.memo(_extension_pattern)
+    stiffness = np.empty((m, 3, 3))
+    r_stiffness(old, stiffness)
+    got["g"], got["extension rhs"] = _extension_rhs(u, old, extension, stiffness)
+    want["g"], want["extension rhs"] = extension_rhs_reference(extension, u, stiffness)
+    return got, want
+
+
 @BLOCK_CASES
 def test_compiled_blocks_equal_the_numpy_kernels(case):
-    """The compiled triangle blocks of the saddle matrix and the compiled
-    r-weighted stiffness equal the numpy kernels they replaced to 1e-15 of
-    each block's largest entry, on random fields, perturbed meshes and
-    quadrature points on the axis."""
-    mesh, _, u, V, _, phys, num = case()
-    ed = element_data(mesh)
-    assert (ed.radial.rq == 0.0).any()
-    blocks = np.empty((len(ed.tri), 9, 9))
-    triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
-    stiffness = np.empty((len(ed.tri), 3, 3))
-    r_stiffness(ed, stiffness)
-    for got, want in ((blocks, triangle_blocks_reference(ed, u.values, V.values, num.dt,
-                                                         phys.nu, num.Cs)),
-                      (stiffness, _gradient_products(ed)[2])):
-        scale = np.abs(want).max(axis=(1, 2))
-        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale)
+    """Every compiled kernel equals the numpy kernel it replaced to 1e-15 of
+    each block's largest entry (of the largest entry of a vector), on random
+    fields, perturbed meshes and quadrature points on the axis."""
+    mesh_new, mesh_old, u, V, *rest = case()
+    assert (element_data(mesh_new).radial.rq == 0.0).any()
+    got, want = compiled_kernels(mesh_new, mesh_old, u, V, *rest)
+    assert got.keys() == want.keys()
+    for name in got:
+        g, w = got[name], want[name]
+        assert g.shape == w.shape, name
+        axes = tuple(range(1, g.ndim)) or None
+        scale = np.abs(w).max(axis=axes, initial=0.0)
+        assert np.all(np.abs(g - w).max(axis=axes, initial=0.0) <= 1e-15 * scale), name
 
 
 @BLOCK_CASES
@@ -130,9 +169,9 @@ def test_kernel_arguments_are_checked_before_the_kernel_runs():
     ed = element_data(mesh)
     m = len(ed.tri)
     with pytest.raises(DimensionMismatch):
-        triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, np.empty((m, 6, 6)))
+        triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, np.empty((m, 6, 6)))
     with pytest.raises(DimensionMismatch):
-        triangle_blocks(ed, u.values, V.values[:-1], num.dt, phys.nu, num.Cs,
+        triangle_blocks(ed, u, zero_vector_field(same_grid(mesh)), num.dt, phys.nu, num.Cs,
                         np.empty((m, 9, 9)))
     with pytest.raises(DimensionMismatch):
         r_stiffness(ed, np.empty((m + 1, 3, 3)))
@@ -275,7 +314,8 @@ def test_build_keeps_the_callers_dof_order():
     matrices = []
     for dofs in (free, shuffled):
         pattern = FixedPattern.build([mesh.triangles], dofs, n)
-        assert pattern.free is dofs
+        # a read-only copy, whose pointer the kernels bind once
+        assert np.array_equal(pattern.free, dofs) and not pattern.free.flags.writeable
         data, vals, (view,) = pattern.values()
         view[:] = blocks
         matrices.append(pattern.fill(data, vals).toarray())

@@ -41,6 +41,23 @@ def test_run_writes_history(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [[], ["--uncontrolled"]], ids=["controlled", "uncontrolled"])
+def test_run_prints_the_largest_residuals(tmp_path, capsys, flags):
+    """The final line gives the run's largest relative residual of each
+    solve; an uncontrolled run makes no bottom-load solve."""
+    cfg = tiny_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 0
+    final = capsys.readouterr().out.splitlines()[-1]
+    head, largest = final.split("; largest relative residuals: ")
+    assert head.startswith("final t=0.01 s, Z_CL=")
+    residuals = dict(item.split() for item in largest.split(", "))
+    assert list(residuals) == ["state", "bottom-load", "mesh-velocity"]
+    values = {what: float(res) for what, res in residuals.items()}
+    assert all(0.0 <= res <= 1e-10 for res in values.values())
+    assert values["state"] > 0.0 and values["mesh-velocity"] > 0.0
+    assert (values["bottom-load"] == 0.0) == bool(flags)
+
+
 def test_run_uncontrolled_flag(tmp_path):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "out"

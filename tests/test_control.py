@@ -125,6 +125,31 @@ class TestRunLoop:
                 run_instantaneous_control(phys_params(cfg), num_params(cfg), cfg.radius,
                                           cfg.init_height, zeta0=bad["zeta"])
 
+    def test_history_keeps_the_largest_residual_of_each_solve(self, monkeypatch):
+        """The run's largest state, bottom-load and mesh-velocity residuals,
+        which history.csv does not hold."""
+        seen = {"state": [], "bottom-load": [], "mesh-velocity": []}
+
+        def recording_step(*args):
+            out = step(*args)
+            seen["state"].append(out[1].residual)
+            seen["mesh-velocity"].append(out[1].ale_residual)
+            return out
+
+        def recording_sensitivity(lu, mass_u):
+            ib, residual = solve_bottom_sensitivity(lu, mass_u)
+            seen["bottom-load"].append(residual)
+            return ib, residual
+
+        solve_bottom_sensitivity = capflow.control.solve_bottom_sensitivity
+        monkeypatch.setattr(capflow.control, "step", recording_step)
+        monkeypatch.setattr(capflow.control, "solve_bottom_sensitivity", recording_sensitivity)
+        hist = run_tc1(controlled=True, N1=4, N3=4, T=5 * tc1_config().dt)
+        assert hist.abort_reason is None
+        assert all(len(values) == 5 for values in seen.values())
+        assert hist.residuals == {what: max(values) for what, values in seen.items()}
+        assert all(0.0 < res <= 1e-10 for res in hist.residuals.values())
+
     def test_uncontrolled_keeps_constant_control(self):
         phys = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                           p_bar=9.81e-4, g=9.81)
@@ -303,8 +328,7 @@ class TestRunLoop:
 
     def test_no_discarded_geometry_work_on_the_run_path(self, monkeypatch, tmp_path):
         # mesh quality is computed only when read, the surface edge geometry
-        # once per mesh, the normals once per mesh a step assembles on (on
-        # first use), and the snapshot template once per run
+        # and normals never, and the snapshot template once per run
         quality, edges, normals, templates = [], [], [], []
 
         def counting(calls, fn):
@@ -337,12 +361,9 @@ class TestRunLoop:
         assert hist.abort_reason is None
         assert len(snapshots) == nsteps + 1
         assert quality == []
-        # one mesh per step plus the initial one, each with its edge geometry
-        # built once; the initial mesh, which no step assembles on, gets no
-        # normals
-        assert [id(m) for m in edges] == [id(m) for m in snapshots]
-        assert [id(m) for m in normals] == [id(m) for m in snapshots[1:]]
-        assert len({id(m) for m in normals}) == nsteps
+        # the compiled kernels read the surface from the node coordinates: no
+        # mesh of the run builds its edge geometry or normals
+        assert edges == [] and normals == []
         assert len(templates) == 1
         # the counters see the calls: reading a step's diagnostics fills its memo once
         state = initial_state(cfg.radius, cfg.init_height, num)

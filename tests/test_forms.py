@@ -1,18 +1,21 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import (_QBASIS, _QQ, beta_h, bottom_load_vector, element_data, gravity_load,
-                           radial_table, rhs_F, surface_tension_load)
+from capflow.forms import (_QBASIS, _QQ, beta_h, bottom_load_vector, element_data, radial_table,
+                           rhs_F)
 from capflow.geometry import BoundaryTag, build_structured_mesh, displace_mesh
 from capflow.writers import _snapshot_template
 
 from . import oracles
 from .conftest import mesh_at, perturbed_mesh, random_vector_field, two_triangle_mesh
 from .pattern_forms import (_coupling_block, _gradient_products, _viscous_block, form_a, form_b,
-                            form_c_ALE, form_S_Gamma, form_s, form_s_p, mass_matrix, r_stiffness)
+                            form_c_ALE, form_S_Gamma, form_s, form_s_p, gravity_load, mass_matrix,
+                            r_stiffness, surface_tension_load)
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -349,7 +352,7 @@ class TestRadialTable:
 
     def test_table_is_read_only(self):
         table = radial_table(perturbed_mesh(seed=11).topology)
-        for name, a in vars(table).items():
+        for name, a in ((f.name, getattr(table, f.name)) for f in fields(table)):
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0

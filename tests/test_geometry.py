@@ -170,6 +170,25 @@ class TestDisplace:
         with pytest.raises(MeshTangled):
             displace_mesh(mesh, VectorFieldP1(vals, mesh), 1.0)
 
+    def test_tangled_mesh_names_its_first_bad_triangle(self):
+        """The message gives the count, and the index, area and vertex (r, z)
+        of the first triangle with non-positive area, to locate the tangle."""
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        z = mesh.z.copy()
+        z[4] = -0.75                    # the middle node, (0.5, 0.5), below the bottom
+        r = mesh.topology.radii
+        p = np.stack((r[mesh.triangles], z[mesh.triangles]), axis=-1)
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
+        assert 0 < len(bad) < len(mesh.triangles)
+        with pytest.raises(MeshTangled) as err:
+            AxiMesh(z=z, topology=mesh.topology)
+        message = str(err.value)
+        assert message.startswith(f"{len(bad)} triangle(s) with non-positive area, "
+                                  f"the first triangle {bad[0]} of area -")
+        assert message.endswith(", ".join(f"({r[v]:.6e}, {z[v]:.6e})"
+                                          for v in mesh.triangles[bad[0]]) + " m")
+
     def test_nonzero_bottom_velocity_rejected(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         vals = np.zeros((mesh.num_nodes, 2))

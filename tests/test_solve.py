@@ -1,7 +1,9 @@
 import ctypes
 import gc
 import platform
+import re
 import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -13,13 +15,16 @@ import capflow.stepping
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
-from capflow.fields import NumParams, PhysParams, zero_vector_field
+from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
+from capflow.adjoint import solve_bottom_sensitivity
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
-                           element_data, factorize, solve)
+                           bottom_load_vector, element_data, factorize, kinetic_energy, mass_action,
+                           radial_table, solve)
 from capflow.geometry import build_structured_mesh
+from capflow.stepping import FlowState, step
 
 from .pattern_forms import form_a, mass_matrix
-from .test_assembly import slab, tc1_slab
+from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -30,11 +35,18 @@ def system_of(matrix, rhs, free, mesh):
     """A saddle LinearSystem on a hand-built CSC matrix, over a pattern of the
     matrix's own structure whose reduced rows are the dofs free of mesh's 3 N,
     in that order."""
-    pattern = FixedPattern(free=free, size=3 * mesh.num_nodes, shapes=[],
-                           slot=np.empty(0, np.int32),
+    pattern = FixedPattern(free=read_only(free), size=3 * mesh.num_nodes, shapes=[],
+                           slot=read_only(np.empty(0, np.int32)),
                            indices=matrix.indices, indptr=matrix.indptr,
                            band=BandLayout.of(matrix.indices, matrix.indptr))
     return LinearSystem(pattern=pattern, matrix=matrix, rhs=rhs, mesh=mesh)
+
+
+def read_only(a):
+    """A read-only copy of a, which the kernels bind."""
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
 
 
 def lu_solve(system):
@@ -155,9 +167,9 @@ def on_band(A, kl, ku):
 def full_band(n, kl, ku):
     """The layout of a full band on n columns, every reach min(k, n - 1 - j)."""
     j = np.arange(n)
-    return BandLayout(kl=kl, ku=ku, ldab=kl + ku + 1, position=np.empty(0, np.int32),
-                      lower=np.minimum(kl, n - 1 - j).astype(np.int32),
-                      upper=np.minimum(ku, n - 1 - j).astype(np.int32))
+    return BandLayout(kl=kl, ku=ku, ldab=kl + ku + 1, position=read_only(np.empty(0, np.int32)),
+                      lower=read_only(np.minimum(kl, n - 1 - j).astype(np.int32)),
+                      upper=read_only(np.minimum(ku, n - 1 - j).astype(np.int32)))
 
 
 def bits(a):
@@ -377,47 +389,46 @@ def test_factorizations_are_bitwise_equal():
                           second.solve(system.rhs, "state")[0])
 
 
+# every function of the kernel source
+KERNELS = ("element_data", "r_stiffness", "triangle_blocks", "edge_blocks", "mass_action",
+           "bottom_load", "state_rhs", "extension_rhs", "gather", "scatter_add", "band_factor",
+           "band_solve")
+
+
+def test_every_kernel_is_listed():
+    assert sorted(re.findall(r"^CLONES \w+ (\w+)\(", kernels.SOURCE, re.M)) == sorted(KERNELS)
+
+
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     """The source built without target clones, the code any x86-64 or other
-    host runs, computes the triangle blocks, the stiffness and the fill, and
-    factors and solves, bit for bit as the run path's build, every function
-    of which dispatches among its clones on x86-64."""
+    host runs, computes every kernel's output, the step's matrix and reduced
+    loads, and factors and solves, bit for bit as the run path's build, every
+    function of which dispatches among its clones on x86-64."""
     cloned = ctypes.CDLL(str(kernels.build()))
     monkeypatch.setattr(kernels, "CACHE", tmp_path)
     path = kernels.build(flags=kernels.FLAGS + ("-DKERNELS_PORTABLE",))
     portable = kernels.Kernel(path)
     if platform.machine() == "x86_64":      # only the cloned build dispatches
-        for name in ("triangle_blocks", "r_stiffness", "scatter_add", "band_factor",
-                     "band_solve"):
+        for name in KERNELS:
             cloned[f"{name}.resolver"]
             with pytest.raises(AttributeError):
                 ctypes.CDLL(str(path))[f"{name}.resolver"]
-    mesh_new, _, u, V, _, phys, num = slab = tc1_slab()
-    ed = element_data(mesh_new)
 
-    def assembled():
-        blocks = np.empty((len(ed.tri), 9, 9))
-        kernels.triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
-        stiffness = np.empty((len(ed.tri), 3, 3))
-        kernels.r_stiffness(ed, stiffness)
-        return blocks, stiffness, assemble_state_system(*slab).matrix.data
+    def computed():
+        """Each kernel's output on a fresh 16x32 tc1 slab, and the step's."""
+        slab = tc1_slab()
+        got, _ = compiled_kernels(*slab)
+        system = assemble_state_system(*slab)
+        lu = factorize(system)
+        got |= {"matrix": system.matrix.data, "lu": lu.lu,
+                "solve": lu.solve(system.rhs, "state")[0],
+                "reduced bottom load": system.pattern.reduce(bottom_load_vector(slab[0]))}
+        return got
 
-    run_path = assembled()
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "kernel", lambda: portable)
-        for ours, theirs in zip(assembled(), run_path):
-            assert np.array_equal(ours, theirs)
-    system = assemble_state_system(*slab)
-    band = system.pattern.band
-    lu = factorize(system)
-    values, places = on_band(system.matrix.toarray(), band.kl, band.ku)
-    ab = np.zeros(lu.lu.shape, order="F")
-    ab[places] = values
-    assert portable.factor(ab.shape[1], band.kl, band.ku, band.lower, band.upper, ab) == 0
-    assert np.array_equal(ab, lu.lu)
-    x = system.rhs.copy()
-    portable.solve(len(x), band.kl, band.ku, band.lower, band.upper, ab, x)
-    assert np.array_equal(x, lu.solve(system.rhs, "state")[0])
+    run_path = computed()
+    monkeypatch.setattr(kernels, "kernel", lambda: portable)
+    for name, array in computed().items():
+        assert np.array_equal(bits(array), bits(run_path[name])), name
 
 
 def test_band_arguments_are_checked_before_the_kernel_runs():
@@ -431,36 +442,89 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
 
 
 def test_kernel_calls_leave_no_garbage_cycles():
-    """Every kernel call frees what it allocates by reference counting, so
-    the calls of the steps never wake the cyclic garbage collector; an array
-    of the wrong dtype or layout is still refused before the kernel runs."""
-    mesh_new, _, u, V, _, phys, num = slab = tc1_slab(4, 8)
+    """Every kernel call, and every binding of a new mesh's and field's
+    arrays, frees what it allocates by reference counting, so the steps never
+    wake the cyclic garbage collector; an array of the wrong dtype or layout
+    is still refused before the kernel runs."""
+    mesh_new, mesh_old, u, V, zeta, phys, num = slab = tc1_slab(4, 8)
     ed = element_data(mesh_new)
     system = assemble_state_system(*slab)
     band = system.pattern.band
     lu = factorize(system)
-    pattern = system.pattern
     blocks = np.empty((len(ed.tri), 9, 9))
     stiffness = np.empty((len(ed.tri), 3, 3))
-    data = np.zeros(len(pattern.indices) + 1)
-    vals = np.zeros(len(pattern.slot))
     x = system.rhs.copy()
+    state = FlowState(mesh=mesh_old, u=u, p=zero_scalar_field(mesh_old), t=0.0)
     gc.collect()
     gc.disable()
     try:
         for _ in range(20):
-            kernels.triangle_blocks(ed, u.values, V.values, num.dt, phys.nu, num.Cs, blocks)
+            kernels.triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
             kernels.r_stiffness(ed, stiffness)
-            kernels.scatter_add(data, pattern.slot, vals)
             kernels.factor_band(lu.lu.copy(order="F"), band)
             kernels.solve_band(lu.lu, band, x)
+            # a whole step and its gradient: every kernel, on new meshes and fields
+            new, _, step_lu = step(state, zeta, phys, num)
+            kinetic_energy(new.u)
+            solve_bottom_sensitivity(step_lu, mass_action(new.u))
         assert gc.collect() == 0
     finally:
         gc.enable()
     with pytest.raises(ctypes.ArgumentError):
-        kernels.scatter_add(data, pattern.slot.astype(np.int64), vals)
+        kernels.kernel().scatter_add(0, system.pattern.ptr.slot, np.zeros(0, np.float32),
+                                     np.zeros(1))
     with pytest.raises(ctypes.ArgumentError):
         kernels.factor_band(np.ascontiguousarray(lu.lu), band)
+    with pytest.raises(ctypes.ArgumentError):
+        system.pattern.reduce(np.zeros(3, dtype=np.int64))
+
+
+def test_binding_refuses_a_writeable_or_wrongly_typed_array():
+    """A kernel reads a bound array through a pointer taken once, with no
+    check per call: only a read-only C-contiguous array of the kernel's
+    dtype is bound, so a record holding any other cannot be made."""
+    table = radial_table(build_structured_mesh(1.0, 1.0, 2, 2).topology)
+    rq = table.rq.copy()
+    assert kernels.address(table.rq) == table.ptr.rq == table.rq.ctypes.data
+    for array, dtype in ((rq, np.float64),                          # writeable
+                         (table.rq.astype(np.float32), np.float64),
+                         (table.rq, np.int64),
+                         (np.asfortranarray(np.tile(table.rq, 2)), np.float64),
+                         (table.rq.tolist(), np.float64)):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=array is rq)
+        with pytest.raises(TypeError):
+            kernels.address(array, dtype)
+    with pytest.raises(TypeError):
+        replace(table, rq=rq)
+    band = full_band(6, 2, 1)
+    with pytest.raises(TypeError):
+        replace(band, position=np.zeros(0, np.int32))
+
+
+@pytest.mark.parametrize("defines", [[], ["-DKERNELS_PORTABLE"]], ids=["cloned", "portable"])
+def test_kernel_source_compiles_without_warnings(tmp_path, defines):
+    """The kernel source passes the compiler's common and extra warnings,
+    treated as errors, with and without the target clones."""
+    source = tmp_path / "kernels.c"
+    source.write_text(kernels.SOURCE)
+    proc = subprocess.run([kernels.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           *defines, str(source)], capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_initial_state_load_no_kernels():
+    """Importing capflow and making a run's initial state builds and loads no
+    kernel library: binding arrays takes their pointers with numpy alone."""
+    code = ("import capflow\n"
+            "from capflow import kernels\n"
+            "from capflow.acceptance import tc1_config\n"
+            "from capflow.config import num_params\n"
+            "cfg = tc1_config()\n"
+            "capflow.initial_state(cfg.radius, cfg.init_height, num_params(cfg))\n"
+            "assert kernels.kernel.cache_info().currsize == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_cached_kernel_starts_no_compiler(monkeypatch):
