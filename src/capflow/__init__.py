@@ -12,8 +12,7 @@ from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
 from .forms import LinearSystem, assemble_state_system, beta_h, mass_action, rhs_F, solve
 from .geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
-                       contact_line_height, displace_mesh, mesh_quality,
-                       surface_normals)
+                       contact_line_height, displace_mesh, mesh_quality)
 from .observables import equilibrium_height, transient_time
 from .stepping import FlowState, StepDiagnostics, initial_state, step
 from .writers import write_history_csv, write_vtk_snapshot

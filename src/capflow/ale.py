@@ -8,10 +8,12 @@ satisfies every boundary condition of the extension problem: V . nu matches
 u . nu on the surface, the wall stays a cylinder, and the bottom is fixed.
 
 The r-weighted stiffness comes from the compiled kernel that shares its
-gradient products with the saddle blocks (:func:`capflow.kernels.r_stiffness`);
-it is filled on a pattern built once per topology and solved like
-the state: one banded LU, which carries the system, and one
-:meth:`~capflow.forms.BandLU.solve`, with its finite check and residual gate.
+gradient products with the saddle blocks (:func:`capflow.kernels.r_stiffness`),
+and the surface data, from the surface slopes, and its lifting by the
+stiffness from one more compiled loop (``extension_rhs``).  It is filled on a
+pattern built once per topology and solved like the state: one banded LU,
+which carries the system, and one :meth:`~capflow.forms.BandLU.solve`, with
+its finite check and residual gate.
 """
 
 from __future__ import annotations

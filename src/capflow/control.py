@@ -43,10 +43,8 @@ class ControlState:
 @dataclass
 class RunHistory:
     """Per-step record (t, Z_CL, zeta, J increment, gradient, max |u|), and
-    the largest relative residual over the run of each kind of solve, by the
-    name the solve reports: the state solve, the gradient's bottom-load solve
-    (0 in an uncontrolled run, which makes none) and the mesh-velocity
-    extension."""
+    the run's largest relative residual of each solve, by its name (the
+    bottom-load solve's 0 in an uncontrolled run, which makes none)."""
 
     t: list = field(default_factory=list)
     z_cl: list = field(default_factory=list)
@@ -66,13 +64,6 @@ class RunHistory:
         self.j_increment.append(float(j_inc))
         self.grad.append(float(grad))
         self.u_max.append(float(u_max))
-
-    def record_residuals(self, **by_solve: float) -> None:
-        """Keep the largest residual of each solve named (``bottom_load`` for
-        "bottom-load", ``mesh_velocity`` for "mesh-velocity")."""
-        for name, residual in by_solve.items():
-            what = name.replace("_", "-")
-            self.residuals[what] = max(self.residuals[what], float(residual))
 
 
 def objective_increment(state_new: FlowState, ctrl: ControlState) -> float:
@@ -131,8 +122,9 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
             break
 
         history.append(state.t, diag.z_cl, ctrl.zeta, j_inc, grad_val, diag.u_max)
-        history.record_residuals(state=diag.residual, bottom_load=bottom_residual,
-                                 mesh_velocity=diag.ale_residual)
+        for what, residual in (("state", diag.residual), ("bottom-load", bottom_residual),
+                               ("mesh-velocity", diag.ale_residual)):
+            history.residuals[what] = max(history.residuals[what], float(residual))
         if snapshot_cb is not None:
             snapshot_cb(n + 1, state)
 

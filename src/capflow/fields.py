@@ -58,7 +58,9 @@ class VectorFieldP1(_Memo):
     Nodes on the wall or on the symmetry axis must carry a zero radial
     component (the essential condition of the flow problem); this is checked
     on construction.  Values are read-only, so products of the field alone
-    (its mass action) are computed once through :meth:`memo`.
+    (its mass action) are computed once through :meth:`memo`, and the
+    compiled kernels read them through the pointer bound on construction
+    (``ptr``).
     """
 
     values: np.ndarray

@@ -25,15 +25,17 @@ that system's matrix.  The LU is restricted to the envelope of the
 pattern's structure, found once with its :class:`BandLayout`: without
 pivoting it makes no fill outside it (George & Liu 1981, ch. 4).
 
-The triangle family, which holds most of the saddle matrix's entries, is
-one compiled loop (:func:`~capflow.kernels.triangle_blocks`) that writes
-each triangle's 9x9 block straight into the pattern's values, and so is the
-fill (:func:`~capflow.kernels.scatter_add`); per-element numpy products
-cost more in call overhead than in arithmetic at these sizes.  The edge
-families, the loads and the mass action stay numpy, as planned products:
-a block weighted at the Gauss points is one (E, 2) @ (2, 4) matmul with the
-constant basis products ``_EDGE_BB``, and the moments integral of r w N_i
-are (M, 3) @ (3, 3) matmuls with the basis table.
+Every per-element and per-edge loop of the step is compiled
+(:mod:`capflow.kernels`): per-element numpy products cost more in call
+overhead than in arithmetic at these sizes.  The element data, each
+triangle's 9x9 block and the wall and free-surface blocks are written
+straight into the pattern's values, and so is the fill; the old velocity's
+mass action over dt and the loads of :func:`rhs_F` are summed straight onto
+the kept dofs; the mass action of a velocity and the bottom load are
+compiled too.  What the kernels read of a record is bound once, when the
+record is made (:class:`~capflow.kernels.Pointers`): every record here keeps
+its arrays read-only and C-contiguous.  The numpy expressions these loops
+replaced are the tests' reference (``tests/pattern_forms.py``).
 
 Each element tensor splits into a part that depends on the radii alone and
 a small geometric part that changes with z (Kirby & Logg 2006, ACM TOMS
@@ -45,8 +47,7 @@ area and the dN/dz products times the area.  What changes with z (the area, dN/d
 the r-weighted quadrature weights) is computed once per mesh in
 :class:`ElementData`, and the mass action (:func:`mass_action`) once per
 velocity field, where the objective (:func:`kinetic_energy`) and gradient of
-step n and the assembly of step n+1 meet; it is read-only.  Both arrays are
-C-contiguous, as the compiled kernels read them.  The r-weighted stiffness
+step n and the assembly of step n+1 meet; it is read-only.  The r-weighted stiffness
 is not kept per mesh: the saddle blocks of step n and the mesh-velocity
 extension of step n+1 each compute it, since holding it from one to the
 other raised the 32x64 peak resident memory by about 4 MiB.
@@ -84,7 +85,8 @@ _ONES = np.ones(3)
 class RadialTable:
     """The parts of the volume kernels that depend on the node radii alone,
     computed once per topology (see :func:`radial_table`); read-only and
-    C-contiguous.  A is a triangle's signed area."""
+    C-contiguous, each bound once for the kernels (``ptr``).  A is a
+    triangle's signed area."""
 
     rq: np.ndarray          # (M, 3) r at the quadrature points
     inv_r: np.ndarray       # (M, 3) 1/r at the points, 0 within 1e-14 radius of the axis
@@ -121,7 +123,8 @@ def _radial_table(topology: MeshTopology) -> RadialTable:
 @dataclass(frozen=True)
 class ElementData:
     """Per-triangle geometry reused by every volume form: what changes with z,
-    read-only and C-contiguous, and the mesh's :class:`RadialTable`."""
+    read-only, C-contiguous and bound once for the kernels (``ptr``), and the
+    mesh's :class:`RadialTable`."""
 
     tri: np.ndarray         # (M, 3) vertex indices
     area: np.ndarray        # (M,)
@@ -335,9 +338,11 @@ class FixedPattern:
     the position in its data of every local entry.
 
     Connectivity never changes, so a pattern is built once per mesh topology
-    and each fill is one compiled :func:`~capflow.kernels.scatter_add`.  Local entries on an eliminated row or
-    column go to the trash slot len(indices), past the stored entries.  The
-    pattern depends on no values: entries that cancel to zero stay stored.
+    and each fill is one compiled ``scatter_add``.  Local entries on an
+    eliminated row or column go to the trash slot len(indices), past the
+    stored entries.  The pattern depends on no values: entries that cancel to
+    zero stay stored.  ``free`` and ``slot`` are read-only, bound once for the
+    kernels (``ptr``).
 
     Reduced row and column k is the dof free[k]: the caller numbers the kept
     dofs, the build keeps that order, and :meth:`reduce` maps every load onto
@@ -347,7 +352,7 @@ class FixedPattern:
     matrix.  The band layout of the stored entries is found once, at build time.
     """
 
-    free: np.ndarray      # kept dof of each reduced row/column, in the caller's order
+    free: np.ndarray      # int64 kept dof of each reduced row/column, in the caller's order
     size: int             # number of dofs before the reduction
     shapes: list          # (E, k) of each family of local blocks
     slot: np.ndarray      # int32 data position of each local entry, families in order
@@ -563,7 +568,7 @@ def factorize(system: LinearSystem) -> BandLU:
     vertex in the topology's reverse Cuthill-McKee order, which keeps the
     band narrow.  The matrix is scattered through that layout into zeroed
     (kl + ku + 1, n) Fortran-ordered band storage by the compiled
-    :func:`~capflow.kernels.scatter_add`, and the kernel factors it in place
+    compiled ``scatter_add``, and the kernel factors it in place
     within the layout's envelope, outside which an LU without pivoting makes
     no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly
     zero pivot."""

@@ -50,9 +50,10 @@ class MeshTopology(_Memo):
                    they are fixed for a run; N is num_nodes
     radius         cylinder radius [m]
 
-    The arrays are kept as read-only copies (int64 indices, float radii); the
-    caller's stay as they were.  All is checked once, here: the shapes, tags
-    and vertex indices, and finite radii, none negative, the axis nodes on
+    The arrays are kept as read-only copies (int64 indices, float radii),
+    bound once for the compiled kernels (``ptr``, by their names and each
+    tag's value); the caller's stay as they were.  All is checked once, here:
+    the shapes, tags and vertex indices, and finite radii, none negative, the axis nodes on
     r = 0 and the wall nodes on a cylinder of finite positive radius; a
     free-surface arc that breaks its order raises :class:`SurfaceFolded`.
     Whatever derives from the topology alone (boundary node sets, the radial
@@ -151,7 +152,7 @@ class AxiMesh(_Memo):
     """Node heights over a :class:`MeshTopology`.
 
     z              (N,) finite node heights [m], N = topology.num_nodes; kept
-                   as a read-only copy
+                   as a read-only copy, bound once for the kernels (``ptr.z``)
     topology       connectivity, tags and radii, also read through the mesh's
                    properties
     """
@@ -175,8 +176,8 @@ class AxiMesh(_Memo):
             at = ", ".join(f"({self.topology.radii[v]:.6e}, {z[v]:.6e})"
                            for v in self.triangles[k])
             raise MeshTangled(f"{np.count_nonzero(tangled)} triangle(s) with non-positive area, "
-                              f"the first triangle {k} of area {self.areas[k]:.3e} m^2 with "
-                              f"vertices (r, z) = {at} m")
+                              f"the first triangle {k} of area {self.areas[k]:.3e} m^2 at "
+                              f"(r, z) = {at} m")
 
     # -- derived data ------------------------------------------------------
 
@@ -274,59 +275,6 @@ def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
 def contact_line_height(mesh: AxiMesh) -> float:
     """Height of the contact line, i.e. the z of the node on the wall/surface junction."""
     return float(mesh.z[mesh.contact_node])
-
-
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """The edges of one tagged boundary arc, in edge-list order, and their ends,
-    differences and lengths; read-only."""
-
-    edges: np.ndarray     # (E, 2) node pairs
-    p1: np.ndarray        # (E, 2) first ends
-    p2: np.ndarray        # (E, 2) second ends
-    d: np.ndarray         # (E, 2) p2 - p1
-    length: np.ndarray    # (E,) |p2 - p1|
-
-
-def edge_geometry(mesh: AxiMesh, tag: BoundaryTag) -> EdgeGeometry:
-    """The geometry of the edges tagged tag; see :func:`surface_edges` for the
-    free surface's, which is kept per mesh."""
-    edges = mesh.boundary_edges[tag]
-    p1 = mesh.nodes[edges[:, 0]]
-    p2 = mesh.nodes[edges[:, 1]]
-    d = p2 - p1
-    length = np.sqrt((d ** 2).sum(axis=1))
-    for a in (p1, p2, d, length):
-        a.setflags(write=False)
-    return EdgeGeometry(edges=edges, p1=p1, p2=p2, d=d, length=length)
-
-
-def surface_edges(mesh: AxiMesh) -> EdgeGeometry:
-    """The free-surface edge geometry, computed once per mesh and shared by the
-    normals, the slopes, the surface forms and the surface-tension load."""
-    return mesh.memo(_surface_edges)
-
-
-def _surface_edges(mesh: AxiMesh) -> EdgeGeometry:
-    return edge_geometry(mesh, BoundaryTag.FREE_SURFACE)
-
-
-def surface_normals(mesh: AxiMesh) -> np.ndarray:
-    """Outward unit normals per free-surface edge (same order as the edge list).
-
-    The topology's arc makes the surface a graph over r: every edge has
-    dr > 0, so its length is positive and its normal has nu_3 > 0.  Computed
-    once per mesh, on first use, and read-only.
-    """
-    return mesh.memo(_surface_normals)
-
-
-def _surface_normals(mesh: AxiMesh) -> np.ndarray:
-    surface = surface_edges(mesh)
-    t, length = surface.d, surface.length
-    normals = np.column_stack((-t[:, 1], t[:, 0])) / length[:, None]
-    normals.setflags(write=False)
-    return normals
 
 
 def mesh_quality(mesh: AxiMesh) -> tuple[float, float]:

@@ -1,20 +1,26 @@
-"""The compiled kernels of the step: the saddle matrix's triangle blocks,
-the mesh-velocity stiffness, the fill of a fixed pattern, and the banded LU
-without pivoting with its solve.
+"""The compiled kernels of the step: the element data, the saddle matrix's
+triangle and boundary-edge blocks, the mesh-velocity stiffness, the mass
+action, the loads summed into the reduced right-hand side, the mesh-velocity
+extension's data, the fill of a fixed pattern, and the banded LU without
+pivoting with its solve.
 
-**Assembly.**  :func:`triangle_blocks` writes each triangle's 9x9 block of
-the saddle matrix, on the local dofs (u_r, u_z, p) of its vertices, straight
-into the triangle view of a :class:`~capflow.forms.FixedPattern`'s values:
-the viscous form with the hoop term; the mass over dt, the advection by
-w - V and the div(w/2 - V) weight, on both velocity components; the
-velocity-pressure coupling and its negative transpose; and the pressure
-stabilization.  :func:`r_stiffness` writes the r-weighted stiffness of the
-mesh-velocity extension, from the same gradient products, and
-:func:`scatter_add` sums the local values into the pattern's data in their
-order.  The first two read the mesh's :class:`~capflow.forms.ElementData`
-and its radial table, and every entry takes the same operations in the same
-order as the numpy expressions of the forms they replaced (the tests keep
-those as their reference), so it has their bits.
+**Assembly.**  Every per-element and per-edge loop of the step is a kernel:
+the element data (``element_data``); each triangle's 9x9 saddle block, on
+the local dofs (u_r, u_z, p) of its vertices, and each boundary edge's
+(:func:`triangle_blocks`, ``edge_blocks``), written straight into a
+:class:`~capflow.forms.FixedPattern`'s values; the mesh-velocity stiffness
+(:func:`r_stiffness`); the mass action, the bottom load, the loads summed
+onto the kept dofs (``state_rhs``) and the mesh-velocity extension's data
+(``extension_rhs``); and the pattern's fill (``scatter_add``) and load
+reduction (``gather``).  Every entry takes the operations of the numpy
+expressions these replaced (the tests keep those as their reference) in
+their order, but where numpy's matrix products sum in an order of their
+own; sums over elements run in element order, as ``np.bincount``'s do.
+
+**Arguments.**  The arrays a kernel reads of a topology, a mesh, its element
+data, a velocity field or a pattern are read-only, so each one's pointer is
+taken once, when its record is made, after one check (:func:`address`).  The
+arrays a call writes, and the few made per call, are checked per call.
 
 **Factorization.**  The step's saddle matrix has a positive semidefinite
 symmetric part diag(K_sym, Sp), and the mesh-velocity stiffness is
@@ -38,10 +44,10 @@ it with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
 ``__pycache__/kernels-<sha256 of source and flags>.so`` beside this module,
 written under a temporary name and moved into place, so concurrent first
 uses are safe, and removes the libraries of earlier sources there; later
-processes find it and only load it.  No contraction into fused
-multiply-adds is allowed and no sum is reassociated, so the x86-64 AVX-512
-and AVX2 clones and a build without clones (``-DKERNELS_PORTABLE``) give the
-same bits.
+processes find it and only load it.  Binding a pointer loads nothing.  No
+contraction into fused multiply-adds is allowed and no sum is reassociated,
+so the x86-64 AVX-512 and AVX2 clones and a build without clones
+(``-DKERNELS_PORTABLE``) give the same bits.
 """
 
 from __future__ import annotations
@@ -318,9 +324,11 @@ CLONES void state_rhs(ptrdiff_t n, ptrdiff_t m, const int64_t *tri, const double
                       ptrdiff_t nf, const int64_t *free, double *work, double *rhs)
 {
     double *gravity = work, *tension = work + 2 * n;
-    for (ptrdiff_t e = 0; e < m; ++e)
+    for (ptrdiff_t e = 0; e < m; ++e) {
+        const double *w = wr + 3 * e;
         for (int i = 0; i < 3; ++i)
-            gravity[n + tri[3 * e + i]] += -g * (0.5 * wr[3 * e + i] + 0.5 * wr[3 * e + (i + 2) % 3]);
+            gravity[n + tri[3 * e + i]] += -g * (0.5 * w[i] + 0.5 * w[(i + 2) % 3]);
+    }
     for (int end = 0; end < 2; ++end) {
         const double sign = end == 0 ? gamma : -gamma;
         for (ptrdiff_t e = 0; e < ns; ++e) {
@@ -508,15 +516,9 @@ _NO_BYTES = ctypes.c_char * 0
 
 class _Array:
     """A ctypes argument type that passes a numpy array of one dtype and
-    layout as its data pointer, checked on every call; a wrong array raises
-    ``ctypes.ArgumentError`` before the kernel runs.
-
-    ``np.ctypeslib.ndpointer`` passes ``array.ctypes``, whose conversion (a
-    ``ctypes.cast``) leaves a reference cycle on every call (CPython issue
-    12836, noted in numpy's ``_ctypes.data_as``), garbage that woke the cyclic
-    collector in about one step in eleven.  This takes a writeable array's
-    pointer from its buffer and a read-only one's from ``array.ctypes.data``;
-    neither leaves garbage."""
+    layout as its data pointer, checked per call (a wrong array raises
+    ``ctypes.ArgumentError``), and leaves no reference cycle, unlike
+    ``np.ctypeslib.ndpointer``'s ``ctypes.cast`` (CPython issue 12836)."""
 
     def __init__(self, dtype, layout: str = "C_CONTIGUOUS", writeable: bool = False):
         self.dtype, self.layout, self.writeable = np.dtype(dtype), layout, writeable
@@ -533,15 +535,12 @@ class _Array:
 
 
 def address(array: np.ndarray, dtype=np.float64) -> int:
-    """The data pointer of array, for the kernels to read as long as array
-    lives.  array must be a read-only C-contiguous array of dtype: checked
-    here, once, so the kernel calls that pass the pointer check nothing, and
-    read-only, so what they read is what was bound.  Raises TypeError
-    otherwise."""
+    """The data pointer of array, for the kernels to read while array lives:
+    checked once, here, to be a read-only C-contiguous array of dtype, else
+    TypeError, so the calls that pass it check nothing."""
     if not (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.flags.c_contiguous and not array.flags.writeable):
-        raise TypeError(f"only a read-only C-contiguous {np.dtype(dtype)} array is bound, not "
-                        f"{getattr(array, 'dtype', type(array).__name__)} {getattr(array, 'flags', '')}")
+        raise TypeError(f"only a read-only C-contiguous {np.dtype(dtype)} array is bound")
     return array.ctypes.data
 
 
@@ -556,8 +555,7 @@ class Pointers:
 
 
 class Kernel:
-    """The functions of one built library (:func:`build`).  Arguments bound by
-    :func:`address` pass as plain pointers; the others are checked per call."""
+    """The functions of one built library (:func:`build`)."""
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))

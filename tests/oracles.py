@@ -16,7 +16,9 @@ LU whose plain solve the run path uses.
 import numpy as np
 
 from capflow.forms import beta_h, bottom_load_vector
-from capflow.geometry import BoundaryTag, contact_line_height, surface_normals
+from capflow.geometry import BoundaryTag, contact_line_height
+
+from .pattern_forms import surface_normals
 
 MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])

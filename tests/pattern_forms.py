@@ -19,17 +19,74 @@ transport and divergence-stabilization weights into one quadrature product
 (``_momentum_block``); here each form takes its own weight through the same
 ``_mass_block`` and ``_div_at_quad``."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
 from capflow.fields import PhysParams, VectorFieldP1
 from capflow.forms import (_ONES, _QBASIS, _QQ, ElementData, FixedPattern, _check_fields, _outer,
                            _vector_dofs, element_data, radial_table)
-from capflow.geometry import AxiMesh, BoundaryTag, EdgeGeometry, edge_geometry, surface_edges, \
-    surface_normals
+from capflow.geometry import AxiMesh, BoundaryTag
 
 # integral of N_i N_j over a triangle per unit area: 1/6 on the diagonal, 1/12 off it
 _NN = _QBASIS.T @ _QBASIS / 3.0
+
+
+# -- the edge geometry of the boundary arcs ------------------------------------
+
+@dataclass(frozen=True)
+class EdgeGeometry:
+    """The edges of one tagged boundary arc, in edge-list order, and their ends,
+    differences and lengths; read-only."""
+
+    edges: np.ndarray     # (E, 2) node pairs
+    p1: np.ndarray        # (E, 2) first ends
+    p2: np.ndarray        # (E, 2) second ends
+    d: np.ndarray         # (E, 2) p2 - p1
+    length: np.ndarray    # (E,) |p2 - p1|
+
+
+def edge_geometry(mesh: AxiMesh, tag: BoundaryTag) -> EdgeGeometry:
+    """The geometry of the edges tagged tag; see :func:`surface_edges` for the
+    free surface's, which is kept per mesh."""
+    edges = mesh.boundary_edges[tag]
+    p1 = mesh.nodes[edges[:, 0]]
+    p2 = mesh.nodes[edges[:, 1]]
+    d = p2 - p1
+    length = np.sqrt((d ** 2).sum(axis=1))
+    for a in (p1, p2, d, length):
+        a.setflags(write=False)
+    return EdgeGeometry(edges=edges, p1=p1, p2=p2, d=d, length=length)
+
+
+def surface_edges(mesh: AxiMesh) -> EdgeGeometry:
+    """The free-surface edge geometry, computed once per mesh and shared by the
+    normals, the slopes, the surface blocks and the surface-tension load."""
+    return mesh.memo(_surface_edges)
+
+
+def _surface_edges(mesh: AxiMesh) -> EdgeGeometry:
+    return edge_geometry(mesh, BoundaryTag.FREE_SURFACE)
+
+
+def surface_normals(mesh: AxiMesh) -> np.ndarray:
+    """Outward unit normals per free-surface edge (same order as the edge list).
+
+    The topology's arc makes the surface a graph over r: every edge has
+    dr > 0, so its length is positive and its normal has nu_3 > 0.  Computed
+    once per mesh, on first use, and read-only.
+    """
+    return mesh.memo(_surface_normals)
+
+
+def _surface_normals(mesh: AxiMesh) -> np.ndarray:
+    surface = surface_edges(mesh)
+    t, length = surface.d, surface.length
+    normals = np.column_stack((-t[:, 1], t[:, 0])) / length[:, None]
+    normals.setflags(write=False)
+    return normals
+
 
 
 # 2-point Gauss on [0, 1]

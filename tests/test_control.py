@@ -327,9 +327,9 @@ class TestRunLoop:
         assert calls == []
 
     def test_no_discarded_geometry_work_on_the_run_path(self, monkeypatch, tmp_path):
-        # mesh quality is computed only when read, the surface edge geometry
-        # and normals never, and the snapshot template once per run
-        quality, edges, normals, templates = [], [], [], []
+        # mesh quality is computed only when read, and the snapshot template
+        # once per run
+        quality, templates = [], []
 
         def counting(calls, fn):
             def wrapper(mesh):
@@ -341,10 +341,6 @@ class TestRunLoop:
         for mod in [m for name, m in sys.modules.items() if name.startswith("capflow")]:
             if getattr(mod, "mesh_quality", None) is mesh_quality:
                 monkeypatch.setattr(mod, "mesh_quality", counting(quality, mesh_quality))
-        monkeypatch.setattr(capflow.geometry, "_surface_edges",
-                            counting(edges, capflow.geometry._surface_edges))
-        monkeypatch.setattr(capflow.geometry, "_surface_normals",
-                            counting(normals, capflow.geometry._surface_normals))
         monkeypatch.setattr(capflow.writers, "_snapshot_template",
                             counting(templates, capflow.writers._snapshot_template))
         snapshots = []
@@ -361,9 +357,6 @@ class TestRunLoop:
         assert hist.abort_reason is None
         assert len(snapshots) == nsteps + 1
         assert quality == []
-        # the compiled kernels read the surface from the node coordinates: no
-        # mesh of the run builds its edge geometry or normals
-        assert edges == [] and normals == []
         assert len(templates) == 1
         # the counters see the calls: reading a step's diagnostics fills its memo once
         state = initial_state(cfg.radius, cfg.init_height, num)

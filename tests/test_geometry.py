@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import capflow.geometry
 from capflow.errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallViolation
 from capflow.fields import VectorFieldP1
 from capflow.geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                               contact_line_height, displace_mesh, mesh_quality,
-                              radial_differences, surface_edges, surface_normals)
+                              radial_differences)
 
+from . import pattern_forms
 from .conftest import mesh_at, perturbed_mesh, two_triangle_mesh
+from .pattern_forms import surface_edges, surface_normals
 
 
 def _with(a, index, value):
@@ -246,7 +247,7 @@ class TestSurface:
     def test_flat_surface_normals(self):
         mesh = build_structured_mesh(1.0, 1.0, 4, 4)
         # building a mesh computes no normals: its topology's arc makes them valid
-        assert capflow.geometry._surface_normals not in mesh.__dict__.get("_memo", {})
+        assert pattern_forms._surface_normals not in mesh.__dict__.get("_memo", {})
         normals = surface_normals(mesh)
         assert np.allclose(normals, [[0.0, 1.0]] * 4)
         # computed once per mesh, on first use, and shared read-only
