@@ -77,8 +77,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     pattern = mesh.topology.memo(forms._saddle_pattern)
     _, vals, (tri, wall, surface) = pattern.values()
     vals[:] = 1.0
-    extension = mesh.topology.memo(ale._extension_pattern)
-    _, _, (stiffness,) = extension.values()
+    _, _, (stiffness,) = mesh.topology.memo(ale._extension_pattern).values()
     kernels.r_stiffness(forms.element_data(mesh), stiffness)
     mass_old = forms.mass_action(u)
 
@@ -89,7 +88,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     return [
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
         ("  surface data and lifting", best_ms(
-            lambda _: ale._extension_rhs(u, forms.element_data(mesh), extension, stiffness))),
+            lambda _: ale._extension_rhs(u, stiffness))),
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),

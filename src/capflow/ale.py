@@ -44,7 +44,7 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     pattern = mesh.topology.memo(_extension_pattern)
     data, vals, (stiffness,) = pattern.values()
     r_stiffness(ed, stiffness)
-    g, rhs = _extension_rhs(u, ed, pattern, stiffness)
+    g, rhs = _extension_rhs(u, stiffness)
     system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
     x, residual = factorize(system).solve(rhs, "mesh-velocity")
 
@@ -54,12 +54,16 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     return VectorFieldP1(values, mesh), residual
 
 
-def _extension_rhs(u, ed, pattern, stiffness) -> tuple[np.ndarray, np.ndarray]:
+def _extension_rhs(u, stiffness) -> tuple[np.ndarray, np.ndarray]:
     """The Dirichlet data g, the vertical surface speed (u . nu)/nu_3 of u
     (zero on the bottom), and the reduced right-hand side, minus stiffness
-    (M, 3, 3) times g; ed is the element data of u's mesh."""
+    (M, 3, 3) times g."""
     mesh = u.mesh
-    topology, n = mesh.topology, mesh.num_nodes
+    topology, n, ed = mesh.topology, mesh.num_nodes, element_data(mesh)
+    if stiffness.shape != (len(ed.tri), 3, 3):
+        raise DimensionMismatch(f"stiffness blocks of shape {stiffness.shape} for "
+                                f"{len(ed.tri)} triangles")
+    pattern = topology.memo(_extension_pattern)
     work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
     kernels.kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
                                    topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,

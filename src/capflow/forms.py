@@ -238,6 +238,8 @@ def _loads(mesh, mass, dt, zeta, phys, nf, free) -> np.ndarray:
     """mass / dt plus the loads of :func:`rhs_F` on the nf dofs at free, a
     bound int64 array; 0 on a pressure dof."""
     ed, topology, n = element_data(mesh), mesh.topology, mesh.num_nodes
+    if mass.shape != (2 * n,):
+        raise DimensionMismatch(f"mass action of shape {mass.shape} for {n} nodes")
     surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
     contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
     rhs = np.empty(nf)
@@ -492,6 +494,12 @@ def _edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
     times the surface stabilization of tension gamma into surface (E, 4, 4);
     w and V are fields over mesh's topology."""
     topology = mesh.topology
+    shapes = [(len(topology.boundary_edges[tag]), k, k)
+              for tag, k in ((BoundaryTag.WALL, 2), (BoundaryTag.FREE_SURFACE, 4))]
+    if [wall.shape, surface.shape] != shapes or not (w.mesh.topology is V.mesh.topology
+                                                     is topology):
+        raise DimensionMismatch(f"edge blocks of shapes {wall.shape} and {surface.shape} for "
+                                f"{shapes}, or fields over another topology")
     kernels.kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface),
                                  topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
                                  w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)

@@ -1,5 +1,6 @@
 """The step's fixed-pattern assembly against the dense oracle of the whole system."""
 
+import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -126,11 +127,10 @@ def compiled_kernels(mesh_new, mesh_old, u, V, zeta, phys, num):
     got["rhs"] = _loads(mesh_new, mass_action(u), num.dt, zeta, phys, len(saddle.free),
                         saddle.ptr.free)
     want["rhs"] = state_rhs_reference(saddle, mesh_new, u, zeta, phys, num.dt)
-    old = element_data(mesh_old)
     extension = mesh_old.topology.memo(_extension_pattern)
     stiffness = np.empty((m, 3, 3))
-    r_stiffness(old, stiffness)
-    got["g"], got["extension rhs"] = _extension_rhs(u, old, extension, stiffness)
+    r_stiffness(element_data(mesh_old), stiffness)
+    got["g"], got["extension rhs"] = _extension_rhs(u, stiffness)
     want["g"], want["extension rhs"] = extension_rhs_reference(extension, u, stiffness)
     return got, want
 
@@ -176,11 +176,24 @@ def test_kernel_arguments_are_checked_before_the_kernel_runs():
     with pytest.raises(DimensionMismatch):
         r_stiffness(ed, np.empty((m + 1, 3, 3)))
     pattern = mesh.topology.memo(_saddle_pattern)
-    data, vals, _ = pattern.values()
+    data, vals, (_, wall, surface) = pattern.values()
     with pytest.raises(DimensionMismatch):
         pattern.fill(data[:-1], vals)
     with pytest.raises(DimensionMismatch):
         pattern.fill(data, vals[:-1])
+    for blocks in ((wall[:-1], surface), (wall, surface[:, :2, :2])):
+        with pytest.raises(DimensionMismatch):
+            _edge_blocks(mesh, u, V, 1.0, phys.gamma, num.dt, *blocks)
+    with pytest.raises(DimensionMismatch):
+        _edge_blocks(mesh, u, zero_vector_field(same_grid(mesh)), 1.0, phys.gamma, num.dt,
+                     wall, surface)
+    with pytest.raises(DimensionMismatch):
+        _loads(mesh, mass_action(u)[:-1], num.dt, 0.0, phys, len(pattern.free),
+               pattern.ptr.free)
+    with pytest.raises(DimensionMismatch):
+        _extension_rhs(u, np.empty((m - 1, 3, 3)))
+    with pytest.raises(ctypes.ArgumentError):
+        pattern.reduce(np.zeros(3, np.float32))
 
 
 @pytest.mark.parametrize("grid, nnz, width", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],

@@ -14,9 +14,9 @@ import capflow.ale
 import capflow.stepping
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
+from capflow.adjoint import solve_bottom_sensitivity
 from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
-from capflow.adjoint import solve_bottom_sensitivity
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, element_data, factorize, kinetic_energy, mass_action,
                            radial_table, solve)
