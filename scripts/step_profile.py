@@ -10,13 +10,14 @@ summed into the reduced right-hand side, the whole saddle assembly, the
 fill, the banded factorization, the state solve and the bottom-load solve of
 the control gradient, then the whole step, and last the VTK snapshot of the
 state into a temporary directory.  Each figure is the minimum over REPEATS
-calls, in ms.  The element data and mass action rows call the uncached
-builders; the assembly and step rows find the mass action of the old
-velocity already computed, as a step after a previous one does, and the
-assembly row works on a new mesh each call, as a step does.  The last line is the median number of minor page
-faults per step (ru_minflt) over a FAULT_STEPS-step controlled run of each
-grid, counted between the run's per-step callbacks.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) for comparable times.
+calls, in ms.  The element data and mass action rows call the functions
+behind their memos; the assembly and step rows find the mass action of the
+old velocity already computed, as a step after a previous one does, and the
+assembly row works on a new mesh each call, as a step does.  The last line
+is the median number of minor page faults per step (ru_minflt) over a
+FAULT_STEPS-step controlled run of each grid, counted between the run's
+per-step callbacks.  Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) for
+comparable times.
 
     PYTHONPATH=src python scripts/step_profile.py
 """
