@@ -80,7 +80,6 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     vals[:] = 1.0
     _, _, (stiffness,) = mesh.topology.memo(ale._extension_pattern).values()
     kernels.r_stiffness(forms.element_data(mesh), stiffness)
-    mass_old = forms.mass_action(u)
 
     def fresh_mesh(_=None):
         """A new mesh at the new positions: nothing memoised on it yet."""
@@ -100,8 +99,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
                                          surface))),
         ("  mass action", best_ms(lambda _: forms._mass_action(u))),
         ("  loads, reduced", best_ms(
-            lambda _: forms._loads(mesh_new, mass_old, num.dt, ZETA, phys, len(pattern.free),
-                                   pattern.ptr.free))),
+            lambda _: forms._loads(mesh_new, u, num.dt, ZETA, phys, pattern))),
         ("assembly (fresh mesh)", best_ms(
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),

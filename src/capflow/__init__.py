@@ -10,7 +10,7 @@ from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied
                      KernelBuildError, MeshTangled, ResidualTooLarge, SingularMatrix,
                      SurfaceFolded, WallViolation)
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
-from .forms import LinearSystem, assemble_state_system, beta_h, mass_action, rhs_F, solve
+from .forms import LinearSystem, assemble_state_system, beta_h, mass_action, solve
 from .geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                        contact_line_height, displace_mesh, mesh_quality)
 from .observables import equilibrium_height, transient_time

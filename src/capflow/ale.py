@@ -60,9 +60,7 @@ def _extension_rhs(u, stiffness) -> tuple[np.ndarray, np.ndarray]:
     (M, 3, 3) times g."""
     mesh = u.mesh
     topology, n, ed = mesh.topology, mesh.num_nodes, element_data(mesh)
-    if stiffness.shape != (len(ed.tri), 3, 3):
-        raise DimensionMismatch(f"stiffness blocks of shape {stiffness.shape} for "
-                                f"{len(ed.tri)} triangles")
+    kernels.expect("stiffness blocks", stiffness, (len(ed.tri), 3, 3))
     pattern = topology.memo(_extension_pattern)
     work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
     kernels.kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),

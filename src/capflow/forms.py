@@ -30,12 +30,12 @@ Every per-element and per-edge loop of the step is compiled
 overhead than in arithmetic at these sizes.  The element data, each
 triangle's 9x9 block and the wall and free-surface blocks are written
 straight into the pattern's values, and so is the fill; the old velocity's
-mass action over dt and the loads of :func:`rhs_F` are summed straight onto
-the kept dofs; the mass action of a velocity and the bottom load are
-compiled too.  What the kernels read of a record is bound once, when the
-record is made (:class:`~capflow.kernels.Pointers`): every record here keeps
-its arrays read-only and C-contiguous.  The numpy expressions these loops
-replaced are the tests' reference (``tests/pattern_forms.py``).
+mass action over dt and the loads are summed straight onto the kept dofs;
+the mass action of a velocity and the bottom load are compiled too.  What
+the kernels read of a record is bound once, when the record is made
+(:class:`~capflow.kernels.Pointers`): every record here keeps its arrays
+read-only and C-contiguous.  The numpy expressions these loops replaced are
+the tests' reference (``tests/pattern_forms.py``).
 
 Each element tensor splits into a part that depends on the radii alone and
 a small geometric part that changes with z (Kirby & Logg 2006, ACM TOMS
@@ -63,9 +63,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import kernels
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
-from .fields import PhysParams, ScalarFieldP1, VectorFieldP1
+from .fields import ScalarFieldP1, VectorFieldP1
 from .geometry import AxiMesh, BoundaryTag, MeshTopology, contact_line_height, radial_differences
-from .kernels import Pointers, address, factor_band, solve_band, triangle_blocks
+from .kernels import Pointers, factor_band, solve_band, triangle_blocks
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -222,32 +222,21 @@ def _bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
     return f
 
 
-def rhs_F(mesh: AxiMesh, zeta: float, params: PhysParams) -> np.ndarray:
-    """Load vector on the 2N velocity dofs: gravity, bottom stress (p_bar +
-    zeta) e3, the Laplace-Beltrami weak form of surface tension (integrated
-    by parts, so no curvature is evaluated) and the contact-line force gamma
-    cos(theta_s) on the contact circle.  The step sums the same loads straight
-    into its reduced right-hand side (:func:`assemble_state_system`)."""
-    dofs = np.arange(2 * mesh.num_nodes)
-    dofs.setflags(write=False)
-    return _loads(mesh, np.zeros(2 * mesh.num_nodes), 1.0, zeta, params, len(dofs),
-                  address(dofs, np.int64))
-
-
-def _loads(mesh, mass, dt, zeta, phys, nf, free) -> np.ndarray:
-    """mass / dt plus the loads of :func:`rhs_F` on the nf dofs at free, a
-    bound int64 array; 0 on a pressure dof."""
+def _loads(mesh, u, dt, zeta, phys, pattern) -> np.ndarray:
+    """On the kept dofs of pattern, 0 on a pressure dof: the mass action of
+    u, a field over mesh's topology, over dt, plus the loads on mesh: gravity,
+    bottom stress (p_bar + zeta) e3, the Laplace-Beltrami weak form of surface
+    tension (integrated by parts, so no curvature is evaluated) and the
+    contact-line force gamma cos(theta_s) on the contact circle."""
     ed, topology, n = element_data(mesh), mesh.topology, mesh.num_nodes
-    if mass.shape != (2 * n,):
-        raise DimensionMismatch(f"mass action of shape {mass.shape} for {n} nodes")
     surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
     contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
-    rhs = np.empty(nf)
+    rhs = np.empty(len(pattern.free))
     kernels.kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
-                               topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z, mass,
-                               bottom_load_vector(mesh), dt, phys.g, phys.p_bar + zeta,
-                               phys.gamma, mesh.contact_node, contact, nf, free,
-                               np.zeros(4 * n), rhs)
+                               topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                               mass_action(u), bottom_load_vector(mesh), dt, phys.g,
+                               phys.p_bar + zeta, phys.gamma, mesh.contact_node, contact,
+                               len(pattern.free), pattern.ptr.free, np.zeros(4 * n), rhs)
     return rhs
 
 
@@ -426,9 +415,8 @@ class FixedPattern:
         """The reduced matrix summing the flat local values into data, both from
         :meth:`values`, in their order; the sums are those of a bincount, bit
         for bit."""
-        if data.shape != (len(self.indices) + 1,) or vals.shape != self.slot.shape:
-            raise DimensionMismatch(f"data of shape {data.shape} for {len(self.indices)} entries, "
-                                    f"values of shape {vals.shape} for {len(self.slot)}")
+        kernels.expect("data", data, (len(self.indices) + 1,))
+        kernels.expect("values", vals, self.slot.shape)
         kernels.kernel().scatter_add(len(self.slot), self.ptr.slot, vals, data)
         n = len(self.free)
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
@@ -494,12 +482,9 @@ def _edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
     times the surface stabilization of tension gamma into surface (E, 4, 4);
     w and V are fields over mesh's topology."""
     topology = mesh.topology
-    shapes = [(len(topology.boundary_edges[tag]), k, k)
-              for tag, k in ((BoundaryTag.WALL, 2), (BoundaryTag.FREE_SURFACE, 4))]
-    if [wall.shape, surface.shape] != shapes or not (w.mesh.topology is V.mesh.topology
-                                                     is topology):
-        raise DimensionMismatch(f"edge blocks of shapes {wall.shape} and {surface.shape} for "
-                                f"{shapes}, or fields over another topology")
+    kernels.expect("wall blocks", wall, (len(topology.boundary_edges[BoundaryTag.WALL]), 2, 2))
+    kernels.expect("surface blocks", surface,
+                   (len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]), 4, 4))
     kernels.kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface),
                                  topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
                                  w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
@@ -514,7 +499,8 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     Sp the pressure stabilization.  Their local blocks are summed into the
     saddle pattern of the mesh topology, which both meshes must share.  The
     right-hand side is the mass action of u_old on the old mesh over dt
-    plus the loads of :func:`rhs_F`.
+    plus the loads on the new mesh (gravity, the bottom stress, surface
+    tension and the contact-line force).
     """
     _check_fields(mesh_old, u_old, V_old)
     if mesh_new.topology is not mesh_old.topology:
@@ -527,7 +513,7 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     # each triangle's block couples (u_r, u_z, p) of its three vertices
     triangle_blocks(element_data(mesh_new), u_old, V_old, dt, phys.nu, num.Cs, tri)
     _edge_blocks(mesh_new, u_old, V_old, beta, phys.gamma, dt, wall, surface)
-    rhs = _loads(mesh_new, mass_action(u_old), dt, zeta, phys, len(pattern.free), pattern.ptr.free)
+    rhs = _loads(mesh_new, u_old, dt, zeta, phys, pattern)
     return LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh_new)
 
 
@@ -582,9 +568,7 @@ def factorize(system: LinearSystem) -> BandLU:
     zero pivot."""
     band = system.pattern.band
     n = system.matrix.shape[0]
-    if system.matrix.data.shape != band.position.shape:
-        raise DimensionMismatch(f"{system.matrix.nnz} entries for a layout of "
-                                f"{len(band.position)}")
+    kernels.expect("matrix data", system.matrix.data, band.position.shape)
     ab = np.zeros(band.ldab * n)
     kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.matrix.data, ab)
     ab = ab.reshape((band.ldab, n), order="F")

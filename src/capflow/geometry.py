@@ -70,8 +70,9 @@ class MeshTopology(_Memo):
     def __post_init__(self):
         if not all(tag in self.boundary_edges for tag in BoundaryTag):
             raise DimensionMismatch("every boundary tag must have its edges")
-        tris = np.array(self.triangles, dtype=np.int64)
-        edges = {tag: np.array(self.boundary_edges[tag], dtype=np.int64) for tag in BoundaryTag}
+        tris = np.array(self.triangles, dtype=np.int64, order="C")
+        edges = {tag: np.array(self.boundary_edges[tag], dtype=np.int64, order="C")
+                 for tag in BoundaryTag}
         r = np.array(self.radii, dtype=float)
         for a in (tris, *edges.values(), r):
             a.setflags(write=False)
@@ -79,9 +80,6 @@ class MeshTopology(_Memo):
         object.__setattr__(self, "boundary_edges", edges)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "ptr", Pointers(
-            triangles=(tris, np.int64), radii=r,
-            **{tag.value: (edges[tag], np.int64) for tag in BoundaryTag}))
         if tris.shape[1:] != (3,) or any(e.shape[1:] != (2,) for e in edges.values()):
             raise DimensionMismatch("triangles must be (M, 3) and boundary edges (E, 2)")
         indices = (tris, *edges.values())
@@ -109,6 +107,9 @@ class MeshTopology(_Memo):
             k = int(np.argmax(bad))
             raise SurfaceFolded(f"free-surface edge {k} ({left[k]}, {right[k]}) breaks the arc "
                                 "from the axis to the contact node with r increasing")
+        object.__setattr__(self, "ptr", Pointers(
+            triangles=(tris, np.int64), radii=r,
+            **{tag.value: (edges[tag], np.int64) for tag in BoundaryTag}))
 
     @property
     def num_nodes(self) -> int:

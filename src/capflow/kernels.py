@@ -511,9 +511,6 @@ def build(source: str = SOURCE, flags: tuple[str, ...] = FLAGS) -> Path:
     return path
 
 
-_NO_BYTES = ctypes.c_char * 0
-
-
 class _Array:
     """A ctypes argument type that passes a numpy array of one dtype and
     layout as its data pointer, checked per call (a wrong array raises
@@ -528,9 +525,6 @@ class _Array:
                 and (obj.flags.writeable or not self.writeable)):
             raise TypeError(f"a {'writeable ' * self.writeable}{self.layout} {self.dtype} "
                             f"array is required")
-        if obj.flags.writeable:     # the buffer of a C-ordered view
-            c = obj if self.layout == "C_CONTIGUOUS" else obj.T
-            return ctypes.c_void_p(ctypes.addressof(_NO_BYTES.from_buffer(c)))
         return ctypes.c_void_p(obj.ctypes.data)
 
 
@@ -547,11 +541,25 @@ def address(array: np.ndarray, dtype=np.float64) -> int:
 class Pointers:
     """The data pointers of a record's arrays, each taken once by
     :func:`address` and read as the attribute of its name; an array is
-    float64 unless given as (array, dtype)."""
+    float64 unless given as (array, dtype).  It keeps the arrays, so a copy
+    or an unpickled record, whose arrays are new, binds those
+    (:meth:`__reduce__`), not the addresses of the original's."""
 
     def __init__(self, **arrays):
+        self._arrays = arrays
         for name, a in arrays.items():
             setattr(self, name, address(*a) if isinstance(a, tuple) else address(a))
+
+    def __reduce__(self):
+        # deepcopy and pickle pass the arrays through their copies (deepcopy's
+        # memo makes them the copied record's own), which come back writeable
+        return _rebind, (self._arrays,)
+
+
+def _rebind(arrays: dict) -> Pointers:
+    for a in arrays.values():
+        (a[0] if isinstance(a, tuple) else a).setflags(write=False)
+    return Pointers(**arrays)
 
 
 class Kernel:
@@ -585,6 +593,13 @@ class Kernel:
         self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), out))
 
 
+def expect(what: str, array: np.ndarray, shape: tuple) -> None:
+    """Raise DimensionMismatch, naming what, unless array has shape: the
+    kernels read and write as far as the shapes of their records reach."""
+    if array.shape != shape:
+        raise DimensionMismatch(f"{what} of shape {array.shape}, not {shape}")
+
+
 @functools.cache
 def kernel() -> Kernel:
     """The kernels of :data:`SOURCE`, built on first use and loaded once per process."""
@@ -597,9 +612,9 @@ def triangle_blocks(ed, w, V, dt: float, nu: float, Cs: float, out: np.ndarray) 
     :class:`~capflow.forms.ElementData`, w the advecting velocity and V the
     mesh velocity, :class:`~capflow.fields.VectorFieldP1` on the mesh."""
     m = len(ed.tri)
-    if out.shape != (m, 9, 9) or not (w.mesh.triangles is V.mesh.triangles is ed.tri):
-        raise DimensionMismatch(f"triangle blocks of shape {out.shape} for {m} triangles, "
-                                "or fields over another topology")
+    expect("triangle blocks", out, (m, 9, 9))
+    if not w.mesh.triangles is V.mesh.triangles is ed.tri:
+        raise DimensionMismatch("fields over another topology")
     e, t = ed.ptr, ed.radial.ptr
     kernel().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr, t.inv_r, t.rn,
                              t.hoop, t.zz, t.coupling_z, w.ptr.values, V.ptr.values,
@@ -610,29 +625,21 @@ def r_stiffness(ed, out: np.ndarray) -> None:
     """Write each triangle's r-weighted stiffness, integral of
     r grad N_i . grad N_j, into out, (M, 3, 3); ed as for :func:`triangle_blocks`."""
     m = len(ed.tri)
-    if out.shape != (m, 3, 3):
-        raise DimensionMismatch(f"stiffness blocks of shape {out.shape} for {m} triangles")
+    expect("stiffness blocks", out, (m, 3, 3))
     kernel().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz, out)
-
-
-def _check(ab: np.ndarray, band) -> None:
-    if ab.shape != (band.ldab, len(band.lower)):
-        raise DimensionMismatch(f"band storage of shape {ab.shape} does not hold "
-                                f"kl = {band.kl}, ku = {band.ku} on {len(band.lower)} columns")
 
 
 def factor_band(ab: np.ndarray, band) -> int:
     """Factor the band storage ab in place without pivoting, within the
     envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
     column of the first exactly zero pivot."""
-    _check(ab, band)
+    expect("band storage", ab, (band.ldab, len(band.lower)))
     return kernel().factor(ab.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab)
 
 
 def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
     """Overwrite x with the solution of A x = x, lu A's :func:`factor_band`
     with the same band."""
-    _check(lu, band)
-    if x.shape != (lu.shape[1],):
-        raise DimensionMismatch(f"right-hand side of shape {x.shape} for {lu.shape[1]} unknowns")
+    expect("band storage", lu, (band.ldab, len(band.lower)))
+    expect("right-hand side", x, (lu.shape[1],))
     kernel().solve(lu.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu, x)

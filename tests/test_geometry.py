@@ -85,6 +85,24 @@ class TestBuild:
         assert topology.radii.dtype == float and not topology.radii.flags.writeable
         assert type(topology.radius) is float
 
+    def test_topology_takes_fortran_ordered_arrays(self):
+        """Column-stacked index arrays, Fortran-ordered, make the same
+        topology: its copies are C-ordered, as the kernels read them."""
+        mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+        edges = {tag: np.vstack((e[:, 0], e[:, 1])).T for tag, e in mesh.boundary_edges.items()}
+        triangles = np.asfortranarray(mesh.triangles)
+        assert triangles.flags.f_contiguous and not triangles.flags.c_contiguous
+        assert all(e.flags.f_contiguous and not e.flags.c_contiguous for e in edges.values())
+        topology = MeshTopology(triangles=triangles, boundary_edges=edges,
+                                contact_node=mesh.contact_node, radii=mesh.topology.radii,
+                                radius=mesh.topology.radius)
+        own = [topology.triangles, *topology.boundary_edges.values()]
+        assert all(a.flags.c_contiguous for a in own)
+        assert np.array_equal(topology.triangles, mesh.triangles)
+        assert all(np.array_equal(topology.boundary_edges[tag], mesh.boundary_edges[tag])
+                   for tag in BoundaryTag)
+        assert np.array_equal(AxiMesh(z=mesh.z, topology=topology).areas, mesh.areas)
+
     def test_mesh_leaves_the_callers_nodes_alone(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         z = mesh.z.copy()

@@ -1,5 +1,7 @@
+import copy
 import ctypes
 import gc
+import pickle
 import platform
 import re
 import subprocess
@@ -19,7 +21,7 @@ from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, element_data, factorize, kinetic_energy, mass_action,
-                           radial_table, solve)
+                           _saddle_pattern, radial_table, solve)
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
@@ -500,6 +502,36 @@ def test_binding_refuses_a_writeable_or_wrongly_typed_array():
     band = full_band(6, 2, 1)
     with pytest.raises(TypeError):
         replace(band, position=np.zeros(0, np.int32))
+
+
+def spoil(*arrays):
+    """Overwrite the memory of each array, read-only or not, with NaN (0 for indices)."""
+    for a in arrays:
+        owner = a if a.base is None else a.base
+        owner.setflags(write=True)
+        owner[...] = np.nan if owner.dtype.kind == "f" else 0
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_state_reads_only_its_own_arrays(copy_of):
+    """deepcopy and pickle copy the arrays of a state, its mesh, topology,
+    field and memoised element data, radial table and patterns, and bind the
+    copies: with every bound array of the original overwritten, a step from
+    the copy gives the original's bits."""
+    mesh_new, mesh, u, V, zeta, phys, num = tc1_slab(4, 8)
+    state = FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0)
+    expected, _, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
+    copied = copy_of(state)
+    topology, ed, table = mesh.topology, element_data(mesh), radial_table(mesh.topology)
+    patterns = [topology.memo(_saddle_pattern), topology.memo(capflow.ale._extension_pattern)]
+    spoil(mesh.z, u.values, topology.radii, topology.triangles, *topology.boundary_edges.values(),
+          ed.area, ed.grad_r, table.rq, table.inv_r, table.dr, table.rn, table.hoop, table.zz,
+          table.coupling_z, *(a for p in patterns for a in (p.free, p.slot, p.band.position,
+                                                              p.band.lower, p.band.upper)))
+    got, _, _ = step(copied, zeta, phys, num)
+    assert np.array_equal(bits(got.u.values), bits(expected.u.values))
+    assert np.array_equal(bits(got.mesh.z), bits(expected.mesh.z))
 
 
 @pytest.mark.parametrize("defines", [[], ["-DKERNELS_PORTABLE"]], ids=["cloned", "portable"])
