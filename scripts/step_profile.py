@@ -8,8 +8,10 @@ the compiled element data, the radial table (built once per run), the
 compiled triangle blocks, boundary-edge blocks, mass action and the loads
 summed into the reduced right-hand side, the whole saddle assembly, the
 fill, the banded factorization, the state solve and the bottom-load solve of
-the control gradient, then the whole step, and last the VTK snapshot of the
-state into a temporary directory.  Each figure is the minimum over REPEATS
+the control gradient, then the whole step, and last the two writers, into a
+temporary directory: the VTK snapshot of the state and a history.csv of
+HISTORY_ROWS rows of random values at the columns' scales.  Both go through
+one compiled template fill.  Each figure is the minimum over REPEATS
 calls, in ms.  The element data and mass action rows call the functions
 behind their memos; the assembly and step rows find the mass action of the
 old velocity already computed, as a step after a previous one does, and the
@@ -37,15 +39,16 @@ from capflow.acceptance import tc1_config
 from capflow.adjoint import solve_bottom_sensitivity
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
-from capflow.control import run_instantaneous_control
+from capflow.control import RunHistory, run_instantaneous_control
 from capflow.geometry import contact_line_height, displace_mesh
 from capflow.stepping import initial_state, step
-from capflow.writers import write_vtk_snapshot
+from capflow.writers import write_history_csv, write_vtk_snapshot
 
 GRIDS = ((16, 32), (32, 64))    # N1 x N3
 REPEATS = 20                    # calls per phase; the minimum is reported
 ZETA = 1e-4                     # bottom control stress held over the slabs
 FAULT_STEPS = 20                # steps of the run whose page faults are counted
+HISTORY_ROWS = 100              # rows of the timed history.csv
 
 
 def best_ms(fn, prepare=None):
@@ -107,15 +110,23 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
         ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(lu, mass_u))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
-        ("VTK snapshot", snapshot_ms(state)),
+        *writers_ms(state, num.dt),
     ]
 
 
-def snapshot_ms(state) -> float:
-    """write_vtk_snapshot of the state into a temporary directory."""
+def writers_ms(state, dt: float) -> list[tuple[str, float]]:
+    """write_vtk_snapshot of the state, and write_history_csv of HISTORY_ROWS
+    rows (t, Z_CL, zeta, J increment, gradient, max |u|) at the columns'
+    scales, into a temporary directory."""
+    history = RunHistory()
+    rng = np.random.default_rng(0)
+    for k in range(HISTORY_ROWS):
+        history.append(k * dt, *(rng.standard_normal(5) * (1e-4, 1e-4, 1e-15, 1e-12, 1e-2)))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "snapshot.vtk"
-        return best_ms(lambda _: write_vtk_snapshot(state, path))
+        snapshot, csv = Path(tmp) / "snapshot.vtk", Path(tmp) / "history.csv"
+        return [("VTK snapshot", best_ms(lambda _: write_vtk_snapshot(state, snapshot))),
+                (f"history.csv ({HISTORY_ROWS} rows)",
+                 best_ms(lambda _: write_history_csv(history, csv)))]
 
 
 def faults_per_step(n1: int, n3: int) -> float:

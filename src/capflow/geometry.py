@@ -262,6 +262,7 @@ def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
 
     Mesh motion is vertical only: a radial component anywhere, or a nonzero
     velocity on the bottom, raises DimensionMismatch, so radii never change.
+    A tangled result raises MeshTangled, its message ending with dt.
     """
     if V.mesh is not mesh:
         raise DimensionMismatch("domain velocity lives on a different mesh")
@@ -270,7 +271,10 @@ def displace_mesh(mesh: AxiMesh, V: VectorFieldP1, dt: float) -> AxiMesh:
         raise DimensionMismatch("domain velocity must be vertical: radial component nonzero")
     if np.any(vals[mesh.bottom_nodes, 1] != 0.0):
         raise DimensionMismatch("domain velocity must vanish on the bottom boundary")
-    return AxiMesh(z=mesh.z + dt * vals[:, 1], topology=mesh.topology)
+    try:
+        return AxiMesh(z=mesh.z + dt * vals[:, 1], topology=mesh.topology)
+    except MeshTangled as exc:
+        raise MeshTangled(f"{exc}, after a step of dt = {dt:.6e} s") from None
 
 
 def contact_line_height(mesh: AxiMesh) -> float:

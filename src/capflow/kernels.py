@@ -1,8 +1,9 @@
 """The compiled kernels of the step: the element data, the saddle matrix's
 triangle and boundary-edge blocks, the mesh-velocity stiffness, the mass
 action, the loads summed into the reduced right-hand side, the mesh-velocity
-extension's data, the fill of a fixed pattern, and the banded LU without
-pivoting with its solve.
+extension's data, the fill of a fixed pattern, the banded LU without
+pivoting with its solve, and, for the writers, an exact ``%.17g`` formatter
+that fills a text template.
 
 **Assembly.**  Every per-element and per-edge loop of the step is a kernel:
 the element data (``element_data``); each triangle's 9x9 saddle block, on
@@ -39,6 +40,18 @@ the envelope of the :class:`~capflow.forms.BandLayout` alone, each entry
 still taking the operations of the full band in its order; the rest of the
 band stays zero.
 
+**Output.**  :meth:`Template.fill` copies a template's static text and
+writes each slot's double exactly as Python's ``format(x, ".17g")`` does.
+The 17 digits of a double m 2^e are the integer nearest m 2^e 10^k, ties to
+even, k = 16 minus the decimal exponent.  For 0 <= k <= 27 (decimal
+exponents -11 to 16) m 5^k fits 128 bits and 2^(e + k) is a shift, so the
+digits and their rounding come from integer arithmetic alone, exact by
+construction (Adams 2019, "Ryu revisited: printf floating point conversion",
+Proc. ACM Program. Lang. 3, OOPSLA).  The decimal exponent comes from the
+binary one, corrected by comparing with 10^16 and 10^17; no libm ``log10``
+enters.  Subnormals and the other exponents take glibc's correctly rounded
+digits.  The formatter is integer code, so it has no target clones.
+
 The kernels are C, kept here as one :data:`SOURCE`.  The first use compiles
 it with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
 ``__pycache__/kernels-<sha256 of source and flags>.so`` beside this module,
@@ -59,6 +72,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +83,9 @@ SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 
 #if defined(__x86_64__) && !defined(KERNELS_PORTABLE)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
@@ -473,6 +490,167 @@ CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *l
         update(m, x[j], ab + j * ldab + ku - m, x + j - m);
     }
 }
+
+#ifdef __SIZEOF_INT128__
+/* 5^k for 0 <= k <= 27, the powers of five below 2^63. */
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
+    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+    7450580596923828125ULL};
+#endif
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+/* The 17 significant digits of m 2^e, m in [2^52, 2^53): the integer d in
+   [10^16, 10^17) nearest to m 2^e 10^k, ties to even, k = 16 - x, and the
+   decimal exponent x.  Exact: m 5^k fits 128 bits for 0 <= k <= 27, and the
+   factor 2^(e + k) is a shift, whose shifted-out bits decide the rounding.
+   x starts from the binary exponent, (e + 52) log10 2 truncated, and is
+   corrected by comparing the truncated scaled value with 10^16 and 10^17; a
+   rounding up to 10^17 gives 10^16 at the next exponent.  Returns 0, and
+   leaves d and x alone, where k would leave 0..27. */
+static int digits17(uint64_t m, int e, uint64_t *d, int *x)
+{
+#ifdef __SIZEOF_INT128__
+    typedef unsigned __int128 u128;
+    int ex = (e + 52) * 78913 / 262144;                 /* 78913 / 2^18 = log10 2 - 8e-7 */
+    for (;;) {
+        const int k = 16 - ex, s = e + k;
+        if (k < 0 || k > 27 || s > 8 || s < -127)
+            return 0;
+        const u128 p = (u128)m * POW5[k];               /* m 2^e 10^k = p 2^s */
+        u128 q = s >= 0 ? p << s : p >> -s;
+        if (q < E16) {
+            --ex;
+            continue;
+        }
+        if (q >= E17) {
+            ++ex;
+            continue;
+        }
+        if (s < 0) {
+            const u128 rest = p - (q << -s), half = (u128)1 << (-s - 1);
+            q += rest > half || (rest == half && (q & 1));
+        }
+        if (q == E17) {
+            q = E16;
+            ++ex;
+        }
+        *d = (uint64_t)q;
+        *x = ex;
+        return 1;
+    }
+#else
+    (void)m, (void)e, (void)d, (void)x;
+    return 0;
+#endif
+}
+
+/* The 17 digits d, 10^16 <= d < 10^17, at decimal exponent x, as %.17g
+   writes them: trailing zeros dropped, fixed notation for -4 <= x < 17, else
+   d.ddde+xx with two exponent digits or more.  Returns the bytes written. */
+static ptrdiff_t write17(uint64_t d, int x, char *out)
+{
+    char digit[17], *o = out;
+    for (int i = 16; i >= 0; --i, d /= 10)
+        digit[i] = (char)('0' + d % 10);
+    int nd = 17;
+    while (digit[nd - 1] == '0')
+        --nd;
+    if (x < -4 || x >= 17) {
+        *o++ = digit[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, digit + 1, nd - 1);
+            o += nd - 1;
+        }
+        const int a = x < 0 ? -x : x;
+        *o++ = 'e';
+        *o++ = x < 0 ? '-' : '+';
+        if (a >= 100)
+            *o++ = (char)('0' + a / 100);
+        *o++ = (char)('0' + a / 10 % 10);
+        *o++ = (char)('0' + a % 10);
+    } else if (x >= 0) {
+        memcpy(o, digit, x + 1);
+        o += x + 1;
+        if (nd > x + 1) {
+            *o++ = '.';
+            memcpy(o, digit + x + 1, nd - x - 1);
+            o += nd - x - 1;
+        }
+    } else {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = x + 1; i < 0; ++i)
+            *o++ = '0';
+        memcpy(o, digit, nd);
+        o += nd;
+    }
+    return o - out;
+}
+
+/* v as Python's format(v, ".17g") writes it, at out; returns the bytes
+   written, at most 24.  NaN of either sign is "nan", as in Python (glibc
+   writes "-nan").  Subnormals and exponents that digits17 does not reach
+   take their digits from glibc's correctly rounded "%.16e", read back as
+   digits and exponent, so no locale's decimal point enters. */
+static ptrdiff_t format17(double v, char *out)
+{
+    uint64_t bits, d = 0;
+    memcpy(&bits, &v, sizeof bits);
+    const int be = (int)(bits >> 52 & 0x7ff);
+    const uint64_t frac = bits & ((1ULL << 52) - 1);
+    int x = 0;
+    char *o = out;
+    if (be == 0x7ff && frac != 0) {
+        memcpy(o, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *o++ = '-';
+    if (be == 0x7ff) {
+        memcpy(o, "inf", 3);
+        return o + 3 - out;
+    }
+    if (be == 0 && frac == 0) {
+        *o = '0';
+        return o + 1 - out;
+    }
+    if (be == 0 || !digits17(frac | 1ULL << 52, be - 1075, &d, &x)) {
+        char buf[32];
+        snprintf(buf, sizeof buf, "%.16e", fabs(v));
+        const char *c = buf;
+        for (; *c != 'e'; ++c)
+            if (*c >= '0' && *c <= '9')
+                d = 10 * d + (uint64_t)(*c - '0');
+        x = atoi(c + 1);
+    }
+    return (o - out) + write17(d, x, o);
+}
+
+/* The len bytes of text with the n values v written into it as format17
+   does, value i at byte offset slot[i] of text (slot never decreasing, at
+   most len), into out, which holds len + 24 n bytes.  Returns the bytes
+   written. */
+ptrdiff_t fill_template(ptrdiff_t len, const char *text, ptrdiff_t n, const int64_t *slot,
+                        const double *v, char *out)
+{
+    char *o = out;
+    ptrdiff_t at = 0;
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        memcpy(o, text + at, slot[i] - at);
+        o += slot[i] - at;
+        at = slot[i];
+        o += format17(v[i], o);
+    }
+    memcpy(o, text + at, len - at);
+    return (o - out) + (len - at);
+}
 """
 
 # -fno-math-errno: sqrt is the instruction, the same correctly rounded root, not a
@@ -591,6 +769,9 @@ class Kernel:
         bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
         self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)), size)
         self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), out))
+        self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
+                                                    _Array(np.int64), values,
+                                                    _Array(np.uint8, writeable=True)), size)
 
 
 def expect(what: str, array: np.ndarray, shape: tuple) -> None:
@@ -643,3 +824,39 @@ def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
     expect("band storage", lu, (band.ldab, len(band.lower)))
     expect("right-hand side", x, (lu.shape[1],))
     kernel().solve(lu.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu, x)
+
+
+SLOT = "%.17g"
+
+
+@dataclass(frozen=True, eq=False)
+class Template:
+    """Static ASCII text with value slots, which one call of the compiled
+    formatter fills (:meth:`fill`).  slots holds the slots' byte offsets in
+    text, in order: checked once, here, to never decrease and to stay within
+    text, and kept as a read-only int64 copy."""
+
+    text: bytes
+    slots: np.ndarray
+
+    def __post_init__(self):
+        slots = np.array(self.slots, dtype=np.int64)
+        if slots.ndim != 1 or np.any(np.diff(slots, prepend=0) < 0) \
+                or np.any(slots > len(self.text)):
+            raise ValueError("template slots are not nondecreasing offsets within the text")
+        slots.setflags(write=False)
+        object.__setattr__(self, "slots", slots)
+
+    @classmethod
+    def of(cls, text: str) -> Template:
+        """The ASCII text with each :data:`SLOT` in it taken out as a slot."""
+        chunks = text.split(SLOT)
+        return cls("".join(chunks).encode("ascii"), np.cumsum([len(c) for c in chunks[:-1]]))
+
+    def fill(self, values: np.ndarray) -> np.ndarray:
+        """The text with the float64 values[i] in slot i, each as
+        ``format(x, ".17g")`` writes it, as a uint8 array."""
+        n = len(self.slots)
+        expect("template values", values, (n,))
+        out = np.empty(len(self.text) + 24 * n, np.uint8)
+        return out[:kernel().fill_template(len(self.text), self.text, n, self.slots, values, out)]

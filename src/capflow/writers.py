@@ -3,17 +3,21 @@
 Both formats are bit-specified: LF line endings, '.' decimal separator,
 lowercase 'e' exponents, 17 significant digits so floats round-trip exactly.
 
-A VTK snapshot goes through one %-format template per mesh topology.  The
-template bakes in the text that is the same for every mesh a run reaches:
-the header and section lines, the node and cell counts, the ``CELLS`` and
-``CELL_TYPES`` sections and the radius column of ``POINTS``.  Radii can be
-baked in because mesh motion is vertical only, so they live on the topology
-(``displace_mesh`` rejects any radial mesh velocity).  A snapshot then
-formats only t, the z column, the velocity and the pressure, in a single %
-operation.  Field values are never baked in, not even the essential zero
-radial velocity on the wall and axis, which a field may hold as -0.0.  The
-template is built on the first snapshot and kept by the topology's
-:meth:`~capflow.geometry.MeshTopology.memo`.
+Both are written through a :class:`~capflow.kernels.Template`: static ASCII
+text with a slot for each value, which one compiled call fills, each value
+exactly as ``format(x, ".17g")`` writes it, and the bytes go to the file in
+binary mode.  A VTK snapshot's template is built on the first snapshot of a
+mesh topology and kept by the topology's
+:meth:`~capflow.geometry.MeshTopology.memo`.  It bakes in the text that is
+the same for every mesh a run reaches: the header and section lines, the node
+and cell counts, the ``CELLS`` and ``CELL_TYPES`` sections and the radius
+column of ``POINTS``.  Radii can be baked in because mesh motion is vertical
+only, so they live on the topology (``displace_mesh`` rejects any radial mesh
+velocity).  A snapshot then fills only t, the z column, the velocity and the
+pressure.  Field values are never baked in, not even the essential zero
+radial velocity on the wall and axis, which a field may hold as -0.0.
+``history.csv``'s template, the header and one line of six slots per row, is
+built per write.
 """
 
 from __future__ import annotations
@@ -21,57 +25,51 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import MeshTopology
+from .kernels import SLOT, Template
 from .stepping import FlowState
 
 CSV_HEADER = "t,Z_CL,zeta,J_increment,grad,u_max"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_history_csv(history, path) -> None:
-    rows = [CSV_HEADER]
-    for i in range(len(history.t)):
-        rows.append(",".join(_fmt(v) for v in (
-            history.t[i], history.z_cl[i], history.zeta[i],
-            history.j_increment[i], history.grad[i], history.u_max[i])))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    columns = (history.t, history.z_cl, history.zeta, history.j_increment, history.grad,
+               history.u_max)
+    template = Template.of(CSV_HEADER + "\n" + (f"{SLOT}," * 5 + f"{SLOT}\n") * len(history.t))
+    text = template.fill(np.array(columns, dtype=float).T.ravel())
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
-def _snapshot_template(topology: MeshTopology) -> str:
-    """The whole snapshot of a mesh of topology as one %-format over
-    (t, z column, velocity, pressure); "%.17g" writes what format(x, ".17g")
-    does."""
+def _snapshot_template(topology: MeshTopology) -> Template:
+    """The whole snapshot of a mesh of topology, with slots for t, the z
+    column, the velocity and the pressure, in that order."""
     n = topology.num_nodes
     tri = topology.triangles
     m = len(tri)
-    return "".join((
+    return Template.of("".join((
         "# vtk DataFile Version 3.0\n",
-        "capflow snapshot t=%.17g\n",
+        f"capflow snapshot t={SLOT}\n",
         "ASCII\n",
         "DATASET UNSTRUCTURED_GRID\n",
         f"POINTS {n} double\n",
-        # the radii are written now; each "%%" leaves the z column's "%.17g"
-        ("%.17g %%.17g 0\n" * n) % tuple(topology.radii.tolist()),
+        "".join(f"{r:.17g} {SLOT} 0\n" for r in topology.radii.tolist()),
         f"CELLS {m} {4 * m}\n",
-        ("3 %d %d %d\n" * m) % tuple(tri.ravel().tolist()),
+        "".join(f"3 {a} {b} {c}\n" for a, b, c in tri.tolist()),
         f"CELL_TYPES {m}\n",
         "5\n" * m,
         f"POINT_DATA {n}\n",
         "VECTORS velocity double\n",
-        "%.17g %.17g 0\n" * n,
+        f"{SLOT} {SLOT} 0\n" * n,
         "SCALARS pressure double 1\n",
         "LOOKUP_TABLE default\n",
-        "%.17g\n" * n,
-    ))
+        f"{SLOT}\n" * n,
+    )))
 
 
 def write_vtk_snapshot(state: FlowState, path) -> None:
     """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid."""
     mesh = state.mesh
     values = np.concatenate(((float(state.t),), mesh.z, state.u.values.ravel(), state.p.values))
-    text = mesh.topology.memo(_snapshot_template) % tuple(values.tolist())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    text = mesh.topology.memo(_snapshot_template).fill(values)
+    with open(path, "wb") as fh:
         fh.write(text)

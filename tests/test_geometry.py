@@ -208,6 +208,17 @@ class TestDisplace:
         assert message.endswith(", ".join(f"({r[v]:.6e}, {z[v]:.6e})"
                                           for v in mesh.triangles[bad[0]]) + " m")
 
+    def test_tangling_displacement_names_its_dt(self):
+        """displace_mesh's MeshTangled is the new mesh's message with the step's dt."""
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        vals = np.zeros((mesh.num_nodes, 2))
+        vals[4, 1] = -5.0               # the middle node, (0.5, 0.5), to z = -0.75
+        with pytest.raises(MeshTangled) as tangled:
+            AxiMesh(z=mesh.z + 0.25 * vals[:, 1], topology=mesh.topology)
+        with pytest.raises(MeshTangled) as err:
+            displace_mesh(mesh, VectorFieldP1(vals, mesh), 0.25)
+        assert str(err.value) == f"{tangled.value}, after a step of dt = 2.500000e-01 s"
+
     def test_nonzero_bottom_velocity_rejected(self):
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         vals = np.zeros((mesh.num_nodes, 2))

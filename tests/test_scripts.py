@@ -39,7 +39,7 @@ def test_step_profile_times_every_phase():
     step_profile = load("step_profile")
     step_profile.REPEATS = 1
     rows = step_profile.phases(4, 8)
-    assert len(rows) == 16
+    assert len(rows) == 17
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows), rows
     step_profile.FAULT_STEPS = 3
     faults = step_profile.faults_per_step(4, 8)

@@ -1,11 +1,18 @@
 import csv
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capflow.control import RunHistory
+from capflow.errors import DimensionMismatch
 from capflow.fields import ScalarFieldP1, VectorFieldP1
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
+from capflow.kernels import SLOT, Template
 from capflow.stepping import FlowState
 from capflow.writers import CSV_HEADER, _snapshot_template, write_history_csv, write_vtk_snapshot
 
@@ -135,3 +142,79 @@ def test_vtk_snapshot_bytes_match_per_value_format(tmp_path):
     signed[mesh.wall_nodes[1], 0] = -0.0
     check(mesh, VectorFieldP1(signed, mesh), 0.5)
     assert "\n-0 " in path.read_text()
+
+
+def compiled(values) -> list[str]:
+    """Each value as the compiled template fill writes it."""
+    out = Template.of(f"{SLOT}\n" * len(values)).fill(np.array(values, dtype=float))
+    return out.tobytes().decode("ascii").splitlines()
+
+
+def expected(values) -> list[str]:
+    return [format(float(v), ".17g") for v in values]
+
+
+def half_even_ties() -> list[float]:
+    """Doubles exactly halfway between two 17-digit decimals: m / 2^(k + 1),
+    m odd, times 10^k between 10^16 and 10^17, three per k."""
+    ties = []
+    for k in range(1, 24):
+        lo, hi = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        for m in (lo | 1, (lo + hi) // 2 | 1, (hi - 2) | 1):
+            scaled = Fraction(m * 5**k, 2)
+            assert 10**16 < scaled < 10**17 and scaled.denominator == 2
+            ties.append(math.ldexp(m, -(k + 1)))
+    return ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), max_size=40))
+def test_formatter_writes_what_format_does(values):
+    assert compiled(values) == expected(values)
+
+
+def test_formatter_writes_what_format_does_at_the_edges():
+    tens = [float(f"1e{k}") for k in range(-30, 31)]
+    cases = {
+        "powers of ten and their neighbours": tens + [np.nextafter(x, d) for x in tens
+                                                      for d in (-math.inf, math.inf)],
+        "ties": half_even_ties() + [1e15 + 0.25, 1e15 + 0.75, 3 / 2**24]
+                + [float(10**16 + i) + 0.5 for i in range(-20, 20)]
+                + [k * 5e-18 for k in range(1, 400)],
+        "rounding across the style switch or to the next power of ten": [
+            9.99999999999999999e-05, 99999999999999999.0, 9.999999999999999e22,
+            np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0), 9.9999999999999999e-12],
+        "signed zeros, infinities, NaNs": [0.0, -0.0, math.inf, -math.inf, math.nan,
+                                           -math.nan, math.copysign(math.nan, -1.0)],
+        "subnormals and the extremes": [5e-324, -5e-324, 2.2250738585072009e-308,
+                                        2.2250738585072014e-308, 1.7976931348623157e308],
+    }
+    for what, values in cases.items():
+        assert compiled(values) == expected(values), what
+    assert compiled([-math.nan, -0.0]) == ["nan", "-0"]
+
+
+def test_history_csv_bytes_match_per_value_format(tmp_path):
+    hist = RunHistory()
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        hist.append(k * 2e-3, *(rng.standard_normal(5) * 10.0 ** rng.integers(-20, 20, 5)))
+    hist.append(0.06, 0.0, -0.0, 5e-324, 1e16, 1e-5)
+    path = tmp_path / "h.csv"
+    write_history_csv(hist, path)
+    rows = zip(hist.t, hist.z_cl, hist.zeta, hist.j_increment, hist.grad, hist.u_max)
+    lines = [CSV_HEADER] + [",".join(expected(row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_template_slots_and_values_are_checked():
+    for slots in ([1, 0], [-1], [3], [[0]]):
+        with pytest.raises(ValueError):
+            Template(b"ab", np.array(slots))
+    template = Template(b"ab", np.array([0, 1, 2]))
+    assert template.fill(np.array([1.0, -0.0, 0.5])).tobytes() == b"1a-0b0.5"
+    with pytest.raises(DimensionMismatch):
+        template.fill(np.zeros(2))
+    with pytest.raises(ValueError):
+        template.slots[0] = 1
