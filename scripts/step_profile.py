@@ -11,20 +11,26 @@ fill, the banded factorization, the state solve and the bottom-load solve of
 the control gradient, then the whole step, and last the two writers, into a
 temporary directory: the VTK snapshot of the state and a history.csv of
 HISTORY_ROWS rows of random values at the columns' scales.  Both go through
-one compiled template fill.  Each figure is the minimum over REPEATS
-calls, in ms.  The element data and mass action rows call the functions
-behind their memos; the assembly and step rows find the mass action of the
-old velocity already computed, as a step after a previous one does, and the
-assembly row works on a new mesh each call, as a step does.  The last line
-is the median number of minor page faults per step (ru_minflt) over a
-FAULT_STEPS-step controlled run of each grid, counted between the run's
-per-step callbacks.  Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) for
-comparable times.
+one compiled template fill.  Under each of the three solves, a ``residual``
+row times its compiled residual check alone.  Each figure is the minimum
+over REPEATS calls, in ms.  The element data and mass action rows call the
+functions behind their memos; the assembly and step rows find the mass
+action of the old velocity already computed, as a step after a previous one
+does, and the assembly row works on a new mesh each call, as a step does.
+Two lines follow the table: the median number of minor page faults per step
+(ru_minflt) over a FAULT_STEPS-step controlled run of each grid, counted
+between the run's per-step callbacks, and cProfile's function calls per
+controlled step, all of them and those in SciPy, from a run of
+1 + PROFILE_STEPS steps less a run of one (which builds the patterns), both
+after a one-step run that loads the kernels.  Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1) for comparable times.
 
     PYTHONPATH=src python scripts/step_profile.py
 """
 
+import cProfile
 import platform
+import pstats
 import resource
 import tempfile
 import time
@@ -36,7 +42,7 @@ import scipy
 
 from capflow import ale, forms, kernels
 from capflow.acceptance import tc1_config
-from capflow.adjoint import solve_bottom_sensitivity
+from capflow.adjoint import bottom_load, solve_bottom_sensitivity
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
@@ -49,6 +55,7 @@ REPEATS = 20                    # calls per phase; the minimum is reported
 ZETA = 1e-4                     # bottom control stress held over the slabs
 FAULT_STEPS = 20                # steps of the run whose page faults are counted
 HISTORY_ROWS = 100              # rows of the timed history.csv
+PROFILE_STEPS = 10              # steady steps whose function calls are counted
 
 
 def best_ms(fn, prepare=None):
@@ -81,8 +88,12 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     pattern = mesh.topology.memo(forms._saddle_pattern)
     _, vals, (tri, wall, surface) = pattern.values()
     vals[:] = 1.0
-    _, _, (stiffness,) = mesh.topology.memo(ale._extension_pattern).values()
+    extension = mesh.topology.memo(ale._extension_pattern)
+    data, stiffness_vals, (stiffness,) = extension.values()
     kernels.r_stiffness(forms.element_data(mesh), stiffness)
+    _, extension_rhs = ale._extension_rhs(u, stiffness)
+    extension_lu = forms.factorize(forms.LinearSystem(
+        pattern=extension, data=extension.fill(data, stiffness_vals), rhs=extension_rhs, mesh=mesh))
 
     def fresh_mesh(_=None):
         """A new mesh at the new positions: nothing memoised on it yet."""
@@ -92,6 +103,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
         ("  surface data and lifting", best_ms(
             lambda _: ale._extension_rhs(u, stiffness))),
+        ("  residual", residual_ms(extension_lu, extension_rhs)),
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
@@ -108,10 +120,19 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
         ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
+        ("  residual", residual_ms(lu, system.rhs)),
         ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(lu, mass_u))),
+        ("  residual", residual_ms(lu, bottom_load(system))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
         *writers_ms(state, num.dt),
     ]
+
+
+def residual_ms(lu, rhs: np.ndarray) -> float:
+    """The compiled residual check of lu's solve for rhs, on its own."""
+    system = lu.system
+    x, _ = lu.solve(rhs, "profiled")
+    return best_ms(lambda _: kernels.residual(system.pattern, system.data, x, rhs))
 
 
 def writers_ms(state, dt: float) -> list[tuple[str, float]]:
@@ -143,6 +164,27 @@ def faults_per_step(n1: int, n3: int) -> float:
     return float(np.median(np.diff(faults)))
 
 
+def calls_per_step(n1: int, n3: int) -> tuple[float, float]:
+    """cProfile's function calls per step of a controlled run, all of them and
+    those in SciPy: a run of 1 + PROFILE_STEPS steps less a run of one, over
+    PROFILE_STEPS, after an uncounted one-step run that loads the kernels."""
+    cfg = replace(tc1_config(), N1=n1, N3=n3)
+
+    def calls(steps: int) -> tuple[int, int]:
+        profile = cProfile.Profile()
+        profile.runcall(run_instantaneous_control, phys_params(cfg),
+                        replace(num_params(cfg), T=steps * cfg.dt), cfg.radius, cfg.init_height,
+                        controlled=True)
+        stats = pstats.Stats(profile).stats     # (file, line, name): (cc, calls, ...)
+        return (sum(s[1] for s in stats.values()),
+                sum(s[1] for (file, _, name), s in stats.items()
+                    if "scipy" in file or "scipy" in name))
+
+    calls(1)
+    (total, scipy_calls), (total_more, scipy_more) = calls(1), calls(1 + PROFILE_STEPS)
+    return (total_more - total) / PROFILE_STEPS, (scipy_more - scipy_calls) / PROFILE_STEPS
+
+
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls, ms")
@@ -152,6 +194,9 @@ def main() -> None:
         print(f"{name:<30}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
     print(f"{'minor faults / step':<30}"
           + "".join(f"{faults_per_step(n1, n3):>10.0f}" for n1, n3 in GRIDS))
+    calls = [calls_per_step(n1, n3) for n1, n3 in GRIDS]
+    print(f"{'python calls / step (scipy)':<30}"
+          + "".join(f"{f'{total:.0f} ({scipy_calls:.0f})':>10}" for total, scipy_calls in calls))
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     data, vals, (stiffness,) = pattern.values()
     r_stiffness(ed, stiffness)
     g, rhs = _extension_rhs(u, stiffness)
-    system = LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
+    system = LinearSystem(pattern=pattern, data=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
     x, residual = factorize(system).solve(rhs, "mesh-velocity")
 
     values = np.zeros((mesh.num_nodes, 2))

@@ -17,11 +17,16 @@ built once per mesh topology, and the mesh-velocity extension fills its
 stiffness the same way.  The tests check that fill against dense
 element-by-element quadrature written apart from these kernels.  A
 :class:`LinearSystem` carries its pattern, which maps every load onto the
-kept dofs (:meth:`FixedPattern.reduce`); only :func:`factorize` knows
+kept dofs (:meth:`FixedPattern.reduce`), and the fill's read-only CSC data
+on the pattern's structure; only :func:`factorize` knows
 the band storage, and the :class:`BandLU` it returns, an LU without pivoting
 from the compiled kernels of :mod:`capflow.kernels`, carries the system it
 factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
-that system's matrix.  The LU is restricted to the envelope of the
+that system's matrix, which one compiled call forms from the data and the
+pattern's bound ``indices`` and ``indptr``.  The step builds no SciPy
+object: SciPy finds the vertex order once per topology, and builds a
+system's matrix only when its ``matrix`` is read (the tests and the
+scripts).  The LU is restricted to the envelope of the
 pattern's structure, found once with its :class:`BandLayout`: without
 pivoting it makes no fill outside it (George & Liu 1981, ch. 4).
 
@@ -55,6 +60,7 @@ other raised the 32x64 peak resident memory by about 4 MiB.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,8 +338,8 @@ class FixedPattern:
     and each fill is one compiled ``scatter_add``.  Local entries on an
     eliminated row or column go to the trash slot len(indices), past the
     stored entries.  The pattern depends on no values: entries that cancel to
-    zero stay stored.  ``free`` and ``slot`` are read-only, bound once for the
-    kernels (``ptr``).
+    zero stay stored.  ``free``, ``slot``, ``indices`` and ``indptr`` are
+    read-only, bound once for the kernels (``ptr``).
 
     Reduced row and column k is the dof free[k]: the caller numbers the kept
     dofs, the build keeps that order, and :meth:`reduce` maps every load onto
@@ -353,7 +359,9 @@ class FixedPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "ptr", Pointers(free=(self.free, np.int64),
-                                                 slot=(self.slot, np.int32)))
+                                                 slot=(self.slot, np.int32),
+                                                 indices=(self.indices, np.int32),
+                                                 indptr=(self.indptr, np.int32)))
 
     @classmethod
     def build(cls, families: list[np.ndarray], free: np.ndarray, size: int) -> "FixedPattern":
@@ -411,27 +419,35 @@ class FixedPattern:
             at += e * k * k
         return data, vals, views
 
-    def fill(self, data: np.ndarray, vals: np.ndarray) -> sp.csc_matrix:
-        """The reduced matrix summing the flat local values into data, both from
-        :meth:`values`, in their order; the sums are those of a bincount, bit
-        for bit."""
+    def fill(self, data: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """The reduced matrix's CSC data, one value per stored entry on
+        (indices, indptr), read-only: the flat local values summed into data,
+        both from :meth:`values`, in their order; the sums are those of a
+        bincount, bit for bit."""
         kernels.expect("data", data, (len(self.indices) + 1,))
         kernels.expect("values", vals, self.slot.shape)
         kernels.kernel().scatter_add(len(self.slot), self.ptr.slot, vals, data)
-        n = len(self.free)
-        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
+        data.setflags(write=False)
+        return data[:-1]
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """A reduced system filled on a :class:`FixedPattern`: the saddle system
-    of one slab's state solve, or the mesh-velocity extension's; frozen, so a
-    :class:`BandLU` gates on the matrix it factored."""
+    of one slab's state solve, or the mesh-velocity extension's; frozen, and
+    its data read-only, so a :class:`BandLU` gates on the matrix it factored."""
 
     pattern: FixedPattern      # the matrix's sparsity, band layout, dof order and load reduction
-    matrix: sp.spmatrix        # the pattern's fill, kept dofs only
+    data: np.ndarray           # the pattern's fill, a value per stored entry, kept dofs only
     rhs: np.ndarray
     mesh: AxiMesh
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """The CSC matrix of data on the pattern's structure, built when read:
+        the run path reads data alone."""
+        n = len(self.pattern.indptr) - 1
+        return sp.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(n, n))
 
 
 def vertex_order(topology: MeshTopology) -> np.ndarray:
@@ -514,7 +530,7 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     triangle_blocks(element_data(mesh_new), u_old, V_old, dt, phys.nu, num.Cs, tri)
     _edge_blocks(mesh_new, u_old, V_old, beta, phys.gamma, dt, wall, surface)
     rhs = _loads(mesh_new, u_old, dt, zeta, phys, pattern)
-    return LinearSystem(pattern=pattern, matrix=pattern.fill(data, vals), rhs=rhs, mesh=mesh_new)
+    return LinearSystem(pattern=pattern, data=pattern.fill(data, vals), rhs=rhs, mesh=mesh_new)
 
 
 @dataclass(frozen=True)
@@ -529,21 +545,24 @@ class BandLU:
     def growth(self) -> float:
         """max |U| / max |A|, the growth of the factorization; computed when read."""
         ku = self.system.pattern.band.ku
-        return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.matrix.data).max())
+        return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.data).max())
 
     def solve(self, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
         """x on the reduced dofs with A x = rhs, A the system's matrix, and the
         relative residual ||A x - rhs|| / ||rhs||; every solve of the run path.
-        A non-finite x raises SingularMatrix and a relative residual above 1e-10
-        ResidualTooLarge, each naming the solve by what ("state", "bottom-load"
-        or "mesh-velocity")."""
-        band = self.system.pattern.band
-        x = np.array(rhs, dtype=np.float64)
-        solve_band(self.lu, band, x)
-        if not np.all(np.isfinite(x)):
+        The banded solve is one kernel call and the residual check another
+        (:func:`~capflow.kernels.residual`), on the system's data and its
+        pattern's structure.  A non-finite x raises SingularMatrix and a
+        relative residual above 1e-10 ResidualTooLarge, each naming the solve
+        by what ("state", "bottom-load" or "mesh-velocity")."""
+        system = self.system
+        b = np.ascontiguousarray(rhs, dtype=np.float64)
+        x = b.copy()
+        solve_band(self.lu, system.pattern.band, x)
+        out = kernels.residual(system.pattern, system.data, x, b)
+        if out is None:
             raise SingularMatrix(f"{what} solve produced non-finite values")
-        bnorm = np.linalg.norm(rhs)
-        res = np.linalg.norm(self.system.matrix @ x - rhs)
+        res, bnorm = math.sqrt(out[-2]), math.sqrt(out[-1])
         rel = res / bnorm if bnorm > 0 else res
         if rel > 1e-10:
             raise ResidualTooLarge(f"{what} solve: relative residual {rel:.3e}")
@@ -567,10 +586,10 @@ def factorize(system: LinearSystem) -> BandLU:
     no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly
     zero pivot."""
     band = system.pattern.band
-    n = system.matrix.shape[0]
-    kernels.expect("matrix data", system.matrix.data, band.position.shape)
+    n = len(band.lower)
+    kernels.expect("matrix data", system.data, band.position.shape)
     ab = np.zeros(band.ldab * n)
-    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.matrix.data, ab)
+    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
     ab = ab.reshape((band.ldab, n), order="F")
     info = factor_band(ab, band)
     if info > 0:

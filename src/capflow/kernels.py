@@ -2,8 +2,8 @@
 triangle and boundary-edge blocks, the mesh-velocity stiffness, the mass
 action, the loads summed into the reduced right-hand side, the mesh-velocity
 extension's data, the fill of a fixed pattern, the banded LU without
-pivoting with its solve, and, for the writers, an exact ``%.17g`` formatter
-that fills a text template.
+pivoting with its solve, the residual check of every solve, and, for the
+writers, an exact ``%.17g`` formatter that fills a text template.
 
 **Assembly.**  Every per-element and per-edge loop of the step is a kernel:
 the element data (``element_data``); each triangle's 9x9 saddle block, on
@@ -39,6 +39,12 @@ Systems*, ch. 4), so :func:`factor_band` and :func:`solve_band` loop over
 the envelope of the :class:`~capflow.forms.BandLayout` alone, each entry
 still taking the operations of the full band in its order; the rest of the
 band stays zero.
+
+**Residual.**  Every solve of the run path checks its x with one call of
+:func:`residual`: a flag when an entry of x is not finite, else A x formed
+column by column over the pattern's CSC arrays, each entry summed from zero
+in column order as scipy's ``csc_matvec`` sums it, so with its bits, and the
+squared norms of A x - b and b, each summed in row order.
 
 **Output.**  :meth:`Template.fill` copies a template's static text and
 writes each slot's double exactly as Python's ``format(x, ".17g")`` does.
@@ -491,6 +497,35 @@ CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *l
     }
 }
 
+/* The residual of a solve of A x = b, A the n x n CSC matrix (indptr,
+   indices, data).  Returns 1 if an entry of x is not finite.  Otherwise
+   writes A x into out[0 .. n), summed column by column from zero as scipy's
+   csc_matvec sums it, so with its bits, then ||A x - b||^2 into out[n] and
+   ||b||^2 into out[n + 1], each summed in row order, and returns 0. */
+CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
+                          const double *data, const double *x, const double *b, double *out)
+{
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        if (!isfinite(x[i]))
+            return 1;
+        out[i] = 0.0;
+    }
+    for (ptrdiff_t j = 0; j < n; ++j) {
+        const double xj = x[j];
+        for (int32_t k = indptr[j]; k < indptr[j + 1]; ++k)
+            out[indices[k]] += data[k] * xj;
+    }
+    double r2 = 0.0, b2 = 0.0;
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        const double d = out[i] - b[i];
+        r2 += d * d;
+        b2 += b[i] * b[i];
+    }
+    out[n] = r2;
+    out[n + 1] = b2;
+    return 0;
+}
+
 #ifdef __SIZEOF_INT128__
 /* 5^k for 0 <= k <= 27, the powers of five below 2^63. */
 static const uint64_t POW5[28] = {
@@ -769,6 +804,7 @@ class Kernel:
         bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
         self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)), size)
         self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), out))
+        self.residual = bind("residual", (size, at, at, values, values, values, out), size)
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
                                                     _Array(np.uint8, writeable=True)), size)
@@ -824,6 +860,21 @@ def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
     expect("band storage", lu, (band.ldab, len(band.lower)))
     expect("right-hand side", x, (lu.shape[1],))
     kernel().solve(lu.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu, x)
+
+
+def residual(pattern, data: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """A x, then ||A x - b||^2 and ||b||^2, as one (n + 2,) array, A the n x n
+    CSC matrix of data on the structure of pattern, a
+    :class:`~capflow.forms.FixedPattern`; the product has the bits of scipy's.
+    None if an entry of x is not finite."""
+    n = len(pattern.indptr) - 1
+    expect("matrix data", data, pattern.indices.shape)
+    expect("solution", x, (n,))
+    expect("right-hand side", b, (n,))
+    out = np.empty(n + 2)
+    if kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices, data, x, b, out):
+        return None
+    return out
 
 
 SLOT = "%.17g"

@@ -379,13 +379,20 @@ def triangle_blocks_reference(ed: ElementData, u: np.ndarray, V: np.ndarray, dt:
 
 # -- each form's matrix --------------------------------------------------------
 
+def filled(pattern: FixedPattern, data: np.ndarray, vals: np.ndarray) -> sp.csc_matrix:
+    """The CSC matrix of pattern's :meth:`~capflow.forms.FixedPattern.fill` of
+    vals into data, both from its ``values``."""
+    n = len(pattern.free)
+    return sp.csc_matrix((pattern.fill(data, vals), pattern.indices, pattern.indptr), shape=(n, n))
+
+
 def _fill(families: list[np.ndarray], blocks: list[np.ndarray], size: int) -> sp.csr_matrix:
     """The size x size matrix summing blocks[f][e] on the dofs families[f][e]."""
     pattern = FixedPattern.build(families, np.arange(size), size)
     data, vals, views = pattern.values()
     for view, block in zip(views, blocks):
         view[:] = block
-    return pattern.fill(data, vals).tocsr()
+    return filled(pattern, data, vals).tocsr()
 
 
 def _surface_dofs(mesh: AxiMesh) -> np.ndarray:

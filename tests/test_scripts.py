@@ -39,11 +39,18 @@ def test_step_profile_times_every_phase():
     step_profile = load("step_profile")
     step_profile.REPEATS = 1
     rows = step_profile.phases(4, 8)
-    assert len(rows) == 17
+    assert len(rows) == 20
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows), rows
+    # a residual row under each solve
+    names = [name for name, _ in rows]
+    for solve in ("ALE extension", "state solve", "bottom integral solve"):
+        assert "  residual" in names[names.index(solve) + 1:names.index(solve) + 3], solve
     step_profile.FAULT_STEPS = 3
     faults = step_profile.faults_per_step(4, 8)
     assert math.isfinite(faults) and faults >= 0
+    step_profile.PROFILE_STEPS = 2
+    calls, scipy_calls = step_profile.calls_per_step(4, 8)
+    assert calls > 0 and scipy_calls == 0
 
 
 @pytest.mark.parametrize("name, config, extra",

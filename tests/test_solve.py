@@ -13,19 +13,20 @@ import pytest
 import scipy.sparse as sp
 
 import capflow.ale
+import capflow.forms
 import capflow.stepping
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow.adjoint import solve_bottom_sensitivity
+from capflow.adjoint import bottom_load, solve_bottom_sensitivity
 from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
-from capflow.forms import (BandLayout, FixedPattern, LinearSystem, assemble_state_system,
+from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, element_data, factorize, kinetic_energy, mass_action,
                            _saddle_pattern, radial_table, solve)
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
-from .pattern_forms import form_a, mass_matrix
+from .pattern_forms import filled, form_a, mass_matrix
 from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -39,9 +40,10 @@ def system_of(matrix, rhs, free, mesh):
     in that order."""
     pattern = FixedPattern(free=read_only(free), size=3 * mesh.num_nodes, shapes=[],
                            slot=read_only(np.empty(0, np.int32)),
-                           indices=matrix.indices, indptr=matrix.indptr,
+                           indices=read_only(matrix.indices.astype(np.int32)),
+                           indptr=read_only(matrix.indptr.astype(np.int32)),
                            band=BandLayout.of(matrix.indices, matrix.indptr))
-    return LinearSystem(pattern=pattern, matrix=matrix, rhs=rhs, mesh=mesh)
+    return LinearSystem(pattern=pattern, data=read_only(matrix.data), rhs=rhs, mesh=mesh)
 
 
 def read_only(a):
@@ -144,7 +146,7 @@ def test_lu_carries_the_system_it_factors():
     assert lu.system is system
     # frozen: the matrix the residual gate reads is the one factored
     with pytest.raises(FrozenInstanceError):
-        system.matrix = sp.eye(system.matrix.shape[0], format="csc")
+        system.data = np.ones_like(system.data)
 
 
 # -- the compiled kernel -------------------------------------------------------
@@ -253,7 +255,7 @@ def extension_system(n1, n3):
     pattern = mesh.topology.memo(capflow.ale._extension_pattern)
     data, vals, (stiffness,) = pattern.values()
     kernels.r_stiffness(element_data(mesh), stiffness)
-    return pattern, pattern.fill(data, vals)
+    return pattern, filled(pattern, data, vals)
 
 
 def test_band_layout_reaches_are_the_profiles_of_the_structure():
@@ -391,10 +393,65 @@ def test_factorizations_are_bitwise_equal():
                           second.solve(system.rhs, "state")[0])
 
 
+def step_solves(monkeypatch):
+    """(system, rhs, what, x, relative residual) of each solve of one
+    controlled step from the fourth 16x32 tc1 slab's state, its gradient's
+    bottom-load solve included."""
+    _, mesh, u, _, zeta, phys, num = tc1_slab()
+    solves = []
+    solve = BandLU.solve
+
+    def recording(lu, rhs, what):
+        x, rel = solve(lu, rhs, what)
+        solves.append((lu.system, rhs, what, x, rel))
+        return x, rel
+
+    monkeypatch.setattr(BandLU, "solve", recording)
+    new, _, lu = step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num)
+    solve_bottom_sensitivity(lu, mass_action(new.u))
+    return solves
+
+
+def test_residual_kernel_is_scipys_product_and_numpys_norms(monkeypatch):
+    """The residual kernel's A x is scipy's product bit for bit, for the
+    step's solution and for a random x, and each solve's relative residual is
+    numpy's norm of A x - b over that of b, to 1e-12 relative."""
+    solves = step_solves(monkeypatch)
+    assert [what for _, _, what, _, _ in solves] == ["mesh-velocity", "state", "bottom-load"]
+    rng = np.random.default_rng(13)
+    for system, rhs, what, x, rel in solves:
+        A = system.matrix
+        for y in (x, rng.standard_normal(len(x))):
+            out = kernels.residual(system.pattern, system.data, y, rhs)
+            assert np.array_equal(bits(out[:-2]), bits(A @ y)), what
+        reference = np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs)
+        assert 0.0 < rel <= 1e-10
+        assert rel == pytest.approx(reference, rel=1e-12, abs=0.0), what
+
+
+def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch):
+    system = assemble_state_system(*tc1_slab(4, 8))
+    lu = factorize(system)
+    x, _ = lu.solve(system.rhs, "state")
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[-1] = bad
+        assert kernels.residual(system.pattern, system.data, y, system.rhs) is None
+    solve_band = capflow.forms.solve_band
+
+    def poisoned(lu, band, x):
+        solve_band(lu, band, x)
+        x[len(x) // 2] = np.nan
+
+    monkeypatch.setattr(capflow.forms, "solve_band", poisoned)
+    with pytest.raises(SingularMatrix, match="^bottom-load solve produced non-finite values$"):
+        lu.solve(bottom_load(system), "bottom-load")
+
+
 # every function of the kernel source
 KERNELS = ("element_data", "r_stiffness", "triangle_blocks", "edge_blocks", "mass_action",
            "bottom_load", "state_rhs", "extension_rhs", "gather", "scatter_add", "band_factor",
-           "band_solve")
+           "band_solve", "residual")
 
 
 def test_every_kernel_is_listed():
@@ -422,8 +479,9 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
         got, _ = compiled_kernels(*slab)
         system = assemble_state_system(*slab)
         lu = factorize(system)
-        got |= {"matrix": system.matrix.data, "lu": lu.lu,
-                "solve": lu.solve(system.rhs, "state")[0],
+        x = lu.solve(system.rhs, "state")[0]
+        got |= {"matrix": system.data, "lu": lu.lu, "solve": x,
+                "residual": kernels.residual(system.pattern, system.data, x, system.rhs),
                 "reduced bottom load": system.pattern.reduce(bottom_load_vector(slab[0]))}
         return got
 
@@ -441,6 +499,14 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
         kernels.factor_band(ab, full_band(5, 2, 2))
     with pytest.raises(DimensionMismatch):
         kernels.solve_band(ab, full_band(4, 2, 2), np.zeros(5))
+    mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+    n = 3 * mesh.num_nodes
+    system = system_of(sp.eye(n, format="csc"), np.ones(n), np.arange(n), mesh)
+    x = np.ones(n)
+    for data, y, b in ((system.data[:-1], x, x), (system.data, x[:-1], x),
+                       (system.data, x, x[:-1])):
+        with pytest.raises(DimensionMismatch):
+            kernels.residual(system.pattern, data, y, b)
 
 
 def test_kernel_calls_leave_no_garbage_cycles():
@@ -465,6 +531,7 @@ def test_kernel_calls_leave_no_garbage_cycles():
             kernels.r_stiffness(ed, stiffness)
             kernels.factor_band(lu.lu.copy(order="F"), band)
             kernels.solve_band(lu.lu, band, x)
+            kernels.residual(system.pattern, system.data, x, system.rhs)
             # a whole step and its gradient: every kernel, on new meshes and fields
             new, _, step_lu = step(state, zeta, phys, num)
             kinetic_energy(new.u)
@@ -479,6 +546,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
         kernels.factor_band(np.ascontiguousarray(lu.lu), band)
     with pytest.raises(ctypes.ArgumentError):
         system.pattern.reduce(np.zeros(3, dtype=np.int64))
+    with pytest.raises(ctypes.ArgumentError):
+        kernels.residual(system.pattern, system.data, np.zeros(len(x), np.float32), system.rhs)
 
 
 def test_binding_refuses_a_writeable_or_wrongly_typed_array():
@@ -527,8 +596,9 @@ def test_a_copied_state_reads_only_its_own_arrays(copy_of):
     patterns = [topology.memo(_saddle_pattern), topology.memo(capflow.ale._extension_pattern)]
     spoil(mesh.z, u.values, topology.radii, topology.triangles, *topology.boundary_edges.values(),
           ed.area, ed.grad_r, table.rq, table.inv_r, table.dr, table.rn, table.hoop, table.zz,
-          table.coupling_z, *(a for p in patterns for a in (p.free, p.slot, p.band.position,
-                                                              p.band.lower, p.band.upper)))
+          table.coupling_z, *(a for p in patterns for a in (p.free, p.slot, p.indices, p.indptr,
+                                                              p.band.position, p.band.lower,
+                                                              p.band.upper)))
     got, _, _ = step(copied, zeta, phys, num)
     assert np.array_equal(bits(got.u.values), bits(expected.u.values))
     assert np.array_equal(bits(got.mesh.z), bits(expected.mesh.z))

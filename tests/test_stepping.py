@@ -2,10 +2,13 @@ import ctypes
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._compressed import _cs_matrix
 
 import capflow.stepping
+from capflow.adjoint import solve_bottom_sensitivity
 from capflow.fields import NumParams, PhysParams
-from capflow.forms import bottom_load_vector, _flatten
+from capflow.forms import bottom_load_vector, mass_action, _flatten
 from capflow.geometry import mesh_quality
 from capflow.stepping import initial_state, pin_heap, step
 
@@ -99,6 +102,28 @@ def test_stability_over_full_run():
         assert np.all(state.mesh.nodes[state.mesh.bottom_nodes, 1] == 0.0)
         assert np.all(state.mesh.nodes[state.mesh.axis_nodes, 0] == 0.0)
     assert state.t == pytest.approx(0.2)
+
+
+def test_a_step_makes_no_scipy_matrix_and_no_scipy_product(monkeypatch):
+    """Once the first step has built the patterns, a controlled step and its
+    gradient's bottom-load solve build no scipy sparse matrix and take no
+    scipy product: the fill hands its data on, and every residual is one
+    compiled call."""
+    phys, num = tc1_params()
+    state = initial_state(5e-4, 5e-5, num)
+    state, *_ = step(state, 1e-4, phys, num)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy.sparse on the step")
+
+    for name in ("__init__", "_matmul_vector"):
+        monkeypatch.setattr(_cs_matrix, name, refused)
+    with pytest.raises(AssertionError, match="scipy.sparse on the step"):
+        sp.csc_matrix(np.eye(2))
+    for _ in range(2):
+        state, diag, lu = step(state, 1e-4, phys, num)
+        _, residual = solve_bottom_sensitivity(lu, mass_action(state.u))
+        assert max(diag.residual, diag.ale_residual, residual) <= 1e-10
 
 
 def test_pin_heap_is_idempotent():
