@@ -8,15 +8,21 @@ the compiled element data, the radial table (built once per run), the
 compiled triangle blocks, boundary-edge blocks, mass action and the loads
 summed into the reduced right-hand side, the whole saddle assembly, the
 fill, the banded factorization, the state solve and the bottom-load solve of
-the control gradient, then the whole step, and last the two writers, into a
-temporary directory: the VTK snapshot of the state and a history.csv of
-HISTORY_ROWS rows of random values at the columns' scales.  Both go through
-one compiled template fill.  Under each of the three solves, a ``residual``
-row times its compiled residual check alone.  Each figure is the minimum
-over REPEATS calls, in ms.  The element data and mass action rows call the
-functions behind their memos; the assembly and step rows find the mass
-action of the old velocity already computed, as a step after a previous one
-does, and the assembly row works on a new mesh each call, as a step does.
+the control gradient, then the whole step, and last the two writers: the VTK
+snapshot of the state and a history.csv of HISTORY_ROWS rows of random
+values at the columns' scales.  Both go through one compiled template fill.
+Under each of the three solves, a ``residual`` row times its compiled
+residual check alone.  Each figure is the minimum over REPEATS calls, in ms,
+except the writers'.  They are timed as a run meets them, over files that
+already exist on disk: each writer first writes RUN_FILES files in a
+temporary directory (as many as a 100-step run with a snapshot every step
+writes) and flushes each with fsync, as the files of an earlier run are,
+then rewrites each once, and its row is the median of those rewrites.  The
+minimum of rewrites of one file hides what freeing a file's blocks costs.
+The element data and mass action rows call the functions behind their
+memos; the assembly and step rows find the mass action of the old velocity
+already computed, as a step after a previous one does, and the assembly row
+works on a new mesh each call, as a step does.
 Two lines follow the table: the median number of minor page faults per step
 (ru_minflt) over a FAULT_STEPS-step controlled run of each grid, counted
 between the run's per-step callbacks, and cProfile's function calls per
@@ -29,6 +35,7 @@ after a one-step run that loads the kernels.  Pin BLAS to one thread
 """
 
 import cProfile
+import os
 import platform
 import pstats
 import resource
@@ -55,6 +62,7 @@ REPEATS = 20                    # calls per phase; the minimum is reported
 ZETA = 1e-4                     # bottom control stress held over the slabs
 FAULT_STEPS = 20                # steps of the run whose page faults are counted
 HISTORY_ROWS = 100              # rows of the timed history.csv
+RUN_FILES = 101                 # files a writer rewrites: a 100-step run's snapshots
 PROFILE_STEPS = 10              # steady steps whose function calls are counted
 
 
@@ -138,16 +146,31 @@ def residual_ms(lu, rhs: np.ndarray) -> float:
 def writers_ms(state, dt: float) -> list[tuple[str, float]]:
     """write_vtk_snapshot of the state, and write_history_csv of HISTORY_ROWS
     rows (t, Z_CL, zeta, J increment, gradient, max |u|) at the columns'
-    scales, into a temporary directory."""
+    scales, each timed by :func:`rewrite_ms`."""
     history = RunHistory()
     rng = np.random.default_rng(0)
     for k in range(HISTORY_ROWS):
         history.append(k * dt, *(rng.standard_normal(5) * (1e-4, 1e-4, 1e-15, 1e-12, 1e-2)))
+    return [("VTK snapshot", rewrite_ms(lambda path: write_vtk_snapshot(state, path))),
+            (f"history.csv ({HISTORY_ROWS} rows)",
+             rewrite_ms(lambda path: write_history_csv(history, path)))]
+
+
+def rewrite_ms(write) -> float:
+    """Median wall time in ms of write(path) over RUN_FILES files that write
+    made and fsync flushed beforehand."""
     with tempfile.TemporaryDirectory() as tmp:
-        snapshot, csv = Path(tmp) / "snapshot.vtk", Path(tmp) / "history.csv"
-        return [("VTK snapshot", best_ms(lambda _: write_vtk_snapshot(state, snapshot))),
-                (f"history.csv ({HISTORY_ROWS} rows)",
-                 best_ms(lambda _: write_history_csv(history, csv)))]
+        paths = [Path(tmp) / f"{k:05d}" for k in range(RUN_FILES)]
+        for path in paths:
+            write(path)
+            with open(path, "rb") as fh:
+                os.fsync(fh.fileno())
+        times = []
+        for path in paths:
+            t0 = time.perf_counter()
+            write(path)
+            times.append(time.perf_counter() - t0)
+    return 1e3 * float(np.median(times))
 
 
 def faults_per_step(n1: int, n3: int) -> float:
@@ -187,7 +210,8 @@ def calls_per_step(n1: int, n3: int) -> tuple[float, float]:
 
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
-          f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls, ms")
+          f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls "
+          f"(writers: median of {RUN_FILES} rewrites), ms")
     columns = [phases(n1, n3) for n1, n3 in GRIDS]
     print(f"{'phase':<30}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
     for i, (name, _) in enumerate(columns[0]):

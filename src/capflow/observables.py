@@ -45,8 +45,9 @@ def equilibrium_height(phys: PhysParams, radius: float, zeta_final: float = 0.0)
 def transient_time(history, z_inf: float, tol: float = 1e-3):
     """Earliest time after which every recorded Z_CL stays within tol * z_inf of z_inf.
 
-    Returns the time of the last sample violating the band (0 if none does),
-    or None when the final sample still violates it ("not attained").
+    Returns the time of the last sample violating the band (the first
+    sample's time, t[0], if none does), or None when the final sample still
+    violates it ("not attained").
     """
     t = np.asarray(history.t, dtype=float)
     z = np.asarray(history.z_cl, dtype=float)

@@ -18,9 +18,21 @@ pressure.  Field values are never baked in, not even the essential zero
 radial velocity on the wall and axis, which a field may hold as -0.0.
 ``history.csv``'s template, the header and one line of six slots per row, is
 built per write.
+
+Both writers overwrite an existing file in place (:func:`_overwrite`).  A
+run that writes a snapshot every step rewrites the files of an earlier run in
+the same directory, and truncating each on open frees its disk blocks only to
+allocate new ones for the same bytes: on an ext4 file system mounted with
+``discard``, a 16x32 snapshot's file write took about 0.3 ms that way inside
+a run, against 0.1 ms in place.  Writing from offset 0 and then cutting the
+file at the end of the new bytes keeps its blocks and leaves exactly the
+bytes ``open(path, "wb")`` would.
 """
 
 from __future__ import annotations
+
+import os
+import stat
 
 import numpy as np
 
@@ -31,13 +43,27 @@ from .stepping import FlowState
 CSV_HEADER = "t,Z_CL,zeta,J_increment,grad,u_max"
 
 
+def _overwrite(path, data: np.ndarray) -> None:
+    """Write data as the whole content of the file at path, creating it if it
+    is missing, without truncating it first: data goes from offset 0 over the
+    old bytes, then a regular file is cut at its end (``ftruncate`` fails on
+    devices such as ``os.devnull``, which need no cut)."""
+    with open(path, "wb", opener=_untruncated) as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
+def _untruncated(path, flags: int) -> int:
+    """open()'s os.open with its flags less O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_history_csv(history, path) -> None:
     columns = (history.t, history.z_cl, history.zeta, history.j_increment, history.grad,
                history.u_max)
     template = Template.of(CSV_HEADER + "\n" + (f"{SLOT}," * 5 + f"{SLOT}\n") * len(history.t))
-    text = template.fill(np.array(columns, dtype=float).T.ravel())
-    with open(path, "wb") as fh:
-        fh.write(text)
+    _overwrite(path, template.fill(np.array(columns, dtype=float).T.ravel()))
 
 
 def _snapshot_template(topology: MeshTopology) -> Template:
@@ -70,6 +96,4 @@ def write_vtk_snapshot(state: FlowState, path) -> None:
     """Mesh plus nodal velocity/pressure as legacy ASCII VTK unstructured grid."""
     mesh = state.mesh
     values = np.concatenate(((float(state.t),), mesh.z, state.u.values.ravel(), state.p.values))
-    text = mesh.topology.memo(_snapshot_template).fill(values)
-    with open(path, "wb") as fh:
-        fh.write(text)
+    _overwrite(path, mesh.topology.memo(_snapshot_template).fill(values))

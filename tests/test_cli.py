@@ -76,6 +76,20 @@ def test_run_snapshots(tmp_path):
     assert [p.name for p in snaps] == [f"snapshot_{k:05d}.vtk" for k in (0, 2, 4)]
 
 
+def test_rerun_into_the_same_out_writes_the_same_files(tmp_path):
+    """A second run into the same --out rewrites history.csv and every
+    snapshot in place, to the bytes a run into a fresh directory writes."""
+    cfg = tiny_config(tmp_path)
+    outs = (tmp_path / "out", tmp_path / "out", tmp_path / "fresh")
+    written = []
+    for out in outs:
+        assert cli.main(["run", "--config", str(cfg), "--snapshots", "2",
+                         "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["history.csv"] + [f"snapshot_{k:05d}.vtk" for k in (0, 2, 4)]
+    assert written[0] == written[1] == written[2]
+
+
 def test_run_aborted_simulation_exits_nonzero(tmp_path, capsys):
     cfg = tiny_config(tmp_path, N1=16, N3=32, alpha=5e8, lam=0.0, T=0.2)
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -218,3 +219,31 @@ def test_template_slots_and_values_are_checked():
         template.fill(np.zeros(2))
     with pytest.raises(ValueError):
         template.slots[0] = 1
+
+
+@pytest.mark.parametrize("writer", ["history", "snapshot"])
+def test_writers_overwrite_in_place(tmp_path, writer):
+    """Each writer leaves exactly its bytes over a longer, a shorter or an
+    empty existing file, in the same inode (the file is not replaced by a new
+    one), creates a missing file and writes to os.devnull."""
+    if writer == "history":
+        hist = RunHistory()
+        hist.append(0.0, 5e-5, 0.0, 0.0, 0.0, 0.0)
+        write = lambda path: write_history_csv(hist, path)     # noqa: E731
+    else:
+        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        state = FlowState(mesh=mesh, u=random_vector_field(mesh, seed=2),
+                          p=ScalarFieldP1(np.linspace(0, 1, mesh.num_nodes), mesh), t=0.5)
+        write = lambda path: write_vtk_snapshot(state, path)   # noqa: E731
+    fresh = tmp_path / "fresh"
+    write(fresh)
+    expected = fresh.read_bytes()
+    assert expected
+    for old in (b"x" * (3 * len(expected)), expected[:len(expected) // 2][::-1], b""):
+        path = tmp_path / "existing"
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+        write(path)
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino == inode
+    write(os.devnull)
