@@ -7,9 +7,12 @@ comes from the pattern's vertex-by-vertex reverse Cuthill-McKee order.
 Prints the number of reduced dofs, the stored entries, the band's kl and ku,
 the envelope's share of the band storage, the factor's multiply-subtracts
 within the envelope over those of the full band, the growth max|U|/max|A|
-of the LU without pivoting, and the median time of ``factorize``: the
-scatter into band storage and the compiled kernel, which loops over the
-envelope alone and whose compiler flags the header gives.
+of the LU without pivoting, the median time of ``factorize`` (the zeroed
+band storage, the scatter into it and the compiled kernel), the median time
+of the kernel alone (``kernels.factor_band`` on a copy of the scattered
+band, the copy untimed), which loops over the envelope alone and whose
+compiler flags the header gives, and the kernel's rate: the envelope's
+multiply-subtracts, the sum of lower[j] upper[j] over the columns, per ns.
 
     PYTHONPATH=src python scripts/fill_report.py
 """
@@ -24,7 +27,7 @@ import scipy
 from capflow import kernels
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
-from capflow.forms import factorize
+from capflow.forms import band_storage, factorize
 from capflow.stepping import initial_state, step
 
 GRIDS = ((16, 32), (32, 64), (64, 128))   # N1 x N3
@@ -42,24 +45,31 @@ def report(n1: int, n3: int) -> str:
     last = n - 1 - np.arange(n)
     share = (n + band.lower.sum() + band.upper.sum()) / (band.ldab * n)
     # column j updates upper[j] later columns on lower[j] rows each
-    work = (np.dot(band.lower, band.upper.astype(np.int64))
-            / np.dot(np.minimum(band.kl, last), np.minimum(band.ku, last)))
-    times = []
+    updates = np.dot(band.lower, band.upper.astype(np.int64))
+    work = updates / np.dot(np.minimum(band.kl, last), np.minimum(band.ku, last))
+    times, kernel_times = [], []
+    scattered = band_storage(system)
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         lu = factorize(system)
         times.append(1e3 * (time.perf_counter() - t0))
+        ab = scattered.copy(order="F")
+        t0 = time.perf_counter()
+        kernels.factor_band(ab, band)
+        kernel_times.append(1e3 * (time.perf_counter() - t0))
+    kernel_ms = float(np.median(kernel_times))
     return (f"{n1}x{n3:<6} {n:>7} {matrix.nnz:>9} {band.kl:>5} {band.ku:>5} {share:>8.3f} "
-            f"{work:>8.3f} {lu.growth:>8.3f} {float(np.median(times)):>12.2f}")
+            f"{work:>8.3f} {lu.growth:>8.3f} {float(np.median(times)):>12.2f} "
+            f"{kernel_ms:>9.2f} {updates / (1e6 * kernel_ms):>9.2f}")
 
 
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}; kernel built with "
-          f"{kernels.COMPILER} {' '.join(kernels.FLAGS)}; factorize times are medians of "
-          f"{REPEATS} in ms")
+          f"{kernels.COMPILER} {' '.join(kernels.FLAGS)}; times are medians of {REPEATS} in "
+          f"ms, the kernel's rate in multiply-subtracts per ns")
     print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'envelope':>8} "
-          f"{'work':>8} {'growth':>8} {'factorize ms':>12}")
+          f"{'work':>8} {'growth':>8} {'factorize ms':>12} {'kernel ms':>9} {'msub/ns':>9}")
     for n1, n3 in GRIDS:
         print(report(n1, n3), flush=True)
 

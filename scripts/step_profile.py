@@ -7,10 +7,12 @@ times the phases of the fourth on their own: the mesh-velocity extension
 the compiled element data, the radial table (built once per run), the
 compiled triangle blocks, boundary-edge blocks, mass action and the loads
 summed into the reduced right-hand side, the whole saddle assembly, the
-fill, the banded factorization, the state solve and the bottom-load solve of
-the control gradient, then the whole step, and last the two writers: the VTK
-snapshot of the state and a history.csv of HISTORY_ROWS rows of random
-values at the columns' scales.  Both go through one compiled template fill.
+fill, the banded factorization with, under it, its compiled kernel alone (on
+a copy of the scattered band, made untimed), the state solve and the
+bottom-load solve of the control gradient, then the whole step, and last the
+two writers: the VTK snapshot of the state and a history.csv of
+HISTORY_ROWS rows of random values at the columns' scales.  Both go through
+one compiled template fill.
 Under each of the three solves, a ``residual`` row times its compiled
 residual check alone.  Each figure is the minimum over REPEATS calls, in ms,
 except the writers'.  They are timed as a run meets them, over files that
@@ -91,6 +93,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
     lu = forms.factorize(system)
+    scattered = forms.band_storage(system)
     u_new, _, _ = forms.solve(lu, system.rhs)
     mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
@@ -127,6 +130,8 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
+        ("  factor kernel", best_ms(lambda ab: kernels.factor_band(ab, system.pattern.band),
+                                    lambda: scattered.copy(order="F"))),
         ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
         ("  residual", residual_ms(lu, system.rhs)),
         ("bottom integral solve", best_ms(lambda _: solve_bottom_sensitivity(lu, mass_u))),

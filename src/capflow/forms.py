@@ -569,6 +569,17 @@ class BandLU:
         return x, rel
 
 
+def band_storage(system: LinearSystem) -> np.ndarray:
+    """System's matrix scattered by the compiled ``scatter_add`` into zeroed
+    (kl + ku + 1, n) Fortran-ordered band storage of its pattern's layout."""
+    band = system.pattern.band
+    n = len(band.lower)
+    kernels.expect("matrix data", system.data, band.position.shape)
+    ab = np.zeros(band.ldab * n)
+    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
+    return ab.reshape((band.ldab, n), order="F")
+
+
 def factorize(system: LinearSystem) -> BandLU:
     """Banded LU without pivoting of system's matrix, the one factorization
     of the run path: the state solve and the bottom-load solve of the control
@@ -579,19 +590,13 @@ def factorize(system: LinearSystem) -> BandLU:
 
     The band layout is that of system's pattern, whose dofs come vertex by
     vertex in the topology's reverse Cuthill-McKee order, which keeps the
-    band narrow.  The matrix is scattered through that layout into zeroed
-    (kl + ku + 1, n) Fortran-ordered band storage by the compiled
-    compiled ``scatter_add``, and the kernel factors it in place
+    band narrow.  The matrix is scattered through that layout into band
+    storage (:func:`band_storage`), and the kernel factors it in place
     within the layout's envelope, outside which an LU without pivoting makes
     no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly
     zero pivot."""
-    band = system.pattern.band
-    n = len(band.lower)
-    kernels.expect("matrix data", system.data, band.position.shape)
-    ab = np.zeros(band.ldab * n)
-    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
-    ab = ab.reshape((band.ldab, n), order="F")
-    info = factor_band(ab, band)
+    ab = band_storage(system)
+    info = factor_band(ab, system.pattern.band)
     if info > 0:
         raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
     return BandLU(system=system, lu=ab)

@@ -38,7 +38,11 @@ envelope, L within the row profile and U within the column profile
 Systems*, ch. 4), so :func:`factor_band` and :func:`solve_band` loop over
 the envelope of the :class:`~capflow.forms.BandLayout` alone, each entry
 still taking the operations of the full band in its order; the rest of the
-band stays zero.
+band stays zero.  The factor eliminates two pivot columns per pass and
+updates the later columns four at a time, loading each pivot entry once
+for the four (unroll-and-jam: Carr & Kennedy 1994, ACM TOPLAS 16(6)).  A
+later column's update reads only the pivot columns and itself, so the
+grouping leaves every entry's operations, and their order, as they were.
 
 **Residual.**  Every solve of the run path checks its x with one call of
 :func:`residual`: a flag when an entry of x is not finite, else A x formed
@@ -427,6 +431,38 @@ static inline void update2(ptrdiff_t m, double a, const double *restrict x, doub
         y[r] = (y[r] - x[r] * a) - w[r] * b;
 }
 
+/* y_t -= a_t x for four columns y_0..y_3 in one pass over x, each entry as in
+   update. */
+static inline void update_x4(ptrdiff_t m, const double *restrict x,
+                             double a0, double *restrict y0, double a1, double *restrict y1,
+                             double a2, double *restrict y2, double a3, double *restrict y3)
+{
+    for (ptrdiff_t r = 0; r < m; ++r) {
+        const double xr = x[r];
+        y0[r] -= xr * a0;
+        y1[r] -= xr * a1;
+        y2[r] -= xr * a2;
+        y3[r] -= xr * a3;
+    }
+}
+
+/* y_t = (y_t - a_t x) - b_t w for four columns y_0..y_3 in one pass over x
+   and w, each entry as in update2. */
+static inline void update2_x4(ptrdiff_t m, const double *restrict x, const double *restrict w,
+                              double a0, double b0, double *restrict y0,
+                              double a1, double b1, double *restrict y1,
+                              double a2, double b2, double *restrict y2,
+                              double a3, double b3, double *restrict y3)
+{
+    for (ptrdiff_t r = 0; r < m; ++r) {
+        const double xr = x[r], wr = w[r];
+        y0[r] = (y0[r] - xr * a0) - wr * b0;
+        y1[r] = (y1[r] - xr * a1) - wr * b1;
+        y2[r] = (y2[r] - xr * a2) - wr * b2;
+        y3[r] = (y3[r] - xr * a3) - wr * b3;
+    }
+}
+
 /* The multipliers of a column: its entries 1..m over its pivot, entry 0. */
 static inline void scale(ptrdiff_t m, double *col)
 {
@@ -442,8 +478,12 @@ static inline void scale(ptrdiff_t m, double *col)
    without pivoting no fill leaves that envelope (George & Liu 1981, ch. 4).
    Columns j and j + 1 are eliminated together: each later column takes both
    updates in one pass, every entry the same operations in the same order as
-   one column at a time.  Returns 0, or j + 1 for an exactly zero pivot in
-   column j. */
+   one column at a time.  The later columns go four at a time, first those
+   both pivot columns reach, then those only column j + 1 reaches, so each
+   pass loads a pivot entry once for four targets; the rest go one by one.
+   The columns' updates are independent of each other, so neither grouping
+   changes an entry's operations or their order.  Returns 0, or j + 1 for
+   an exactly zero pivot in column j. */
 CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
                              const int32_t *upper, double *ab)
 {
@@ -463,15 +503,35 @@ CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int3
         if (c1[0] == 0.0)
             return j + 2;
         scale(m1, c1);
-        for (ptrdiff_t c = 2; c <= u1 + 1; ++c) {
-            double *R = c0 + c * (ldab - 1);            /* R[r]: entry (j + r, j + c) */
-            if (c <= u0 && m0 > 0) {                    /* column j reaches it too */
-                R[1] -= c0[1] * R[0];
-                update2(m0 - 1, R[0], c0 + 2, R[1], c1 + 1, R + 2);
-                update(m1 + 1 - m0, R[1], c1 + m0, R + m0 + 1);
-            } else {
-                update(m1, R[1], c1 + 1, R + 2);
-            }
+        /* R[r]: entry (j + r, j + c) at R = c0 + c s.  Columns c = 2..both
+           take both pivot columns' updates (none if column j has no
+           multipliers), the rest up to u1 + 1 >= u0 only column j + 1's. */
+        const ptrdiff_t s = ldab - 1, both = m0 > 0 ? u0 : 1;
+        ptrdiff_t c = 2;
+        for (; c + 3 <= both; c += 4) {
+            double *R0 = c0 + c * s, *R1 = R0 + s, *R2 = R1 + s, *R3 = R2 + s;
+            R0[1] -= c0[1] * R0[0];
+            R1[1] -= c0[1] * R1[0];
+            R2[1] -= c0[1] * R2[0];
+            R3[1] -= c0[1] * R3[0];
+            update2_x4(m0 - 1, c0 + 2, c1 + 1, R0[0], R0[1], R0 + 2, R1[0], R1[1], R1 + 2,
+                       R2[0], R2[1], R2 + 2, R3[0], R3[1], R3 + 2);
+            update_x4(m1 + 1 - m0, c1 + m0, R0[1], R0 + m0 + 1, R1[1], R1 + m0 + 1,
+                      R2[1], R2 + m0 + 1, R3[1], R3 + m0 + 1);
+        }
+        for (; c <= both; ++c) {
+            double *R = c0 + c * s;
+            R[1] -= c0[1] * R[0];
+            update2(m0 - 1, R[0], c0 + 2, R[1], c1 + 1, R + 2);
+            update(m1 + 1 - m0, R[1], c1 + m0, R + m0 + 1);
+        }
+        for (; c + 3 <= u1 + 1; c += 4) {
+            double *R0 = c0 + c * s, *R1 = R0 + s, *R2 = R1 + s, *R3 = R2 + s;
+            update_x4(m1, c1 + 1, R0[1], R0 + 2, R1[1], R1 + 2, R2[1], R2 + 2, R3[1], R3 + 2);
+        }
+        for (; c <= u1 + 1; ++c) {
+            double *R = c0 + c * s;
+            update(m1, R[1], c1 + 1, R + 2);
         }
     }
     return 0;

@@ -26,23 +26,27 @@ def load(name):
 def test_fill_report_reports_the_band():
     fill_report = load("fill_report")
     fill_report.REPEATS = 1
-    grid, n, nnz, kl, ku, envelope, work, growth, ms = fill_report.report(4, 8).split()
+    grid, n, nnz, kl, ku, envelope, work, growth, ms, kernel_ms, rate = (
+        fill_report.report(4, 8).split())
     assert grid == "4x8"
     assert int(n) > 0 and int(nnz) > int(n)
     assert 0 < int(kl) == int(ku) < int(n)
     assert 0.0 < float(envelope) <= 1.0 and 0.0 < float(work) <= 1.0
     assert 0.0 < float(growth) <= 10.0
     assert math.isfinite(float(ms)) and float(ms) >= 0.0
+    assert math.isfinite(float(kernel_ms)) and float(kernel_ms) >= 0.0
+    assert float(rate) > 0.0
 
 
 def test_step_profile_times_every_phase():
     step_profile = load("step_profile")
     step_profile.REPEATS = 1
     rows = step_profile.phases(4, 8)
-    assert len(rows) == 20
+    assert len(rows) == 21
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows), rows
-    # a residual row under each solve
+    # the factor's kernel under the factorization, a residual row under each solve
     names = [name for name, _ in rows]
+    assert names[names.index("factorize") + 1] == "  factor kernel"
     for solve in ("ALE extension", "state solve", "bottom integral solve"):
         assert "  residual" in names[names.index(solve) + 1:names.index(solve) + 3], solve
     step_profile.FAULT_STEPS = 3

@@ -194,14 +194,17 @@ def test_kernel_factors_equal_the_dense_lu_without_pivoting():
 
 
 def test_kernel_handles_every_band_shape():
-    """kl and ku from 0 to 4 and n from 1 to 12, odd and even (the kernel
-    eliminates two columns at a time) and narrower than the band: the
-    factors equal the dense loop's bit for bit, and a solve matches a dense
-    solve."""
+    """kl from 0 to 6, ku from 0 to 9 and n from 1 to 16, odd and even (the
+    kernel eliminates two pivot columns at a time) and narrower than the
+    band, so the later columns both pivots reach come in every count mod 4
+    (the kernel updates them four at a time; on a full band those only the
+    second reaches are at most one but for kl = 0, and the unsymmetric
+    envelope test covers them): the factors equal the dense loop's bit for
+    bit, and a solve matches a dense solve."""
     rng = np.random.default_rng(9)
-    for n in range(1, 13):
-        for kl in range(5):
-            for ku in range(5):
+    for n in range(1, 17):
+        for kl in range(7):
+            for ku in range(10):
                 i, j = np.indices((n, n))
                 A = np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((n, n)), 0.0)
                 A += 4.0 * np.eye(n)
@@ -235,11 +238,11 @@ def outside_envelope(band, n):
     return ~(below | above | (i == j))
 
 
-def unsymmetric_envelope():
-    """A 14 x 14 band, kl = 4 and ku = 3, whose row and column profiles
-    differ, every entry inside them nonzero and the pivots positive."""
-    rng = np.random.default_rng(11)
-    n, kl, ku = 14, 4, 3
+def unsymmetric_envelope(n=14, kl=4, ku=3, seed=11):
+    """An n x n band, at most kl sub- and ku superdiagonals, whose row and
+    column profiles differ, every entry inside them nonzero and the pivots
+    positive."""
+    rng = np.random.default_rng(seed)
     i, j = np.indices((n, n))
     first_column = np.maximum(np.arange(n) - rng.integers(0, kl + 1, n), 0)
     first_row = np.maximum(np.arange(n) - rng.integers(0, ku + 1, n), 0)
@@ -299,25 +302,38 @@ def test_lu_without_pivoting_fills_nothing_outside_the_envelope(grid):
 
 def test_unsymmetric_envelope_factors_like_the_dense_loop():
     """Row and column profiles that differ: swapping L's and U's reach would
-    leave entries of the factors out."""
-    A = unsymmetric_envelope()
-    matrix = sp.csc_matrix(A)
-    band = BandLayout.of(matrix.indices, matrix.indptr)
-    n = len(A)
-    values, places = on_band(A, band.kl, band.ku)
-    ab = np.zeros((band.ldab, n), order="F")
-    ab[places] = values
-    assert kernels.factor_band(ab, band) == 0
-    assert np.array_equal(bits(ab[places]), bits(on_band(dense_lu_without_pivoting(A),
-                                                         band.kl, band.ku)[0]))
-    b = np.random.default_rng(12).standard_normal(n)
-    x = b.copy()
-    kernels.solve_band(ab, band, x)
-    ref = np.linalg.solve(A, b)
-    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-    full = b.copy()
-    kernels.solve_band(ab, full_band(n, band.kl, band.ku), full)
-    assert np.array_equal(bits(x), bits(full))
+    leave entries of the factors out.  The second, wider envelope (kl and ku
+    at least 8) has reaches that change from column to column: for the pivot
+    columns j, j + 1 of a pass, the later columns both reach, and those only
+    j + 1 reaches, come in every count mod 4 and in full groups of four, so
+    the groups of four later columns the kernel updates together start and
+    end at every offset."""
+    for A in (unsymmetric_envelope(), unsymmetric_envelope(n=40, kl=9, ku=10, seed=12)):
+        matrix = sp.csc_matrix(A)
+        band = BandLayout.of(matrix.indices, matrix.indptr)
+        n = len(A)
+        values, places = on_band(A, band.kl, band.ku)
+        ab = np.zeros((band.ldab, n), order="F")
+        ab[places] = values
+        assert kernels.factor_band(ab, band) == 0
+        assert np.array_equal(bits(ab[places]), bits(on_band(dense_lu_without_pivoting(A),
+                                                             band.kl, band.ku)[0]))
+        b = np.random.default_rng(12).standard_normal(n)
+        x = b.copy()
+        kernels.solve_band(ab, band, x)
+        ref = np.linalg.solve(A, b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        full = b.copy()
+        kernels.solve_band(ab, full_band(n, band.kl, band.ku), full)
+        assert np.array_equal(bits(x), bits(full))
+    assert band.kl >= 8 and band.ku >= 8
+    both, only = [], []
+    for j in range(0, n - 1, 2):
+        last = max(band.upper[j] if band.lower[j] > 0 else 1, 1)   # the last one j reaches
+        both.append(last - 1)
+        only.append(band.upper[j + 1] + 1 - last)
+    for counts in (both, only):
+        assert {c % 4 for c in counts} == {0, 1, 2, 3} and max(counts) >= 4, counts
 
 
 def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
