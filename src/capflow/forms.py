@@ -23,10 +23,11 @@ the band storage, and the :class:`BandLU` it returns, an LU without pivoting
 from the compiled kernels of :mod:`capflow.kernels`, carries the system it
 factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
 that system's matrix, which one compiled call forms from the data and the
-pattern's bound ``indices`` and ``indptr``.  The step builds no SciPy
-object: SciPy finds the vertex order once per topology, and builds a
-system's matrix only when its ``matrix`` is read (the tests and the
-scripts).  The LU is restricted to the envelope of the
+pattern's bound ``indices`` and ``indptr``.  The package needs numpy
+alone: the vertex order is a reverse Cuthill-McKee search in plain Python,
+once per topology, and SciPy is imported only to build a system's matrix
+when its ``matrix`` is read (the tests and the scripts).  The LU is
+restricted to the envelope of the
 pattern's structure, found once with its :class:`BandLayout`: without
 pivoting it makes no fill outside it (George & Liu 1981, ch. 4).
 
@@ -64,8 +65,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import kernels
 from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
@@ -443,15 +442,18 @@ class LinearSystem:
     mesh: AxiMesh
 
     @property
-    def matrix(self) -> sp.csc_matrix:
-        """The CSC matrix of data on the pattern's structure, built when read:
-        the run path reads data alone."""
+    def matrix(self) -> "scipy.sparse.csc_matrix":
+        """The CSC matrix of data on the pattern's structure, built when read,
+        and SciPy imported with it: the run path reads data alone."""
+        import scipy.sparse
         n = len(self.pattern.indptr) - 1
-        return sp.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(n, n))
+        return scipy.sparse.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr),
+                                       shape=(n, n))
 
 
 def vertex_order(topology: MeshTopology) -> np.ndarray:
-    """The reverse Cuthill-McKee order of topology's vertices, found once per
+    """The reverse Cuthill-McKee order of topology's vertices
+    (:func:`reverse_cuthill_mckee` of the vertex graph), found once per
     topology; read-only.  Both patterns number their kept dofs vertex by
     vertex in it, which keeps the band about as narrow as the vertex graph's
     times the dofs per vertex (the quotient graph; George & Liu 1981, ch. 4)."""
@@ -460,12 +462,45 @@ def vertex_order(topology: MeshTopology) -> np.ndarray:
 
 def _vertex_order(topology: MeshTopology) -> np.ndarray:
     tri, n = topology.triangles, topology.num_nodes
-    edges = np.unique(tri[:, _COL].ravel() * n + tri[:, _ROW].ravel())  # column * n + row, no COO
-    graph = sp.csc_matrix((np.ones(len(edges)), edges % n,
-                           np.searchsorted(edges // n, np.arange(n + 1))), shape=(n, n))
-    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    edges = np.unique(tri[:, _COL].ravel() * n + tri[:, _ROW].ravel())  # column * n + row
+    order = reverse_cuthill_mckee(edges % n, np.searchsorted(edges // n, np.arange(n + 1)))
     order.setflags(write=False)
     return order
+
+
+def reverse_cuthill_mckee(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The reverse Cuthill-McKee order of the symmetric CSC structure
+    (indices, indptr) (Cuthill & McKee 1969; George & Liu 1981, ch. 4), step
+    for step scipy's ``reverse_cuthill_mckee(graph, symmetric_mode=True)``:
+    a degree is a column's length with the diagonal counted twice; the
+    seeds come in numpy's default, unstable argsort of the int32 degrees
+    (a stable sort breaks ties otherwise); from each unplaced seed a
+    breadth-first search places a node's unplaced neighbours in index
+    order, each batch sorted stably by degree; the order is reversed."""
+    n = len(indptr) - 1
+    degree = np.diff(indptr).astype(np.int32)
+    column = np.repeat(np.arange(n), degree)
+    degree[column[indices == column]] += 1
+    seeds = np.argsort(degree).tolist()
+    key, indices, indptr = degree.tolist().__getitem__, indices.tolist(), indptr.tolist()
+    placed, order = [False] * n, []
+    for seed in seeds:
+        if placed[seed]:
+            continue
+        placed[seed] = True
+        order.append(seed)
+        head = len(order) - 1
+        while head < len(order):
+            i = order[head]
+            head += 1
+            batch = []
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                if not placed[j]:
+                    placed[j] = True
+                    batch.append(j)
+            batch.sort(key=key)
+            order += batch
+    return np.array(order[::-1])
 
 
 def in_vertex_order(topology: MeshTopology, components: int, fixed: np.ndarray) -> np.ndarray:
@@ -589,8 +624,9 @@ def factorize(system: LinearSystem) -> BandLU:
     pivoting (see :mod:`capflow.kernels`).
 
     The band layout is that of system's pattern, whose dofs come vertex by
-    vertex in the topology's reverse Cuthill-McKee order, which keeps the
-    band narrow.  The matrix is scattered through that layout into band
+    vertex in the topology's reverse Cuthill-McKee order
+    (:func:`vertex_order`, numpy and Python alone), which keeps the band
+    narrow.  The matrix is scattered through that layout into band
     storage (:func:`band_storage`), and the kernel factors it in place
     within the layout's envelope, outside which an LU without pivoting makes
     no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
 import capflow.control
 import capflow.forms
@@ -15,7 +17,7 @@ from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, _edge_blocks, _loads, _saddle_pattern,
                            assemble_state_system, beta_h, bottom_load_vector, element_data,
-                           factorize, mass_action, vertex_order)
+                           factorize, mass_action, reverse_cuthill_mckee, vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
 from capflow.kernels import r_stiffness, triangle_blocks
 from capflow.stepping import initial_state, step
@@ -256,6 +258,68 @@ def test_patterns_number_dofs_vertex_by_vertex(pattern_of, components):
     order = vertex_order(topology)
     assert vertex_order(topology) is order
     assert np.array_equal(vertex[starts], order[np.isin(order, vertex)])
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (8, 16), (16, 32), (32, 64)],
+                         ids=["4x4", "8x16", "16x32", "32x64"])
+def test_vertex_order_is_scipys_on_the_vertex_graph(grid):
+    """The vertex order is scipy's reverse Cuthill-McKee order of the vertex
+    graph, built here from the triangles through scipy, so the band and the
+    LU's bits are those the order of scipy gives."""
+    topology = build_structured_mesh(1.0, 1.0, *grid).topology
+    tri = topology.triangles
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, 3).ravel()
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols))).tocsc()
+    expected = scipy_rcm(graph, symmetric_mode=True)
+    assert np.array_equal(vertex_order(topology), expected)
+    assert np.array_equal(reverse_cuthill_mckee(graph.indices, graph.indptr), expected)
+
+
+def _random_graph(rng, n, p, diagonal):
+    """A random symmetric n-node graph with edge probability p, each node
+    carrying a diagonal entry with probability diagonal."""
+    m = rng.random((n, n)) < p
+    m |= m.T
+    np.fill_diagonal(m, rng.random(n) < diagonal)
+    return m
+
+
+def _disconnected(rng):
+    """Random components and lone nodes, with and without a diagonal, their
+    nodes shuffled."""
+    m = sp.block_diag([_random_graph(rng, k, 0.2, 0.5) for k in (12, 30, 1, 7, 1, 25)]).toarray()
+    shuffle = rng.permutation(len(m))
+    return m[np.ix_(shuffle, shuffle)]
+
+
+def _ties(rng):
+    """A ring lattice of 60 nodes, each joined to the next two, a few chords,
+    and diagonals on half the nodes: a few degrees shared by many nodes."""
+    n = 60
+    m = np.zeros((n, n), dtype=bool)
+    for offset in (1, 2):
+        m[np.arange(n), (np.arange(n) + offset) % n] = True
+    m[rng.integers(0, n, 8), rng.integers(0, n, 8)] = True
+    m |= m.T
+    np.fill_diagonal(m, rng.random(n) < 0.5)
+    return m
+
+
+@pytest.mark.parametrize("graph", [
+    _ties,
+    lambda rng: _random_graph(rng, 50, 0.08, 0.0),
+    lambda rng: _random_graph(rng, 80, 0.05, 0.5),
+    _disconnected,
+    lambda rng: np.ones((1, 1), dtype=bool),
+    lambda rng: np.zeros((1, 1), dtype=bool),
+], ids=["ties", "no-diagonal", "some-diagonals", "disconnected", "one-node", "one-lone-node"])
+@pytest.mark.parametrize("seed", range(3))
+def test_reverse_cuthill_mckee_is_scipys(graph, seed):
+    """On graphs with degree ties, with no or some diagonal entries, with
+    several components and with a single node, the order is scipy's."""
+    m = sp.csc_matrix(graph(np.random.default_rng(seed)).astype(float))
+    assert np.array_equal(reverse_cuthill_mckee(m.indices, m.indptr),
+                          scipy_rcm(m, symmetric_mode=True))
 
 
 @pytest.mark.parametrize("grid", [(4, 8), (8, 16)], ids=["4x8", "8x16"])

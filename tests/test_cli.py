@@ -1,4 +1,6 @@
 import csv
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +17,31 @@ def tiny_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "tiny.cfg"
     path.write_text(serialize_config(replace(RunConfig(), **fields)))
     return path
+
+
+def test_a_run_and_its_outputs_load_no_scipy(tmp_path):
+    """The package needs numpy alone: a fresh process that imports capflow
+    and its CLI, runs two controlled 4x4 steps and writes the history and a
+    snapshot has loaded no SciPy module."""
+    code = ("import sys\n"
+            "from dataclasses import replace\n"
+            "import capflow, capflow.cli\n"
+            "from capflow.acceptance import tc1_config\n"
+            "cfg = tc1_config()\n"
+            "num = replace(capflow.num_params(cfg), N1=4, N3=4, T=2 * cfg.dt)\n"
+            "states = []\n"
+            "hist = capflow.run_instantaneous_control(\n"
+            "    capflow.phys_params(cfg), num, cfg.radius, cfg.init_height, controlled=True,\n"
+            "    snapshot_cb=lambda n, state: states.append(state))\n"
+            "assert hist.abort_reason is None and len(states) == 3\n"
+            "capflow.write_history_csv(hist, sys.argv[1] + '/history.csv')\n"
+            "capflow.write_vtk_snapshot(states[-1], sys.argv[1] + '/snapshot.vtk')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert len((tmp_path / "history.csv").read_text().splitlines()) == 4
 
 
 def test_no_arguments_prints_usage(capsys):

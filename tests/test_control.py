@@ -375,9 +375,9 @@ class TestRunLoop:
             bands.append((ab.shape[1], band.kl, band.ku))
             return factor_band(ab, band)
 
-        def counting_rcm(graph, **kwargs):
-            orders.append((len(bands), graph.shape[0]))
-            return rcm(graph, **kwargs)
+        def counting_rcm(indices, indptr):
+            orders.append((len(bands), len(indptr) - 1))
+            return rcm(indices, indptr)
 
         def forbidden(name):
             def fail(*args, **kwargs):
@@ -407,8 +407,8 @@ class TestRunLoop:
         orders = []         # the vertex order of each ordering
         meshes = []
 
-        def counting_rcm(graph, **kwargs):
-            orders.append(rcm(graph, **kwargs))
+        def counting_rcm(indices, indptr):
+            orders.append(rcm(indices, indptr))
             return orders[-1]
 
         monkeypatch.setattr(capflow.forms, "reverse_cuthill_mckee", counting_rcm)
