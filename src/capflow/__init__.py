@@ -1,7 +1,6 @@
 """Axisymmetric ALE finite elements for capillary nozzle flow, with an
 adjoint-based instantaneous controller acting on the open-bottom stress."""
 
-from .adjoint import bottom_load, solve_bottom_sensitivity
 from .ale import solve_domain_velocity
 from .config import RunConfig, load_config, num_params, parse_config, phys_params, serialize_config
 from .control import (ControlState, RunHistory, gradient, objective_increment,

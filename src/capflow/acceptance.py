@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint import bottom_load, solve_bottom_sensitivity
 from .config import RunConfig, num_params, phys_params
 from .control import run_instantaneous_control
 from .errors import DomainEmptied
-from .forms import kinetic_energy, mass_action, solve
+from .forms import kinetic_energy
 from .observables import equilibrium_height, transient_time
 from .stepping import initial_state, step
 
@@ -155,13 +154,13 @@ def criterion_overaggressive() -> CriterionResult:
 def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionResult:
     """The run path's gradient vs central differences of the per-slab objective (lam = 0).
 
-    The gradient is the bottom integral the control loop computes
-    (:func:`adjoint.solve_bottom_sensitivity`).  The slab objective is exactly
-    quadratic in zeta for frozen geometry, so agreement is limited only by
-    solver roundoff; epsilon is swept over three decades and the best
-    agreement per slab is reported.  zeta enters the frozen-geometry slab
-    only through the bottom load, so every perturbed solve reuses the slab's
-    LU.
+    The gradient is the bottom integral the control loop reads off the step
+    (:func:`stepping.step` with gradient).  The perturbed objectives come
+    from steps from the same state with zeta = +-epsilon: the geometry is
+    frozen over a slab and zeta enters only the right-hand side, so the
+    slab objective is exactly quadratic in zeta and agreement is limited
+    only by solver roundoff; epsilon is swept over three decades and the
+    best agreement per slab is reported.
     """
     cfg = replace(tc1_config(), lam=0.0)
     phys, num = phys_params(cfg), num_params(cfg)
@@ -171,23 +170,19 @@ def criterion_fd_gradient(n_slabs: int = 5, seed: int = 20170811) -> CriterionRe
     worst = 0.0
     details = []
     for n in range(max(slabs) + 1):
-        state, _, lu = step(state, 0.0, phys, num)
+        prev = state
+        state, diag = step(prev, 0.0, phys, num, gradient=n in slabs)
         if n in slabs:
-            ib, _ = solve_bottom_sensitivity(lu, mass_action(state.u))
-            load = bottom_load(lu.system)
-
             def j_of(eps):
-                u, _, _ = solve(lu, lu.system.rhs + eps * load)
-                return kinetic_energy(u)
+                return kinetic_energy(step(prev, eps, phys, num)[0].u)
 
             best = math.inf
             for eps in (1e-5, 1e-4, 1e-3):
                 fd = (j_of(eps) - j_of(-eps)) / (2 * eps)
-                rel = abs(fd - ib) / max(abs(fd), 1e-300)
+                rel = abs(fd - diag.bottom_integral) / max(abs(fd), 1e-300)
                 best = min(best, rel)
             worst = max(worst, best)
             details.append(f"slab {n}: {best:.2e}")
-        del lu      # freed before the next step factors
     ok = worst <= 1e-4
     return CriterionResult("adjoint gradient vs finite differences", ok,
                            f"worst relative error {worst:.2e} (<= 1e-4); " + ", ".join(details))

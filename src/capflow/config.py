@@ -94,6 +94,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
+    """The config as parse_config reads it back.  A string value that would
+    read back otherwise (one holding '#' or a line break, or with
+    whitespace at either end) raises ConfigError naming its key."""
     lines = []
     for f in dc_fields(RunConfig):
         key = _ATTR_TO_KEY.get(f.name, f.name)
@@ -104,6 +107,10 @@ def serialize_config(cfg: RunConfig) -> str:
             text = f"{val:.17g}"
         else:
             text = str(val)
+            # parse_config cuts a line at '#', splits at every line break
+            # and strips each value
+            if "#" in text or text != text.strip() or text.splitlines() not in ([], [text]):
+                raise ConfigError(f"{key!r} cannot be written so that it reads back: {text!r}")
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 

@@ -2,10 +2,11 @@
 objective and one update of the scalar bottom stress per time step.
 
 The control is constant in space and vertical, so a single scalar zeta is
-updated each slab from the adjoint bottom integral.  That integral comes
-from a second plain solve with the slab's state LU (the adjoint/tangent
-duality of :mod:`capflow.adjoint`), so each controlled step factors once and
-solves twice.  One gradient step per slab; no line search.
+updated each slab from the adjoint bottom integral.  The step computes that
+integral with a second plain solve with the slab's state LU (the
+adjoint/tangent duality, see :func:`~capflow.stepping.step`), so each
+controlled step factors once and solves twice.  One gradient step per slab;
+no line search.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adjoint import solve_bottom_sensitivity
 from .errors import CapflowError
 from .fields import NumParams, PhysParams
-from .forms import kinetic_energy, mass_action
+from .forms import kinetic_energy
 from .geometry import contact_line_height
 from .stepping import FlowState, initial_state, step
 
@@ -92,10 +92,12 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
                               snapshot_cb=None) -> RunHistory:
     """March the controlled (or plain) flow over [0, T] and record the history.
 
-    With controlled=False the gradient solve and control update are skipped
-    and zeta stays at zeta0 for the whole run (the alpha = 0 path).  Solver
-    and mesh failures abort the run; the history up to the failure is
-    returned with the abort reason attached.
+    With controlled=False the steps make no gradient solve, the history's
+    gradient is zero and zeta stays at zeta0 for the whole run.  That is not
+    the alpha = 0 run, which solves for the gradient and records it, and
+    whose updates leave zeta where it is.  Solver and mesh failures abort
+    the run; the history up to the failure is returned with the abort reason
+    attached.
     """
     nsteps = int(round(num.T / num.dt))
     ctrl = ControlState(zeta=zeta0, alpha=num.alpha, lam=num.lam,
@@ -108,21 +110,19 @@ def run_instantaneous_control(phys: PhysParams, num: NumParams, radius: float,
 
     for n in range(nsteps):
         try:
-            state, diag, lu = step(state, ctrl.zeta, phys, num, EMPTY_FRACTION * init_height)
-            j_inc = objective_increment(state, ctrl)
-            grad_val = bottom_residual = 0.0
-            if controlled:
-                ib, bottom_residual = solve_bottom_sensitivity(lu, mass_action(state.u))
-                grad_val = gradient(ib, ctrl)
-                ctrl = update_control(ctrl, ib)
-            del lu      # the next step factors only after this LU is freed
+            state, diag = step(state, ctrl.zeta, phys, num, EMPTY_FRACTION * init_height,
+                               gradient=controlled)
         except CapflowError as exc:
             history.abort_reason = exc
             history.abort_step = n
             break
-
+        j_inc = objective_increment(state, ctrl)
+        grad_val = 0.0
+        if controlled:
+            grad_val = gradient(diag.bottom_integral, ctrl)
+            ctrl = update_control(ctrl, diag.bottom_integral)
         history.append(state.t, diag.z_cl, ctrl.zeta, j_inc, grad_val, diag.u_max)
-        for what, residual in (("state", diag.residual), ("bottom-load", bottom_residual),
+        for what, residual in (("state", diag.residual), ("bottom-load", diag.bottom_residual),
                                ("mesh-velocity", diag.ale_residual)):
             history.residuals[what] = max(history.residuals[what], float(residual))
         if snapshot_cb is not None:

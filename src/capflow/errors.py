@@ -39,10 +39,12 @@ class ConfigError(CapflowError):
 
 
 class KernelBuildError(CapflowError):
-    """The compiled kernels could not be built: the compiler is missing
-    or failed.  Carries the command and the compiler's stderr."""
+    """The compiled kernels could not be built: the compiler is missing or
+    failed, or their cache could not be made or written.  Carries the
+    command (empty for the cache) and the compiler's or the OS's message."""
 
     def __init__(self, command: list[str], stderr: str):
-        super().__init__(f"building the compiled kernels failed: {' '.join(command)}\n{stderr}")
+        what = " ".join(command) if command else "writing the kernel cache"
+        super().__init__(f"building the compiled kernels failed: {what}\n{stderr}")
         self.command = command
         self.stderr = stderr

@@ -211,8 +211,8 @@ def bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
     """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr.
 
     It is d rhs / d zeta, the right-hand side of the solve that gives the
-    control gradient (:mod:`capflow.adjoint`), so that gradient is the exact
-    derivative of the discrete objective.  Computed once per mesh and shared,
+    control gradient (:func:`~capflow.stepping.step`), so that gradient is
+    the exact derivative of the discrete objective.  Computed once per mesh and shared,
     so it is read-only.
     """
     return mesh.memo(_bottom_load_vector)

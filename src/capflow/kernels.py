@@ -761,22 +761,27 @@ def build(source: str = SOURCE, flags: tuple[str, ...] = FLAGS) -> Path:
     compiled by :data:`COMPILER` only when it is not there yet, which then
     removes every other library of :data:`PREFIX` there (a process that
     still maps one keeps it).  Raises KernelBuildError, with the command and
-    the compiler's stderr, when the compiler is missing or fails."""
+    the compiler's stderr, when the compiler is missing or fails, and with
+    no command and the OS's message, which names the path, when the cache
+    cannot be made or written."""
     digest = hashlib.sha256("\0".join((source, *flags)).encode()).hexdigest()
     path = CACHE / f"{PREFIX}-{digest}.so"
     if path.exists():
         return path
-    CACHE.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=CACHE) as tmp:
-        built = os.path.join(tmp, path.name)
-        command = [COMPILER, *flags, "-x", "c", "-", "-o", built]
-        try:
-            proc = subprocess.run(command, input=source, capture_output=True, text=True)
-        except OSError as exc:
-            raise KernelBuildError(command, str(exc)) from exc
-        if proc.returncode != 0:
-            raise KernelBuildError(command, proc.stderr)
-        os.replace(built, path)
+    try:
+        CACHE.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=CACHE) as tmp:
+            built = os.path.join(tmp, path.name)
+            command = [COMPILER, *flags, "-x", "c", "-", "-o", built]
+            try:
+                proc = subprocess.run(command, input=source, capture_output=True, text=True)
+            except OSError as exc:
+                raise KernelBuildError(command, str(exc)) from exc
+            if proc.returncode != 0:
+                raise KernelBuildError(command, proc.stderr)
+            os.replace(built, path)
+    except OSError as exc:
+        raise KernelBuildError([], str(exc)) from exc
     for stale in CACHE.glob(f"{PREFIX}-*.so"):
         if stale != path:
             with contextlib.suppress(FileNotFoundError):    # removed by a concurrent build

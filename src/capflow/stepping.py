@@ -3,11 +3,11 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
-This is the only code that advances a slab; it hands back the slab's LU,
-which carries the slab's system, and the control loop's gradient and the
-finite-difference check reuse it for plain solves with other right-hand
-sides.  Both of the step's solves, the mesh velocity and the state, are
-gated on their relative residuals, and the step reports both.
+This is the only code that advances a slab, and the only one that factors
+its saddle matrix: asked for the control gradient, it solves for it with
+the same LU, which never leaves the step.  Every solve of the step, the
+mesh velocity, the state and the gradient's, is gated on its relative
+residual, and the step reports each.
 
 A run frees and reallocates the same few megabytes every step (the band, the
 element blocks).  glibc's default thresholds move with allocation order: its
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .ale import solve_domain_velocity
 from .errors import DomainEmptied
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import BandLU, assemble_state_system, factorize, solve
+from .forms import assemble_state_system, bottom_load_vector, factorize, mass_action, solve
 from .geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh, mesh_quality
 
 
@@ -41,15 +41,19 @@ class FlowState:
 class StepDiagnostics:
     """What a step reports about the slab it solved.
 
-    ``residual`` and ``ale_residual`` are the relative residuals of the state
-    and the mesh-velocity solves.  ``min_area`` and ``max_aspect`` are the new
-    mesh's :func:`mesh_quality`, read-only properties computed on first read
-    and memoised on the mesh, so a loop that never reads them pays nothing for
-    them.
+    ``residual``, ``ale_residual`` and ``bottom_residual`` are the relative
+    residuals of the state, the mesh-velocity and the bottom-load solves, and
+    ``bottom_integral`` is the control gradient's bottom integral; the last
+    two are 0.0 for a step not asked for the gradient.  ``min_area`` and
+    ``max_aspect`` are the new mesh's :func:`mesh_quality`, read-only
+    properties computed on first read and memoised on the mesh, so a loop
+    that never reads them pays nothing for them.
     """
 
     residual: float
     ale_residual: float
+    bottom_residual: float
+    bottom_integral: float
     u_max: float
     z_cl: float
     mesh: AxiMesh = field(repr=False)
@@ -92,12 +96,19 @@ def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
 
 
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
-         floor: float = 0.0) -> tuple[FlowState, StepDiagnostics, BandLU]:
-    """Advance by dt with the bottom control stress zeta held fixed over the slab.
+         floor: float = 0.0, gradient: bool = False) -> tuple[FlowState, StepDiagnostics]:
+    """Advance by dt with the bottom control stress zeta held fixed over the
+    slab; returns the new state and the step's diagnostics.
 
-    Returns the new state, its diagnostics, and the slab's LU, which carries
-    the slab's system; drop it before the next step, so that one
-    factorization is alive at a time.
+    With gradient, the diagnostics also hold the bottom integral of the control
+    gradient, I_b = b^T A^{-T} m, and its solve's residual: A is the slab's
+    reduced saddle matrix, m the mass action on the new velocity (zero in
+    the pressure rows) and b the load of a unit bottom stress, d rhs / d
+    zeta.  zeta is one scalar, so I_b = m^T (A^{-1} b), the tangent response
+    w = A^{-1} b weighted by m (the adjoint/tangent duality; Giles & Pierce
+    2000, Flow Turbul. Combust. 65): one more plain solve with the state's
+    LU, never one with A transposed.  The LU is freed when the step returns,
+    so one factorization is alive at a time.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
     V, ale_residual = solve_domain_velocity(state.mesh, state.u)
@@ -110,8 +121,14 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     system = assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num)
     lu = factorize(system)
     u_new, p_new, residual = solve(lu, system.rhs)
+    bottom_integral = bottom_residual = 0.0
+    if gradient:
+        reduce = system.pattern.reduce
+        w, bottom_residual = lu.solve(reduce(bottom_load_vector(mesh_new)), "bottom-load")
+        bottom_integral = float(reduce(mass_action(u_new)) @ w)
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     diag = StepDiagnostics(residual=residual, ale_residual=ale_residual,
+                           bottom_residual=bottom_residual, bottom_integral=bottom_integral,
                            u_max=u_new.magnitude_max,
                            z_cl=contact_line_height(mesh_new), mesh=mesh_new)
-    return new, diag, lu
+    return new, diag

@@ -10,7 +10,7 @@ by dr(v_r) there) are shared with the implementation; the arithmetic is not.
 the wall friction coefficient of ``forms.beta_h``.  :func:`oracle_bottom_integral`
 is the reference for the control gradient: the adjoint bottom integral from
 a dense solve with the slab's reduced matrix transposed, independent of the
-LU whose plain solve the run path uses.
+LU whose plain solve the step uses.
 """
 
 import numpy as np
@@ -330,11 +330,10 @@ def oracle_adjoint_rhs(system, mass_u):
 REFINEMENT_SWEEPS = 3     # the pivoted dense solve alone lay up to 1e-12 from the refined one
 
 
-def oracle_adjoint_solution(lu, mass_u):
+def oracle_adjoint_solution(system, mass_u):
     """The adjoint z, on the reduced dofs, with A^T z = m: a dense solve with
-    the transposed matrix of the system lu carries, the slab's, not with lu,
-    refined by REFINEMENT_SWEEPS sweeps z += solve(A^T, m - A^T z)."""
-    system = lu.system
+    the transposed matrix of system, the slab's, not with any LU, refined by
+    REFINEMENT_SWEEPS sweeps z += solve(A^T, m - A^T z)."""
     At = system.matrix.T.toarray()
     m = oracle_adjoint_rhs(system, mass_u)
     z = np.linalg.solve(At, m)
@@ -343,10 +342,9 @@ def oracle_adjoint_solution(lu, mass_u):
     return z
 
 
-def oracle_bottom_integral(lu, mass_u):
+def oracle_bottom_integral(system, mass_u):
     """The bottom integral b . z of the adjoint z of :func:`oracle_adjoint_solution`,
     with b the bottom load on all velocity dofs."""
-    system = lu.system
     z = np.zeros(3 * system.mesh.num_nodes)
-    z[system.pattern.free] = oracle_adjoint_solution(lu, mass_u)
+    z[system.pattern.free] = oracle_adjoint_solution(system, mass_u)
     return float(bottom_load_vector(system.mesh) @ z[:len(mass_u)])

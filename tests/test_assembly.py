@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
-import capflow.control
 import capflow.forms
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.ale import _extension_pattern, _extension_rhs, solve_domain_velocity
@@ -22,7 +21,7 @@ from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height
 from capflow.kernels import r_stiffness, triangle_blocks
 from capflow.stepping import initial_state, step
 
-from .conftest import random_vector_field
+from .conftest import factored_systems, random_vector_field
 from .oracles import oracle_saddle
 from .pattern_forms import (_gradient_products, bottom_load_reference, edge_blocks_reference,
                             element_data_reference, extension_rhs_reference, filled,
@@ -329,15 +328,7 @@ def test_symmetric_part_of_the_step_matrix_is_semidefinite(monkeypatch, config, 
     """The scheme's energy estimate in discrete form: the symmetric part S of
     the step matrix A = [[K, B], [-B^T, Sp]] is diag(K_sym, Sp), with K_sym
     and Sp positive semidefinite, on every 5th of 40 steps."""
-    systems = []        # the saddle system of each step
-    run_step = capflow.control.step
-
-    def recording(*args):
-        out = run_step(*args)
-        systems.append(out[2].system)
-        return out
-
-    monkeypatch.setattr(capflow.control, "step", recording)
+    systems = factored_systems(monkeypatch)       # the saddle system of each step
     cfg = config()
     hist = run_tc1(controlled, cfg, N1=grid[0], N3=grid[1], T=40 * cfg.dt)
     assert hist.abort_reason is None and len(systems) == 40

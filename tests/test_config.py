@@ -17,6 +17,20 @@ def test_roundtrip_identity():
     assert again == cfg
 
 
+@pytest.mark.parametrize("out_dir", ["runs#1", " padded ", "trailing\t", "two\nlines",
+                                     "carriage\rreturn", "vertical\x0btab"],
+                         ids=["hash", "padded", "trailing-tab", "newline", "carriage-return",
+                              "vertical-tab"])
+def test_value_that_would_not_read_back_is_not_written(out_dir):
+    with pytest.raises(ConfigError, match="'out_dir'"):
+        serialize_config(RunConfig(out_dir=out_dir))
+
+
+def test_string_value_with_inner_spaces_reads_back():
+    cfg = RunConfig(out_dir="runs of 2017/tc 1")
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_unknown_key_is_rejected_with_name():
     with pytest.raises(ConfigError, match="bogus_key"):
         parse_config("bogus_key = 1.0\n")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capflow.acceptance
-import capflow.adjoint
 import capflow.ale
 import capflow.control
 import capflow.forms
@@ -117,7 +116,7 @@ class TestRunLoop:
         with pytest.raises(ValueError):
             ControlState(**{**dict(zeta=0.0, alpha=1.0, lam=1.0, sigma_b_measure=SB), **bad})
         if "zeta" in bad:
-            def no_step(*args):
+            def no_step(*args, **kwargs):
                 raise AssertionError("a step ran")
             monkeypatch.setattr(capflow.control, "step", no_step)
             cfg = tc1_config()
@@ -130,20 +129,14 @@ class TestRunLoop:
         which history.csv does not hold."""
         seen = {"state": [], "bottom-load": [], "mesh-velocity": []}
 
-        def recording_step(*args):
-            out = step(*args)
+        def recording_step(*args, **kwargs):
+            out = step(*args, **kwargs)
             seen["state"].append(out[1].residual)
+            seen["bottom-load"].append(out[1].bottom_residual)
             seen["mesh-velocity"].append(out[1].ale_residual)
             return out
 
-        def recording_sensitivity(lu, mass_u):
-            ib, residual = solve_bottom_sensitivity(lu, mass_u)
-            seen["bottom-load"].append(residual)
-            return ib, residual
-
-        solve_bottom_sensitivity = capflow.control.solve_bottom_sensitivity
         monkeypatch.setattr(capflow.control, "step", recording_step)
-        monkeypatch.setattr(capflow.control, "solve_bottom_sensitivity", recording_sensitivity)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=5 * tc1_config().dt)
         assert hist.abort_reason is None
         assert all(len(values) == 5 for values in seen.values())
@@ -205,8 +198,6 @@ class TestRunLoop:
             assert len(hist.t) == nsteps + 1
 
     def test_one_factorization_per_step_at_most_one_alive(self, monkeypatch):
-        alive = []          # factorizations alive when each new one is made
-        sizes = []
         live = [0]
 
         class Counted(capflow.forms.BandLU):
@@ -219,13 +210,25 @@ class TestRunLoop:
             def __del__(self):
                 live[0] -= 1
 
+        def counting_step(*args, **kwargs):
+            out = step(*args, **kwargs)
+            returned.append(live[0])
+            return out
+
         monkeypatch.setattr(capflow.forms, "BandLU", Counted)
+        monkeypatch.setattr(capflow.control, "step", counting_step)
         dt = tc1_config().dt
-        hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * dt)
-        assert hist.abort_reason is None
-        # per step: the mesh-velocity stiffness (15 dofs), then the saddle matrix (65)
-        assert sizes == [15, 65] * 3
-        assert alive == [0] * 6
+        for controlled in (True, False):
+            alive = []          # factorizations alive when each new one is made
+            sizes = []
+            returned = []       # factorizations alive when each step returns
+            hist = run_tc1(controlled=controlled, N1=4, N3=4, T=3 * dt)
+            assert hist.abort_reason is None
+            # per step: the mesh-velocity stiffness (15 dofs), then the saddle matrix (65)
+            assert sizes == [15, 65] * 3
+            assert alive == [0] * 6
+            # the step frees its LU before it returns: none leaves it
+            assert returned == [0] * 3, controlled
 
     def test_two_plain_solves_per_step_with_the_saddle_lu(self, monkeypatch):
         solve = capflow.forms.BandLU.solve
@@ -280,8 +283,8 @@ class TestRunLoop:
     def test_mesh_velocity_residual_in_every_step_diagnostics(self, monkeypatch):
         residuals = []
 
-        def recording(*args):
-            out = step(*args)
+        def recording(*args, **kwargs):
+            out = step(*args, **kwargs)
             residuals.append(out[1].ale_residual)
             return out
 
@@ -360,7 +363,7 @@ class TestRunLoop:
         assert len(templates) == 1
         # the counters see the calls: reading a step's diagnostics fills its memo once
         state = initial_state(cfg.radius, cfg.init_height, num)
-        _, diag, _ = step(state, 0.0, phys, num)
+        _, diag = step(state, 0.0, phys, num)
         assert (diag.min_area, diag.max_aspect) == mesh_quality(diag.mesh)
         assert len(quality) == 1
 

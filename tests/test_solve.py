@@ -17,11 +17,10 @@ import capflow.forms
 import capflow.stepping
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow.adjoint import bottom_load, solve_bottom_sensitivity
 from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
-                           bottom_load_vector, element_data, factorize, kinetic_energy, mass_action,
+                           bottom_load_vector, element_data, factorize, kinetic_energy,
                            _saddle_pattern, radial_table, solve)
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
@@ -423,8 +422,8 @@ def step_solves(monkeypatch):
         return x, rel
 
     monkeypatch.setattr(BandLU, "solve", recording)
-    new, _, lu = step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num)
-    solve_bottom_sensitivity(lu, mass_action(new.u))
+    step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
+         gradient=True)
     return solves
 
 
@@ -461,7 +460,7 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch
 
     monkeypatch.setattr(capflow.forms, "solve_band", poisoned)
     with pytest.raises(SingularMatrix, match="^bottom-load solve produced non-finite values$"):
-        lu.solve(bottom_load(system), "bottom-load")
+        lu.solve(system.pattern.reduce(bottom_load_vector(system.mesh)), "bottom-load")
 
 
 # every function of the kernel source
@@ -549,9 +548,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
             kernels.solve_band(lu.lu, band, x)
             kernels.residual(system.pattern, system.data, x, system.rhs)
             # a whole step and its gradient: every kernel, on new meshes and fields
-            new, _, step_lu = step(state, zeta, phys, num)
+            new, _ = step(state, zeta, phys, num, gradient=True)
             kinetic_energy(new.u)
-            solve_bottom_sensitivity(step_lu, mass_action(new.u))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -606,7 +604,7 @@ def test_a_copied_state_reads_only_its_own_arrays(copy_of):
     the copy gives the original's bits."""
     mesh_new, mesh, u, V, zeta, phys, num = tc1_slab(4, 8)
     state = FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0)
-    expected, _, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
+    expected, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
     copied = copy_of(state)
     topology, ed, table = mesh.topology, element_data(mesh), radial_table(mesh.topology)
     patterns = [topology.memo(_saddle_pattern), topology.memo(capflow.ale._extension_pattern)]
@@ -615,7 +613,7 @@ def test_a_copied_state_reads_only_its_own_arrays(copy_of):
           table.coupling_z, *(a for p in patterns for a in (p.free, p.slot, p.indices, p.indptr,
                                                               p.band.position, p.band.lower,
                                                               p.band.upper)))
-    got, _, _ = step(copied, zeta, phys, num)
+    got, _ = step(copied, zeta, phys, num)
     assert np.array_equal(bits(got.u.values), bits(expected.u.values))
     assert np.array_equal(bits(got.mesh.z), bits(expected.mesh.z))
 
@@ -681,6 +679,21 @@ def test_missing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):
     assert err.value.command[0] == missing
     assert "no-such-cc" in err.value.stderr
     assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_unwritable_cache_is_a_kernel_build_error(monkeypatch, tmp_path):
+    """A cache path under a regular file cannot be made: the OS error comes
+    as a KernelBuildError that names the path and the OS's message."""
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    cache = blocker / "cache"
+    monkeypatch.setattr(kernels, "CACHE", cache)
+    with pytest.raises(KernelBuildError) as err:
+        kernels.build(source="int one(void) { return 1; }")
+    assert err.value.command == []
+    assert str(cache) in err.value.stderr and "Not a directory" in err.value.stderr
+    assert str(err.value).startswith("building the compiled kernels failed: ")
+    assert isinstance(err.value.__cause__, NotADirectoryError)
 
 
 def test_failing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):

@@ -6,11 +6,12 @@ import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
 import capflow.stepping
-from capflow.adjoint import solve_bottom_sensitivity
 from capflow.fields import NumParams, PhysParams
-from capflow.forms import bottom_load_vector, mass_action, _flatten
+from capflow.forms import bottom_load_vector, _flatten
 from capflow.geometry import mesh_quality
 from capflow.stepping import initial_state, pin_heap, step
+
+from .conftest import factored_systems, slab_system
 
 
 def _volume(mesh):
@@ -30,7 +31,7 @@ def test_hydrostatic_state_is_steady():
     phys, num = tc1_params()
     z_eq = phys.p_bar / phys.g
     state = initial_state(5e-4, z_eq, num)
-    new, diag, _ = step(state, 0.0, phys, num)
+    new, diag = step(state, 0.0, phys, num)
     assert diag.u_max <= 1e-8
     assert abs(diag.z_cl - z_eq) <= 1e-12
 
@@ -40,7 +41,7 @@ def test_rise_from_rest_matches_reference_peak():
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     for _ in range(5):
-        state, diag, _ = step(state, 0.0, phys, num)
+        state, diag = step(state, 0.0, phys, num)
     assert diag.z_cl == pytest.approx(1.608e-4, rel=0.05)
     assert state.t == pytest.approx(0.01)
 
@@ -49,7 +50,7 @@ def test_first_step_moves_upward():
     # below the rest height the net bottom/capillary imbalance drives inflow
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
-    new, diag, _ = step(state, 0.0, phys, num)
+    new, diag = step(state, 0.0, phys, num)
     assert new.u.values[:, 1].max() > 0.0
     surface = new.u.values[new.mesh.surface_nodes, 1]
     assert surface.mean() > 0.0
@@ -69,7 +70,7 @@ def test_mesh_quality_diagnostics_are_those_of_the_new_mesh():
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     for _ in range(2):
-        state, diag, _ = step(state, 1e-4, phys, num)
+        state, diag = step(state, 1e-4, phys, num)
         assert diag.mesh is state.mesh
         assert (diag.min_area, diag.max_aspect) == mesh_quality(state.mesh)
     with pytest.raises(AttributeError):
@@ -94,7 +95,7 @@ def test_stability_over_full_run():
     state = initial_state(5e-4, 5e-5, num)
     radius = state.mesh.radius
     for _ in range(100):
-        state, diag, _ = step(state, 0.0, phys, num)
+        state, diag = step(state, 0.0, phys, num)
         assert diag.min_area > 0
         assert diag.residual <= 1e-10
         # structural degrees of freedom are never written
@@ -121,9 +122,36 @@ def test_a_step_makes_no_scipy_matrix_and_no_scipy_product(monkeypatch):
     with pytest.raises(AssertionError, match="scipy.sparse on the step"):
         sp.csc_matrix(np.eye(2))
     for _ in range(2):
-        state, diag, lu = step(state, 1e-4, phys, num)
-        _, residual = solve_bottom_sensitivity(lu, mass_action(state.u))
-        assert max(diag.residual, diag.ale_residual, residual) <= 1e-10
+        state, diag = step(state, 1e-4, phys, num, gradient=True)
+        assert max(diag.residual, diag.ale_residual, diag.bottom_residual) <= 1e-10
+
+
+def test_slab_system_is_the_system_step_factors(monkeypatch):
+    """The tests' slab system, whose matrix the dense oracles take, holds the
+    data, right-hand side and mesh of the system the step factors, bit for
+    bit, on a moving mesh with a nonzero control."""
+    factored = factored_systems(monkeypatch)
+    phys, num = tc1_params()
+    state = initial_state(5e-4, 5e-5, num)
+    for _ in range(3):
+        prev = state
+        state, _ = step(prev, 1e-4, phys, num, gradient=True)
+    assert len(factored) == 3
+    got, want = factored[-1], slab_system(prev, 1e-4, phys, num)
+    assert got.pattern is want.pattern
+    for a, b in ((got.data, want.data), (got.rhs, want.rhs), (got.mesh.z, want.mesh.z)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_gradient_figures_are_zero_unless_asked_for():
+    phys, num = tc1_params()
+    state = initial_state(5e-4, 5e-5, num)
+    plain, asked = (step(state, 1e-4, phys, num, gradient=g) for g in (False, True))
+    assert (plain[1].bottom_integral, plain[1].bottom_residual) == (0.0, 0.0)
+    assert asked[1].bottom_integral > 0.0 and 0.0 < asked[1].bottom_residual <= 1e-10
+    # the gradient's solve comes after the state's and changes nothing of it
+    assert np.array_equal(plain[0].u.values, asked[0].u.values)
+    assert plain[1].residual == asked[1].residual
 
 
 def test_pin_heap_is_idempotent():
