@@ -55,7 +55,7 @@ from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
 from capflow.geometry import contact_line_height, displace_mesh
-from capflow.stepping import initial_state, step
+from capflow.stepping import initial_state, slab_system, step
 from capflow.writers import write_history_csv, write_vtk_snapshot
 
 GRIDS = ((16, 32), (32, 64))    # N1 x N3
@@ -87,10 +87,10 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     mesh, u = state.mesh, state.u
     forms.mass_action(u)                    # made by the previous step's loop
     V, _ = solve_domain_velocity(mesh, u)
-    mesh_new = displace_mesh(mesh, V, num.dt)
+    system, _ = slab_system(state, ZETA, phys, num)
+    mesh_new = system.mesh
     ed = forms.element_data(mesh_new)
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
-    system = forms.assemble_state_system(mesh_new, mesh, u, V, ZETA, phys, num)
     lu = forms.factorize(system)
     scattered = forms.band_storage(system)
     u_new, _, _ = forms.solve(lu, system.rhs)

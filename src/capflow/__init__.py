@@ -3,8 +3,7 @@ adjoint-based instantaneous controller acting on the open-bottom stress."""
 
 from .ale import solve_domain_velocity
 from .config import RunConfig, load_config, num_params, parse_config, phys_params, serialize_config
-from .control import (ControlState, RunHistory, gradient, objective_increment,
-                      run_instantaneous_control, update_control)
+from .control import RunHistory, run_instantaneous_control
 from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied,
                      KernelBuildError, MeshTangled, ResidualTooLarge, SingularMatrix,
                      SurfaceFolded, WallViolation)

@@ -27,7 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a simulation from a config file")
     run.add_argument("--config", required=True, help="flat key = value config file")
     run.add_argument("--uncontrolled", action="store_true",
-                     help="disable the controller (alpha = 0 path)")
+                     help="run without the controller: no gradient solve, gradient "
+                          "recorded as 0 and zeta held (an alpha = 0 run still solves "
+                          "for the gradient)")
     run.add_argument("--snapshots", type=int, default=None, metavar="N",
                      help="write a VTK snapshot every N steps")
     run.add_argument("--out", default=None, metavar="DIR", help="output directory")

@@ -38,7 +38,7 @@ class RunConfig:
     out_dir: str = "out"
 
 
-# file key -> attribute (identity unless listed)
+# file key -> attribute (identity unless listed; a listed attribute's name is no key)
 _KEY_TO_ATTR = {"lambda": "lam", "theta_s": "theta_s_deg"}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 
@@ -57,7 +57,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         attr = _KEY_TO_ATTR.get(key, key)
-        if attr not in types:
+        if attr not in types or key in _ATTR_TO_KEY:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

@@ -154,7 +154,7 @@ def _element_data(mesh: AxiMesh) -> ElementData:
     table = radial_table(mesh.topology)
     m = len(mesh.triangles)
     out = np.empty(10 * m)
-    kernels.kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.areas,
+    kernels.kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
                                   table.ptr.rq, table.ptr.dr, out)
     out.setflags(write=False)
     grad_r, grad_z, wr = out[:9 * m].reshape(3, m, 3)

@@ -153,7 +153,8 @@ class AxiMesh(_Memo):
     """Node heights over a :class:`MeshTopology`.
 
     z              (N,) finite node heights [m], N = topology.num_nodes; kept
-                   as a read-only copy, bound once for the kernels (``ptr.z``)
+                   as a read-only copy, bound once for the kernels (``ptr.z``,
+                   and the triangle areas ``ptr.areas``)
     topology       connectivity, tags and radii, also read through the mesh's
                    properties
     """
@@ -170,7 +171,7 @@ class AxiMesh(_Memo):
             raise DimensionMismatch("non-finite mesh height")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "ptr", Pointers(z=z))
+        object.__setattr__(self, "ptr", Pointers(z=z, areas=self.areas))
         tangled = self.areas <= 0.0
         if tangled.any():
             k = int(np.argmax(tangled))

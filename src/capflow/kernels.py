@@ -853,7 +853,7 @@ class Kernel:
             return fn
 
         values, out = _Array(np.float64), _Array(np.float64, writeable=True)
-        self.element_data = bind("element_data", (size, at, at, values, at, at, out))
+        self.element_data = bind("element_data", (size, *(at,) * 5, out))
         self.triangle_blocks = bind("triangle_blocks", (size, *(at,) * 13, real, real, real, out))
         self.r_stiffness = bind("r_stiffness", (size, *(at,) * 4, out))
         self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,

@@ -3,9 +3,11 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
-This is the only code that advances a slab, and the only one that factors
-its saddle matrix: asked for the control gradient, it solves for it with
-the same LU, which never leaves the step.  Every solve of the step, the
+:func:`slab_system` does all but the solve, and is the one assembly of a
+slab's system, also for the tests and scripts that inspect its matrix.
+:func:`step` is the only code that advances a slab, and the only one that
+factors its saddle matrix: asked for the control gradient, it solves for it
+with the same LU, which never leaves the step.  Every solve of the step, the
 mesh velocity, the state and the gradient's, is gated on its relative
 residual, and the step reports each.
 
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 from .ale import solve_domain_velocity
 from .errors import DomainEmptied
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import assemble_state_system, bottom_load_vector, factorize, mass_action, solve
+from .forms import (LinearSystem, assemble_state_system, bottom_load_vector, factorize,
+                    mass_action, solve)
 from .geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh, mesh_quality
 
 
@@ -95,6 +98,23 @@ def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
     return FlowState(mesh=mesh, u=zero_vector_field(mesh), p=zero_scalar_field(mesh), t=0.0)
 
 
+def slab_system(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
+                floor: float = 0.0) -> tuple[LinearSystem, float]:
+    """The saddle system that :func:`step` factors for the slab from state
+    with the bottom control stress zeta, assembled on the moved mesh
+    (``system.mesh``), and the mesh-velocity solve's relative residual.
+    Raises DomainEmptied if the contact line would reach ``floor``.
+    """
+    V, ale_residual = solve_domain_velocity(state.mesh, state.u)
+    z_next = contact_line_height(state.mesh) + num.dt * V.values[state.mesh.contact_node, 1]
+    if z_next <= floor:
+        # checked before displacing: an emptying column is reported as
+        # DomainEmptied, not as the mesh tangle it would soon cause
+        raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
+    mesh_new = displace_mesh(state.mesh, V, num.dt)
+    return assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num), ale_residual
+
+
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
          floor: float = 0.0, gradient: bool = False) -> tuple[FlowState, StepDiagnostics]:
     """Advance by dt with the bottom control stress zeta held fixed over the
@@ -111,14 +131,8 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     so one factorization is alive at a time.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
-    V, ale_residual = solve_domain_velocity(state.mesh, state.u)
-    z_next = contact_line_height(state.mesh) + num.dt * V.values[state.mesh.contact_node, 1]
-    if z_next <= floor:
-        # checked before displacing: an emptying column is reported as
-        # DomainEmptied, not as the mesh tangle it would soon cause
-        raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
-    mesh_new = displace_mesh(state.mesh, V, num.dt)
-    system = assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num)
+    system, ale_residual = slab_system(state, zeta, phys, num, floor)
+    mesh_new = system.mesh
     lu = factorize(system)
     u_new, p_new, residual = solve(lu, system.rhs)
     bottom_integral = bottom_residual = 0.0

@@ -5,11 +5,9 @@ import pytest
 
 import capflow.stepping
 from capflow.acceptance import run_tc1, tc1_config
-from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.fields import VectorFieldP1
-from capflow.forms import assemble_state_system
-from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh, displace_mesh
+from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh
 
 
 def two_triangle_mesh(radius=1.0, height=1.0):
@@ -62,16 +60,6 @@ def random_vector_field(mesh, seed=0, scale=1.0):
     vals = scale * rng.standard_normal((mesh.num_nodes, 2))
     vals[mesh.radial_constrained_nodes, 0] = 0.0
     return VectorFieldP1(vals, mesh)
-
-
-def slab_system(state, zeta, phys, num):
-    """The saddle system that step(state, zeta, phys, num) factors, assembled
-    as the step assembles it (the mesh velocity, the moved mesh, the
-    assembly), for the tests that need the slab's matrix: the step's LU
-    never leaves it."""
-    V, _ = solve_domain_velocity(state.mesh, state.u)
-    mesh_new = displace_mesh(state.mesh, V, num.dt)
-    return assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num)
 
 
 def factored_systems(monkeypatch):

@@ -14,10 +14,10 @@ from capflow.config import num_params, phys_params
 from capflow.fields import PhysParams, VectorFieldP1
 from capflow.forms import mass_action
 from capflow.geometry import build_structured_mesh
-from capflow.stepping import initial_state, step
+from capflow.stepping import initial_state, slab_system, step
 
 from . import oracles
-from .conftest import perturbed_mesh, random_vector_field, slab_system, two_triangle_mesh
+from .conftest import perturbed_mesh, random_vector_field, two_triangle_mesh
 from .pattern_forms import form_a, form_b, form_c_ALE, form_S_Gamma, form_s, form_s_p
 
 
@@ -58,7 +58,7 @@ def test_criterion_6_discrete_transpose():
     vals[state.mesh.radial_constrained_nodes, 0] = 0.0
     state = replace(state, u=VectorFieldP1(vals, state.mesh))
     new, _ = step(state, 0.0, phys, num)
-    system = slab_system(state, 0.0, phys, num)
+    system, _ = slab_system(state, 0.0, phys, num)
     # the mesh velocity, recovered from the mesh motion
     V = VectorFieldP1((new.mesh.nodes - state.mesh.nodes) / num.dt, state.mesh)
     free = system.pattern.free

@@ -325,9 +325,11 @@ def test_reverse_cuthill_mckee_is_scipys(graph, seed):
 @pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
 @pytest.mark.parametrize("config", [tc1_config, tc2_config], ids=["tc1", "tc2"])
 def test_symmetric_part_of_the_step_matrix_is_semidefinite(monkeypatch, config, controlled, grid):
-    """The scheme's energy estimate in discrete form: the symmetric part S of
-    the step matrix A = [[K, B], [-B^T, Sp]] is diag(K_sym, Sp), with K_sym
-    and Sp positive semidefinite, on every 5th of 40 steps."""
+    """On every 5th of 40 steps, the coupling blocks B and -B^T of the step
+    matrix A = [[K, B], [-B^T, Sp]] cancel in its symmetric part, which is
+    diag(K_sym, Sp), and K_sym and Sp are positive semidefinite.  The mass
+    and viscous terms dominate K_sym, so this cannot see the skew form of
+    the transport and surface terms; an energy bound over a run would."""
     systems = factored_systems(monkeypatch)       # the saddle system of each step
     cfg = config()
     hist = run_tc1(controlled, cfg, N1=grid[0], N3=grid[1], T=40 * cfg.dt)

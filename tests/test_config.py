@@ -32,8 +32,10 @@ def test_string_value_with_inner_spaces_reads_back():
 
 
 def test_unknown_key_is_rejected_with_name():
-    with pytest.raises(ConfigError, match="bogus_key"):
-        parse_config("bogus_key = 1.0\n")
+    # the attribute names behind the file keys lambda and theta_s are not keys
+    for key in ("bogus_key", "lam", "theta_s_deg"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 1.0\n")
 
 
 def test_bad_value_reported():

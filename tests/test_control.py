@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 
@@ -16,76 +17,115 @@ import capflow.geometry
 import capflow.writers
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
-from capflow.control import (ControlState, gradient, objective_increment,
-                             run_instantaneous_control, update_control)
+from capflow.control import run_instantaneous_control
 from capflow.errors import DomainEmptied, ResidualTooLarge
 from capflow.fields import NumParams, PhysParams, ScalarFieldP1, zero_vector_field
 from capflow.forms import _flatten
-from capflow.geometry import build_structured_mesh
-from capflow.stepping import FlowState, initial_state, step
+from capflow.geometry import build_structured_mesh, contact_line_height
+from capflow.stepping import FlowState, StepDiagnostics, initial_state, step
 from capflow.writers import write_vtk_snapshot
 
 from . import oracles
 from .conftest import random_vector_field
 
-SB = (5e-4) ** 2 / 2
+RADIUS = 5e-4
+SB = RADIUS ** 2 / 2
+PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2, p_bar=9.81e-4, g=9.81)
+DT = 2e-3
 
 
-def make_state(u=None, radius=5e-4, height=1e-4):
+def make_state(u=None, radius=RADIUS, height=1e-4):
     mesh = build_structured_mesh(radius, height, 4, 4)
     uf = u(mesh) if callable(u) else zero_vector_field(mesh)
     return FlowState(mesh=mesh, u=uf, p=ScalarFieldP1(np.zeros(mesh.num_nodes), mesh), t=0.0)
 
 
+def stubbed_run(integrals, alpha=1.0, lam=1.0, zeta0=0.0, u=None, controlled=True):
+    """The history of a run of len(integrals) steps on a 4x4 grid whose step
+    is stubbed: step n returns the same state (at rest, or with the velocity
+    u(mesh)) and diagnostics whose bottom integral I_b is integrals[n]."""
+    state = make_state(u)
+    slabs = iter(integrals)
+
+    def fixed_step(prev, zeta, phys, num, floor, gradient):
+        return state, StepDiagnostics(residual=0.0, ale_residual=0.0, bottom_residual=0.0,
+                                      bottom_integral=next(slabs), u_max=0.0,
+                                      z_cl=contact_line_height(state.mesh), mesh=state.mesh)
+
+    num = NumParams(dt=DT, Cs=0.4, N1=4, N3=4, alpha=alpha, lam=lam, T=len(integrals) * DT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capflow.control, "step", fixed_step)
+        hist = run_instantaneous_control(PHYS, num, RADIUS, 1e-4, controlled=controlled,
+                                         zeta0=zeta0)
+    assert hist.abort_reason is None and len(hist.zeta) == len(integrals) + 1
+    return hist
+
+
+# alpha with alpha lam |Sigma_b| = 1/2: each update halves zeta, so any value
+# read at the updated control differs from the one read at the slab's own
+HALVING = 0.5 / SB
+
+
 class TestObjective:
     def test_zero_state_zero_control(self):
-        ctrl = ControlState(zeta=0.0, alpha=1.0, lam=1.0, sigma_b_measure=SB)
-        state = make_state()
-        assert objective_increment(state, ctrl) == 0.0
+        hist = stubbed_run([0.0, 0.0])
+        assert hist.j_increment == [0.0, 0.0, 0.0]
 
     def test_pure_penalty(self):
+        # at rest J_n is the penalty of the slab's control, the one before its update
         c = 0.37
-        ctrl = ControlState(zeta=c, alpha=1.0, lam=1.0, sigma_b_measure=SB)
-        state = make_state()
-        assert objective_increment(state, ctrl) == pytest.approx(
-            0.5 * c * c * SB, rel=1e-15)
+        hist = stubbed_run([1e-9, -2e-9, 3e-9], alpha=HALVING, zeta0=c)
+        assert hist.zeta[0] == c and len(set(hist.zeta)) == 4
+        assert hist.j_increment[1] == pytest.approx(0.5 * c * c * SB, rel=1e-15)
+        for n in range(1, 4):
+            assert hist.j_increment[n] == pytest.approx(0.5 * hist.zeta[n - 1] ** 2 * SB,
+                                                        rel=1e-15)
 
     def test_kinetic_term_matches_mass_oracle(self):
-        state = make_state(u=lambda m: random_vector_field(m, seed=5))
-        ctrl = ControlState(zeta=0.0, alpha=1.0, lam=0.0, sigma_b_measure=SB)
-        dense = oracles.oracle_mass(state.mesh)
-        uf = _flatten(state.u.values)
-        assert objective_increment(state, ctrl) == pytest.approx(
-            0.5 * uf @ dense @ uf, rel=1e-12)
+        hist = stubbed_run([1e-9], lam=0.0, zeta0=0.5,
+                           u=lambda m: random_vector_field(m, seed=5))
+        mesh = make_state().mesh
+        dense = oracles.oracle_mass(mesh)
+        uf = _flatten(random_vector_field(mesh, seed=5).values)
+        assert hist.j_increment[1] == pytest.approx(0.5 * uf @ dense @ uf, rel=1e-12)
 
 
 class TestGradientUpdate:
     def test_gradient_reduces_to_bottom_integral_without_penalty(self):
-        ctrl = ControlState(zeta=2.0, alpha=1.0, lam=0.0, sigma_b_measure=SB)
-        assert gradient(3.5e-12, ctrl) == 3.5e-12
+        hist = stubbed_run([3.5e-12, -1e-12], lam=0.0, zeta0=2.0)
+        assert hist.grad == [0.0, 3.5e-12, -1e-12]
 
     def test_gradient_pure_penalty(self):
-        ctrl = ControlState(zeta=1.0, alpha=1.0, lam=1e-5, sigma_b_measure=SB)
-        assert gradient(0.0, ctrl) == pytest.approx(1e-5 * SB, rel=1e-15)
+        # the gradient at the slab's control, before its update
+        hist = stubbed_run([0.0, 0.0], alpha=HALVING, zeta0=1.0)
+        assert hist.zeta == [1.0, 0.5, 0.25]
+        assert hist.grad[1:] == pytest.approx([SB, 0.5 * SB], rel=1e-15)
+
+    def test_gradient_sums_penalty_and_bottom_integral(self):
+        integrals = [2e-8, -3e-8, 5e-9]
+        hist = stubbed_run(integrals, alpha=HALVING, lam=1.0, zeta0=-0.2)
+        for n, ib in enumerate(integrals, start=1):
+            assert hist.grad[n] == pytest.approx(SB * hist.zeta[n - 1] + ib, rel=1e-14)
+            assert hist.zeta[n] == pytest.approx(hist.zeta[n - 1] - HALVING * hist.grad[n],
+                                                 rel=1e-14)
 
     def test_update_identity_cases(self):
-        ctrl = ControlState(zeta=0.7, alpha=0.0, lam=1e-5, sigma_b_measure=SB)
-        assert update_control(ctrl, 123.0).zeta == 0.7          # alpha = 0
-        ctrl = ControlState(zeta=0.7, alpha=2.0, lam=0.0, sigma_b_measure=SB)
-        assert update_control(ctrl, 0.0).zeta == 0.7            # lam = 0, no input
+        hist = stubbed_run([123.0], alpha=0.0, lam=1e-5, zeta0=0.7)
+        assert hist.zeta == [0.7, 0.7]                      # alpha = 0
+        hist = stubbed_run([0.0], alpha=2.0, lam=0.0, zeta0=0.7)
+        assert hist.zeta == [0.7, 0.7]                      # lam = 0, no input
 
     def test_geometric_decay_under_constant_input(self):
         alpha, lam = 1.5e8, 1e-5
         ib = 2.0e-12
-        ctrl = ControlState(zeta=0.0, alpha=alpha, lam=lam, sigma_b_measure=SB)
+        hist = stubbed_run([ib] * 199, alpha=alpha, lam=lam)
         rho = 1.0 - alpha * lam * SB
         fixed_point = -ib / (lam * SB)
         for n in range(1, 200):
-            ctrl = update_control(ctrl, ib)
             expected = fixed_point * (1.0 - rho ** n)
-            assert ctrl.zeta == pytest.approx(expected, rel=1e-12)
+            assert hist.zeta[n] == pytest.approx(expected, rel=1e-12)
         # decay is monotone toward the fixed point
-        assert 0 > ctrl.zeta > fixed_point
+        assert 0 > hist.zeta[-1] > fixed_point
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1e-3, 1.9),
@@ -98,8 +138,7 @@ class TestGradientUpdate:
         # contraction rounds to a no-op
         lam = 0.1
         alpha = decay / (lam * SB)
-        ctrl = ControlState(zeta=zeta, alpha=alpha, lam=lam, sigma_b_measure=SB)
-        new = update_control(ctrl, 0.0).zeta
+        new = stubbed_run([0.0], alpha=alpha, lam=lam, zeta0=zeta).zeta[1]
         if zeta == 0.0:
             assert new == 0.0
         else:
@@ -113,16 +152,37 @@ class TestRunLoop:
                                      dict(sigma_b_measure=np.inf), dict(sigma_b_measure=0.0)],
                              ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_control_inputs_rejected_before_any_step(self, bad, monkeypatch):
+        # |Sigma_b| = radius^2 / 2 is set through the radius; NumParams checks alpha and lam
+        def refused(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(capflow.control, "initial_state", refused)
+        monkeypatch.setattr(capflow.control, "step", refused)
+        cfg = tc1_config()
+        given = {**dict(zeta=0.0, alpha=cfg.alpha, lam=cfg.lam, sigma_b_measure=SB), **bad}
         with pytest.raises(ValueError):
-            ControlState(**{**dict(zeta=0.0, alpha=1.0, lam=1.0, sigma_b_measure=SB), **bad})
-        if "zeta" in bad:
-            def no_step(*args, **kwargs):
-                raise AssertionError("a step ran")
-            monkeypatch.setattr(capflow.control, "step", no_step)
-            cfg = tc1_config()
-            with pytest.raises(ValueError, match="zeta must be finite"):
-                run_instantaneous_control(phys_params(cfg), num_params(cfg), cfg.radius,
-                                          cfg.init_height, zeta0=bad["zeta"])
+            num = replace(num_params(cfg), alpha=given["alpha"], lam=given["lam"])
+            run_instantaneous_control(phys_params(cfg), num,
+                                      math.sqrt(2 * given["sigma_b_measure"]), cfg.init_height,
+                                      zeta0=given["zeta"])
+
+    def test_alpha_zero_solves_for_the_gradient_and_keeps_zeta(self):
+        """An alpha = 0 run records a nonzero gradient and leaves zeta at
+        zeta0; an uncontrolled run makes no gradient solve and records 0.
+        The state path is the same in both."""
+        cfg = tc1_config()
+        num = replace(num_params(cfg), N1=4, N3=4, alpha=0.0, T=5 * cfg.dt)
+        frozen, free = (run_instantaneous_control(phys_params(cfg), num, cfg.radius,
+                                                  cfg.init_height, controlled=controlled,
+                                                  zeta0=-1e-4)
+                        for controlled in (True, False))
+        for hist in (frozen, free):
+            assert hist.abort_reason is None
+            assert hist.zeta == [-1e-4] * 6
+        assert all(g != 0.0 for g in frozen.grad[1:])
+        assert frozen.residuals["bottom-load"] > 0.0
+        assert free.grad == [0.0] * 6 and free.residuals["bottom-load"] == 0.0
+        assert frozen.z_cl == free.z_cl and frozen.j_increment == free.j_increment
 
     def test_history_keeps_the_largest_residual_of_each_solve(self, monkeypatch):
         """The run's largest state, bottom-load and mesh-velocity residuals,

@@ -11,8 +11,6 @@ from capflow.forms import bottom_load_vector, _flatten
 from capflow.geometry import mesh_quality
 from capflow.stepping import initial_state, pin_heap, step
 
-from .conftest import factored_systems, slab_system
-
 
 def _volume(mesh):
     p = mesh.nodes[mesh.triangles]
@@ -124,23 +122,6 @@ def test_a_step_makes_no_scipy_matrix_and_no_scipy_product(monkeypatch):
     for _ in range(2):
         state, diag = step(state, 1e-4, phys, num, gradient=True)
         assert max(diag.residual, diag.ale_residual, diag.bottom_residual) <= 1e-10
-
-
-def test_slab_system_is_the_system_step_factors(monkeypatch):
-    """The tests' slab system, whose matrix the dense oracles take, holds the
-    data, right-hand side and mesh of the system the step factors, bit for
-    bit, on a moving mesh with a nonzero control."""
-    factored = factored_systems(monkeypatch)
-    phys, num = tc1_params()
-    state = initial_state(5e-4, 5e-5, num)
-    for _ in range(3):
-        prev = state
-        state, _ = step(prev, 1e-4, phys, num, gradient=True)
-    assert len(factored) == 3
-    got, want = factored[-1], slab_system(prev, 1e-4, phys, num)
-    assert got.pattern is want.pattern
-    for a, b in ((got.data, want.data), (got.rhs, want.rhs), (got.mesh.z, want.mesh.z)):
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_gradient_figures_are_zero_unless_asked_for():
