@@ -8,19 +8,21 @@ the compiled element data, the radial table (built once per run), the
 compiled triangle blocks, boundary-edge blocks, mass action and the loads
 summed into the reduced right-hand side, the whole saddle assembly, the
 fill, the banded factorization with, under it, its compiled kernel alone (on
-a copy of the scattered band, made untimed), the state solve and the
-bottom-load solve of the control gradient, then the whole step, and last the
-two writers: the VTK snapshot of the state and a history.csv of
+a copy of the scattered band, made untimed), the state solve alone and
+with the bottom load of the control gradient as a second right-hand side in
+the same call, then the whole step, free and controlled, and last the two
+writers: the VTK snapshot of the state and a history.csv of
 HISTORY_ROWS rows of random values at the columns' scales.  Both go through
 one compiled template fill.
 Under each of the three solves, a ``residual`` row times its compiled
-residual check alone.  Each figure is the minimum over REPEATS calls, in ms,
-except the writers'.  They are timed as a run meets them, over files that
-already exist on disk: each writer first writes RUN_FILES files in a
-temporary directory (as many as a 100-step run with a snapshot every step
-writes) and flushes each with fsync, as the files of an earlier run are,
-then rewrites each once, and its row is the median of those rewrites.  The
-minimum of rewrites of one file hides what freeing a file's blocks costs.
+residual checks alone, for all its right-hand sides.  Each figure is the
+minimum over REPEATS calls, in ms, except the writers'.  They are timed as a
+run meets them, over files that already exist on disk: each writer first
+writes RUN_FILES files in a temporary directory (as many as a 100-step run
+with a snapshot every step writes) and flushes each with fsync, as the files
+of an earlier run are, then rewrites each once, and its row is the median of
+those rewrites.  The minimum of rewrites of one file hides what freeing a
+file's blocks costs.
 The element data and mass action rows call the functions behind their
 memos; the assembly and step rows find the mass action of the old velocity
 already computed, as a step after a previous one does, and the assembly row
@@ -93,14 +95,8 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     lu = forms.factorize(system)
     scattered = forms.band_storage(system)
-    u_new, _, _ = forms.solve(lu, system.rhs)
-    mass_u = forms.mass_action(u_new)
     pattern = mesh.topology.memo(forms._saddle_pattern)
-
-    def bottom_integral(_=None):
-        """The step's bottom-load solve with its LU and I_b = m . w after it."""
-        w = lu.solve(pattern.reduce(forms.bottom_load_vector(mesh_new)), "bottom-load")[0]
-        return float(pattern.reduce(mass_u) @ w)
+    bottom_load = pattern.reduce(forms.bottom_load_vector(mesh_new))
 
     _, vals, (tri, wall, surface) = pattern.values()
     vals[:] = 1.0
@@ -119,7 +115,7 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
         ("  surface data and lifting", best_ms(
             lambda _: ale._extension_rhs(u, stiffness))),
-        ("  residual", residual_ms(extension_lu, extension_rhs)),
+        ("  residual", residual_ms(extension_lu, extension_rhs[None])),
         ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
         ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
@@ -138,19 +134,25 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("  factor kernel", best_ms(lambda ab: kernels.factor_band(ab, system.pattern.band),
                                     lambda: scattered.copy(order="F"))),
         ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
-        ("  residual", residual_ms(lu, system.rhs)),
-        ("bottom integral solve", best_ms(bottom_integral)),
-        ("  residual", residual_ms(lu, pattern.reduce(forms.bottom_load_vector(mesh_new)))),
+        ("  residual", residual_ms(lu, system.rhs[None])),
+        ("state + bottom-load solve", best_ms(lambda _: forms.solve(lu, system.rhs, bottom_load))),
+        ("  residual", residual_ms(lu, np.stack((system.rhs, bottom_load)))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
+        ("whole step, controlled", best_ms(
+            lambda _: step(state, ZETA, phys, num, gradient=True))),
         *writers_ms(state, num.dt),
     ]
 
 
 def residual_ms(lu, rhs: np.ndarray) -> float:
-    """The compiled residual check of lu's solve for rhs, on its own."""
-    system = lu.system
-    x, _ = lu.solve(rhs, "profiled")
-    return best_ms(lambda _: kernels.residual(system.pattern, system.data, x, rhs))
+    """The compiled residual checks of lu's solve for the rows of rhs, (k,
+    n), on their own: the second half of the solve kernel's call."""
+    system, (k, n) = lu.system, rhs.shape
+    pattern = system.pattern
+    x, _ = lu.solve(rhs, ("profiled",) * k)
+    out = np.empty((k, n + 2))
+    return best_ms(lambda _: kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices,
+                                                       system.data, k, rhs, x, out))
 
 
 def writers_ms(state, dt: float) -> list[tuple[str, float]]:

@@ -46,11 +46,11 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     r_stiffness(ed, stiffness)
     g, rhs = _extension_rhs(u, stiffness)
     system = LinearSystem(pattern=pattern, data=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
-    x, residual = factorize(system).solve(rhs, "mesh-velocity")
+    x, (residual,) = factorize(system).solve(rhs[None], ("mesh-velocity",))
 
     values = np.zeros((mesh.num_nodes, 2))
     values[:, 1] = g
-    values[pattern.free, 1] = x
+    values[pattern.free, 1] = x[0]
     return VectorFieldP1(values, mesh), residual
 
 

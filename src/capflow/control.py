@@ -6,10 +6,10 @@ updated each slab from the adjoint bottom integral I_b.  The slab objective
 is J_n = E_kin(u_n) + (lam/2) |Sigma_b| zeta^2, its gradient
 dJ_n/dzeta = lam |Sigma_b| zeta + I_b, and the update one gradient step
 zeta <- zeta - alpha dJ_n/dzeta = zeta (1 - alpha lam |Sigma_b|) - alpha I_b,
-with no line search.  The step computes I_b with a second plain solve with
-the slab's state LU (the adjoint/tangent duality, see
-:func:`~capflow.stepping.step`), so each controlled step factors once and
-solves twice.
+with no line search.  The step computes I_b from the tangent w = A^{-1} b
+(the adjoint/tangent duality, see :func:`~capflow.stepping.step`), b a
+second right-hand side of the state's solve, so each controlled step
+factors once and makes one solve for two right-hand sides.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ kept dofs (:meth:`FixedPattern.reduce`), and the fill's read-only CSC data
 on the pattern's structure; only :func:`factorize` knows
 the band storage, and the :class:`BandLU` it returns, an LU without pivoting
 from the compiled kernels of :mod:`capflow.kernels`, carries the system it
-factors: every solve is one :meth:`BandLU.solve`, gated on the residual in
-that system's matrix, which one compiled call forms from the data and the
+factors: every solve is one :meth:`BandLU.solve` for all of an LU's
+right-hand sides, one compiled call that solves for each and gates each on
+its own residual in that system's matrix, formed from the data and the
 pattern's bound ``indices`` and ``indptr``.  The package needs numpy
 alone: the vertex order is a reverse Cuthill-McKee search in plain Python,
 once per topology, and SciPy is imported only to build a system's matrix
@@ -582,26 +583,28 @@ class BandLU:
         ku = self.system.pattern.band.ku
         return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.data).max())
 
-    def solve(self, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-        """x on the reduced dofs with A x = rhs, A the system's matrix, and the
-        relative residual ||A x - rhs|| / ||rhs||; every solve of the run path.
-        The banded solve is one kernel call and the residual check another
-        (:func:`~capflow.kernels.residual`), on the system's data and its
-        pattern's structure.  A non-finite x raises SingularMatrix and a
-        relative residual above 1e-10 ResidualTooLarge, each naming the solve
-        by what ("state", "bottom-load" or "mesh-velocity")."""
+    def solve(self, rhs: np.ndarray, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
+        """x, (k, n), with A x_t = rhs_t for each row of rhs, (k, n) with k = 1
+        or 2, A the system's matrix, and the rows' relative residuals ||A x_t
+        - rhs_t|| / ||rhs_t||, from one kernel call that solves and checks all
+        rows (:func:`~capflow.kernels.solve_band`): every solve of the run
+        path.  Row by row, a non-finite x_t raises SingularMatrix and a
+        relative residual above 1e-10 ResidualTooLarge, each naming the row's
+        solve by what[t] ("state", "bottom-load" or "mesh-velocity")."""
         system = self.system
-        b = np.ascontiguousarray(rhs, dtype=np.float64)
-        x = b.copy()
-        solve_band(self.lu, system.pattern.band, x)
-        out = kernels.residual(system.pattern, system.data, x, b)
-        if out is None:
-            raise SingularMatrix(f"{what} solve produced non-finite values")
-        res, bnorm = math.sqrt(out[-2]), math.sqrt(out[-1])
-        rel = res / bnorm if bnorm > 0 else res
-        if rel > 1e-10:
-            raise ResidualTooLarge(f"{what} solve: relative residual {rel:.3e}")
-        return x, rel
+        kernels.expect("right-hand sides", rhs, (len(what), len(system.pattern.free)))
+        x = rhs.copy()
+        out, flags = solve_band(self.lu, system.pattern.band, system.pattern, system.data, rhs, x)
+        rels = []
+        for t, name in enumerate(what):
+            if flags >> t & 1:
+                raise SingularMatrix(f"{name} solve produced non-finite values")
+            res, bnorm = math.sqrt(out[t, -2]), math.sqrt(out[t, -1])
+            rel = res / bnorm if bnorm > 0 else res
+            if rel > 1e-10:
+                raise ResidualTooLarge(f"{name} solve: relative residual {rel:.3e}")
+            rels.append(rel)
+        return x, rels
 
 
 def band_storage(system: LinearSystem) -> np.ndarray:
@@ -617,9 +620,9 @@ def band_storage(system: LinearSystem) -> np.ndarray:
 
 def factorize(system: LinearSystem) -> BandLU:
     """Banded LU without pivoting of system's matrix, the one factorization
-    of the run path: the state solve and the bottom-load solve of the control
-    gradient share the saddle matrix's, the mesh-velocity extension factors
-    its stiffness.  The saddle matrix's symmetric part is positive
+    of the run path: the state and the bottom-load of the control gradient
+    are one solve with the saddle matrix's, the mesh-velocity extension
+    factors its stiffness.  The saddle matrix's symmetric part is positive
     semidefinite and the stiffness is positive definite, so neither needs
     pivoting (see :mod:`capflow.kernels`).
 
@@ -638,17 +641,25 @@ def factorize(system: LinearSystem) -> BandLU:
     return BandLU(system=system, lu=ab)
 
 
-def solve(lu: BandLU, rhs: np.ndarray) -> tuple[VectorFieldP1, ScalarFieldP1, float]:
-    """Solve lu's system for rhs with :meth:`BandLU.solve`; returns (velocity,
-    pressure, relative residual)."""
-    x, rel = lu.solve(rhs, "state")
+def solve(lu: BandLU, rhs: np.ndarray, bottom_load: np.ndarray | None = None
+          ) -> tuple[VectorFieldP1, ScalarFieldP1, float, np.ndarray | None, float]:
+    """Solve lu's saddle system for the state load rhs, and for the reduced
+    load bottom_load stacked under it if given, with one :meth:`BandLU.solve`;
+    returns (velocity, pressure, relative residual, w = A^{-1} bottom_load,
+    its residual), the last two None and 0.0 without bottom_load."""
+    if bottom_load is None:
+        x, (rel,) = lu.solve(rhs[None], ("state",))
+        w, bottom_rel = None, 0.0
+    else:
+        x, (rel, bottom_rel) = lu.solve(np.array((rhs, bottom_load)), ("state", "bottom-load"))
+        w = x[1]
     system = lu.system
     n = system.mesh.num_nodes
     full = np.zeros(3 * n)
-    full[system.pattern.free] = x
+    full[system.pattern.free] = x[0]
     u = VectorFieldP1(np.column_stack((full[:n], full[n:2 * n])), system.mesh)
     p = ScalarFieldP1(full[2 * n:], system.mesh)
-    return u, p, rel
+    return u, p, rel, w, bottom_rel
 
 
 # -- helpers ----------------------------------------------------------------

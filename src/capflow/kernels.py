@@ -2,7 +2,7 @@
 triangle and boundary-edge blocks, the mesh-velocity stiffness, the mass
 action, the loads summed into the reduced right-hand side, the mesh-velocity
 extension's data, the fill of a fixed pattern, the banded LU without
-pivoting with its solve, the residual check of every solve, and, for the
+pivoting with its solve and the residual check of the solve, and, for the
 writers, an exact ``%.17g`` formatter that fills a text template.
 
 **Assembly.**  Every per-element and per-edge loop of the step is a kernel:
@@ -44,11 +44,14 @@ for the four (unroll-and-jam: Carr & Kennedy 1994, ACM TOPLAS 16(6)).  A
 later column's update reads only the pivot columns and itself, so the
 grouping leaves every entry's operations, and their order, as they were.
 
-**Residual.**  Every solve of the run path checks its x with one call of
-:func:`residual`: a flag when an entry of x is not finite, else A x formed
-column by column over the pattern's CSC arrays, each entry summed from zero
-in column order as scipy's ``csc_matvec`` sums it, so with its bits, and the
-squared norms of A x - b and b, each summed in row order.
+**Solve and residual.**  One call of :func:`solve_band` solves for all of
+an LU's right-hand sides, one or two, loading each entry of L and U once for
+both, then checks each solution x in one pass over the pattern's CSC arrays:
+a flag when an entry of x is not finite, A x formed column by column, each
+entry summed from zero in column order as scipy's ``csc_matvec`` sums it, so
+with its bits, and the squared norms of A x - b and b, each summed in row
+order.  Each vector has the operations, and the bits, of a solve and a check
+of its own.
 
 **Output.**  :meth:`Template.fill` copies a template's static text and
 writes each slot's double exactly as Python's ``format(x, ".17g")`` does.
@@ -431,6 +434,18 @@ static inline void update2(ptrdiff_t m, double a, const double *restrict x, doub
         y[r] = (y[r] - x[r] * a) - w[r] * b;
 }
 
+/* y_t -= a_t x for two columns y_0, y_1 in one pass over x, each entry as in
+   update. */
+static inline void update_x2(ptrdiff_t m, const double *restrict x,
+                             double a0, double *restrict y0, double a1, double *restrict y1)
+{
+    for (ptrdiff_t r = 0; r < m; ++r) {
+        const double xr = x[r];
+        y0[r] -= xr * a0;
+        y1[r] -= xr * a1;
+    }
+}
+
 /* y_t -= a_t x for four columns y_0..y_3 in one pass over x, each entry as in
    update. */
 static inline void update_x4(ptrdiff_t m, const double *restrict x,
@@ -540,10 +555,9 @@ CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int3
 /* x = (LU)^-1 x in place, with the factors and the envelope of band_factor:
    L y = x forward, then U x = y backward, column by column.  Column j of U
    reaches up to row top, the first row whose reach gets to column j. */
-CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
-                       const int32_t *upper, const double *ab, double *x)
+static inline void solve_x1(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *lower,
+                            const int32_t *upper, const double *ab, double *x)
 {
-    const ptrdiff_t ldab = kl + ku + 1;
     for (ptrdiff_t j = 0; j < n; ++j) {
         update(lower[j], x[j], ab + j * ldab + ku + 1, x + j + 1);
     }
@@ -557,13 +571,36 @@ CLONES void band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *l
     }
 }
 
-/* The residual of a solve of A x = b, A the n x n CSC matrix (indptr,
+/* solve_x1 for two vectors x0 and x1 in one pass over the factors, each
+   entry of either as there. */
+static inline void solve_x2(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *lower,
+                            const int32_t *upper, const double *ab, double *x0, double *x1)
+{
+    for (ptrdiff_t j = 0; j < n; ++j) {
+        update_x2(lower[j], ab + j * ldab + ku + 1, x0[j], x0 + j + 1, x1[j], x1 + j + 1);
+    }
+    ptrdiff_t top = n - 1;
+    for (ptrdiff_t j = n - 1; j >= 0; --j) {
+        while (top > 0 && top - 1 + upper[top - 1] >= j)
+            --top;
+        const ptrdiff_t m = j - top;
+        const double d = ab[j * ldab + ku];
+        x0[j] /= d;
+        x1[j] /= d;
+        update_x2(m, ab + j * ldab + ku - m, x0[j], x0 + j - m, x1[j], x1 + j - m);
+    }
+}
+
+/* The residual check of a solve of A x = b, A the n x n CSC matrix (indptr,
    indices, data).  Returns 1 if an entry of x is not finite.  Otherwise
    writes A x into out[0 .. n), summed column by column from zero as scipy's
    csc_matvec sums it, so with its bits, then ||A x - b||^2 into out[n] and
-   ||b||^2 into out[n + 1], each summed in row order, and returns 0. */
-CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
-                          const double *data, const double *x, const double *b, double *out)
+   ||b||^2 into out[n + 1], each summed in row order, and returns 0.  The
+   checks stay out of line: inlined into band_solve's solves, the one-vector
+   call ran 2-3% slower than a solve and a check apart. */
+__attribute__((noinline))
+static ptrdiff_t check_x1(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
+                          const double *data, const double *b, const double *x, double *out)
 {
     for (ptrdiff_t i = 0; i < n; ++i) {
         if (!isfinite(x[i]))
@@ -584,6 +621,76 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
     out[n] = r2;
     out[n + 1] = b2;
     return 0;
+}
+
+/* check_x1 for the solves of A x_t = b_t, t = 0, 1, x_t = x + t n and b_t =
+   b + t n, in one pass over A, each vector's figures as there into out + t
+   (n + 2).  Returns bit t set for each x_t with an entry that is not finite,
+   whose figures are then meaningless. */
+__attribute__((noinline))
+static ptrdiff_t check_x2(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
+                          const double *data, const double *b, const double *x, double *out)
+{
+    const double *x0 = x, *x1 = x + n, *b0 = b, *b1 = b + n;
+    double *o0 = out, *o1 = out + n + 2;
+    ptrdiff_t flags = 0;
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        flags |= (ptrdiff_t)!isfinite(x0[i]) | (ptrdiff_t)!isfinite(x1[i]) << 1;
+        o0[i] = 0.0;
+        o1[i] = 0.0;
+    }
+    for (ptrdiff_t j = 0; j < n; ++j) {
+        const double x0j = x0[j], x1j = x1[j];
+        for (int32_t k = indptr[j]; k < indptr[j + 1]; ++k) {
+            const double a = data[k];
+            o0[indices[k]] += a * x0j;
+            o1[indices[k]] += a * x1j;
+        }
+    }
+    double r0 = 0.0, c0 = 0.0, r1 = 0.0, c1 = 0.0;
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        const double d0 = o0[i] - b0[i], d1 = o1[i] - b1[i];
+        r0 += d0 * d0;
+        c0 += b0[i] * b0[i];
+        r1 += d1 * d1;
+        c1 += b1[i] * b1[i];
+    }
+    o0[n] = r0;
+    o0[n + 1] = c0;
+    o1[n] = r1;
+    o1[n + 1] = c1;
+    return flags;
+}
+
+/* The solves of A x_t = b_t for the k = 1 or 2 vectors x_t = x + t n, which
+   hold b_t = b + t n on entry, with the factors and the envelope of
+   band_factor, then the residual check of each, A also the n x n CSC matrix
+   (indptr, indices, data): one pass over L and U and one over A serve both
+   vectors, each entry of either taking the operations of a single solve and
+   check in their order.  Returns check_x1's or check_x2's flags, 0 when
+   every x_t is finite. */
+CLONES ptrdiff_t band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
+                            const int32_t *upper, const double *ab, const int32_t *indptr,
+                            const int32_t *indices, const double *data, ptrdiff_t k,
+                            const double *b, double *x, double *out)
+{
+    const ptrdiff_t ldab = kl + ku + 1;
+    if (k == 2) {
+        solve_x2(n, ldab, ku, lower, upper, ab, x, x + n);
+        return check_x2(n, indptr, indices, data, b, x, out);
+    }
+    solve_x1(n, ldab, ku, lower, upper, ab, x);
+    return check_x1(n, indptr, indices, data, b, x, out);
+}
+
+/* The residual checks of band_solve alone, for x already solved. */
+CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
+                          const double *data, ptrdiff_t k, const double *b, const double *x,
+                          double *out)
+{
+    if (k == 2)
+        return check_x2(n, indptr, indices, data, b, x, out);
+    return check_x1(n, indptr, indices, data, b, x, out);
 }
 
 #ifdef __SIZEOF_INT128__
@@ -868,8 +975,10 @@ class Kernel:
         self.scatter_add = bind("scatter_add", (size, at, values, out))
         bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
         self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)), size)
-        self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), out))
-        self.residual = bind("residual", (size, at, at, values, values, values, out), size)
+        csc = (at, at, values)                              # indptr, indices, data
+        self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), *csc, size,
+                                         values, out, out), size)
+        self.residual = bind("residual", (size, *csc, size, values, values, out), size)
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
                                                     _Array(np.uint8, writeable=True)), size)
@@ -919,27 +1028,27 @@ def factor_band(ab: np.ndarray, band) -> int:
     return kernel().factor(ab.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab)
 
 
-def solve_band(lu: np.ndarray, band, x: np.ndarray) -> None:
-    """Overwrite x with the solution of A x = x, lu A's :func:`factor_band`
-    with the same band."""
+def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
+               x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Overwrite x, (k, n) with k = 1 or 2, holding the right-hand sides b on
+    entry, with the solutions of A x_t = b_t, lu A's :func:`factor_band` with
+    band, and check each in the same call, A the CSC matrix of data on the
+    structure of pattern, a :class:`~capflow.forms.FixedPattern`.  Returns
+    out, (k, n + 2), whose row t holds A x_t, with the bits of scipy's
+    product, then ||A x_t - b_t||^2 and ||b_t||^2, and flags, bit t set when
+    an entry of x_t is not finite, which leaves row t meaningless."""
     expect("band storage", lu, (band.ldab, len(band.lower)))
-    expect("right-hand side", x, (lu.shape[1],))
-    kernel().solve(lu.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu, x)
-
-
-def residual(pattern, data: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """A x, then ||A x - b||^2 and ||b||^2, as one (n + 2,) array, A the n x n
-    CSC matrix of data on the structure of pattern, a
-    :class:`~capflow.forms.FixedPattern`; the product has the bits of scipy's.
-    None if an entry of x is not finite."""
-    n = len(pattern.indptr) - 1
+    n, k = lu.shape[1], len(x)
+    if k not in (1, 2):
+        raise DimensionMismatch(f"{k} right-hand sides, not 1 or 2")
+    expect("matrix structure", pattern.indptr, (n + 1,))
     expect("matrix data", data, pattern.indices.shape)
-    expect("solution", x, (n,))
-    expect("right-hand side", b, (n,))
-    out = np.empty(n + 2)
-    if kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices, data, x, b, out):
-        return None
-    return out
+    expect("right-hand sides", b, (k, n))
+    expect("solutions", x, (k, n))
+    out = np.empty((k, n + 2))
+    flags = kernel().solve(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu,
+                           pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x, out)
+    return out, flags
 
 
 SLOT = "%.17g"

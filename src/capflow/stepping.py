@@ -6,10 +6,11 @@ new geometry with the old fields carried over by nodal identification.
 :func:`slab_system` does all but the solve, and is the one assembly of a
 slab's system, also for the tests and scripts that inspect its matrix.
 :func:`step` is the only code that advances a slab, and the only one that
-factors its saddle matrix: asked for the control gradient, it solves for it
-with the same LU, which never leaves the step.  Every solve of the step, the
-mesh velocity, the state and the gradient's, is gated on its relative
-residual, and the step reports each.
+factors its saddle matrix: asked for the control gradient, it solves for the
+state and the gradient's tangent in one solve with that LU, which never
+leaves the step.  Every solve of the step, the mesh velocity, the state and
+the gradient's, is gated on its relative residual, and the step reports
+each.
 
 A run frees and reallocates the same few megabytes every step (the band, the
 element blocks).  glibc's default thresholds move with allocation order: its
@@ -126,20 +127,19 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     the pressure rows) and b the load of a unit bottom stress, d rhs / d
     zeta.  zeta is one scalar, so I_b = m^T (A^{-1} b), the tangent response
     w = A^{-1} b weighted by m (the adjoint/tangent duality; Giles & Pierce
-    2000, Flow Turbul. Combust. 65): one more plain solve with the state's
-    LU, never one with A transposed.  The LU is freed when the step returns,
-    so one factorization is alive at a time.
+    2000, Flow Turbul. Combust. 65): b is known before the factorization, so
+    the state and the tangent are one plain solve for two right-hand sides
+    with the slab's LU (:func:`~capflow.forms.solve`), never one with A
+    transposed.  The LU is freed when the step returns, so one factorization
+    is alive at a time.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
     system, ale_residual = slab_system(state, zeta, phys, num, floor)
     mesh_new = system.mesh
-    lu = factorize(system)
-    u_new, p_new, residual = solve(lu, system.rhs)
-    bottom_integral = bottom_residual = 0.0
-    if gradient:
-        reduce = system.pattern.reduce
-        w, bottom_residual = lu.solve(reduce(bottom_load_vector(mesh_new)), "bottom-load")
-        bottom_integral = float(reduce(mass_action(u_new)) @ w)
+    reduce = system.pattern.reduce
+    b = reduce(bottom_load_vector(mesh_new)) if gradient else None
+    u_new, p_new, residual, w, bottom_residual = solve(factorize(system), system.rhs, b)
+    bottom_integral = float(reduce(mass_action(u_new)) @ w) if gradient else 0.0
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     diag = StepDiagnostics(residual=residual, ale_residual=ale_residual,
                            bottom_residual=bottom_residual, bottom_integral=bottom_integral,

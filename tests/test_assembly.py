@@ -19,7 +19,7 @@ from capflow.forms import (BandLayout, FixedPattern, _edge_blocks, _loads, _sadd
                            factorize, mass_action, reverse_cuthill_mckee, vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
 from capflow.kernels import r_stiffness, triangle_blocks
-from capflow.stepping import initial_state, step
+from capflow.stepping import initial_state, slab_system, step
 
 from .conftest import factored_systems, random_vector_field
 from .oracles import oracle_saddle
@@ -56,14 +56,22 @@ def tc1_slab(n1=16, n3=32):
 
 
 def slab(config, n1=16, n3=32):
-    """The fourth slab of the run of config on an n1 x n3 grid, zeta = 1e-4."""
+    """The fourth slab of the run of config on an n1 x n3 grid, zeta = 1e-4:
+    the arguments of assemble_state_system, the mesh velocity V among them.
+    Their system is checked to be the one stepping.slab_system assembles for
+    the slab, bit for bit, so the slab's prefix here cannot drift from it."""
     cfg = replace(config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
         state, *_ = step(state, 1e-4, phys, num)
     V, _ = solve_domain_velocity(state.mesh, state.u)
-    return displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
+    args = displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
+    ours, (stepped, _) = assemble_state_system(*args), slab_system(state, 1e-4, phys, num)
+    for a, b in ((ours.data, stepped.data), (ours.rhs, stepped.rhs),
+                 (ours.mesh.z, stepped.mesh.z)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return args
 
 
 def rel(matrix, dense):
@@ -209,7 +217,7 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
     # wide: 51 at 16x32, 102 at 32x64
     assert band.kl == band.ku
     assert band.kl == width if grid == (16, 32) else band.kl <= width
-    x, _ = lu.solve(system.rhs, "state")
+    (x,), _ = lu.solve(system.rhs[None], ("state",))
     assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
 

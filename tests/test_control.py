@@ -290,21 +290,23 @@ class TestRunLoop:
             # the step frees its LU before it returns: none leaves it
             assert returned == [0] * 3, controlled
 
-    def test_two_plain_solves_per_step_with_the_saddle_lu(self, monkeypatch):
+    def test_one_two_column_solve_per_controlled_step(self, monkeypatch):
         solve = capflow.forms.BandLU.solve
-        solves = []         # size of each solve with a band LU, which solves only A x = b
+        solves = []         # size and right-hand sides of each solve with a band LU
 
         def counting_solve(lu, rhs, what):
-            solves.append(lu.system.matrix.shape[0])
+            solves.append((lu.system.matrix.shape[0], rhs.shape))
             return solve(lu, rhs, what)
 
         monkeypatch.setattr(capflow.forms.BandLU, "solve", counting_solve)
         nsteps = 3
-        hist = run_tc1(controlled=True, N1=4, N3=4, T=nsteps * tc1_config().dt)
-        assert hist.abort_reason is None
-        # per step: the mesh velocity (15 dofs), then the state and the
-        # bottom-load solve with the saddle LU (65)
-        assert solves == [15, 65, 65] * nsteps
+        for controlled, columns in ((True, 2), (False, 1)):
+            solves.clear()
+            hist = run_tc1(controlled=controlled, N1=4, N3=4, T=nsteps * tc1_config().dt)
+            assert hist.abort_reason is None
+            # per step: the mesh velocity (15 dofs), then one solve with the
+            # saddle LU (65), for the state and, controlled, the bottom load
+            assert solves == [(15, (1, 15)), (65, (columns, 65))] * nsteps, controlled
 
     @pytest.mark.parametrize("controlled, per_step",
                              [(True, ["mesh-velocity", "state", "bottom-load"]),
@@ -314,7 +316,7 @@ class TestRunLoop:
         gated = []          # the name of each gated solve
 
         def counting(lu, rhs, what):
-            gated.append(what)
+            gated.extend(what)
             return solve(lu, rhs, what)
 
         monkeypatch.setattr(capflow.forms.BandLU, "solve", counting)
@@ -324,14 +326,15 @@ class TestRunLoop:
         assert gated == per_step * nsteps
 
     def test_mesh_velocity_solve_over_the_gate_aborts_the_run(self, monkeypatch):
-        # x is perturbed beneath the gate: perturbed factors would still give
-        # x = 0 for the zero right-hand side of the flow at rest
+        # the vector the kernel solves is perturbed beneath the gate, and the
+        # right-hand side b its residual is checked against is not: perturbed
+        # factors would still give x = 0 for the zero b of the flow at rest
         solve_band = capflow.forms.solve_band
 
-        def perturbed(lu, band, x):
-            solve_band(lu, band, x)
-            if len(x) == 15:        # the mesh-velocity system of the 4x4 grid
-                x += 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(len(x))
+        def perturbed(lu, band, pattern, data, b, x):
+            if x.shape[1] == 15:    # the mesh-velocity system of the 4x4 grid
+                x += 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(x.shape[1])
+            return solve_band(lu, band, pattern, data, b, x)
 
         monkeypatch.setattr(capflow.forms, "solve_band", perturbed)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)

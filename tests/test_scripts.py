@@ -42,12 +42,14 @@ def test_step_profile_times_every_phase():
     step_profile = load("step_profile")
     step_profile.REPEATS = 1
     rows = step_profile.phases(4, 8)
-    assert len(rows) == 21
+    assert len(rows) == 22
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows), rows
-    # the factor's kernel under the factorization, a residual row under each solve
+    # the factor's kernel under the factorization, the controlled step after
+    # the free one, a residual row under each solve
     names = [name for name, _ in rows]
     assert names[names.index("factorize") + 1] == "  factor kernel"
-    for solve in ("ALE extension", "state solve", "bottom integral solve"):
+    assert names[names.index("whole step") + 1] == "whole step, controlled"
+    for solve in ("ALE extension", "state solve", "state + bottom-load solve"):
         assert "  residual" in names[names.index(solve) + 1:names.index(solve) + 3], solve
     step_profile.FAULT_STEPS = 3
     faults = step_profile.faults_per_step(4, 8)

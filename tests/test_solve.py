@@ -1,6 +1,7 @@
 import copy
 import ctypes
 import gc
+import math
 import pickle
 import platform
 import re
@@ -17,7 +18,7 @@ import capflow.forms
 import capflow.stepping
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow.errors import DimensionMismatch, KernelBuildError, SingularMatrix
+from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, element_data, factorize, kinetic_energy,
@@ -37,12 +38,42 @@ def system_of(matrix, rhs, free, mesh):
     """A saddle LinearSystem on a hand-built CSC matrix, over a pattern of the
     matrix's own structure whose reduced rows are the dofs free of mesh's 3 N,
     in that order."""
-    pattern = FixedPattern(free=read_only(free), size=3 * mesh.num_nodes, shapes=[],
-                           slot=read_only(np.empty(0, np.int32)),
-                           indices=read_only(matrix.indices.astype(np.int32)),
-                           indptr=read_only(matrix.indptr.astype(np.int32)),
-                           band=BandLayout.of(matrix.indices, matrix.indptr))
-    return LinearSystem(pattern=pattern, data=read_only(matrix.data), rhs=rhs, mesh=mesh)
+    return LinearSystem(pattern=pattern_of(matrix, free, 3 * mesh.num_nodes),
+                        data=read_only(matrix.data), rhs=rhs, mesh=mesh)
+
+
+def pattern_of(matrix, free, size):
+    """A FixedPattern of the CSC matrix's own structure, its reduced rows the
+    dofs free of size."""
+    return FixedPattern(free=read_only(free), size=size, shapes=[],
+                        slot=read_only(np.empty(0, np.int32)),
+                        indices=read_only(matrix.indices.astype(np.int32)),
+                        indptr=read_only(matrix.indptr.astype(np.int32)),
+                        band=BandLayout.of(matrix.indices, matrix.indptr))
+
+
+def kernel_solve(lu, band, pattern, data, b):
+    """The solve kernel's solutions, (k, n), its out and its flags for the
+    right-hand sides b, one (n,) or k (k, n), with the band storage lu and
+    band, checked against the matrix of data on pattern."""
+    b = np.atleast_2d(b)
+    x = b.copy()
+    out, flags = kernels.solve_band(lu, band, pattern, data, b, x)
+    return x, out, flags
+
+
+def assert_rows_solve_alone(lu, band, pattern, data, b):
+    """Each row of the solve kernel's two-row call for b, (2, n), its solution
+    and its out, has the bits of a one-row call for that row; returns the
+    two-row call's solutions and out."""
+    x, out, flags = kernel_solve(lu, band, pattern, data, b)
+    assert flags == 0
+    for t in range(2):
+        one, single, flags = kernel_solve(lu, band, pattern, data, b[t])
+        assert flags == 0
+        assert np.array_equal(bits(one[0]), bits(x[t])), t
+        assert np.array_equal(bits(single[0]), bits(out[t])), t
+    return x, out
 
 
 def read_only(a):
@@ -53,7 +84,8 @@ def read_only(a):
 
 
 def lu_solve(system):
-    return solve(factorize(system), system.rhs)
+    """Velocity, pressure and relative residual of the state solve."""
+    return solve(factorize(system), system.rhs)[:3]
 
 
 def wrap_system(mesh, matrix, rhs):
@@ -199,7 +231,9 @@ def test_kernel_handles_every_band_shape():
     (the kernel updates them four at a time; on a full band those only the
     second reaches are at most one but for kl = 0, and the unsymmetric
     envelope test covers them): the factors equal the dense loop's bit for
-    bit, and a solve matches a dense solve."""
+    bit, and a solve matches a dense solve.  Each row of a two-row solve, and
+    its residual check, has the bits of a one-row call, and the check's A x
+    those of scipy's product."""
     rng = np.random.default_rng(9)
     for n in range(1, 17):
         for kl in range(7):
@@ -213,11 +247,14 @@ def test_kernel_handles_every_band_shape():
                 band = full_band(n, kl, ku)
                 assert kernels.factor_band(ab, band) == 0
                 assert np.array_equal(ab[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
-                b = rng.standard_normal(n)
-                x = b.copy()
-                kernels.solve_band(ab, band, x)
-                ref = np.linalg.solve(A, b)
-                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (n, kl, ku)
+                b = rng.standard_normal((2, n))
+                matrix = sp.csc_matrix(A)
+                x, out = assert_rows_solve_alone(ab, band, pattern_of(matrix, np.arange(n), n),
+                                                 read_only(matrix.data), b)
+                for t in range(2):
+                    ref = np.linalg.solve(A, b[t])
+                    assert np.abs(x[t] - ref).max() <= 1e-12 * np.abs(ref).max(), (n, kl, ku)
+                    assert np.array_equal(bits(out[t, :n]), bits(matrix @ x[t]))
 
 
 def profile_reach(S):
@@ -306,7 +343,8 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
     columns j, j + 1 of a pass, the later columns both reach, and those only
     j + 1 reaches, come in every count mod 4 and in full groups of four, so
     the groups of four later columns the kernel updates together start and
-    end at every offset."""
+    end at every offset.  Each row of a two-row solve is a one-row solve, bit
+    for bit, and so is each row's residual check."""
     for A in (unsymmetric_envelope(), unsymmetric_envelope(n=40, kl=9, ku=10, seed=12)):
         matrix = sp.csc_matrix(A)
         band = BandLayout.of(matrix.indices, matrix.indptr)
@@ -317,14 +355,15 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
         assert kernels.factor_band(ab, band) == 0
         assert np.array_equal(bits(ab[places]), bits(on_band(dense_lu_without_pivoting(A),
                                                              band.kl, band.ku)[0]))
-        b = np.random.default_rng(12).standard_normal(n)
-        x = b.copy()
-        kernels.solve_band(ab, band, x)
-        ref = np.linalg.solve(A, b)
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        full = b.copy()
-        kernels.solve_band(ab, full_band(n, band.kl, band.ku), full)
+        b = np.random.default_rng(12).standard_normal((2, n))
+        pattern, data = pattern_of(matrix, np.arange(n), n), read_only(matrix.data)
+        x, out = assert_rows_solve_alone(ab, band, pattern, data, b)
+        for t in range(2):
+            ref = np.linalg.solve(A, b[t])
+            assert np.abs(x[t] - ref).max() <= 1e-12 * np.abs(ref).max()
+        full, full_out, _ = kernel_solve(ab, full_band(n, band.kl, band.ku), pattern, data, b)
         assert np.array_equal(bits(x), bits(full))
+        assert np.array_equal(bits(out), bits(full_out))
     assert band.kl >= 8 and band.ku >= 8
     both, only = [], []
     for j in range(0, n - 1, 2):
@@ -349,9 +388,9 @@ def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     ab = ab.reshape((band.ldab, n), order="F")
     assert kernels.factor_band(ab, full) == 0
     assert np.array_equal(bits(ab), bits(lu.lu))
-    x, y = system.rhs.copy(), system.rhs.copy()
-    kernels.solve_band(lu.lu, band, x)
-    kernels.solve_band(lu.lu, full, y)
+    b = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
+    x, _, _ = kernel_solve(lu.lu, band, system.pattern, system.data, b)
+    y, _, _ = kernel_solve(lu.lu, full, system.pattern, system.data, b)
     assert np.array_equal(bits(x), bits(y))
 
 
@@ -379,8 +418,9 @@ def test_band_layout_refuses_an_envelope_that_leaves_the_band():
 @pytest.mark.parametrize("config", [tc1_config, tc2_config], ids=["tc1", "tc2"])
 def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config, controlled):
     """Every mesh-velocity and saddle LU of 20 steps at 8x16 solves the
-    system's own and a random right-hand side as a dense solve does, to
-    1e-10 relative, with growth max|U|/max|A| at most 10."""
+    system's own and a random right-hand side, in one two-row solve, as a
+    dense solve does, to 1e-10 relative, with growth max|U|/max|A| at most
+    10."""
     lus = []
     for module in (capflow.ale, capflow.stepping):
         def recording(system, factorize=module.factorize):
@@ -393,10 +433,11 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
     rng = np.random.default_rng(8)
     for k, lu in enumerate(lus):
         A = lu.system.matrix.toarray()
-        for b in (lu.system.rhs, rng.standard_normal(len(A))):
-            x, _ = lu.solve(b, "test")
-            ref = np.linalg.solve(A, b)
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), k
+        b = np.stack((lu.system.rhs, rng.standard_normal(len(A))))
+        x, _ = lu.solve(b, ("own", "random"))
+        for t in range(2):
+            ref = np.linalg.solve(A, b[t])
+            assert np.linalg.norm(x[t] - ref) <= 1e-10 * np.linalg.norm(ref), k
         assert lu.growth <= 10.0, (k, lu.growth)
 
 
@@ -404,22 +445,22 @@ def test_factorizations_are_bitwise_equal():
     system = assemble_state_system(*tc1_slab(8, 16))
     first, second = factorize(system), factorize(system)
     assert np.array_equal(first.lu, second.lu)
-    assert np.array_equal(first.solve(system.rhs, "state")[0],
-                          second.solve(system.rhs, "state")[0])
+    assert np.array_equal(first.solve(system.rhs[None], ("state",))[0],
+                          second.solve(system.rhs[None], ("state",))[0])
 
 
 def step_solves(monkeypatch):
-    """(system, rhs, what, x, relative residual) of each solve of one
-    controlled step from the fourth 16x32 tc1 slab's state, its gradient's
-    bottom-load solve included."""
+    """(lu, rhs, what, x, relative residual) of each solve of one controlled
+    step from the fourth 16x32 tc1 slab's state, its gradient's bottom-load
+    solve included, one per row of each call."""
     _, mesh, u, _, zeta, phys, num = tc1_slab()
     solves = []
     solve = BandLU.solve
 
     def recording(lu, rhs, what):
-        x, rel = solve(lu, rhs, what)
-        solves.append((lu.system, rhs, what, x, rel))
-        return x, rel
+        x, rels = solve(lu, rhs, what)
+        solves.extend(zip([lu] * len(what), rhs, what, x, rels))
+        return x, rels
 
     monkeypatch.setattr(BandLU, "solve", recording)
     step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
@@ -428,39 +469,91 @@ def step_solves(monkeypatch):
 
 
 def test_residual_kernel_is_scipys_product_and_numpys_norms(monkeypatch):
-    """The residual kernel's A x is scipy's product bit for bit, for the
-    step's solution and for a random x, and each solve's relative residual is
-    numpy's norm of A x - b over that of b, to 1e-12 relative."""
+    """The solve kernel's A x is scipy's product bit for bit, for the step's
+    solution and for that of a random right-hand side solved with it in one
+    two-row call, each row of which has the bits of a one-row call, and each
+    solve's relative residual is numpy's norm of A x - b over that of b, to
+    1e-12 relative."""
     solves = step_solves(monkeypatch)
     assert [what for _, _, what, _, _ in solves] == ["mesh-velocity", "state", "bottom-load"]
     rng = np.random.default_rng(13)
-    for system, rhs, what, x, rel in solves:
+    for lu, rhs, what, x, rel in solves:
+        system = lu.system
         A = system.matrix
-        for y in (x, rng.standard_normal(len(x))):
-            out = kernels.residual(system.pattern, system.data, y, rhs)
-            assert np.array_equal(bits(out[:-2]), bits(A @ y)), what
+        b = np.stack((rhs, rng.standard_normal(len(rhs))))
+        y, out = assert_rows_solve_alone(lu.lu, system.pattern.band, system.pattern,
+                                         system.data, b)
+        assert np.array_equal(bits(y[0]), bits(x)), what
+        for t in range(2):
+            assert np.array_equal(bits(out[t, :-2]), bits(A @ y[t])), what
         reference = np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs)
         assert 0.0 < rel <= 1e-10
         assert rel == pytest.approx(reference, rel=1e-12, abs=0.0), what
 
 
 def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch):
+    """A right-hand side with a non-finite entry leaves its row's solution
+    non-finite: the kernel flags that row alone, and the solve raises
+    SingularMatrix naming it, also for the bottom-load row of a step whose
+    state row is finite."""
     system = assemble_state_system(*tc1_slab(4, 8))
     lu = factorize(system)
-    x, _ = lu.solve(system.rhs, "state")
+    band, what = system.pattern.band, ("state", "bottom-load")
+    loads = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
     for bad in (np.nan, np.inf, -np.inf):
-        y = x.copy()
-        y[-1] = bad
-        assert kernels.residual(system.pattern, system.data, y, system.rhs) is None
-    solve_band = capflow.forms.solve_band
+        for t in range(2):
+            b = loads.copy()
+            b[t, -1] = bad
+            assert kernel_solve(lu.lu, band, system.pattern, system.data, b)[2] == 1 << t
+            assert kernel_solve(lu.lu, band, system.pattern, system.data, b[t])[2] == 1
+            with pytest.raises(SingularMatrix, match=f"^{what[t]} solve produced non-finite "
+                                                     f"values$"):
+                lu.solve(b, what)
+    _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
 
-    def poisoned(lu, band, x):
-        solve_band(lu, band, x)
-        x[len(x) // 2] = np.nan
+    def poisoned(mesh):
+        out = bottom_load_vector(mesh).copy()
+        out[len(out) // 2] = np.nan
+        return out
 
-    monkeypatch.setattr(capflow.forms, "solve_band", poisoned)
+    monkeypatch.setattr(capflow.stepping, "bottom_load_vector", poisoned)
     with pytest.raises(SingularMatrix, match="^bottom-load solve produced non-finite values$"):
-        lu.solve(system.pattern.reduce(bottom_load_vector(system.mesh)), "bottom-load")
+        step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
+             gradient=True)
+
+
+@pytest.mark.parametrize("row, what", [(1, "bottom-load"), (0, "state")],
+                         ids=["bottom-load", "state"])
+def test_each_row_of_a_solve_has_its_own_residual_gate(monkeypatch, row, what):
+    """A step's two-row solve gates each row on its own relative residual.
+    The vector the kernel solves for one row's load is perturbed by 1e-9 of
+    that load's norm, and the load its residual is checked against is not:
+    that row's residual reads 1e-9 and raises ResidualTooLarge naming its
+    solve, and the other row's stays under the 1e-10 gate.  The two loads'
+    norms differ by far more than 1e-9 / 1e-10, so a row checked against the
+    other's norm would pass or fail the other way."""
+    _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
+    solve_band = capflow.forms.solve_band
+    checks = []
+
+    def perturbed(lu, band, pattern, data, b, x):
+        if len(x) == 2:
+            n = x.shape[1]
+            x[row] += 1e-9 * np.linalg.norm(b[row]) / math.sqrt(n) * (-1.0) ** np.arange(n)
+        out, flags = solve_band(lu, band, pattern, data, b, x)
+        if len(x) == 2:
+            checks.append(out)
+        return out, flags
+
+    monkeypatch.setattr(capflow.forms, "solve_band", perturbed)
+    with pytest.raises(ResidualTooLarge, match=f"^{what} solve: relative residual "):
+        step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
+             gradient=True)
+    (out,) = checks
+    rel = np.sqrt(out[:, -2] / out[:, -1])
+    assert rel[row] == pytest.approx(1e-9, rel=0.01)
+    assert rel[1 - row] <= 1e-10
+    assert max(out[0, -1] / out[1, -1], out[1, -1] / out[0, -1]) > 1e4
 
 
 # every function of the kernel source
@@ -476,8 +569,9 @@ def test_every_kernel_is_listed():
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     """The source built without target clones, the code any x86-64 or other
     host runs, computes every kernel's output, the step's matrix and reduced
-    loads, and factors and solves, bit for bit as the run path's build, every
-    function of which dispatches among its clones on x86-64."""
+    loads, and factors, one- and two-row solves and residual checks, bit for
+    bit as the run path's build, every function of which dispatches among its
+    clones on x86-64."""
     cloned = ctypes.CDLL(str(kernels.build()))
     monkeypatch.setattr(kernels, "CACHE", tmp_path)
     path = kernels.build(flags=kernels.FLAGS + ("-DKERNELS_PORTABLE",))
@@ -493,11 +587,17 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
         slab = tc1_slab()
         got, _ = compiled_kernels(*slab)
         system = assemble_state_system(*slab)
+        pattern, n = system.pattern, len(system.rhs)
         lu = factorize(system)
-        x = lu.solve(system.rhs, "state")[0]
-        got |= {"matrix": system.data, "lu": lu.lu, "solve": x,
-                "residual": kernels.residual(system.pattern, system.data, x, system.rhs),
-                "reduced bottom load": system.pattern.reduce(bottom_load_vector(slab[0]))}
+        loads = np.stack((system.rhs, pattern.reduce(bottom_load_vector(slab[0]))))
+        one, one_out, _ = kernel_solve(lu.lu, pattern.band, pattern, system.data, loads[0])
+        two, two_out, _ = kernel_solve(lu.lu, pattern.band, pattern, system.data, loads)
+        checks = np.empty((2, n + 2))
+        kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices, system.data, 2,
+                                  loads, two, checks)
+        got |= {"matrix": system.data, "lu": lu.lu, "solve": one, "residual": one_out,
+                "two-row solve": two, "two-row residual": two_out, "residual alone": checks,
+                "reduced bottom load": loads[1]}
         return got
 
     run_path = computed()
@@ -512,16 +612,24 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
         kernels.factor_band(ab, full_band(4, 2, 1))
     with pytest.raises(DimensionMismatch):
         kernels.factor_band(ab, full_band(5, 2, 2))
-    with pytest.raises(DimensionMismatch):
-        kernels.solve_band(ab, full_band(4, 2, 2), np.zeros(5))
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = 3 * mesh.num_nodes
     system = system_of(sp.eye(n, format="csc"), np.ones(n), np.arange(n), mesh)
-    x = np.ones(n)
-    for data, y, b in ((system.data[:-1], x, x), (system.data, x[:-1], x),
-                       (system.data, x, x[:-1])):
+    lu, band, pattern, data = factorize(system), system.pattern.band, system.pattern, system.data
+    other = system_of(sp.eye(n + 1, format="csc"), np.ones(n + 1), np.arange(n + 1), mesh).pattern
+    b = np.ones((2, n))
+    for args in ((full_band(n + 1, band.kl, band.ku), pattern, data, b, b.copy()),
+                 (band, other, data, b, b.copy()),
+                 (band, pattern, data[:-1], b, b.copy()),
+                 (band, pattern, data, b[:, :-1], b.copy()),
+                 (band, pattern, data, b, np.ones((2, n - 1))),
+                 (band, pattern, data, b[:1], b.copy()),
+                 (band, pattern, data, np.ones((3, n)), np.ones((3, n))),
+                 (band, pattern, data, b[0], b[0].copy())):
         with pytest.raises(DimensionMismatch):
-            kernels.residual(system.pattern, data, y, b)
+            kernels.solve_band(lu.lu, *args)
+    with pytest.raises(DimensionMismatch):
+        lu.solve(b, ("state",))
 
 
 def test_kernel_calls_leave_no_garbage_cycles():
@@ -536,7 +644,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
     lu = factorize(system)
     blocks = np.empty((len(ed.tri), 9, 9))
     stiffness = np.empty((len(ed.tri), 3, 3))
-    x = system.rhs.copy()
+    b = np.stack((system.rhs, system.rhs))
+    x = b.copy()
     state = FlowState(mesh=mesh_old, u=u, p=zero_scalar_field(mesh_old), t=0.0)
     gc.collect()
     gc.disable()
@@ -545,8 +654,7 @@ def test_kernel_calls_leave_no_garbage_cycles():
             kernels.triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
             kernels.r_stiffness(ed, stiffness)
             kernels.factor_band(lu.lu.copy(order="F"), band)
-            kernels.solve_band(lu.lu, band, x)
-            kernels.residual(system.pattern, system.data, x, system.rhs)
+            kernels.solve_band(lu.lu, band, system.pattern, system.data, b, x)
             # a whole step and its gradient: every kernel, on new meshes and fields
             new, _ = step(state, zeta, phys, num, gradient=True)
             kinetic_energy(new.u)
@@ -561,7 +669,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
     with pytest.raises(ctypes.ArgumentError):
         system.pattern.reduce(np.zeros(3, dtype=np.int64))
     with pytest.raises(ctypes.ArgumentError):
-        kernels.residual(system.pattern, system.data, np.zeros(len(x), np.float32), system.rhs)
+        kernels.solve_band(lu.lu, band, system.pattern, system.data, b,
+                           np.zeros(b.shape, np.float32))
 
 
 def test_binding_refuses_a_writeable_or_wrongly_typed_array():
