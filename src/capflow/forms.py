@@ -21,16 +21,15 @@ kept dofs (:meth:`FixedPattern.reduce`), and the fill's read-only CSC data
 on the pattern's structure; only :func:`factorize` knows
 the band storage, and the :class:`BandLU` it returns, an LU without pivoting
 from the compiled kernels of :mod:`capflow.kernels`, carries the system it
-factors: every solve is one :meth:`BandLU.solve` for all of an LU's
-right-hand sides, one compiled call that solves for each and gates each on
-its own residual in that system's matrix, formed from the data and the
-pattern's bound ``indices`` and ``indptr``.  The package needs numpy
-alone: the vertex order is a reverse Cuthill-McKee search in plain Python,
-once per topology, and SciPy is imported only to build a system's matrix
-when its ``matrix`` is read (the tests and the scripts).  The LU is
-restricted to the envelope of the
-pattern's structure, found once with its :class:`BandLayout`: without
-pivoting it makes no fill outside it (George & Liu 1981, ch. 4).
+factors: every solve is one :meth:`BandLU.solve` of all its loads, one
+compiled call that gates each on its own residual in that system's matrix,
+formed from the data and the pattern's ``indices`` and ``indptr``.  The
+package needs numpy alone: the vertex order is a reverse Cuthill-McKee
+search in plain Python, once per topology, and SciPy is imported only to
+build a system's matrix when its ``matrix`` is read (the tests and the
+scripts).  The LU is restricted to the envelope of the pattern's structure,
+found once with its :class:`BandLayout`: without pivoting it makes no fill
+outside it (George & Liu 1981, ch. 4).
 
 Every per-element and per-edge loop of the step is compiled
 (:mod:`capflow.kernels`): per-element numpy products cost more in call
@@ -584,15 +583,15 @@ class BandLU:
         return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.data).max())
 
     def solve(self, rhs: np.ndarray, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
-        """x, (k, n), with A x_t = rhs_t for each row of rhs, (k, n) with k = 1
-        or 2, A the system's matrix, and the rows' relative residuals ||A x_t
-        - rhs_t|| / ||rhs_t||, from one kernel call that solves and checks all
-        rows (:func:`~capflow.kernels.solve_band`): every solve of the run
-        path.  Row by row, a non-finite x_t raises SingularMatrix and a
-        relative residual above 1e-10 ResidualTooLarge, each naming the row's
-        solve by what[t] ("state", "bottom-load" or "mesh-velocity")."""
+        """x, (k, n), with A x_t = rhs_t for each row of rhs, C-contiguous
+        float64 (k, n) with k = 1 or 2, A the system's matrix, and the rows'
+        residuals ||A x_t - rhs_t|| / ||rhs_t||, from one call of
+        :func:`~capflow.kernels.solve_band`, which checks the shapes.  Row by
+        row, a non-finite x_t raises SingularMatrix and a residual above
+        1e-10 ResidualTooLarge, each naming the row's solve by what[t]."""
         system = self.system
-        kernels.expect("right-hand sides", rhs, (len(what), len(system.pattern.free)))
+        if len(what) != len(rhs):
+            raise DimensionMismatch(f"{len(rhs)} right-hand sides, {len(what)} names")
         x = rhs.copy()
         out, flags = solve_band(self.lu, system.pattern.band, system.pattern, system.data, rhs, x)
         rels = []
@@ -643,23 +642,19 @@ def factorize(system: LinearSystem) -> BandLU:
 
 def solve(lu: BandLU, rhs: np.ndarray, bottom_load: np.ndarray | None = None
           ) -> tuple[VectorFieldP1, ScalarFieldP1, float, np.ndarray | None, float]:
-    """Solve lu's saddle system for the state load rhs, and for the reduced
-    load bottom_load stacked under it if given, with one :meth:`BandLU.solve`;
-    returns (velocity, pressure, relative residual, w = A^{-1} bottom_load,
-    its residual), the last two None and 0.0 without bottom_load."""
-    if bottom_load is None:
-        x, (rel,) = lu.solve(rhs[None], ("state",))
-        w, bottom_rel = None, 0.0
-    else:
-        x, (rel, bottom_rel) = lu.solve(np.array((rhs, bottom_load)), ("state", "bottom-load"))
-        w = x[1]
+    """Solve lu's saddle system for the state load rhs, and bottom_load under
+    it if given, in one :meth:`BandLU.solve`: (velocity, pressure, residual,
+    w = A^{-1} bottom_load, its residual), the last two None and 0.0 without."""
+    loads = rhs[None] if bottom_load is None else np.array((rhs, bottom_load))
+    x, rels = lu.solve(loads, ("state", "bottom-load")[:len(loads)])
+    w, bottom_rel = (x[1], rels[1]) if len(x) == 2 else (None, 0.0)
     system = lu.system
     n = system.mesh.num_nodes
     full = np.zeros(3 * n)
     full[system.pattern.free] = x[0]
     u = VectorFieldP1(np.column_stack((full[:n], full[n:2 * n])), system.mesh)
     p = ScalarFieldP1(full[2 * n:], system.mesh)
-    return u, p, rel, w, bottom_rel
+    return u, p, rels[0], w, bottom_rel
 
 
 # -- helpers ----------------------------------------------------------------

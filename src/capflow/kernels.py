@@ -44,14 +44,12 @@ for the four (unroll-and-jam: Carr & Kennedy 1994, ACM TOPLAS 16(6)).  A
 later column's update reads only the pivot columns and itself, so the
 grouping leaves every entry's operations, and their order, as they were.
 
-**Solve and residual.**  One call of :func:`solve_band` solves for all of
-an LU's right-hand sides, one or two, loading each entry of L and U once for
-both, then checks each solution x in one pass over the pattern's CSC arrays:
-a flag when an entry of x is not finite, A x formed column by column, each
-entry summed from zero in column order as scipy's ``csc_matvec`` sums it, so
-with its bits, and the squared norms of A x - b and b, each summed in row
-order.  Each vector has the operations, and the bits, of a solve and a check
-of its own.
+**Solve and residual.**  One call of :func:`solve_band` solves for an LU's
+one or two right-hand sides, each entry of L and U loaded once for both, and
+checks each x in one pass over the pattern's CSC arrays: a flag when x is not
+finite, else A x summed column by column from zero as scipy's ``csc_matvec``
+sums it, so with its bits, and the squared norms of A x - b and b in row
+order.  Each x has the bits of a solve and a check of its own.
 
 **Output.**  :meth:`Template.fill` copies a template's static text and
 writes each slot's double exactly as Python's ``format(x, ".17g")`` does.
@@ -975,10 +973,9 @@ class Kernel:
         self.scatter_add = bind("scatter_add", (size, at, values, out))
         bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
         self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)), size)
-        csc = (at, at, values)                              # indptr, indices, data
-        self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), *csc, size,
-                                         values, out, out), size)
-        self.residual = bind("residual", (size, *csc, size, values, values, out), size)
+        self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), at, at,
+                                         values, size, values, out, out), size)
+        self.residual = bind("residual", (size, at, at, values, size, values, values, out), size)
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
                                                     _Array(np.uint8, writeable=True)), size)
@@ -1030,17 +1027,12 @@ def factor_band(ab: np.ndarray, band) -> int:
 
 def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
                x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Overwrite x, (k, n) with k = 1 or 2, holding the right-hand sides b on
-    entry, with the solutions of A x_t = b_t, lu A's :func:`factor_band` with
-    band, and check each in the same call, A the CSC matrix of data on the
-    structure of pattern, a :class:`~capflow.forms.FixedPattern`.  Returns
-    out, (k, n + 2), whose row t holds A x_t, with the bits of scipy's
-    product, then ||A x_t - b_t||^2 and ||b_t||^2, and flags, bit t set when
-    an entry of x_t is not finite, which leaves row t meaningless."""
+    """Overwrite x, (k, n), k = 1 or 2, holding b on entry, with x_t = A^-1
+    b_t, lu A's :func:`factor_band` with band, and check each, A the CSC
+    matrix of data on pattern's structure: out, (k, n + 2), row t A x_t with
+    scipy's bits, ||A x_t - b_t||^2, ||b_t||^2; flags, bit t if x_t is not finite."""
     expect("band storage", lu, (band.ldab, len(band.lower)))
-    n, k = lu.shape[1], len(x)
-    if k not in (1, 2):
-        raise DimensionMismatch(f"{k} right-hand sides, not 1 or 2")
+    n, k = lu.shape[1], min(max(len(x), 1), 2)      # the checks below refuse any other count
     expect("matrix structure", pattern.indptr, (n + 1,))
     expect("matrix data", data, pattern.indices.shape)
     expect("right-hand sides", b, (k, n))

@@ -6,11 +6,10 @@ new geometry with the old fields carried over by nodal identification.
 :func:`slab_system` does all but the solve, and is the one assembly of a
 slab's system, also for the tests and scripts that inspect its matrix.
 :func:`step` is the only code that advances a slab, and the only one that
-factors its saddle matrix: asked for the control gradient, it solves for the
-state and the gradient's tangent in one solve with that LU, which never
-leaves the step.  Every solve of the step, the mesh velocity, the state and
-the gradient's, is gated on its relative residual, and the step reports
-each.
+factors its saddle matrix: asked for the control gradient, it solves for it
+in the state's solve with that LU, which never leaves the step.  Every solve
+of the step, the mesh velocity, the state and the gradient's, is gated on its
+relative residual, and the step reports each.
 
 A run frees and reallocates the same few megabytes every step (the band, the
 element blocks).  glibc's default thresholds move with allocation order: its
@@ -127,11 +126,9 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     the pressure rows) and b the load of a unit bottom stress, d rhs / d
     zeta.  zeta is one scalar, so I_b = m^T (A^{-1} b), the tangent response
     w = A^{-1} b weighted by m (the adjoint/tangent duality; Giles & Pierce
-    2000, Flow Turbul. Combust. 65): b is known before the factorization, so
-    the state and the tangent are one plain solve for two right-hand sides
-    with the slab's LU (:func:`~capflow.forms.solve`), never one with A
-    transposed.  The LU is freed when the step returns, so one factorization
-    is alive at a time.
+    2000, Flow Turbul. Combust. 65): a second right-hand side of the state's
+    plain solve (:func:`~capflow.forms.solve`), never one with A transposed.
+    The LU is freed when the step returns, so one factorization is alive at a time.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
     system, ale_residual = slab_system(state, zeta, phys, num, floor)

@@ -492,14 +492,34 @@ def test_residual_kernel_is_scipys_product_and_numpys_norms(monkeypatch):
 
 
 def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch):
-    """A right-hand side with a non-finite entry leaves its row's solution
-    non-finite: the kernel flags that row alone, and the solve raises
-    SingularMatrix naming it, also for the bottom-load row of a step whose
+    """The kernel flags each row whose solution is not finite, and the solve
+    raises SingularMatrix naming it: a finite load checked with a poisoned
+    solution, a finite load whose solve overflows on a pivot of 1e-320, a
+    load with a non-finite entry, and the bottom-load row of a step whose
     state row is finite."""
     system = assemble_state_system(*tc1_slab(4, 8))
     lu = factorize(system)
-    band, what = system.pattern.band, ("state", "bottom-load")
+    band, what, ptr = system.pattern.band, ("state", "bottom-load"), system.pattern.ptr
     loads = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
+    x, n = lu.solve(loads, what)[0], loads.shape[1]
+    for bad in (np.nan, np.inf, -np.inf):
+        for t in range(2):
+            y = x.copy()
+            y[t, -1 - t] = bad
+            for b, rows, flag in ((loads, y, 1 << t), (loads[t:t + 1], y[t:t + 1], 1)):
+                out = np.empty((len(b), n + 2))
+                assert kernels.kernel().residual(n, ptr.indptr, ptr.indices, system.data, len(b),
+                                                 b, rows, out) == flag
+    tiny = lu.lu.copy(order="F")
+    tiny[band.ku] = 1e-320                  # every pivot: the backward solve overflows
+    for t in range(2):
+        b = np.zeros_like(loads)
+        b[t] = loads[t]
+        assert np.all(np.isfinite(b))
+        assert kernel_solve(tiny, band, system.pattern, system.data, b)[2] == 1 << t
+        assert kernel_solve(tiny, band, system.pattern, system.data, b[t])[2] == 1
+        with pytest.raises(SingularMatrix, match=f"^{what[t]} solve produced non-finite values$"):
+            BandLU(system=system, lu=tiny).solve(b, what)
     for bad in (np.nan, np.inf, -np.inf):
         for t in range(2):
             b = loads.copy()
