@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time of each phase of one slab step, kernel by kernel, on refined grids.
+"""Time of each phase of one slab step, kernel by kernel, and the band of its
+saddle matrix, on refined grids.
 
 For each grid, advances the controlled test-case-1 refill three slabs and
 times the phases of the fourth on their own: the mesh-velocity extension
@@ -34,6 +35,14 @@ controlled step, all of them and those in SciPy, from a run of
 1 + PROFILE_STEPS steps less a run of one (which builds the patterns), both
 after a one-step run that loads the kernels.  Pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1) for comparable times.
+Last comes the band table, one row per grid, on the profiled slab's saddle
+system: the number of reduced dofs and of stored entries (from the
+pattern's ``indptr`` and ``indices``), the band's kl and ku, the
+envelope's share of the band storage, the factor's multiply-subtracts
+within the envelope over those of the full band, the growth max|U|/max|A|
+of the LU without pivoting, and the factor kernel's rate: the envelope's
+multiply-subtracts, the sum of lower[j] upper[j] over the columns, per ns of
+the table's ``factor kernel`` minimum.
 
     PYTHONPATH=src python scripts/step_profile.py
 """
@@ -49,7 +58,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from capflow import ale, forms, kernels
 from capflow.acceptance import tc1_config
@@ -60,7 +68,7 @@ from capflow.geometry import contact_line_height, displace_mesh
 from capflow.stepping import initial_state, slab_system, step
 from capflow.writers import write_history_csv, write_vtk_snapshot
 
-GRIDS = ((16, 32), (32, 64))    # N1 x N3
+GRIDS = ((16, 32), (32, 64), (64, 128))  # N1 x N3
 REPEATS = 20                    # calls per phase; the minimum is reported
 ZETA = 1e-4                     # bottom control stress held over the slabs
 FAULT_STEPS = 20                # steps of the run whose page faults are counted
@@ -80,17 +88,22 @@ def best_ms(fn, prepare=None):
     return 1e3 * best
 
 
-def phases(n1: int, n3: int) -> list[tuple[str, float]]:
+def slab(n1: int, n3: int):
+    """The controlled test-case-1 refill on an n1 x n3 grid after three slabs
+    at ZETA, its fourth slab's saddle system and its parameters."""
     cfg = replace(tc1_config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
         state, *_ = step(state, ZETA, phys, num)
-    mesh, u = state.mesh, state.u
-    forms.mass_action(u)                    # made by the previous step's loop
-    V, _ = solve_domain_velocity(mesh, u)
     system, _ = slab_system(state, ZETA, phys, num)
-    mesh_new = system.mesh
+    return state, system, phys, num
+
+
+def phases(n1: int, n3: int) -> list[tuple[str, float]]:
+    state, system, phys, num = slab(n1, n3)
+    mesh, u, mesh_new = state.mesh, state.u, system.mesh
+    V, _ = solve_domain_velocity(mesh, u)
     ed = forms.element_data(mesh_new)
     beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     lu = forms.factorize(system)
@@ -142,6 +155,23 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
             lambda _: step(state, ZETA, phys, num, gradient=True))),
         *writers_ms(state, num.dt),
     ]
+
+
+def band(n1: int, n3: int, kernel_ms: float) -> str:
+    """The band table's row of the grid's profiled slab, its rate from the
+    factor kernel's minimum kernel_ms."""
+    _, system, _, _ = slab(n1, n3)
+    pattern = system.pattern
+    layout = pattern.band
+    n = len(pattern.indptr) - 1
+    last = n - 1 - np.arange(n)
+    share = (n + layout.lower.sum() + layout.upper.sum()) / (layout.ldab * n)
+    # column j updates upper[j] later columns on lower[j] rows each
+    updates = np.dot(layout.lower, layout.upper.astype(np.int64))
+    work = updates / np.dot(np.minimum(layout.kl, last), np.minimum(layout.ku, last))
+    growth = forms.factorize(system).growth
+    return (f"{f'{n1}x{n3}':<9} {n:>7} {len(pattern.indices):>9} {layout.kl:>5} {layout.ku:>5} "
+            f"{share:>8.3f} {work:>8.3f} {growth:>8.3f} {updates / (1e6 * kernel_ms):>9.2f}")
 
 
 def residual_ms(lu, rhs: np.ndarray) -> float:
@@ -222,8 +252,9 @@ def calls_per_step(n1: int, n3: int) -> tuple[float, float]:
 
 def main() -> None:
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
-          f"numpy {np.__version__}, scipy {scipy.__version__}; min of {REPEATS} calls "
-          f"(writers: median of {RUN_FILES} rewrites), ms")
+          f"numpy {np.__version__}; kernels built with {kernels.COMPILER} "
+          f"{' '.join(kernels.FLAGS)}; min of {REPEATS} calls (writers: median of {RUN_FILES} "
+          f"rewrites), ms; the factor kernel's rate in multiply-subtracts per ns")
     columns = [phases(n1, n3) for n1, n3 in GRIDS]
     print(f"{'phase':<30}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
     for i, (name, _) in enumerate(columns[0]):
@@ -233,6 +264,10 @@ def main() -> None:
     calls = [calls_per_step(n1, n3) for n1, n3 in GRIDS]
     print(f"{'python calls / step (scipy)':<30}"
           + "".join(f"{f'{total:.0f} ({scipy_calls:.0f})':>10}" for total, scipy_calls in calls))
+    print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'envelope':>8} "
+          f"{'work':>8} {'growth':>8} {'msub/ns':>9}")
+    for (n1, n3), col in zip(GRIDS, columns):
+        print(band(n1, n3, dict(col)["  factor kernel"]))
 
 
 if __name__ == "__main__":

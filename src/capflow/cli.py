@@ -15,6 +15,7 @@ from .acceptance import run_tc1_verification
 from .config import load_config, num_params, phys_params
 from .control import run_instantaneous_control
 from .errors import CapflowError, ConfigError
+from .observables import equilibrium_height, transient_time
 from .writers import write_history_csv, write_vtk_snapshot
 
 
@@ -57,8 +58,9 @@ def _cmd_run(args) -> int:
         if cadence > 0 and step % cadence == 0:
             write_vtk_snapshot(state, out / f"snapshot_{step:05d}.vtk")
 
+    phys = phys_params(cfg)
     history = run_instantaneous_control(
-        phys_params(cfg), num_params(cfg), cfg.radius, cfg.init_height,
+        phys, num_params(cfg), cfg.radius, cfg.init_height,
         controlled=cfg.controlled, snapshot_cb=snapshot if cadence > 0 else None)
     csv_path = out / "history.csv"
     write_history_csv(history, csv_path)
@@ -68,6 +70,10 @@ def _cmd_run(args) -> int:
               f"{type(history.abort_reason).__name__}: {history.abort_reason}",
               file=sys.stderr)
         return 1
+    z_inf = equilibrium_height(phys, cfg.radius)
+    settle = transient_time(history, z_inf)
+    print(f"settle time = {'not attained' if settle is None else f'{settle:.6g} s'} "
+          f"(band around {z_inf:.4e} m)")
     largest = ", ".join(f"{what} {res:.3e}" for what, res in history.residuals.items())
     print(f"final t={history.t[-1]:.6g} s, Z_CL={history.z_cl[-1]:.6e} m, "
           f"zeta={history.zeta[-1]:.6e} m^2/s^2; largest relative residuals: {largest}")

@@ -26,10 +26,10 @@ compiled call that gates each on its own residual in that system's matrix,
 formed from the data and the pattern's ``indices`` and ``indptr``.  The
 package needs numpy alone: the vertex order is a reverse Cuthill-McKee
 search in plain Python, once per topology, and SciPy is imported only to
-build a system's matrix when its ``matrix`` is read (the tests and the
-scripts).  The LU is restricted to the envelope of the pattern's structure,
-found once with its :class:`BandLayout`: without pivoting it makes no fill
-outside it (George & Liu 1981, ch. 4).
+build a system's matrix when its ``matrix`` is read (the tests).  The LU
+is restricted to the envelope of the pattern's structure, found once with
+its :class:`BandLayout`: without pivoting it makes no fill outside it
+(George & Liu 1981, ch. 4).
 
 Every per-element and per-edge loop of the step is compiled
 (:mod:`capflow.kernels`): per-element numpy products cost more in call
@@ -269,7 +269,6 @@ class BandLayout:
 
     kl: int                 # subdiagonals
     ku: int                 # superdiagonals
-    ldab: int               # kl + ku + 1: without pivoting, U keeps the upper band
     position: np.ndarray    # int32 flat band index of each entry
     lower: np.ndarray       # int32 (n,) multipliers of column j of L
     upper: np.ndarray       # int32 (n,) entries of row j of U right of the diagonal
@@ -278,7 +277,7 @@ class BandLayout:
         # the compiled kernels index the band storage by the reaches
         n = len(self.lower)
         j = np.arange(n)
-        valid = self.ldab == self.kl + self.ku + 1 and all(
+        valid = all(
             reach.dtype == np.int32 and reach.shape == (n,)
             and np.all((reach >= 0) & (reach <= np.minimum(k, n - 1 - j)))
             and np.all(np.diff(j + reach) >= 0)
@@ -289,6 +288,11 @@ class BandLayout:
         object.__setattr__(self, "ptr", Pointers(position=(self.position, np.int32),
                                                  lower=(self.lower, np.int32),
                                                  upper=(self.upper, np.int32)))
+
+    @property
+    def ldab(self) -> int:
+        """Rows of the band storage: without pivoting, U keeps the upper band."""
+        return self.kl + self.ku + 1
 
     @classmethod
     def of(cls, indices: np.ndarray, indptr: np.ndarray) -> "BandLayout":
@@ -312,7 +316,7 @@ class BandLayout:
         first_column, first_row = np.full(n, n, np.int32), np.full(n, n, np.int32)
         np.minimum.at(first_column, row, column)
         np.minimum.at(first_row, column, row)
-        return cls(kl=kl, ku=ku, ldab=ldab, position=position,
+        return cls(kl=kl, ku=ku, position=position,
                    lower=_reach(first_column), upper=_reach(first_row))
 
 

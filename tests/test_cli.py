@@ -85,6 +85,20 @@ def test_run_prints_the_largest_residuals(tmp_path, capsys, flags):
     assert (values["bottom-load"] == 0.0) == bool(flags)
 
 
+@pytest.mark.parametrize("flags", [[], ["--uncontrolled"]], ids=["controlled", "uncontrolled"])
+@pytest.mark.parametrize("init_height, settle", [(5e-5, "not attained"), (0.999e-4, "0.002 s")],
+                         ids=["rising", "near-rest"])
+def test_run_prints_the_settling_time(tmp_path, capsys, flags, init_height, settle):
+    """The line before the final one gives the time after which Z_CL stays
+    within 0.1% of the equilibrium height, 1e-4 m here.  In 5 steps, a
+    column rising from half of it does not settle; one 0.1% below it is
+    outside the band at t = 0 and 0.002 s and inside it after."""
+    cfg = tiny_config(tmp_path, init_height=init_height)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 0
+    line = capsys.readouterr().out.splitlines()[-2]
+    assert line == f"settle time = {settle} (band around 1.0000e-04 m)"
+
+
 def test_run_uncontrolled_flag(tmp_path):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "out"

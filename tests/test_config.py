@@ -106,5 +106,12 @@ def test_missing_file_reported_with_path():
 
 
 def test_shipped_configs_match_reference_setups():
-    assert load_config(CONFIG_DIR / "tc1.cfg") == tc1_config()
-    assert load_config(CONFIG_DIR / "tc2.cfg") == tc2_config()
+    """configs/tcN.cfg, the one way to run a test case from the command line,
+    reads back as the case the acceptance checks run and holds exactly what
+    serialize_config writes of it, under its comments."""
+    for name, config in (("tc1", tc1_config()), ("tc2", tc2_config())):
+        path = CONFIG_DIR / f"{name}.cfg"
+        assert load_config(path) == config
+        lines = [line for line in path.read_text().splitlines(keepends=True)
+                 if not line.startswith("#")]
+        assert "".join(lines) == serialize_config(config), name

@@ -1,17 +1,9 @@
-"""Smoke tests of the scripts: the profiling scripts, which reach private
-names of capflow.forms, and the two test-case runs on a coarse, short copy of
-their configurations."""
+"""Smoke tests of scripts/step_profile.py, which reaches private names of
+capflow.forms, on a coarse grid."""
 
-import csv
 import importlib.util
 import math
-import sys
-from dataclasses import replace
 from pathlib import Path
-
-import pytest
-
-from capflow.writers import CSV_HEADER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,21 +13,6 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_fill_report_reports_the_band():
-    fill_report = load("fill_report")
-    fill_report.REPEATS = 1
-    grid, n, nnz, kl, ku, envelope, work, growth, ms, kernel_ms, rate = (
-        fill_report.report(4, 8).split())
-    assert grid == "4x8"
-    assert int(n) > 0 and int(nnz) > int(n)
-    assert 0 < int(kl) == int(ku) < int(n)
-    assert 0.0 < float(envelope) <= 1.0 and 0.0 < float(work) <= 1.0
-    assert 0.0 < float(growth) <= 10.0
-    assert math.isfinite(float(ms)) and float(ms) >= 0.0
-    assert math.isfinite(float(kernel_ms)) and float(kernel_ms) >= 0.0
-    assert float(rate) > 0.0
 
 
 def test_step_profile_times_every_phase():
@@ -51,29 +28,32 @@ def test_step_profile_times_every_phase():
     assert names[names.index("whole step") + 1] == "whole step, controlled"
     for solve in ("ALE extension", "state solve", "state + bottom-load solve"):
         assert "  residual" in names[names.index(solve) + 1:names.index(solve) + 3], solve
+
+
+def test_step_profile_prints_its_tables(capsys):
+    """main() prints the phase table with the page faults and Python calls
+    per step under it, none of the calls in SciPy, then the band table."""
+    step_profile = load("step_profile")
+    step_profile.GRIDS = ((4, 8),)
+    step_profile.REPEATS = 1
     step_profile.FAULT_STEPS = 3
-    faults = step_profile.faults_per_step(4, 8)
-    assert math.isfinite(faults) and faults >= 0
     step_profile.PROFILE_STEPS = 2
-    calls, scipy_calls = step_profile.calls_per_step(4, 8)
-    assert calls > 0 and scipy_calls == 0
-
-
-@pytest.mark.parametrize("name, config, extra",
-                         [("run_testcase1", "tc1_config", []),
-                          ("run_testcase2", "tc2_config", ["--snapshots", "1"])],
-                         ids=["tc1", "tc2"])
-def test_run_script_writes_its_outputs(monkeypatch, tmp_path, name, config, extra):
-    script = load(name)
-    full = getattr(script, config)()
-    monkeypatch.setattr(script, config, lambda: replace(full, N1=4, N3=4, T=3 * full.dt))
-    monkeypatch.setattr(sys, "argv", [name, "--out", str(tmp_path), *extra])
-    script.main()
-    case = name[-1]
-    for run in ("uncontrolled", "controlled"):
-        with open(tmp_path / f"tc{case}_{run}.csv", newline="") as f:
-            header, *rows = list(csv.reader(f))
-        assert ",".join(header) == CSV_HEADER
-        assert len(rows) == 4       # the initial state and 3 steps
-    vtk = sorted(p.name for p in tmp_path.glob("*.vtk"))
-    assert vtk == ([f"rise_{k:05d}.vtk" for k in range(4)] if case == "2" else [])
+    step_profile.RUN_FILES = 2
+    step_profile.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 28     # header, 2 + 22 phase rows, faults, calls, 2 band rows
+    assert lines[0].startswith("# ") and lines[1].split() == ["phase", "4x8"]
+    label, faults = lines[24].rsplit(None, 1)
+    assert label == "minor faults / step" and float(faults) >= 0
+    label, calls, scipy_calls = lines[25].rsplit(None, 2)
+    assert label == "python calls / step (scipy)"
+    assert float(calls) > 0 and scipy_calls == "(0)"
+    assert lines[26].split() == ["grid", "ndof", "nnz", "kl", "ku", "envelope", "work",
+                                 "growth", "msub/ns"]
+    grid, n, nnz, kl, ku, envelope, work, growth, rate = lines[27].split()
+    assert grid == "4x8"
+    assert int(n) > 0 and int(nnz) > int(n)
+    assert 0 < int(kl) == int(ku) < int(n)
+    assert 0.0 < float(envelope) <= 1.0 and 0.0 < float(work) <= 1.0
+    assert 0.0 < float(growth) <= 10.0
+    assert math.isfinite(float(rate)) and float(rate) > 0.0

@@ -202,7 +202,7 @@ def on_band(A, kl, ku):
 def full_band(n, kl, ku):
     """The layout of a full band on n columns, every reach min(k, n - 1 - j)."""
     j = np.arange(n)
-    return BandLayout(kl=kl, ku=ku, ldab=kl + ku + 1, position=read_only(np.empty(0, np.int32)),
+    return BandLayout(kl=kl, ku=ku, position=read_only(np.empty(0, np.int32)),
                       lower=read_only(np.minimum(kl, n - 1 - j).astype(np.int32)),
                       upper=read_only(np.minimum(ku, n - 1 - j).astype(np.int32)))
 
