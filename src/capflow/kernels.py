@@ -63,8 +63,8 @@ binary one, corrected by comparing with 10^16 and 10^17; no libm ``log10``
 enters.  Subnormals and the other exponents take glibc's correctly rounded
 digits.  The formatter is integer code, so it has no target clones.
 
-The kernels are C, kept here as one :data:`SOURCE`.  The first use compiles
-it with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
+The kernels are C, in ``kernels.c`` beside this module, read once at import
+as :data:`SOURCE`.  The first use compiles it with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
 ``__pycache__/kernels-<sha256 of source and flags>.so`` beside this module,
 written under a temporary name and moved into place, so concurrent first
 uses are safe, and removes the libraries of earlier sources there; later
@@ -90,768 +90,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, KernelBuildError
 
-SOURCE = r"""
-#include <math.h>
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-
-#if defined(__x86_64__) && !defined(KERNELS_PORTABLE)
-#define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
-#else
-#define CLONES
-#endif
-
-/* The element data of m triangles of areas area, from the node heights z and
-   the radial table's r at the points rq and r-differences dr, into out
-   (10 m): dN/dr (m, 3), dN/dz = dr / 2A (m, 3), the r-weighted quadrature
-   weights wr = A/3 r at the points (m, 3) and the integral of r (m). */
-CLONES void element_data(ptrdiff_t m, const int64_t *tri, const double *z, const double *area,
-                         const double *rq, const double *dr, double *out)
-{
-    double *grad_r = out, *grad_z = out + 3 * m, *wr = out + 6 * m, *r_int = out + 9 * m;
-    for (ptrdiff_t e = 0; e < m; ++e) {
-        const double a = area[e], inv2a = 1.0 / (2.0 * a), third = a / 3.0;
-        for (int i = 0; i < 3; ++i) {
-            const double zj = z[tri[3 * e + (i + 1) % 3]], zk = z[tri[3 * e + (i + 2) % 3]];
-            grad_r[3 * e + i] = (zj - zk) * inv2a;
-            grad_z[3 * e + i] = dr[3 * e + i] * inv2a;
-            wr[3 * e + i] = third * rq[3 * e + i];
-        }
-        r_int[e] = (wr[3 * e] + wr[3 * e + 1]) + wr[3 * e + 2];
-    }
-}
-
-/* The r-weighted gradient products of one triangle of area a, 3x3 row-major:
-   rr = R dN_i/dr dN_j/dr, R the integral of r and b the dN/dr; zz, the
-   radial table's zz_a over a; and the stiffness st = rr + zz. */
-static inline void gradient_products(double a, double R, const double *b, const double *zz_a,
-                                     double *rr, double *zz, double *st)
-{
-    for (int k = 0; k < 9; ++k) {
-        rr[k] = (b[k / 3] * b[k % 3]) * R;
-        zz[k] = zz_a[k] / a;
-        st[k] = rr[k] + zz[k];
-    }
-}
-
-/* The r-weighted stiffness integral of r grad N_i . grad N_j of each of m
-   triangles into st, (m, 3, 3). */
-CLONES void r_stiffness(ptrdiff_t m, const double *area, const double *r_int,
-                        const double *grad_r, const double *zz_a, double *st)
-{
-    for (ptrdiff_t e = 0; e < m; ++e) {
-        double rr[9], zz[9];
-        gradient_products(area[e], r_int[e], grad_r + 3 * e, zz_a + 9 * e, rr, zz, st + 9 * e);
-    }
-}
-
-/* Each of m triangles' 9x9 block of the saddle matrix, row-major on the
-   local dofs (u_r, u_z, p) of its vertices, into out (m, 9, 9).  Per
-   triangle: area, r_int and the rows of grad_r, grad_z and wr of the
-   element data; inv_r, rn, hoop, zz_a and coupling_z of the radial table;
-   w and V are (N, 2) nodal fields.  Quadrature point q lies midway between
-   vertices q and q + 1 (mod 3). */
-CLONES void triangle_blocks(ptrdiff_t m, const int64_t *tri, const double *area,
-                            const double *r_int, const double *grad_r, const double *grad_z,
-                            const double *wr, const double *inv_r, const double *rn,
-                            const double *hoop, const double *zz_a, const double *coupling_z,
-                            const double *w, const double *V,
-                            double dt, double nu, double Cs, double *out)
-{
-    const double inv_dt = 1.0 / dt, nu2 = 2.0 * nu, cs2 = Cs * 2.0;
-    for (ptrdiff_t e = 0; e < m; ++e) {
-        const double a = area[e], R = r_int[e];
-        const double *b = grad_r + 3 * e, *c = grad_z + 3 * e, *wq = wr + 3 * e;
-        double *E = out + 81 * e;
-        double rr[9], zz[9], st[9];
-        gradient_products(a, R, b, zz_a + 9 * e, rr, zz, st);
-
-        /* h = w/2 - V and g = w - V at the vertices */
-        double hr[3], hz[3], gr[3], gz[3];
-        for (int i = 0; i < 3; ++i) {
-            const int64_t n = tri[3 * e + i];
-            hr[i] = 0.5 * w[2 * n] - V[2 * n];
-            hz[i] = 0.5 * w[2 * n + 1] - V[2 * n + 1];
-            gr[i] = w[2 * n] - V[2 * n];
-            gz[i] = w[2 * n + 1] - V[2 * n + 1];
-        }
-        /* at the points, times wr: the mass weight 1/dt + div h, and g; on the
-           axis wr is 0 and so is inv_r, which drops h_r/r there */
-        const double dr_hr = (b[0] * hr[0] + b[1] * hr[1]) + b[2] * hr[2];
-        const double planar = dr_hr + ((c[0] * hz[0] + c[1] * hz[1]) + c[2] * hz[2]);
-        double mass_q[3], gr_q[3], gz_q[3];
-        for (int q = 0; q < 3; ++q) {
-            const int p = (q + 1) % 3;
-            const double hoop_q = (0.5 * hr[q] + 0.5 * hr[p]) * inv_r[3 * e + q];
-            mass_q[q] = wq[q] * (inv_dt + (planar + hoop_q));
-            gr_q[q] = wq[q] * (0.5 * gr[q] + 0.5 * gr[p]);
-            gz_q[q] = wq[q] * (0.5 * gz[q] + 0.5 * gz[p]);
-        }
-        const double hoop_a = nu2 * a, nu_R = nu * R, stab = cs2 * a;
-        for (int i = 0; i < 3; ++i) {
-            const int h = (i + 2) % 3;                  /* vertex i is on points i and h */
-            const double mom_r = 0.5 * gr_q[i] + 0.5 * gr_q[h];
-            const double mom_z = 0.5 * gz_q[i] + 0.5 * gz_q[h];
-            for (int j = 0; j < 3; ++j) {
-                const int k = 3 * i + j;
-                /* mass and transport, alike on u_r and u_z; the off-diagonal
-                   mass lives on the point between vertices i and j */
-                const double mass = i == j ? 0.25 * mass_q[i] + 0.25 * mass_q[h]
-                                           : 0.25 * mass_q[j == (i + 1) % 3 ? i : j];
-                const double diag = (mom_r * b[j] + mom_z * c[j]) + mass;
-                E[9 * i + j] = (nu * (st[k] + rr[k]) + hoop_a * hoop[9 * e + k]) + diag;
-                E[9 * i + 3 + j] = (c[i] * b[j]) * nu_R;
-                E[9 * (3 + i) + j] = (c[j] * b[i]) * nu_R;
-                E[9 * (3 + i) + 3 + j] = nu * (st[k] + zz[k]) + diag;
-                /* -(div v, pi) r and its negative transpose */
-                const double nn = i == j ? 0.5 / 3.0 : 0.25 / 3.0;
-                const double coupling_r = -(b[i] * rn[3 * e + j] + nn) * a;
-                const double coupling_zk = coupling_z[9 * e + k];
-                E[9 * i + 6 + j] = coupling_r;
-                E[9 * (3 + i) + 6 + j] = coupling_zk;
-                E[9 * (6 + j) + i] = -coupling_r;
-                E[9 * (6 + j) + 3 + i] = -coupling_zk;
-                /* Cs h_K^2 (grad p, grad pi) r, h_K^2 = 2 |K| */
-                E[9 * (6 + i) + 6 + j] = stab * st[k];
-            }
-        }
-    }
-}
-
-/* data[slot[k]] += vals[k] for k = 0 .. n - 1, in that order. */
-CLONES void scatter_add(ptrdiff_t n, const int32_t *slot, const double *vals, double *data)
-{
-    for (ptrdiff_t k = 0; k < n; ++k)
-        data[slot[k]] += vals[k];
-}
-
-/* The value B[q][k] of an edge's basis function k at its Gauss point q, of
-   the 2-point rule on [0, 1]. */
-static inline void edge_basis(double B[2][2])
-{
-    const double point[2] = {0.5 - 0.5 / sqrt(3.0), 0.5 + 0.5 / sqrt(3.0)};
-    for (int q = 0; q < 2; ++q) {
-        B[q][0] = 1.0 - point[q];
-        B[q][1] = point[q];
-    }
-}
-
-/* An edge from node ends[0] to node ends[1]: its differences and length, and
-   its r-weighted Gauss weights, half its length times r at the points. */
-struct edge { double dr, dz, length, wr[2]; };
-
-static inline struct edge edge_of(const int64_t *ends, const double *r, const double *z,
-                                  const double B[2][2])
-{
-    const int64_t a = ends[0], b = ends[1];
-    struct edge g;
-    g.dr = r[b] - r[a];
-    g.dz = z[b] - z[a];
-    g.length = sqrt(g.dr * g.dr + g.dz * g.dz);
-    for (int q = 0; q < 2; ++q)
-        g.wr[q] = (0.5 * g.length) * (r[a] * B[q][0] + r[b] * B[q][1]);
-    return g;
-}
-
-/* The 2x2 nodal block, row-major, of an edge integral weighted by w[q] at
-   the Gauss points: sum over q of w[q] N_i N_j. */
-static inline void edge_mass(const double B[2][2], const double *w, double *block)
-{
-    for (int k = 0; k < 4; ++k)
-        block[k] = w[0] * (B[0][k / 2] * B[0][k % 2]) + w[1] * (B[1][k / 2] * B[1][k % 2]);
-}
-
-/* The boundary-edge blocks of the saddle matrix.  Each of the nw wall edges:
-   beta times the integral of r N_i N_j, 2x2 on u_z of its ends, into
-   wall_out (nw, 2, 2).  Each of the ns free-surface edges, 4x4 on
-   (u_r, u_z) of its ends (r0, r1, z0, z1), into surface_out (ns, 4, 4):
-   the flux -1/2 ((w - V) . nu) N_i N_j r on both components, plus dt times
-   the stabilization gamma/2 rbar / length c_i c_j, c = (-nu_r, nu_r, -nu_z,
-   nu_z) with nu the outward unit normal.  r and z are the node coordinates,
-   w and V (N, 2) nodal fields. */
-CLONES void edge_blocks(ptrdiff_t nw, const int64_t *wall, ptrdiff_t ns, const int64_t *surface,
-                        const double *r, const double *z, const double *w, const double *V,
-                        double beta, double gamma, double dt, double *wall_out,
-                        double *surface_out)
-{
-    double B[2][2];
-    edge_basis(B);
-    for (ptrdiff_t e = 0; e < nw; ++e) {
-        const struct edge g = edge_of(wall + 2 * e, r, z, B);
-        double block[4];
-        edge_mass(B, g.wr, block);
-        for (int k = 0; k < 4; ++k)
-            wall_out[4 * e + k] = beta * block[k];
-    }
-    for (ptrdiff_t e = 0; e < ns; ++e) {
-        const int64_t a = surface[2 * e], b = surface[2 * e + 1];
-        const struct edge g = edge_of(surface + 2 * e, r, z, B);
-        const double nr = -g.dz / g.length, nz = g.dr / g.length;
-        const double fa = (w[2 * a] - V[2 * a]) * nr + (w[2 * a + 1] - V[2 * a + 1]) * nz;
-        const double fb = (w[2 * b] - V[2 * b]) * nr + (w[2 * b + 1] - V[2 * b + 1]) * nz;
-        double weight[2], flux[4];
-        for (int q = 0; q < 2; ++q)
-            weight[q] = (-0.5 * g.wr[q]) * (fa * B[q][0] + fb * B[q][1]);
-        edge_mass(B, weight, flux);
-        const double scale = ((0.5 * gamma) * (0.5 * (r[a] + r[b]))) / g.length;
-        const double c[4] = {-nr, nr, -nz, nz};
-        double *S = surface_out + 16 * e;
-        for (int i = 0; i < 4; ++i)
-            for (int j = 0; j < 4; ++j) {
-                const double f = (i < 2) == (j < 2) ? flux[2 * (i % 2) + j % 2] : 0.0;
-                S[4 * i + j] = f + dt * (scale * (c[i] * c[j]));
-            }
-    }
-}
-
-/* f += the consistent r-weighted mass matrix times the nodal field u (N, 2),
-   triangle by triangle: the integral of r u_c N_i on dof c n + node i. */
-CLONES void mass_action(ptrdiff_t m, ptrdiff_t n, const int64_t *tri, const double *wr,
-                        const double *u, double *f)
-{
-    for (ptrdiff_t e = 0; e < m; ++e) {
-        const int64_t *t = tri + 3 * e;
-        for (int c = 0; c < 2; ++c) {
-            double x[3];
-            for (int q = 0; q < 3; ++q)
-                x[q] = wr[3 * e + q] * (0.5 * u[2 * t[q] + c] + 0.5 * u[2 * t[(q + 1) % 3] + c]);
-            for (int i = 0; i < 3; ++i)
-                f[c * n + t[i]] += 0.5 * x[i] + 0.5 * x[(i + 2) % 3];
-        }
-    }
-}
-
-/* f += the load of a unit vertical stress on the nb bottom edges, the
-   integral of N_i r on u_z of their ends. */
-CLONES void bottom_load(ptrdiff_t n, ptrdiff_t nb, const int64_t *bottom, const double *r,
-                        const double *z, double *f)
-{
-    double B[2][2];
-    edge_basis(B);
-    for (ptrdiff_t e = 0; e < nb; ++e) {
-        const struct edge g = edge_of(bottom + 2 * e, r, z, B);
-        for (int k = 0; k < 2; ++k)
-            f[n + bottom[2 * e + k]] += g.wr[0] * B[0][k] + g.wr[1] * B[1][k];
-    }
-}
-
-/* The state system's right-hand side on its nf kept dofs free: on velocity
-   dof d < 2n, mass[d] / dt plus the loads, ((gravity + stress bottom) +
-   tension) + the contact-line force on u_z of node contact; 0 on the
-   pressure dofs.  Gravity, -g times the integral of r N_i on u_z, and the
-   surface tension of the ns free-surface edges, gamma (tau_r rbar - length/2)
-   and gamma tau_z rbar on the first end, the negated meridian parts on the
-   second, are each summed into work (4n, zeroed) in their order first. */
-CLONES void state_rhs(ptrdiff_t n, ptrdiff_t m, const int64_t *tri, const double *wr,
-                      ptrdiff_t ns, const int64_t *surface, const double *r, const double *z,
-                      const double *mass, const double *bottom, double dt, double g,
-                      double stress, double gamma, ptrdiff_t contact, double contact_force,
-                      ptrdiff_t nf, const int64_t *free, double *work, double *rhs)
-{
-    double *gravity = work, *tension = work + 2 * n;
-    for (ptrdiff_t e = 0; e < m; ++e) {
-        const double *w = wr + 3 * e;
-        for (int i = 0; i < 3; ++i)
-            gravity[n + tri[3 * e + i]] += -g * (0.5 * w[i] + 0.5 * w[(i + 2) % 3]);
-    }
-    for (int end = 0; end < 2; ++end) {
-        const double sign = end == 0 ? gamma : -gamma;
-        for (ptrdiff_t e = 0; e < ns; ++e) {
-            const int64_t a = surface[2 * e], b = surface[2 * e + 1], k = surface[2 * e + end];
-            const double dr = r[b] - r[a], dz = z[b] - z[a];
-            const double length = sqrt(dr * dr + dz * dz), rbar = 0.5 * (r[a] + r[b]);
-            tension[k] += (sign * (dr / length)) * rbar - (0.5 * gamma) * length;
-            tension[n + k] += (sign * (dz / length)) * rbar;
-        }
-    }
-    for (ptrdiff_t k = 0; k < nf; ++k) {
-        const int64_t d = free[k];
-        if (d >= 2 * n) {
-            rhs[k] = 0.0;
-            continue;
-        }
-        const double load = ((gravity[d] + stress * bottom[d]) + tension[d])
-                            + (d == n + contact ? contact_force : 0.0);
-        rhs[k] = mass[d] / dt + load;
-    }
-}
-
-/* The mesh-velocity extension's right-hand side.  g (n, zeroed) gets the
-   vertical surface speed u_z - slope u_r at the nodes of the ns free-surface
-   edges, which run from the axis to the wall: the slope dz/dr of its edge at
-   an end node, the mean of its two edges' at an inner one.  lifted (n,
-   zeroed) sums the stiffness st (m, 3, 3) times g over the triangles, and
-   rhs[k] = -lifted[free[k]] on the nf unknowns.  work holds g, then lifted. */
-CLONES void extension_rhs(ptrdiff_t n, ptrdiff_t ns, const int64_t *surface, const double *r,
-                          const double *z, const double *u, ptrdiff_t m, const int64_t *tri,
-                          const double *st, ptrdiff_t nf, const int64_t *free, double *work,
-                          double *rhs)
-{
-    double *g = work, *lifted = work + n, previous = 0.0;
-    for (ptrdiff_t e = 0; e <= ns; ++e) {
-        const int64_t *ends = surface + 2 * (e < ns ? e : ns - 1);
-        const int64_t node = ends[e < ns ? 0 : 1];
-        const double here = (z[ends[1]] - z[ends[0]]) / (r[ends[1]] - r[ends[0]]);
-        const double slope = e == 0 ? here : e == ns ? previous : 0.5 * (previous + here);
-        g[node] = u[2 * node + 1] - slope * u[2 * node];
-        previous = here;
-    }
-    for (ptrdiff_t e = 0; e < m; ++e) {
-        const int64_t *t = tri + 3 * e;
-        const double *s = st + 9 * e;
-        for (int i = 0; i < 3; ++i)
-            lifted[t[i]] += (s[3 * i] * g[t[0]] + s[3 * i + 1] * g[t[1]]) + s[3 * i + 2] * g[t[2]];
-    }
-    for (ptrdiff_t k = 0; k < nf; ++k)
-        rhs[k] = -lifted[free[k]];
-}
-
-/* out[k] = f[free[k]] on the nf kept dofs, 0 where free[k] >= nfull. */
-CLONES void gather(ptrdiff_t nf, const int64_t *free, ptrdiff_t nfull, const double *f,
-                   double *out)
-{
-    for (ptrdiff_t k = 0; k < nf; ++k)
-        out[k] = free[k] < nfull ? f[free[k]] : 0.0;
-}
-
-/* y -= a x on m entries that x and y never share. */
-static inline void update(ptrdiff_t m, double a, const double *restrict x, double *restrict y)
-{
-    for (ptrdiff_t r = 0; r < m; ++r)
-        y[r] -= x[r] * a;
-}
-
-/* y = (y - a x) - b w: two columns' updates in one pass, in their order. */
-static inline void update2(ptrdiff_t m, double a, const double *restrict x, double b,
-                           const double *restrict w, double *restrict y)
-{
-    for (ptrdiff_t r = 0; r < m; ++r)
-        y[r] = (y[r] - x[r] * a) - w[r] * b;
-}
-
-/* y_t -= a_t x for two columns y_0, y_1 in one pass over x, each entry as in
-   update. */
-static inline void update_x2(ptrdiff_t m, const double *restrict x,
-                             double a0, double *restrict y0, double a1, double *restrict y1)
-{
-    for (ptrdiff_t r = 0; r < m; ++r) {
-        const double xr = x[r];
-        y0[r] -= xr * a0;
-        y1[r] -= xr * a1;
-    }
-}
-
-/* y_t -= a_t x for four columns y_0..y_3 in one pass over x, each entry as in
-   update. */
-static inline void update_x4(ptrdiff_t m, const double *restrict x,
-                             double a0, double *restrict y0, double a1, double *restrict y1,
-                             double a2, double *restrict y2, double a3, double *restrict y3)
-{
-    for (ptrdiff_t r = 0; r < m; ++r) {
-        const double xr = x[r];
-        y0[r] -= xr * a0;
-        y1[r] -= xr * a1;
-        y2[r] -= xr * a2;
-        y3[r] -= xr * a3;
-    }
-}
-
-/* y_t = (y_t - a_t x) - b_t w for four columns y_0..y_3 in one pass over x
-   and w, each entry as in update2. */
-static inline void update2_x4(ptrdiff_t m, const double *restrict x, const double *restrict w,
-                              double a0, double b0, double *restrict y0,
-                              double a1, double b1, double *restrict y1,
-                              double a2, double b2, double *restrict y2,
-                              double a3, double b3, double *restrict y3)
-{
-    for (ptrdiff_t r = 0; r < m; ++r) {
-        const double xr = x[r], wr = w[r];
-        y0[r] = (y0[r] - xr * a0) - wr * b0;
-        y1[r] = (y1[r] - xr * a1) - wr * b1;
-        y2[r] = (y2[r] - xr * a2) - wr * b2;
-        y3[r] = (y3[r] - xr * a3) - wr * b3;
-    }
-}
-
-/* The multipliers of a column: its entries 1..m over its pivot, entry 0. */
-static inline void scale(ptrdiff_t m, double *col)
-{
-    for (ptrdiff_t r = 1; r <= m; ++r)
-        col[r] /= col[0];
-}
-
-/* LU without pivoting of the n x n band matrix in ab, kl sub- and ku
-   superdiagonals, column-major with ldab = kl + ku + 1: entry (i, j) at
-   ab[j ldab + ku + i - j], restricted to the matrix's envelope.  Column j
-   of L holds lower[j] multipliers below the diagonal and row j of U upper[j]
-   entries right of it; j + lower[j] and j + upper[j] never decrease, and
-   without pivoting no fill leaves that envelope (George & Liu 1981, ch. 4).
-   Columns j and j + 1 are eliminated together: each later column takes both
-   updates in one pass, every entry the same operations in the same order as
-   one column at a time.  The later columns go four at a time, first those
-   both pivot columns reach, then those only column j + 1 reaches, so each
-   pass loads a pivot entry once for four targets; the rest go one by one.
-   The columns' updates are independent of each other, so neither grouping
-   changes an entry's operations or their order.  Returns 0, or j + 1 for
-   an exactly zero pivot in column j. */
-CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
-                             const int32_t *upper, double *ab)
-{
-    const ptrdiff_t ldab = kl + ku + 1;
-    for (ptrdiff_t j = 0; j < n; j += 2) {
-        double *c0 = ab + j * ldab + ku;                /* c0[r]: entry (j + r, j) */
-        const ptrdiff_t m0 = lower[j], u0 = upper[j];
-        if (c0[0] == 0.0)
-            return j + 1;
-        scale(m0, c0);
-        if (j + 1 == n)
-            break;
-        double *c1 = c0 + ldab;                         /* c1[r]: entry (j + 1 + r, j + 1) */
-        const ptrdiff_t m1 = lower[j + 1], u1 = upper[j + 1];
-        if (u0 > 0)
-            update(m0, c1[-1], c0 + 1, c1);
-        if (c1[0] == 0.0)
-            return j + 2;
-        scale(m1, c1);
-        /* R[r]: entry (j + r, j + c) at R = c0 + c s.  Columns c = 2..both
-           take both pivot columns' updates (none if column j has no
-           multipliers), the rest up to u1 + 1 >= u0 only column j + 1's. */
-        const ptrdiff_t s = ldab - 1, both = m0 > 0 ? u0 : 1;
-        ptrdiff_t c = 2;
-        for (; c + 3 <= both; c += 4) {
-            double *R0 = c0 + c * s, *R1 = R0 + s, *R2 = R1 + s, *R3 = R2 + s;
-            R0[1] -= c0[1] * R0[0];
-            R1[1] -= c0[1] * R1[0];
-            R2[1] -= c0[1] * R2[0];
-            R3[1] -= c0[1] * R3[0];
-            update2_x4(m0 - 1, c0 + 2, c1 + 1, R0[0], R0[1], R0 + 2, R1[0], R1[1], R1 + 2,
-                       R2[0], R2[1], R2 + 2, R3[0], R3[1], R3 + 2);
-            update_x4(m1 + 1 - m0, c1 + m0, R0[1], R0 + m0 + 1, R1[1], R1 + m0 + 1,
-                      R2[1], R2 + m0 + 1, R3[1], R3 + m0 + 1);
-        }
-        for (; c <= both; ++c) {
-            double *R = c0 + c * s;
-            R[1] -= c0[1] * R[0];
-            update2(m0 - 1, R[0], c0 + 2, R[1], c1 + 1, R + 2);
-            update(m1 + 1 - m0, R[1], c1 + m0, R + m0 + 1);
-        }
-        for (; c + 3 <= u1 + 1; c += 4) {
-            double *R0 = c0 + c * s, *R1 = R0 + s, *R2 = R1 + s, *R3 = R2 + s;
-            update_x4(m1, c1 + 1, R0[1], R0 + 2, R1[1], R1 + 2, R2[1], R2 + 2, R3[1], R3 + 2);
-        }
-        for (; c <= u1 + 1; ++c) {
-            double *R = c0 + c * s;
-            update(m1, R[1], c1 + 1, R + 2);
-        }
-    }
-    return 0;
-}
-
-/* x = (LU)^-1 x in place, with the factors and the envelope of band_factor:
-   L y = x forward, then U x = y backward, column by column.  Column j of U
-   reaches up to row top, the first row whose reach gets to column j. */
-static inline void solve_x1(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *lower,
-                            const int32_t *upper, const double *ab, double *x)
-{
-    for (ptrdiff_t j = 0; j < n; ++j) {
-        update(lower[j], x[j], ab + j * ldab + ku + 1, x + j + 1);
-    }
-    ptrdiff_t top = n - 1;
-    for (ptrdiff_t j = n - 1; j >= 0; --j) {
-        while (top > 0 && top - 1 + upper[top - 1] >= j)
-            --top;
-        const ptrdiff_t m = j - top;
-        x[j] /= ab[j * ldab + ku];
-        update(m, x[j], ab + j * ldab + ku - m, x + j - m);
-    }
-}
-
-/* solve_x1 for two vectors x0 and x1 in one pass over the factors, each
-   entry of either as there. */
-static inline void solve_x2(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *lower,
-                            const int32_t *upper, const double *ab, double *x0, double *x1)
-{
-    for (ptrdiff_t j = 0; j < n; ++j) {
-        update_x2(lower[j], ab + j * ldab + ku + 1, x0[j], x0 + j + 1, x1[j], x1 + j + 1);
-    }
-    ptrdiff_t top = n - 1;
-    for (ptrdiff_t j = n - 1; j >= 0; --j) {
-        while (top > 0 && top - 1 + upper[top - 1] >= j)
-            --top;
-        const ptrdiff_t m = j - top;
-        const double d = ab[j * ldab + ku];
-        x0[j] /= d;
-        x1[j] /= d;
-        update_x2(m, ab + j * ldab + ku - m, x0[j], x0 + j - m, x1[j], x1 + j - m);
-    }
-}
-
-/* The residual check of a solve of A x = b, A the n x n CSC matrix (indptr,
-   indices, data).  Returns 1 if an entry of x is not finite.  Otherwise
-   writes A x into out[0 .. n), summed column by column from zero as scipy's
-   csc_matvec sums it, so with its bits, then ||A x - b||^2 into out[n] and
-   ||b||^2 into out[n + 1], each summed in row order, and returns 0.  The
-   checks stay out of line: inlined into band_solve's solves, the one-vector
-   call ran 2-3% slower than a solve and a check apart. */
-__attribute__((noinline))
-static ptrdiff_t check_x1(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
-                          const double *data, const double *b, const double *x, double *out)
-{
-    for (ptrdiff_t i = 0; i < n; ++i) {
-        if (!isfinite(x[i]))
-            return 1;
-        out[i] = 0.0;
-    }
-    for (ptrdiff_t j = 0; j < n; ++j) {
-        const double xj = x[j];
-        for (int32_t k = indptr[j]; k < indptr[j + 1]; ++k)
-            out[indices[k]] += data[k] * xj;
-    }
-    double r2 = 0.0, b2 = 0.0;
-    for (ptrdiff_t i = 0; i < n; ++i) {
-        const double d = out[i] - b[i];
-        r2 += d * d;
-        b2 += b[i] * b[i];
-    }
-    out[n] = r2;
-    out[n + 1] = b2;
-    return 0;
-}
-
-/* check_x1 for the solves of A x_t = b_t, t = 0, 1, x_t = x + t n and b_t =
-   b + t n, in one pass over A, each vector's figures as there into out + t
-   (n + 2).  Returns bit t set for each x_t with an entry that is not finite,
-   whose figures are then meaningless. */
-__attribute__((noinline))
-static ptrdiff_t check_x2(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
-                          const double *data, const double *b, const double *x, double *out)
-{
-    const double *x0 = x, *x1 = x + n, *b0 = b, *b1 = b + n;
-    double *o0 = out, *o1 = out + n + 2;
-    ptrdiff_t flags = 0;
-    for (ptrdiff_t i = 0; i < n; ++i) {
-        flags |= (ptrdiff_t)!isfinite(x0[i]) | (ptrdiff_t)!isfinite(x1[i]) << 1;
-        o0[i] = 0.0;
-        o1[i] = 0.0;
-    }
-    for (ptrdiff_t j = 0; j < n; ++j) {
-        const double x0j = x0[j], x1j = x1[j];
-        for (int32_t k = indptr[j]; k < indptr[j + 1]; ++k) {
-            const double a = data[k];
-            o0[indices[k]] += a * x0j;
-            o1[indices[k]] += a * x1j;
-        }
-    }
-    double r0 = 0.0, c0 = 0.0, r1 = 0.0, c1 = 0.0;
-    for (ptrdiff_t i = 0; i < n; ++i) {
-        const double d0 = o0[i] - b0[i], d1 = o1[i] - b1[i];
-        r0 += d0 * d0;
-        c0 += b0[i] * b0[i];
-        r1 += d1 * d1;
-        c1 += b1[i] * b1[i];
-    }
-    o0[n] = r0;
-    o0[n + 1] = c0;
-    o1[n] = r1;
-    o1[n + 1] = c1;
-    return flags;
-}
-
-/* The solves of A x_t = b_t for the k = 1 or 2 vectors x_t = x + t n, which
-   hold b_t = b + t n on entry, with the factors and the envelope of
-   band_factor, then the residual check of each, A also the n x n CSC matrix
-   (indptr, indices, data): one pass over L and U and one over A serve both
-   vectors, each entry of either taking the operations of a single solve and
-   check in their order.  Returns check_x1's or check_x2's flags, 0 when
-   every x_t is finite. */
-CLONES ptrdiff_t band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
-                            const int32_t *upper, const double *ab, const int32_t *indptr,
-                            const int32_t *indices, const double *data, ptrdiff_t k,
-                            const double *b, double *x, double *out)
-{
-    const ptrdiff_t ldab = kl + ku + 1;
-    if (k == 2) {
-        solve_x2(n, ldab, ku, lower, upper, ab, x, x + n);
-        return check_x2(n, indptr, indices, data, b, x, out);
-    }
-    solve_x1(n, ldab, ku, lower, upper, ab, x);
-    return check_x1(n, indptr, indices, data, b, x, out);
-}
-
-/* The residual checks of band_solve alone, for x already solved. */
-CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
-                          const double *data, ptrdiff_t k, const double *b, const double *x,
-                          double *out)
-{
-    if (k == 2)
-        return check_x2(n, indptr, indices, data, b, x, out);
-    return check_x1(n, indptr, indices, data, b, x, out);
-}
-
-#ifdef __SIZEOF_INT128__
-/* 5^k for 0 <= k <= 27, the powers of five below 2^63. */
-static const uint64_t POW5[28] = {
-    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
-    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
-    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL,
-    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
-    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
-    7450580596923828125ULL};
-#endif
-
-#define E16 10000000000000000ULL
-#define E17 100000000000000000ULL
-
-/* The 17 significant digits of m 2^e, m in [2^52, 2^53): the integer d in
-   [10^16, 10^17) nearest to m 2^e 10^k, ties to even, k = 16 - x, and the
-   decimal exponent x.  Exact: m 5^k fits 128 bits for 0 <= k <= 27, and the
-   factor 2^(e + k) is a shift, whose shifted-out bits decide the rounding.
-   x starts from the binary exponent, (e + 52) log10 2 truncated, and is
-   corrected by comparing the truncated scaled value with 10^16 and 10^17; a
-   rounding up to 10^17 gives 10^16 at the next exponent.  Returns 0, and
-   leaves d and x alone, where k would leave 0..27. */
-static int digits17(uint64_t m, int e, uint64_t *d, int *x)
-{
-#ifdef __SIZEOF_INT128__
-    typedef unsigned __int128 u128;
-    int ex = (e + 52) * 78913 / 262144;                 /* 78913 / 2^18 = log10 2 - 8e-7 */
-    for (;;) {
-        const int k = 16 - ex, s = e + k;
-        if (k < 0 || k > 27 || s > 8 || s < -127)
-            return 0;
-        const u128 p = (u128)m * POW5[k];               /* m 2^e 10^k = p 2^s */
-        u128 q = s >= 0 ? p << s : p >> -s;
-        if (q < E16) {
-            --ex;
-            continue;
-        }
-        if (q >= E17) {
-            ++ex;
-            continue;
-        }
-        if (s < 0) {
-            const u128 rest = p - (q << -s), half = (u128)1 << (-s - 1);
-            q += rest > half || (rest == half && (q & 1));
-        }
-        if (q == E17) {
-            q = E16;
-            ++ex;
-        }
-        *d = (uint64_t)q;
-        *x = ex;
-        return 1;
-    }
-#else
-    (void)m, (void)e, (void)d, (void)x;
-    return 0;
-#endif
-}
-
-/* The 17 digits d, 10^16 <= d < 10^17, at decimal exponent x, as %.17g
-   writes them: trailing zeros dropped, fixed notation for -4 <= x < 17, else
-   d.ddde+xx with two exponent digits or more.  Returns the bytes written. */
-static ptrdiff_t write17(uint64_t d, int x, char *out)
-{
-    char digit[17], *o = out;
-    for (int i = 16; i >= 0; --i, d /= 10)
-        digit[i] = (char)('0' + d % 10);
-    int nd = 17;
-    while (digit[nd - 1] == '0')
-        --nd;
-    if (x < -4 || x >= 17) {
-        *o++ = digit[0];
-        if (nd > 1) {
-            *o++ = '.';
-            memcpy(o, digit + 1, nd - 1);
-            o += nd - 1;
-        }
-        const int a = x < 0 ? -x : x;
-        *o++ = 'e';
-        *o++ = x < 0 ? '-' : '+';
-        if (a >= 100)
-            *o++ = (char)('0' + a / 100);
-        *o++ = (char)('0' + a / 10 % 10);
-        *o++ = (char)('0' + a % 10);
-    } else if (x >= 0) {
-        memcpy(o, digit, x + 1);
-        o += x + 1;
-        if (nd > x + 1) {
-            *o++ = '.';
-            memcpy(o, digit + x + 1, nd - x - 1);
-            o += nd - x - 1;
-        }
-    } else {
-        *o++ = '0';
-        *o++ = '.';
-        for (int i = x + 1; i < 0; ++i)
-            *o++ = '0';
-        memcpy(o, digit, nd);
-        o += nd;
-    }
-    return o - out;
-}
-
-/* v as Python's format(v, ".17g") writes it, at out; returns the bytes
-   written, at most 24.  NaN of either sign is "nan", as in Python (glibc
-   writes "-nan").  Subnormals and exponents that digits17 does not reach
-   take their digits from glibc's correctly rounded "%.16e", read back as
-   digits and exponent, so no locale's decimal point enters. */
-static ptrdiff_t format17(double v, char *out)
-{
-    uint64_t bits, d = 0;
-    memcpy(&bits, &v, sizeof bits);
-    const int be = (int)(bits >> 52 & 0x7ff);
-    const uint64_t frac = bits & ((1ULL << 52) - 1);
-    int x = 0;
-    char *o = out;
-    if (be == 0x7ff && frac != 0) {
-        memcpy(o, "nan", 3);
-        return 3;
-    }
-    if (bits >> 63)
-        *o++ = '-';
-    if (be == 0x7ff) {
-        memcpy(o, "inf", 3);
-        return o + 3 - out;
-    }
-    if (be == 0 && frac == 0) {
-        *o = '0';
-        return o + 1 - out;
-    }
-    if (be == 0 || !digits17(frac | 1ULL << 52, be - 1075, &d, &x)) {
-        char buf[32];
-        snprintf(buf, sizeof buf, "%.16e", fabs(v));
-        const char *c = buf;
-        for (; *c != 'e'; ++c)
-            if (*c >= '0' && *c <= '9')
-                d = 10 * d + (uint64_t)(*c - '0');
-        x = atoi(c + 1);
-    }
-    return (o - out) + write17(d, x, o);
-}
-
-/* The len bytes of text with the n values v written into it as format17
-   does, value i at byte offset slot[i] of text (slot never decreasing, at
-   most len), into out, which holds len + 24 n bytes.  Returns the bytes
-   written. */
-ptrdiff_t fill_template(ptrdiff_t len, const char *text, ptrdiff_t n, const int64_t *slot,
-                        const double *v, char *out)
-{
-    char *o = out;
-    ptrdiff_t at = 0;
-    for (ptrdiff_t i = 0; i < n; ++i) {
-        memcpy(o, text + at, slot[i] - at);
-        o += slot[i] - at;
-        at = slot[i];
-        o += format17(v[i], o);
-    }
-    memcpy(o, text + at, len - at);
-    return (o - out) + (len - at);
-}
-"""
+# the kernels' C source, read once; a library built from the same text keeps its name
+SOURCE = (Path(__file__).resolve().parent / "kernels.c").read_text()
 
 # -fno-math-errno: sqrt is the instruction, the same correctly rounded root, not a
 # libm call that sets errno

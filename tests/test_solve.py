@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -755,6 +756,19 @@ def test_kernel_source_compiles_without_warnings(tmp_path, defines):
     source.write_text(kernels.SOURCE)
     proc = subprocess.run([kernels.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                            *defines, str(source)], capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("defines", [[], ["-DKERNELS_PORTABLE"]], ids=["cloned", "portable"])
+def test_kernel_file_builds_without_warnings(tmp_path, defines):
+    """kernels.c, the file the package ships and SOURCE reads byte for byte,
+    builds with the library's flags and the compiler's common and extra
+    warnings as errors, which the optimiser's passes add to at -O3."""
+    source = Path(kernels.__file__).with_name("kernels.c")
+    assert source.read_text() == kernels.SOURCE
+    proc = subprocess.run([kernels.COMPILER, *kernels.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           *defines, "-o", str(tmp_path / "kernels.so"), str(source)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
