@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,9 +84,19 @@ class VectorFieldP1(_Memo):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ptr", Pointers(values=values))
 
-    @property
+    @cached_property
     def magnitude_max(self) -> float:
+        """max |u| over the nodes; the values are read-only, so computed once."""
         return float(np.sqrt((self.values ** 2).sum(axis=1)).max(initial=0.0))
+
+
+def trusted(cls, **attrs):
+    """A record of cls that holds attrs as given, without the checks its
+    construction makes: for the arrays of a compiled phase, which made the
+    same checks and wrote them read-only before any caller could reach them."""
+    record = object.__new__(cls)
+    record.__dict__.update(attrs)
+    return record
 
 
 def zero_vector_field(mesh: "AxiMesh") -> VectorFieldP1:

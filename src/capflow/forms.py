@@ -61,16 +61,18 @@ other raised the 32x64 peak resident memory by about 4 MiB.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+import ctypes
+
 from . import kernels
-from .errors import DimensionMismatch, ResidualTooLarge, SingularMatrix
-from .fields import ScalarFieldP1, VectorFieldP1
-from .geometry import AxiMesh, BoundaryTag, MeshTopology, contact_line_height, radial_differences
-from .kernels import Pointers, factor_band, solve_band, triangle_blocks
+from .errors import (DimensionMismatch, DomainEmptied, MeshTangled, ResidualTooLarge,
+                     SingularMatrix)
+from .fields import ScalarFieldP1, VectorFieldP1, trusted
+from .geometry import AxiMesh, BoundaryTag, MeshTopology, radial_differences, tangle
+from .kernels import Pointers
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -444,6 +446,7 @@ class LinearSystem:
     data: np.ndarray           # the pattern's fill, a value per stored entry, kept dofs only
     rhs: np.ndarray
     mesh: AxiMesh
+    bottom_load: np.ndarray | None = None   # a saddle system's d rhs / d zeta, on the kept dofs
 
     @property
     def matrix(self) -> "scipy.sparse.csc_matrix":
@@ -530,6 +533,13 @@ def _saddle_pattern(topology: MeshTopology) -> FixedPattern:
                                _vector_dofs(edges[BoundaryTag.FREE_SURFACE], n)], free, 3 * n)
 
 
+def _extension_pattern(topology: MeshTopology) -> FixedPattern:
+    """The mesh-velocity stiffness's pattern, its nodes in the topology's
+    vertex order; surface and bottom nodes carry Dirichlet data."""
+    free = in_vertex_order(topology, 1, np.union1d(topology.surface_nodes, topology.bottom_nodes))
+    return FixedPattern.build([topology.triangles], free, topology.num_nodes)
+
+
 def _edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
     """Write the wall friction, beta times the r-weighted edge mass on u_z of
     each wall edge's ends, into wall (E, 2, 2), and on (u_r, u_z) of each
@@ -555,21 +565,14 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
     saddle pattern of the mesh topology, which both meshes must share.  The
     right-hand side is the mass action of u_old on the old mesh over dt
     plus the loads on the new mesh (gravity, the bottom stress, surface
-    tension and the contact-line force).
+    tension and the contact-line force); the system also carries the load
+    of a unit bottom stress.  One compiled phase (:meth:`Workspace.assemble`).
     """
     _check_fields(mesh_old, u_old, V_old)
     if mesh_new.topology is not mesh_old.topology:
         raise DimensionMismatch("old and new mesh must share one topology")
-    dt = num.dt
-    beta = beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
-    topology = mesh_new.topology
-    pattern = topology.memo(_saddle_pattern)
-    data, vals, (tri, wall, surface) = pattern.values()
-    # each triangle's block couples (u_r, u_z, p) of its three vertices
-    triangle_blocks(element_data(mesh_new), u_old, V_old, dt, phys.nu, num.Cs, tri)
-    _edge_blocks(mesh_new, u_old, V_old, beta, phys.gamma, dt, wall, surface)
-    rhs = _loads(mesh_new, u_old, dt, zeta, phys, pattern)
-    return LinearSystem(pattern=pattern, data=pattern.fill(data, vals), rhs=rhs, mesh=mesh_new)
+    return workspace(mesh_new.topology).assemble(mesh_new, u_old, V_old.ptr.values, zeta, phys,
+                                                 num)
 
 
 @dataclass(frozen=True)
@@ -589,30 +592,21 @@ class BandLU:
     def solve(self, rhs: np.ndarray, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
         """x, (k, n), with A x_t = rhs_t for each row of rhs, C-contiguous
         float64 (k, n) with k = 1 or 2, A the system's matrix, and the rows'
-        residuals ||A x_t - rhs_t|| / ||rhs_t||, from one call of
-        :func:`~capflow.kernels.solve_band`, which checks the shapes.  Row by
-        row, a non-finite x_t raises SingularMatrix and a residual above
-        1e-10 ResidualTooLarge, each naming the row's solve by what[t]."""
-        system = self.system
+        residuals ||A x_t - rhs_t|| / ||rhs_t||, from one compiled solve
+        (:meth:`Workspace.solve`).  Row by row, a non-finite x_t raises
+        SingularMatrix and a residual above 1e-10 ResidualTooLarge, each
+        naming the row's solve by what[t]."""
         if len(what) != len(rhs):
             raise DimensionMismatch(f"{len(rhs)} right-hand sides, {len(what)} names")
-        x = rhs.copy()
-        out, flags = solve_band(self.lu, system.pattern.band, system.pattern, system.data, rhs, x)
-        rels = []
-        for t, name in enumerate(what):
-            if flags >> t & 1:
-                raise SingularMatrix(f"{name} solve produced non-finite values")
-            res, bnorm = math.sqrt(out[t, -2]), math.sqrt(out[t, -1])
-            rel = res / bnorm if bnorm > 0 else res
-            if rel > 1e-10:
-                raise ResidualTooLarge(f"{name} solve: relative residual {rel:.3e}")
-            rels.append(rel)
+        kernels.expect("right-hand sides", rhs, (min(max(len(rhs), 1), 2), len(self.lu.T)))
+        x, rels, _, _ = workspace(self.system.mesh.topology).solve(self, tuple(rhs), what)
         return x, rels
 
 
 def band_storage(system: LinearSystem) -> np.ndarray:
     """System's matrix scattered by the compiled ``scatter_add`` into zeroed
-    (kl + ku + 1, n) Fortran-ordered band storage of its pattern's layout."""
+    (kl + ku + 1, n) Fortran-ordered band storage of its pattern's layout,
+    as :func:`factorize` scatters it before it factors."""
     band = system.pattern.band
     n = len(band.lower)
     kernels.expect("matrix data", system.data, band.position.shape)
@@ -632,33 +626,228 @@ def factorize(system: LinearSystem) -> BandLU:
     The band layout is that of system's pattern, whose dofs come vertex by
     vertex in the topology's reverse Cuthill-McKee order
     (:func:`vertex_order`, numpy and Python alone), which keeps the band
-    narrow.  The matrix is scattered through that layout into band
-    storage (:func:`band_storage`), and the kernel factors it in place
+    narrow.  One compiled phase (:meth:`Workspace.factor`) scatters the
+    matrix through that layout into band storage and factors it in place
     within the layout's envelope, outside which an LU without pivoting makes
     no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly
     zero pivot."""
-    ab = band_storage(system)
-    info = factor_band(ab, system.pattern.band)
-    if info > 0:
-        raise SingularMatrix(f"zero pivot in column {info} of the banded LU")
-    return BandLU(system=system, lu=ab)
+    return workspace(system.mesh.topology).factor(system)
 
 
 def solve(lu: BandLU, rhs: np.ndarray, bottom_load: np.ndarray | None = None
           ) -> tuple[VectorFieldP1, ScalarFieldP1, float, np.ndarray | None, float]:
     """Solve lu's saddle system for the state load rhs, and bottom_load under
-    it if given, in one :meth:`BandLU.solve`: (velocity, pressure, residual,
-    w = A^{-1} bottom_load, its residual), the last two None and 0.0 without."""
-    loads = rhs[None] if bottom_load is None else np.array((rhs, bottom_load))
-    x, rels = lu.solve(loads, ("state", "bottom-load")[:len(loads)])
-    w, bottom_rel = (x[1], rels[1]) if len(x) == 2 else (None, 0.0)
-    system = lu.system
-    n = system.mesh.num_nodes
-    full = np.zeros(3 * n)
-    full[system.pattern.free] = x[0]
-    u = VectorFieldP1(np.column_stack((full[:n], full[n:2 * n])), system.mesh)
-    p = ScalarFieldP1(full[2 * n:], system.mesh)
+    it if given, in one compiled solve (:meth:`Workspace.solve`): (velocity,
+    pressure, residual, w = A^{-1} bottom_load, its residual), the last two
+    None and 0.0 without.  The velocity carries its mass action and max |u|."""
+    loads = (rhs,) if bottom_load is None else (rhs, bottom_load)
+    x, rels, u, p = workspace(lu.system.mesh.topology).solve(
+        lu, loads, ("state", "bottom-load")[:len(loads)], fields=True)
+    w, bottom_rel = (x[1], rels[1]) if len(loads) == 2 else (None, 0.0)
     return u, p, rels[0], w, bottom_rel
+
+
+# -- the workspace -------------------------------------------------------------
+
+def workspace(topology: MeshTopology) -> Workspace:
+    """The workspace of topology, built on its first slab, once per topology."""
+    return topology.memo(_workspace)
+
+
+def _workspace(topology: MeshTopology) -> Workspace:
+    edges = topology.boundary_edges
+    sizes = (topology.num_nodes, len(topology.triangles), len(edges[BoundaryTag.WALL]),
+             len(edges[BoundaryTag.FREE_SURFACE]), len(edges[BoundaryTag.BOTTOM]),
+             topology.contact_node)
+    return Workspace(topology.ptr, sizes, radial_table(topology), topology.memo(_saddle_pattern),
+                     topology.memo(_extension_pattern))
+
+
+def _bind(pattern: FixedPattern, into: kernels.Pattern) -> kernels.Pattern:
+    """into, holding the sizes and pointers of pattern and its band layout."""
+    ptr, band = pattern.ptr, pattern.band
+    into.n, into.nfull, into.nslot, into.nnz = (len(pattern.free), pattern.size, len(pattern.slot),
+                                                len(pattern.indices))
+    into.kl, into.ku = band.kl, band.ku
+    into.free, into.slot, into.indices, into.indptr = ptr.free, ptr.slot, ptr.indices, ptr.indptr
+    into.position, into.lower, into.upper = band.ptr.position, band.ptr.lower, band.ptr.upper
+    return into
+
+
+class Workspace:
+    """The :class:`~capflow.kernels.Workspace` struct that every phase of a
+    topology's slabs runs on, one compiled call each, and the scratch it
+    points to.
+
+    The struct holds the pointers and sizes of the topology's arrays, of its
+    :class:`RadialTable` and of its saddle and mesh-velocity patterns with
+    their band layouts, all taken once, here.  A phase's inputs are bound per
+    call from the records that hold them; its outputs go into arrays
+    allocated per call, which the records it returns own, so nothing a caller
+    holds is scratch.  A phase returns a status, and the details of a failure
+    (the row, the residual, the first bad triangle) come back in the struct,
+    from which the same typed :class:`~capflow.errors.CapflowError` as the
+    checks it replaced is raised, with the same message.  The struct also
+    holds each phase's wall time (``phase_ms``, :data:`kernels.PHASES`).
+    A copy or an unpickled workspace is built anew from the copied records
+    (:meth:`__reduce__`), so it binds their arrays, not the original's.
+    """
+
+    def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,
+                 saddle: FixedPattern, extension: FixedPattern):
+        self._parts = (topology, sizes, table, saddle, extension)
+        self.saddle, self.extension = saddle, extension
+        n, m = sizes[:2]
+        # the element data, the mesh velocity and the loads' work arrays
+        self.scratch = np.empty(10 * m + 8 * n)
+        self.V = self.scratch[10 * m:10 * m + 2 * n].reshape(n, 2)
+        s = self.struct = kernels.Workspace(*sizes)
+        s.tri, s.wall, s.surface, s.bottom, s.r = (topology.triangles, topology.wall,
+                                                   topology.free_surface, topology.bottom,
+                                                   topology.radii)
+        for name in ("rq", "inv_r", "dr", "rn", "hoop", "zz", "coupling_z"):
+            setattr(s, name, getattr(table.ptr, name))
+        at = self.scratch.ctypes.data
+        s.ed, s.V, s.work = at, at + 80 * m, at + 80 * m + 16 * n
+        self._saddle = ctypes.addressof(_bind(saddle, s.saddle))
+        self._extension = ctypes.addressof(_bind(extension, s.extension))
+
+    def __reduce__(self):
+        return Workspace, self._parts
+
+    def bind(self, pattern: FixedPattern) -> int:
+        """The address of the struct of pattern: one of the topology's, or
+        one made for this call of a pattern of another system."""
+        if pattern is self.saddle:
+            return self._saddle
+        if pattern is self.extension:
+            return self._extension
+        self._other = _bind(pattern, kernels.Pattern())
+        return ctypes.addressof(self._other)
+
+    def run(self, phase, what: tuple[str, ...] = ()) -> None:
+        """Run the compiled phase on the struct; raise the error of its
+        status, naming a solve's row t what[t]."""
+        status = phase(self.struct)
+        if status:
+            raise self.error(status, what)
+
+    def error(self, status: int, what: tuple[str, ...]) -> Exception:
+        s = self.struct
+        if status == kernels.ZERO_PIVOT:
+            return SingularMatrix(f"zero pivot in column {s.column} of the banded LU")
+        if status == kernels.NOT_FINITE:
+            return SingularMatrix(f"{what[s.row]} solve produced non-finite values")
+        if status == kernels.OVER_GATE:
+            return ResidualTooLarge(f"{what[s.row]} solve: relative residual {s.rel[s.row]:.3e}")
+        return MemoryError("a compiled phase could not allocate its arrays")
+
+    def mesh_velocity(self, mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
+        """The harmonic vertical extension of the surface speed of u, and the
+        relative residual of its solve."""
+        s = self.struct
+        s.z_old, s.areas_old, s.u_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values
+        self.run(kernels.kernel().mesh_velocity, ("mesh-velocity",))
+        return VectorFieldP1(self.V.copy(), mesh), s.ale_residual
+
+    def motion(self, mesh: AxiMesh, u: VectorFieldP1, dt: float,
+               floor: float) -> tuple[AxiMesh, float]:
+        """The mesh moved by dt times the mesh velocity of u, and its solve's
+        relative residual.  Raises DomainEmptied if the contact line would
+        reach floor, and MeshTangled, its message ending with dt, for a
+        triangle of non-positive area."""
+        s = self.struct
+        n = s.n
+        heights = np.empty(n + s.m)
+        s.z_old, s.areas_old, s.u_old, s.dt, s.floor = (mesh.ptr.z, mesh.ptr.areas, u.ptr.values,
+                                                        dt, floor)
+        s.z = at = heights.ctypes.data
+        s.areas = at + 8 * n
+        status = kernels.kernel().motion(s)
+        heights.setflags(write=False)
+        z, areas = heights[:n], heights[n:]
+        if status == kernels.EMPTIED:
+            # checked before displacing: an emptying column is reported as
+            # DomainEmptied, not as the mesh tangle it would soon cause
+            raise DomainEmptied(f"contact line headed to {s.z_next:.3e} m (guard {floor:.3e} m)")
+        if status == kernels.HEIGHT_NOT_FINITE:
+            raise DimensionMismatch("non-finite mesh height")
+        if status == kernels.TANGLED:
+            raise MeshTangled(f"{tangle(mesh.topology, z, areas, s.tangled, s.first)}, "
+                              f"after a step of dt = {dt:.6e} s")
+        if status:
+            raise self.error(status, ("mesh-velocity",))
+        ptr = Pointers.of(dict(z=z, areas=areas), dict(z=at, areas=at + 8 * n))
+        return trusted(AxiMesh, z=z, topology=mesh.topology, areas=areas, ptr=ptr), \
+            s.ale_residual
+
+    def assemble(self, mesh_new: AxiMesh, u_old: VectorFieldP1, mesh_velocity: int, zeta: float,
+                 phys, num) -> LinearSystem:
+        """The saddle system on mesh_new, with the old velocity u_old and the
+        mesh velocity at the address mesh_velocity (see
+        :func:`assemble_state_system`)."""
+        s = self.struct
+        data = np.zeros(s.saddle.nnz + 1)
+        loads = np.empty((2, s.saddle.n))
+        s.z, s.areas, s.u_old, s.mesh_velocity = (mesh_new.ptr.z, mesh_new.ptr.areas,
+                                                  u_old.ptr.values, mesh_velocity)
+        s.mass_old, s.data, s.loads = (mass_action(u_old).ctypes.data, data.ctypes.data,
+                                       loads.ctypes.data)
+        s.dt, s.nu, s.Cs, s.gamma, s.g = num.dt, phys.nu, num.Cs, phys.gamma, phys.g
+        s.beta = beta_h(phys.chi, float(mesh_new.z[s.contact]) / num.N3, phys.nu)
+        s.stress = phys.p_bar + zeta
+        s.contact_force = phys.gamma * np.cos(phys.theta_s) * mesh_new.topology.radii[s.contact]
+        self.run(kernels.kernel().assembly)
+        data.setflags(write=False)
+        return LinearSystem(pattern=self.saddle, data=data[:-1], rhs=loads[0], mesh=mesh_new,
+                            bottom_load=loads[1])
+
+    def factor(self, system: LinearSystem) -> BandLU:
+        """The LU of system (see :func:`factorize`)."""
+        s, pattern = self.struct, system.pattern
+        band, n = pattern.band, len(pattern.free)
+        kernels.expect("matrix data", system.data, pattern.indices.shape)
+        lu = np.zeros((band.kl + band.ku + 1) * n)
+        s.pattern = self.bind(pattern)
+        s.data, s.lu = system.data.ctypes.data, lu.ctypes.data
+        self.run(kernels.kernel().factor)
+        return BandLU(system=system, lu=lu.reshape((band.kl + band.ku + 1, n), order="F"))
+
+    def solve(self, lu: BandLU, loads: tuple, what: tuple[str, ...], fields: bool = False):
+        """x, (k, n), the solutions of lu's system for the k = 1 or 2 loads
+        (each C-contiguous float64 (n,)), and their relative residuals, each
+        row checked and named by what (see :meth:`BandLU.solve`).  With
+        fields, also the velocity and pressure of the first row, on the
+        system's mesh, else None and None."""
+        s, system = self.struct, lu.system
+        k, n = len(loads), len(system.pattern.free)
+        for b in loads:
+            kernels.expect("right-hand side", b, (n,))
+            if b.dtype != np.float64 or not b.flags.c_contiguous:
+                raise TypeError("a C-contiguous float64 right-hand side is required")
+        x = np.empty((k, n))
+        s.pattern = self.bind(system.pattern)
+        s.lu, s.data, s.x, s.k = lu.lu.ctypes.data, system.data.ctypes.data, x.ctypes.data, k
+        for t, b in enumerate(loads):
+            s.b[t] = b.ctypes.data
+        s.u = None
+        if fields:
+            mesh, nodes = system.mesh, s.n
+            out = np.empty(5 * nodes)          # u (N, 2), its mass action (2 N), p (N)
+            at = out.ctypes.data
+            s.u, s.mass, s.p, s.areas = at, at + 16 * nodes, at + 32 * nodes, mesh.ptr.areas
+        self.run(kernels.kernel().solve, what)
+        rels = s.rel[:k]
+        if not fields:
+            return x, rels, None, None
+        out.setflags(write=False)
+        values, p = out[:2 * nodes].reshape(nodes, 2), out[4 * nodes:]
+        if system.pattern is not self.saddle:   # a pattern of another system: check the velocity
+            return x, rels, VectorFieldP1(values, mesh), ScalarFieldP1(p, mesh)
+        u = trusted(VectorFieldP1, values=values, mesh=mesh, magnitude_max=s.u_max,
+                    ptr=Pointers.of(dict(values=values), dict(values=at)),
+                    _memo={_mass_action: out[2 * nodes:4 * nodes]})
+        return x, rels, u, trusted(ScalarFieldP1, values=p, mesh=mesh)
 
 
 # -- helpers ----------------------------------------------------------------

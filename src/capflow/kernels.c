@@ -5,6 +5,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #if defined(__x86_64__) && !defined(KERNELS_PORTABLE)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
@@ -597,6 +598,278 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
     if (k == 2)
         return check_x2(n, indptr, indices, data, b, x, out);
     return check_x1(n, indptr, indices, data, b, x, out);
+}
+
+/* -- The slab's phases ------------------------------------------------------
+
+   A workspace holds what the phases of one topology's slabs read: its sizes,
+   connectivity and radii, its radial table and its two patterns with their
+   band layouts, all bound once; the scratch they share (the element data,
+   the mesh velocity and the loads' work arrays, 10 m + 8 n doubles), which
+   carries nothing from one phase to the next but the mesh velocity, from the
+   motion to the assembly of a slab; the slab's parameters; the inputs of a
+   call and the outputs its caller owns; and what a phase reports: the
+   residuals, u_max, the details of a failure and each phase's wall time.
+   The arrays of a phase's own size (the local blocks, a band, the solves'
+   copies) are allocated and freed within it, so none outlives the phase.
+   Each entry returns DONE or the status of the first failure, in the order
+   of the checks it replaces. */
+
+enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, TANGLED, HEIGHT_NOT_FINITE,
+              NO_MEMORY };
+
+/* A reduced matrix's pattern (FixedPattern) and its band layout (BandLayout):
+   n kept dofs of nfull, nslot local entries and nnz stored ones. */
+struct pattern {
+    ptrdiff_t n, nfull, nslot, nnz, kl, ku;
+    const int64_t *free;
+    const int32_t *slot, *indices, *indptr, *position, *lower, *upper;
+};
+
+enum phase { ALE, MOTION, ASSEMBLY, FACTOR, SOLVES, PHASES };
+
+struct workspace {
+    ptrdiff_t n, m, nw, ns, nb, contact;
+    const int64_t *tri, *wall, *surface, *bottom;
+    const double *r, *rq, *inv_r, *dr, *rn, *hoop, *zz, *coupling_z;
+    struct pattern saddle, extension;
+    const struct pattern *pattern;              /* the factor's and the solves' */
+    double *ed, *V, *work;                      /* 10 m, 2 n and 6 n doubles */
+    double dt, nu, Cs, beta, gamma, g, stress, contact_force, floor;
+    ptrdiff_t k;                                /* right-hand sides of a solve */
+    const double *z_old, *areas_old, *u_old, *mass_old, *mesh_velocity, *b[2];
+    double *z, *areas, *data, *loads, *lu, *x, *u, *p, *mass;
+    double ale_residual, rel[2], u_max, z_next;
+    ptrdiff_t column, row, tangled, first;
+    double phase_ms[PHASES];
+};
+
+static double clock_ms(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return 1e3 * (double)t.tv_sec + 1e-6 * (double)t.tv_nsec;
+}
+
+/* Factor the data of pattern p, scattered into the zeroed band storage lu;
+   ZERO_PIVOT, its 1-based column in ws->column, for an exactly zero pivot. */
+static ptrdiff_t factor_into(struct workspace *ws, const struct pattern *p, const double *data,
+                             double *lu)
+{
+    scatter_add(p->nnz, p->position, data, lu);
+    ws->column = band_factor(p->n, p->kl, p->ku, p->lower, p->upper, lu);
+    return ws->column ? ZERO_PIVOT : DONE;
+}
+
+/* x (k, n) = A^-1 b[t] for the k loads b[t], with lu the factors of A, the
+   matrix of data on pattern p, and each row's check (band_solve): rel[t]
+   ||A x_t - b_t|| / ||b_t||, or ||A x_t - b_t|| for b_t = 0, for every
+   finite row.  Then row by row, NOT_FINITE for a row that is not finite, or
+   OVER_GATE for one whose relative residual passes 1e-10, the row in
+   ws->row. */
+static ptrdiff_t solve_into(struct workspace *ws, const struct pattern *p, const double *lu,
+                            const double *data, ptrdiff_t k, const double *const *b, double *x,
+                            double *rel)
+{
+    const ptrdiff_t n = p->n;
+    double *loads = malloc((size_t)(k * (2 * n + 2)) * sizeof(double)), *out = loads + k * n;
+    if (!loads)
+        return NO_MEMORY;
+    for (ptrdiff_t t = 0; t < k; ++t)
+        memcpy(loads + t * n, b[t], (size_t)n * sizeof(double));
+    memcpy(x, loads, (size_t)(k * n) * sizeof(double));
+    const ptrdiff_t flags = band_solve(n, p->kl, p->ku, p->lower, p->upper, lu, p->indptr,
+                                       p->indices, data, k, loads, x, out);
+    for (ptrdiff_t t = 0; t < k; ++t) {
+        if (flags >> t & 1)
+            continue;
+        const double res = sqrt(out[t * (n + 2) + n]), bnorm = sqrt(out[t * (n + 2) + n + 1]);
+        rel[t] = bnorm > 0 ? res / bnorm : res;
+    }
+    free(loads);
+    for (ptrdiff_t t = 0; t < k; ++t) {
+        ws->row = t;
+        if (flags >> t & 1)
+            return NOT_FINITE;
+        if (rel[t] > 1e-10)
+            return OVER_GATE;
+    }
+    return DONE;
+}
+
+/* The mesh velocity of the old mesh (z_old, areas_old) and velocity u_old
+   into V, (n, 2): the r-weighted stiffness on the extension pattern, the
+   surface data g and its lifting (extension_rhs), the fill, the factor and
+   the solve with its check, its residual in ws->ale_residual; V is (0, g)
+   with the solution on the kept nodes. */
+static ptrdiff_t mesh_velocity(struct workspace *ws)
+{
+    const ptrdiff_t n = ws->n, m = ws->m;
+    const struct pattern *p = &ws->extension;
+    const ptrdiff_t nf = p->n, ldab = p->kl + p->ku + 1;
+    double *ed = ws->ed, *g = ws->work;
+    double *data = calloc((size_t)p->nnz + 1, sizeof(double));
+    double *st = malloc((size_t)p->nslot * sizeof(double));
+    double *rhs = malloc((size_t)(2 * nf) * sizeof(double)), *x = rhs + nf, *lu = NULL;
+    ptrdiff_t status = NO_MEMORY;
+    if (!data || !st || !rhs)
+        goto done;
+    element_data(m, ws->tri, ws->z_old, ws->areas_old, ws->rq, ws->dr, ed);
+    r_stiffness(m, ws->areas_old, ed + 9 * m, ed, ws->zz, st);
+    memset(g, 0, (size_t)(2 * n) * sizeof(double));
+    extension_rhs(n, ws->ns, ws->surface, ws->r, ws->z_old, ws->u_old, m, ws->tri, st, nf,
+                  p->free, g, rhs);
+    scatter_add(p->nslot, p->slot, st, data);
+    free(st);
+    st = NULL;
+    lu = calloc((size_t)(ldab * nf), sizeof(double));
+    if (!lu)
+        goto done;
+    const double *loads[1] = {rhs};
+    status = factor_into(ws, p, data, lu);
+    if (status == DONE)
+        status = solve_into(ws, p, lu, data, 1, loads, x, ws->rel);
+    if (status == DONE) {
+        ws->ale_residual = ws->rel[0];
+        for (ptrdiff_t i = 0; i < n; ++i) {
+            ws->V[2 * i] = 0.0;
+            ws->V[2 * i + 1] = g[i];
+        }
+        for (ptrdiff_t j = 0; j < nf; ++j)
+            ws->V[2 * p->free[j] + 1] = x[j];
+    }
+done:
+    free(lu);
+    free(rhs);
+    free(st);
+    free(data);
+    return status;
+}
+
+/* The mesh velocity alone (mesh_velocity). */
+ptrdiff_t slab_mesh_velocity(struct workspace *ws)
+{
+    const double t0 = clock_ms();
+    const ptrdiff_t status = mesh_velocity(ws);
+    ws->phase_ms[ALE] = clock_ms() - t0;
+    return status;
+}
+
+/* The mesh velocity, then the emptying guard: EMPTIED if the contact line
+   would reach ws->floor, at ws->z_next; then the new heights z = z_old + dt
+   V_z, HEIGHT_NOT_FINITE unless all are finite, and their triangle areas,
+   half the sum of z_i dr_i relative to z_0, TANGLED with the count of those
+   not positive in ws->tangled and the first in ws->first. */
+ptrdiff_t slab_motion(struct workspace *ws)
+{
+    ptrdiff_t status = slab_mesh_velocity(ws);
+    if (status != DONE)
+        return status;
+    const double t0 = clock_ms(), dt = ws->dt, *V = ws->V, *dr = ws->dr;
+    const ptrdiff_t n = ws->n, c = ws->contact;
+    double *z = ws->z;
+    ws->z_next = ws->z_old[c] + dt * V[2 * c + 1];
+    if (ws->z_next <= ws->floor) {
+        status = EMPTIED;
+        goto done;
+    }
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        z[i] = ws->z_old[i] + dt * V[2 * i + 1];
+        if (!isfinite(z[i]))
+            status = HEIGHT_NOT_FINITE;
+    }
+    if (status != DONE)
+        goto done;
+    ws->tangled = 0;
+    for (ptrdiff_t e = 0; e < ws->m; ++e) {
+        const int64_t *t = ws->tri + 3 * e;
+        const double z0 = z[t[0]];
+        ws->areas[e] = 0.5 * ((z[t[1]] - z0) * dr[3 * e + 1] + (z[t[2]] - z0) * dr[3 * e + 2]);
+        if (ws->areas[e] <= 0.0 && ws->tangled++ == 0)
+            ws->first = e;
+    }
+    if (ws->tangled)
+        status = TANGLED;
+done:
+    ws->phase_ms[MOTION] = clock_ms() - t0;
+    return status;
+}
+
+/* The saddle system of the new mesh (z, areas), the old velocity u_old, its
+   mass action mass_old and the mesh velocity: the element data, the triangle
+   and boundary-edge blocks, then into loads (2, nf) the reduced right-hand
+   side (state_rhs) and the reduced bottom load, then the blocks summed into
+   data (nnz + 1, zeroed). */
+ptrdiff_t slab_assembly(struct workspace *ws)
+{
+    const double t0 = clock_ms();
+    const ptrdiff_t n = ws->n, m = ws->m, nw = ws->nw, ns = ws->ns;
+    const struct pattern *p = &ws->saddle;
+    double *ed = ws->ed, *work = ws->work, *bottom = ws->work + 4 * n;
+    double *vals = malloc((size_t)p->nslot * sizeof(double));
+    if (!vals)
+        return NO_MEMORY;
+    element_data(m, ws->tri, ws->z, ws->areas, ws->rq, ws->dr, ed);
+    triangle_blocks(m, ws->tri, ws->areas, ed + 9 * m, ed, ed + 3 * m, ed + 6 * m, ws->inv_r,
+                    ws->rn, ws->hoop, ws->zz, ws->coupling_z, ws->u_old, ws->mesh_velocity,
+                    ws->dt, ws->nu, ws->Cs, vals);
+    edge_blocks(nw, ws->wall, ns, ws->surface, ws->r, ws->z, ws->u_old, ws->mesh_velocity,
+                ws->beta, ws->gamma, ws->dt, vals + 81 * m, vals + 81 * m + 4 * nw);
+    memset(work, 0, (size_t)(6 * n) * sizeof(double));
+    bottom_load(n, ws->nb, ws->bottom, ws->r, ws->z, bottom);
+    state_rhs(n, m, ws->tri, ed + 6 * m, ns, ws->surface, ws->r, ws->z, ws->mass_old, bottom,
+              ws->dt, ws->g, ws->stress, ws->gamma, ws->contact, ws->contact_force, p->n,
+              p->free, work, ws->loads);
+    gather(p->n, p->free, 2 * n, bottom, ws->loads + p->n);
+    scatter_add(p->nslot, p->slot, vals, ws->data);
+    free(vals);
+    ws->phase_ms[ASSEMBLY] = clock_ms() - t0;
+    return DONE;
+}
+
+/* The factor of the data of ws->pattern into the zeroed band storage lu. */
+ptrdiff_t slab_factor(struct workspace *ws)
+{
+    const double t0 = clock_ms();
+    const ptrdiff_t status = factor_into(ws, ws->pattern, ws->data, ws->lu);
+    ws->phase_ms[FACTOR] = clock_ms() - t0;
+    return status;
+}
+
+/* The k-row solve of the loads b with the factors lu of ws->pattern's
+   matrix into x, each row checked (solve_into), its residual in ws->rel.
+   Given u, the first row's solution, zero on the eliminated dofs, goes into
+   u (n, 2) and p (n), the mass action of u on the mesh of areas into mass
+   (2 n), and max |u| over the nodes into ws->u_max. */
+ptrdiff_t slab_solve(struct workspace *ws)
+{
+    const double t0 = clock_ms();
+    const struct pattern *p = ws->pattern;
+    const ptrdiff_t status = solve_into(ws, p, ws->lu, ws->data, ws->k, ws->b, ws->x, ws->rel);
+    if (status == DONE && ws->u) {
+        const ptrdiff_t n = ws->n, m = ws->m;
+        double *full = ws->work, *wr = ws->ed, *u = ws->u, u_max = 0.0;
+        memset(full, 0, (size_t)(3 * n) * sizeof(double));
+        for (ptrdiff_t j = 0; j < p->n; ++j)
+            full[p->free[j]] = ws->x[j];
+        for (ptrdiff_t i = 0; i < n; ++i) {
+            u[2 * i] = full[i];
+            u[2 * i + 1] = full[n + i];
+            ws->p[i] = full[2 * n + i];
+            const double speed = sqrt(u[2 * i] * u[2 * i] + u[2 * i + 1] * u[2 * i + 1]);
+            u_max = speed > u_max ? speed : u_max;
+        }
+        for (ptrdiff_t e = 0; e < m; ++e) {
+            const double third = ws->areas[e] / 3.0;
+            for (int q = 0; q < 3; ++q)
+                wr[3 * e + q] = third * ws->rq[3 * e + q];
+        }
+        memset(ws->mass, 0, (size_t)(2 * n) * sizeof(double));
+        mass_action(m, n, ws->tri, wr, u, ws->mass);
+        ws->u_max = u_max;
+    }
+    ws->phase_ms[SOLVES] = clock_ms() - t0;
+    return status;
 }
 
 #ifdef __SIZEOF_INT128__

@@ -173,6 +173,15 @@ class Pointers:
         for name, a in arrays.items():
             setattr(self, name, address(*a) if isinstance(a, tuple) else address(a))
 
+    @classmethod
+    def of(cls, arrays: dict, addresses: dict) -> Pointers:
+        """The pointers of arrays that a compiled phase wrote at addresses,
+        taken with no check: the phase made them read-only C-contiguous float64."""
+        ptr = cls.__new__(cls)
+        ptr._arrays = arrays
+        ptr.__dict__.update(addresses)
+        return ptr
+
     def __reduce__(self):
         # deepcopy and pickle pass the arrays through their copies (deepcopy's
         # memo makes them the copied record's own), which come back writeable
@@ -183,6 +192,49 @@ def _rebind(arrays: dict) -> Pointers:
     for a in arrays.values():
         (a[0] if isinstance(a, tuple) else a).setflags(write=False)
     return Pointers(**arrays)
+
+
+_size, _real, _at = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+
+
+class Pattern(ctypes.Structure):
+    """``struct pattern`` of the source: a :class:`~capflow.forms.FixedPattern`
+    and its band layout, n kept dofs of nfull, nslot local entries and nnz
+    stored ones."""
+
+    _fields_ = [*((name, _size) for name in ("n", "nfull", "nslot", "nnz", "kl", "ku")),
+                *((name, _at) for name in ("free", "slot", "indices", "indptr", "position",
+                                           "lower", "upper"))]
+
+
+PHASES = ("ALE", "motion", "assembly", "factor", "solves")
+
+# the statuses of a phase (``enum status`` of the source), DONE = 0 first
+(ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, TANGLED, HEIGHT_NOT_FINITE,
+ NO_MEMORY) = range(1, 8)
+
+
+class Workspace(ctypes.Structure):
+    """``struct workspace`` of the source: what the slab's phases of one
+    topology read and report (see :class:`~capflow.forms.Workspace`, which
+    owns one)."""
+
+    _fields_ = [*((name, _size) for name in ("n", "m", "nw", "ns", "nb", "contact")),
+                *((name, _at) for name in ("tri", "wall", "surface", "bottom", "r", "rq", "inv_r",
+                                           "dr", "rn", "hoop", "zz", "coupling_z")),
+                ("saddle", Pattern), ("extension", Pattern), ("pattern", _at),
+                *((name, _at) for name in ("ed", "V", "work")),
+                *((name, _real) for name in ("dt", "nu", "Cs", "beta", "gamma", "g", "stress",
+                                             "contact_force", "floor")),
+                ("k", _size),
+                *((name, _at) for name in ("z_old", "areas_old", "u_old", "mass_old",
+                                           "mesh_velocity")),
+                ("b", _at * 2),
+                *((name, _at) for name in ("z", "areas", "data", "loads", "lu", "x", "u", "p",
+                                           "mass")),
+                ("ale_residual", _real), ("rel", _real * 2), ("u_max", _real), ("z_next", _real),
+                *((name, _size) for name in ("column", "row", "tangled", "first")),
+                ("phase_ms", _real * len(PHASES))]
 
 
 class Kernel:
@@ -212,13 +264,21 @@ class Kernel:
         self.gather = bind("gather", (size, at, size, values, out))
         self.scatter_add = bind("scatter_add", (size, at, values, out))
         bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
-        self.factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)), size)
-        self.solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), at, at,
-                                         values, size, values, out, out), size)
+        self.band_factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)),
+                                size)
+        self.band_solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), at, at,
+                                              values, size, values, out, out), size)
         self.residual = bind("residual", (size, at, at, values, size, values, values, out), size)
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
                                                     _Array(np.uint8, writeable=True)), size)
+        # the slab's phases, each on one workspace: the struct is passed by reference
+        workspace = (ctypes.POINTER(Workspace),)
+        self.mesh_velocity = bind("slab_mesh_velocity", workspace, size)
+        self.motion = bind("slab_motion", workspace, size)
+        self.assembly = bind("slab_assembly", workspace, size)
+        self.factor = bind("slab_factor", workspace, size)
+        self.solve = bind("slab_solve", workspace, size)
 
 
 def expect(what: str, array: np.ndarray, shape: tuple) -> None:
@@ -262,7 +322,7 @@ def factor_band(ab: np.ndarray, band) -> int:
     envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
     column of the first exactly zero pivot."""
     expect("band storage", ab, (band.ldab, len(band.lower)))
-    return kernel().factor(ab.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab)
+    return kernel().band_factor(ab.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab)
 
 
 def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
@@ -278,7 +338,7 @@ def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
     expect("right-hand sides", b, (k, n))
     expect("solutions", x, (k, n))
     out = np.empty((k, n + 2))
-    flags = kernel().solve(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu,
+    flags = kernel().band_solve(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu,
                            pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x, out)
     return out, flags
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 
-from .ale import solve_domain_velocity
-from .errors import DomainEmptied
+from .errors import DimensionMismatch
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import (LinearSystem, assemble_state_system, bottom_load_vector, factorize,
-                    mass_action, solve)
-from .geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh, mesh_quality
+from .forms import LinearSystem, factorize, mass_action, solve, workspace
+from .geometry import AxiMesh, build_structured_mesh, contact_line_height, mesh_quality
+from .kernels import PHASES
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,7 @@ class StepDiagnostics:
     u_max: float
     z_cl: float
     mesh: AxiMesh = field(repr=False)
+    phase_ms: dict = field(default_factory=dict, repr=False)
 
     @property
     def min_area(self) -> float:
@@ -102,17 +102,16 @@ def slab_system(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
                 floor: float = 0.0) -> tuple[LinearSystem, float]:
     """The saddle system that :func:`step` factors for the slab from state
     with the bottom control stress zeta, assembled on the moved mesh
-    (``system.mesh``), and the mesh-velocity solve's relative residual.
+    (``system.mesh``), and the mesh-velocity solve's relative residual: the
+    motion phase and the assembly phase of the topology's workspace.
     Raises DomainEmptied if the contact line would reach ``floor``.
     """
-    V, ale_residual = solve_domain_velocity(state.mesh, state.u)
-    z_next = contact_line_height(state.mesh) + num.dt * V.values[state.mesh.contact_node, 1]
-    if z_next <= floor:
-        # checked before displacing: an emptying column is reported as
-        # DomainEmptied, not as the mesh tangle it would soon cause
-        raise DomainEmptied(f"contact line headed to {z_next:.3e} m (guard {floor:.3e} m)")
-    mesh_new = displace_mesh(state.mesh, V, num.dt)
-    return assemble_state_system(mesh_new, state.mesh, state.u, V, zeta, phys, num), ale_residual
+    mesh, u = state.mesh, state.u
+    if u.mesh is not mesh:
+        raise DimensionMismatch("velocity field lives on a different mesh")
+    ws = workspace(mesh.topology)
+    mesh_new, ale_residual = ws.motion(mesh, u, num.dt, floor)
+    return ws.assemble(mesh_new, u, ws.struct.V, zeta, phys, num), ale_residual
 
 
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
@@ -133,13 +132,14 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     """
     system, ale_residual = slab_system(state, zeta, phys, num, floor)
     mesh_new = system.mesh
-    reduce = system.pattern.reduce
-    b = reduce(bottom_load_vector(mesh_new)) if gradient else None
-    u_new, p_new, residual, w, bottom_residual = solve(factorize(system), system.rhs, b)
-    bottom_integral = float(reduce(mass_action(u_new)) @ w) if gradient else 0.0
+    u_new, p_new, residual, w, bottom_residual = solve(
+        factorize(system), system.rhs, system.bottom_load if gradient else None)
+    # numpy's product, whose sum order the compiled loops do not reproduce
+    bottom_integral = float(system.pattern.reduce(mass_action(u_new)) @ w) if gradient else 0.0
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
     diag = StepDiagnostics(residual=residual, ale_residual=ale_residual,
                            bottom_residual=bottom_residual, bottom_integral=bottom_integral,
-                           u_max=u_new.magnitude_max,
-                           z_cl=contact_line_height(mesh_new), mesh=mesh_new)
+                           u_max=u_new.magnitude_max, z_cl=contact_line_height(mesh_new),
+                           mesh=mesh_new,
+                           phase_ms=dict(zip(PHASES, workspace(mesh_new.topology).struct.phase_ms)))
     return new, diag

@@ -3,10 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import capflow.ale
+import capflow.forms
 import capflow.stepping
+from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.fields import VectorFieldP1
+from capflow.forms import LinearSystem, element_data
 from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh
 
 
@@ -74,6 +78,33 @@ def factored_systems(monkeypatch):
 
     monkeypatch.setattr(capflow.stepping, "factorize", recording)
     return systems
+
+
+def phase_calls(monkeypatch, record):
+    """Call record(name, struct) before each call of the compiled phases that
+    a step runs, by name (``motion``, ``assembly``, ``factor``, ``solve``),
+    struct the workspace struct it is handed, from this call on."""
+    lib = kernels.kernel()
+    for name in ("motion", "assembly", "factor", "solve"):
+        def spy(struct, entry=getattr(lib, name), name=name):
+            record(name, struct)
+            return entry(struct)
+        monkeypatch.setattr(lib, name, spy)
+
+
+def solved_pattern(struct) -> kernels.Pattern:
+    """The pattern struct that the factor or solve phase handed struct works on."""
+    return kernels.Pattern.from_address(struct.pattern)
+
+
+def mesh_velocity_system(mesh, u):
+    """The mesh-velocity system of the velocity u on mesh, which the motion
+    phase fills, factors and solves, built from the compiled kernels one by one."""
+    pattern = mesh.topology.memo(capflow.forms._extension_pattern)
+    data, vals, (stiffness,) = pattern.values()
+    kernels.r_stiffness(element_data(mesh), stiffness)
+    _, rhs = capflow.ale._extension_rhs(u, stiffness)
+    return LinearSystem(pattern=pattern, data=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
 
 
 @pytest.fixture(scope="session")

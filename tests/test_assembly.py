@@ -8,17 +8,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
-import capflow.forms
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.ale import _extension_pattern, _extension_rhs, solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, _edge_blocks, _loads, _saddle_pattern,
-                           assemble_state_system, beta_h, bottom_load_vector, element_data,
-                           factorize, mass_action, reverse_cuthill_mckee, vertex_order)
+                           assemble_state_system, band_storage, beta_h, bottom_load_vector,
+                           element_data, factorize, mass_action, reverse_cuthill_mckee,
+                           vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
-from capflow.kernels import r_stiffness, triangle_blocks
+from capflow.kernels import factor_band, r_stiffness, triangle_blocks
 from capflow.stepping import initial_state, slab_system, step
 
 from .conftest import factored_systems, random_vector_field
@@ -221,20 +221,15 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
     assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
 
-def test_band_storage_holds_the_matrix_on_its_diagonals(monkeypatch):
+def test_band_storage_holds_the_matrix_on_its_diagonals():
     system = assemble_state_system(*tc1_slab(4, 8))
     band, dense = system.pattern.band, system.matrix.toarray()
-    handed = []         # the band storage factorize hands to the kernel, before it is factored
-    factor_band = capflow.forms.factor_band
-
-    def capturing(ab, layout):
-        assert layout is band
-        handed.append(ab.copy(order="K"))
-        return factor_band(ab, layout)
-
-    monkeypatch.setattr(capflow.forms, "factor_band", capturing)
-    factorize(system)
-    (ab,) = handed
+    # the band storage the factor phase factors: the factor kernel on
+    # band_storage's scatter gives the phase's LU bit for bit
+    ab = band_storage(system)
+    factored = ab.copy(order="F")
+    assert factor_band(factored, band) == 0
+    assert factored.tobytes(order="F") == factorize(system).lu.tobytes(order="F")
     # no fill rows: without pivoting U keeps the upper band
     assert band.ldab == band.kl + band.ku + 1
     assert ab.shape == (band.ldab, len(dense)) and ab.flags.f_contiguous

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import capflow.acceptance
 import capflow.ale
 import capflow.control
+import capflow.fields
 import capflow.forms
 import capflow.geometry
 import capflow.writers
@@ -26,7 +27,7 @@ from capflow.stepping import FlowState, StepDiagnostics, initial_state, step
 from capflow.writers import write_vtk_snapshot
 
 from . import oracles
-from .conftest import random_vector_field
+from .conftest import phase_calls, random_vector_field, solved_pattern
 
 RADIUS = 5e-4
 SB = RADIUS ** 2 / 2
@@ -258,6 +259,8 @@ class TestRunLoop:
             assert len(hist.t) == nsteps + 1
 
     def test_one_factorization_per_step_at_most_one_alive(self, monkeypatch):
+        # the motion phase factors the mesh-velocity stiffness and frees its
+        # LU within the call; the saddle LU is the one BandLU a step makes
         live = [0]
 
         class Counted(capflow.forms.BandLU):
@@ -270,6 +273,11 @@ class TestRunLoop:
             def __del__(self):
                 live[0] -= 1
 
+        def motion(name, struct):
+            if name == "motion":
+                alive.append(live[0])
+                sizes.append(struct.extension.n)
+
         def counting_step(*args, **kwargs):
             out = step(*args, **kwargs)
             returned.append(live[0])
@@ -277,6 +285,7 @@ class TestRunLoop:
 
         monkeypatch.setattr(capflow.forms, "BandLU", Counted)
         monkeypatch.setattr(capflow.control, "step", counting_step)
+        phase_calls(monkeypatch, motion)
         dt = tc1_config().dt
         for controlled in (True, False):
             alive = []          # factorizations alive when each new one is made
@@ -291,14 +300,16 @@ class TestRunLoop:
             assert returned == [0] * 3, controlled
 
     def test_one_two_column_solve_per_controlled_step(self, monkeypatch):
-        solve = capflow.forms.BandLU.solve
         solves = []         # size and right-hand sides of each solve with a band LU
 
-        def counting_solve(lu, rhs, what):
-            solves.append((lu.system.matrix.shape[0], rhs.shape))
-            return solve(lu, rhs, what)
+        def counting_solve(name, struct):
+            if name == "motion":
+                solves.append((struct.extension.n, (1, struct.extension.n)))
+            elif name == "solve":
+                n = solved_pattern(struct).n
+                solves.append((n, (struct.k, n)))
 
-        monkeypatch.setattr(capflow.forms.BandLU, "solve", counting_solve)
+        phase_calls(monkeypatch, counting_solve)
         nsteps = 3
         for controlled, columns in ((True, 2), (False, 1)):
             solves.clear()
@@ -312,31 +323,45 @@ class TestRunLoop:
                              [(True, ["mesh-velocity", "state", "bottom-load"]),
                               (False, ["mesh-velocity", "state"])])
     def test_every_solve_is_gated(self, monkeypatch, controlled, per_step):
-        solve = capflow.forms.BandLU.solve
-        gated = []          # the name of each gated solve
+        gated = []          # the name of each gated solve: the rows each phase checks
 
-        def counting(lu, rhs, what):
-            gated.extend(what)
-            return solve(lu, rhs, what)
+        def counting(name, struct):
+            if name == "motion":
+                gated.append("mesh-velocity")
+            elif name == "solve":
+                gated.extend(("state", "bottom-load")[:struct.k])
 
-        monkeypatch.setattr(capflow.forms.BandLU, "solve", counting)
+        phase_calls(monkeypatch, counting)
         nsteps = 3
         hist = run_tc1(controlled=controlled, N1=4, N3=4, T=nsteps * tc1_config().dt)
         assert hist.abort_reason is None
         assert gated == per_step * nsteps
 
     def test_mesh_velocity_solve_over_the_gate_aborts_the_run(self, monkeypatch):
-        # the vector the kernel solves is perturbed beneath the gate, and the
-        # right-hand side b its residual is checked against is not: perturbed
-        # factors would still give x = 0 for the zero b of the flow at rest
-        solve_band = capflow.forms.solve_band
+        # the mesh-velocity band takes its diagonal's first entry plus an
+        # entry below it, which no longer reaches its own place: the motion
+        # phase factors another matrix than the one its residual is checked
+        # in.  The flow starts with a uniform upward velocity, so the
+        # surface data b are not zero: for the zero b of the flow at rest
+        # any factors give x = 0
+        build, start = capflow.forms._extension_pattern, capflow.control.initial_state
 
-        def perturbed(lu, band, pattern, data, b, x):
-            if x.shape[1] == 15:    # the mesh-velocity system of the 4x4 grid
-                x += 1e-6 * (np.abs(x).max() + 1.0) * (-1.0) ** np.arange(x.shape[1])
-            return solve_band(lu, band, pattern, data, b, x)
+        def misplaced(topology):
+            pattern = build(topology)
+            column = pattern.indices[:pattern.indptr[1]]
+            position = pattern.band.position.copy()
+            position[np.flatnonzero(column != 0)[0]] = position[np.flatnonzero(column == 0)[0]]
+            position.setflags(write=False)
+            return replace(pattern, band=replace(pattern.band, position=position))
 
-        monkeypatch.setattr(capflow.forms, "solve_band", perturbed)
+        def moving(radius, height, num):
+            state = start(radius, height, num)
+            values = np.zeros((state.mesh.num_nodes, 2))
+            values[:, 1] = 1e-3
+            return replace(state, u=capflow.fields.VectorFieldP1(values, state.mesh))
+
+        monkeypatch.setattr(capflow.forms, "_extension_pattern", misplaced)
+        monkeypatch.setattr(capflow.control, "initial_state", moving)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
         assert isinstance(hist.abort_reason, ResidualTooLarge)
         assert "mesh-velocity solve" in str(hist.abort_reason)
@@ -433,13 +458,13 @@ class TestRunLoop:
     def test_factorizations_run_in_the_pattern_order(self, monkeypatch):
         # the patterns come in the topology's vertex order, so every step
         # factors one narrow band and orders nothing
-        factor_band = capflow.forms.factor_band
         bands = []          # (size, kl, ku) of each band factorization
         orders = []         # (band factorizations made before, vertices) of each ordering
 
-        def counting_factor(ab, band):
-            bands.append((ab.shape[1], band.kl, band.ku))
-            return factor_band(ab, band)
+        def counting_factor(name, struct):
+            if name in ("motion", "factor"):
+                band = struct.extension if name == "motion" else solved_pattern(struct)
+                bands.append((band.n, band.kl, band.ku))
 
         def counting_rcm(indices, indptr):
             orders.append((len(bands), len(indptr) - 1))
@@ -457,7 +482,7 @@ class TestRunLoop:
             assert not any(val is f for val in vars(mod).values() for f in originals)
         for name in sparse_solvers:
             monkeypatch.setattr(scipy.sparse.linalg, name, forbidden(name))
-        monkeypatch.setattr(capflow.forms, "factor_band", counting_factor)
+        phase_calls(monkeypatch, counting_factor)
         monkeypatch.setattr(capflow.forms, "reverse_cuthill_mckee", counting_rcm)
         hist = run_tc1(controlled=True, N1=4, N3=4, T=3 * tc1_config().dt)
         assert hist.abort_reason is None
@@ -497,12 +522,21 @@ class TestRunLoop:
 
     def test_mass_action_once_per_field_and_band_layout_once_per_pattern(self, monkeypatch):
         # an N-step run has N + 1 velocity fields: each field's mass action
-        # serves its step's objective and adjoint and the next step's assembly
+        # serves its step's objective and adjoint and the next step's
+        # assembly.  The first field's is computed when the first assembly
+        # reads it; the solve phase writes each new field's with the field
         mass_fields, layouts, einsums = [], [], []
+        written, read = [], []      # the mass actions the solves write and the assemblies read
 
         def counting_mass_action(u):
             mass_fields.append(u)
             return build(u)
+
+        def phases(name, struct):
+            if name == "solve" and struct.u:
+                written.append(struct.mass)
+            elif name == "assembly":
+                read.append(struct.mass_old)
 
         def counting_layout(cls, indices, indptr):
             layouts.append(len(indptr) - 1)
@@ -516,12 +550,15 @@ class TestRunLoop:
         monkeypatch.setattr(capflow.forms, "_mass_action", counting_mass_action)
         monkeypatch.setattr(capflow.forms.BandLayout, "of", classmethod(counting_layout))
         monkeypatch.setattr(np, "einsum", counting_einsum)
+        phase_calls(monkeypatch, phases)
         nsteps = 3
         hist = run_tc1(controlled=True, N1=4, N3=4, T=nsteps * tc1_config().dt)
         assert hist.abort_reason is None
         assert len(hist.t) == nsteps + 1
-        assert len(mass_fields) == nsteps + 1
-        assert len({id(u) for u in mass_fields}) == nsteps + 1
+        assert len(mass_fields) + len(written) == nsteps + 1
+        assert len({id(u) for u in mass_fields}) == len(mass_fields) == 1
+        # each later assembly reads the mass action the previous solve wrote
+        assert read[1:] == written[:-1]
         # the band layout is found once per pattern; every factorization reads it
         assert sorted(layouts) == [15, 65]
         # the kernels are planned products: no contraction of three operands

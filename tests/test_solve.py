@@ -1,7 +1,6 @@
 import copy
 import ctypes
 import gc
-import math
 import pickle
 import platform
 import re
@@ -24,10 +23,12 @@ from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector
 from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, element_data, factorize, kinetic_energy,
                            _saddle_pattern, radial_table, solve)
+from capflow.ale import solve_domain_velocity
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
 from .pattern_forms import filled, form_a, mass_matrix
+from .conftest import mesh_velocity_system
 from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -421,13 +422,26 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
     """Every mesh-velocity and saddle LU of 20 steps at 8x16 solves the
     system's own and a random right-hand side, in one two-row solve, as a
     dense solve does, to 1e-10 relative, with growth max|U|/max|A| at most
-    10."""
+    10.  The mesh-velocity system of each step is rebuilt from its state,
+    kernel by kernel, and its solution is the step's mesh velocity, bit for bit."""
     lus = []
-    for module in (capflow.ale, capflow.stepping):
-        def recording(system, factorize=module.factorize):
-            lus.append(factorize(system))
-            return lus[-1]
-        monkeypatch.setattr(module, "factorize", recording)
+    factorize = capflow.stepping.factorize
+    slab_system = capflow.stepping.slab_system
+
+    def recording(system):
+        lus.append(factorize(system))
+        return lus[-1]
+
+    def moving(state, *args):
+        system = mesh_velocity_system(state.mesh, state.u)
+        lus.append(capflow.forms.factorize(system))
+        (x,), _ = lus[-1].solve(system.rhs[None], ("mesh-velocity",))
+        V, _ = solve_domain_velocity(state.mesh, state.u)
+        assert np.array_equal(bits(V.values[system.pattern.free, 1]), bits(x))
+        return slab_system(state, *args)
+
+    monkeypatch.setattr(capflow.stepping, "factorize", recording)
+    monkeypatch.setattr(capflow.stepping, "slab_system", moving)
     cfg = config()
     hist = run_tc1(controlled, cfg, N1=8, N3=16, T=20 * cfg.dt)
     assert hist.abort_reason is None and len(lus) == 40
@@ -453,20 +467,35 @@ def test_factorizations_are_bitwise_equal():
 def step_solves(monkeypatch):
     """(lu, rhs, what, x, relative residual) of each solve of one controlled
     step from the fourth 16x32 tc1 slab's state, its gradient's bottom-load
-    solve included, one per row of each call."""
+    solve included, one per row of each call: the mesh velocity's with the LU
+    of its system rebuilt kernel by kernel, the step's mesh velocity on the
+    kept nodes and the step's residual, the state's and the bottom load's
+    with the LU the step factored, the solve's outputs and their residuals."""
     _, mesh, u, _, zeta, phys, num = tc1_slab()
-    solves = []
-    solve = BandLU.solve
+    lus, solved = [], []
+    factorize, solve = capflow.stepping.factorize, capflow.stepping.solve
 
-    def recording(lu, rhs, what):
-        x, rels = solve(lu, rhs, what)
-        solves.extend(zip([lu] * len(what), rhs, what, x, rels))
-        return x, rels
+    def recording(system):
+        lus.append(factorize(system))
+        return lus[-1]
 
-    monkeypatch.setattr(BandLU, "solve", recording)
-    step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
-         gradient=True)
-    return solves
+    def solving(lu, rhs, bottom_load=None):
+        solved.append(((rhs, bottom_load), solve(lu, rhs, bottom_load)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(capflow.stepping, "factorize", recording)
+    monkeypatch.setattr(capflow.stepping, "solve", solving)
+    _, diag = step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
+                   gradient=True)
+    extension = mesh_velocity_system(mesh, u)
+    V, _ = solve_domain_velocity(mesh, u)
+    (lu,), (((rhs, bottom_load), (u_new, p_new, rel, w, bottom_rel)),) = lus, solved
+    n = mesh.num_nodes
+    full = np.concatenate((u_new.values[:, 0], u_new.values[:, 1], p_new.values))
+    return [(factorize(extension), extension.rhs, "mesh-velocity",
+             V.values[extension.pattern.free, 1], diag.ale_residual),
+            (lu, rhs, "state", full[lu.system.pattern.free], rel),
+            (lu, bottom_load, "bottom-load", w, bottom_rel)] if n else []
 
 
 def test_residual_kernel_is_scipys_product_and_numpys_norms(monkeypatch):
@@ -531,13 +560,14 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch
                                                      f"values$"):
                 lu.solve(b, what)
     _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
+    factor = capflow.stepping.factorize
 
-    def poisoned(mesh):
-        out = bottom_load_vector(mesh).copy()
-        out[len(out) // 2] = np.nan
-        return out
+    def poisoned(system):
+        # the assembled bottom load, between the assembly and the solve
+        system.bottom_load[len(system.bottom_load) // 2] = np.nan
+        return factor(system)
 
-    monkeypatch.setattr(capflow.stepping, "bottom_load_vector", poisoned)
+    monkeypatch.setattr(capflow.stepping, "factorize", poisoned)
     with pytest.raises(SingularMatrix, match="^bottom-load solve produced non-finite values$"):
         step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
              gradient=True)
@@ -547,34 +577,49 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch
                          ids=["bottom-load", "state"])
 def test_each_row_of_a_solve_has_its_own_residual_gate(monkeypatch, row, what):
     """A step's two-row solve gates each row on its own relative residual.
-    The vector the kernel solves for one row's load is perturbed by 1e-9 of
-    that load's norm, and the load its residual is checked against is not:
-    that row's residual reads 1e-9 and raises ResidualTooLarge naming its
-    solve, and the other row's stays under the 1e-10 gate.  The two loads'
-    norms differ by far more than 1e-9 / 1e-10, so a row checked against the
-    other's norm would pass or fail the other way."""
+    Between the factor and the solve, two entries of one row i of the matrix
+    that the residuals are checked in, not of its LU, move by d_j and d_k:
+    row t's residual moves by d_j x_t[j] + d_k x_t[k] in row i, which is made
+    0 for one row and 1e-9 of its load's norm for the other.  That row
+    raises ResidualTooLarge naming its solve, and the other's stays under the
+    1e-10 gate.  The two loads' norms differ by far more than 1e-9 / 1e-10,
+    so a row checked against the other's norm would pass or fail the other way."""
     _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
-    solve_band = capflow.forms.solve_band
-    checks = []
+    factor = capflow.stepping.factorize
+    loads = []
 
-    def perturbed(lu, band, pattern, data, b, x):
-        if len(x) == 2:
-            n = x.shape[1]
-            x[row] += 1e-9 * np.linalg.norm(b[row]) / math.sqrt(n) * (-1.0) ** np.arange(n)
-        out, flags = solve_band(lu, band, pattern, data, b, x)
-        if len(x) == 2:
-            checks.append(out)
-        return out, flags
+    def perturbed(system):
+        lu = factor(system)
+        b = np.stack((system.rhs, system.bottom_load))
+        x, _ = lu.solve(b, ("state", "bottom-load"))
+        loads.append(b)
+        pattern, other = system.pattern, x[1 - row]
+        # row i = j of the largest |x_t[j]| / ||b_t||, against the other row's
+        j = int(np.argmax(np.abs(x[row]) / (np.abs(other) + 1e-300)))
+        column = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
+        in_row = np.flatnonzero(pattern.indices == j)           # entries (j, c) of row j
+        at_j = in_row[column[in_row] == j][0]
+        at_k = in_row[np.argmax(np.abs(other[column[in_row]]) * (column[in_row] != j))]
+        k = column[at_k]
+        ratio = other[j] / other[k]         # d_k = -ratio d_j: the other row's moves cancel
+        d_j = 1e-9 * np.linalg.norm(b[row]) / abs(x[row, j] - ratio * x[row, k])
+        data = system.data.base
+        data.setflags(write=True)
+        data[at_j] += d_j
+        data[at_k] -= ratio * d_j
+        data.setflags(write=False)
+        return lu
 
-    monkeypatch.setattr(capflow.forms, "solve_band", perturbed)
+    monkeypatch.setattr(capflow.stepping, "factorize", perturbed)
     with pytest.raises(ResidualTooLarge, match=f"^{what} solve: relative residual "):
         step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
              gradient=True)
-    (out,) = checks
-    rel = np.sqrt(out[:, -2] / out[:, -1])
+    rel = capflow.forms.workspace(mesh.topology).struct.rel
     assert rel[row] == pytest.approx(1e-9, rel=0.01)
     assert rel[1 - row] <= 1e-10
-    assert max(out[0, -1] / out[1, -1], out[1, -1] / out[0, -1]) > 1e4
+    (b,) = loads
+    norms = np.linalg.norm(b, axis=1)
+    assert max(norms[0] / norms[1], norms[1] / norms[0]) > 100
 
 
 # every function of the kernel source
