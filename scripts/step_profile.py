@@ -1,39 +1,36 @@
 #!/usr/bin/env python3
-"""Time of each phase of one slab step, kernel by kernel, and the band of its
-saddle matrix, on refined grids.
+"""Time of each phase of one slab step, and the band of its saddle matrix,
+on refined grids.
 
 For each grid, advances the controlled test-case-1 refill three slabs and
-times the phases of the fourth on their own: the mesh-velocity extension
-(ALE) with its compiled Dirichlet data and lifting, the mesh displacement,
-the compiled element data, the radial table (built once per run), the
-compiled triangle blocks, boundary-edge blocks, mass action and the loads
-summed into the reduced right-hand side, the whole saddle assembly, the
-fill, the banded factorization with, under it, its compiled kernel alone (on
-a copy of the scattered band, made untimed), the state solve alone and
-with the bottom load of the control gradient as a second right-hand side in
-the same call, then the whole step, free and controlled, and last the two
-writers: the VTK snapshot of the state and a history.csv of
-HISTORY_ROWS rows of random values at the columns' scales.  Both go through
-one compiled template fill.
-Under each of the three solves, a ``residual`` row times its compiled
-residual checks alone, for all its right-hand sides.  Each figure is the
-minimum over REPEATS calls, in ms, except the writers'.  They are timed as a
-run meets them, over files that already exist on disk: each writer first
-writes RUN_FILES files in a temporary directory (as many as a 100-step run
-with a snapshot every step writes) and flushes each with fsync, as the files
-of an earlier run are, then rewrites each once, and its row is the median of
+times the phases of the fourth on their own, each one compiled call on the
+topology's workspace (``capflow.forms.Workspace``): the mesh-velocity
+extension (ALE) alone, the motion (the extension, the emptying guard and the
+displacement), the radial table (built once per run), the assembly of the
+saddle system on a new mesh each call, as a step does, the factorization
+with, under it, the factor kernel alone (on a copy of the scattered band,
+made untimed), the state solve alone and with the bottom load of the
+control gradient as a second right-hand side in the same call, each with a
+``residual`` row of its compiled residual checks alone, then the whole
+step, free and controlled, and the two writers: the VTK snapshot of the
+state and a history.csv of HISTORY_ROWS rows of random values at the
+columns' scales.  Each figure is the minimum over REPEATS calls, in ms,
+except the writers'.  They are timed as a run meets them, over files that
+already exist on disk: each writer first writes RUN_FILES files in a
+temporary directory (as many as a 100-step run with a snapshot every step
+writes) and flushes each with fsync, as the files of an earlier run are,
+rewrites one untimed, then rewrites each once, and its row is the median of
 those rewrites.  The minimum of rewrites of one file hides what freeing a
-file's blocks costs.
-The element data and mass action rows call the functions behind their
-memos; the assembly and step rows find the mass action of the old velocity
-already computed, as a step after a previous one does, and the assembly row
-works on a new mesh each call, as a step does.
+file's blocks costs.  Last come the phases as a run meets them: the median
+over RUN_STEPS controlled steps of each phase's wall time, which the
+phases' own clocks record (``StepDiagnostics.phase_ms``).
 Two lines follow the table: the median number of minor page faults per step
 (ru_minflt) over a FAULT_STEPS-step controlled run of each grid, counted
-between the run's per-step callbacks, and cProfile's function calls per
-controlled step, all of them and those in SciPy, from a run of
-1 + PROFILE_STEPS steps less a run of one (which builds the patterns), both
-after a one-step run that loads the kernels.  Pin BLAS to one thread
+between the run's per-step callbacks in a fresh process per grid, so that
+no earlier grid's heap enters, and cProfile's function calls per controlled
+step, all of them and those in SciPy, from a run of 1 + PROFILE_STEPS steps
+less a run of one (which builds the patterns and the workspace), both after
+a one-step run that loads the kernels.  Pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1) for comparable times.
 Last comes the band table, one row per grid, on the profiled slab's saddle
 system: the number of reduced dofs and of stored entries (from the
@@ -52,6 +49,8 @@ import os
 import platform
 import pstats
 import resource
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -59,12 +58,12 @@ from pathlib import Path
 
 import numpy as np
 
-from capflow import ale, forms, kernels
+from capflow import forms, kernels
 from capflow.acceptance import tc1_config
 from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
-from capflow.geometry import contact_line_height, displace_mesh
+from capflow.geometry import displace_mesh
 from capflow.stepping import initial_state, slab_system, step
 from capflow.writers import write_history_csv, write_vtk_snapshot
 
@@ -75,6 +74,7 @@ FAULT_STEPS = 20                # steps of the run whose page faults are counted
 HISTORY_ROWS = 100              # rows of the timed history.csv
 RUN_FILES = 101                 # files a writer rewrites: a 100-step run's snapshots
 PROFILE_STEPS = 10              # steady steps whose function calls are counted
+RUN_STEPS = 20                  # controlled steps whose phase times are read
 
 
 def best_ms(fn, prepare=None):
@@ -102,23 +102,13 @@ def slab(n1: int, n3: int):
 
 def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     state, system, phys, num = slab(n1, n3)
-    mesh, u, mesh_new = state.mesh, state.u, system.mesh
+    mesh, u = state.mesh, state.u
+    ws = forms.workspace(mesh.topology)
     V, _ = solve_domain_velocity(mesh, u)
-    ed = forms.element_data(mesh_new)
-    beta = forms.beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
     lu = forms.factorize(system)
-    scattered = forms.band_storage(system)
-    pattern = mesh.topology.memo(forms._saddle_pattern)
-    bottom_load = pattern.reduce(forms.bottom_load_vector(mesh_new))
-
-    _, vals, (tri, wall, surface) = pattern.values()
-    vals[:] = 1.0
-    extension = mesh.topology.memo(ale._extension_pattern)
-    data, stiffness_vals, (stiffness,) = extension.values()
-    kernels.r_stiffness(forms.element_data(mesh), stiffness)
-    _, extension_rhs = ale._extension_rhs(u, stiffness)
-    extension_lu = forms.factorize(forms.LinearSystem(
-        pattern=extension, data=extension.fill(data, stiffness_vals), rhs=extension_rhs, mesh=mesh))
+    band = system.pattern.band
+    scattered = np.zeros(band.ldab * len(band.lower))
+    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, scattered)
 
     def fresh_mesh(_=None):
         """A new mesh at the new positions: nothing memoised on it yet."""
@@ -126,35 +116,36 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
 
     return [
         ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
-        ("  surface data and lifting", best_ms(
-            lambda _: ale._extension_rhs(u, stiffness))),
-        ("  residual", residual_ms(extension_lu, extension_rhs[None])),
-        ("mesh displacement", best_ms(lambda _: displace_mesh(mesh, V, num.dt))),
-        ("element data", best_ms(lambda _: forms._element_data(mesh_new))),
+        ("motion (ALE, displacement)", best_ms(lambda _: ws.motion(mesh, u, num.dt, 0.0))),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
-        ("  triangle blocks", best_ms(
-            lambda _: kernels.triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, tri))),
-        ("  edge blocks", best_ms(
-            lambda _: forms._edge_blocks(mesh_new, u, V, beta, phys.gamma, num.dt, wall,
-                                         surface))),
-        ("  mass action", best_ms(lambda _: forms._mass_action(u))),
-        ("  loads, reduced", best_ms(
-            lambda _: forms._loads(mesh_new, u, num.dt, ZETA, phys, pattern))),
         ("assembly (fresh mesh)", best_ms(
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
-        ("  fill", best_ms(lambda data: pattern.fill(data, vals), lambda: pattern.values()[0])),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
-        ("  factor kernel", best_ms(lambda ab: kernels.factor_band(ab, system.pattern.band),
-                                    lambda: scattered.copy(order="F"))),
+        ("  factor kernel", best_ms(lambda ab: kernels.factor_band(ab, band),
+                                    lambda: scattered.reshape((band.ldab, -1), order="F").copy(
+                                        order="F"))),
         ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
         ("  residual", residual_ms(lu, system.rhs[None])),
-        ("state + bottom-load solve", best_ms(lambda _: forms.solve(lu, system.rhs, bottom_load))),
-        ("  residual", residual_ms(lu, np.stack((system.rhs, bottom_load)))),
+        ("state + bottom-load solve", best_ms(
+            lambda _: forms.solve(lu, system.rhs, system.bottom_load))),
+        ("  residual", residual_ms(lu, np.stack((system.rhs, system.bottom_load)))),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
         ("whole step, controlled", best_ms(
             lambda _: step(state, ZETA, phys, num, gradient=True))),
         *writers_ms(state, num.dt),
+        *run_phases_ms(state, phys, num),
     ]
+
+
+def run_phases_ms(state, phys, num) -> list[tuple[str, float]]:
+    """The median over RUN_STEPS controlled steps from state of each phase's
+    wall time, as its compiled clock records it (``phase_ms``)."""
+    times = []
+    for _ in range(RUN_STEPS):
+        state, diag = step(state, ZETA, phys, num, gradient=True)
+        times.append(diag.phase_ms)
+    return [(f"in a run: {name}", float(np.median([t[name] for t in times])))
+            for name in kernels.PHASES]
 
 
 def band(n1: int, n3: int, kernel_ms: float) -> str:
@@ -207,6 +198,7 @@ def rewrite_ms(write) -> float:
             write(path)
             with open(path, "rb") as fh:
                 os.fsync(fh.fileno())
+        write(paths[0])                 # untimed: the first rewrite pays a warm-up
         times = []
         for path in paths:
             t0 = time.perf_counter()
@@ -216,9 +208,18 @@ def rewrite_ms(write) -> float:
 
 
 def faults_per_step(n1: int, n3: int) -> float:
-    """Median minor page faults per step of a FAULT_STEPS-step controlled run."""
+    """Median minor page faults per step of a FAULT_STEPS-step controlled
+    run, counted in a fresh process (:func:`count_faults`)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run([sys.executable, __file__, "--faults", str(n1), str(n3),
+                           str(FAULT_STEPS)], capture_output=True, text=True, env=env, check=True)
+    return float(proc.stdout)
+
+
+def count_faults(n1: int, n3: int, steps: int) -> float:
+    """Median minor page faults per step of a steps-step controlled run."""
     cfg = replace(tc1_config(), N1=n1, N3=n3)
-    phys, num = phys_params(cfg), replace(num_params(cfg), T=FAULT_STEPS * cfg.dt)
+    phys, num = phys_params(cfg), replace(num_params(cfg), T=steps * cfg.dt)
     faults = []
 
     def count(n, state):
@@ -271,4 +272,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["--faults"]:       # one grid's count, in this fresh process
+        print(count_faults(*map(int, sys.argv[2:5])))
+    else:
+        main()

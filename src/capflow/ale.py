@@ -19,13 +19,10 @@ state's.  The step runs the same phase, followed by the mesh's displacement
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import kernels
 from .errors import DimensionMismatch
 from .fields import VectorFieldP1
-from .forms import _extension_pattern, element_data, workspace
-from .geometry import AxiMesh, BoundaryTag
+from .forms import workspace
+from .geometry import AxiMesh
 
 
 def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
@@ -35,18 +32,3 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
         raise DimensionMismatch("velocity field lives on a different mesh")
     return workspace(mesh.topology).mesh_velocity(mesh, u)
 
-
-def _extension_rhs(u, stiffness) -> tuple[np.ndarray, np.ndarray]:
-    """The Dirichlet data g, the vertical surface speed (u . nu)/nu_3 of u
-    (zero on the bottom), and the reduced right-hand side, minus stiffness
-    (M, 3, 3) times g: the compiled ``extension_rhs`` alone."""
-    mesh = u.mesh
-    topology, n, ed = mesh.topology, mesh.num_nodes, element_data(mesh)
-    kernels.expect("stiffness blocks", stiffness, (len(ed.tri), 3, 3))
-    pattern = topology.memo(_extension_pattern)
-    work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
-    kernels.kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
-                                   topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                                   u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness,
-                                   len(pattern.free), pattern.ptr.free, work, rhs)
-    return work[:n], rhs

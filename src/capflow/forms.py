@@ -127,43 +127,6 @@ def _radial_table(topology: MeshTopology) -> RadialTable:
     return RadialTable(**parts)
 
 
-@dataclass(frozen=True)
-class ElementData:
-    """Per-triangle geometry reused by every volume form: what changes with z,
-    read-only, C-contiguous and bound once for the kernels (``ptr``), and the
-    mesh's :class:`RadialTable`."""
-
-    tri: np.ndarray         # (M, 3) vertex indices
-    area: np.ndarray        # (M,)
-    grad_r: np.ndarray      # (M, 3) constant dN_i/dr
-    grad_z: np.ndarray      # (M, 3) constant dN_i/dz
-    wr: np.ndarray          # (M, 3) r-weighted quadrature weight: area/3 times r at each point
-    r_int: np.ndarray       # (M,) integral of r over the element
-    radial: RadialTable
-
-    def __post_init__(self):
-        object.__setattr__(self, "ptr", Pointers(
-            tri=(self.tri, np.int64), area=self.area, grad_r=self.grad_r, grad_z=self.grad_z,
-            wr=self.wr, r_int=self.r_int))
-
-
-def element_data(mesh: AxiMesh) -> ElementData:
-    """Per-triangle geometry of mesh, computed once per mesh."""
-    return mesh.memo(_element_data)
-
-
-def _element_data(mesh: AxiMesh) -> ElementData:
-    table = radial_table(mesh.topology)
-    m = len(mesh.triangles)
-    out = np.empty(10 * m)
-    kernels.kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
-                                  table.ptr.rq, table.ptr.dr, out)
-    out.setflags(write=False)
-    grad_r, grad_z, wr = out[:9 * m].reshape(3, m, 3)
-    return ElementData(tri=mesh.triangles, area=mesh.areas, grad_r=grad_r, grad_z=grad_z, wr=wr,
-                       r_int=out[9 * m:], radial=table)
-
-
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(M, 3, 3) outer products x[m, i] y[m, j] of the rows of two (M, 3) arrays,
     C-contiguous (np.take, unlike x[:, _ROW], keeps the rows' order)."""
@@ -188,10 +151,12 @@ def mass_action(u: VectorFieldP1) -> np.ndarray:
 
 
 def _mass_action(u: VectorFieldP1) -> np.ndarray:
-    ed = element_data(u.mesh)
-    n = u.mesh.num_nodes
-    f = np.zeros(2 * n)
-    kernels.kernel().mass_action(len(ed.tri), n, ed.ptr.tri, ed.ptr.wr, u.ptr.values, f)
+    mesh = u.mesh
+    # the r-weighted quadrature weights, area/3 times r at the points, as the phases form them
+    wr = (mesh.areas / 3.0)[:, None] * radial_table(mesh.topology).rq
+    f = np.zeros(2 * mesh.num_nodes)
+    kernels.kernel().mass_action(len(wr), mesh.num_nodes, mesh.topology.ptr.triangles,
+                                 wr.ctypes.data, u.ptr.values, f)
     f.setflags(write=False)
     return f
 
@@ -227,24 +192,6 @@ def _bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
                                  topology.ptr.bottom, topology.ptr.radii, mesh.ptr.z, f)
     f.setflags(write=False)
     return f
-
-
-def _loads(mesh, u, dt, zeta, phys, pattern) -> np.ndarray:
-    """On the kept dofs of pattern, 0 on a pressure dof: the mass action of
-    u, a field over mesh's topology, over dt, plus the loads on mesh: gravity,
-    bottom stress (p_bar + zeta) e3, the Laplace-Beltrami weak form of surface
-    tension (integrated by parts, so no curvature is evaluated) and the
-    contact-line force gamma cos(theta_s) on the contact circle."""
-    ed, topology, n = element_data(mesh), mesh.topology, mesh.num_nodes
-    surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
-    contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
-    rhs = np.empty(len(pattern.free))
-    kernels.kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
-                               topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                               mass_action(u), bottom_load_vector(mesh), dt, phys.g,
-                               phys.p_bar + zeta, phys.gamma, mesh.contact_node, contact,
-                               len(pattern.free), pattern.ptr.free, np.zeros(4 * n), rhs)
-    return rhs
 
 
 # -- monolithic system ------------------------------------------------------
@@ -410,31 +357,6 @@ class FixedPattern:
         kernels.kernel().gather(len(self.free), self.ptr.free, len(f), f, out)
         return out
 
-    def values(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """A zeroed data array and an uninitialised flat value array for
-        :meth:`fill`, and the value array's (E, k, k) view per family, in build
-        order.  The data array comes first, below the values and the kernel
-        temporaries on the heap: allocated after them, it kept glibc from
-        giving their pages back and raised the first step's peak memory."""
-        data = np.zeros(len(self.indices) + 1)
-        vals = np.empty(len(self.slot))
-        views, at = [], 0
-        for e, k in self.shapes:
-            views.append(vals[at:at + e * k * k].reshape(e, k, k))
-            at += e * k * k
-        return data, vals, views
-
-    def fill(self, data: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """The reduced matrix's CSC data, one value per stored entry on
-        (indices, indptr), read-only: the flat local values summed into data,
-        both from :meth:`values`, in their order; the sums are those of a
-        bincount, bit for bit."""
-        kernels.expect("data", data, (len(self.indices) + 1,))
-        kernels.expect("values", vals, self.slot.shape)
-        kernels.kernel().scatter_add(len(self.slot), self.ptr.slot, vals, data)
-        data.setflags(write=False)
-        return data[:-1]
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -540,21 +462,6 @@ def _extension_pattern(topology: MeshTopology) -> FixedPattern:
     return FixedPattern.build([topology.triangles], free, topology.num_nodes)
 
 
-def _edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
-    """Write the wall friction, beta times the r-weighted edge mass on u_z of
-    each wall edge's ends, into wall (E, 2, 2), and on (u_r, u_z) of each
-    free-surface edge's ends the flux of w - V on both components plus dt
-    times the surface stabilization of tension gamma into surface (E, 4, 4);
-    w and V are fields over mesh's topology."""
-    topology = mesh.topology
-    kernels.expect("wall blocks", wall, (len(topology.boundary_edges[BoundaryTag.WALL]), 2, 2))
-    kernels.expect("surface blocks", surface,
-                   (len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]), 4, 4))
-    kernels.kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface),
-                                 topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                                 w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
-
-
 def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
     """Monolithic [[K, B], [-B^T, Sp]] system with essential radial dofs eliminated.
 
@@ -601,18 +508,6 @@ class BandLU:
         kernels.expect("right-hand sides", rhs, (min(max(len(rhs), 1), 2), len(self.lu.T)))
         x, rels, _, _ = workspace(self.system.mesh.topology).solve(self, tuple(rhs), what)
         return x, rels
-
-
-def band_storage(system: LinearSystem) -> np.ndarray:
-    """System's matrix scattered by the compiled ``scatter_add`` into zeroed
-    (kl + ku + 1, n) Fortran-ordered band storage of its pattern's layout,
-    as :func:`factorize` scatters it before it factors."""
-    band = system.pattern.band
-    n = len(band.lower)
-    kernels.expect("matrix data", system.data, band.position.shape)
-    ab = np.zeros(band.ldab * n)
-    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
-    return ab.reshape((band.ldab, n), order="F")
 
 
 def factorize(system: LinearSystem) -> BandLU:

@@ -294,29 +294,6 @@ def kernel() -> Kernel:
     return Kernel(build())
 
 
-def triangle_blocks(ed, w, V, dt: float, nu: float, Cs: float, out: np.ndarray) -> None:
-    """Write each triangle's 9x9 saddle block, on the local dofs (u_r, u_z, p)
-    of its vertices, into out, (M, 9, 9): ed is the mesh's
-    :class:`~capflow.forms.ElementData`, w the advecting velocity and V the
-    mesh velocity, :class:`~capflow.fields.VectorFieldP1` on the mesh."""
-    m = len(ed.tri)
-    expect("triangle blocks", out, (m, 9, 9))
-    if not w.mesh.triangles is V.mesh.triangles is ed.tri:
-        raise DimensionMismatch("fields over another topology")
-    e, t = ed.ptr, ed.radial.ptr
-    kernel().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr, t.inv_r, t.rn,
-                             t.hoop, t.zz, t.coupling_z, w.ptr.values, V.ptr.values,
-                             dt, nu, Cs, out)
-
-
-def r_stiffness(ed, out: np.ndarray) -> None:
-    """Write each triangle's r-weighted stiffness, integral of
-    r grad N_i . grad N_j, into out, (M, 3, 3); ed as for :func:`triangle_blocks`."""
-    m = len(ed.tri)
-    expect("stiffness blocks", out, (m, 3, 3))
-    kernel().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz, out)
-
-
 def factor_band(ab: np.ndarray, band) -> int:
     """Factor the band storage ab in place without pivoting, within the
     envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based

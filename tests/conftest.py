@@ -3,14 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import capflow.ale
-import capflow.forms
 import capflow.stepping
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.fields import VectorFieldP1
-from capflow.forms import LinearSystem, element_data
 from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh
 
 
@@ -95,16 +92,6 @@ def phase_calls(monkeypatch, record):
 def solved_pattern(struct) -> kernels.Pattern:
     """The pattern struct that the factor or solve phase handed struct works on."""
     return kernels.Pattern.from_address(struct.pattern)
-
-
-def mesh_velocity_system(mesh, u):
-    """The mesh-velocity system of the velocity u on mesh, which the motion
-    phase fills, factors and solves, built from the compiled kernels one by one."""
-    pattern = mesh.topology.memo(capflow.forms._extension_pattern)
-    data, vals, (stiffness,) = pattern.values()
-    kernels.r_stiffness(element_data(mesh), stiffness)
-    _, rhs = capflow.ale._extension_rhs(u, stiffness)
-    return LinearSystem(pattern=pattern, data=pattern.fill(data, vals), rhs=rhs, mesh=mesh)
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import (_ONES, _QBASIS, _QQ, ElementData, FixedPattern, _check_fields, _outer,
-                           _vector_dofs, element_data, radial_table)
+from capflow.forms import (_ONES, _QBASIS, _QQ, FixedPattern, _check_fields, _outer, _vector_dofs,
+                           radial_table)
 from capflow.geometry import AxiMesh, BoundaryTag
+
+from .compiled import ElementData, element_data, fill, values
 
 # integral of N_i N_j over a triangle per unit area: 1/6 on the diagonal, 1/12 off it
 _NN = _QBASIS.T @ _QBASIS / 3.0
@@ -99,7 +101,7 @@ _EDGE_BB = (_EDGE_BASIS[:, :, None] * _EDGE_BASIS[:, None, :]).reshape(2, 4)
 # -- the numpy kernels of the element data, edge blocks, mass action and loads --
 
 def element_data_reference(mesh: AxiMesh) -> dict:
-    """The arrays of :func:`~capflow.forms.element_data`, from numpy."""
+    """The arrays of :func:`compiled.element_data`, from numpy."""
     tri = mesh.triangles
     table = radial_table(mesh.topology)
     z = mesh.z[tri]
@@ -383,13 +385,13 @@ def filled(pattern: FixedPattern, data: np.ndarray, vals: np.ndarray) -> sp.csc_
     """The CSC matrix of pattern's :meth:`~capflow.forms.FixedPattern.fill` of
     vals into data, both from its ``values``."""
     n = len(pattern.free)
-    return sp.csc_matrix((pattern.fill(data, vals), pattern.indices, pattern.indptr), shape=(n, n))
+    return sp.csc_matrix((fill(pattern, data, vals), pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def _fill(families: list[np.ndarray], blocks: list[np.ndarray], size: int) -> sp.csr_matrix:
     """The size x size matrix summing blocks[f][e] on the dofs families[f][e]."""
     pattern = FixedPattern.build(families, np.arange(size), size)
-    data, vals, views = pattern.values()
+    data, vals, views = values(pattern)
     for view, block in zip(views, blocks):
         view[:] = block
     return filled(pattern, data, vals).tocsr()

@@ -9,18 +9,19 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow.ale import _extension_pattern, _extension_rhs, solve_domain_velocity
+from capflow.ale import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import (BandLayout, FixedPattern, _edge_blocks, _loads, _saddle_pattern,
-                           assemble_state_system, band_storage, beta_h, bottom_load_vector,
-                           element_data, factorize, mass_action, reverse_cuthill_mckee,
-                           vertex_order)
+from capflow.forms import (BandLayout, FixedPattern, _extension_pattern, _saddle_pattern,
+                           assemble_state_system, beta_h, bottom_load_vector, factorize,
+                           mass_action, reverse_cuthill_mckee, vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
-from capflow.kernels import factor_band, r_stiffness, triangle_blocks
+from capflow.kernels import factor_band
 from capflow.stepping import initial_state, slab_system, step
 
+from .compiled import (band_storage, edge_blocks, element_data, extension_rhs, fill, loads,
+                       r_stiffness, triangle_blocks, values)
 from .conftest import factored_systems, random_vector_field
 from .oracles import oracle_saddle
 from .pattern_forms import (_gradient_products, bottom_load_reference, edge_blocks_reference,
@@ -124,21 +125,21 @@ def compiled_kernels(mesh_new, mesh_old, u, V, zeta, phys, num):
     for name, array in element_data_reference(mesh_new).items():
         got[name], want[name] = getattr(ed, name), array
     saddle = mesh_new.topology.memo(_saddle_pattern)
-    _, _, (_, wall, surface) = saddle.values()
+    _, _, (_, wall, surface) = values(saddle)
     beta = beta_h(phys.chi, contact_line_height(mesh_new) / num.N3, phys.nu)
-    _edge_blocks(mesh_new, u, V, beta, phys.gamma, num.dt, wall, surface)
+    edge_blocks(mesh_new, u, V, beta, phys.gamma, num.dt, wall, surface)
     got["wall"], got["surface"] = wall, surface
     want["wall"], want["surface"] = edge_blocks_reference(mesh_new, u.values, V.values, beta,
                                                           phys, num.dt)
     got["mass action"], want["mass action"] = mass_action(u), mass_action_reference(u)
     got["bottom load"] = bottom_load_vector(mesh_new)
     want["bottom load"] = bottom_load_reference(mesh_new)
-    got["rhs"] = _loads(mesh_new, u, num.dt, zeta, phys, saddle)
+    got["rhs"] = loads(mesh_new, u, num.dt, zeta, phys, saddle)
     want["rhs"] = state_rhs_reference(saddle, mesh_new, u, zeta, phys, num.dt)
     extension = mesh_old.topology.memo(_extension_pattern)
     stiffness = np.empty((m, 3, 3))
     r_stiffness(element_data(mesh_old), stiffness)
-    got["g"], got["extension rhs"] = _extension_rhs(u, stiffness)
+    got["g"], got["extension rhs"] = extension_rhs(u, stiffness)
     want["g"], want["extension rhs"] = extension_rhs_reference(extension, u, stiffness)
     return got, want
 
@@ -184,18 +185,18 @@ def test_kernel_arguments_are_checked_before_the_kernel_runs():
     with pytest.raises(DimensionMismatch):
         r_stiffness(ed, np.empty((m + 1, 3, 3)))
     pattern = mesh.topology.memo(_saddle_pattern)
-    data, vals, (_, wall, surface) = pattern.values()
+    data, vals, (_, wall, surface) = values(pattern)
     with pytest.raises(DimensionMismatch):
-        pattern.fill(data[:-1], vals)
+        fill(pattern, data[:-1], vals)
     with pytest.raises(DimensionMismatch):
-        pattern.fill(data, vals[:-1])
+        fill(pattern, data, vals[:-1])
     for blocks in ((wall[:-1], surface), (wall, surface[:, :2, :2])):
         with pytest.raises(DimensionMismatch):
-            _edge_blocks(mesh, u, V, 1.0, phys.gamma, num.dt, *blocks)
+            edge_blocks(mesh, u, V, 1.0, phys.gamma, num.dt, *blocks)
     with pytest.raises(DimensionMismatch):    # checked once, for every kernel of the step
         assemble_state_system(mesh, mesh, u, zero_vector_field(same_grid(mesh)), 0.0, phys, num)
     with pytest.raises(DimensionMismatch):
-        _extension_rhs(u, np.empty((m - 1, 3, 3)))
+        extension_rhs(u, np.empty((m - 1, 3, 3)))
     with pytest.raises(ctypes.ArgumentError):
         pattern.reduce(np.zeros(3, np.float32))
 
@@ -367,10 +368,10 @@ def test_fill_sums_like_bincount():
     does, bit for bit."""
     mesh = build_structured_mesh(1.0, 1.0, 3, 4)
     pattern = mesh.topology.memo(_saddle_pattern)
-    data, vals, _ = pattern.values()
+    data, vals, _ = values(pattern)
     vals[:] = np.random.default_rng(5).standard_normal(len(vals))
     reference = np.bincount(pattern.slot, weights=vals, minlength=len(pattern.indices) + 1)
-    assert np.array_equal(pattern.fill(data, vals), reference[:-1])
+    assert np.array_equal(fill(pattern, data, vals), reference[:-1])
 
 
 def test_build_keeps_the_callers_dof_order():
@@ -384,7 +385,7 @@ def test_build_keeps_the_callers_dof_order():
         pattern = FixedPattern.build([mesh.triangles], dofs, n)
         # a read-only copy, whose pointer the kernels bind once
         assert np.array_equal(pattern.free, dofs) and not pattern.free.flags.writeable
-        data, vals, (view,) = pattern.values()
+        data, vals, (view,) = values(pattern)
         view[:] = blocks
         matrices.append(filled(pattern, data, vals).toarray())
     # row and column k of a fill are the dof free[k]
@@ -410,7 +411,7 @@ def test_build_with_int64_keys_fills_like_the_int32_build():
     blocks = rng.standard_normal((30, 3, 3))
     fills = []
     for pattern in (small, large):
-        data, vals, (view,) = pattern.values()
+        data, vals, (view,) = values(pattern)
         view[:] = blocks
         fills.append(filled(pattern, data, vals))
     assert np.array_equal(fills[1].data, fills[0].data)

@@ -515,7 +515,7 @@ class TestRunLoop:
         assert all(m.topology is topology for m in meshes)
         assert [len(order) for order in orders] == [25]
         assert capflow.forms.vertex_order(topology) is orders[0]
-        for build in (capflow.forms._saddle_pattern, capflow.ale._extension_pattern):
+        for build in (capflow.forms._saddle_pattern, capflow.forms._extension_pattern):
             vertex = topology.memo(build).free % topology.num_nodes
             runs = vertex[np.diff(vertex, prepend=-1) != 0]
             assert np.array_equal(runs, orders[0][np.isin(orders[0], vertex)])

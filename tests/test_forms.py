@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.fields import PhysParams, VectorFieldP1, zero_vector_field
-from capflow.forms import (_QBASIS, _QQ, _loads, _saddle_pattern, beta_h, bottom_load_vector,
-                           element_data, radial_table)
+from capflow.forms import _QBASIS, _QQ, _saddle_pattern, beta_h, bottom_load_vector, radial_table
 from capflow.geometry import BoundaryTag, build_structured_mesh, displace_mesh
 from capflow.writers import _snapshot_template
 
 from . import oracles
+from . import compiled
+from .compiled import element_data
 from .conftest import mesh_at, perturbed_mesh, random_vector_field, two_triangle_mesh
 from .pattern_forms import (_coupling_block, _gradient_products, _viscous_block, form_a, form_b,
                             form_c_ALE, form_S_Gamma, form_s, form_s_p, gravity_load, mass_matrix,
@@ -33,7 +34,7 @@ def rel_err(dense, sparse):
 
 def loads(mesh, zeta, phys):
     """The compiled loads on the kept dofs of the step's saddle system, at rest."""
-    return _loads(mesh, zero_vector_field(mesh), 1.0, zeta, phys,
+    return compiled.loads(mesh, zero_vector_field(mesh), 1.0, zeta, phys,
                   mesh.topology.memo(_saddle_pattern))
 
 

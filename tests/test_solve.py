@@ -21,14 +21,14 @@ from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
-                           bottom_load_vector, element_data, factorize, kinetic_energy,
+                           bottom_load_vector, factorize, kinetic_energy,
                            _saddle_pattern, radial_table, solve)
 from capflow.ale import solve_domain_velocity
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
 from .pattern_forms import filled, form_a, mass_matrix
-from .conftest import mesh_velocity_system
+from .compiled import element_data, mesh_velocity_system, r_stiffness, triangle_blocks, values
 from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -293,9 +293,9 @@ def extension_system(n1, n3):
     """The mesh-velocity stiffness of the tc1 slab on an n1 x n3 grid, filled
     on its pattern."""
     mesh = tc1_slab(n1, n3)[0]
-    pattern = mesh.topology.memo(capflow.ale._extension_pattern)
-    data, vals, (stiffness,) = pattern.values()
-    kernels.r_stiffness(element_data(mesh), stiffness)
+    pattern = mesh.topology.memo(capflow.forms._extension_pattern)
+    data, vals, (stiffness,) = values(pattern)
+    r_stiffness(element_data(mesh), stiffness)
     return pattern, filled(pattern, data, vals)
 
 
@@ -717,8 +717,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
     gc.disable()
     try:
         for _ in range(20):
-            kernels.triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
-            kernels.r_stiffness(ed, stiffness)
+            triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
+            r_stiffness(ed, stiffness)
             kernels.factor_band(lu.lu.copy(order="F"), band)
             kernels.solve_band(lu.lu, band, system.pattern, system.data, b, x)
             # a whole step and its gradient: every kernel, on new meshes and fields
@@ -782,7 +782,7 @@ def test_a_copied_state_reads_only_its_own_arrays(copy_of):
     expected, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
     copied = copy_of(state)
     topology, ed, table = mesh.topology, element_data(mesh), radial_table(mesh.topology)
-    patterns = [topology.memo(_saddle_pattern), topology.memo(capflow.ale._extension_pattern)]
+    patterns = [topology.memo(_saddle_pattern), topology.memo(capflow.forms._extension_pattern)]
     spoil(mesh.z, u.values, topology.radii, topology.triangles, *topology.boundary_edges.values(),
           ed.area, ed.grad_r, table.rq, table.inv_r, table.dr, table.rn, table.hoop, table.zz,
           table.coupling_z, *(a for p in patterns for a in (p.free, p.slot, p.indices, p.indptr,

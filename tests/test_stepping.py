@@ -1,4 +1,9 @@
+import copy
 import ctypes
+import gc
+import pickle
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +11,11 @@ import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
 import capflow.stepping
+from capflow import kernels
+from capflow.acceptance import tc1_config
+from capflow.config import num_params, phys_params
 from capflow.fields import NumParams, PhysParams
-from capflow.forms import bottom_load_vector, _flatten
+from capflow.forms import bottom_load_vector, _flatten, kinetic_energy, mass_action, workspace
 from capflow.geometry import mesh_quality
 from capflow.stepping import initial_state, pin_heap, step
 
@@ -153,3 +161,113 @@ def test_pin_heap_is_a_no_op_without_mallopt(monkeypatch, libc):
     assert pin_heap() is False
     _, num = tc1_params()
     assert initial_state(5e-4, 5e-5, num).t == 0.0
+
+
+# -- the workspace the phases run on -------------------------------------------
+
+def advanced(nsteps, n1=4, n3=8):
+    """The controlled tc1 refill on an n1 x n3 grid after nsteps slabs at zeta = 1e-4."""
+    cfg = replace(tc1_config(), N1=n1, N3=n3)
+    phys, num = phys_params(cfg), num_params(cfg)
+    state = initial_state(cfg.radius, cfg.init_height, num)
+    for _ in range(nsteps):
+        state, _ = step(state, 1e-4, phys, num, gradient=True)
+    return state, phys, num
+
+
+def test_no_record_aliases_the_workspace(monkeypatch):
+    """The state, saddle system and LU of slab n keep their bits while later
+    slabs run on the same topology's workspace, the two steps of the FD
+    check from one state at zeta +- eps among them, and the LU still solves
+    its system under the residual gate."""
+    held = []
+    factorize = capflow.stepping.factorize
+
+    def holding(system):
+        held.append(factorize(system))
+        return held[-1]
+
+    state, phys, num = advanced(2)
+    monkeypatch.setattr(capflow.stepping, "factorize", holding)
+    new, _ = step(state, 1e-4, phys, num, gradient=True)
+    (lu,), system = held, held[0].system
+    arrays = {"z": new.mesh.z, "areas": new.mesh.areas, "u": new.u.values, "p": new.p.values,
+              "mass": mass_action(new.u), "data": system.data, "rhs": system.rhs,
+              "bottom load": system.bottom_load, "lu": lu.lu}
+    before = {name: a.copy() for name, a in arrays.items()}
+    for zeta in (1e-4 + 1e-9, 1e-4 - 1e-9):
+        step(new, zeta, phys, num, gradient=True)
+    later = new
+    for _ in range(3):
+        later, _ = step(later, 1e-4, phys, num, gradient=True)
+    assert later.mesh.topology is new.mesh.topology
+    for name, a in arrays.items():
+        assert a.tobytes() == before[name].tobytes(), name
+    x, (rel,) = lu.solve(system.rhs[None], ("state",))
+    assert rel <= 1e-10
+    full = np.concatenate((new.u.values[:, 0], new.u.values[:, 1], new.p.values))
+    assert x[0].tobytes() == full[system.pattern.free].tobytes()
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_mid_run_state_steps_to_the_same_history(copy_of):
+    """A copy of a mid-run state, its topology's workspace among what it
+    takes along, steps to the original's history bit for bit, on a
+    workspace of its own that binds the copy's arrays."""
+    state, phys, num = advanced(3)
+    copied = copy_of(state)
+    histories = []
+    for s in (state, copied):
+        rows = []
+        for _ in range(4):
+            s, diag = step(s, 1e-4, phys, num, gradient=True)
+            rows.append((diag.z_cl, diag.u_max, diag.bottom_integral, s.u.values.tobytes()))
+        histories.append(rows)
+    assert histories[0] == histories[1]
+    ws, own = workspace(state.mesh.topology), workspace(copied.mesh.topology)
+    assert own is not ws and own.struct.r == copied.mesh.topology.radii.ctypes.data
+    assert own.struct.saddle.indices == own.saddle.indices.ctypes.data != ws.struct.saddle.indices
+
+
+def test_steps_leave_no_cyclic_garbage():
+    """The steps free all they allocate by reference counting: with the
+    collector off, 25 controlled steps and their objectives, after a first
+    one that builds the workspace, leave nothing for it.  (A run's
+    initial_state leaves the C library handle of pin_heap, once.)"""
+    state, phys, num = advanced(1)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(25):
+            state, _ = step(state, 1e-4, phys, num, gradient=True)
+            kinetic_energy(state.u)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_phase_times_are_the_steps_own():
+    """Each step reports each phase's wall time from the phases' own clocks,
+    none negative, together no more than the step's wall time; each phase
+    entry runs once per step."""
+    state, phys, num = advanced(1)
+    calls = []
+    lib = kernels.kernel()
+    for name in ("motion", "assembly", "factor", "solve"):
+        def counted(struct, entry=getattr(lib, name), name=name):
+            calls.append(name)
+            return entry(struct)
+        setattr(lib, name, counted)
+    try:
+        for _ in range(3):
+            start = time.perf_counter()
+            state, diag = step(state, 1e-4, phys, num, gradient=True)
+            wall_ms = 1e3 * (time.perf_counter() - start)
+            assert list(diag.phase_ms) == ["ALE", "motion", "assembly", "factor", "solves"]
+            assert all(ms >= 0.0 for ms in diag.phase_ms.values()), diag.phase_ms
+            assert sum(diag.phase_ms.values()) <= wall_ms
+    finally:
+        for name in ("motion", "assembly", "factor", "solve"):
+            delattr(lib, name)
+    assert calls == ["motion", "assembly", "factor", "solve"] * 3
