@@ -121,9 +121,10 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
         ("assembly (fresh mesh)", best_ms(
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
-        ("  factor kernel", best_ms(lambda ab: kernels.factor_band(ab, band),
-                                    lambda: scattered.reshape((band.ldab, -1), order="F").copy(
-                                        order="F"))),
+        ("  factor kernel", best_ms(
+            lambda ab: kernels.kernel().band_factor(len(band.lower), band.kl, band.ku,
+                                                    band.ptr.lower, band.ptr.upper, ab),
+            lambda: scattered.reshape((band.ldab, -1), order="F").copy(order="F"))),
         ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
         ("  residual", residual_ms(lu, system.rhs[None])),
         ("state + bottom-load solve", best_ms(

@@ -7,14 +7,12 @@ zero-flux conditions on the wall and the axis.  The resulting V = (0, V_z)
 satisfies every boundary condition of the extension problem: V . nu matches
 u . nu on the surface, the wall stays a cylinder, and the bottom is fixed.
 
-The whole solve is one compiled phase on the topology's workspace
-(:meth:`~capflow.forms.Workspace.mesh_velocity`): the r-weighted stiffness
-from the kernel that shares its gradient products with the saddle blocks,
-the surface data, from the surface slopes, and its lifting by the stiffness
-(``extension_rhs``), the fill on the pattern built once per topology, one
-banded LU and one solve with its finite check and residual gate, as the
-state's.  The step runs the same phase, followed by the mesh's displacement
-(:meth:`~capflow.forms.Workspace.motion`).
+The whole solve is one compiled phase on the topology's workspace: the
+r-weighted stiffness, whose gradient products the saddle blocks share, the
+surface data from the surface slopes and its lifting by the stiffness, the
+fill on a pattern built once per topology, one banded LU and one solve with
+its finite check and residual gate, as the state's.  The step runs the same
+phase, then the displacement (:meth:`~capflow.forms.Workspace.motion`).
 """
 
 from __future__ import annotations

@@ -91,9 +91,8 @@ class VectorFieldP1(_Memo):
 
 
 def trusted(cls, **attrs):
-    """A record of cls that holds attrs as given, without the checks its
-    construction makes: for the arrays of a compiled phase, which made the
-    same checks and wrote them read-only before any caller could reach them."""
+    """A record of cls holding attrs, without its construction's checks: for
+    the arrays of a compiled phase, which made the same checks."""
     record = object.__new__(cls)
     record.__dict__.update(attrs)
     return record

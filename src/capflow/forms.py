@@ -10,53 +10,32 @@ Velocity dof layout: radial components first (node k -> row k), then vertical
 components (node k -> row N + k); pressure dofs follow in the monolithic
 saddle system.
 
-Every form is a kernel of dense per-element (or per-edge) blocks, and there
-is one assembly path: :func:`assemble_state_system` sums the blocks of all
-forms straight into the reduced saddle matrix through a :class:`FixedPattern`
-built once per mesh topology, and the mesh-velocity extension fills its
-stiffness the same way.  The tests check that fill against dense
-element-by-element quadrature written apart from these kernels.  A
-:class:`LinearSystem` carries its pattern, which maps every load onto the
-kept dofs (:meth:`FixedPattern.reduce`), and the fill's read-only CSC data
-on the pattern's structure; only :func:`factorize` knows
-the band storage, and the :class:`BandLU` it returns, an LU without pivoting
-from the compiled kernels of :mod:`capflow.kernels`, carries the system it
-factors: every solve is one :meth:`BandLU.solve` of all its loads, one
-compiled call that gates each on its own residual in that system's matrix,
-formed from the data and the pattern's ``indices`` and ``indptr``.  The
-package needs numpy alone: the vertex order is a reverse Cuthill-McKee
-search in plain Python, once per topology, and SciPy is imported only to
-build a system's matrix when its ``matrix`` is read (the tests).  The LU
-is restricted to the envelope of the pattern's structure, found once with
-its :class:`BandLayout`: without pivoting it makes no fill outside it
-(George & Liu 1981, ch. 4).
+Every form is a compiled kernel of dense per-element (or per-edge) blocks
+(:mod:`capflow.kernels`), summed straight into the reduced saddle matrix
+through a :class:`FixedPattern` built once per mesh topology; the
+mesh-velocity extension fills its stiffness the same way.  The tests check
+each kernel against the numpy expressions it replaced and the fill against
+dense element-by-element quadrature.  Each element tensor splits into a part
+of the radii alone and a small part that changes with z (Kirby & Logg 2006,
+ACM TOMS 32(3)); mesh motion is vertical, so the former, the
+:class:`RadialTable`, is computed once per topology.
 
-Every per-element and per-edge loop of the step is compiled
-(:mod:`capflow.kernels`): per-element numpy products cost more in call
-overhead than in arithmetic at these sizes.  The element data, each
-triangle's 9x9 block and the wall and free-surface blocks are written
-straight into the pattern's values, and so is the fill; the old velocity's
-mass action over dt and the loads are summed straight onto the kept dofs;
-the mass action of a velocity and the bottom load are compiled too.  What
-the kernels read of a record is bound once, when the record is made
-(:class:`~capflow.kernels.Pointers`): every record here keeps its arrays
-read-only and C-contiguous.  The numpy expressions these loops replaced are
-the tests' reference (``tests/pattern_forms.py``).
-
-Each element tensor splits into a part that depends on the radii alone and
-a small geometric part that changes with z (Kirby & Logg 2006, ACM TOMS
-32(3)).  Mesh motion is vertical, so the radii live on the mesh topology and
-the first part, the :class:`RadialTable`, is computed once per topology and
-shared by every mesh of a run: r and 1/r at the points, the r-differences
-that give dN/dz, the z rows of the coupling block, the hoop block per unit
-area and the dN/dz products times the area.  What changes with z (the area, dN/dr,
-the r-weighted quadrature weights) is computed once per mesh in
-:class:`ElementData`, and the mass action (:func:`mass_action`) once per
-velocity field, where the objective (:func:`kinetic_energy`) and gradient of
-step n and the assembly of step n+1 meet; it is read-only.  The r-weighted stiffness
-is not kept per mesh: the saddle blocks of step n and the mesh-velocity
-extension of step n+1 each compute it, since holding it from one to the
-other raised the 32x64 peak resident memory by about 4 MiB.
+A slab runs as compiled phases on the topology's :class:`Workspace`, one call
+each, which bind every array of the topology, its radial table and its two
+patterns once: the motion, the assembly (:func:`assemble_state_system`), the
+factor (:func:`factorize`) and the solve (:func:`solve`, :meth:`BandLU.solve`).
+A :class:`LinearSystem` carries its pattern, the fill's read-only CSC data,
+its right-hand side and the load of a unit bottom stress; the
+:class:`BandLU` of its matrix, an LU without pivoting within the envelope of
+the pattern's :class:`BandLayout` (George & Liu 1981, ch. 4), carries the
+system, and every solve with it gates each right-hand side on its own
+residual in that system's matrix.  The vertex order behind the narrow band
+is a reverse Cuthill-McKee search in plain Python, once per topology; the
+package needs numpy alone, and SciPy is imported only to build a system's
+matrix when its ``matrix`` is read (the tests).  The mass action of a
+velocity (:func:`mass_action`) is computed once per field, where the
+objective and gradient of step n and the assembly of step n+1 meet: the
+solve phase writes it with the field.
 """
 
 from __future__ import annotations
@@ -68,10 +47,9 @@ import numpy as np
 import ctypes
 
 from . import kernels
-from .errors import (DimensionMismatch, DomainEmptied, MeshTangled, ResidualTooLarge,
-                     SingularMatrix)
+from .errors import DimensionMismatch, DomainEmptied, ResidualTooLarge, SingularMatrix
 from .fields import ScalarFieldP1, VectorFieldP1, trusted
-from .geometry import AxiMesh, BoundaryTag, MeshTopology, radial_differences, tangle
+from .geometry import AxiMesh, BoundaryTag, MeshTopology, displace_mesh, radial_differences
 from .kernels import Pointers
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
@@ -488,7 +466,8 @@ class BandLU:
     band's kl and ku are its pattern's."""
 
     system: LinearSystem
-    lu: np.ndarray      # (kl + ku + 1, n) band storage, Fortran order: U on and above row ku, L below
+    lu: np.ndarray      # (kl + ku + 1, n) band storage, Fortran order: U on and above row
+                        # ku, L below
 
     @property
     def growth(self) -> float:
@@ -497,35 +476,24 @@ class BandLU:
         return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.data).max())
 
     def solve(self, rhs: np.ndarray, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
-        """x, (k, n), with A x_t = rhs_t for each row of rhs, C-contiguous
-        float64 (k, n) with k = 1 or 2, A the system's matrix, and the rows'
-        residuals ||A x_t - rhs_t|| / ||rhs_t||, from one compiled solve
-        (:meth:`Workspace.solve`).  Row by row, a non-finite x_t raises
-        SingularMatrix and a residual above 1e-10 ResidualTooLarge, each
-        naming the row's solve by what[t]."""
+        """x, (k, n), with A x_t = rhs_t for each row of rhs, (k, n) with k = 1
+        or 2, A the system's matrix, and the rows' residuals ||A x_t - rhs_t|| /
+        ||rhs_t||, from one compiled solve (:meth:`Workspace.solve`).  Row by
+        row, a non-finite x_t raises SingularMatrix and a residual above 1e-10
+        ResidualTooLarge, each naming the row's solve by what[t]."""
         if len(what) != len(rhs):
             raise DimensionMismatch(f"{len(rhs)} right-hand sides, {len(what)} names")
-        kernels.expect("right-hand sides", rhs, (min(max(len(rhs), 1), 2), len(self.lu.T)))
-        x, rels, _, _ = workspace(self.system.mesh.topology).solve(self, tuple(rhs), what)
-        return x, rels
+        return workspace(self.system.mesh.topology).solve(self, tuple(rhs), what)[:2]
 
 
 def factorize(system: LinearSystem) -> BandLU:
     """Banded LU without pivoting of system's matrix, the one factorization
-    of the run path: the state and the bottom-load of the control gradient
-    are one solve with the saddle matrix's, the mesh-velocity extension
-    factors its stiffness.  The saddle matrix's symmetric part is positive
-    semidefinite and the stiffness is positive definite, so neither needs
-    pivoting (see :mod:`capflow.kernels`).
-
-    The band layout is that of system's pattern, whose dofs come vertex by
-    vertex in the topology's reverse Cuthill-McKee order
-    (:func:`vertex_order`, numpy and Python alone), which keeps the band
-    narrow.  One compiled phase (:meth:`Workspace.factor`) scatters the
-    matrix through that layout into band storage and factors it in place
-    within the layout's envelope, outside which an LU without pivoting makes
-    no fill (George & Liu 1981, ch. 4).  Raises SingularMatrix on an exactly
-    zero pivot."""
+    of the run path, which the saddle matrix's semidefinite symmetric part
+    and the mesh-velocity stiffness's definiteness allow (see ``kernels.c``).
+    One compiled phase (:meth:`Workspace.factor`) scatters the matrix into
+    band storage of its pattern's layout, narrow in the topology's
+    :func:`vertex_order`, and factors it in place within the layout's
+    envelope.  Raises SingularMatrix on an exactly zero pivot."""
     return workspace(system.mesh.topology).factor(system)
 
 
@@ -570,22 +538,16 @@ def _bind(pattern: FixedPattern, into: kernels.Pattern) -> kernels.Pattern:
 
 
 class Workspace:
-    """The :class:`~capflow.kernels.Workspace` struct that every phase of a
-    topology's slabs runs on, one compiled call each, and the scratch it
-    points to.
-
-    The struct holds the pointers and sizes of the topology's arrays, of its
-    :class:`RadialTable` and of its saddle and mesh-velocity patterns with
-    their band layouts, all taken once, here.  A phase's inputs are bound per
-    call from the records that hold them; its outputs go into arrays
-    allocated per call, which the records it returns own, so nothing a caller
-    holds is scratch.  A phase returns a status, and the details of a failure
-    (the row, the residual, the first bad triangle) come back in the struct,
-    from which the same typed :class:`~capflow.errors.CapflowError` as the
-    checks it replaced is raised, with the same message.  The struct also
-    holds each phase's wall time (``phase_ms``, :data:`kernels.PHASES`).
-    A copy or an unpickled workspace is built anew from the copied records
-    (:meth:`__reduce__`), so it binds their arrays, not the original's.
+    """The :class:`~capflow.kernels.Workspace` struct that a topology's slab
+    phases run on, one compiled call each, and the scratch it points to.
+    The pointers and sizes of the topology's arrays, its :class:`RadialTable`
+    and its two patterns with their band layouts are taken once, here; a
+    phase's inputs are bound per call from the records that hold them, and
+    its outputs go into arrays allocated per call that the returned records
+    own, so nothing a caller holds is scratch.  A failing phase's status and
+    details raise the typed error, with the message, of the check it
+    replaced.  A copy or an unpickled workspace is built anew from the copied
+    records (:meth:`__reduce__`), so it binds their arrays.
     """
 
     def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,
@@ -611,8 +573,7 @@ class Workspace:
         return Workspace, self._parts
 
     def bind(self, pattern: FixedPattern) -> int:
-        """The address of the struct of pattern: one of the topology's, or
-        one made for this call of a pattern of another system."""
+        """The address of pattern's struct, one made per call for another system's."""
         if pattern is self.saddle:
             return self._saddle
         if pattern is self.extension:
@@ -621,8 +582,7 @@ class Workspace:
         return ctypes.addressof(self._other)
 
     def run(self, phase, what: tuple[str, ...] = ()) -> None:
-        """Run the compiled phase on the struct; raise the error of its
-        status, naming a solve's row t what[t]."""
+        """Run phase on the struct; raise its status's error, row t named what[t]."""
         status = phase(self.struct)
         if status:
             raise self.error(status, what)
@@ -635,7 +595,9 @@ class Workspace:
             return SingularMatrix(f"{what[s.row]} solve produced non-finite values")
         if status == kernels.OVER_GATE:
             return ResidualTooLarge(f"{what[s.row]} solve: relative residual {s.rel[s.row]:.3e}")
-        return MemoryError("a compiled phase could not allocate its arrays")
+        if status == kernels.NO_MEMORY:
+            return MemoryError("a compiled phase could not allocate its arrays")
+        raise AssertionError(f"compiled phase status {status}")
 
     def mesh_velocity(self, mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
         """The harmonic vertical extension of the surface speed of u, and the
@@ -649,8 +611,8 @@ class Workspace:
                floor: float) -> tuple[AxiMesh, float]:
         """The mesh moved by dt times the mesh velocity of u, and its solve's
         relative residual.  Raises DomainEmptied if the contact line would
-        reach floor, and MeshTangled, its message ending with dt, for a
-        triangle of non-positive area."""
+        reach floor, and what :func:`~capflow.geometry.displace_mesh` raises
+        for a tangled or non-finite mesh."""
         s = self.struct
         n = s.n
         heights = np.empty(n + s.m)
@@ -659,19 +621,17 @@ class Workspace:
         s.z = at = heights.ctypes.data
         s.areas = at + 8 * n
         status = kernels.kernel().motion(s)
-        heights.setflags(write=False)
-        z, areas = heights[:n], heights[n:]
         if status == kernels.EMPTIED:
             # checked before displacing: an emptying column is reported as
             # DomainEmptied, not as the mesh tangle it would soon cause
             raise DomainEmptied(f"contact line headed to {s.z_next:.3e} m (guard {floor:.3e} m)")
-        if status == kernels.HEIGHT_NOT_FINITE:
-            raise DimensionMismatch("non-finite mesh height")
-        if status == kernels.TANGLED:
-            raise MeshTangled(f"{tangle(mesh.topology, z, areas, s.tangled, s.first)}, "
-                              f"after a step of dt = {dt:.6e} s")
+        if status == kernels.MOVED_BADLY:
+            # the checked displacement of the same velocity raises its error and message
+            displace_mesh(mesh, VectorFieldP1(self.V.copy(), mesh), dt)
         if status:
             raise self.error(status, ("mesh-velocity",))
+        heights.setflags(write=False)
+        z, areas = heights[:n], heights[n:]
         ptr = Pointers.of(dict(z=z, areas=areas), dict(z=at, areas=at + 8 * n))
         return trusted(AxiMesh, z=z, topology=mesh.topology, areas=areas, ptr=ptr), \
             s.ale_residual
@@ -715,7 +675,11 @@ class Workspace:
         fields, also the velocity and pressure of the first row, on the
         system's mesh, else None and None."""
         s, system = self.struct, lu.system
-        k, n = len(loads), len(system.pattern.free)
+        k, n, band = len(loads), len(system.pattern.free), system.pattern.band
+        # the compiled solve reads as far as these shapes reach
+        if not 1 <= k <= 2 or lu.lu.shape != (band.kl + band.ku + 1, n) \
+                or not lu.lu.flags.f_contiguous or fields and system.pattern.size != 3 * s.n:
+            raise DimensionMismatch(f"{k} loads for an LU of shape {lu.lu.shape}")
         for b in loads:
             kernels.expect("right-hand side", b, (n,))
             if b.dtype != np.float64 or not b.flags.c_contiguous:

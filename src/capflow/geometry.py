@@ -174,8 +174,12 @@ class AxiMesh(_Memo):
         object.__setattr__(self, "ptr", Pointers(z=z, areas=self.areas))
         tangled = self.areas <= 0.0
         if tangled.any():
-            raise tangle(self.topology, z, self.areas, np.count_nonzero(tangled),
-                         int(np.argmax(tangled)))
+            k = int(np.argmax(tangled))
+            at = ", ".join(f"({self.topology.radii[v]:.6e}, {z[v]:.6e})"
+                           for v in self.triangles[k])
+            raise MeshTangled(f"{np.count_nonzero(tangled)} triangle(s) with non-positive area, "
+                              f"the first triangle {k} of area {self.areas[k]:.3e} m^2 at "
+                              f"(r, z) = {at} m")
 
     # -- derived data ------------------------------------------------------
 
@@ -206,15 +210,6 @@ class AxiMesh(_Memo):
     bottom_nodes = _on_topology("bottom_nodes")
     surface_nodes = _on_topology("surface_nodes")
     radial_constrained_nodes = _on_topology("radial_constrained_nodes")
-
-
-def tangle(topology: MeshTopology, z: np.ndarray, areas: np.ndarray, count: int,
-           k: int) -> MeshTangled:
-    """The error of heights z over topology whose triangle areas hold count
-    that are not positive, the first of them triangle k."""
-    at = ", ".join(f"({topology.radii[v]:.6e}, {z[v]:.6e})" for v in topology.triangles[k])
-    return MeshTangled(f"{count} triangle(s) with non-positive area, the first triangle {k} "
-                       f"of area {areas[k]:.3e} m^2 at (r, z) = {at} m")
 
 
 def radial_differences(topology: MeshTopology) -> np.ndarray:

@@ -1,3 +1,55 @@
+/* The compiled kernels of capflow's step and the slab's phases that run them.
+
+   Assembly.  Every per-element and per-edge loop of the step is a kernel: the
+   element data (element_data); each triangle's 9x9 saddle block, on the local
+   dofs (u_r, u_z, p) of its vertices, and each boundary edge's
+   (triangle_blocks, edge_blocks), written straight into a fixed pattern's
+   values; the mesh-velocity stiffness (r_stiffness); the mass action, the
+   bottom load, the loads summed onto the kept dofs (state_rhs) and the
+   mesh-velocity extension's data (extension_rhs); and the pattern's fill
+   (scatter_add) and load reduction (gather).  Every entry takes the operations
+   of the numpy expressions these replaced (the tests keep those as their
+   reference) in their order, but where numpy's matrix products sum in an order
+   of their own; sums over elements run in element order, as np.bincount's do.
+
+   Factorization.  The step's saddle matrix has a positive semidefinite
+   symmetric part diag(K_sym, Sp), and the mesh-velocity stiffness is symmetric
+   positive definite, so an LU without pivoting exists for both and is stable
+   (Golub & Van Loan 1979, Linear Algebra Appl. 28; Benzi, Golub & Liesen 2005,
+   Acta Numerica 14, section 3).  Without pivoting U keeps the upper band, so
+   the storage is LAPACK's band column layout without the kl rows of fill that
+   row interchanges need: an (ldab, n) Fortran-ordered array, ldab = kl + ku +
+   1, entry (i, j) in row ku + i - j of column j.  The factorization overwrites
+   it with U on and above row ku and the multipliers of the unit lower L below
+   it.  It makes no fill outside the matrix's envelope, L within the row
+   profile and U within the column profile (George & Liu 1981, *Computer
+   Solution of Large Sparse Positive Definite Systems*, ch. 4), so band_factor
+   and band_solve loop over the envelope of the band layout alone, each entry
+   still taking the operations of the full band in its order; the rest of the
+   band stays zero.  The factor eliminates two pivot columns per pass and
+   updates the later columns four at a time, loading each pivot entry once for
+   the four (unroll-and-jam: Carr & Kennedy 1994, ACM TOPLAS 16(6)).  A later
+   column's update reads only the pivot columns and itself, so the grouping
+   leaves every entry's operations, and their order, as they were.
+
+   Solve and residual.  One call of band_solve solves for an LU's one or two
+   right-hand sides, each entry of L and U loaded once for both, and checks
+   each x in one pass over the pattern's CSC arrays: a flag when x is not
+   finite, else A x summed column by column from zero as scipy's csc_matvec
+   sums it, so with its bits, and the squared norms of A x - b and b in row
+   order.  Each x has the bits of a solve and a check of its own.
+
+   Output.  fill_template copies a template's static text and writes each
+   slot's double exactly as Python's format(x, ".17g") does. The 17 digits of a
+   double m 2^e are the integer nearest m 2^e 10^k, ties to even, k = 16 minus
+   the decimal exponent.  For 0 <= k <= 27 (decimal exponents -11 to 16) m 5^k
+   fits 128 bits and 2^(e + k) is a shift, so the digits and their rounding
+   come from integer arithmetic alone, exact by construction (Adams 2019, "Ryu
+   revisited: printf floating point conversion", Proc. ACM Program. Lang. 3,
+   OOPSLA).  The decimal exponent comes from the binary one, corrected by
+   comparing with 10^16 and 10^17; no libm log10 enters.  Subnormals and the
+   other exponents take glibc's correctly rounded digits.  The formatter is
+   integer code, so it has no target clones. */
 
 #include <math.h>
 #include <stddef.h>
@@ -615,8 +667,7 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
    Each entry returns DONE or the status of the first failure, in the order
    of the checks it replaces. */
 
-enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, TANGLED, HEIGHT_NOT_FINITE,
-              NO_MEMORY };
+enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY, NO_MEMORY };
 
 /* A reduced matrix's pattern (FixedPattern) and its band layout (BandLayout):
    n kept dofs of nfull, nslot local entries and nnz stored ones. */
@@ -640,7 +691,7 @@ struct workspace {
     const double *z_old, *areas_old, *u_old, *mass_old, *mesh_velocity, *b[2];
     double *z, *areas, *data, *loads, *lu, *x, *u, *p, *mass;
     double ale_residual, rel[2], u_max, z_next;
-    ptrdiff_t column, row, tangled, first;
+    ptrdiff_t column, row;
     double phase_ms[PHASES];
 };
 
@@ -757,9 +808,8 @@ ptrdiff_t slab_mesh_velocity(struct workspace *ws)
 
 /* The mesh velocity, then the emptying guard: EMPTIED if the contact line
    would reach ws->floor, at ws->z_next; then the new heights z = z_old + dt
-   V_z, HEIGHT_NOT_FINITE unless all are finite, and their triangle areas,
-   half the sum of z_i dr_i relative to z_0, TANGLED with the count of those
-   not positive in ws->tangled and the first in ws->first. */
+   V_z and their triangle areas, half the sum of z_i dr_i relative to z_0,
+   MOVED_BADLY if a height is not finite or an area not positive. */
 ptrdiff_t slab_motion(struct workspace *ws)
 {
     ptrdiff_t status = slab_mesh_velocity(ws);
@@ -776,20 +826,15 @@ ptrdiff_t slab_motion(struct workspace *ws)
     for (ptrdiff_t i = 0; i < n; ++i) {
         z[i] = ws->z_old[i] + dt * V[2 * i + 1];
         if (!isfinite(z[i]))
-            status = HEIGHT_NOT_FINITE;
+            status = MOVED_BADLY;
     }
-    if (status != DONE)
-        goto done;
-    ws->tangled = 0;
     for (ptrdiff_t e = 0; e < ws->m; ++e) {
         const int64_t *t = ws->tri + 3 * e;
         const double z0 = z[t[0]];
         ws->areas[e] = 0.5 * ((z[t[1]] - z0) * dr[3 * e + 1] + (z[t[2]] - z0) * dr[3 * e + 2]);
-        if (ws->areas[e] <= 0.0 && ws->tangled++ == 0)
-            ws->first = e;
+        if (!(ws->areas[e] > 0.0))
+            status = MOVED_BADLY;
     }
-    if (ws->tangled)
-        status = TANGLED;
 done:
     ws->phase_ms[MOTION] = clock_ms() - t0;
     return status;

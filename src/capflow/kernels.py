@@ -1,70 +1,33 @@
-"""The compiled kernels of the step: the element data, the saddle matrix's
-triangle and boundary-edge blocks, the mesh-velocity stiffness, the mass
-action, the loads summed into the reduced right-hand side, the mesh-velocity
-extension's data, the fill of a fixed pattern, the banded LU without
-pivoting with its solve and the residual check of the solve, and, for the
-writers, an exact ``%.17g`` formatter that fills a text template.
+"""The compiled kernels of the step, the slab's phases that run them, and,
+for the writers, an exact ``%.17g`` formatter that fills a text template.
 
-**Assembly.**  Every per-element and per-edge loop of the step is a kernel:
-the element data (``element_data``); each triangle's 9x9 saddle block, on
-the local dofs (u_r, u_z, p) of its vertices, and each boundary edge's
-(:func:`triangle_blocks`, ``edge_blocks``), written straight into a
-:class:`~capflow.forms.FixedPattern`'s values; the mesh-velocity stiffness
-(:func:`r_stiffness`); the mass action, the bottom load, the loads summed
-onto the kept dofs (``state_rhs``) and the mesh-velocity extension's data
-(``extension_rhs``); and the pattern's fill (``scatter_add``) and load
-reduction (``gather``).  Every entry takes the operations of the numpy
-expressions these replaced (the tests keep those as their reference) in
-their order, but where numpy's matrix products sum in an order of their
-own; sums over elements run in element order, as ``np.bincount``'s do.
+The kernels are C, in ``kernels.c`` beside this module, whose comments give
+their numerics: the element data, the saddle matrix's triangle and
+boundary-edge blocks, the mesh-velocity stiffness, the mass action, the
+loads summed onto the kept dofs, the mesh-velocity extension's data, the
+fill of a fixed pattern, the banded LU without pivoting within the envelope
+of a :class:`~capflow.forms.BandLayout`, its one- or two-column solve with
+each column's residual check, and the formatter.  Every kernel takes the
+operations of the numpy expressions it replaced (the tests keep those as
+their reference) in their order.
 
-**Arguments.**  The arrays a kernel reads of a topology, a mesh, its element
-data, a velocity field or a pattern are read-only, so each one's pointer is
-taken once, when its record is made, after one check (:func:`address`).  The
-arrays a call writes, and the few made per call, are checked per call.
+**Phases.**  A slab is four compiled calls on the :class:`Workspace` struct
+of its topology, which :class:`~capflow.forms.Workspace` owns: the motion
+(the mesh-velocity extension's stiffness, data, fill, LU, solve and gate,
+the emptying guard, and the displacement with its areas and tangle check),
+the assembly (element data, blocks, loads and fill), the factor (band
+scatter and LU) and the solve (one- or two-column solve and checks, the
+scatter into u and p, the mass action and max |u|).  Each takes the struct
+alone, which holds every pointer and size a phase reads, runs the kernels in
+the order the step ran them, and returns a status, 0 or one of
+:data:`ZERO_PIVOT` to :data:`NO_MEMORY`; the details of a failure and the
+phase's wall time (``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``)
+come back in the struct.  The kernels the tests and the writers call one at
+a time read a record's read-only arrays through pointers taken once
+(:class:`Pointers`), and check the arrays they write per call.
 
-**Factorization.**  The step's saddle matrix has a positive semidefinite
-symmetric part diag(K_sym, Sp), and the mesh-velocity stiffness is
-symmetric positive definite, so an LU without pivoting exists for both and
-is stable (Golub & Van Loan 1979, Linear Algebra Appl. 28; Benzi, Golub &
-Liesen 2005, Acta Numerica 14, section 3).  Without pivoting U keeps the
-upper band, so the storage is LAPACK's band column layout without the kl
-rows of fill that row interchanges need: an (ldab, n) Fortran-ordered array,
-ldab = kl + ku + 1, entry (i, j) in row ku + i - j of column j.  The
-factorization overwrites it with U on and above row ku and the multipliers
-of the unit lower L below it.  It makes no fill outside the matrix's
-envelope, L within the row profile and U within the column profile
-(George & Liu 1981, *Computer Solution of Large Sparse Positive Definite
-Systems*, ch. 4), so :func:`factor_band` and :func:`solve_band` loop over
-the envelope of the :class:`~capflow.forms.BandLayout` alone, each entry
-still taking the operations of the full band in its order; the rest of the
-band stays zero.  The factor eliminates two pivot columns per pass and
-updates the later columns four at a time, loading each pivot entry once
-for the four (unroll-and-jam: Carr & Kennedy 1994, ACM TOPLAS 16(6)).  A
-later column's update reads only the pivot columns and itself, so the
-grouping leaves every entry's operations, and their order, as they were.
-
-**Solve and residual.**  One call of :func:`solve_band` solves for an LU's
-one or two right-hand sides, each entry of L and U loaded once for both, and
-checks each x in one pass over the pattern's CSC arrays: a flag when x is not
-finite, else A x summed column by column from zero as scipy's ``csc_matvec``
-sums it, so with its bits, and the squared norms of A x - b and b in row
-order.  Each x has the bits of a solve and a check of its own.
-
-**Output.**  :meth:`Template.fill` copies a template's static text and
-writes each slot's double exactly as Python's ``format(x, ".17g")`` does.
-The 17 digits of a double m 2^e are the integer nearest m 2^e 10^k, ties to
-even, k = 16 minus the decimal exponent.  For 0 <= k <= 27 (decimal
-exponents -11 to 16) m 5^k fits 128 bits and 2^(e + k) is a shift, so the
-digits and their rounding come from integer arithmetic alone, exact by
-construction (Adams 2019, "Ryu revisited: printf floating point conversion",
-Proc. ACM Program. Lang. 3, OOPSLA).  The decimal exponent comes from the
-binary one, corrected by comparing with 10^16 and 10^17; no libm ``log10``
-enters.  Subnormals and the other exponents take glibc's correctly rounded
-digits.  The formatter is integer code, so it has no target clones.
-
-The kernels are C, in ``kernels.c`` beside this module, read once at import
-as :data:`SOURCE`.  The first use compiles it with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
+The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
+at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
 ``__pycache__/kernels-<sha256 of source and flags>.so`` beside this module,
 written under a temporary name and moved into place, so concurrent first
 uses are safe, and removes the libraries of earlier sources there; later
@@ -194,7 +157,10 @@ def _rebind(arrays: dict) -> Pointers:
     return Pointers(**arrays)
 
 
-_size, _real, _at = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+def _fields(**kinds) -> list:
+    """ctypes fields in C's order, each keyword a ctypes type's space-separated names."""
+    types = dict(size=ctypes.c_ssize_t, real=ctypes.c_double, at=ctypes.c_void_p)
+    return [(name, types[kind]) for kind, names in kinds.items() for name in names.split()]
 
 
 class Pattern(ctypes.Structure):
@@ -202,16 +168,14 @@ class Pattern(ctypes.Structure):
     and its band layout, n kept dofs of nfull, nslot local entries and nnz
     stored ones."""
 
-    _fields_ = [*((name, _size) for name in ("n", "nfull", "nslot", "nnz", "kl", "ku")),
-                *((name, _at) for name in ("free", "slot", "indices", "indptr", "position",
-                                           "lower", "upper"))]
+    _fields_ = _fields(size="n nfull nslot nnz kl ku",
+                       at="free slot indices indptr position lower upper")
 
 
 PHASES = ("ALE", "motion", "assembly", "factor", "solves")
 
 # the statuses of a phase (``enum status`` of the source), DONE = 0 first
-(ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, TANGLED, HEIGHT_NOT_FINITE,
- NO_MEMORY) = range(1, 8)
+ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY, NO_MEMORY = range(1, 7)
 
 
 class Workspace(ctypes.Structure):
@@ -219,22 +183,17 @@ class Workspace(ctypes.Structure):
     topology read and report (see :class:`~capflow.forms.Workspace`, which
     owns one)."""
 
-    _fields_ = [*((name, _size) for name in ("n", "m", "nw", "ns", "nb", "contact")),
-                *((name, _at) for name in ("tri", "wall", "surface", "bottom", "r", "rq", "inv_r",
-                                           "dr", "rn", "hoop", "zz", "coupling_z")),
-                ("saddle", Pattern), ("extension", Pattern), ("pattern", _at),
-                *((name, _at) for name in ("ed", "V", "work")),
-                *((name, _real) for name in ("dt", "nu", "Cs", "beta", "gamma", "g", "stress",
-                                             "contact_force", "floor")),
-                ("k", _size),
-                *((name, _at) for name in ("z_old", "areas_old", "u_old", "mass_old",
-                                           "mesh_velocity")),
-                ("b", _at * 2),
-                *((name, _at) for name in ("z", "areas", "data", "loads", "lu", "x", "u", "p",
-                                           "mass")),
-                ("ale_residual", _real), ("rel", _real * 2), ("u_max", _real), ("z_next", _real),
-                *((name, _size) for name in ("column", "row", "tangled", "first")),
-                ("phase_ms", _real * len(PHASES))]
+    _fields_ = [*_fields(size="n m nw ns nb contact",
+                         at="tri wall surface bottom r rq inv_r dr rn hoop zz coupling_z"),
+                ("saddle", Pattern), ("extension", Pattern),
+                *_fields(at="pattern ed V work",
+                         real="dt nu Cs beta gamma g stress contact_force floor"),
+                *_fields(size="k", at="z_old areas_old u_old mass_old mesh_velocity"),
+                ("b", ctypes.c_void_p * 2),
+                *_fields(at="z areas data loads lu x u p mass", real="ale_residual"),
+                ("rel", ctypes.c_double * 2),
+                *_fields(real="u_max z_next", size="column row"),
+                ("phase_ms", ctypes.c_double * len(PHASES))]
 
 
 class Kernel:
@@ -292,32 +251,6 @@ def expect(what: str, array: np.ndarray, shape: tuple) -> None:
 def kernel() -> Kernel:
     """The kernels of :data:`SOURCE`, built on first use and loaded once per process."""
     return Kernel(build())
-
-
-def factor_band(ab: np.ndarray, band) -> int:
-    """Factor the band storage ab in place without pivoting, within the
-    envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
-    column of the first exactly zero pivot."""
-    expect("band storage", ab, (band.ldab, len(band.lower)))
-    return kernel().band_factor(ab.shape[1], band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab)
-
-
-def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
-               x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Overwrite x, (k, n), k = 1 or 2, holding b on entry, with x_t = A^-1
-    b_t, lu A's :func:`factor_band` with band, and check each, A the CSC
-    matrix of data on pattern's structure: out, (k, n + 2), row t A x_t with
-    scipy's bits, ||A x_t - b_t||^2, ||b_t||^2; flags, bit t if x_t is not finite."""
-    expect("band storage", lu, (band.ldab, len(band.lower)))
-    n, k = lu.shape[1], min(max(len(x), 1), 2)      # the checks below refuse any other count
-    expect("matrix structure", pattern.indptr, (n + 1,))
-    expect("matrix data", data, pattern.indices.shape)
-    expect("right-hand sides", b, (k, n))
-    expect("solutions", x, (k, n))
-    out = np.empty((k, n + 2))
-    flags = kernel().band_solve(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu,
-                           pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x, out)
-    return out, flags
 
 
 SLOT = "%.17g"

@@ -3,13 +3,16 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
-:func:`slab_system` does all but the solve, and is the one assembly of a
-slab's system, also for the tests and scripts that inspect its matrix.
+Each part is one compiled phase on the topology's workspace
+(:class:`~capflow.forms.Workspace`): the motion and the assembly make
+:func:`slab_system`, the one assembly of a slab's system, also for the tests
+and scripts that inspect its matrix; the factor and the solve follow.
 :func:`step` is the only code that advances a slab, and the only one that
 factors its saddle matrix: asked for the control gradient, it solves for it
 in the state's solve with that LU, which never leaves the step.  Every solve
 of the step, the mesh velocity, the state and the gradient's, is gated on its
-relative residual, and the step reports each.
+relative residual, and the step reports each, with each phase's wall time
+from the phases' own clocks.
 
 A run frees and reallocates the same few megabytes every step (the band, the
 element blocks).  glibc's default thresholds move with allocation order: its
@@ -49,7 +52,9 @@ class StepDiagnostics:
     two are 0.0 for a step not asked for the gradient.  ``min_area`` and
     ``max_aspect`` are the new mesh's :func:`mesh_quality`, read-only
     properties computed on first read and memoised on the mesh, so a loop
-    that never reads them pays nothing for them.
+    that never reads them pays nothing for them.  ``phase_ms`` holds the wall
+    time in ms of each phase of the step, by name (ALE, motion, assembly,
+    factor, solves), from ``CLOCK_MONOTONIC`` in the compiled phases.
     """
 
     residual: float

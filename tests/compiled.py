@@ -3,9 +3,11 @@
 A step runs them inside its compiled phases (:class:`capflow.forms.Workspace`),
 which hand each kernel the workspace's scratch.  The tests call them here
 one at a time, to hold each against the numpy kernel it replaced
-(``pattern_forms``) and to build the mesh-velocity system a step solves.
-Each wrapper checks the shapes its kernel reads and writes, as far as the
-records' shapes reach.
+(``pattern_forms``) and to build the mesh-velocity system a step solves; the
+band factor and solve are here too, to hold the envelope LU against dense
+loops.  Each wrapper checks the shapes its kernel reads and writes, as far
+as the records' shapes reach, and finds the library through
+``kernels.kernel()`` when called, so a test may hand them another build.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from capflow import kernels
 from capflow.errors import DimensionMismatch
 from capflow.forms import (FixedPattern, LinearSystem, RadialTable, _check_fields,
                            _extension_pattern, bottom_load_vector, mass_action, radial_table)
 from capflow.geometry import AxiMesh, BoundaryTag
-from capflow.kernels import Pointers, expect, kernel
+from capflow.kernels import Pointers, expect
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,8 @@ def _element_data(mesh: AxiMesh) -> ElementData:
     table = radial_table(mesh.topology)
     m = len(mesh.triangles)
     out = np.empty(10 * m)
-    kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
-                          table.ptr.rq, table.ptr.dr, out)
+    kernels.kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
+                                  table.ptr.rq, table.ptr.dr, out)
     out.setflags(write=False)
     grad_r, grad_z, wr = out[:9 * m].reshape(3, m, 3)
     return ElementData(tri=mesh.triangles, area=mesh.areas, grad_r=grad_r, grad_z=grad_z, wr=wr,
@@ -68,9 +71,9 @@ def triangle_blocks(ed, w, V, dt: float, nu: float, Cs: float, out: np.ndarray) 
     if not w.mesh.triangles is V.mesh.triangles is ed.tri:
         raise DimensionMismatch("fields over another topology")
     e, t = ed.ptr, ed.radial.ptr
-    kernel().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr, t.inv_r, t.rn,
-                             t.hoop, t.zz, t.coupling_z, w.ptr.values, V.ptr.values,
-                             dt, nu, Cs, out)
+    kernels.kernel().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr,
+                                     t.inv_r, t.rn, t.hoop, t.zz, t.coupling_z, w.ptr.values,
+                                     V.ptr.values, dt, nu, Cs, out)
 
 
 def r_stiffness(ed, out: np.ndarray) -> None:
@@ -78,7 +81,8 @@ def r_stiffness(ed, out: np.ndarray) -> None:
     r grad N_i . grad N_j, into out, (M, 3, 3); ed as for :func:`triangle_blocks`."""
     m = len(ed.tri)
     expect("stiffness blocks", out, (m, 3, 3))
-    kernel().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz, out)
+    kernels.kernel().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz,
+                                 out)
 
 
 def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
@@ -91,9 +95,9 @@ def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
     expect("wall blocks", wall, (len(topology.boundary_edges[BoundaryTag.WALL]), 2, 2))
     expect("surface blocks", surface,
            (len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]), 4, 4))
-    kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface), topology.ptr.free_surface,
-                         topology.ptr.radii, mesh.ptr.z, w.ptr.values, V.ptr.values, beta, gamma,
-                         dt, wall, surface)
+    kernels.kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface),
+                                 topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                                 w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
 
 
 def loads(mesh, u, dt, zeta, phys, pattern) -> np.ndarray:
@@ -106,11 +110,11 @@ def loads(mesh, u, dt, zeta, phys, pattern) -> np.ndarray:
     surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
     contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
     rhs = np.empty(len(pattern.free))
-    kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
-                       topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                       mass_action(u), bottom_load_vector(mesh), dt, phys.g, phys.p_bar + zeta,
-                       phys.gamma, mesh.contact_node, contact, len(pattern.free),
-                       pattern.ptr.free, np.zeros(4 * n), rhs)
+    kernels.kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
+                               topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                               mass_action(u), bottom_load_vector(mesh), dt, phys.g,
+                               phys.p_bar + zeta, phys.gamma, mesh.contact_node, contact,
+                               len(pattern.free), pattern.ptr.free, np.zeros(4 * n), rhs)
     return rhs
 
 
@@ -123,10 +127,10 @@ def extension_rhs(u, stiffness) -> tuple[np.ndarray, np.ndarray]:
     expect("stiffness blocks", stiffness, (len(ed.tri), 3, 3))
     pattern = topology.memo(_extension_pattern)
     work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
-    kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
-                           topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                           u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness, len(pattern.free),
-                           pattern.ptr.free, work, rhs)
+    kernels.kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
+                                   topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                                   u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness,
+                                   len(pattern.free), pattern.ptr.free, work, rhs)
     return work[:n], rhs
 
 
@@ -150,7 +154,7 @@ def fill(pattern: FixedPattern, data: np.ndarray, vals: np.ndarray) -> np.ndarra
     ``scatter_add``; the sums are those of a bincount, bit for bit."""
     expect("data", data, (len(pattern.indices) + 1,))
     expect("values", vals, pattern.slot.shape)
-    kernel().scatter_add(len(pattern.slot), pattern.ptr.slot, vals, data)
+    kernels.kernel().scatter_add(len(pattern.slot), pattern.ptr.slot, vals, data)
     data.setflags(write=False)
     return data[:-1]
 
@@ -163,8 +167,36 @@ def band_storage(system: LinearSystem) -> np.ndarray:
     n = len(band.lower)
     expect("matrix data", system.data, band.position.shape)
     ab = np.zeros(band.ldab * n)
-    kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
+    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
     return ab.reshape((band.ldab, n), order="F")
+
+
+def factor_band(ab: np.ndarray, band) -> int:
+    """Factor the band storage ab in place without pivoting, within the
+    envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
+    column of the first exactly zero pivot."""
+    expect("band storage", ab, (band.ldab, len(band.lower)))
+    return kernels.kernel().band_factor(ab.shape[1], band.kl, band.ku, band.ptr.lower,
+                                        band.ptr.upper, ab)
+
+
+def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
+               x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Overwrite x, (k, n), k = 1 or 2, holding b on entry, with x_t = A^-1
+    b_t, lu A's :func:`factor_band` with band, and check each, A the CSC
+    matrix of data on pattern's structure: out, (k, n + 2), row t A x_t with
+    scipy's bits, ||A x_t - b_t||^2, ||b_t||^2; flags, bit t if x_t is not finite."""
+    expect("band storage", lu, (band.ldab, len(band.lower)))
+    n, k = lu.shape[1], min(max(len(x), 1), 2)      # the checks below refuse any other count
+    expect("matrix structure", pattern.indptr, (n + 1,))
+    expect("matrix data", data, pattern.indices.shape)
+    expect("right-hand sides", b, (k, n))
+    expect("solutions", x, (k, n))
+    out = np.empty((k, n + 2))
+    flags = kernels.kernel().band_solve(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu,
+                                        pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x,
+                                        out)
+    return out, flags
 
 
 def mesh_velocity_system(mesh, u) -> LinearSystem:

@@ -17,11 +17,10 @@ from capflow.forms import (BandLayout, FixedPattern, _extension_pattern, _saddle
                            assemble_state_system, beta_h, bottom_load_vector, factorize,
                            mass_action, reverse_cuthill_mckee, vertex_order)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
-from capflow.kernels import factor_band
 from capflow.stepping import initial_state, slab_system, step
 
-from .compiled import (band_storage, edge_blocks, element_data, extension_rhs, fill, loads,
-                       r_stiffness, triangle_blocks, values)
+from .compiled import (band_storage, edge_blocks, element_data, extension_rhs, factor_band, fill,
+                       loads, r_stiffness, triangle_blocks, values)
 from .conftest import factored_systems, random_vector_field
 from .oracles import oracle_saddle
 from .pattern_forms import (_gradient_products, bottom_load_reference, edge_blocks_reference,

@@ -28,7 +28,8 @@ from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
 from .pattern_forms import filled, form_a, mass_matrix
-from .compiled import element_data, mesh_velocity_system, r_stiffness, triangle_blocks, values
+from .compiled import (element_data, factor_band, mesh_velocity_system, r_stiffness,
+                       solve_band, triangle_blocks, values)
 from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -60,7 +61,7 @@ def kernel_solve(lu, band, pattern, data, b):
     band, checked against the matrix of data on pattern."""
     b = np.atleast_2d(b)
     x = b.copy()
-    out, flags = kernels.solve_band(lu, band, pattern, data, b, x)
+    out, flags = solve_band(lu, band, pattern, data, b, x)
     return x, out, flags
 
 
@@ -247,7 +248,7 @@ def test_kernel_handles_every_band_shape():
                 ab = np.zeros((kl + ku + 1, n), order="F")
                 ab[places] = values
                 band = full_band(n, kl, ku)
-                assert kernels.factor_band(ab, band) == 0
+                assert factor_band(ab, band) == 0
                 assert np.array_equal(ab[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
                 b = rng.standard_normal((2, n))
                 matrix = sp.csc_matrix(A)
@@ -354,7 +355,7 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
         values, places = on_band(A, band.kl, band.ku)
         ab = np.zeros((band.ldab, n), order="F")
         ab[places] = values
-        assert kernels.factor_band(ab, band) == 0
+        assert factor_band(ab, band) == 0
         assert np.array_equal(bits(ab[places]), bits(on_band(dense_lu_without_pivoting(A),
                                                              band.kl, band.ku)[0]))
         b = np.random.default_rng(12).standard_normal((2, n))
@@ -388,7 +389,7 @@ def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     ab = np.zeros(band.ldab * n)
     ab[band.position] = system.matrix.data
     ab = ab.reshape((band.ldab, n), order="F")
-    assert kernels.factor_band(ab, full) == 0
+    assert factor_band(ab, full) == 0
     assert np.array_equal(bits(ab), bits(lu.lu))
     b = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
     x, _, _ = kernel_solve(lu.lu, band, system.pattern, system.data, b)
@@ -675,9 +676,9 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
 def test_band_arguments_are_checked_before_the_kernel_runs():
     ab = np.zeros((5, 4), order="F")
     with pytest.raises(DimensionMismatch):
-        kernels.factor_band(ab, full_band(4, 2, 1))
+        factor_band(ab, full_band(4, 2, 1))
     with pytest.raises(DimensionMismatch):
-        kernels.factor_band(ab, full_band(5, 2, 2))
+        factor_band(ab, full_band(5, 2, 2))
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = 3 * mesh.num_nodes
     system = system_of(sp.eye(n, format="csc"), np.ones(n), np.arange(n), mesh)
@@ -693,7 +694,7 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
                  (band, pattern, data, np.ones((3, n)), np.ones((3, n))),
                  (band, pattern, data, b[0], b[0].copy())):
         with pytest.raises(DimensionMismatch):
-            kernels.solve_band(lu.lu, *args)
+            solve_band(lu.lu, *args)
     with pytest.raises(DimensionMismatch):
         lu.solve(b, ("state",))
 
@@ -719,8 +720,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
         for _ in range(20):
             triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
             r_stiffness(ed, stiffness)
-            kernels.factor_band(lu.lu.copy(order="F"), band)
-            kernels.solve_band(lu.lu, band, system.pattern, system.data, b, x)
+            factor_band(lu.lu.copy(order="F"), band)
+            solve_band(lu.lu, band, system.pattern, system.data, b, x)
             # a whole step and its gradient: every kernel, on new meshes and fields
             new, _ = step(state, zeta, phys, num, gradient=True)
             kinetic_energy(new.u)
@@ -731,11 +732,11 @@ def test_kernel_calls_leave_no_garbage_cycles():
         kernels.kernel().scatter_add(0, system.pattern.ptr.slot, np.zeros(0, np.float32),
                                      np.zeros(1))
     with pytest.raises(ctypes.ArgumentError):
-        kernels.factor_band(np.ascontiguousarray(lu.lu), band)
+        factor_band(np.ascontiguousarray(lu.lu), band)
     with pytest.raises(ctypes.ArgumentError):
         system.pattern.reduce(np.zeros(3, dtype=np.int64))
     with pytest.raises(ctypes.ArgumentError):
-        kernels.solve_band(lu.lu, band, system.pattern, system.data, b,
+        solve_band(lu.lu, band, system.pattern, system.data, b,
                            np.zeros(b.shape, np.float32))
 
 
@@ -892,3 +893,26 @@ def test_failing_compiler_is_a_kernel_build_error(monkeypatch, tmp_path):
     assert "error" in err.value.stderr
     assert str(err.value).startswith("building the compiled kernels failed: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_workspace_struct_matches_the_source(tmp_path):
+    """The ctypes mirrors of struct workspace and struct pattern have the
+    source's size and every field at the source's offset, so a phase reads
+    what the bindings wrote."""
+    source = kernels.SOURCE
+    structs = source[source.index("enum status"):source.index("static double clock_ms")]
+    checks = [(struct, name) for struct, mirror in (("workspace", kernels.Workspace),
+                                                     ("pattern", kernels.Pattern))
+              for name in ("", *(field for field, _ in mirror._fields_))]
+    program = tmp_path / "layout.c"
+    program.write_text("#include <stddef.h>\n#include <stdint.h>\n#include <stdio.h>\n" + structs
+                       + "int main(void)\n{\n" + "".join(
+                           f'    printf("%zu\\n", offsetof(struct {struct}, {name}));\n' if name
+                           else f'    printf("%zu\\n", sizeof(struct {struct}));\n'
+                           for struct, name in checks) + "}\n")
+    subprocess.run([kernels.COMPILER, "-o", str(tmp_path / "layout"), str(program)], check=True)
+    got = subprocess.run([str(tmp_path / "layout")], capture_output=True, text=True, check=True)
+    mirrors = {"workspace": kernels.Workspace, "pattern": kernels.Pattern}
+    want = [getattr(mirrors[struct], name).offset if name else ctypes.sizeof(mirrors[struct])
+            for struct, name in checks]
+    assert list(map(int, got.stdout.split())) == want

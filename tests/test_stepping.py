@@ -11,13 +11,16 @@ import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
 import capflow.stepping
-from capflow import kernels
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
-from capflow.fields import NumParams, PhysParams
+from capflow.ale import solve_domain_velocity
+from capflow.errors import MeshTangled
+from capflow.fields import NumParams, PhysParams, VectorFieldP1
 from capflow.forms import bottom_load_vector, _flatten, kinetic_energy, mass_action, workspace
-from capflow.geometry import mesh_quality
+from capflow.geometry import displace_mesh, mesh_quality
 from capflow.stepping import initial_state, pin_heap, step
+
+from .conftest import phase_calls
 
 
 def _volume(mesh):
@@ -247,27 +250,35 @@ def test_steps_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_phase_times_are_the_steps_own():
+def test_phase_times_are_the_steps_own(monkeypatch):
     """Each step reports each phase's wall time from the phases' own clocks,
     none negative, together no more than the step's wall time; each phase
     entry runs once per step."""
     state, phys, num = advanced(1)
     calls = []
-    lib = kernels.kernel()
-    for name in ("motion", "assembly", "factor", "solve"):
-        def counted(struct, entry=getattr(lib, name), name=name):
-            calls.append(name)
-            return entry(struct)
-        setattr(lib, name, counted)
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            state, diag = step(state, 1e-4, phys, num, gradient=True)
-            wall_ms = 1e3 * (time.perf_counter() - start)
-            assert list(diag.phase_ms) == ["ALE", "motion", "assembly", "factor", "solves"]
-            assert all(ms >= 0.0 for ms in diag.phase_ms.values()), diag.phase_ms
-            assert sum(diag.phase_ms.values()) <= wall_ms
-    finally:
-        for name in ("motion", "assembly", "factor", "solve"):
-            delattr(lib, name)
+    phase_calls(monkeypatch, lambda name, struct: calls.append(name))
+    for _ in range(3):
+        start = time.perf_counter()
+        state, diag = step(state, 1e-4, phys, num, gradient=True)
+        wall_ms = 1e3 * (time.perf_counter() - start)
+        assert list(diag.phase_ms) == ["ALE", "motion", "assembly", "factor", "solves"]
+        assert all(ms >= 0.0 for ms in diag.phase_ms.values()), diag.phase_ms
+        assert sum(diag.phase_ms.values()) <= wall_ms
     assert calls == ["motion", "assembly", "factor", "solve"] * 3
+
+
+def test_a_tangling_step_raises_the_displacements_error():
+    """A step whose mesh velocity folds a triangle raises the MeshTangled of
+    displacing the mesh by that velocity, its message naming the first bad
+    triangle and ending with dt, as displace_mesh's does."""
+    state, phys, num = advanced(1)
+    values = state.u.values.copy()
+    values[state.mesh.surface_nodes[2], 1] = -1.0      # one surface node plunges
+    state = replace(state, u=VectorFieldP1(values, state.mesh))
+    V, _ = solve_domain_velocity(state.mesh, state.u)
+    with pytest.raises(MeshTangled) as expected:
+        displace_mesh(state.mesh, V, num.dt)
+    assert str(expected.value).endswith(f", after a step of dt = {num.dt:.6e} s")
+    with pytest.raises(MeshTangled) as raised:
+        step(state, 1e-4, phys, num)
+    assert str(raised.value) == str(expected.value)
