@@ -546,8 +546,10 @@ class Workspace:
     its outputs go into arrays allocated per call that the returned records
     own, so nothing a caller holds is scratch.  A failing phase's status and
     details raise the typed error, with the message, of the check it
-    replaced.  A copy or an unpickled workspace is built anew from the copied
-    records (:meth:`__reduce__`), so it binds their arrays.
+    replaced.  The scratch carries the mesh velocity from the motion to the
+    assembly, so a topology's slabs run one at a time, in one thread.  A copy
+    or an unpickled workspace is built anew from the copied records
+    (:meth:`__reduce__`), so it binds their arrays.
     """
 
     def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,

@@ -796,20 +796,10 @@ def test_a_copied_state_reads_only_its_own_arrays(copy_of):
 
 @pytest.mark.parametrize("defines", [[], ["-DKERNELS_PORTABLE"]], ids=["cloned", "portable"])
 def test_kernel_source_compiles_without_warnings(tmp_path, defines):
-    """The kernel source passes the compiler's common and extra warnings,
-    treated as errors, with and without the target clones."""
-    source = tmp_path / "kernels.c"
-    source.write_text(kernels.SOURCE)
-    proc = subprocess.run([kernels.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                           *defines, str(source)], capture_output=True, text=True, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("defines", [[], ["-DKERNELS_PORTABLE"]], ids=["cloned", "portable"])
-def test_kernel_file_builds_without_warnings(tmp_path, defines):
     """kernels.c, the file the package ships and SOURCE reads byte for byte,
     builds with the library's flags and the compiler's common and extra
-    warnings as errors, which the optimiser's passes add to at -O3."""
+    warnings as errors, with and without the target clones; at -O3 the
+    optimiser's passes add warnings that a syntax check does not see."""
     source = Path(kernels.__file__).with_name("kernels.c")
     assert source.read_text() == kernels.SOURCE
     proc = subprocess.run([kernels.COMPILER, *kernels.FLAGS, "-Wall", "-Wextra", "-Werror",
