@@ -60,7 +60,7 @@ import numpy as np
 
 from capflow import forms, kernels
 from capflow.acceptance import tc1_config
-from capflow.ale import solve_domain_velocity
+from capflow import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
 from capflow.geometry import displace_mesh

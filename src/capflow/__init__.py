@@ -1,14 +1,14 @@
 """Axisymmetric ALE finite elements for capillary nozzle flow, with an
 adjoint-based instantaneous controller acting on the open-bottom stress."""
 
-from .ale import solve_domain_velocity
 from .config import RunConfig, load_config, num_params, parse_config, phys_params, serialize_config
 from .control import RunHistory, run_instantaneous_control
 from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied,
                      KernelBuildError, MeshTangled, ResidualTooLarge, SingularMatrix,
                      SurfaceFolded, WallViolation)
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
-from .forms import LinearSystem, assemble_state_system, beta_h, mass_action, solve
+from .forms import (LinearSystem, assemble_state_system, beta_h, mass_action, solve,
+                    solve_domain_velocity)
 from .geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                        contact_line_height, displace_mesh, mesh_quality)
 from .observables import equilibrium_height, transient_time

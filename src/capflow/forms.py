@@ -22,18 +22,21 @@ ACM TOMS 32(3)); mesh motion is vertical, so the former, the
 
 A slab runs as compiled phases on the topology's :class:`Workspace`, one call
 each, which bind every array of the topology, its radial table and its two
-patterns once: the motion, the assembly (:func:`assemble_state_system`), the
-factor (:func:`factorize`) and the solve (:func:`solve`, :meth:`BandLU.solve`).
-A :class:`LinearSystem` carries its pattern, the fill's read-only CSC data,
-its right-hand side and the load of a unit bottom stress; the
-:class:`BandLU` of its matrix, an LU without pivoting within the envelope of
-the pattern's :class:`BandLayout` (George & Liu 1981, ch. 4), carries the
-system, and every solve with it gates each right-hand side on its own
-residual in that system's matrix.  The vertex order behind the narrow band
-is a reverse Cuthill-McKee search in plain Python, once per topology; the
-package needs numpy alone, and SciPy is imported only to build a system's
-matrix when its ``matrix`` is read (the tests).  The mass action of a
-velocity (:func:`mass_action`) is computed once per field, where the
+patterns once: the motion, whose first part is the mesh velocity
+(:func:`solve_domain_velocity`), the assembly (:func:`assemble_state_system`),
+the factor (:func:`factorize`) and the solve (:func:`solve`,
+:meth:`BandLU.solve`).  A :class:`LinearSystem` carries the topology's saddle
+pattern, the fill's read-only CSC data, its right-hand side and the load of
+a unit bottom stress; the :class:`BandLU` of its matrix, an LU without
+pivoting within the envelope of the pattern's :class:`BandLayout` (George &
+Liu 1981, ch. 4), carries the system, and every solve with it gates each
+right-hand side on its own residual in that system's matrix.  The factor and
+the solve take a system on no other pattern: the mesh-velocity system is
+filled, factored and solved within the motion.  The vertex order behind the
+narrow band is a reverse Cuthill-McKee search in plain Python, once per
+topology; the package needs numpy alone, and SciPy is imported only to build
+a system's matrix when its ``matrix`` is read (the tests).  The mass action
+of a velocity (:func:`mass_action`) is computed once per field, where the
 objective and gradient of step n and the assembly of step n+1 meet: the
 solve phase writes it with the field.
 """
@@ -43,8 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-import ctypes
 
 from . import kernels
 from .errors import DimensionMismatch, DomainEmptied, ResidualTooLarge, SingularMatrix
@@ -130,11 +131,10 @@ def mass_action(u: VectorFieldP1) -> np.ndarray:
 
 def _mass_action(u: VectorFieldP1) -> np.ndarray:
     mesh = u.mesh
-    # the r-weighted quadrature weights, area/3 times r at the points, as the phases form them
-    wr = (mesh.areas / 3.0)[:, None] * radial_table(mesh.topology).rq
     f = np.zeros(2 * mesh.num_nodes)
-    kernels.kernel().mass_action(len(wr), mesh.num_nodes, mesh.topology.ptr.triangles,
-                                 wr.ctypes.data, u.ptr.values, f)
+    kernels.kernel().mass_action(len(mesh.areas), mesh.num_nodes, mesh.topology.ptr.triangles,
+                                 mesh.ptr.areas, radial_table(mesh.topology).ptr.rq,
+                                 u.ptr.values, f)
     f.setflags(write=False)
     return f
 
@@ -338,9 +338,9 @@ class FixedPattern:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A reduced system filled on a :class:`FixedPattern`: the saddle system
-    of one slab's state solve, or the mesh-velocity extension's; frozen, and
-    its data read-only, so a :class:`BandLU` gates on the matrix it factored."""
+    """The saddle system of one slab's state solve, filled on its topology's
+    saddle :class:`FixedPattern`; frozen, and its data read-only, so a
+    :class:`BandLU` gates on the matrix it factored."""
 
     pattern: FixedPattern      # the matrix's sparsity, band layout, dof order and load reduction
     data: np.ndarray           # the pattern's fill, a value per stored entry, kept dofs only
@@ -489,12 +489,19 @@ class BandLU:
 def factorize(system: LinearSystem) -> BandLU:
     """Banded LU without pivoting of system's matrix, the one factorization
     of the run path, which the saddle matrix's semidefinite symmetric part
-    and the mesh-velocity stiffness's definiteness allow (see ``kernels.c``).
-    One compiled phase (:meth:`Workspace.factor`) scatters the matrix into
+    allows (see ``kernels.c``).  One compiled phase scatters the matrix into
     band storage of its pattern's layout, narrow in the topology's
     :func:`vertex_order`, and factors it in place within the layout's
-    envelope.  Raises SingularMatrix on an exactly zero pivot."""
-    return workspace(system.mesh.topology).factor(system)
+    envelope.  Raises DimensionMismatch for a system on another pattern than
+    its topology's saddle pattern, TypeError for data that are not
+    C-contiguous float64, and SingularMatrix on an exactly zero pivot."""
+    ws = workspace(system.mesh.topology)
+    ws.take(system)
+    s = ws.struct.saddle
+    lu = np.zeros((s.kl + s.ku + 1, s.n), order="F")
+    ws.struct.lu = lu.ctypes.data
+    ws.run(kernels.kernel().factor)
+    return BandLU(system=system, lu=lu)
 
 
 def solve(lu: BandLU, rhs: np.ndarray, bottom_load: np.ndarray | None = None
@@ -503,11 +510,29 @@ def solve(lu: BandLU, rhs: np.ndarray, bottom_load: np.ndarray | None = None
     it if given, in one compiled solve (:meth:`Workspace.solve`): (velocity,
     pressure, residual, w = A^{-1} bottom_load, its residual), the last two
     None and 0.0 without.  The velocity carries its mass action and max |u|."""
-    loads = (rhs,) if bottom_load is None else (rhs, bottom_load)
-    x, rels, u, p = workspace(lu.system.mesh.topology).solve(
-        lu, loads, ("state", "bottom-load")[:len(loads)], fields=True)
-    w, bottom_rel = (x[1], rels[1]) if len(loads) == 2 else (None, 0.0)
-    return u, p, rels[0], w, bottom_rel
+    if bottom_load is None:
+        _, (rel,), u, p = workspace(lu.system.mesh.topology).solve(lu, (rhs,), ("state",))
+        return u, p, rel, None, 0.0
+    (_, w), (rel, bottom_rel), u, p = workspace(lu.system.mesh.topology).solve(
+        lu, (rhs, bottom_load), ("state", "bottom-load"))
+    return u, p, rel, w, bottom_rel
+
+
+def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
+    """The domain velocity V = (0, V_z) of mesh for the velocity u, and the
+    relative residual of its solve: the mesh moves vertically, so V_z is the
+    harmonic (r-weighted Laplace) extension of the surface's vertical speed
+    (u . nu)/nu_3, zero on the bottom and with no flux through the wall and
+    the axis.  The motion phase's first part, one compiled call: the
+    stiffness, the surface data and its lifting, the fill on the extension
+    pattern, one banded LU and one gated solve."""
+    if u.mesh is not mesh:
+        raise DimensionMismatch("velocity field lives on a different mesh")
+    ws = workspace(mesh.topology)
+    s = ws.struct
+    s.z_old, s.areas_old, s.u_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values
+    ws.run(kernels.kernel().mesh_velocity, ("mesh-velocity",))
+    return VectorFieldP1(ws.V.copy(), mesh), s.ale_residual
 
 
 # -- the workspace -------------------------------------------------------------
@@ -526,15 +551,13 @@ def _workspace(topology: MeshTopology) -> Workspace:
                      topology.memo(_extension_pattern))
 
 
-def _bind(pattern: FixedPattern, into: kernels.Pattern) -> kernels.Pattern:
-    """into, holding the sizes and pointers of pattern and its band layout."""
+def _bind(pattern: FixedPattern, into: kernels.Pattern) -> None:
+    """Fill into with the sizes and pointers of pattern and its band layout."""
     ptr, band = pattern.ptr, pattern.band
-    into.n, into.nfull, into.nslot, into.nnz = (len(pattern.free), pattern.size, len(pattern.slot),
-                                                len(pattern.indices))
+    into.n, into.nslot, into.nnz = len(pattern.free), len(pattern.slot), len(pattern.indices)
     into.kl, into.ku = band.kl, band.ku
     into.free, into.slot, into.indices, into.indptr = ptr.free, ptr.slot, ptr.indices, ptr.indptr
     into.position, into.lower, into.upper = band.ptr.position, band.ptr.lower, band.ptr.upper
-    return into
 
 
 class Workspace:
@@ -555,7 +578,7 @@ class Workspace:
     def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,
                  saddle: FixedPattern, extension: FixedPattern):
         self._parts = (topology, sizes, table, saddle, extension)
-        self.saddle, self.extension = saddle, extension
+        self.saddle = saddle
         n, m = sizes[:2]
         # the element data, the mesh velocity and the loads' work arrays
         self.scratch = np.empty(10 * m + 8 * n)
@@ -568,20 +591,11 @@ class Workspace:
             setattr(s, name, getattr(table.ptr, name))
         at = self.scratch.ctypes.data
         s.ed, s.V, s.work = at, at + 80 * m, at + 80 * m + 16 * n
-        self._saddle = ctypes.addressof(_bind(saddle, s.saddle))
-        self._extension = ctypes.addressof(_bind(extension, s.extension))
+        _bind(saddle, s.saddle)
+        _bind(extension, s.extension)
 
     def __reduce__(self):
         return Workspace, self._parts
-
-    def bind(self, pattern: FixedPattern) -> int:
-        """The address of pattern's struct, one made per call for another system's."""
-        if pattern is self.saddle:
-            return self._saddle
-        if pattern is self.extension:
-            return self._extension
-        self._other = _bind(pattern, kernels.Pattern())
-        return ctypes.addressof(self._other)
 
     def run(self, phase, what: tuple[str, ...] = ()) -> None:
         """Run phase on the struct; raise its status's error, row t named what[t]."""
@@ -601,13 +615,15 @@ class Workspace:
             return MemoryError("a compiled phase could not allocate its arrays")
         raise AssertionError(f"compiled phase status {status}")
 
-    def mesh_velocity(self, mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
-        """The harmonic vertical extension of the surface speed of u, and the
-        relative residual of its solve."""
+    def take(self, system: LinearSystem) -> None:
+        """Point the struct at system's matrix data, once checked: the factor
+        and the solve serve the saddle pattern alone (DimensionMismatch) and
+        read C-contiguous float64 data (TypeError)."""
         s = self.struct
-        s.z_old, s.areas_old, s.u_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values
-        self.run(kernels.kernel().mesh_velocity, ("mesh-velocity",))
-        return VectorFieldP1(self.V.copy(), mesh), s.ale_residual
+        if system.pattern is not self.saddle:
+            raise DimensionMismatch("the system is not on its topology's saddle pattern")
+        kernels.expect("matrix data", system.data, (s.saddle.nnz,), "C_CONTIGUOUS")
+        s.data = system.data.ctypes.data
 
     def motion(self, mesh: AxiMesh, u: VectorFieldP1, dt: float,
                floor: float) -> tuple[AxiMesh, float]:
@@ -659,56 +675,35 @@ class Workspace:
         return LinearSystem(pattern=self.saddle, data=data[:-1], rhs=loads[0], mesh=mesh_new,
                             bottom_load=loads[1])
 
-    def factor(self, system: LinearSystem) -> BandLU:
-        """The LU of system (see :func:`factorize`)."""
-        s, pattern = self.struct, system.pattern
-        band, n = pattern.band, len(pattern.free)
-        kernels.expect("matrix data", system.data, pattern.indices.shape)
-        lu = np.zeros((band.kl + band.ku + 1) * n)
-        s.pattern = self.bind(pattern)
-        s.data, s.lu = system.data.ctypes.data, lu.ctypes.data
-        self.run(kernels.kernel().factor)
-        return BandLU(system=system, lu=lu.reshape((band.kl + band.ku + 1, n), order="F"))
-
-    def solve(self, lu: BandLU, loads: tuple, what: tuple[str, ...], fields: bool = False):
-        """x, (k, n), the solutions of lu's system for the k = 1 or 2 loads
-        (each C-contiguous float64 (n,)), and their relative residuals, each
-        row checked and named by what (see :meth:`BandLU.solve`).  With
-        fields, also the velocity and pressure of the first row, on the
-        system's mesh, else None and None."""
-        s, system = self.struct, lu.system
-        k, n, band = len(loads), len(system.pattern.free), system.pattern.band
-        # the compiled solve reads as far as these shapes reach
-        if not 1 <= k <= 2 or lu.lu.shape != (band.kl + band.ku + 1, n) \
-                or not lu.lu.flags.f_contiguous or fields and system.pattern.size != 3 * s.n:
-            raise DimensionMismatch(f"{k} loads for an LU of shape {lu.lu.shape}")
+    def solve(self, lu: BandLU, loads: tuple, what: tuple[str, ...]):
+        """x, (k, n), the solutions of lu's saddle system for the k = 1 or 2
+        loads (each C-contiguous float64 (n,)), their relative residuals, each
+        row checked and named by what (see :meth:`BandLU.solve`), and the
+        velocity and pressure of the first row on the system's mesh, the
+        velocity with its mass action and max |u|."""
+        s, mesh, k = self.struct, lu.system.mesh, len(loads)
+        self.take(lu.system)
+        n = s.saddle.n
+        if not 1 <= k <= 2:
+            raise DimensionMismatch(f"{k} loads, not 1 or 2")
+        kernels.expect("LU", lu.lu, (s.saddle.kl + s.saddle.ku + 1, n), "F_CONTIGUOUS")
         for b in loads:
-            kernels.expect("right-hand side", b, (n,))
-            if b.dtype != np.float64 or not b.flags.c_contiguous:
-                raise TypeError("a C-contiguous float64 right-hand side is required")
+            kernels.expect("right-hand side", b, (n,), "C_CONTIGUOUS")
         x = np.empty((k, n))
-        s.pattern = self.bind(system.pattern)
-        s.lu, s.data, s.x, s.k = lu.lu.ctypes.data, system.data.ctypes.data, x.ctypes.data, k
+        nodes = s.n
+        out = np.empty(5 * nodes)          # u (N, 2), its mass action (2 N), p (N)
+        at = out.ctypes.data
+        s.lu, s.x, s.k = lu.lu.ctypes.data, x.ctypes.data, k
         for t, b in enumerate(loads):
             s.b[t] = b.ctypes.data
-        s.u = None
-        if fields:
-            mesh, nodes = system.mesh, s.n
-            out = np.empty(5 * nodes)          # u (N, 2), its mass action (2 N), p (N)
-            at = out.ctypes.data
-            s.u, s.mass, s.p, s.areas = at, at + 16 * nodes, at + 32 * nodes, mesh.ptr.areas
+        s.u, s.mass, s.p, s.areas = at, at + 16 * nodes, at + 32 * nodes, mesh.ptr.areas
         self.run(kernels.kernel().solve, what)
-        rels = s.rel[:k]
-        if not fields:
-            return x, rels, None, None
         out.setflags(write=False)
         values, p = out[:2 * nodes].reshape(nodes, 2), out[4 * nodes:]
-        if system.pattern is not self.saddle:   # a pattern of another system: check the velocity
-            return x, rels, VectorFieldP1(values, mesh), ScalarFieldP1(p, mesh)
         u = trusted(VectorFieldP1, values=values, mesh=mesh, magnitude_max=s.u_max,
                     ptr=Pointers.of(dict(values=values), dict(values=at)),
                     _memo={_mass_action: out[2 * nodes:4 * nodes]})
-        return x, rels, u, trusted(ScalarFieldP1, values=p, mesh=mesh)
+        return x, s.rel[:k], u, trusted(ScalarFieldP1, values=p, mesh=mesh)
 
 
 # -- helpers ----------------------------------------------------------------

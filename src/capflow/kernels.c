@@ -269,16 +269,20 @@ CLONES void edge_blocks(ptrdiff_t nw, const int64_t *wall, ptrdiff_t ns, const i
 }
 
 /* f += the consistent r-weighted mass matrix times the nodal field u (N, 2),
-   triangle by triangle: the integral of r u_c N_i on dof c n + node i. */
-CLONES void mass_action(ptrdiff_t m, ptrdiff_t n, const int64_t *tri, const double *wr,
-                        const double *u, double *f)
+   triangle by triangle: the integral of r u_c N_i on dof c n + node i, with
+   the weights wr = A/3 r at the points formed from the areas and rq as
+   element_data forms them. */
+CLONES void mass_action(ptrdiff_t m, ptrdiff_t n, const int64_t *tri, const double *area,
+                        const double *rq, const double *u, double *f)
 {
     for (ptrdiff_t e = 0; e < m; ++e) {
         const int64_t *t = tri + 3 * e;
+        const double third = area[e] / 3.0;
         for (int c = 0; c < 2; ++c) {
             double x[3];
             for (int q = 0; q < 3; ++q)
-                x[q] = wr[3 * e + q] * (0.5 * u[2 * t[q] + c] + 0.5 * u[2 * t[(q + 1) % 3] + c]);
+                x[q] = (third * rq[3 * e + q])
+                       * (0.5 * u[2 * t[q] + c] + 0.5 * u[2 * t[(q + 1) % 3] + c]);
             for (int i = 0; i < 3; ++i)
                 f[c * n + t[i]] += 0.5 * x[i] + 0.5 * x[(i + 2) % 3];
         }
@@ -664,15 +668,17 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
    residuals, u_max, the details of a failure and each phase's wall time.
    The arrays of a phase's own size (the local blocks, a band, the solves'
    copies) are allocated and freed within it, so none outlives the phase.
+   The factor and the solve serve the saddle pattern alone; the mesh
+   velocity's system is filled, factored and solved within its own phase.
    Each entry returns DONE or the status of the first failure, in the order
    of the checks it replaces. */
 
 enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY, NO_MEMORY };
 
 /* A reduced matrix's pattern (FixedPattern) and its band layout (BandLayout):
-   n kept dofs of nfull, nslot local entries and nnz stored ones. */
+   n kept dofs, nslot local entries and nnz stored ones. */
 struct pattern {
-    ptrdiff_t n, nfull, nslot, nnz, kl, ku;
+    ptrdiff_t n, nslot, nnz, kl, ku;
     const int64_t *free;
     const int32_t *slot, *indices, *indptr, *position, *lower, *upper;
 };
@@ -684,7 +690,6 @@ struct workspace {
     const int64_t *tri, *wall, *surface, *bottom;
     const double *r, *rq, *inv_r, *dr, *rn, *hoop, *zz, *coupling_z;
     struct pattern saddle, extension;
-    const struct pattern *pattern;              /* the factor's and the solves' */
     double *ed, *V, *work;                      /* 10 m, 2 n and 6 n doubles */
     double dt, nu, Cs, beta, gamma, g, stress, contact_force, floor;
     ptrdiff_t k;                                /* right-hand sides of a solve */
@@ -872,28 +877,28 @@ ptrdiff_t slab_assembly(struct workspace *ws)
     return DONE;
 }
 
-/* The factor of the data of ws->pattern into the zeroed band storage lu. */
+/* The factor of the saddle system's data into the zeroed band storage lu. */
 ptrdiff_t slab_factor(struct workspace *ws)
 {
     const double t0 = clock_ms();
-    const ptrdiff_t status = factor_into(ws, ws->pattern, ws->data, ws->lu);
+    const ptrdiff_t status = factor_into(ws, &ws->saddle, ws->data, ws->lu);
     ws->phase_ms[FACTOR] = clock_ms() - t0;
     return status;
 }
 
-/* The k-row solve of the loads b with the factors lu of ws->pattern's
-   matrix into x, each row checked (solve_into), its residual in ws->rel.
-   Given u, the first row's solution, zero on the eliminated dofs, goes into
-   u (n, 2) and p (n), the mass action of u on the mesh of areas into mass
-   (2 n), and max |u| over the nodes into ws->u_max. */
+/* The k-row solve of the loads b with the factors lu of the saddle matrix
+   into x, each row checked (solve_into), its residual in ws->rel; then the
+   first row's solution, zero on the eliminated dofs, into u (n, 2) and p
+   (n), the mass action of u on the mesh of areas into mass (2 n), and max
+   |u| over the nodes into ws->u_max. */
 ptrdiff_t slab_solve(struct workspace *ws)
 {
     const double t0 = clock_ms();
-    const struct pattern *p = ws->pattern;
+    const struct pattern *p = &ws->saddle;
     const ptrdiff_t status = solve_into(ws, p, ws->lu, ws->data, ws->k, ws->b, ws->x, ws->rel);
-    if (status == DONE && ws->u) {
-        const ptrdiff_t n = ws->n, m = ws->m;
-        double *full = ws->work, *wr = ws->ed, *u = ws->u, u_max = 0.0;
+    if (status == DONE) {
+        const ptrdiff_t n = ws->n;
+        double *full = ws->work, *u = ws->u, u_max = 0.0;
         memset(full, 0, (size_t)(3 * n) * sizeof(double));
         for (ptrdiff_t j = 0; j < p->n; ++j)
             full[p->free[j]] = ws->x[j];
@@ -904,13 +909,8 @@ ptrdiff_t slab_solve(struct workspace *ws)
             const double speed = sqrt(u[2 * i] * u[2 * i] + u[2 * i + 1] * u[2 * i + 1]);
             u_max = speed > u_max ? speed : u_max;
         }
-        for (ptrdiff_t e = 0; e < m; ++e) {
-            const double third = ws->areas[e] / 3.0;
-            for (int q = 0; q < 3; ++q)
-                wr[3 * e + q] = third * ws->rq[3 * e + q];
-        }
         memset(ws->mass, 0, (size_t)(2 * n) * sizeof(double));
-        mass_action(m, n, ws->tri, wr, u, ws->mass);
+        mass_action(ws->m, n, ws->tri, ws->areas, ws->rq, u, ws->mass);
         ws->u_max = u_max;
     }
     ws->phase_ms[SOLVES] = clock_ms() - t0;

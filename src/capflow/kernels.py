@@ -15,11 +15,12 @@ their reference) in their order.
 of its topology, which :class:`~capflow.forms.Workspace` owns: the motion
 (the mesh-velocity extension's stiffness, data, fill, LU, solve and gate,
 the emptying guard, and the displacement with its areas and tangle check),
-the assembly (element data, blocks, loads and fill), the factor (band
+the assembly (element data, blocks, loads and fill), and the factor (band
 scatter and LU) and the solve (one- or two-column solve and checks, the
-scatter into u and p, the mass action and max |u|).  Each takes the struct
-alone, which holds every pointer and size a phase reads, runs the kernels in
-the order the step ran them, and returns a status, 0 or one of
+scatter into u and p, the mass action and max |u|) of the saddle system
+alone: the mesh velocity's system never leaves the motion.  Each takes the
+struct alone, which holds every pointer and size a phase reads, runs the
+kernels in the order the step ran them, and returns a status, 0 or one of
 :data:`ZERO_PIVOT` to :data:`NO_MEMORY`; the details of a failure and the
 phase's wall time (``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``)
 come back in the struct.  The kernels the tests and the writers call one at
@@ -165,10 +166,9 @@ def _fields(**kinds) -> list:
 
 class Pattern(ctypes.Structure):
     """``struct pattern`` of the source: a :class:`~capflow.forms.FixedPattern`
-    and its band layout, n kept dofs of nfull, nslot local entries and nnz
-    stored ones."""
+    and its band layout, n kept dofs, nslot local entries and nnz stored ones."""
 
-    _fields_ = _fields(size="n nfull nslot nnz kl ku",
+    _fields_ = _fields(size="n nslot nnz kl ku",
                        at="free slot indices indptr position lower upper")
 
 
@@ -186,7 +186,7 @@ class Workspace(ctypes.Structure):
     _fields_ = [*_fields(size="n m nw ns nb contact",
                          at="tri wall surface bottom r rq inv_r dr rn hoop zz coupling_z"),
                 ("saddle", Pattern), ("extension", Pattern),
-                *_fields(at="pattern ed V work",
+                *_fields(at="ed V work",
                          real="dt nu Cs beta gamma g stress contact_force floor"),
                 *_fields(size="k", at="z_old areas_old u_old mass_old mesh_velocity"),
                 ("b", ctypes.c_void_p * 2),
@@ -214,7 +214,7 @@ class Kernel:
         self.r_stiffness = bind("r_stiffness", (size, *(at,) * 4, out))
         self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,
                                                 out, out))
-        self.mass_action = bind("mass_action", (size, size, at, at, at, out))
+        self.mass_action = bind("mass_action", (size, size, at, at, at, at, out))
         self.bottom_load = bind("bottom_load", (size, size, at, at, at, out))
         self.state_rhs = bind("state_rhs", (size, size, at, at, size, at, at, at, values, values,
                                             real, real, real, real, size, real, size, at, out, out))
@@ -240,11 +240,14 @@ class Kernel:
         self.solve = bind("slab_solve", workspace, size)
 
 
-def expect(what: str, array: np.ndarray, shape: tuple) -> None:
+def expect(what: str, array: np.ndarray, shape: tuple, layout: str = "") -> None:
     """Raise DimensionMismatch, naming what, unless array has shape: the
-    kernels read and write as far as the shapes of their records reach."""
+    kernels read and write as far as the shapes of their records reach; and
+    given a layout, TypeError unless array is a float64 array of it."""
     if array.shape != shape:
         raise DimensionMismatch(f"{what} of shape {array.shape}, not {shape}")
+    if layout and (array.dtype != np.float64 or not array.flags[layout]):
+        raise TypeError(f"{what}: a {layout} float64 array is required")
 
 
 @functools.cache

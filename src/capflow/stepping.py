@@ -6,13 +6,13 @@ new geometry with the old fields carried over by nodal identification.
 Each part is one compiled phase on the topology's workspace
 (:class:`~capflow.forms.Workspace`): the motion and the assembly make
 :func:`slab_system`, the one assembly of a slab's system, also for the tests
-and scripts that inspect its matrix; the factor and the solve follow.
-:func:`step` is the only code that advances a slab, and the only one that
-factors its saddle matrix: asked for the control gradient, it solves for it
-in the state's solve with that LU, which never leaves the step.  Every solve
-of the step, the mesh velocity, the state and the gradient's, is gated on its
-relative residual, and the step reports each, with each phase's wall time
-from the phases' own clocks.
+and scripts that inspect its matrix; the factor and the solve of that saddle
+system, the only one they take, follow.  :func:`step` is the only code that
+advances a slab, and the only one that factors its saddle matrix: asked for
+the control gradient, it solves for it in the state's solve with that LU,
+which never leaves the step.  Every solve of the step, the mesh velocity, the
+state and the gradient's, is gated on its relative residual, and the step
+reports each, with each phase's wall time from the phases' own clocks.
 
 A run frees and reallocates the same few megabytes every step (the band, the
 element blocks).  glibc's default thresholds move with allocation order: its

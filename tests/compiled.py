@@ -4,8 +4,8 @@ A step runs them inside its compiled phases (:class:`capflow.forms.Workspace`),
 which hand each kernel the workspace's scratch.  The tests call them here
 one at a time, to hold each against the numpy kernel it replaced
 (``pattern_forms``) and to build the mesh-velocity system a step solves; the
-band factor and solve are here too, to hold the envelope LU against dense
-loops.  Each wrapper checks the shapes its kernel reads and writes, as far
+band factor and solve, which alone take that system, hold the envelope LU
+against dense loops.  Each wrapper checks the shapes its kernel reads and writes, as far
 as the records' shapes reach, and finds the library through
 ``kernels.kernel()`` when called, so a test may hand them another build.
 """

@@ -89,11 +89,6 @@ def phase_calls(monkeypatch, record):
         monkeypatch.setattr(lib, name, spy)
 
 
-def solved_pattern(struct) -> kernels.Pattern:
-    """The pattern struct that the factor or solve phase handed struct works on."""
-    return kernels.Pattern.from_address(struct.pattern)
-
-
 @pytest.fixture(scope="session")
 def tc1():
     cfg = tc1_config()

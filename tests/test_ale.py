@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capflow.ale import solve_domain_velocity
+from capflow import solve_domain_velocity
 from capflow.errors import DimensionMismatch
 from capflow.fields import VectorFieldP1, zero_vector_field
 from capflow.geometry import build_structured_mesh, contact_line_height, displace_mesh

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow.ale import solve_domain_velocity
+from capflow import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_vector_field

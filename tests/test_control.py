@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 from dataclasses import replace
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capflow.acceptance
-import capflow.ale
 import capflow.control
 import capflow.fields
 import capflow.forms
@@ -27,7 +27,7 @@ from capflow.stepping import FlowState, StepDiagnostics, initial_state, step
 from capflow.writers import write_vtk_snapshot
 
 from . import oracles
-from .conftest import phase_calls, random_vector_field, solved_pattern
+from .conftest import phase_calls, random_vector_field
 
 RADIUS = 5e-4
 SB = RADIUS ** 2 / 2
@@ -306,7 +306,7 @@ class TestRunLoop:
             if name == "motion":
                 solves.append((struct.extension.n, (1, struct.extension.n)))
             elif name == "solve":
-                n = solved_pattern(struct).n
+                n = struct.saddle.n
                 solves.append((n, (struct.k, n)))
 
         phase_calls(monkeypatch, counting_solve)
@@ -400,11 +400,14 @@ class TestRunLoop:
         monkeypatch.setattr(capflow.forms.FixedPattern, "build", classmethod(counting_build))
         # the run path has one assembly path: the COO reference forms are gone
         retired = {capflow.forms: ("_coo", "form_a", "form_b", "form_c_ALE", "form_s",
-                                   "form_S_Gamma", "form_s_p", "mass_matrix", "state_blocks"),
-                   capflow.ale: ("scalar_stiffness",),
+                                   "form_S_Gamma", "form_s_p", "mass_matrix", "state_blocks",
+                                   "scalar_stiffness"),
                    capflow.acceptance: ("reference_adjoint_matrix", "criterion_transpose")}
         assert [name for module, names in retired.items() for name in names
                 if hasattr(capflow, name) or hasattr(module, name)] == []
+        # the mesh-velocity module is gone with its stiffness: the solve is in forms
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("capflow.ale")
         for owner, name in ((scipy.sparse, "coo_matrix"), (scipy.sparse, "bmat"), (np, "ix_")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         cfg = tc1_config()
@@ -463,7 +466,7 @@ class TestRunLoop:
 
         def counting_factor(name, struct):
             if name in ("motion", "factor"):
-                band = struct.extension if name == "motion" else solved_pattern(struct)
+                band = struct.extension if name == "motion" else struct.saddle
                 bands.append((band.n, band.kl, band.ku))
 
         def counting_rcm(indices, indptr):

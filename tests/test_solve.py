@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import capflow.ale
 import capflow.forms
 import capflow.stepping
 from capflow import kernels
@@ -23,13 +22,14 @@ from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector
 from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, factorize, kinetic_energy,
                            _saddle_pattern, radial_table, solve)
-from capflow.ale import solve_domain_velocity
+from capflow import solve_domain_velocity
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, step
 
 from .pattern_forms import filled, form_a, mass_matrix
-from .compiled import (element_data, factor_band, mesh_velocity_system, r_stiffness,
-                       solve_band, triangle_blocks, values)
+from .compiled import (band_storage, element_data, factor_band, mesh_velocity_system,
+                       r_stiffness, solve_band, triangle_blocks, values)
+from .conftest import phase_calls
 from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -37,12 +37,18 @@ PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.1)
 
 
-def system_of(matrix, rhs, free, mesh):
-    """A saddle LinearSystem on a hand-built CSC matrix, over a pattern of the
-    matrix's own structure whose reduced rows are the dofs free of mesh's 3 N,
-    in that order."""
-    return LinearSystem(pattern=pattern_of(matrix, free, 3 * mesh.num_nodes),
-                        data=read_only(matrix.data), rhs=rhs, mesh=mesh)
+def on_saddle(mesh, full, b):
+    """The LinearSystem on the saddle pattern of mesh's topology of the
+    (3 N, 3 N) sparse matrix full and the (3 N,) load b, each reduced to the
+    pattern's kept dofs: hand-made data on the real pattern, none of the
+    reduced matrix's nonzeros outside it."""
+    pattern = mesh.topology.memo(_saddle_pattern)
+    reduced = sp.csr_matrix(full)[pattern.free][:, pattern.free].toarray()
+    column = np.repeat(np.arange(len(pattern.free)), np.diff(pattern.indptr))
+    data = reduced[pattern.indices, column]
+    reduced[pattern.indices, column] = 0.0
+    assert not reduced.any()
+    return LinearSystem(pattern=pattern, data=read_only(data), rhs=b[pattern.free], mesh=mesh)
 
 
 def pattern_of(matrix, free, size):
@@ -86,33 +92,36 @@ def read_only(a):
     return a
 
 
-def lu_solve(system):
-    """Velocity, pressure and relative residual of the state solve."""
-    return solve(factorize(system), system.rhs)[:3]
+def band_lu(system):
+    """The LU of system's matrix on any pattern, as the phases make it: the
+    compiled scatter and band factor, one by one."""
+    ab = band_storage(system)
+    assert factor_band(ab, system.pattern.band) == 0
+    return BandLU(system=system, lu=ab)
 
 
-def wrap_system(mesh, matrix, rhs):
-    """Embed a (2N, 2N) velocity operator in a reduced monolithic system."""
-    n = mesh.num_nodes
-    full = sp.lil_matrix((3 * n, 3 * n))
-    full[:2 * n, :2 * n] = matrix
-    full[2 * n:, 2 * n:] = sp.eye(n, format="lil")
-    b = np.zeros(3 * n)
-    b[:len(rhs)] = rhs
-    free = np.setdiff1d(np.arange(3 * n), mesh.radial_constrained_nodes)
-    return system_of(full.tocsr()[np.ix_(free, free)].tocsc(), rhs=b[free],
-                     free=free, mesh=mesh)
+def solve_rows(lu, b):
+    """The solve kernel's solutions, (k, n), for the k rows of b with lu on
+    any pattern, each row finite and its relative residual under the phases'
+    1e-10 gate."""
+    x, out, flags = kernel_solve(lu.lu, lu.system.pattern.band, lu.system.pattern,
+                                 lu.system.data, b)
+    assert flags == 0
+    n = x.shape[1]
+    assert np.all(np.sqrt(out[:, n]) <= 1e-10 * np.sqrt(out[:, n + 1]))
+    return x
 
 
 def test_identity_system_returns_rhs():
+    """The identity, hand-made on the saddle pattern: u and p are the load,
+    zero on the eliminated radial dofs."""
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = mesh.num_nodes
     rng = np.random.default_rng(0)
     b = rng.standard_normal(3 * n)
     b[mesh.radial_constrained_nodes] = 0.0      # scattered into u_r slots
-    sys = system_of(sp.eye(3 * n, format="csc"), rhs=b,
-                    free=np.arange(3 * n), mesh=mesh)
-    u, p, res = lu_solve(sys)
+    sys = on_saddle(mesh, sp.eye(3 * n), b)
+    u, p, res, _, _ = solve(factorize(sys), sys.rhs)
     assert np.array_equal(np.concatenate((u.values[:, 0], u.values[:, 1], p.values)), b)
     assert res <= 1e-15
 
@@ -120,13 +129,14 @@ def test_identity_system_returns_rhs():
 def test_spd_block_manufactured_solution():
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = mesh.num_nodes
-    A = (form_a(mesh, 1.0, PHYS) + mass_matrix(mesh)).tolil()
+    A = form_a(mesh, 1.0, PHYS) + mass_matrix(mesh)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2 * n)
     x[mesh.radial_constrained_nodes] = 0.0
-    b = np.asarray(A.tocsr() @ x)
-    sys = wrap_system(mesh, A, b)
-    u, p, res = lu_solve(sys)
+    b = np.zeros(3 * n)
+    b[:2 * n] = A @ x
+    sys = on_saddle(mesh, sp.block_diag((A, sp.eye(n))), b)
+    u, _, _, _, _ = solve(factorize(sys), sys.rhs)
     got = np.concatenate((u.values[:, 0], u.values[:, 1]))
     assert np.abs(got - x).max() <= 1e-10 * max(np.abs(x).max(), 1.0)
 
@@ -134,24 +144,25 @@ def test_spd_block_manufactured_solution():
 def test_singular_matrix_detected():
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = mesh.num_nodes
+    first = mesh.topology.memo(_saddle_pattern).free[0]     # reduced column 1
     mat = sp.eye(3 * n, format="lil")
-    mat[0, 0] = 0.0
-    sys = system_of(mat.tocsc(), rhs=np.ones(3 * n),
-                    free=np.arange(3 * n), mesh=mesh)
+    mat[first, first] = 0.0
+    sys = on_saddle(mesh, mat, np.ones(3 * n))
     with pytest.raises(SingularMatrix, match="zero pivot in column 1 "):
-        lu_solve(sys)
+        factorize(sys)
 
 
 def test_zero_pivot_left_by_the_elimination_names_its_column():
-    """The block [[1, 1], [1, 1]] on dofs 4 and 5 leaves U(5, 5) = 0: 1-based column 6."""
+    """The block [[1, 1], [1, 1]] on reduced dofs 4 and 5 leaves U(5, 5) = 0:
+    1-based column 6."""
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = mesh.num_nodes
+    i, j = mesh.topology.memo(_saddle_pattern).free[[4, 5]]
     mat = sp.eye(3 * n, format="lil")
-    mat[4, 5] = mat[5, 4] = 1.0
-    sys = system_of(mat.tocsc(), rhs=np.ones(3 * n),
-                    free=np.arange(3 * n), mesh=mesh)
+    mat[i, j] = mat[j, i] = 1.0
+    sys = on_saddle(mesh, mat, np.ones(3 * n))
     with pytest.raises(SingularMatrix, match="zero pivot in column 6 "):
-        lu_solve(sys)
+        factorize(sys)
 
 
 def test_mismatched_field_mesh_rejected():
@@ -168,7 +179,7 @@ def test_solved_velocity_respects_essential_conditions():
     u = zero_vector_field(mesh_old)
     V = zero_vector_field(mesh_old)
     sys = assemble_state_system(mesh_old, mesh_old, u, V, 0.0, PHYS, NUM)
-    u_new, _, _ = lu_solve(sys)
+    u_new, _, _, _, _ = solve(factorize(sys), sys.rhs)
     assert np.abs(u_new.values[mesh_old.radial_constrained_nodes, 0]).max() == 0.0
 
 
@@ -181,6 +192,60 @@ def test_lu_carries_the_system_it_factors():
     # frozen: the matrix the residual gate reads is the one factored
     with pytest.raises(FrozenInstanceError):
         system.data = np.ones_like(system.data)
+
+
+def test_only_the_saddle_system_is_factored_and_solved(monkeypatch):
+    """A system on another pattern than its topology's saddle pattern, a
+    hand-built identity's, a copy of the saddle pattern or the mesh-velocity
+    extension's, is refused by factorize, solve and BandLU.solve before any
+    phase runs; the saddle system itself is factored and solved by them."""
+    mesh_new, mesh, u, *_ = slab = tc1_slab(4, 8)
+    system = assemble_state_system(*slab)
+    n = len(system.rhs)
+    hand_built = LinearSystem(pattern=pattern_of(sp.eye(n, format="csc"), np.arange(n), n),
+                              data=read_only(np.ones(n)), rhs=np.ones(n), mesh=mesh_new)
+    copied = replace(system, pattern=replace(system.pattern))
+    phases = []
+    phase_calls(monkeypatch, lambda name, struct: phases.append(name))
+    for other in (hand_built, copied, mesh_velocity_system(mesh, u)):
+        lu = BandLU(system=other, lu=band_storage(other))
+        for refused in (lambda: factorize(other), lambda: solve(lu, other.rhs),
+                        lambda: lu.solve(other.rhs[None], ("state",))):
+            with pytest.raises(DimensionMismatch, match="saddle pattern"):
+                refused()
+    assert phases == []
+    solve(factorize(system), system.rhs)
+    assert phases == ["factor", "solve"]
+
+
+def test_matrix_and_lu_arrays_are_refused_before_any_phase_runs(monkeypatch):
+    """Matrix data of the pattern's nnz entries but float32, or a strided
+    view of the right shape, an LU in float32 or in C order, and such a
+    load: each is refused with TypeError by factorize, solve and
+    BandLU.solve, which would read past its end or the entries of its base."""
+    system = assemble_state_system(*tc1_slab(4, 8))
+    lu = factorize(system)
+    phases = []
+    phase_calls(monkeypatch, lambda name, struct: phases.append(name))
+    float32 = read_only(system.data.astype(np.float32))
+    strided = read_only(np.repeat(system.data, 2))[::2]
+    assert float32.shape == strided.shape == system.data.shape
+    for data in (float32, strided):
+        bad = replace(system, data=data)
+        held = BandLU(system=bad, lu=lu.lu)
+        for refused in (lambda: factorize(bad), lambda: solve(held, bad.rhs),
+                        lambda: held.solve(bad.rhs[None], ("state",))):
+            with pytest.raises(TypeError, match="^matrix data: a C_CONTIGUOUS float64 "):
+                refused()
+    for factors in (lu.lu.astype(np.float32, order="F"), np.ascontiguousarray(lu.lu)):
+        with pytest.raises(TypeError, match="^LU: a F_CONTIGUOUS float64 "):
+            BandLU(system=system, lu=factors).solve(system.rhs[None], ("state",))
+        with pytest.raises(TypeError, match="^LU: a F_CONTIGUOUS float64 "):
+            solve(BandLU(system=system, lu=factors), system.rhs)
+    for rhs in (system.rhs.astype(np.float32), np.repeat(system.rhs, 2)[::2]):
+        with pytest.raises(TypeError, match="^right-hand side: a C_CONTIGUOUS float64 "):
+            solve(lu, rhs)
+    assert phases == []
 
 
 # -- the compiled kernel -------------------------------------------------------
@@ -435,8 +500,8 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
 
     def moving(state, *args):
         system = mesh_velocity_system(state.mesh, state.u)
-        lus.append(capflow.forms.factorize(system))
-        (x,), _ = lus[-1].solve(system.rhs[None], ("mesh-velocity",))
+        lus.append(band_lu(system))
+        (x,) = solve_rows(lus[-1], system.rhs)
         V, _ = solve_domain_velocity(state.mesh, state.u)
         assert np.array_equal(bits(V.values[system.pattern.free, 1]), bits(x))
         return slab_system(state, *args)
@@ -450,7 +515,7 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
     for k, lu in enumerate(lus):
         A = lu.system.matrix.toarray()
         b = np.stack((lu.system.rhs, rng.standard_normal(len(A))))
-        x, _ = lu.solve(b, ("own", "random"))
+        x = solve_rows(lu, b)
         for t in range(2):
             ref = np.linalg.solve(A, b[t])
             assert np.linalg.norm(x[t] - ref) <= 1e-10 * np.linalg.norm(ref), k
@@ -493,7 +558,7 @@ def step_solves(monkeypatch):
     (lu,), (((rhs, bottom_load), (u_new, p_new, rel, w, bottom_rel)),) = lus, solved
     n = mesh.num_nodes
     full = np.concatenate((u_new.values[:, 0], u_new.values[:, 1], p_new.values))
-    return [(factorize(extension), extension.rhs, "mesh-velocity",
+    return [(band_lu(extension), extension.rhs, "mesh-velocity",
              V.values[extension.pattern.free, 1], diag.ale_residual),
             (lu, rhs, "state", full[lu.system.pattern.free], rel),
             (lu, bottom_load, "bottom-load", w, bottom_rel)] if n else []
@@ -680,10 +745,10 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
     with pytest.raises(DimensionMismatch):
         factor_band(ab, full_band(5, 2, 2))
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
-    n = 3 * mesh.num_nodes
-    system = system_of(sp.eye(n, format="csc"), np.ones(n), np.arange(n), mesh)
+    system = on_saddle(mesh, sp.eye(3 * mesh.num_nodes), np.ones(3 * mesh.num_nodes))
+    n = len(system.rhs)
     lu, band, pattern, data = factorize(system), system.pattern.band, system.pattern, system.data
-    other = system_of(sp.eye(n + 1, format="csc"), np.ones(n + 1), np.arange(n + 1), mesh).pattern
+    other = pattern_of(sp.eye(n + 1, format="csc"), np.arange(n + 1), n + 1)
     b = np.ones((2, n))
     for args in ((full_band(n + 1, band.kl, band.ku), pattern, data, b, b.copy()),
                  (band, other, data, b, b.copy()),

@@ -13,7 +13,7 @@ from scipy.sparse._compressed import _cs_matrix
 import capflow.stepping
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
-from capflow.ale import solve_domain_velocity
+from capflow import solve_domain_velocity
 from capflow.errors import MeshTangled
 from capflow.fields import NumParams, PhysParams, VectorFieldP1
 from capflow.forms import bottom_load_vector, _flatten, kinetic_energy, mass_action, workspace
