@@ -8,11 +8,14 @@ topology's workspace (``capflow.forms.Workspace``): the mesh-velocity
 extension (ALE) alone, the motion (the extension, the emptying guard and the
 displacement), the radial table (built once per run), the assembly of the
 saddle system on a new mesh each call, as a step does, the factorization
-with, under it, the factor kernel alone (on a copy of the scattered band,
-made untimed), the state solve alone and with the bottom load of the
-control gradient as a second right-hand side in the same call, each with a
-``residual`` row of its compiled residual checks alone, then the whole
-step, free and controlled, and the two writers: the VTK snapshot of the
+with the forward elimination of the state load and of the bottom load of
+the control gradient, as a controlled step factors, with, under it, the
+factor kernel alone (on copies of the scattered band and the loads, made
+untimed), the solve, the back-substitution of the state load alone (of an
+LU that eliminated it alone, as a free step's) and with the bottom load as a
+second row in the same call, and their checks, each with a ``residual`` row
+of its compiled residual checks alone, then the whole step, free and
+controlled, each one compiled call, and the two writers: the VTK snapshot of the
 state and a history.csv of HISTORY_ROWS rows of random values at the
 columns' scales.  Each figure is the minimum over REPEATS calls, in ms,
 except the writers'.  They are timed as a run meets them, over files that
@@ -106,9 +109,11 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
     ws = forms.workspace(mesh.topology)
     V, _ = solve_domain_velocity(mesh, u)
     lu = forms.factorize(system)
+    state_lu = forms.factorize(replace(system, bottom_load=None))
     band = system.pattern.band
     scattered = np.zeros(band.ldab * len(band.lower))
     kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, scattered)
+    loads = np.stack((system.rhs, system.bottom_load))
 
     def fresh_mesh(_=None):
         """A new mesh at the new positions: nothing memoised on it yet."""
@@ -122,14 +127,14 @@ def phases(n1: int, n3: int) -> list[tuple[str, float]]:
             lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
         ("factorize", best_ms(lambda _: forms.factorize(system))),
         ("  factor kernel", best_ms(
-            lambda ab: kernels.kernel().band_factor(len(band.lower), band.kl, band.ku,
-                                                    band.ptr.lower, band.ptr.upper, ab),
-            lambda: scattered.reshape((band.ldab, -1), order="F").copy(order="F"))),
-        ("state solve", best_ms(lambda _: forms.solve(lu, system.rhs))),
-        ("  residual", residual_ms(lu, system.rhs[None])),
-        ("state + bottom-load solve", best_ms(
-            lambda _: forms.solve(lu, system.rhs, system.bottom_load))),
-        ("  residual", residual_ms(lu, np.stack((system.rhs, system.bottom_load)))),
+            lambda args: kernels.kernel().band_factor(len(band.lower), band.kl, band.ku,
+                                                      band.ptr.lower, band.ptr.upper, *args),
+            lambda: (scattered.reshape((band.ldab, -1), order="F").copy(order="F"), 2,
+                     loads.copy()))),
+        ("state solve", best_ms(lambda _: forms.solve(state_lu))),
+        ("  residual", residual_ms(state_lu)),
+        ("state + bottom-load solve", best_ms(lambda _: forms.solve(lu))),
+        ("  residual", residual_ms(lu)),
         ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
         ("whole step, controlled", best_ms(
             lambda _: step(state, ZETA, phys, num, gradient=True))),
@@ -166,12 +171,13 @@ def band(n1: int, n3: int, kernel_ms: float) -> str:
             f"{share:>8.3f} {work:>8.3f} {growth:>8.3f} {updates / (1e6 * kernel_ms):>9.2f}")
 
 
-def residual_ms(lu, rhs: np.ndarray) -> float:
-    """The compiled residual checks of lu's solve for the rows of rhs, (k,
-    n), on their own: the second half of the solve kernel's call."""
-    system, (k, n) = lu.system, rhs.shape
+def residual_ms(lu) -> float:
+    """The compiled residual checks of lu's solve of the k loads it
+    eliminated, on their own: the second half of the solve kernel's call."""
+    system, (k, n) = lu.system, lu.loads.shape
     pattern = system.pattern
-    x, _ = lu.solve(rhs, ("profiled",) * k)
+    rhs = np.stack((system.rhs, system.bottom_load)[:k])
+    x, _ = lu.solve(("profiled",) * k)
     out = np.empty((k, n + 2))
     return best_ms(lambda _: kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices,
                                                        system.data, k, rhs, x, out))

@@ -20,19 +20,23 @@ of the radii alone and a small part that changes with z (Kirby & Logg 2006,
 ACM TOMS 32(3)); mesh motion is vertical, so the former, the
 :class:`RadialTable`, is computed once per topology.
 
-A slab runs as compiled phases on the topology's :class:`Workspace`, one call
-each, which bind every array of the topology, its radial table and its two
-patterns once: the motion, whose first part is the mesh velocity
+A slab runs as one compiled call on the topology's :class:`Workspace`
+(:meth:`Workspace.step`), which binds every array of the topology, its
+radial table and its two patterns once, and owns, once per topology, the
+storage its phases use: the motion, whose first part is the mesh velocity
 (:func:`solve_domain_velocity`), the assembly (:func:`assemble_state_system`),
 the factor (:func:`factorize`) and the solve (:func:`solve`,
-:meth:`BandLU.solve`).  A :class:`LinearSystem` carries the topology's saddle
+:meth:`BandLU.solve`).  Those functions are the inspection route: each runs
+its phase alone, on arrays the records it returns own, so no record aliases
+the workspace.  A :class:`LinearSystem` carries the topology's saddle
 pattern, the fill's read-only CSC data, its right-hand side and the load of
 a unit bottom stress; the :class:`BandLU` of its matrix, an LU without
 pivoting within the envelope of the pattern's :class:`BandLayout` (George &
-Liu 1981, ch. 4), carries the system, and every solve with it gates each
-right-hand side on its own residual in that system's matrix.  The factor and
-the solve take a system on no other pattern: the mesh-velocity system is
-filled, factored and solved within the motion.  The vertex order behind the
+Liu 1981, ch. 4), carries the system and its loads eliminated forward by the
+factor, and every solve with it back-substitutes those loads and gates each
+on its own residual in that system's matrix.  The factor and the solve take
+a system on no other pattern: the mesh-velocity system is filled, factored
+and solved within the motion.  The vertex order behind the
 narrow band is a reverse Cuthill-McKee search in plain Python, once per
 topology; the package needs numpy alone, and SciPy is imported only to build
 a system's matrix when its ``matrix`` is read (the tests).  The mass action
@@ -462,12 +466,14 @@ def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> 
 
 @dataclass(frozen=True)
 class BandLU:
-    """LU without pivoting of system's matrix, from :func:`factorize`; the
-    band's kl and ku are its pattern's."""
+    """LU without pivoting of system's matrix, and the system's loads
+    eliminated forward by it, from :func:`factorize`; the band's kl and ku
+    are its pattern's."""
 
     system: LinearSystem
     lu: np.ndarray      # (kl + ku + 1, n) band storage, Fortran order: U on and above row
                         # ku, L below
+    loads: np.ndarray   # (k, n) L^-1 b of the system's rhs and, k = 2, its bottom load
 
     @property
     def growth(self) -> float:
@@ -475,46 +481,51 @@ class BandLU:
         ku = self.system.pattern.band.ku
         return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.data).max())
 
-    def solve(self, rhs: np.ndarray, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
-        """x, (k, n), with A x_t = rhs_t for each row of rhs, (k, n) with k = 1
-        or 2, A the system's matrix, and the rows' residuals ||A x_t - rhs_t|| /
-        ||rhs_t||, from one compiled solve (:meth:`Workspace.solve`).  Row by
+    def solve(self, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
+        """x, (k, n), with A x_t = b_t for the first k = len(what) of the
+        system's loads (its rhs, then its bottom load), A the system's matrix,
+        and the rows' residuals ||A x_t - b_t|| / ||b_t||, from one compiled
+        back-substitution of :attr:`loads` (:meth:`Workspace.solve`).  Row by
         row, a non-finite x_t raises SingularMatrix and a residual above 1e-10
         ResidualTooLarge, each naming the row's solve by what[t]."""
-        if len(what) != len(rhs):
-            raise DimensionMismatch(f"{len(rhs)} right-hand sides, {len(what)} names")
-        return workspace(self.system.mesh.topology).solve(self, tuple(rhs), what)[:2]
+        return workspace(self.system.mesh.topology).solve(self, what)[:2]
 
 
 def factorize(system: LinearSystem) -> BandLU:
-    """Banded LU without pivoting of system's matrix, the one factorization
-    of the run path, which the saddle matrix's semidefinite symmetric part
-    allows (see ``kernels.c``).  One compiled phase scatters the matrix into
-    band storage of its pattern's layout, narrow in the topology's
-    :func:`vertex_order`, and factors it in place within the layout's
-    envelope.  Raises DimensionMismatch for a system on another pattern than
-    its topology's saddle pattern, TypeError for data that are not
+    """Banded LU without pivoting of system's matrix, which the saddle
+    matrix's semidefinite symmetric part allows (see ``kernels.c``), and the
+    forward elimination by it of the system's rhs and, if it has one, its
+    bottom load: the factor phase, on arrays the LU owns.  It scatters the
+    matrix into zeroed band storage of its pattern's layout, narrow in the
+    topology's :func:`vertex_order`, and factors it in place within the
+    layout's envelope, eliminating the loads by each column as it goes.
+    Raises DimensionMismatch for a system on another pattern than its
+    topology's saddle pattern, TypeError for data or loads that are not
     C-contiguous float64, and SingularMatrix on an exactly zero pivot."""
     ws = workspace(system.mesh.topology)
-    ws.take(system)
-    s = ws.struct.saddle
-    lu = np.zeros((s.kl + s.ku + 1, s.n), order="F")
-    ws.struct.lu = lu.ctypes.data
+    k = 1 if system.bottom_load is None else 2
+    ws.take(system, k)
+    s = ws.struct
+    lu = np.empty((s.saddle.kl + s.saddle.ku + 1, s.saddle.n), order="F")
+    loads = np.empty((k, s.saddle.n))
+    s.lu, s.x = lu.ctypes.data, loads.ctypes.data
     ws.run(kernels.kernel().factor)
-    return BandLU(system=system, lu=lu)
+    lu.setflags(write=False)
+    loads.setflags(write=False)
+    return BandLU(system=system, lu=lu, loads=loads)
 
 
-def solve(lu: BandLU, rhs: np.ndarray, bottom_load: np.ndarray | None = None
-          ) -> tuple[VectorFieldP1, ScalarFieldP1, float, np.ndarray | None, float]:
-    """Solve lu's saddle system for the state load rhs, and bottom_load under
-    it if given, in one compiled solve (:meth:`Workspace.solve`): (velocity,
-    pressure, residual, w = A^{-1} bottom_load, its residual), the last two
-    None and 0.0 without.  The velocity carries its mass action and max |u|."""
-    if bottom_load is None:
-        _, (rel,), u, p = workspace(lu.system.mesh.topology).solve(lu, (rhs,), ("state",))
+def solve(lu: BandLU) -> tuple[VectorFieldP1, ScalarFieldP1, float, np.ndarray | None, float]:
+    """Solve lu's saddle system for its rhs, and for its bottom load under it
+    if lu eliminated one, in one compiled solve (:meth:`Workspace.solve`):
+    (velocity, pressure, residual, w = A^{-1} bottom_load, its residual), the
+    last two None and 0.0 without.  The velocity carries its mass action and
+    max |u|."""
+    ws = workspace(lu.system.mesh.topology)
+    if len(lu.loads) == 1:
+        _, (rel,), u, p = ws.solve(lu, ("state",))
         return u, p, rel, None, 0.0
-    (_, w), (rel, bottom_rel), u, p = workspace(lu.system.mesh.topology).solve(
-        lu, (rhs, bottom_load), ("state", "bottom-load"))
+    (_, w), (rel, bottom_rel), u, p = ws.solve(lu, ("state", "bottom-load"))
     return u, p, rel, w, bottom_rel
 
 
@@ -561,49 +572,84 @@ def _bind(pattern: FixedPattern, into: kernels.Pattern) -> None:
 
 
 class Workspace:
-    """The :class:`~capflow.kernels.Workspace` struct that a topology's slab
-    phases run on, one compiled call each, and the scratch it points to.
-    The pointers and sizes of the topology's arrays, its :class:`RadialTable`
-    and its two patterns with their band layouts are taken once, here; a
-    phase's inputs are bound per call from the records that hold them, and
-    its outputs go into arrays allocated per call that the returned records
-    own, so nothing a caller holds is scratch.  A failing phase's status and
+    """The :class:`~capflow.kernels.Workspace` struct that a topology's slabs
+    run on, and the storage it points to, allocated once, here.  The pointers
+    and sizes of the topology's arrays, its :class:`RadialTable` and its two
+    patterns with their band layouts are taken once too.
+
+    The storage is one block: the mesh velocity, which the motion leaves for
+    the assembly; a work array for a phase's sums and checks; the saddle
+    system's data and loads, the solution rows and the reduced mass action
+    of the new velocity; and the region that each phase in turn uses for the
+    arrays of its own size, as large as the largest need (the saddle band,
+    but on a tiny mesh).  :meth:`step` advances a slab in one compiled call on that storage and
+    returns records made from one output array allocated per step, so
+    nothing a caller holds is the workspace's.  The inspection route
+    (:meth:`motion`, :meth:`assemble`, :func:`factorize`, :meth:`solve`)
+    runs the phases one at a time, the saddle system's arrays and the band
+    being those of the records it returns.  A failing phase's status and
     details raise the typed error, with the message, of the check it
-    replaced.  The scratch carries the mesh velocity from the motion to the
-    assembly, so a topology's slabs run one at a time, in one thread.  A copy
-    or an unpickled workspace is built anew from the copied records
-    (:meth:`__reduce__`), so it binds their arrays.
+    replaced.  The storage is shared, so a topology's slabs run one at a
+    time, in one thread.  A copy or an unpickled workspace is built anew
+    from the copied records (:meth:`__reduce__`), so it binds their arrays.
     """
 
     def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,
                  saddle: FixedPattern, extension: FixedPattern):
         self._parts = (topology, sizes, table, saddle, extension)
         self.saddle = saddle
-        n, m = sizes[:2]
-        # the element data, the mesh velocity and the loads' work arrays
-        self.scratch = np.empty(10 * m + 8 * n)
-        self.V = self.scratch[10 * m:10 * m + 2 * n].reshape(n, 2)
+        self.n, self.m = n, m = sizes[:2]
+        nf, ne = len(saddle.free), len(extension.free)
+        # one block: the mesh velocity; the work array of the loads' sums and
+        # the saddle solve's checks; the saddle data (nnz and the trash slot),
+        # its two loads, the solution rows and the reduced mass action; last
+        # the region, for the element data with the mesh velocity's data,
+        # loads, solution, checks and stiffness or band, or with the
+        # assembly's local blocks, and for the saddle band
+        motion = (len(extension.indices) + 1 + 3 * ne + 2
+                  + max(len(extension.slot), extension.band.ldab * ne))
+        sizes_of = dict(V=2 * n, work=max(6 * n, 2 * nf + 4), data=len(saddle.indices) + 1,
+                        loads=2 * nf, x=2 * nf, reduced=nf,
+                        region=max(10 * m + max(motion, len(saddle.slot)),
+                                   saddle.band.ldab * nf))
+        self.storage = np.empty(sum(sizes_of.values()))
+        part, at = {}, 0
+        for name, size in sizes_of.items():
+            part[name] = self.storage[at:at + size]
+            at += size
+        self.V = part["V"].reshape(n, 2)
+        self.data = part["data"][:-1]
+        self.loads, self.x = part["loads"].reshape(2, nf), part["x"].reshape(2, nf)
+        self.reduced, self.w = part["reduced"], self.x[1]
         s = self.struct = kernels.Workspace(*sizes)
         s.tri, s.wall, s.surface, s.bottom, s.r = (topology.triangles, topology.wall,
                                                    topology.free_surface, topology.bottom,
                                                    topology.radii)
         for name in ("rq", "inv_r", "dr", "rn", "hoop", "zz", "coupling_z"):
             setattr(s, name, getattr(table.ptr, name))
-        at = self.scratch.ctypes.data
-        s.ed, s.V, s.work = at, at + 80 * m, at + 80 * m + 16 * n
+        at = {name: a.ctypes.data for name, a in part.items()}
+        s.V, s.work, s.region, s.reduced = at["V"], at["work"], at["region"], at["reduced"]
+        # the step's saddle data, its two loads, its solution rows and its band
+        self._own = (at["data"], at["loads"], at["loads"] + 8 * nf, at["x"], at["region"])
+        # the step's output array: z (n), areas (m), u (n, 2), its mass action
+        # (2 n), p (n), the byte offset of each
+        self._out = (6 * n + m, 8 * n, 8 * (n + m), 8 * (3 * n + m), 8 * (5 * n + m))
         _bind(saddle, s.saddle)
         _bind(extension, s.extension)
 
     def __reduce__(self):
         return Workspace, self._parts
 
-    def run(self, phase, what: tuple[str, ...] = ()) -> None:
-        """Run phase on the struct; raise its status's error, row t named what[t]."""
+    def run(self, phase, what: tuple[str, ...] = (), mesh: AxiMesh | None = None) -> None:
+        """Run phase on the struct; raise its status's error (:meth:`error`)."""
         status = phase(self.struct)
         if status:
-            raise self.error(status, what)
+            raise self.error(status, what, mesh)
 
-    def error(self, status: int, what: tuple[str, ...]) -> Exception:
+    def error(self, status: int, what: tuple[str, ...], mesh: AxiMesh | None) -> Exception:
+        """The typed error of a phase's status, row t of a solve named
+        what[t]; for a mesh moved badly, what displacing mesh by the mesh
+        velocity raises."""
         s = self.struct
         if status == kernels.ZERO_PIVOT:
             return SingularMatrix(f"zero pivot in column {s.column} of the banded LU")
@@ -611,19 +657,72 @@ class Workspace:
             return SingularMatrix(f"{what[s.row]} solve produced non-finite values")
         if status == kernels.OVER_GATE:
             return ResidualTooLarge(f"{what[s.row]} solve: relative residual {s.rel[s.row]:.3e}")
-        if status == kernels.NO_MEMORY:
-            return MemoryError("a compiled phase could not allocate its arrays")
+        if status == kernels.EMPTIED:
+            # checked before displacing: an emptying column is reported as
+            # DomainEmptied, not as the mesh tangle it would soon cause
+            return DomainEmptied(f"contact line headed to {s.z_next:.3e} m "
+                                 f"(guard {s.floor:.3e} m)")
+        if status == kernels.MOVED_BADLY:
+            # the checked displacement of the same velocity raises its error and message
+            displace_mesh(mesh, VectorFieldP1(self.V.copy(), mesh), s.dt)
         raise AssertionError(f"compiled phase status {status}")
 
-    def take(self, system: LinearSystem) -> None:
-        """Point the struct at system's matrix data, once checked: the factor
-        and the solve serve the saddle pattern alone (DimensionMismatch) and
-        read C-contiguous float64 data (TypeError)."""
+    def take(self, system: LinearSystem, k: int) -> None:
+        """Point the struct at system's matrix data and its first k loads (its
+        rhs, then its bottom load), once checked: the factor and the solve
+        serve the saddle pattern alone (DimensionMismatch) and read
+        C-contiguous float64 data and loads (TypeError)."""
         s = self.struct
         if system.pattern is not self.saddle:
             raise DimensionMismatch("the system is not on its topology's saddle pattern")
         kernels.expect("matrix data", system.data, (s.saddle.nnz,), "C_CONTIGUOUS")
-        s.data = system.data.ctypes.data
+        for t, b in enumerate((system.rhs, system.bottom_load)[:k]):
+            if b is None:
+                raise DimensionMismatch("the system has no bottom load")
+            kernels.expect("right-hand side", b, (s.saddle.n,), "C_CONTIGUOUS")
+            s.b[t] = b.ctypes.data
+        s.data, s.k = system.data.ctypes.data, k
+
+    def slab(self, topology: MeshTopology, zeta: float, phys, num) -> None:
+        """Set the struct's parameters of a slab on topology with the bottom
+        control stress zeta."""
+        s = self.struct
+        s.dt, s.nu, s.Cs, s.chi, s.N3 = num.dt, phys.nu, num.Cs, phys.chi, num.N3
+        s.gamma, s.g, s.stress = phys.gamma, phys.g, phys.p_bar + zeta
+        s.contact_force = phys.gamma * np.cos(phys.theta_s) * topology.radii[s.contact]
+
+    def step(self, mesh: AxiMesh, u: VectorFieldP1, zeta: float, phys, num, floor: float,
+             gradient: bool) -> tuple[AxiMesh, VectorFieldP1, ScalarFieldP1]:
+        """The slab from mesh and velocity u with the bottom control stress
+        zeta, one compiled call: the new mesh, velocity (with its mass action
+        and max |u|) and pressure.  The struct then holds the residuals, the
+        phases' times and, with gradient, the bottom-load solve's solution
+        in :attr:`w` and the reduced mass action of the new velocity in
+        :attr:`reduced`.  Raises what the phases' checks raise, as the
+        inspection route does (see :meth:`motion`)."""
+        if u.mesh is not mesh:
+            raise DimensionMismatch("velocity field lives on a different mesh")
+        s, n, m = self.struct, self.n, self.m
+        size, areas_at, u_at, mass_at, p_at = self._out
+        out = np.empty(size)
+        at = out.ctypes.data
+        # the mass action of a velocity the solve wrote comes with its pointer
+        mass_old = getattr(u.ptr, "mass", 0) or kernels.address(mass_action(u))
+        s.z_old, s.areas_old, s.u_old, s.mass_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values, \
+            mass_old
+        s.z, s.areas, s.u, s.mass, s.p = at, at + areas_at, at + u_at, at + mass_at, at + p_at
+        s.data, s.b[0], s.b[1], s.x, s.lu = self._own
+        s.floor, s.k = floor, 1 + gradient
+        self.slab(mesh.topology, zeta, phys, num)
+        status = kernels.kernel().step(s)
+        if status:
+            raise self.error(status, ("mesh-velocity",) if kernels.PHASES[s.failed] == "motion"
+                             else ("state", "bottom-load"), mesh)
+        out.setflags(write=False)
+        mesh_new = _moved(mesh, out[:n], out[n:n + m], at, at + areas_at)
+        u_new = _solved(mesh_new, out[n + m:3 * n + m], out[3 * n + m:5 * n + m], at + u_at,
+                        at + mass_at, s.u_max)
+        return mesh_new, u_new, trusted(ScalarFieldP1, values=out[5 * n + m:], mesh=mesh_new)
 
     def motion(self, mesh: AxiMesh, u: VectorFieldP1, dt: float,
                floor: float) -> tuple[AxiMesh, float]:
@@ -638,75 +737,74 @@ class Workspace:
                                                         dt, floor)
         s.z = at = heights.ctypes.data
         s.areas = at + 8 * n
-        status = kernels.kernel().motion(s)
-        if status == kernels.EMPTIED:
-            # checked before displacing: an emptying column is reported as
-            # DomainEmptied, not as the mesh tangle it would soon cause
-            raise DomainEmptied(f"contact line headed to {s.z_next:.3e} m (guard {floor:.3e} m)")
-        if status == kernels.MOVED_BADLY:
-            # the checked displacement of the same velocity raises its error and message
-            displace_mesh(mesh, VectorFieldP1(self.V.copy(), mesh), dt)
-        if status:
-            raise self.error(status, ("mesh-velocity",))
+        self.run(kernels.kernel().motion, ("mesh-velocity",), mesh)
         heights.setflags(write=False)
-        z, areas = heights[:n], heights[n:]
-        ptr = Pointers.of(dict(z=z, areas=areas), dict(z=at, areas=at + 8 * n))
-        return trusted(AxiMesh, z=z, topology=mesh.topology, areas=areas, ptr=ptr), \
-            s.ale_residual
+        return _moved(mesh, heights[:n], heights[n:], at, at + 8 * n), s.ale_residual
 
     def assemble(self, mesh_new: AxiMesh, u_old: VectorFieldP1, mesh_velocity: int, zeta: float,
                  phys, num) -> LinearSystem:
         """The saddle system on mesh_new, with the old velocity u_old and the
         mesh velocity at the address mesh_velocity (see
-        :func:`assemble_state_system`)."""
+        :func:`assemble_state_system`), in arrays the system owns."""
         s = self.struct
-        data = np.zeros(s.saddle.nnz + 1)
+        data = np.empty(s.saddle.nnz + 1)
         loads = np.empty((2, s.saddle.n))
         s.z, s.areas, s.u_old, s.mesh_velocity = (mesh_new.ptr.z, mesh_new.ptr.areas,
                                                   u_old.ptr.values, mesh_velocity)
-        s.mass_old, s.data, s.loads = (mass_action(u_old).ctypes.data, data.ctypes.data,
-                                       loads.ctypes.data)
-        s.dt, s.nu, s.Cs, s.gamma, s.g = num.dt, phys.nu, num.Cs, phys.gamma, phys.g
-        s.beta = beta_h(phys.chi, float(mesh_new.z[s.contact]) / num.N3, phys.nu)
-        s.stress = phys.p_bar + zeta
-        s.contact_force = phys.gamma * np.cos(phys.theta_s) * mesh_new.topology.radii[s.contact]
+        s.mass_old, s.data = mass_action(u_old).ctypes.data, data.ctypes.data
+        s.b[0], s.b[1] = loads.ctypes.data, loads[1].ctypes.data
+        self.slab(mesh_new.topology, zeta, phys, num)
         self.run(kernels.kernel().assembly)
         data.setflags(write=False)
         return LinearSystem(pattern=self.saddle, data=data[:-1], rhs=loads[0], mesh=mesh_new,
                             bottom_load=loads[1])
 
-    def solve(self, lu: BandLU, loads: tuple, what: tuple[str, ...]):
-        """x, (k, n), the solutions of lu's saddle system for the k = 1 or 2
-        loads (each C-contiguous float64 (n,)), their relative residuals, each
-        row checked and named by what (see :meth:`BandLU.solve`), and the
-        velocity and pressure of the first row on the system's mesh, the
-        velocity with its mass action and max |u|."""
-        s, mesh, k = self.struct, lu.system.mesh, len(loads)
-        self.take(lu.system)
+    def solve(self, lu: BandLU, what: tuple[str, ...]):
+        """x, (k, n), the back-substitution of lu's first k = len(what)
+        eliminated loads, 1 or 2, their relative residuals, each row checked
+        and named by what (see :meth:`BandLU.solve`), and the velocity and
+        pressure of the first row on the system's mesh, the velocity with its
+        mass action and max |u|, in arrays the records own."""
+        s, mesh, k = self.struct, lu.system.mesh, len(what)
+        self.take(lu.system, k)
         n = s.saddle.n
-        if not 1 <= k <= 2:
-            raise DimensionMismatch(f"{k} loads, not 1 or 2")
+        if not 1 <= k <= len(lu.loads):
+            raise DimensionMismatch(f"{k} rows of {len(lu.loads)} eliminated loads")
         kernels.expect("LU", lu.lu, (s.saddle.kl + s.saddle.ku + 1, n), "F_CONTIGUOUS")
-        for b in loads:
-            kernels.expect("right-hand side", b, (n,), "C_CONTIGUOUS")
-        x = np.empty((k, n))
+        kernels.expect("eliminated loads", lu.loads, (len(lu.loads), n), "C_CONTIGUOUS")
+        x = lu.loads[:k].copy()
         nodes = s.n
         out = np.empty(5 * nodes)          # u (N, 2), its mass action (2 N), p (N)
         at = out.ctypes.data
-        s.lu, s.x, s.k = lu.lu.ctypes.data, x.ctypes.data, k
-        for t, b in enumerate(loads):
-            s.b[t] = b.ctypes.data
+        s.lu, s.x = lu.lu.ctypes.data, x.ctypes.data
         s.u, s.mass, s.p, s.areas = at, at + 16 * nodes, at + 32 * nodes, mesh.ptr.areas
         self.run(kernels.kernel().solve, what)
         out.setflags(write=False)
-        values, p = out[:2 * nodes].reshape(nodes, 2), out[4 * nodes:]
-        u = trusted(VectorFieldP1, values=values, mesh=mesh, magnitude_max=s.u_max,
-                    ptr=Pointers.of(dict(values=values), dict(values=at)),
-                    _memo={_mass_action: out[2 * nodes:4 * nodes]})
-        return x, s.rel[:k], u, trusted(ScalarFieldP1, values=p, mesh=mesh)
+        u = _solved(mesh, out[:2 * nodes], out[2 * nodes:4 * nodes], at, at + 16 * nodes, s.u_max)
+        return x, s.rel[:k], u, trusted(ScalarFieldP1, values=out[4 * nodes:], mesh=mesh)
 
 
 # -- helpers ----------------------------------------------------------------
+
+def _moved(mesh: AxiMesh, z: np.ndarray, areas: np.ndarray, z_at: int,
+           areas_at: int) -> AxiMesh:
+    """The mesh over mesh's topology of the heights z and triangle areas that
+    a compiled phase wrote, read-only, at z_at and areas_at."""
+    return trusted(AxiMesh, z=z, topology=mesh.topology, areas=areas,
+                   ptr=Pointers.of(dict(z=z, areas=areas), dict(z=z_at, areas=areas_at)))
+
+
+def _solved(mesh: AxiMesh, values: np.ndarray, mass: np.ndarray, values_at: int, mass_at: int,
+            u_max: float) -> VectorFieldP1:
+    """The velocity on mesh of the flat (N, 2) values and their mass action
+    that the solve phase wrote, read-only, at values_at and mass_at, with its
+    max |u|."""
+    values = values.reshape(-1, 2)
+    return trusted(VectorFieldP1, values=values, mesh=mesh, magnitude_max=u_max,
+                   ptr=Pointers.of(dict(values=values, mass=mass),
+                                   dict(values=values_at, mass=mass_at)),
+                   _memo={_mass_action: mass})
+
 
 def _flatten(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:, 0], values[:, 1]))

@@ -30,14 +30,18 @@
    updates the later columns four at a time, loading each pivot entry once for
    the four (unroll-and-jam: Carr & Kennedy 1994, ACM TOPLAS 16(6)).  A later
    column's update reads only the pivot columns and itself, so the grouping
-   leaves every entry's operations, and their order, as they were.
+   leaves every entry's operations, and their order, as they were.  As soon
+   as it scales a column of L, the factor eliminates the system's one or two
+   loads by that column, while the column is in cache: the forward half of
+   the solve, each entry taking the operations of a forward substitution
+   column by column, in their order.
 
-   Solve and residual.  One call of band_solve solves for an LU's one or two
-   right-hand sides, each entry of L and U loaded once for both, and checks
-   each x in one pass over the pattern's CSC arrays: a flag when x is not
-   finite, else A x summed column by column from zero as scipy's csc_matvec
-   sums it, so with its bits, and the squared norms of A x - b and b in row
-   order.  Each x has the bits of a solve and a check of its own.
+   Solve and residual.  One call of band_solve back-substitutes an LU's one
+   or two forward-eliminated loads, each entry of U loaded once for both, and
+   checks each x in one pass over the pattern's CSC arrays: a flag when x is
+   not finite, else A x summed column by column from zero as scipy's
+   csc_matvec sums it, so with its bits, and the squared norms of A x - b and
+   b in row order.  Each x has the bits of a solve and a check of its own.
 
    Output.  fill_template copies a template's static text and writes each
    slot's double exactly as Python's format(x, ".17g") does. The 17 digits of a
@@ -448,6 +452,18 @@ static inline void scale(ptrdiff_t m, double *col)
         col[r] /= col[0];
 }
 
+/* Column j's step of the forward substitution L y = b for the k = 0, 1 or 2
+   loads y_t = y + t n: y_t[j + 1 + r] -= l[r] y_t[j] on the m multipliers l
+   of the column, both loads in one pass, each entry as for one alone. */
+static inline void eliminate(ptrdiff_t m, const double *l, ptrdiff_t j, ptrdiff_t n, ptrdiff_t k,
+                             double *y)
+{
+    if (k == 2)
+        update_x2(m, l, y[j], y + j + 1, y[n + j], y + n + j + 1);
+    else if (k == 1)
+        update(m, y[j], l, y + j + 1);
+}
+
 /* LU without pivoting of the n x n band matrix in ab, kl sub- and ku
    superdiagonals, column-major with ldab = kl + ku + 1: entry (i, j) at
    ab[j ldab + ku + i - j], restricted to the matrix's envelope.  Column j
@@ -460,10 +476,13 @@ static inline void scale(ptrdiff_t m, double *col)
    both pivot columns reach, then those only column j + 1 reaches, so each
    pass loads a pivot entry once for four targets; the rest go one by one.
    The columns' updates are independent of each other, so neither grouping
-   changes an entry's operations or their order.  Returns 0, or j + 1 for
-   an exactly zero pivot in column j. */
+   changes an entry's operations or their order.  Each column of L, once
+   scaled, also eliminates the k = 0, 1 or 2 loads y_t = y + t n
+   (eliminate), so y holds L^-1 b on return, every entry with the bits of a
+   forward substitution column by column.  Returns 0, or j + 1 for an
+   exactly zero pivot in column j. */
 CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
-                             const int32_t *upper, double *ab)
+                             const int32_t *upper, double *ab, ptrdiff_t k, double *y)
 {
     const ptrdiff_t ldab = kl + ku + 1;
     for (ptrdiff_t j = 0; j < n; j += 2) {
@@ -472,6 +491,7 @@ CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int3
         if (c0[0] == 0.0)
             return j + 1;
         scale(m0, c0);
+        eliminate(m0, c0 + 1, j, n, k, y);
         if (j + 1 == n)
             break;
         double *c1 = c0 + ldab;                         /* c1[r]: entry (j + 1 + r, j + 1) */
@@ -481,6 +501,7 @@ CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int3
         if (c1[0] == 0.0)
             return j + 2;
         scale(m1, c1);
+        eliminate(m1, c1 + 1, j + 1, n, k, y);
         /* R[r]: entry (j + r, j + c) at R = c0 + c s.  Columns c = 2..both
            take both pivot columns' updates (none if column j has no
            multipliers), the rest up to u1 + 1 >= u0 only column j + 1's. */
@@ -515,15 +536,12 @@ CLONES ptrdiff_t band_factor(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int3
     return 0;
 }
 
-/* x = (LU)^-1 x in place, with the factors and the envelope of band_factor:
-   L y = x forward, then U x = y backward, column by column.  Column j of U
-   reaches up to row top, the first row whose reach gets to column j. */
-static inline void solve_x1(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *lower,
-                            const int32_t *upper, const double *ab, double *x)
+/* x = U^-1 x in place, backward column by column, with the factors and the
+   envelope of band_factor: x holds L^-1 b on entry.  Column j of U reaches
+   up to row top, the first row whose reach gets to column j. */
+static inline void back_x1(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *upper,
+                           const double *ab, double *x)
 {
-    for (ptrdiff_t j = 0; j < n; ++j) {
-        update(lower[j], x[j], ab + j * ldab + ku + 1, x + j + 1);
-    }
     ptrdiff_t top = n - 1;
     for (ptrdiff_t j = n - 1; j >= 0; --j) {
         while (top > 0 && top - 1 + upper[top - 1] >= j)
@@ -534,14 +552,11 @@ static inline void solve_x1(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int
     }
 }
 
-/* solve_x1 for two vectors x0 and x1 in one pass over the factors, each
-   entry of either as there. */
-static inline void solve_x2(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *lower,
-                            const int32_t *upper, const double *ab, double *x0, double *x1)
+/* back_x1 for two vectors x0 and x1 in one pass over U, each entry of
+   either as there. */
+static inline void back_x2(ptrdiff_t n, ptrdiff_t ldab, ptrdiff_t ku, const int32_t *upper,
+                           const double *ab, double *x0, double *x1)
 {
-    for (ptrdiff_t j = 0; j < n; ++j) {
-        update_x2(lower[j], ab + j * ldab + ku + 1, x0[j], x0 + j + 1, x1[j], x1 + j + 1);
-    }
     ptrdiff_t top = n - 1;
     for (ptrdiff_t j = n - 1; j >= 0; --j) {
         while (top > 0 && top - 1 + upper[top - 1] >= j)
@@ -586,15 +601,16 @@ static ptrdiff_t check_x1(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
     return 0;
 }
 
-/* check_x1 for the solves of A x_t = b_t, t = 0, 1, x_t = x + t n and b_t =
-   b + t n, in one pass over A, each vector's figures as there into out + t
-   (n + 2).  Returns bit t set for each x_t with an entry that is not finite,
-   whose figures are then meaningless. */
+/* check_x1 for the solves of A x_t = b_t, t = 0, 1, x_t = x + t n, in one
+   pass over A, each vector's figures as there into out + t (n + 2).
+   Returns bit t set for each x_t with an entry that is not finite, whose
+   figures are then meaningless. */
 __attribute__((noinline))
 static ptrdiff_t check_x2(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
-                          const double *data, const double *b, const double *x, double *out)
+                          const double *data, const double *b0, const double *b1,
+                          const double *x, double *out)
 {
-    const double *x0 = x, *x1 = x + n, *b0 = b, *b1 = b + n;
+    const double *x0 = x, *x1 = x + n;
     double *o0 = out, *o1 = out + n + 2;
     ptrdiff_t flags = 0;
     for (ptrdiff_t i = 0; i < n; ++i) {
@@ -626,33 +642,35 @@ static ptrdiff_t check_x2(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
 }
 
 /* The solves of A x_t = b_t for the k = 1 or 2 vectors x_t = x + t n, which
-   hold b_t = b + t n on entry, with the factors and the envelope of
-   band_factor, then the residual check of each, A also the n x n CSC matrix
-   (indptr, indices, data): one pass over L and U and one over A serve both
-   vectors, each entry of either taking the operations of a single solve and
-   check in their order.  Returns check_x1's or check_x2's flags, 0 when
-   every x_t is finite. */
-CLONES ptrdiff_t band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *lower,
-                            const int32_t *upper, const double *ab, const int32_t *indptr,
-                            const int32_t *indices, const double *data, ptrdiff_t k,
-                            const double *b, double *x, double *out)
+   hold L^-1 b_t on entry (band_factor), b_1 read only for k = 2: the
+   backward substitution with the factors and the envelope of band_factor,
+   then the residual check of each, A also the n x n CSC matrix (indptr,
+   indices, data).  One pass over U and one over A serve both vectors, each
+   entry of either taking the operations of a single solve and check in
+   their order.  Returns check_x1's or check_x2's flags, 0 when every x_t is
+   finite. */
+CLONES ptrdiff_t band_solve(ptrdiff_t n, ptrdiff_t kl, ptrdiff_t ku, const int32_t *upper,
+                            const double *ab, const int32_t *indptr, const int32_t *indices,
+                            const double *data, ptrdiff_t k, const double *b0, const double *b1,
+                            double *x, double *out)
 {
     const ptrdiff_t ldab = kl + ku + 1;
     if (k == 2) {
-        solve_x2(n, ldab, ku, lower, upper, ab, x, x + n);
-        return check_x2(n, indptr, indices, data, b, x, out);
+        back_x2(n, ldab, ku, upper, ab, x, x + n);
+        return check_x2(n, indptr, indices, data, b0, b1, x, out);
     }
-    solve_x1(n, ldab, ku, lower, upper, ab, x);
-    return check_x1(n, indptr, indices, data, b, x, out);
+    back_x1(n, ldab, ku, upper, ab, x);
+    return check_x1(n, indptr, indices, data, b0, x, out);
 }
 
-/* The residual checks of band_solve alone, for x already solved. */
+/* The residual checks of band_solve alone, for x already solved and the k
+   loads b_t = b + t n. */
 CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
                           const double *data, ptrdiff_t k, const double *b, const double *x,
                           double *out)
 {
     if (k == 2)
-        return check_x2(n, indptr, indices, data, b, x, out);
+        return check_x2(n, indptr, indices, data, b, b + n, x, out);
     return check_x1(n, indptr, indices, data, b, x, out);
 }
 
@@ -660,20 +678,27 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
 
    A workspace holds what the phases of one topology's slabs read: its sizes,
    connectivity and radii, its radial table and its two patterns with their
-   band layouts, all bound once; the scratch they share (the element data,
-   the mesh velocity and the loads' work arrays, 10 m + 8 n doubles), which
-   carries nothing from one phase to the next but the mesh velocity, from the
-   motion to the assembly of a slab; the slab's parameters; the inputs of a
-   call and the outputs its caller owns; and what a phase reports: the
-   residuals, u_max, the details of a failure and each phase's wall time.
-   The arrays of a phase's own size (the local blocks, a band, the solves'
-   copies) are allocated and freed within it, so none outlives the phase.
-   The factor and the solve serve the saddle pattern alone; the mesh
-   velocity's system is filled, factored and solved within its own phase.
-   Each entry returns DONE or the status of the first failure, in the order
-   of the checks it replaces. */
+   band layouts, all bound once; the mesh velocity (2 n doubles), which the
+   motion leaves for the assembly of a slab; the work array (6 n doubles, or
+   the 2 nf + 4 of the saddle solve's checks if more), which each phase uses
+   for its own sums and checks, so that it carries nothing from one phase to
+   the next; the region, which each phase in turn uses for the arrays of its
+   own size (the element data, 10 m doubles, with the mesh velocity's
+   stiffness, data, loads, solution, checks and band, then with the
+   assembly's local blocks; then the saddle band, which the factor zeroes
+   with one memset and the solve reads); the reduced mass action of the new
+   velocity (nf); the slab's parameters; the inputs of a call and the
+   outputs its caller owns; and what a phase reports: the residuals, u_max,
+   the details of a failure and each phase's wall time.  The owner allocates
+   every array once per topology, the region as large as the largest phase's
+   need, so no phase allocates.  The factor and the solve serve the saddle
+   pattern alone; the mesh velocity's system is filled, factored and solved
+   within its own phase.  Each entry returns DONE or the status of the first
+   failure, in the order of the checks it replaces; slab_step runs the
+   motion, the assembly, the factor and the solve in turn, the saddle band in
+   the region. */
 
-enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY, NO_MEMORY };
+enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY };
 
 /* A reduced matrix's pattern (FixedPattern) and its band layout (BandLayout):
    n kept dofs, nslot local entries and nnz stored ones. */
@@ -690,13 +715,13 @@ struct workspace {
     const int64_t *tri, *wall, *surface, *bottom;
     const double *r, *rq, *inv_r, *dr, *rn, *hoop, *zz, *coupling_z;
     struct pattern saddle, extension;
-    double *ed, *V, *work;                      /* 10 m, 2 n and 6 n doubles */
-    double dt, nu, Cs, beta, gamma, g, stress, contact_force, floor;
-    ptrdiff_t k;                                /* right-hand sides of a solve */
-    const double *z_old, *areas_old, *u_old, *mass_old, *mesh_velocity, *b[2];
-    double *z, *areas, *data, *loads, *lu, *x, *u, *p, *mass;
+    double *V, *work, *region, *reduced;
+    double dt, nu, Cs, chi, N3, gamma, g, stress, contact_force, floor;
+    ptrdiff_t k;                                /* loads of a factor and a solve */
+    const double *z_old, *areas_old, *u_old, *mass_old, *mesh_velocity;
+    double *z, *areas, *data, *b[2], *lu, *x, *u, *p, *mass;
     double ale_residual, rel[2], u_max, z_next;
-    ptrdiff_t column, row;
+    ptrdiff_t column, row, failed;
     double phase_ms[PHASES];
 };
 
@@ -707,42 +732,43 @@ static double clock_ms(void)
     return 1e3 * (double)t.tv_sec + 1e-6 * (double)t.tv_nsec;
 }
 
-/* Factor the data of pattern p, scattered into the zeroed band storage lu;
-   ZERO_PIVOT, its 1-based column in ws->column, for an exactly zero pivot. */
+/* Factor the data of pattern p, scattered into the band storage lu, zeroed
+   here, and eliminate by it the k loads b[t], copied into the rows of x
+   (band_factor); ZERO_PIVOT, its 1-based column in ws->column, for an
+   exactly zero pivot. */
 static ptrdiff_t factor_into(struct workspace *ws, const struct pattern *p, const double *data,
-                             double *lu)
+                             double *lu, ptrdiff_t k, double *const *b, double *x)
 {
+    const ptrdiff_t n = p->n;
+    memset(lu, 0, (size_t)((p->kl + p->ku + 1) * n) * sizeof(double));
     scatter_add(p->nnz, p->position, data, lu);
-    ws->column = band_factor(p->n, p->kl, p->ku, p->lower, p->upper, lu);
+    for (ptrdiff_t t = 0; t < k; ++t)
+        memcpy(x + t * n, b[t], (size_t)n * sizeof(double));
+    ws->column = band_factor(n, p->kl, p->ku, p->lower, p->upper, lu, k, x);
     return ws->column ? ZERO_PIVOT : DONE;
 }
 
 /* x (k, n) = A^-1 b[t] for the k loads b[t], with lu the factors of A, the
-   matrix of data on pattern p, and each row's check (band_solve): rel[t]
-   ||A x_t - b_t|| / ||b_t||, or ||A x_t - b_t|| for b_t = 0, for every
-   finite row.  Then row by row, NOT_FINITE for a row that is not finite, or
-   OVER_GATE for one whose relative residual passes 1e-10, the row in
-   ws->row. */
+   matrix of data on pattern p, and x their forward elimination
+   (factor_into), and each row's check (band_solve) into checks (k (n + 2)):
+   rel[t] ||A x_t - b_t|| / ||b_t||, or ||A x_t - b_t|| for b_t = 0, for
+   every finite row.  Then row by row, NOT_FINITE for a row that is not
+   finite, or OVER_GATE for one whose relative residual passes 1e-10, the
+   row in ws->row. */
 static ptrdiff_t solve_into(struct workspace *ws, const struct pattern *p, const double *lu,
-                            const double *data, ptrdiff_t k, const double *const *b, double *x,
-                            double *rel)
+                            const double *data, ptrdiff_t k, double *const *b, double *x,
+                            double *rel, double *checks)
 {
     const ptrdiff_t n = p->n;
-    double *loads = malloc((size_t)(k * (2 * n + 2)) * sizeof(double)), *out = loads + k * n;
-    if (!loads)
-        return NO_MEMORY;
-    for (ptrdiff_t t = 0; t < k; ++t)
-        memcpy(loads + t * n, b[t], (size_t)n * sizeof(double));
-    memcpy(x, loads, (size_t)(k * n) * sizeof(double));
-    const ptrdiff_t flags = band_solve(n, p->kl, p->ku, p->lower, p->upper, lu, p->indptr,
-                                       p->indices, data, k, loads, x, out);
+    const ptrdiff_t flags = band_solve(n, p->kl, p->ku, p->upper, lu, p->indptr, p->indices, data,
+                                       k, b[0], b[k - 1], x, checks);
     for (ptrdiff_t t = 0; t < k; ++t) {
         if (flags >> t & 1)
             continue;
-        const double res = sqrt(out[t * (n + 2) + n]), bnorm = sqrt(out[t * (n + 2) + n + 1]);
+        const double res = sqrt(checks[t * (n + 2) + n]);
+        const double bnorm = sqrt(checks[t * (n + 2) + n + 1]);
         rel[t] = bnorm > 0 ? res / bnorm : res;
     }
-    free(loads);
     for (ptrdiff_t t = 0; t < k; ++t) {
         ws->row = t;
         if (flags >> t & 1)
@@ -757,34 +783,29 @@ static ptrdiff_t solve_into(struct workspace *ws, const struct pattern *p, const
    into V, (n, 2): the r-weighted stiffness on the extension pattern, the
    surface data g and its lifting (extension_rhs), the fill, the factor and
    the solve with its check, its residual in ws->ale_residual; V is (0, g)
-   with the solution on the kept nodes. */
+   with the solution on the kept nodes.  In the region: the element data (10
+   m), the data (nnz + 1), the loads, the solution, the checks (nf, nf and nf
+   + 2), then the stiffness (nslot), whose place the band takes once it is
+   filled in. */
 static ptrdiff_t mesh_velocity(struct workspace *ws)
 {
     const ptrdiff_t n = ws->n, m = ws->m;
     const struct pattern *p = &ws->extension;
-    const ptrdiff_t nf = p->n, ldab = p->kl + p->ku + 1;
-    double *ed = ws->ed, *g = ws->work;
-    double *data = calloc((size_t)p->nnz + 1, sizeof(double));
-    double *st = malloc((size_t)p->nslot * sizeof(double));
-    double *rhs = malloc((size_t)(2 * nf) * sizeof(double)), *x = rhs + nf, *lu = NULL;
-    ptrdiff_t status = NO_MEMORY;
-    if (!data || !st || !rhs)
-        goto done;
+    const ptrdiff_t nf = p->n;
+    double *ed = ws->region, *g = ws->work;
+    double *data = ed + 10 * m, *rhs = data + p->nnz + 1, *x = rhs + nf, *checks = x + nf;
+    double *st = checks + nf + 2, *lu = st;
     element_data(m, ws->tri, ws->z_old, ws->areas_old, ws->rq, ws->dr, ed);
     r_stiffness(m, ws->areas_old, ed + 9 * m, ed, ws->zz, st);
     memset(g, 0, (size_t)(2 * n) * sizeof(double));
     extension_rhs(n, ws->ns, ws->surface, ws->r, ws->z_old, ws->u_old, m, ws->tri, st, nf,
                   p->free, g, rhs);
+    memset(data, 0, (size_t)(p->nnz + 1) * sizeof(double));
     scatter_add(p->nslot, p->slot, st, data);
-    free(st);
-    st = NULL;
-    lu = calloc((size_t)(ldab * nf), sizeof(double));
-    if (!lu)
-        goto done;
-    const double *loads[1] = {rhs};
-    status = factor_into(ws, p, data, lu);
+    double *const loads[1] = {rhs};
+    ptrdiff_t status = factor_into(ws, p, data, lu, 1, loads, x);
     if (status == DONE)
-        status = solve_into(ws, p, lu, data, 1, loads, x, ws->rel);
+        status = solve_into(ws, p, lu, data, 1, loads, x, ws->rel, checks);
     if (status == DONE) {
         ws->ale_residual = ws->rel[0];
         for (ptrdiff_t i = 0; i < n; ++i) {
@@ -794,11 +815,6 @@ static ptrdiff_t mesh_velocity(struct workspace *ws)
         for (ptrdiff_t j = 0; j < nf; ++j)
             ws->V[2 * p->free[j] + 1] = x[j];
     }
-done:
-    free(lu);
-    free(rhs);
-    free(st);
-    free(data);
     return status;
 }
 
@@ -846,56 +862,58 @@ done:
 }
 
 /* The saddle system of the new mesh (z, areas), the old velocity u_old, its
-   mass action mass_old and the mesh velocity: the element data, the triangle
-   and boundary-edge blocks, then into loads (2, nf) the reduced right-hand
-   side (state_rhs) and the reduced bottom load, then the blocks summed into
-   data (nnz + 1, zeroed). */
+   mass action mass_old and the mesh velocity: the element data and, after
+   it in the region, the triangle and boundary-edge blocks, with the wall
+   friction beta_h = nu / (chi h3), h3 = z[contact] / N3; then the reduced
+   right-hand side (state_rhs) into b[0] and the reduced bottom load into
+   b[1]; then the blocks summed into data (nnz + 1), zeroed here. */
 ptrdiff_t slab_assembly(struct workspace *ws)
 {
     const double t0 = clock_ms();
     const ptrdiff_t n = ws->n, m = ws->m, nw = ws->nw, ns = ws->ns;
     const struct pattern *p = &ws->saddle;
-    double *ed = ws->ed, *work = ws->work, *bottom = ws->work + 4 * n;
-    double *vals = malloc((size_t)p->nslot * sizeof(double));
-    if (!vals)
-        return NO_MEMORY;
+    const double beta = ws->nu / (ws->chi * (ws->z[ws->contact] / ws->N3));
+    double *ed = ws->region, *vals = ed + 10 * m, *work = ws->work, *bottom = ws->work + 4 * n;
     element_data(m, ws->tri, ws->z, ws->areas, ws->rq, ws->dr, ed);
     triangle_blocks(m, ws->tri, ws->areas, ed + 9 * m, ed, ed + 3 * m, ed + 6 * m, ws->inv_r,
                     ws->rn, ws->hoop, ws->zz, ws->coupling_z, ws->u_old, ws->mesh_velocity,
                     ws->dt, ws->nu, ws->Cs, vals);
     edge_blocks(nw, ws->wall, ns, ws->surface, ws->r, ws->z, ws->u_old, ws->mesh_velocity,
-                ws->beta, ws->gamma, ws->dt, vals + 81 * m, vals + 81 * m + 4 * nw);
+                beta, ws->gamma, ws->dt, vals + 81 * m, vals + 81 * m + 4 * nw);
     memset(work, 0, (size_t)(6 * n) * sizeof(double));
     bottom_load(n, ws->nb, ws->bottom, ws->r, ws->z, bottom);
     state_rhs(n, m, ws->tri, ed + 6 * m, ns, ws->surface, ws->r, ws->z, ws->mass_old, bottom,
               ws->dt, ws->g, ws->stress, ws->gamma, ws->contact, ws->contact_force, p->n,
-              p->free, work, ws->loads);
-    gather(p->n, p->free, 2 * n, bottom, ws->loads + p->n);
+              p->free, work, ws->b[0]);
+    gather(p->n, p->free, 2 * n, bottom, ws->b[1]);
+    memset(ws->data, 0, (size_t)(p->nnz + 1) * sizeof(double));
     scatter_add(p->nslot, p->slot, vals, ws->data);
-    free(vals);
     ws->phase_ms[ASSEMBLY] = clock_ms() - t0;
     return DONE;
 }
 
-/* The factor of the saddle system's data into the zeroed band storage lu. */
+/* The factor of the saddle system's data into the band storage lu, with the
+   forward elimination of its k loads b into x (factor_into). */
 ptrdiff_t slab_factor(struct workspace *ws)
 {
     const double t0 = clock_ms();
-    const ptrdiff_t status = factor_into(ws, &ws->saddle, ws->data, ws->lu);
+    const ptrdiff_t status = factor_into(ws, &ws->saddle, ws->data, ws->lu, ws->k, ws->b, ws->x);
     ws->phase_ms[FACTOR] = clock_ms() - t0;
     return status;
 }
 
-/* The k-row solve of the loads b with the factors lu of the saddle matrix
-   into x, each row checked (solve_into), its residual in ws->rel; then the
-   first row's solution, zero on the eliminated dofs, into u (n, 2) and p
-   (n), the mass action of u on the mesh of areas into mass (2 n), and max
-   |u| over the nodes into ws->u_max. */
+/* The k-row back-substitution of x with the factors lu of the saddle matrix,
+   each row checked against its load b[t] (solve_into), its residual in
+   ws->rel; then the first row's solution, zero on the eliminated dofs, into
+   u (n, 2) and p (n), the mass action of u on the mesh of areas into mass
+   (2 n), max |u| over the nodes into ws->u_max and, for k = 2, the mass
+   action on the kept dofs into reduced (nf). */
 ptrdiff_t slab_solve(struct workspace *ws)
 {
     const double t0 = clock_ms();
     const struct pattern *p = &ws->saddle;
-    const ptrdiff_t status = solve_into(ws, p, ws->lu, ws->data, ws->k, ws->b, ws->x, ws->rel);
+    const ptrdiff_t status = solve_into(ws, p, ws->lu, ws->data, ws->k, ws->b, ws->x, ws->rel,
+                                        ws->work);
     if (status == DONE) {
         const ptrdiff_t n = ws->n;
         double *full = ws->work, *u = ws->u, u_max = 0.0;
@@ -911,10 +929,30 @@ ptrdiff_t slab_solve(struct workspace *ws)
         }
         memset(ws->mass, 0, (size_t)(2 * n) * sizeof(double));
         mass_action(ws->m, n, ws->tri, ws->areas, ws->rq, u, ws->mass);
+        if (ws->k == 2)
+            gather(p->n, p->free, 2 * n, ws->mass, ws->reduced);
         ws->u_max = u_max;
     }
     ws->phase_ms[SOLVES] = clock_ms() - t0;
     return status;
+}
+
+/* One slab: the motion, the assembly on the moved mesh with the mesh
+   velocity in V, the factor and the solve, each timed on its own clock.
+   On a failure the phase that failed is in ws->failed. */
+ptrdiff_t slab_step(struct workspace *ws)
+{
+    ptrdiff_t (*const phase[])(struct workspace *) = {slab_motion, slab_assembly, slab_factor,
+                                                       slab_solve};
+    ws->mesh_velocity = ws->V;
+    for (int i = 0; i < 4; ++i) {
+        const ptrdiff_t status = phase[i](ws);
+        if (status != DONE) {
+            ws->failed = MOTION + i;
+            return status;
+        }
+    }
+    return DONE;
 }
 
 #ifdef __SIZEOF_INT128__

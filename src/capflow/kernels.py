@@ -6,26 +6,32 @@ their numerics: the element data, the saddle matrix's triangle and
 boundary-edge blocks, the mesh-velocity stiffness, the mass action, the
 loads summed onto the kept dofs, the mesh-velocity extension's data, the
 fill of a fixed pattern, the banded LU without pivoting within the envelope
-of a :class:`~capflow.forms.BandLayout`, its one- or two-column solve with
-each column's residual check, and the formatter.  Every kernel takes the
-operations of the numpy expressions it replaced (the tests keep those as
+of a :class:`~capflow.forms.BandLayout`, which also eliminates one or two
+loads forward by each column as it scales it, the back-substitution of those
+loads with each one's residual check, and the formatter.  Every kernel takes
+the operations of the numpy expressions it replaced (the tests keep those as
 their reference) in their order.
 
-**Phases.**  A slab is four compiled calls on the :class:`Workspace` struct
-of its topology, which :class:`~capflow.forms.Workspace` owns: the motion
-(the mesh-velocity extension's stiffness, data, fill, LU, solve and gate,
-the emptying guard, and the displacement with its areas and tangle check),
-the assembly (element data, blocks, loads and fill), and the factor (band
-scatter and LU) and the solve (one- or two-column solve and checks, the
-scatter into u and p, the mass action and max |u|) of the saddle system
-alone: the mesh velocity's system never leaves the motion.  Each takes the
-struct alone, which holds every pointer and size a phase reads, runs the
-kernels in the order the step ran them, and returns a status, 0 or one of
-:data:`ZERO_PIVOT` to :data:`NO_MEMORY`; the details of a failure and the
-phase's wall time (``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``)
-come back in the struct.  The kernels the tests and the writers call one at
-a time read a record's read-only arrays through pointers taken once
-(:class:`Pointers`), and check the arrays they write per call.
+**Phases.**  A slab is one compiled call, ``slab_step``, on the
+:class:`Workspace` struct of its topology, which
+:class:`~capflow.forms.Workspace` owns.  It runs four phases in turn: the
+motion (the mesh-velocity extension's stiffness, data, fill, LU, solve and
+gate, the emptying guard, and the displacement with its areas and tangle
+check), the assembly (element data, blocks, loads and fill), and the factor
+(band zeroing, scatter and LU, with the forward elimination of the loads)
+and the solve (one- or two-row back-substitution and checks, the scatter
+into u and p, the mass action and max |u|) of the saddle system alone: the
+mesh velocity's system never leaves the motion.  Each phase is also an entry
+of its own, for the inspection route of :mod:`capflow.forms`.  Each entry
+takes the struct alone, which holds every pointer and size a phase reads,
+and its storage, which the owner allocates once per topology, so no phase
+allocates; it runs the kernels in the order the step ran them, and returns a
+status, 0 or one of :data:`ZERO_PIVOT` to :data:`MOVED_BADLY`; the details
+of a failure, the phase that failed and each phase's wall time
+(``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``) come back in the
+struct.  The kernels the tests and the writers call one at a time read a
+record's read-only arrays through pointers taken once (:class:`Pointers`),
+and check the arrays they write per call.
 
 The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
 at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
@@ -175,7 +181,7 @@ class Pattern(ctypes.Structure):
 PHASES = ("ALE", "motion", "assembly", "factor", "solves")
 
 # the statuses of a phase (``enum status`` of the source), DONE = 0 first
-ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY, NO_MEMORY = range(1, 7)
+ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY = range(1, 6)
 
 
 class Workspace(ctypes.Structure):
@@ -186,13 +192,13 @@ class Workspace(ctypes.Structure):
     _fields_ = [*_fields(size="n m nw ns nb contact",
                          at="tri wall surface bottom r rq inv_r dr rn hoop zz coupling_z"),
                 ("saddle", Pattern), ("extension", Pattern),
-                *_fields(at="ed V work",
-                         real="dt nu Cs beta gamma g stress contact_force floor"),
-                *_fields(size="k", at="z_old areas_old u_old mass_old mesh_velocity"),
+                *_fields(at="V work region reduced",
+                         real="dt nu Cs chi N3 gamma g stress contact_force floor"),
+                *_fields(size="k", at="z_old areas_old u_old mass_old mesh_velocity z areas data"),
                 ("b", ctypes.c_void_p * 2),
-                *_fields(at="z areas data loads lu x u p mass", real="ale_residual"),
+                *_fields(at="lu x u p mass", real="ale_residual"),
                 ("rel", ctypes.c_double * 2),
-                *_fields(real="u_max z_next", size="column row"),
+                *_fields(real="u_max z_next", size="column row failed"),
                 ("phase_ms", ctypes.c_double * len(PHASES))]
 
 
@@ -222,11 +228,10 @@ class Kernel:
                                                     size, at, out, out))
         self.gather = bind("gather", (size, at, size, values, out))
         self.scatter_add = bind("scatter_add", (size, at, values, out))
-        bands = (size,) * 3 + (at,) * 2                     # n, kl, ku, lower, upper
-        self.band_factor = bind("band_factor", (*bands, _Array(np.float64, "F_CONTIGUOUS", True)),
-                                size)
-        self.band_solve = bind("band_solve", (*bands, _Array(np.float64, "F_CONTIGUOUS"), at, at,
-                                              values, size, values, out, out), size)
+        band = _Array(np.float64, "F_CONTIGUOUS", writeable=True)
+        self.band_factor = bind("band_factor", (size, size, size, at, at, band, size, out), size)
+        self.band_solve = bind("band_solve", (size, size, size, at, _Array(np.float64, "F_CONTIGUOUS"),
+                                              at, at, values, size, values, values, out, out), size)
         self.residual = bind("residual", (size, at, at, values, size, values, values, out), size)
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
@@ -238,6 +243,7 @@ class Kernel:
         self.assembly = bind("slab_assembly", workspace, size)
         self.factor = bind("slab_factor", workspace, size)
         self.solve = bind("slab_solve", workspace, size)
+        self.step = bind("slab_step", workspace, size)
 
 
 def expect(what: str, array: np.ndarray, shape: tuple, layout: str = "") -> None:

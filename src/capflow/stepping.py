@@ -3,23 +3,28 @@
 Order per step: extend the surface speed into a domain velocity, move the
 mesh explicitly, then solve the implicit momentum/continuity system on the
 new geometry with the old fields carried over by nodal identification.
-Each part is one compiled phase on the topology's workspace
-(:class:`~capflow.forms.Workspace`): the motion and the assembly make
-:func:`slab_system`, the one assembly of a slab's system, also for the tests
-and scripts that inspect its matrix; the factor and the solve of that saddle
-system, the only one they take, follow.  :func:`step` is the only code that
-advances a slab, and the only one that factors its saddle matrix: asked for
-the control gradient, it solves for it in the state's solve with that LU,
-which never leaves the step.  Every solve of the step, the mesh velocity, the
-state and the gradient's, is gated on its relative residual, and the step
-reports each, with each phase's wall time from the phases' own clocks.
+:func:`step` advances a slab in one compiled call on the topology's
+workspace (:class:`~capflow.forms.Workspace`), which runs each part as a
+phase in turn: the motion, the assembly, the factor of the saddle system
+with the forward elimination of its loads, and the solve.  Asked for the
+control gradient, the step solves for it in the state's solve with that LU,
+which never leaves the workspace.  :func:`slab_system` runs the motion and
+the assembly alone, on arrays the system owns, for the tests and scripts
+that inspect a slab's matrix, and :func:`~capflow.forms.factorize` and
+:func:`~capflow.forms.solve` follow it there.  Every solve of the step, the
+mesh velocity, the state and the gradient's, is gated on its relative
+residual, and the step reports each, with each phase's wall time from the
+phases' own clocks.
 
-A run frees and reallocates the same few megabytes every step (the band, the
-element blocks).  glibc's default thresholds move with allocation order: its
-trim threshold is twice the largest mmapped block freed so far, and a step
-that leaves more free space than that at the heap top gives the pages back
-and faults them in again on the next step.  :func:`initial_state` fixes both
-thresholds once (:func:`pin_heap`), so every step reuses the same pages.
+The workspace allocates the band, the element blocks and the other arrays of
+the phases once per topology, so a step allocates only its records' arrays,
+a few pages.  The rest of a run still frees and reallocates blocks in an
+order that glibc's default thresholds follow: its trim threshold is twice the
+largest mmapped block freed so far, and a process that leaves more free space
+than that at the heap top gives the pages back and faults them in again
+later.  :func:`initial_state` fixes both thresholds once (:func:`pin_heap`),
+so that what else a process allocates (a benchmark's yardstick among it)
+runs on the same pages whatever came before.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
-from .forms import LinearSystem, factorize, mass_action, solve, workspace
-from .geometry import AxiMesh, build_structured_mesh, contact_line_height, mesh_quality
+from .forms import LinearSystem, workspace
+from .geometry import AxiMesh, build_structured_mesh, mesh_quality
 from .kernels import PHASES
 
 
@@ -108,8 +113,9 @@ def slab_system(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     """The saddle system that :func:`step` factors for the slab from state
     with the bottom control stress zeta, assembled on the moved mesh
     (``system.mesh``), and the mesh-velocity solve's relative residual: the
-    motion phase and the assembly phase of the topology's workspace.
-    Raises DomainEmptied if the contact line would reach ``floor``.
+    motion phase and the assembly phase of the topology's workspace, on
+    arrays the system owns.  Raises DomainEmptied if the contact line would
+    reach ``floor``.
     """
     mesh, u = state.mesh, state.u
     if u.mesh is not mesh:
@@ -131,20 +137,21 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     zeta.  zeta is one scalar, so I_b = m^T (A^{-1} b), the tangent response
     w = A^{-1} b weighted by m (the adjoint/tangent duality; Giles & Pierce
     2000, Flow Turbul. Combust. 65): a second right-hand side of the state's
-    plain solve (:func:`~capflow.forms.solve`), never one with A transposed.
-    The LU is freed when the step returns, so one factorization is alive at a time.
-    Raises DomainEmptied if the contact line would reach ``floor``.
+    plain solve, never one with A transposed.  The slab is one compiled call
+    on the topology's workspace (:meth:`~capflow.forms.Workspace.step`),
+    whose storage holds the one factorization and its solutions; the step's
+    records own their arrays.  Raises DomainEmptied if the contact line would
+    reach ``floor``.
     """
-    system, ale_residual = slab_system(state, zeta, phys, num, floor)
-    mesh_new = system.mesh
-    u_new, p_new, residual, w, bottom_residual = solve(
-        factorize(system), system.rhs, system.bottom_load if gradient else None)
+    ws = workspace(state.mesh.topology)
+    mesh_new, u_new, p_new = ws.step(state.mesh, state.u, zeta, phys, num, floor, gradient)
+    s = ws.struct
     # numpy's product, whose sum order the compiled loops do not reproduce
-    bottom_integral = float(system.pattern.reduce(mass_action(u_new)) @ w) if gradient else 0.0
+    bottom_integral = float(ws.reduced @ ws.w) if gradient else 0.0
     new = FlowState(mesh=mesh_new, u=u_new, p=p_new, t=state.t + num.dt)
-    diag = StepDiagnostics(residual=residual, ale_residual=ale_residual,
-                           bottom_residual=bottom_residual, bottom_integral=bottom_integral,
-                           u_max=u_new.magnitude_max, z_cl=contact_line_height(mesh_new),
-                           mesh=mesh_new,
-                           phase_ms=dict(zip(PHASES, workspace(mesh_new.topology).struct.phase_ms)))
+    # z_next is the contact node's new height, as the motion computed it
+    diag = StepDiagnostics(residual=s.rel[0], ale_residual=s.ale_residual,
+                           bottom_residual=s.rel[1] if gradient else 0.0,
+                           bottom_integral=bottom_integral, u_max=s.u_max, z_cl=s.z_next,
+                           mesh=mesh_new, phase_ms=dict(zip(PHASES, s.phase_ms)))
     return new, diag

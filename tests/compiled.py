@@ -1,13 +1,15 @@
 """The compiled kernels of the step one by one, each on its own arrays.
 
 A step runs them inside its compiled phases (:class:`capflow.forms.Workspace`),
-which hand each kernel the workspace's scratch.  The tests call them here
+which hand each kernel the workspace's storage.  The tests call them here
 one at a time, to hold each against the numpy kernel it replaced
 (``pattern_forms``) and to build the mesh-velocity system a step solves; the
-band factor and solve, which alone take that system, hold the envelope LU
-against dense loops.  Each wrapper checks the shapes its kernel reads and writes, as far
-as the records' shapes reach, and finds the library through
-``kernels.kernel()`` when called, so a test may hand them another build.
+band factor, with its forward elimination of the loads, and the
+back-substitution with its checks, which alone take that system, hold the
+envelope LU against dense loops.  Each wrapper checks the shapes its kernel
+reads and writes, as far as the records' shapes reach, and finds the library
+through ``kernels.kernel()`` when called, so a test may hand them another
+build.
 """
 
 from __future__ import annotations
@@ -171,21 +173,28 @@ def band_storage(system: LinearSystem) -> np.ndarray:
     return ab.reshape((band.ldab, n), order="F")
 
 
-def factor_band(ab: np.ndarray, band) -> int:
+def factor_band(ab: np.ndarray, band, y: np.ndarray | None = None) -> int:
     """Factor the band storage ab in place without pivoting, within the
-    envelope of band, a :class:`~capflow.forms.BandLayout`; 0, or the 1-based
-    column of the first exactly zero pivot."""
-    expect("band storage", ab, (band.ldab, len(band.lower)))
-    return kernels.kernel().band_factor(ab.shape[1], band.kl, band.ku, band.ptr.lower,
-                                        band.ptr.upper, ab)
+    envelope of band, a :class:`~capflow.forms.BandLayout`, and eliminate by
+    it the loads y, (k, n) with k = 1 or 2 if given, forward in place; 0, or
+    the 1-based column of the first exactly zero pivot."""
+    n = len(band.lower)
+    expect("band storage", ab, (band.ldab, n))
+    y = np.empty((0, n)) if y is None else y
+    if len(y) not in (0, 1, 2):
+        raise DimensionMismatch(f"{len(y)} loads, not 1 or 2")
+    expect("loads", y, (len(y), n))
+    return kernels.kernel().band_factor(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab,
+                                        len(y), y)
 
 
 def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
                x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Overwrite x, (k, n), k = 1 or 2, holding b on entry, with x_t = A^-1
-    b_t, lu A's :func:`factor_band` with band, and check each, A the CSC
-    matrix of data on pattern's structure: out, (k, n + 2), row t A x_t with
-    scipy's bits, ||A x_t - b_t||^2, ||b_t||^2; flags, bit t if x_t is not finite."""
+    """Overwrite x, (k, n), k = 1 or 2, holding L^-1 b_t on entry (the
+    forward elimination of :func:`factor_band`), with x_t = A^-1 b_t, lu A's
+    :func:`factor_band` with band, and check each, A the CSC matrix of data on
+    pattern's structure: out, (k, n + 2), row t A x_t with scipy's bits,
+    ||A x_t - b_t||^2, ||b_t||^2; flags, bit t if x_t is not finite."""
     expect("band storage", lu, (band.ldab, len(band.lower)))
     n, k = lu.shape[1], min(max(len(x), 1), 2)      # the checks below refuse any other count
     expect("matrix structure", pattern.indptr, (n + 1,))
@@ -193,10 +202,21 @@ def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
     expect("right-hand sides", b, (k, n))
     expect("solutions", x, (k, n))
     out = np.empty((k, n + 2))
-    flags = kernels.kernel().band_solve(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, lu,
-                                        pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x,
-                                        out)
+    flags = kernels.kernel().band_solve(n, band.kl, band.ku, band.ptr.upper, lu,
+                                        pattern.ptr.indptr, pattern.ptr.indices, data, k, b[0],
+                                        b[-1], x, out)
     return out, flags
+
+
+def solve_system(ab: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray):
+    """The factor of the band storage ab, unfactored, on a copy, with the
+    forward elimination of the loads b, one (n,) or k (k, n), then the
+    back-substitution and checks (:func:`solve_band`): the factors, the
+    solutions (k, n), out and the flags."""
+    lu, x = ab.copy(order="F"), np.atleast_2d(b).copy()
+    assert factor_band(lu, band, x) == 0
+    out, flags = solve_band(lu, band, pattern, data, np.atleast_2d(b), x)
+    return lu, x, out, flags
 
 
 def mesh_velocity_system(mesh, u) -> LinearSystem:

@@ -217,7 +217,7 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
     # wide: 51 at 16x32, 102 at 32x64
     assert band.kl == band.ku
     assert band.kl == width if grid == (16, 32) else band.kl <= width
-    (x,), _ = lu.solve(system.rhs[None], ("state",))
+    (x,), _ = lu.solve(("state",))
     assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
 

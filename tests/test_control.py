@@ -259,55 +259,42 @@ class TestRunLoop:
             assert len(hist.t) == nsteps + 1
 
     def test_one_factorization_per_step_at_most_one_alive(self, monkeypatch):
-        # the motion phase factors the mesh-velocity stiffness and frees its
-        # LU within the call; the saddle LU is the one BandLU a step makes
-        live = [0]
+        # each step factors the mesh-velocity stiffness, then the saddle
+        # matrix, in the workspace's one region, the same storage every step:
+        # one factorization is alive at a time, and a run makes no BandLU
+        made = []
 
         class Counted(capflow.forms.BandLU):
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
-                alive.append(live[0])
-                sizes.append(self.system.matrix.shape[0])
-                live[0] += 1
+                made.append(self)
 
-            def __del__(self):
-                live[0] -= 1
-
-        def motion(name, struct):
-            if name == "motion":
-                alive.append(live[0])
-                sizes.append(struct.extension.n)
-
-        def counting_step(*args, **kwargs):
-            out = step(*args, **kwargs)
-            returned.append(live[0])
-            return out
+        def factors(name, struct):
+            sizes.extend((struct.extension.n, struct.saddle.n))
+            bands.append((struct.lu, struct.region))
 
         monkeypatch.setattr(capflow.forms, "BandLU", Counted)
-        monkeypatch.setattr(capflow.control, "step", counting_step)
-        phase_calls(monkeypatch, motion)
+        phase_calls(monkeypatch, factors)
         dt = tc1_config().dt
         for controlled in (True, False):
-            alive = []          # factorizations alive when each new one is made
             sizes = []
-            returned = []       # factorizations alive when each step returns
+            bands = []          # the saddle band's and the region's address in each step
             hist = run_tc1(controlled=controlled, N1=4, N3=4, T=3 * dt)
             assert hist.abort_reason is None
             # per step: the mesh-velocity stiffness (15 dofs), then the saddle matrix (65)
             assert sizes == [15, 65] * 3
-            assert alive == [0] * 6
-            # the step frees its LU before it returns: none leaves it
-            assert returned == [0] * 3, controlled
+            assert len(bands) == 3 and len(set(bands)) == 1
+            (band, region), = set(bands)
+            assert band == region, controlled
+            assert made == [], controlled
 
     def test_one_two_column_solve_per_controlled_step(self, monkeypatch):
         solves = []         # size and right-hand sides of each solve with a band LU
 
         def counting_solve(name, struct):
-            if name == "motion":
-                solves.append((struct.extension.n, (1, struct.extension.n)))
-            elif name == "solve":
-                n = struct.saddle.n
-                solves.append((n, (struct.k, n)))
+            solves.append((struct.extension.n, (1, struct.extension.n)))
+            n = struct.saddle.n
+            solves.append((n, (struct.k, n)))
 
         phase_calls(monkeypatch, counting_solve)
         nsteps = 3
@@ -326,10 +313,8 @@ class TestRunLoop:
         gated = []          # the name of each gated solve: the rows each phase checks
 
         def counting(name, struct):
-            if name == "motion":
-                gated.append("mesh-velocity")
-            elif name == "solve":
-                gated.extend(("state", "bottom-load")[:struct.k])
+            gated.append("mesh-velocity")
+            gated.extend(("state", "bottom-load")[:struct.k])
 
         phase_calls(monkeypatch, counting)
         nsteps = 3
@@ -465,8 +450,7 @@ class TestRunLoop:
         orders = []         # (band factorizations made before, vertices) of each ordering
 
         def counting_factor(name, struct):
-            if name in ("motion", "factor"):
-                band = struct.extension if name == "motion" else struct.saddle
+            for band in (struct.extension, struct.saddle):
                 bands.append((band.n, band.kl, band.ku))
 
         def counting_rcm(indices, indptr):
@@ -536,10 +520,8 @@ class TestRunLoop:
             return build(u)
 
         def phases(name, struct):
-            if name == "solve" and struct.u:
-                written.append(struct.mass)
-            elif name == "assembly":
-                read.append(struct.mass_old)
+            read.append(struct.mass_old)
+            written.append(struct.mass)
 
         def counting_layout(cls, indices, indptr):
             layouts.append(len(indptr) - 1)

@@ -14,22 +14,22 @@ import pytest
 import scipy.sparse as sp
 
 import capflow.forms
-import capflow.stepping
+import capflow.control
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
                            bottom_load_vector, factorize, kinetic_energy,
-                           _saddle_pattern, radial_table, solve)
+                           _saddle_pattern, radial_table, solve, workspace)
 from capflow import solve_domain_velocity
 from capflow.geometry import build_structured_mesh
-from capflow.stepping import FlowState, step
+from capflow.stepping import FlowState, slab_system, step
 
 from .pattern_forms import filled, form_a, mass_matrix
 from .compiled import (band_storage, element_data, factor_band, mesh_velocity_system,
-                       r_stiffness, solve_band, triangle_blocks, values)
-from .conftest import phase_calls
+                       r_stiffness, solve_band, solve_system, triangle_blocks, values)
+from .conftest import factored_systems, phase_calls
 from .test_assembly import compiled_kernels, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
@@ -61,28 +61,24 @@ def pattern_of(matrix, free, size):
                         band=BandLayout.of(matrix.indices, matrix.indptr))
 
 
-def kernel_solve(lu, band, pattern, data, b):
-    """The solve kernel's solutions, (k, n), its out and its flags for the
-    right-hand sides b, one (n,) or k (k, n), with the band storage lu and
-    band, checked against the matrix of data on pattern."""
-    b = np.atleast_2d(b)
-    x = b.copy()
-    out, flags = solve_band(lu, band, pattern, data, b, x)
-    return x, out, flags
-
-
-def assert_rows_solve_alone(lu, band, pattern, data, b):
-    """Each row of the solve kernel's two-row call for b, (2, n), its solution
-    and its out, has the bits of a one-row call for that row; returns the
-    two-row call's solutions and out."""
-    x, out, flags = kernel_solve(lu, band, pattern, data, b)
+def assert_rows_solve_alone(ab, band, pattern, data, b):
+    """The factor of the band storage ab, on a copy, with the forward
+    elimination of b, (2, n), then the back-substitution and checks: the
+    factors are those of a factor with no load and with either row alone,
+    and each row's solution and out have the bits of a one-row call for that
+    row; returns the factors, the two-row call's solutions and out."""
+    lu, x, out, flags = solve_system(ab, band, pattern, data, b)
     assert flags == 0
+    bare = ab.copy(order="F")
+    assert factor_band(bare, band) == 0
+    assert np.array_equal(bits(bare), bits(lu))
     for t in range(2):
-        one, single, flags = kernel_solve(lu, band, pattern, data, b[t])
+        alone, one, single, flags = solve_system(ab, band, pattern, data, b[t])
         assert flags == 0
+        assert np.array_equal(bits(alone), bits(lu)), t
         assert np.array_equal(bits(one[0]), bits(x[t])), t
         assert np.array_equal(bits(single[0]), bits(out[t])), t
-    return x, out
+    return lu, x, out
 
 
 def read_only(a):
@@ -92,24 +88,30 @@ def read_only(a):
     return a
 
 
-def band_lu(system):
+def band_lu(system, b=None):
     """The LU of system's matrix on any pattern, as the phases make it: the
-    compiled scatter and band factor, one by one."""
+    compiled scatter and band factor, one by one, with the forward
+    elimination of the loads b, one (n,) or k (k, n), the system's rhs by
+    default."""
     ab = band_storage(system)
-    assert factor_band(ab, system.pattern.band) == 0
-    return BandLU(system=system, lu=ab)
+    loads = np.atleast_2d(system.rhs if b is None else b).copy()
+    assert factor_band(ab, system.pattern.band, loads) == 0
+    return BandLU(system=system, lu=ab, loads=loads)
 
 
-def solve_rows(lu, b):
-    """The solve kernel's solutions, (k, n), for the k rows of b with lu on
-    any pattern, each row finite and its relative residual under the phases'
+def solve_rows(system, b):
+    """The LU of system's matrix on any pattern with the forward elimination
+    of the k rows of b (:func:`band_lu`), and the solve kernel's solutions,
+    (k, n), each row finite and its relative residual under the phases'
     1e-10 gate."""
-    x, out, flags = kernel_solve(lu.lu, lu.system.pattern.band, lu.system.pattern,
-                                 lu.system.data, b)
+    lu = band_lu(system, b)
+    x = lu.loads.copy()
+    out, flags = solve_band(lu.lu, system.pattern.band, system.pattern, system.data,
+                            np.atleast_2d(b), x)
     assert flags == 0
     n = x.shape[1]
     assert np.all(np.sqrt(out[:, n]) <= 1e-10 * np.sqrt(out[:, n + 1]))
-    return x
+    return lu, x
 
 
 def test_identity_system_returns_rhs():
@@ -121,7 +123,7 @@ def test_identity_system_returns_rhs():
     b = rng.standard_normal(3 * n)
     b[mesh.radial_constrained_nodes] = 0.0      # scattered into u_r slots
     sys = on_saddle(mesh, sp.eye(3 * n), b)
-    u, p, res, _, _ = solve(factorize(sys), sys.rhs)
+    u, p, res, _, _ = solve(factorize(sys))
     assert np.array_equal(np.concatenate((u.values[:, 0], u.values[:, 1], p.values)), b)
     assert res <= 1e-15
 
@@ -136,7 +138,7 @@ def test_spd_block_manufactured_solution():
     b = np.zeros(3 * n)
     b[:2 * n] = A @ x
     sys = on_saddle(mesh, sp.block_diag((A, sp.eye(n))), b)
-    u, _, _, _, _ = solve(factorize(sys), sys.rhs)
+    u, _, _, _, _ = solve(factorize(sys))
     got = np.concatenate((u.values[:, 0], u.values[:, 1]))
     assert np.abs(got - x).max() <= 1e-10 * max(np.abs(x).max(), 1.0)
 
@@ -179,7 +181,7 @@ def test_solved_velocity_respects_essential_conditions():
     u = zero_vector_field(mesh_old)
     V = zero_vector_field(mesh_old)
     sys = assemble_state_system(mesh_old, mesh_old, u, V, 0.0, PHYS, NUM)
-    u_new, _, _, _, _ = solve(factorize(sys), sys.rhs)
+    u_new, _, _, _, _ = solve(factorize(sys))
     assert np.abs(u_new.values[mesh_old.radial_constrained_nodes, 0]).max() == 0.0
 
 
@@ -206,45 +208,52 @@ def test_only_the_saddle_system_is_factored_and_solved(monkeypatch):
                               data=read_only(np.ones(n)), rhs=np.ones(n), mesh=mesh_new)
     copied = replace(system, pattern=replace(system.pattern))
     phases = []
-    phase_calls(monkeypatch, lambda name, struct: phases.append(name))
+    phase_calls(monkeypatch, lambda name, struct: phases.append(name), ("factor", "solve"))
     for other in (hand_built, copied, mesh_velocity_system(mesh, u)):
-        lu = BandLU(system=other, lu=band_storage(other))
-        for refused in (lambda: factorize(other), lambda: solve(lu, other.rhs),
-                        lambda: lu.solve(other.rhs[None], ("state",))):
+        lu = band_lu(other)
+        for refused in (lambda: factorize(other), lambda: solve(lu),
+                        lambda: lu.solve(("state",))):
             with pytest.raises(DimensionMismatch, match="saddle pattern"):
                 refused()
     assert phases == []
-    solve(factorize(system), system.rhs)
+    solve(factorize(system))
     assert phases == ["factor", "solve"]
 
 
 def test_matrix_and_lu_arrays_are_refused_before_any_phase_runs(monkeypatch):
     """Matrix data of the pattern's nnz entries but float32, or a strided
-    view of the right shape, an LU in float32 or in C order, and such a
-    load: each is refused with TypeError by factorize, solve and
-    BandLU.solve, which would read past its end or the entries of its base."""
+    view of the right shape, an LU in float32 or in C order, such a load of
+    the system and such eliminated loads of the LU: each is refused with
+    TypeError by factorize, solve and BandLU.solve, as far as each reads it,
+    which would read past its end or the entries of its base."""
     system = assemble_state_system(*tc1_slab(4, 8))
     lu = factorize(system)
     phases = []
-    phase_calls(monkeypatch, lambda name, struct: phases.append(name))
+    phase_calls(monkeypatch, lambda name, struct: phases.append(name), ("factor", "solve"))
     float32 = read_only(system.data.astype(np.float32))
     strided = read_only(np.repeat(system.data, 2))[::2]
     assert float32.shape == strided.shape == system.data.shape
     for data in (float32, strided):
         bad = replace(system, data=data)
-        held = BandLU(system=bad, lu=lu.lu)
-        for refused in (lambda: factorize(bad), lambda: solve(held, bad.rhs),
-                        lambda: held.solve(bad.rhs[None], ("state",))):
+        held = BandLU(system=bad, lu=lu.lu, loads=lu.loads)
+        for refused in (lambda: factorize(bad), lambda: solve(held),
+                        lambda: held.solve(("state",))):
             with pytest.raises(TypeError, match="^matrix data: a C_CONTIGUOUS float64 "):
                 refused()
     for factors in (lu.lu.astype(np.float32, order="F"), np.ascontiguousarray(lu.lu)):
         with pytest.raises(TypeError, match="^LU: a F_CONTIGUOUS float64 "):
-            BandLU(system=system, lu=factors).solve(system.rhs[None], ("state",))
+            BandLU(system=system, lu=factors, loads=lu.loads).solve(("state",))
         with pytest.raises(TypeError, match="^LU: a F_CONTIGUOUS float64 "):
-            solve(BandLU(system=system, lu=factors), system.rhs)
+            solve(BandLU(system=system, lu=factors, loads=lu.loads))
     for rhs in (system.rhs.astype(np.float32), np.repeat(system.rhs, 2)[::2]):
-        with pytest.raises(TypeError, match="^right-hand side: a C_CONTIGUOUS float64 "):
-            solve(lu, rhs)
+        for bad in (replace(system, rhs=rhs), replace(system, bottom_load=rhs)):
+            for refused in (lambda: factorize(bad),
+                            lambda: solve(BandLU(system=bad, lu=lu.lu, loads=lu.loads))):
+                with pytest.raises(TypeError, match="^right-hand side: a C_CONTIGUOUS float64 "):
+                    refused()
+    for loads in (lu.loads.astype(np.float32), np.asfortranarray(lu.loads)):
+        with pytest.raises(TypeError, match="^eliminated loads: a C_CONTIGUOUS float64 "):
+            solve(BandLU(system=system, lu=lu.lu, loads=loads))
     assert phases == []
 
 
@@ -300,8 +309,9 @@ def test_kernel_handles_every_band_shape():
     second reaches are at most one but for kl = 0, and the unsymmetric
     envelope test covers them): the factors equal the dense loop's bit for
     bit, and a solve matches a dense solve.  Each row of a two-row solve, and
-    its residual check, has the bits of a one-row call, and the check's A x
-    those of scipy's product."""
+    its residual check, has the bits of a one-row call, the factors do not
+    depend on the loads eliminated with them, and the check's A x has the
+    bits of scipy's product."""
     rng = np.random.default_rng(9)
     for n in range(1, 17):
         for kl in range(7):
@@ -313,12 +323,11 @@ def test_kernel_handles_every_band_shape():
                 ab = np.zeros((kl + ku + 1, n), order="F")
                 ab[places] = values
                 band = full_band(n, kl, ku)
-                assert factor_band(ab, band) == 0
-                assert np.array_equal(ab[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
                 b = rng.standard_normal((2, n))
                 matrix = sp.csc_matrix(A)
-                x, out = assert_rows_solve_alone(ab, band, pattern_of(matrix, np.arange(n), n),
-                                                 read_only(matrix.data), b)
+                lu, x, out = assert_rows_solve_alone(ab, band, pattern_of(matrix, np.arange(n), n),
+                                                     read_only(matrix.data), b)
+                assert np.array_equal(lu[places], on_band(dense_lu_without_pivoting(A), kl, ku)[0])
                 for t in range(2):
                     ref = np.linalg.solve(A, b[t])
                     assert np.abs(x[t] - ref).max() <= 1e-12 * np.abs(ref).max(), (n, kl, ku)
@@ -412,7 +421,8 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
     j + 1 reaches, come in every count mod 4 and in full groups of four, so
     the groups of four later columns the kernel updates together start and
     end at every offset.  Each row of a two-row solve is a one-row solve, bit
-    for bit, and so is each row's residual check."""
+    for bit, and so is each row's residual check; the factors and the solve
+    are those of the full band."""
     for A in (unsymmetric_envelope(), unsymmetric_envelope(n=40, kl=9, ku=10, seed=12)):
         matrix = sp.csc_matrix(A)
         band = BandLayout.of(matrix.indices, matrix.indptr)
@@ -420,16 +430,17 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
         values, places = on_band(A, band.kl, band.ku)
         ab = np.zeros((band.ldab, n), order="F")
         ab[places] = values
-        assert factor_band(ab, band) == 0
-        assert np.array_equal(bits(ab[places]), bits(on_band(dense_lu_without_pivoting(A),
-                                                             band.kl, band.ku)[0]))
         b = np.random.default_rng(12).standard_normal((2, n))
         pattern, data = pattern_of(matrix, np.arange(n), n), read_only(matrix.data)
-        x, out = assert_rows_solve_alone(ab, band, pattern, data, b)
+        lu, x, out = assert_rows_solve_alone(ab, band, pattern, data, b)
+        assert np.array_equal(bits(lu[places]), bits(on_band(dense_lu_without_pivoting(A),
+                                                             band.kl, band.ku)[0]))
         for t in range(2):
             ref = np.linalg.solve(A, b[t])
             assert np.abs(x[t] - ref).max() <= 1e-12 * np.abs(ref).max()
-        full, full_out, _ = kernel_solve(ab, full_band(n, band.kl, band.ku), pattern, data, b)
+        full_lu, full, full_out, _ = solve_system(ab, full_band(n, band.kl, band.ku), pattern,
+                                                  data, b)
+        assert np.array_equal(bits(lu), bits(full_lu))
         assert np.array_equal(bits(x), bits(full))
         assert np.array_equal(bits(out), bits(full_out))
     assert band.kl >= 8 and band.ku >= 8
@@ -444,7 +455,8 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
 
 def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     """On the 16x32 tc1 slab, whose envelope leaves part of the band out,
-    the factors and a solve are those of the full band, bit for bit."""
+    the factors, the eliminated loads and a solve are those of the full
+    band, bit for bit."""
     system = assemble_state_system(*tc1_slab())
     band = system.pattern.band
     n = system.matrix.shape[0]
@@ -454,11 +466,14 @@ def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     ab = np.zeros(band.ldab * n)
     ab[band.position] = system.matrix.data
     ab = ab.reshape((band.ldab, n), order="F")
-    assert factor_band(ab, full) == 0
-    assert np.array_equal(bits(ab), bits(lu.lu))
     b = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
-    x, _, _ = kernel_solve(lu.lu, band, system.pattern, system.data, b)
-    y, _, _ = kernel_solve(lu.lu, full, system.pattern, system.data, b)
+    loads = b.copy()
+    factored = ab.copy(order="F")
+    assert factor_band(factored, full, loads) == 0
+    assert np.array_equal(bits(factored), bits(lu.lu))
+    assert np.array_equal(bits(loads), bits(lu.loads))
+    _, x, _, _ = solve_system(ab, band, system.pattern, system.data, b)
+    _, y, _, _ = solve_system(ab, full, system.pattern, system.data, b)
     assert np.array_equal(bits(x), bits(y))
 
 
@@ -485,37 +500,33 @@ def test_band_layout_refuses_an_envelope_that_leaves_the_band():
 @pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
 @pytest.mark.parametrize("config", [tc1_config, tc2_config], ids=["tc1", "tc2"])
 def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config, controlled):
-    """Every mesh-velocity and saddle LU of 20 steps at 8x16 solves the
-    system's own and a random right-hand side, in one two-row solve, as a
-    dense solve does, to 1e-10 relative, with growth max|U|/max|A| at most
-    10.  The mesh-velocity system of each step is rebuilt from its state,
-    kernel by kernel, and its solution is the step's mesh velocity, bit for bit."""
-    lus = []
-    factorize = capflow.stepping.factorize
-    slab_system = capflow.stepping.slab_system
+    """Every mesh-velocity and saddle system of 20 steps at 8x16, factored by
+    the band factor with the forward elimination of the system's own and a
+    random right-hand side, solves them in one two-row solve as a dense solve
+    does, to 1e-10 relative, with growth max|U|/max|A| at most 10.  The
+    mesh-velocity system of each step is rebuilt from its state, kernel by
+    kernel, and its solution is the step's mesh velocity, bit for bit."""
+    systems = factored_systems(monkeypatch)
+    extensions = []
+    run_step = capflow.control.step
 
-    def recording(system):
-        lus.append(factorize(system))
-        return lus[-1]
-
-    def moving(state, *args):
+    def moving(state, *args, **kwargs):
         system = mesh_velocity_system(state.mesh, state.u)
-        lus.append(band_lu(system))
-        (x,) = solve_rows(lus[-1], system.rhs)
+        extensions.append(system)
+        _, (x,) = solve_rows(system, system.rhs)
         V, _ = solve_domain_velocity(state.mesh, state.u)
         assert np.array_equal(bits(V.values[system.pattern.free, 1]), bits(x))
-        return slab_system(state, *args)
+        return run_step(state, *args, **kwargs)
 
-    monkeypatch.setattr(capflow.stepping, "factorize", recording)
-    monkeypatch.setattr(capflow.stepping, "slab_system", moving)
+    monkeypatch.setattr(capflow.control, "step", moving)
     cfg = config()
     hist = run_tc1(controlled, cfg, N1=8, N3=16, T=20 * cfg.dt)
-    assert hist.abort_reason is None and len(lus) == 40
+    assert hist.abort_reason is None and len(systems) == len(extensions) == 20
     rng = np.random.default_rng(8)
-    for k, lu in enumerate(lus):
-        A = lu.system.matrix.toarray()
-        b = np.stack((lu.system.rhs, rng.standard_normal(len(A))))
-        x = solve_rows(lu, b)
+    for k, system in enumerate(s for pair in zip(extensions, systems) for s in pair):
+        A = system.matrix.toarray()
+        b = np.stack((system.rhs, rng.standard_normal(len(A))))
+        lu, x = solve_rows(system, b)
         for t in range(2):
             ref = np.linalg.solve(A, b[t])
             assert np.linalg.norm(x[t] - ref) <= 1e-10 * np.linalg.norm(ref), k
@@ -526,59 +537,47 @@ def test_factorizations_are_bitwise_equal():
     system = assemble_state_system(*tc1_slab(8, 16))
     first, second = factorize(system), factorize(system)
     assert np.array_equal(first.lu, second.lu)
-    assert np.array_equal(first.solve(system.rhs[None], ("state",))[0],
-                          second.solve(system.rhs[None], ("state",))[0])
+    assert np.array_equal(bits(first.loads), bits(second.loads))
+    assert np.array_equal(first.solve(("state",))[0], second.solve(("state",))[0])
 
 
-def step_solves(monkeypatch):
-    """(lu, rhs, what, x, relative residual) of each solve of one controlled
-    step from the fourth 16x32 tc1 slab's state, its gradient's bottom-load
-    solve included, one per row of each call: the mesh velocity's with the LU
-    of its system rebuilt kernel by kernel, the step's mesh velocity on the
-    kept nodes and the step's residual, the state's and the bottom load's
-    with the LU the step factored, the solve's outputs and their residuals."""
+def step_solves():
+    """(system, rhs, what, x, relative residual) of each solve of one
+    controlled step from the fourth 16x32 tc1 slab's state, its gradient's
+    bottom-load solve included, one per row of each call: the mesh
+    velocity's with its system rebuilt kernel by kernel, the step's mesh
+    velocity on the kept nodes and the step's residual; the state's and the
+    bottom load's with the slab's system from the inspection route, the
+    step's solutions (the bottom load's read from the workspace) and its
+    residuals."""
     _, mesh, u, _, zeta, phys, num = tc1_slab()
-    lus, solved = [], []
-    factorize, solve = capflow.stepping.factorize, capflow.stepping.solve
-
-    def recording(system):
-        lus.append(factorize(system))
-        return lus[-1]
-
-    def solving(lu, rhs, bottom_load=None):
-        solved.append(((rhs, bottom_load), solve(lu, rhs, bottom_load)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(capflow.stepping, "factorize", recording)
-    monkeypatch.setattr(capflow.stepping, "solve", solving)
-    _, diag = step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
-                   gradient=True)
+    state = FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0)
+    new, diag = step(state, zeta, phys, num, gradient=True)
+    w = workspace(mesh.topology).w.copy()
+    system, _ = slab_system(state, zeta, phys, num)
     extension = mesh_velocity_system(mesh, u)
     V, _ = solve_domain_velocity(mesh, u)
-    (lu,), (((rhs, bottom_load), (u_new, p_new, rel, w, bottom_rel)),) = lus, solved
-    n = mesh.num_nodes
-    full = np.concatenate((u_new.values[:, 0], u_new.values[:, 1], p_new.values))
-    return [(band_lu(extension), extension.rhs, "mesh-velocity",
-             V.values[extension.pattern.free, 1], diag.ale_residual),
-            (lu, rhs, "state", full[lu.system.pattern.free], rel),
-            (lu, bottom_load, "bottom-load", w, bottom_rel)] if n else []
+    full = np.concatenate((new.u.values[:, 0], new.u.values[:, 1], new.p.values))
+    return [(extension, extension.rhs, "mesh-velocity", V.values[extension.pattern.free, 1],
+             diag.ale_residual),
+            (system, system.rhs, "state", full[system.pattern.free], diag.residual),
+            (system, system.bottom_load, "bottom-load", w, diag.bottom_residual)]
 
 
-def test_residual_kernel_is_scipys_product_and_numpys_norms(monkeypatch):
+def test_residual_kernel_is_scipys_product_and_numpys_norms():
     """The solve kernel's A x is scipy's product bit for bit, for the step's
     solution and for that of a random right-hand side solved with it in one
     two-row call, each row of which has the bits of a one-row call, and each
     solve's relative residual is numpy's norm of A x - b over that of b, to
     1e-12 relative."""
-    solves = step_solves(monkeypatch)
+    solves = step_solves()
     assert [what for _, _, what, _, _ in solves] == ["mesh-velocity", "state", "bottom-load"]
     rng = np.random.default_rng(13)
-    for lu, rhs, what, x, rel in solves:
-        system = lu.system
+    for system, rhs, what, x, rel in solves:
         A = system.matrix
         b = np.stack((rhs, rng.standard_normal(len(rhs))))
-        y, out = assert_rows_solve_alone(lu.lu, system.pattern.band, system.pattern,
-                                         system.data, b)
+        _, y, out = assert_rows_solve_alone(band_storage(system), system.pattern.band,
+                                            system.pattern, system.data, b)
         assert np.array_equal(bits(y[0]), bits(x)), what
         for t in range(2):
             assert np.array_equal(bits(out[t, :-2]), bits(A @ y[t])), what
@@ -587,17 +586,18 @@ def test_residual_kernel_is_scipys_product_and_numpys_norms(monkeypatch):
         assert rel == pytest.approx(reference, rel=1e-12, abs=0.0), what
 
 
-def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch):
+def test_non_finite_solution_raises_singular_matrix_naming_the_solve():
     """The kernel flags each row whose solution is not finite, and the solve
     raises SingularMatrix naming it: a finite load checked with a poisoned
     solution, a finite load whose solve overflows on a pivot of 1e-320, a
-    load with a non-finite entry, and the bottom-load row of a step whose
-    state row is finite."""
+    load with a non-finite entry, and the bottom-load row of a slab whose
+    state row is finite, its assembled bottom load poisoned before the
+    factor."""
     system = assemble_state_system(*tc1_slab(4, 8))
     lu = factorize(system)
     band, what, ptr = system.pattern.band, ("state", "bottom-load"), system.pattern.ptr
     loads = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
-    x, n = lu.solve(loads, what)[0], loads.shape[1]
+    x, n = lu.solve(what)[0], loads.shape[1]
     for bad in (np.nan, np.inf, -np.inf):
         for t in range(2):
             y = x.copy()
@@ -612,37 +612,38 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve(monkeypatch
         b = np.zeros_like(loads)
         b[t] = loads[t]
         assert np.all(np.isfinite(b))
-        assert kernel_solve(tiny, band, system.pattern, system.data, b)[2] == 1 << t
-        assert kernel_solve(tiny, band, system.pattern, system.data, b[t])[2] == 1
+        # L, and so the forward elimination, does not see the pivots
+        eliminated = band_lu(system, b).loads
+        assert solve_band(tiny, band, system.pattern, system.data, b,
+                          eliminated.copy())[1] == 1 << t
+        assert solve_band(tiny, band, system.pattern, system.data, b[t:t + 1],
+                          eliminated[t:t + 1].copy())[1] == 1
         with pytest.raises(SingularMatrix, match=f"^{what[t]} solve produced non-finite values$"):
-            BandLU(system=system, lu=tiny).solve(b, what)
+            BandLU(system=replace(system, rhs=b[0], bottom_load=b[1]), lu=tiny,
+                   loads=eliminated).solve(what)
     for bad in (np.nan, np.inf, -np.inf):
         for t in range(2):
             b = loads.copy()
             b[t, -1] = bad
-            assert kernel_solve(lu.lu, band, system.pattern, system.data, b)[2] == 1 << t
-            assert kernel_solve(lu.lu, band, system.pattern, system.data, b[t])[2] == 1
+            ab = band_storage(system)
+            assert solve_system(ab, band, system.pattern, system.data, b)[3] == 1 << t
+            assert solve_system(ab, band, system.pattern, system.data, b[t])[3] == 1
             with pytest.raises(SingularMatrix, match=f"^{what[t]} solve produced non-finite "
                                                      f"values$"):
-                lu.solve(b, what)
+                factorize(replace(system, rhs=b[0], bottom_load=b[1])).solve(what)
     _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
-    factor = capflow.stepping.factorize
-
-    def poisoned(system):
-        # the assembled bottom load, between the assembly and the solve
-        system.bottom_load[len(system.bottom_load) // 2] = np.nan
-        return factor(system)
-
-    monkeypatch.setattr(capflow.stepping, "factorize", poisoned)
+    slab, _ = slab_system(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta,
+                          phys, num)
+    # the assembled bottom load, between the assembly and the factor
+    slab.bottom_load[len(slab.bottom_load) // 2] = np.nan
     with pytest.raises(SingularMatrix, match="^bottom-load solve produced non-finite values$"):
-        step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
-             gradient=True)
+        solve(factorize(slab))
 
 
 @pytest.mark.parametrize("row, what", [(1, "bottom-load"), (0, "state")],
                          ids=["bottom-load", "state"])
-def test_each_row_of_a_solve_has_its_own_residual_gate(monkeypatch, row, what):
-    """A step's two-row solve gates each row on its own relative residual.
+def test_each_row_of_a_solve_has_its_own_residual_gate(row, what):
+    """A slab's two-row solve gates each row on its own relative residual.
     Between the factor and the solve, two entries of one row i of the matrix
     that the residuals are checked in, not of its LU, move by d_j and d_k:
     row t's residual moves by d_j x_t[j] + d_k x_t[k] in row i, which is made
@@ -651,39 +652,31 @@ def test_each_row_of_a_solve_has_its_own_residual_gate(monkeypatch, row, what):
     1e-10 gate.  The two loads' norms differ by far more than 1e-9 / 1e-10,
     so a row checked against the other's norm would pass or fail the other way."""
     _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
-    factor = capflow.stepping.factorize
-    loads = []
-
-    def perturbed(system):
-        lu = factor(system)
-        b = np.stack((system.rhs, system.bottom_load))
-        x, _ = lu.solve(b, ("state", "bottom-load"))
-        loads.append(b)
-        pattern, other = system.pattern, x[1 - row]
-        # row i = j of the largest |x_t[j]| / ||b_t||, against the other row's
-        j = int(np.argmax(np.abs(x[row]) / (np.abs(other) + 1e-300)))
-        column = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
-        in_row = np.flatnonzero(pattern.indices == j)           # entries (j, c) of row j
-        at_j = in_row[column[in_row] == j][0]
-        at_k = in_row[np.argmax(np.abs(other[column[in_row]]) * (column[in_row] != j))]
-        k = column[at_k]
-        ratio = other[j] / other[k]         # d_k = -ratio d_j: the other row's moves cancel
-        d_j = 1e-9 * np.linalg.norm(b[row]) / abs(x[row, j] - ratio * x[row, k])
-        data = system.data.base
-        data.setflags(write=True)
-        data[at_j] += d_j
-        data[at_k] -= ratio * d_j
-        data.setflags(write=False)
-        return lu
-
-    monkeypatch.setattr(capflow.stepping, "factorize", perturbed)
+    system, _ = slab_system(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta,
+                            phys, num)
+    lu = factorize(system)
+    b = np.stack((system.rhs, system.bottom_load))
+    x, _ = lu.solve(("state", "bottom-load"))
+    pattern, other = system.pattern, x[1 - row]
+    # row i = j of the largest |x_t[j]| / ||b_t||, against the other row's
+    j = int(np.argmax(np.abs(x[row]) / (np.abs(other) + 1e-300)))
+    column = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
+    in_row = np.flatnonzero(pattern.indices == j)           # entries (j, c) of row j
+    at_j = in_row[column[in_row] == j][0]
+    at_k = in_row[np.argmax(np.abs(other[column[in_row]]) * (column[in_row] != j))]
+    k = column[at_k]
+    ratio = other[j] / other[k]         # d_k = -ratio d_j: the other row's moves cancel
+    d_j = 1e-9 * np.linalg.norm(b[row]) / abs(x[row, j] - ratio * x[row, k])
+    data = system.data.base
+    data.setflags(write=True)
+    data[at_j] += d_j
+    data[at_k] -= ratio * d_j
+    data.setflags(write=False)
     with pytest.raises(ResidualTooLarge, match=f"^{what} solve: relative residual "):
-        step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta, phys, num,
-             gradient=True)
-    rel = capflow.forms.workspace(mesh.topology).struct.rel
+        solve(lu)
+    rel = workspace(mesh.topology).struct.rel
     assert rel[row] == pytest.approx(1e-9, rel=0.01)
     assert rel[1 - row] <= 1e-10
-    (b,) = loads
     norms = np.linalg.norm(b, axis=1)
     assert max(norms[0] / norms[1], norms[1] / norms[0]) > 100
 
@@ -701,7 +694,8 @@ def test_every_kernel_is_listed():
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     """The source built without target clones, the code any x86-64 or other
     host runs, computes every kernel's output, the step's matrix and reduced
-    loads, and factors, one- and two-row solves and residual checks, bit for
+    loads, and factors with their eliminated loads, one- and two-row solves
+    and residual checks, bit for
     bit as the run path's build, every function of which dispatches among its
     clones on x86-64."""
     cloned = ctypes.CDLL(str(kernels.build()))
@@ -722,14 +716,16 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
         pattern, n = system.pattern, len(system.rhs)
         lu = factorize(system)
         loads = np.stack((system.rhs, pattern.reduce(bottom_load_vector(slab[0]))))
-        one, one_out, _ = kernel_solve(lu.lu, pattern.band, pattern, system.data, loads[0])
-        two, two_out, _ = kernel_solve(lu.lu, pattern.band, pattern, system.data, loads)
+        ab = band_storage(system)
+        _, one, one_out, _ = solve_system(ab, pattern.band, pattern, system.data, loads[0])
+        _, two, two_out, _ = solve_system(ab, pattern.band, pattern, system.data, loads)
         checks = np.empty((2, n + 2))
         kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices, system.data, 2,
                                   loads, two, checks)
-        got |= {"matrix": system.data, "lu": lu.lu, "solve": one, "residual": one_out,
-                "two-row solve": two, "two-row residual": two_out, "residual alone": checks,
-                "reduced bottom load": loads[1]}
+        x, _ = lu.solve(("state", "bottom-load"))
+        got |= {"matrix": system.data, "lu": lu.lu, "eliminated loads": lu.loads, "solve": one,
+                "residual": one_out, "two-row solve": two, "two-row residual": two_out,
+                "residual alone": checks, "phase solve": x, "reduced bottom load": loads[1]}
         return got
 
     run_path = computed()
@@ -744,6 +740,9 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
         factor_band(ab, full_band(4, 2, 1))
     with pytest.raises(DimensionMismatch):
         factor_band(ab, full_band(5, 2, 2))
+    for loads in (np.ones((1, 5)), np.ones((3, 4)), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            factor_band(ab, full_band(4, 2, 2), loads)
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     system = on_saddle(mesh, sp.eye(3 * mesh.num_nodes), np.ones(3 * mesh.num_nodes))
     n = len(system.rhs)
@@ -760,8 +759,13 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
                  (band, pattern, data, b[0], b[0].copy())):
         with pytest.raises(DimensionMismatch):
             solve_band(lu.lu, *args)
-    with pytest.raises(DimensionMismatch):
-        lu.solve(b, ("state",))
+    # rows the LU did not eliminate: none, or a bottom load of a system without one
+    for what in ((), ("state", "bottom-load")):
+        with pytest.raises(DimensionMismatch):
+            lu.solve(what)
+    with pytest.raises(DimensionMismatch, match="^2 rows of 1 eliminated loads$"):
+        BandLU(system=replace(system, bottom_load=system.rhs), lu=lu.lu,
+               loads=lu.loads).solve(("state", "bottom-load"))
 
 
 def test_kernel_calls_leave_no_garbage_cycles():
@@ -785,7 +789,7 @@ def test_kernel_calls_leave_no_garbage_cycles():
         for _ in range(20):
             triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
             r_stiffness(ed, stiffness)
-            factor_band(lu.lu.copy(order="F"), band)
+            factor_band(lu.lu.copy(order="F"), band, b.copy())
             solve_band(lu.lu, band, system.pattern, system.data, b, x)
             # a whole step and its gradient: every kernel, on new meshes and fields
             new, _ = step(state, zeta, phys, num, gradient=True)
@@ -798,6 +802,8 @@ def test_kernel_calls_leave_no_garbage_cycles():
                                      np.zeros(1))
     with pytest.raises(ctypes.ArgumentError):
         factor_band(np.ascontiguousarray(lu.lu), band)
+    with pytest.raises(ctypes.ArgumentError):
+        factor_band(lu.lu.copy(order="F"), band, b.astype(np.float32))
     with pytest.raises(ctypes.ArgumentError):
         system.pattern.reduce(np.zeros(3, dtype=np.int64))
     with pytest.raises(ctypes.ArgumentError):

@@ -16,9 +16,10 @@ from capflow.config import num_params, phys_params
 from capflow import solve_domain_velocity
 from capflow.errors import MeshTangled
 from capflow.fields import NumParams, PhysParams, VectorFieldP1
-from capflow.forms import bottom_load_vector, _flatten, kinetic_energy, mass_action, workspace
+from capflow.forms import (bottom_load_vector, _flatten, factorize, kinetic_energy, mass_action,
+                           solve, workspace)
 from capflow.geometry import displace_mesh, mesh_quality
-from capflow.stepping import initial_state, pin_heap, step
+from capflow.stepping import initial_state, pin_heap, slab_system, step
 
 from .conftest import phase_calls
 
@@ -178,35 +179,32 @@ def advanced(nsteps, n1=4, n3=8):
     return state, phys, num
 
 
-def test_no_record_aliases_the_workspace(monkeypatch):
-    """The state, saddle system and LU of slab n keep their bits while later
-    slabs run on the same topology's workspace, the two steps of the FD
-    check from one state at zeta +- eps among them, and the LU still solves
-    its system under the residual gate."""
-    held = []
-    factorize = capflow.stepping.factorize
-
-    def holding(system):
-        held.append(factorize(system))
-        return held[-1]
-
+def test_no_record_aliases_the_workspace():
+    """The state of slab n, and the saddle system, LU and solution that the
+    inspection route makes for that slab, keep their bits while later slabs
+    and inspections run on the same topology's workspace, the two steps of
+    the FD check from one state at zeta +- eps among them, and the LU still
+    solves its system under the residual gate, with the step's bits."""
     state, phys, num = advanced(2)
-    monkeypatch.setattr(capflow.stepping, "factorize", holding)
     new, _ = step(state, 1e-4, phys, num, gradient=True)
-    (lu,), system = held, held[0].system
+    system, _ = slab_system(state, 1e-4, phys, num)
+    lu = factorize(system)
+    u, p, *_ = solve(lu)
     arrays = {"z": new.mesh.z, "areas": new.mesh.areas, "u": new.u.values, "p": new.p.values,
               "mass": mass_action(new.u), "data": system.data, "rhs": system.rhs,
-              "bottom load": system.bottom_load, "lu": lu.lu}
+              "bottom load": system.bottom_load, "lu": lu.lu, "loads": lu.loads,
+              "solved u": u.values, "solved p": p.values, "solved mass": mass_action(u)}
     before = {name: a.copy() for name, a in arrays.items()}
     for zeta in (1e-4 + 1e-9, 1e-4 - 1e-9):
         step(new, zeta, phys, num, gradient=True)
     later = new
     for _ in range(3):
         later, _ = step(later, 1e-4, phys, num, gradient=True)
+        solve(factorize(slab_system(later, 1e-4, phys, num)[0]))
     assert later.mesh.topology is new.mesh.topology
     for name, a in arrays.items():
         assert a.tobytes() == before[name].tobytes(), name
-    x, (rel,) = lu.solve(system.rhs[None], ("state",))
+    x, (rel,) = lu.solve(("state",))
     assert rel <= 1e-10
     full = np.concatenate((new.u.values[:, 0], new.u.values[:, 1], new.p.values))
     assert x[0].tobytes() == full[system.pattern.free].tobytes()
@@ -252,19 +250,22 @@ def test_steps_leave_no_cyclic_garbage():
 
 def test_phase_times_are_the_steps_own(monkeypatch):
     """Each step reports each phase's wall time from the phases' own clocks,
-    none negative, together no more than the step's wall time; each phase
-    entry runs once per step."""
+    none negative, together no more than the step's wall time; each step is
+    one compiled call, which runs every phase: each clock, cleared before
+    the call, is set after it."""
     state, phys, num = advanced(1)
     calls = []
-    phase_calls(monkeypatch, lambda name, struct: calls.append(name))
+    phase_calls(monkeypatch, lambda name, struct: calls.append(
+        (name, all(ms >= 0.0 for ms in struct.phase_ms))))
     for _ in range(3):
+        workspace(state.mesh.topology).struct.phase_ms[:] = [-1.0] * 5
         start = time.perf_counter()
         state, diag = step(state, 1e-4, phys, num, gradient=True)
         wall_ms = 1e3 * (time.perf_counter() - start)
         assert list(diag.phase_ms) == ["ALE", "motion", "assembly", "factor", "solves"]
         assert all(ms >= 0.0 for ms in diag.phase_ms.values()), diag.phase_ms
         assert sum(diag.phase_ms.values()) <= wall_ms
-    assert calls == ["motion", "assembly", "factor", "solve"] * 3
+    assert calls == [("step", True)] * 3
 
 
 def test_a_tangling_step_raises_the_displacements_error():
