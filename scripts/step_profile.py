@@ -3,30 +3,30 @@
 on refined grids.
 
 For each grid, advances the controlled test-case-1 refill three slabs and
-times the phases of the fourth on their own, each one compiled call on the
-topology's workspace (``capflow.forms.Workspace``): the mesh-velocity
-extension (ALE) alone, the motion (the extension, the emptying guard and the
-displacement), the radial table (built once per run), the assembly of the
-saddle system on a new mesh each call, as a step does, the factorization
-with the forward elimination of the state load and of the bottom load of
-the control gradient, as a controlled step factors, with, under it, the
-factor kernel alone (on copies of the scattered band and the loads, made
-untimed), the solve, the back-substitution of the state load alone (of an
-LU that eliminated it alone, as a free step's) and with the bottom load as a
-second row in the same call, and their checks, each with a ``residual`` row
-of its compiled residual checks alone, then the whole step, free and
-controlled, each one compiled call, and the two writers: the VTK snapshot of the
-state and a history.csv of HISTORY_ROWS rows of random values at the
-columns' scales.  Each figure is the minimum over REPEATS calls, in ms,
-except the writers'.  They are timed as a run meets them, over files that
+takes the fourth REPEATS times, free and controlled, each step one compiled
+call on the topology's workspace (``capflow.forms.Workspace``).  A phase's
+row is the minimum over those steps of its own clock
+(``StepDiagnostics.phase_ms``; the clocks are disjoint): the mesh-velocity
+extension (ALE), the rest of the motion (the emptying guard and the
+displacement), the assembly, the factor as a controlled step factors, with
+the forward elimination of the state load and of the gradient's bottom load,
+and the solves, the back-substitution and checks of the state load alone
+(a free step's) and with the bottom load as a second row (a controlled
+step's).  Under the factor, the factor kernel alone (on copies of the
+scattered band and the loads, made untimed), and under each solve a
+``residual`` row, its compiled checks alone on the step's solutions; the
+radial table (built once per run) and the whole step, free and controlled,
+are timed around their calls.  Each figure is the minimum over REPEATS, in
+ms, except those of the two writers, the VTK snapshot of the state and a
+history.csv of HISTORY_ROWS rows of random values at the columns' scales.
+They are timed as a run meets them, over files that
 already exist on disk: each writer first writes RUN_FILES files in a
 temporary directory (as many as a 100-step run with a snapshot every step
 writes) and flushes each with fsync, as the files of an earlier run are,
 rewrites one untimed, then rewrites each once, and its row is the median of
 those rewrites.  The minimum of rewrites of one file hides what freeing a
 file's blocks costs.  Last come the phases as a run meets them: the median
-over RUN_STEPS controlled steps of each phase's wall time, which the
-phases' own clocks record (``StepDiagnostics.phase_ms``).
+over RUN_STEPS controlled steps of each phase's clock.
 Two lines follow the table: the median number of minor page faults per step
 (ru_minflt) over a FAULT_STEPS-step controlled run of each grid, counted
 between the run's per-step callbacks in a fresh process per grid, so that
@@ -40,9 +40,9 @@ system: the number of reduced dofs and of stored entries (from the
 pattern's ``indptr`` and ``indices``), the band's kl and ku, the
 envelope's share of the band storage, the factor's multiply-subtracts
 within the envelope over those of the full band, the growth max|U|/max|A|
-of the LU without pivoting, and the factor kernel's rate: the envelope's
-multiply-subtracts, the sum of lower[j] upper[j] over the columns, per ns of
-the table's ``factor kernel`` minimum.
+of the LU without pivoting that the factor kernel row made, and the factor
+kernel's rate: the envelope's multiply-subtracts, the sum of lower[j]
+upper[j] over the columns, per ns of that row's minimum.
 
     PYTHONPATH=src python scripts/step_profile.py
 """
@@ -63,10 +63,8 @@ import numpy as np
 
 from capflow import forms, kernels
 from capflow.acceptance import tc1_config
-from capflow import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
-from capflow.geometry import displace_mesh
 from capflow.stepping import initial_state, slab_system, step
 from capflow.writers import write_history_csv, write_vtk_snapshot
 
@@ -91,56 +89,59 @@ def best_ms(fn, prepare=None):
     return 1e3 * best
 
 
-def slab(n1: int, n3: int):
-    """The controlled test-case-1 refill on an n1 x n3 grid after three slabs
-    at ZETA, its fourth slab's saddle system and its parameters."""
+def clocks_ms(state, phys, num, gradient: bool) -> dict[str, float]:
+    """The minimum over REPEATS steps from state of each phase's clock and,
+    as "step", of the whole step's wall time, in ms."""
+    best = dict.fromkeys(("step", *kernels.PHASES), float("inf"))
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        _, diag = step(state, ZETA, phys, num, gradient=gradient)
+        times = {"step": 1e3 * (time.perf_counter() - t0), **diag.phase_ms}
+        best = {name: min(ms, times[name]) for name, ms in best.items()}
+    return best
+
+
+def phases(n1: int, n3: int) -> tuple[list[tuple[str, float]], str]:
+    """The phase table's rows of the controlled test-case-1 refill's fourth
+    slab on an n1 x n3 grid, after three at ZETA, and its band table's row."""
     cfg = replace(tc1_config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
-        state, *_ = step(state, ZETA, phys, num)
+        state, _ = step(state, ZETA, phys, num)
     system, _ = slab_system(state, ZETA, phys, num)
-    return state, system, phys, num
-
-
-def phases(n1: int, n3: int) -> list[tuple[str, float]]:
-    state, system, phys, num = slab(n1, n3)
-    mesh, u = state.mesh, state.u
-    ws = forms.workspace(mesh.topology)
-    V, _ = solve_domain_velocity(mesh, u)
-    lu = forms.factorize(system)
-    state_lu = forms.factorize(replace(system, bottom_load=None))
+    x = forms.workspace(state.mesh.topology).x.copy()   # the controlled step's solutions
     band = system.pattern.band
     scattered = np.zeros(band.ldab * len(band.lower))
     kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, scattered)
     loads = np.stack((system.rhs, system.bottom_load))
+    factored = [None]       # the factor kernel's last copy of the band
 
-    def fresh_mesh(_=None):
-        """A new mesh at the new positions: nothing memoised on it yet."""
-        return displace_mesh(mesh, V, num.dt)
+    def copies():
+        factored[0] = scattered.reshape((band.ldab, -1), order="F").copy(order="F")
+        return factored[0], 2, loads.copy()
 
-    return [
-        ("ALE extension", best_ms(lambda _: solve_domain_velocity(mesh, u))),
-        ("motion (ALE, displacement)", best_ms(lambda _: ws.motion(mesh, u, num.dt, 0.0))),
-        ("  radial table (once)", best_ms(lambda _: forms._radial_table(mesh.topology))),
-        ("assembly (fresh mesh)", best_ms(
-            lambda m: forms.assemble_state_system(m, mesh, u, V, ZETA, phys, num), fresh_mesh)),
-        ("factorize", best_ms(lambda _: forms.factorize(system))),
-        ("  factor kernel", best_ms(
-            lambda args: kernels.kernel().band_factor(len(band.lower), band.kl, band.ku,
-                                                      band.ptr.lower, band.ptr.upper, *args),
-            lambda: (scattered.reshape((band.ldab, -1), order="F").copy(order="F"), 2,
-                     loads.copy()))),
-        ("state solve", best_ms(lambda _: forms.solve(state_lu))),
-        ("  residual", residual_ms(state_lu)),
-        ("state + bottom-load solve", best_ms(lambda _: forms.solve(lu))),
-        ("  residual", residual_ms(lu)),
-        ("whole step", best_ms(lambda _: step(state, ZETA, phys, num))),
-        ("whole step, controlled", best_ms(
-            lambda _: step(state, ZETA, phys, num, gradient=True))),
+    free, controlled = (clocks_ms(state, phys, num, gradient) for gradient in (False, True))
+    kernel_ms = best_ms(lambda args: kernels.kernel().band_factor(
+        len(band.lower), band.kl, band.ku, band.ptr.lower, band.ptr.upper, *args), copies)
+    rows = [
+        ("ALE", controlled["ALE"]),
+        ("motion", controlled["motion"]),
+        ("  radial table (once)", best_ms(lambda _: forms._radial_table(state.mesh.topology))),
+        ("assembly", controlled["assembly"]),
+        ("factor", controlled["factor"]),
+        ("  factor kernel", kernel_ms),
+        ("solves, state", free["solves"]),
+        ("  residual", residual_ms(system, x[:1])),
+        ("solves, state + bottom load", controlled["solves"]),
+        ("  residual", residual_ms(system, x)),
+        ("whole step", free["step"]),
+        ("whole step, controlled", controlled["step"]),
         *writers_ms(state, num.dt),
         *run_phases_ms(state, phys, num),
     ]
+    growth = np.abs(factored[0][:band.ku + 1]).max() / np.abs(system.data).max()
+    return rows, band_row(n1, n3, system, kernel_ms, growth)
 
 
 def run_phases_ms(state, phys, num) -> list[tuple[str, float]]:
@@ -154,10 +155,9 @@ def run_phases_ms(state, phys, num) -> list[tuple[str, float]]:
             for name in kernels.PHASES]
 
 
-def band(n1: int, n3: int, kernel_ms: float) -> str:
-    """The band table's row of the grid's profiled slab, its rate from the
-    factor kernel's minimum kernel_ms."""
-    _, system, _, _ = slab(n1, n3)
+def band_row(n1: int, n3: int, system, kernel_ms: float, growth: float) -> str:
+    """The band table's row of the grid's profiled slab system, its rate from
+    the factor kernel's minimum kernel_ms."""
     pattern = system.pattern
     layout = pattern.band
     n = len(pattern.indptr) - 1
@@ -166,18 +166,15 @@ def band(n1: int, n3: int, kernel_ms: float) -> str:
     # column j updates upper[j] later columns on lower[j] rows each
     updates = np.dot(layout.lower, layout.upper.astype(np.int64))
     work = updates / np.dot(np.minimum(layout.kl, last), np.minimum(layout.ku, last))
-    growth = forms.factorize(system).growth
     return (f"{f'{n1}x{n3}':<9} {n:>7} {len(pattern.indices):>9} {layout.kl:>5} {layout.ku:>5} "
             f"{share:>8.3f} {work:>8.3f} {growth:>8.3f} {updates / (1e6 * kernel_ms):>9.2f}")
 
 
-def residual_ms(lu) -> float:
-    """The compiled residual checks of lu's solve of the k loads it
-    eliminated, on their own: the second half of the solve kernel's call."""
-    system, (k, n) = lu.system, lu.loads.shape
-    pattern = system.pattern
+def residual_ms(system, x) -> float:
+    """The compiled residual checks of the solutions x, (k, n), of system's
+    first k loads, on their own: the second half of the solve kernel's call."""
+    pattern, (k, n) = system.pattern, x.shape
     rhs = np.stack((system.rhs, system.bottom_load)[:k])
-    x, _ = lu.solve(("profiled",) * k)
     out = np.empty((k, n + 2))
     return best_ms(lambda _: kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices,
                                                        system.data, k, rhs, x, out))
@@ -263,7 +260,7 @@ def main() -> None:
           f"numpy {np.__version__}; kernels built with {kernels.COMPILER} "
           f"{' '.join(kernels.FLAGS)}; min of {REPEATS} calls (writers: median of {RUN_FILES} "
           f"rewrites), ms; the factor kernel's rate in multiply-subtracts per ns")
-    columns = [phases(n1, n3) for n1, n3 in GRIDS]
+    columns, bands = zip(*(phases(n1, n3) for n1, n3 in GRIDS))
     print(f"{'phase':<30}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
     for i, (name, _) in enumerate(columns[0]):
         print(f"{name:<30}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
@@ -274,8 +271,7 @@ def main() -> None:
           + "".join(f"{f'{total:.0f} ({scipy_calls:.0f})':>10}" for total, scipy_calls in calls))
     print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'envelope':>8} "
           f"{'work':>8} {'growth':>8} {'msub/ns':>9}")
-    for (n1, n3), col in zip(GRIDS, columns):
-        print(band(n1, n3, dict(col)["  factor kernel"]))
+    print("\n".join(bands))
 
 
 if __name__ == "__main__":

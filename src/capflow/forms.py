@@ -24,22 +24,20 @@ A slab runs as one compiled call on the topology's :class:`Workspace`
 (:meth:`Workspace.step`), which binds every array of the topology, its
 radial table and its two patterns once, and owns, once per topology, the
 storage its phases use: the motion, whose first part is the mesh velocity
-(:func:`solve_domain_velocity`), the assembly (:func:`assemble_state_system`),
-the factor (:func:`factorize`) and the solve (:func:`solve`,
-:meth:`BandLU.solve`).  Those functions are the inspection route: each runs
-its phase alone, on arrays the records it returns own, so no record aliases
-the workspace.  A :class:`LinearSystem` carries the topology's saddle
-pattern, the fill's read-only CSC data, its right-hand side and the load of
-a unit bottom stress; the :class:`BandLU` of its matrix, an LU without
-pivoting within the envelope of the pattern's :class:`BandLayout` (George &
-Liu 1981, ch. 4), carries the system and its loads eliminated forward by the
-factor, and every solve with it back-substitutes those loads and gates each
-on its own residual in that system's matrix.  The factor and the solve take
-a system on no other pattern: the mesh-velocity system is filled, factored
-and solved within the motion.  The vertex order behind the
-narrow band is a reverse Cuthill-McKee search in plain Python, once per
-topology; the package needs numpy alone, and SciPy is imported only to build
-a system's matrix when its ``matrix`` is read (the tests).  The mass action
+(:func:`solve_domain_velocity`, also a call of its own), the assembly, the
+factor and the solve.  A slab is inspected in what the step leaves there: a
+:class:`LinearSystem`, copied out by :meth:`Workspace.system`, carries the
+topology's saddle pattern, the fill's read-only CSC data, its right-hand
+side and the load of a unit bottom stress; the band holds the LU of its
+matrix without pivoting, within the envelope of the pattern's
+:class:`BandLayout` (George & Liu 1981, ch. 4), which eliminated the loads
+forward as it went, and the solution rows hold their back-substitution,
+each gated on its own residual in the system's matrix.  The mesh-velocity
+system is filled, factored and solved within the motion.  The vertex
+order behind the narrow band is a reverse Cuthill-McKee search in plain
+Python, once per topology; the package needs numpy alone, and SciPy is
+imported only to build a system's matrix when its ``matrix`` is read (the
+tests).  The mass action
 of a velocity (:func:`mass_action`) is computed once per field, where the
 objective and gradient of step n and the assembly of step n+1 meet: the
 solve phase writes it with the field.
@@ -184,7 +182,7 @@ class BandLayout:
     envelope of the matrix's structure that its LU without pivoting fills.
 
     Entry (i, j) goes to row ku + i - j of column j of the (ldab, n)
-    Fortran-ordered array :func:`factorize` factors without pivoting, LAPACK's
+    Fortran-ordered array the factor phase factors without pivoting, LAPACK's
     column layout without fill rows; ``position`` is that flat index for
     every stored entry, in data order.
 
@@ -279,7 +277,7 @@ class FixedPattern:
     dofs, the build keeps that order, and :meth:`reduce` maps every load onto
     them.  Both patterns of a step pass them vertex by vertex in the
     topology's :func:`vertex_order`, which keeps every stored entry in a
-    narrow band about the diagonal that :func:`factorize` factors as a banded
+    narrow band about the diagonal that the factor phase factors as a banded
     matrix.  The band layout of the stored entries is found once, at build time.
     """
 
@@ -343,8 +341,8 @@ class FixedPattern:
 @dataclass(frozen=True)
 class LinearSystem:
     """The saddle system of one slab's state solve, filled on its topology's
-    saddle :class:`FixedPattern`; frozen, and its data read-only, so a
-    :class:`BandLU` gates on the matrix it factored."""
+    saddle :class:`FixedPattern` (:meth:`Workspace.system`); frozen, and its
+    data read-only."""
 
     pattern: FixedPattern      # the matrix's sparsity, band layout, dof order and load reduction
     data: np.ndarray           # the pattern's fill, a value per stored entry, kept dofs only
@@ -444,91 +442,6 @@ def _extension_pattern(topology: MeshTopology) -> FixedPattern:
     return FixedPattern.build([topology.triangles], free, topology.num_nodes)
 
 
-def assemble_state_system(mesh_new, mesh_old, u_old, V_old, zeta, phys, num) -> LinearSystem:
-    """Monolithic [[K, B], [-B^T, Sp]] system with essential radial dofs eliminated.
-
-    K = M/dt + A + C + S + dt S_Gamma on the new mesh: the mass, the viscous
-    form with wall friction, the relative transport, its stabilization and
-    the free-surface stabilization; B is the velocity-pressure coupling and
-    Sp the pressure stabilization.  Their local blocks are summed into the
-    saddle pattern of the mesh topology, which both meshes must share.  The
-    right-hand side is the mass action of u_old on the old mesh over dt
-    plus the loads on the new mesh (gravity, the bottom stress, surface
-    tension and the contact-line force); the system also carries the load
-    of a unit bottom stress.  One compiled phase (:meth:`Workspace.assemble`).
-    """
-    _check_fields(mesh_old, u_old, V_old)
-    if mesh_new.topology is not mesh_old.topology:
-        raise DimensionMismatch("old and new mesh must share one topology")
-    return workspace(mesh_new.topology).assemble(mesh_new, u_old, V_old.ptr.values, zeta, phys,
-                                                 num)
-
-
-@dataclass(frozen=True)
-class BandLU:
-    """LU without pivoting of system's matrix, and the system's loads
-    eliminated forward by it, from :func:`factorize`; the band's kl and ku
-    are its pattern's."""
-
-    system: LinearSystem
-    lu: np.ndarray      # (kl + ku + 1, n) band storage, Fortran order: U on and above row
-                        # ku, L below
-    loads: np.ndarray   # (k, n) L^-1 b of the system's rhs and, k = 2, its bottom load
-
-    @property
-    def growth(self) -> float:
-        """max |U| / max |A|, the growth of the factorization; computed when read."""
-        ku = self.system.pattern.band.ku
-        return float(np.abs(self.lu[:ku + 1]).max() / np.abs(self.system.data).max())
-
-    def solve(self, what: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
-        """x, (k, n), with A x_t = b_t for the first k = len(what) of the
-        system's loads (its rhs, then its bottom load), A the system's matrix,
-        and the rows' residuals ||A x_t - b_t|| / ||b_t||, from one compiled
-        back-substitution of :attr:`loads` (:meth:`Workspace.solve`).  Row by
-        row, a non-finite x_t raises SingularMatrix and a residual above 1e-10
-        ResidualTooLarge, each naming the row's solve by what[t]."""
-        return workspace(self.system.mesh.topology).solve(self, what)[:2]
-
-
-def factorize(system: LinearSystem) -> BandLU:
-    """Banded LU without pivoting of system's matrix, which the saddle
-    matrix's semidefinite symmetric part allows (see ``kernels.c``), and the
-    forward elimination by it of the system's rhs and, if it has one, its
-    bottom load: the factor phase, on arrays the LU owns.  It scatters the
-    matrix into zeroed band storage of its pattern's layout, narrow in the
-    topology's :func:`vertex_order`, and factors it in place within the
-    layout's envelope, eliminating the loads by each column as it goes.
-    Raises DimensionMismatch for a system on another pattern than its
-    topology's saddle pattern, TypeError for data or loads that are not
-    C-contiguous float64, and SingularMatrix on an exactly zero pivot."""
-    ws = workspace(system.mesh.topology)
-    k = 1 if system.bottom_load is None else 2
-    ws.take(system, k)
-    s = ws.struct
-    lu = np.empty((s.saddle.kl + s.saddle.ku + 1, s.saddle.n), order="F")
-    loads = np.empty((k, s.saddle.n))
-    s.lu, s.x = lu.ctypes.data, loads.ctypes.data
-    ws.run(kernels.kernel().factor)
-    lu.setflags(write=False)
-    loads.setflags(write=False)
-    return BandLU(system=system, lu=lu, loads=loads)
-
-
-def solve(lu: BandLU) -> tuple[VectorFieldP1, ScalarFieldP1, float, np.ndarray | None, float]:
-    """Solve lu's saddle system for its rhs, and for its bottom load under it
-    if lu eliminated one, in one compiled solve (:meth:`Workspace.solve`):
-    (velocity, pressure, residual, w = A^{-1} bottom_load, its residual), the
-    last two None and 0.0 without.  The velocity carries its mass action and
-    max |u|."""
-    ws = workspace(lu.system.mesh.topology)
-    if len(lu.loads) == 1:
-        _, (rel,), u, p = ws.solve(lu, ("state",))
-        return u, p, rel, None, 0.0
-    (_, w), (rel, bottom_rel), u, p = ws.solve(lu, ("state", "bottom-load"))
-    return u, p, rel, w, bottom_rel
-
-
 def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
     """The domain velocity V = (0, V_z) of mesh for the velocity u, and the
     relative residual of its solve: the mesh moves vertically, so V_z is the
@@ -542,7 +455,9 @@ def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP
     ws = workspace(mesh.topology)
     s = ws.struct
     s.z_old, s.areas_old, s.u_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values
-    ws.run(kernels.kernel().mesh_velocity, ("mesh-velocity",))
+    status = kernels.kernel().mesh_velocity(s)
+    if status:
+        raise ws.error(status, ("mesh-velocity",), mesh)
     return VectorFieldP1(ws.V.copy(), mesh), s.ale_residual
 
 
@@ -582,16 +497,18 @@ class Workspace:
     system's data and loads, the solution rows and the reduced mass action
     of the new velocity; and the region that each phase in turn uses for the
     arrays of its own size, as large as the largest need (the saddle band,
-    but on a tiny mesh).  :meth:`step` advances a slab in one compiled call on that storage and
-    returns records made from one output array allocated per step, so
-    nothing a caller holds is the workspace's.  The inspection route
-    (:meth:`motion`, :meth:`assemble`, :func:`factorize`, :meth:`solve`)
-    runs the phases one at a time, the saddle system's arrays and the band
-    being those of the records it returns.  A failing phase's status and
+    but on a tiny mesh).  :meth:`step` advances a slab in one compiled call
+    on that storage and returns records made from one output array allocated
+    per step, so nothing a caller holds is the workspace's.  Until the next
+    call on the workspace, a step or a mesh velocity, the storage holds the
+    slab it solved: the saddle system's data and loads (:meth:`system`
+    copies them out), the LU of its matrix in :attr:`band` and the
+    solutions of its loads in :attr:`x`.  A failing phase's status and
     details raise the typed error, with the message, of the check it
-    replaced.  The storage is shared, so a topology's slabs run one at a
-    time, in one thread.  A copy or an unpickled workspace is built anew
-    from the copied records (:meth:`__reduce__`), so it binds their arrays.
+    replaced (:meth:`error`).  The storage is shared, so a topology's slabs
+    run one at a time, in one thread.  A copy or an unpickled workspace is
+    built anew from the copied records (:meth:`__reduce__`), so it binds
+    their arrays.
     """
 
     def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,
@@ -621,6 +538,8 @@ class Workspace:
         self.data = part["data"][:-1]
         self.loads, self.x = part["loads"].reshape(2, nf), part["x"].reshape(2, nf)
         self.reduced, self.w = part["reduced"], self.x[1]
+        ldab = saddle.band.ldab
+        self.band = part["region"][:ldab * nf].reshape((ldab, nf), order="F")
         s = self.struct = kernels.Workspace(*sizes)
         s.tri, s.wall, s.surface, s.bottom, s.r = (topology.triangles, topology.wall,
                                                    topology.free_surface, topology.bottom,
@@ -629,8 +548,9 @@ class Workspace:
             setattr(s, name, getattr(table.ptr, name))
         at = {name: a.ctypes.data for name, a in part.items()}
         s.V, s.work, s.region, s.reduced = at["V"], at["work"], at["region"], at["reduced"]
-        # the step's saddle data, its two loads, its solution rows and its band
-        self._own = (at["data"], at["loads"], at["loads"] + 8 * nf, at["x"], at["region"])
+        # the saddle data, its two loads, the solution rows and the band
+        s.data, s.b[0], s.b[1], s.x, s.lu = (at["data"], at["loads"], at["loads"] + 8 * nf,
+                                             at["x"], at["region"])
         # the step's output array: z (n), areas (m), u (n, 2), its mass action
         # (2 n), p (n), the byte offset of each
         self._out = (6 * n + m, 8 * n, 8 * (n + m), 8 * (3 * n + m), 8 * (5 * n + m))
@@ -639,12 +559,6 @@ class Workspace:
 
     def __reduce__(self):
         return Workspace, self._parts
-
-    def run(self, phase, what: tuple[str, ...] = (), mesh: AxiMesh | None = None) -> None:
-        """Run phase on the struct; raise its status's error (:meth:`error`)."""
-        status = phase(self.struct)
-        if status:
-            raise self.error(status, what, mesh)
 
     def error(self, status: int, what: tuple[str, ...], mesh: AxiMesh | None) -> Exception:
         """The typed error of a phase's status, row t of a solve named
@@ -667,30 +581,6 @@ class Workspace:
             displace_mesh(mesh, VectorFieldP1(self.V.copy(), mesh), s.dt)
         raise AssertionError(f"compiled phase status {status}")
 
-    def take(self, system: LinearSystem, k: int) -> None:
-        """Point the struct at system's matrix data and its first k loads (its
-        rhs, then its bottom load), once checked: the factor and the solve
-        serve the saddle pattern alone (DimensionMismatch) and read
-        C-contiguous float64 data and loads (TypeError)."""
-        s = self.struct
-        if system.pattern is not self.saddle:
-            raise DimensionMismatch("the system is not on its topology's saddle pattern")
-        kernels.expect("matrix data", system.data, (s.saddle.nnz,), "C_CONTIGUOUS")
-        for t, b in enumerate((system.rhs, system.bottom_load)[:k]):
-            if b is None:
-                raise DimensionMismatch("the system has no bottom load")
-            kernels.expect("right-hand side", b, (s.saddle.n,), "C_CONTIGUOUS")
-            s.b[t] = b.ctypes.data
-        s.data, s.k = system.data.ctypes.data, k
-
-    def slab(self, topology: MeshTopology, zeta: float, phys, num) -> None:
-        """Set the struct's parameters of a slab on topology with the bottom
-        control stress zeta."""
-        s = self.struct
-        s.dt, s.nu, s.Cs, s.chi, s.N3 = num.dt, phys.nu, num.Cs, phys.chi, num.N3
-        s.gamma, s.g, s.stress = phys.gamma, phys.g, phys.p_bar + zeta
-        s.contact_force = phys.gamma * np.cos(phys.theta_s) * topology.radii[s.contact]
-
     def step(self, mesh: AxiMesh, u: VectorFieldP1, zeta: float, phys, num, floor: float,
              gradient: bool) -> tuple[AxiMesh, VectorFieldP1, ScalarFieldP1]:
         """The slab from mesh and velocity u with the bottom control stress
@@ -698,8 +588,8 @@ class Workspace:
         and max |u|) and pressure.  The struct then holds the residuals, the
         phases' times and, with gradient, the bottom-load solve's solution
         in :attr:`w` and the reduced mass action of the new velocity in
-        :attr:`reduced`.  Raises what the phases' checks raise, as the
-        inspection route does (see :meth:`motion`)."""
+        :attr:`reduced`.  Raises the typed error of a failing phase
+        (:meth:`error`)."""
         if u.mesh is not mesh:
             raise DimensionMismatch("velocity field lives on a different mesh")
         s, n, m = self.struct, self.n, self.m
@@ -711,9 +601,10 @@ class Workspace:
         s.z_old, s.areas_old, s.u_old, s.mass_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values, \
             mass_old
         s.z, s.areas, s.u, s.mass, s.p = at, at + areas_at, at + u_at, at + mass_at, at + p_at
-        s.data, s.b[0], s.b[1], s.x, s.lu = self._own
         s.floor, s.k = floor, 1 + gradient
-        self.slab(mesh.topology, zeta, phys, num)
+        s.dt, s.nu, s.Cs, s.chi, s.N3 = num.dt, phys.nu, num.Cs, phys.chi, num.N3
+        s.gamma, s.g, s.stress = phys.gamma, phys.g, phys.p_bar + zeta
+        s.contact_force = phys.gamma * np.cos(phys.theta_s) * mesh.topology.radii[s.contact]
         status = kernels.kernel().step(s)
         if status:
             raise self.error(status, ("mesh-velocity",) if kernels.PHASES[s.failed] == "motion"
@@ -724,64 +615,15 @@ class Workspace:
                         at + mass_at, s.u_max)
         return mesh_new, u_new, trusted(ScalarFieldP1, values=out[5 * n + m:], mesh=mesh_new)
 
-    def motion(self, mesh: AxiMesh, u: VectorFieldP1, dt: float,
-               floor: float) -> tuple[AxiMesh, float]:
-        """The mesh moved by dt times the mesh velocity of u, and its solve's
-        relative residual.  Raises DomainEmptied if the contact line would
-        reach floor, and what :func:`~capflow.geometry.displace_mesh` raises
-        for a tangled or non-finite mesh."""
-        s = self.struct
-        n = s.n
-        heights = np.empty(n + s.m)
-        s.z_old, s.areas_old, s.u_old, s.dt, s.floor = (mesh.ptr.z, mesh.ptr.areas, u.ptr.values,
-                                                        dt, floor)
-        s.z = at = heights.ctypes.data
-        s.areas = at + 8 * n
-        self.run(kernels.kernel().motion, ("mesh-velocity",), mesh)
-        heights.setflags(write=False)
-        return _moved(mesh, heights[:n], heights[n:], at, at + 8 * n), s.ale_residual
-
-    def assemble(self, mesh_new: AxiMesh, u_old: VectorFieldP1, mesh_velocity: int, zeta: float,
-                 phys, num) -> LinearSystem:
-        """The saddle system on mesh_new, with the old velocity u_old and the
-        mesh velocity at the address mesh_velocity (see
-        :func:`assemble_state_system`), in arrays the system owns."""
-        s = self.struct
-        data = np.empty(s.saddle.nnz + 1)
-        loads = np.empty((2, s.saddle.n))
-        s.z, s.areas, s.u_old, s.mesh_velocity = (mesh_new.ptr.z, mesh_new.ptr.areas,
-                                                  u_old.ptr.values, mesh_velocity)
-        s.mass_old, s.data = mass_action(u_old).ctypes.data, data.ctypes.data
-        s.b[0], s.b[1] = loads.ctypes.data, loads[1].ctypes.data
-        self.slab(mesh_new.topology, zeta, phys, num)
-        self.run(kernels.kernel().assembly)
+    def system(self, mesh: AxiMesh) -> LinearSystem:
+        """The saddle system that the last step factored, on mesh, its new
+        mesh: read-only copies of its data, its rhs and its bottom load, which
+        keep their bits while later steps run here."""
+        data, loads = self.data.copy(), self.loads.copy()
         data.setflags(write=False)
-        return LinearSystem(pattern=self.saddle, data=data[:-1], rhs=loads[0], mesh=mesh_new,
+        loads.setflags(write=False)
+        return LinearSystem(pattern=self.saddle, data=data, rhs=loads[0], mesh=mesh,
                             bottom_load=loads[1])
-
-    def solve(self, lu: BandLU, what: tuple[str, ...]):
-        """x, (k, n), the back-substitution of lu's first k = len(what)
-        eliminated loads, 1 or 2, their relative residuals, each row checked
-        and named by what (see :meth:`BandLU.solve`), and the velocity and
-        pressure of the first row on the system's mesh, the velocity with its
-        mass action and max |u|, in arrays the records own."""
-        s, mesh, k = self.struct, lu.system.mesh, len(what)
-        self.take(lu.system, k)
-        n = s.saddle.n
-        if not 1 <= k <= len(lu.loads):
-            raise DimensionMismatch(f"{k} rows of {len(lu.loads)} eliminated loads")
-        kernels.expect("LU", lu.lu, (s.saddle.kl + s.saddle.ku + 1, n), "F_CONTIGUOUS")
-        kernels.expect("eliminated loads", lu.loads, (len(lu.loads), n), "C_CONTIGUOUS")
-        x = lu.loads[:k].copy()
-        nodes = s.n
-        out = np.empty(5 * nodes)          # u (N, 2), its mass action (2 N), p (N)
-        at = out.ctypes.data
-        s.lu, s.x = lu.lu.ctypes.data, x.ctypes.data
-        s.u, s.mass, s.p, s.areas = at, at + 16 * nodes, at + 32 * nodes, mesh.ptr.areas
-        self.run(kernels.kernel().solve, what)
-        out.setflags(write=False)
-        u = _solved(mesh, out[:2 * nodes], out[2 * nodes:4 * nodes], at, at + 16 * nodes, s.u_max)
-        return x, s.rel[:k], u, trusted(ScalarFieldP1, values=out[4 * nodes:], mesh=mesh)
 
 
 # -- helpers ----------------------------------------------------------------
@@ -808,10 +650,3 @@ def _solved(mesh: AxiMesh, values: np.ndarray, mass: np.ndarray, values_at: int,
 
 def _flatten(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:, 0], values[:, 1]))
-
-
-def _check_fields(mesh, *fields):
-    for f in fields:
-        if f.mesh is not mesh:
-            raise DimensionMismatch("field defined on a different mesh")
-

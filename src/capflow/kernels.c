@@ -693,10 +693,9 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
    every array once per topology, the region as large as the largest phase's
    need, so no phase allocates.  The factor and the solve serve the saddle
    pattern alone; the mesh velocity's system is filled, factored and solved
-   within its own phase.  Each entry returns DONE or the status of the first
-   failure, in the order of the checks it replaces; slab_step runs the
-   motion, the assembly, the factor and the solve in turn, the saddle band in
-   the region. */
+   within its own phase.  Each phase returns DONE or the status of the first
+   failure, in the order of the checks it replaces.  Only slab_step and
+   slab_mesh_velocity, the mesh velocity of any field, are exported. */
 
 enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY };
 
@@ -718,7 +717,7 @@ struct workspace {
     double *V, *work, *region, *reduced;
     double dt, nu, Cs, chi, N3, gamma, g, stress, contact_force, floor;
     ptrdiff_t k;                                /* loads of a factor and a solve */
-    const double *z_old, *areas_old, *u_old, *mass_old, *mesh_velocity;
+    const double *z_old, *areas_old, *u_old, *mass_old;
     double *z, *areas, *data, *b[2], *lu, *x, *u, *p, *mass;
     double ale_residual, rel[2], u_max, z_next;
     ptrdiff_t column, row, failed;
@@ -831,7 +830,7 @@ ptrdiff_t slab_mesh_velocity(struct workspace *ws)
    would reach ws->floor, at ws->z_next; then the new heights z = z_old + dt
    V_z and their triangle areas, half the sum of z_i dr_i relative to z_0,
    MOVED_BADLY if a height is not finite or an area not positive. */
-ptrdiff_t slab_motion(struct workspace *ws)
+static ptrdiff_t slab_motion(struct workspace *ws)
 {
     ptrdiff_t status = slab_mesh_velocity(ws);
     if (status != DONE)
@@ -862,12 +861,12 @@ done:
 }
 
 /* The saddle system of the new mesh (z, areas), the old velocity u_old, its
-   mass action mass_old and the mesh velocity: the element data and, after
+   mass action mass_old and the mesh velocity V: the element data and, after
    it in the region, the triangle and boundary-edge blocks, with the wall
    friction beta_h = nu / (chi h3), h3 = z[contact] / N3; then the reduced
    right-hand side (state_rhs) into b[0] and the reduced bottom load into
    b[1]; then the blocks summed into data (nnz + 1), zeroed here. */
-ptrdiff_t slab_assembly(struct workspace *ws)
+static ptrdiff_t slab_assembly(struct workspace *ws)
 {
     const double t0 = clock_ms();
     const ptrdiff_t n = ws->n, m = ws->m, nw = ws->nw, ns = ws->ns;
@@ -876,10 +875,10 @@ ptrdiff_t slab_assembly(struct workspace *ws)
     double *ed = ws->region, *vals = ed + 10 * m, *work = ws->work, *bottom = ws->work + 4 * n;
     element_data(m, ws->tri, ws->z, ws->areas, ws->rq, ws->dr, ed);
     triangle_blocks(m, ws->tri, ws->areas, ed + 9 * m, ed, ed + 3 * m, ed + 6 * m, ws->inv_r,
-                    ws->rn, ws->hoop, ws->zz, ws->coupling_z, ws->u_old, ws->mesh_velocity,
-                    ws->dt, ws->nu, ws->Cs, vals);
-    edge_blocks(nw, ws->wall, ns, ws->surface, ws->r, ws->z, ws->u_old, ws->mesh_velocity,
-                beta, ws->gamma, ws->dt, vals + 81 * m, vals + 81 * m + 4 * nw);
+                    ws->rn, ws->hoop, ws->zz, ws->coupling_z, ws->u_old, ws->V, ws->dt, ws->nu,
+                    ws->Cs, vals);
+    edge_blocks(nw, ws->wall, ns, ws->surface, ws->r, ws->z, ws->u_old, ws->V, beta, ws->gamma,
+                ws->dt, vals + 81 * m, vals + 81 * m + 4 * nw);
     memset(work, 0, (size_t)(6 * n) * sizeof(double));
     bottom_load(n, ws->nb, ws->bottom, ws->r, ws->z, bottom);
     state_rhs(n, m, ws->tri, ed + 6 * m, ns, ws->surface, ws->r, ws->z, ws->mass_old, bottom,
@@ -894,7 +893,7 @@ ptrdiff_t slab_assembly(struct workspace *ws)
 
 /* The factor of the saddle system's data into the band storage lu, with the
    forward elimination of its k loads b into x (factor_into). */
-ptrdiff_t slab_factor(struct workspace *ws)
+static ptrdiff_t slab_factor(struct workspace *ws)
 {
     const double t0 = clock_ms();
     const ptrdiff_t status = factor_into(ws, &ws->saddle, ws->data, ws->lu, ws->k, ws->b, ws->x);
@@ -908,7 +907,7 @@ ptrdiff_t slab_factor(struct workspace *ws)
    u (n, 2) and p (n), the mass action of u on the mesh of areas into mass
    (2 n), max |u| over the nodes into ws->u_max and, for k = 2, the mass
    action on the kept dofs into reduced (nf). */
-ptrdiff_t slab_solve(struct workspace *ws)
+static ptrdiff_t slab_solve(struct workspace *ws)
 {
     const double t0 = clock_ms();
     const struct pattern *p = &ws->saddle;
@@ -938,13 +937,14 @@ ptrdiff_t slab_solve(struct workspace *ws)
 }
 
 /* One slab: the motion, the assembly on the moved mesh with the mesh
-   velocity in V, the factor and the solve, each timed on its own clock.
-   On a failure the phase that failed is in ws->failed. */
+   velocity in V, the factor and the solve, the saddle band in the region.
+   Each phase has a clock of its own, and the clocks are disjoint: the
+   motion's starts once the mesh velocity's (ALE) has stopped.  On a
+   failure the phase that failed is in ws->failed. */
 ptrdiff_t slab_step(struct workspace *ws)
 {
     ptrdiff_t (*const phase[])(struct workspace *) = {slab_motion, slab_assembly, slab_factor,
                                                        slab_solve};
-    ws->mesh_velocity = ws->V;
     for (int i = 0; i < 4; ++i) {
         const ptrdiff_t status = phase[i](ws);
         if (status != DONE) {

@@ -21,17 +21,20 @@ check), the assembly (element data, blocks, loads and fill), and the factor
 (band zeroing, scatter and LU, with the forward elimination of the loads)
 and the solve (one- or two-row back-substitution and checks, the scatter
 into u and p, the mass action and max |u|) of the saddle system alone: the
-mesh velocity's system never leaves the motion.  Each phase is also an entry
-of its own, for the inspection route of :mod:`capflow.forms`.  Each entry
-takes the struct alone, which holds every pointer and size a phase reads,
-and its storage, which the owner allocates once per topology, so no phase
-allocates; it runs the kernels in the order the step ran them, and returns a
-status, 0 or one of :data:`ZERO_PIVOT` to :data:`MOVED_BADLY`; the details
-of a failure, the phase that failed and each phase's wall time
-(``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``) come back in the
-struct.  The kernels the tests and the writers call one at a time read a
-record's read-only arrays through pointers taken once (:class:`Pointers`),
-and check the arrays they write per call.
+mesh velocity's system never leaves the motion.  The phases are static in
+the source; the one other entry on the struct is ``slab_mesh_velocity``,
+the motion's first part, the mesh velocity of any field.  An entry takes
+the struct alone, which holds every pointer and size a phase reads, and its
+storage, which the owner allocates once per topology, so no phase
+allocates; it returns a status, 0 or one of :data:`ZERO_PIVOT` to
+:data:`MOVED_BADLY`, and the details of a failure, the phase that failed
+and each phase's wall time (``phase_ms``, :data:`PHASES`, from
+``CLOCK_MONOTONIC``) come back in the struct.  The five clocks are
+disjoint: "ALE" times the mesh velocity and "motion" the rest of the motion
+phase, so the two together are the whole motion.  The kernels the tests and
+the writers call one at a time read a record's read-only arrays through
+pointers taken once (:class:`Pointers`), and check the arrays they write
+per call.
 
 The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
 at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
@@ -194,7 +197,7 @@ class Workspace(ctypes.Structure):
                 ("saddle", Pattern), ("extension", Pattern),
                 *_fields(at="V work region reduced",
                          real="dt nu Cs chi N3 gamma g stress contact_force floor"),
-                *_fields(size="k", at="z_old areas_old u_old mass_old mesh_velocity z areas data"),
+                *_fields(size="k", at="z_old areas_old u_old mass_old z areas data"),
                 ("b", ctypes.c_void_p * 2),
                 *_fields(at="lu x u p mass", real="ale_residual"),
                 ("rel", ctypes.c_double * 2),
@@ -236,24 +239,17 @@ class Kernel:
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
                                                     _Array(np.uint8, writeable=True)), size)
-        # the slab's phases, each on one workspace: the struct is passed by reference
+        # the slab and its mesh velocity, each on one workspace: the struct is passed by reference
         workspace = (ctypes.POINTER(Workspace),)
         self.mesh_velocity = bind("slab_mesh_velocity", workspace, size)
-        self.motion = bind("slab_motion", workspace, size)
-        self.assembly = bind("slab_assembly", workspace, size)
-        self.factor = bind("slab_factor", workspace, size)
-        self.solve = bind("slab_solve", workspace, size)
         self.step = bind("slab_step", workspace, size)
 
 
-def expect(what: str, array: np.ndarray, shape: tuple, layout: str = "") -> None:
+def expect(what: str, array: np.ndarray, shape: tuple) -> None:
     """Raise DimensionMismatch, naming what, unless array has shape: the
-    kernels read and write as far as the shapes of their records reach; and
-    given a layout, TypeError unless array is a float64 array of it."""
+    kernels read and write as far as the shapes of their records reach."""
     if array.shape != shape:
         raise DimensionMismatch(f"{what} of shape {array.shape}, not {shape}")
-    if layout and (array.dtype != np.float64 or not array.flags[layout]):
-        raise TypeError(f"{what}: a {layout} float64 array is required")
 
 
 @functools.cache

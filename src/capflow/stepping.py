@@ -8,10 +8,9 @@ workspace (:class:`~capflow.forms.Workspace`), which runs each part as a
 phase in turn: the motion, the assembly, the factor of the saddle system
 with the forward elimination of its loads, and the solve.  Asked for the
 control gradient, the step solves for it in the state's solve with that LU,
-which never leaves the workspace.  :func:`slab_system` runs the motion and
-the assembly alone, on arrays the system owns, for the tests and scripts
-that inspect a slab's matrix, and :func:`~capflow.forms.factorize` and
-:func:`~capflow.forms.solve` follow it there.  Every solve of the step, the
+which never leaves the workspace.  :func:`slab_system`, for the tests and
+scripts that inspect a slab's matrix, takes the step and copies out the
+saddle system it left in the workspace.  Every solve of the step, the
 mesh velocity, the state and the gradient's, is gated on its relative
 residual, and the step reports each, with each phase's wall time from the
 phases' own clocks.
@@ -32,7 +31,6 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
 from .forms import LinearSystem, workspace
 from .geometry import AxiMesh, build_structured_mesh, mesh_quality
@@ -59,7 +57,10 @@ class StepDiagnostics:
     properties computed on first read and memoised on the mesh, so a loop
     that never reads them pays nothing for them.  ``phase_ms`` holds the wall
     time in ms of each phase of the step, by name (ALE, motion, assembly,
-    factor, solves), from ``CLOCK_MONOTONIC`` in the compiled phases.
+    factor, solves), from ``CLOCK_MONOTONIC`` in the compiled phases.  The
+    five clocks are disjoint: "ALE" times the mesh velocity and "motion" the
+    rest of the motion phase (the emptying guard and the displacement), so
+    ALE + motion is the whole motion.
     """
 
     residual: float
@@ -112,17 +113,14 @@ def slab_system(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
                 floor: float = 0.0) -> tuple[LinearSystem, float]:
     """The saddle system that :func:`step` factors for the slab from state
     with the bottom control stress zeta, assembled on the moved mesh
-    (``system.mesh``), and the mesh-velocity solve's relative residual: the
-    motion phase and the assembly phase of the topology's workspace, on
-    arrays the system owns.  Raises DomainEmptied if the contact line would
-    reach ``floor``.
+    (``system.mesh``), and the mesh-velocity solve's relative residual: a
+    controlled step, and copies of what it left in the topology's workspace
+    (:meth:`~capflow.forms.Workspace.system`).  Raises what the step raises,
+    DomainEmptied if the contact line would reach ``floor`` among it.
     """
-    mesh, u = state.mesh, state.u
-    if u.mesh is not mesh:
-        raise DimensionMismatch("velocity field lives on a different mesh")
-    ws = workspace(mesh.topology)
-    mesh_new, ale_residual = ws.motion(mesh, u, num.dt, floor)
-    return ws.assemble(mesh_new, u, ws.struct.V, zeta, phys, num), ale_residual
+    ws = workspace(state.mesh.topology)
+    mesh_new, _, _ = ws.step(state.mesh, state.u, zeta, phys, num, floor, True)
+    return ws.system(mesh_new), ws.struct.ale_residual
 
 
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,

@@ -5,11 +5,11 @@ which hand each kernel the workspace's storage.  The tests call them here
 one at a time, to hold each against the numpy kernel it replaced
 (``pattern_forms``) and to build the mesh-velocity system a step solves; the
 band factor, with its forward elimination of the loads, and the
-back-substitution with its checks, which alone take that system, hold the
-envelope LU against dense loops.  Each wrapper checks the shapes its kernel
-reads and writes, as far as the records' shapes reach, and finds the library
-through ``kernels.kernel()`` when called, so a test may hand them another
-build.
+back-substitution with its checks factor and solve that system, hand-made
+ones and copies of a step's, to hold the envelope LU against dense loops.
+Each wrapper checks the shapes its kernel reads and writes, as far as the
+records' shapes reach, and finds the library through ``kernels.kernel()``
+when called, so a test may hand them another build.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from capflow import kernels
 from capflow.errors import DimensionMismatch
-from capflow.forms import (FixedPattern, LinearSystem, RadialTable, _check_fields,
-                           _extension_pattern, bottom_load_vector, mass_action, radial_table)
+from capflow.forms import (FixedPattern, LinearSystem, RadialTable, _extension_pattern,
+                           bottom_load_vector, mass_action, radial_table)
 from capflow.geometry import AxiMesh, BoundaryTag
 from capflow.kernels import Pointers, expect
 
@@ -44,6 +44,12 @@ class ElementData:
         object.__setattr__(self, "ptr", Pointers(
             tri=(self.tri, np.int64), area=self.area, grad_r=self.grad_r, grad_z=self.grad_z,
             wr=self.wr, r_int=self.r_int))
+
+
+def check_fields(mesh: AxiMesh, *fields) -> None:
+    """Raise DimensionMismatch unless every field lives on mesh."""
+    if any(f.mesh is not mesh for f in fields):
+        raise DimensionMismatch("field defined on a different mesh")
 
 
 def element_data(mesh: AxiMesh) -> ElementData:
@@ -222,7 +228,7 @@ def solve_system(ab: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray)
 def mesh_velocity_system(mesh, u) -> LinearSystem:
     """The mesh-velocity system of the velocity u on mesh, which the motion
     phase fills, factors and solves, built from the kernels one by one."""
-    _check_fields(mesh, u)
+    check_fields(mesh, u)
     pattern = mesh.topology.memo(_extension_pattern)
     data, vals, (stiffness,) = values(pattern)
     r_stiffness(element_data(mesh), stiffness)

@@ -8,7 +8,6 @@ from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.fields import VectorFieldP1
-from capflow.forms import LinearSystem
 from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh
 
 
@@ -66,36 +65,32 @@ def random_vector_field(mesh, seed=0, scale=1.0):
 
 def factored_systems(monkeypatch):
     """A list to which each saddle system a step factors is appended, from
-    this call on: copies of the system's data and loads in the topology's
-    workspace after the step, on its new mesh."""
+    this call on: the copies of its data and loads that the topology's
+    workspace makes after the step, on its new mesh."""
     systems = []
     run = capflow.forms.Workspace.step
 
     def recording(ws, *args):
         mesh_new, *fields = run(ws, *args)
-        data = ws.data.copy()
-        data.setflags(write=False)
-        systems.append(LinearSystem(pattern=ws.saddle, data=data, rhs=ws.loads[0].copy(),
-                                    mesh=mesh_new, bottom_load=ws.loads[1].copy()))
+        systems.append(ws.system(mesh_new))
         return (mesh_new, *fields)
 
     monkeypatch.setattr(capflow.forms.Workspace, "step", recording)
     return systems
 
 
-def phase_calls(monkeypatch, record, entries=("step",)):
-    """Call record(name, struct) after each call of the compiled entries by
-    name, from this call on: by default ``step``, the one call that advances
-    a slab, else the phases the inspection route runs one by one
-    (``mesh_velocity``, ``motion``, ``assembly``, ``factor``, ``solve``);
-    struct is the workspace struct the entry was handed."""
+def phase_calls(monkeypatch, record):
+    """Call record(struct) after each call of the compiled ``step``, the one
+    call that advances a slab, from this call on; struct is the workspace
+    struct it was handed."""
     lib = kernels.kernel()
-    for name in entries:
-        def spy(struct, entry=getattr(lib, name), name=name):
-            status = entry(struct)
-            record(name, struct)
-            return status
-        monkeypatch.setattr(lib, name, spy)
+
+    def spy(struct, entry=lib.step):
+        status = entry(struct)
+        record(struct)
+        return status
+
+    monkeypatch.setattr(lib, "step", spy)
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from capflow.fields import PhysParams, VectorFieldP1
-from capflow.forms import (_ONES, _QBASIS, _QQ, FixedPattern, _check_fields, _outer, _vector_dofs,
-                           radial_table)
+from capflow.forms import _ONES, _QBASIS, _QQ, FixedPattern, _outer, _vector_dofs, radial_table
 from capflow.geometry import AxiMesh, BoundaryTag
 
-from .compiled import ElementData, element_data, fill, values
+from .compiled import ElementData, check_fields, element_data, fill, values
 
 # integral of N_i N_j over a triangle per unit area: 1/6 on the diagonal, 1/12 off it
 _NN = _QBASIS.T @ _QBASIS / 3.0
@@ -425,7 +424,7 @@ def form_b(mesh: AxiMesh) -> sp.csr_matrix:
 
 def form_c_ALE(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matrix:
     """Relative transport ([(w - V) . grad] u, v) - (div(V) u, v)."""
-    _check_fields(mesh, w, V)
+    check_fields(mesh, w, V)
     ed = element_data(mesh)
     return _fill([_vector_dofs(ed.tri, mesh.num_nodes)],
                  [_on_both_components(_advection_block(ed, w.values - V.values)
@@ -435,7 +434,7 @@ def form_c_ALE(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matr
 
 def form_s(mesh: AxiMesh, w: VectorFieldP1, V: VectorFieldP1) -> sp.csr_matrix:
     """Transport stabilization 1/2 (div(w) u, v) - 1/2 surface flux on the free surface."""
-    _check_fields(mesh, w, V)
+    check_fields(mesh, w, V)
     ed = element_data(mesh)
     return _fill([_vector_dofs(ed.tri, mesh.num_nodes), _surface_dofs(mesh)],
                  [_on_both_components(0.5 * _mass_block(ed, _div_at_quad(ed, w.values))),

@@ -12,12 +12,12 @@ from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
-from capflow.fields import NumParams, zero_vector_field
-from capflow.forms import (BandLayout, FixedPattern, _extension_pattern, _saddle_pattern,
-                           assemble_state_system, beta_h, bottom_load_vector, factorize,
-                           mass_action, reverse_cuthill_mckee, vertex_order)
+from capflow.fields import NumParams, zero_scalar_field, zero_vector_field
+from capflow.forms import (BandLayout, FixedPattern, _extension_pattern, _saddle_pattern, beta_h,
+                           bottom_load_vector, mass_action, reverse_cuthill_mckee, vertex_order,
+                           workspace)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
-from capflow.stepping import initial_state, slab_system, step
+from capflow.stepping import FlowState, initial_state, slab_system, step
 
 from .compiled import (band_storage, edge_blocks, element_data, extension_rhs, factor_band, fill,
                        loads, r_stiffness, triangle_blocks, values)
@@ -49,6 +49,14 @@ def form_case(idx):
     return mesh, mesh, u, V, 0.3e-3, PHYS, NUM
 
 
+def moved_case(idx):
+    """The slab from form_case's mesh and velocity: the mesh moved by the
+    mesh velocity V of the velocity, and the rest of form_case with that V."""
+    _, mesh, u, _, zeta, phys, num = form_case(idx)
+    V, _ = solve_domain_velocity(mesh, u)
+    return displace_mesh(mesh, V, num.dt), mesh, u, V, zeta, phys, num
+
+
 def tc1_slab(n1=16, n3=32):
     """The fourth slab of the tc1 refill on an n1 x n3 grid (16x32 is the
     reference), zeta = 1e-4."""
@@ -57,43 +65,47 @@ def tc1_slab(n1=16, n3=32):
 
 def slab(config, n1=16, n3=32):
     """The fourth slab of the run of config on an n1 x n3 grid, zeta = 1e-4:
-    the arguments of assemble_state_system, the mesh velocity V among them.
-    Their system is checked to be the one stepping.slab_system assembles for
-    the slab, bit for bit, so the slab's prefix here cannot drift from it."""
+    the new mesh, the old mesh and velocity, the mesh velocity V and the
+    parameters, which the dense oracles and the kernels called one by one
+    take, and from which :func:`saddle` steps."""
     cfg = replace(config(), N1=n1, N3=n3)
     phys, num = phys_params(cfg), num_params(cfg)
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
         state, *_ = step(state, 1e-4, phys, num)
     V, _ = solve_domain_velocity(state.mesh, state.u)
-    args = displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
-    ours, (stepped, _) = assemble_state_system(*args), slab_system(state, 1e-4, phys, num)
-    for a, b in ((ours.data, stepped.data), (ours.rhs, stepped.rhs),
-                 (ours.mesh.z, stepped.mesh.z)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    return args
+    return displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
+
+
+def saddle(mesh_new, mesh_old, u, V, zeta, phys, num):
+    """The saddle system that stepping.slab_system copies out for the slab
+    from mesh_old and u at zeta; its new mesh is checked to have mesh_new's
+    heights bit for bit, so a slab's prefix here (V, then the displacement)
+    cannot drift from the step's."""
+    state = FlowState(mesh=mesh_old, u=u, p=zero_scalar_field(mesh_old), t=0.0)
+    system, _ = slab_system(state, zeta, phys, num)
+    assert system.mesh.z.tobytes() == mesh_new.z.tobytes()
+    return system
 
 
 def rel(matrix, dense):
     return np.abs(matrix.toarray() - dense).max() / np.abs(dense).max()
 
 
-@pytest.mark.parametrize("case", [lambda: form_case(0), lambda: form_case(1),
-                                  lambda: form_case(2), tc1_slab],
+@pytest.mark.parametrize("case", [lambda: moved_case(0), lambda: moved_case(1),
+                                  lambda: moved_case(2), tc1_slab],
                          ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab"])
 def test_fixed_pattern_equals_coo_reference(case):
     """The step's reduced matrix and rhs equal the dense oracle's on its dofs."""
     args = case()
-    system = assemble_state_system(*args)
+    system = saddle(*args)
     matrix, rhs = reference_system(*args, system.pattern.free)
     # the reduced order is a permutation of the free dofs fixed by the connectivity alone
     kept = np.setdiff1d(np.arange(3 * args[0].num_nodes), args[0].radial_constrained_nodes)
     assert np.array_equal(np.sort(system.pattern.free), kept)
     twin = same_grid(args[0])
     assert twin.topology is not args[0].topology
-    u0 = zero_vector_field(twin)
-    twin_system = assemble_state_system(twin, twin, u0, u0, *args[4:])
-    assert np.array_equal(twin_system.pattern.free, system.pattern.free)
+    assert np.array_equal(twin.topology.memo(_saddle_pattern).free, system.pattern.free)
     assert system.matrix.shape == matrix.shape
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
@@ -192,8 +204,10 @@ def test_kernel_arguments_are_checked_before_the_kernel_runs():
     for blocks in ((wall[:-1], surface), (wall, surface[:, :2, :2])):
         with pytest.raises(DimensionMismatch):
             edge_blocks(mesh, u, V, 1.0, phys.gamma, num.dt, *blocks)
+    other = zero_vector_field(same_grid(mesh))
     with pytest.raises(DimensionMismatch):    # checked once, for every kernel of the step
-        assemble_state_system(mesh, mesh, u, zero_vector_field(same_grid(mesh)), 0.0, phys, num)
+        slab_system(FlowState(mesh=mesh, u=other, p=zero_scalar_field(mesh), t=0.0), 0.0, phys,
+                    num)
     with pytest.raises(DimensionMismatch):
         extension_rhs(u, np.empty((m - 1, 3, 3)))
     with pytest.raises(ctypes.ArgumentError):
@@ -203,9 +217,8 @@ def test_kernel_arguments_are_checked_before_the_kernel_runs():
 @pytest.mark.parametrize("grid, nnz, width", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],
                          ids=["16x32", "32x64"])
 def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
-    system = assemble_state_system(*tc1_slab(*grid))
-    lu = factorize(system)
-    band = lu.system.pattern.band       # the LU reads its band from its system's pattern
+    system = saddle(*tc1_slab(*grid))
+    band = system.pattern.band
     assert system.matrix.nnz == nnz
     # the layout found once with the pattern is the layout of every fill
     own = BandLayout.of(system.matrix.indices, system.matrix.indptr)
@@ -217,19 +230,19 @@ def test_pattern_order_keeps_the_band_narrow(grid, nnz, width):
     # wide: 51 at 16x32, 102 at 32x64
     assert band.kl == band.ku
     assert band.kl == width if grid == (16, 32) else band.kl <= width
-    (x,), _ = lu.solve(("state",))
+    x = workspace(system.mesh.topology).x[0]        # the step's state solution
     assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_band_storage_holds_the_matrix_on_its_diagonals():
-    system = assemble_state_system(*tc1_slab(4, 8))
+    system = saddle(*tc1_slab(4, 8))
     band, dense = system.pattern.band, system.matrix.toarray()
     # the band storage the factor phase factors: the factor kernel on
-    # band_storage's scatter gives the phase's LU bit for bit
+    # band_storage's scatter gives the LU that the step leaves, bit for bit
     ab = band_storage(system)
     factored = ab.copy(order="F")
     assert factor_band(factored, band) == 0
-    assert factored.tobytes(order="F") == factorize(system).lu.tobytes(order="F")
+    assert factored.tobytes(order="F") == workspace(system.mesh.topology).band.tobytes(order="F")
     # no fill rows: without pivoting U keeps the upper band
     assert band.ldab == band.kl + band.ku + 1
     assert ab.shape == (band.ldab, len(dense)) and ab.flags.f_contiguous
@@ -426,13 +439,17 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
             a, b, c, d = 3 * i + j, 3 * (i + 1) + j, 3 * (i + 1) + j + 1, 3 * i + j + 1
             other += [(a, b, d), (b, c, d)]
     flipped = AxiMesh(z=mesh.z, topology=replace(mesh.topology, triangles=other))
-    u, V = zero_vector_field(mesh), zero_vector_field(mesh)
-    assemble_state_system(mesh, mesh, u, V, 0.0, PHYS, NUM)   # builds mesh's pattern
+    u = zero_vector_field(mesh)
     with pytest.raises(DimensionMismatch):
-        assemble_state_system(flipped, mesh, u, V, 0.0, PHYS, NUM)
+        slab_system(FlowState(mesh=flipped, u=u, p=zero_scalar_field(flipped), t=0.0), 0.0, PHYS,
+                    NUM)
 
     w = random_vector_field(flipped, seed=4)
-    system = assemble_state_system(flipped, flipped, w, w, 0.0, PHYS, NUM)
-    matrix, rhs = reference_system(flipped, flipped, w, w, 0.0, PHYS, NUM, system.pattern.free)
+    V, _ = solve_domain_velocity(flipped, w)
+    args = displace_mesh(flipped, V, NUM.dt), flipped, w, V, 0.0, PHYS, NUM
+    system = saddle(*args)
+    # the flipped connectivity's own vertex order
+    assert not np.array_equal(system.pattern.free, mesh.topology.memo(_saddle_pattern).free)
+    matrix, rhs = reference_system(*args, system.pattern.free)
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()

@@ -19,20 +19,24 @@ def test_step_profile_times_every_phase():
     step_profile = load("step_profile")
     step_profile.REPEATS = 1
     step_profile.RUN_STEPS = 2
-    rows = step_profile.phases(4, 8)
+    rows, band = step_profile.phases(4, 8)
     assert len(rows) == 19
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows[:-5]), rows
-    # the factor's kernel under the factorization, the controlled step after
-    # the free one, a residual row under each solve
+    # first the steps' phase clocks, each row named by its clock, with the
+    # factor's kernel under the factor and a residual row under each solve;
+    # then the whole step, the controlled one after the free one
     names = [name for name, _ in rows]
-    assert names[names.index("factorize") + 1] == "  factor kernel"
+    assert [name.split(",")[0] for name in names if not name.startswith(" ")][:6] == [
+        "ALE", "motion", "assembly", "factor", "solves", "solves"]
+    assert names[names.index("factor") + 1] == "  factor kernel"
     assert names[names.index("whole step") + 1] == "whole step, controlled"
-    for solve in ("state solve", "state + bottom-load solve"):
+    for solve in ("solves, state", "solves, state + bottom load"):
         assert names[names.index(solve) + 1] == "  residual", solve
     # last, each phase's median time in a run, from its compiled clock
     assert names[-5:] == [f"in a run: {phase}" for phase in
                           ("ALE", "motion", "assembly", "factor", "solves")]
     assert all(math.isfinite(ms) and ms >= 0 for _, ms in rows[-5:]), rows
+    assert band.split()[0] == "4x8"
 
 
 def test_step_profile_prints_its_tables(capsys):

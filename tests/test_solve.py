@@ -17,20 +17,20 @@ import capflow.forms
 import capflow.control
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
+from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
-from capflow.forms import (BandLayout, BandLU, FixedPattern, LinearSystem, assemble_state_system,
-                           bottom_load_vector, factorize, kinetic_energy,
-                           _saddle_pattern, radial_table, solve, workspace)
+from capflow.forms import (BandLayout, FixedPattern, LinearSystem, bottom_load_vector,
+                           kinetic_energy, _saddle_pattern, radial_table, workspace)
 from capflow import solve_domain_velocity
 from capflow.geometry import build_structured_mesh
-from capflow.stepping import FlowState, slab_system, step
+from capflow.stepping import FlowState, initial_state, slab_system, step
 
 from .pattern_forms import filled, form_a, mass_matrix
 from .compiled import (band_storage, element_data, factor_band, mesh_velocity_system,
                        r_stiffness, solve_band, solve_system, triangle_blocks, values)
-from .conftest import factored_systems, phase_calls
-from .test_assembly import compiled_kernels, slab, tc1_slab
+from .conftest import factored_systems
+from .test_assembly import compiled_kernels, saddle, slab, tc1_slab
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -89,43 +89,69 @@ def read_only(a):
 
 
 def band_lu(system, b=None):
-    """The LU of system's matrix on any pattern, as the phases make it: the
-    compiled scatter and band factor, one by one, with the forward
+    """The LU of system's matrix on any pattern, as the factor phase makes
+    it: the compiled scatter and band factor, one by one, with the forward
     elimination of the loads b, one (n,) or k (k, n), the system's rhs by
-    default."""
+    default; the band storage and the eliminated loads, (k, n)."""
     ab = band_storage(system)
     loads = np.atleast_2d(system.rhs if b is None else b).copy()
     assert factor_band(ab, system.pattern.band, loads) == 0
-    return BandLU(system=system, lu=ab, loads=loads)
+    return ab, loads
 
 
 def solve_rows(system, b):
     """The LU of system's matrix on any pattern with the forward elimination
     of the k rows of b (:func:`band_lu`), and the solve kernel's solutions,
-    (k, n), each row finite and its relative residual under the phases'
-    1e-10 gate."""
-    lu = band_lu(system, b)
-    x = lu.loads.copy()
-    out, flags = solve_band(lu.lu, system.pattern.band, system.pattern, system.data,
+    (k, n), each row finite and its relative residual, (k,), under the
+    phases' 1e-10 gate."""
+    lu, x = band_lu(system, b)
+    out, flags = solve_band(lu, system.pattern.band, system.pattern, system.data,
                             np.atleast_2d(b), x)
     assert flags == 0
-    n = x.shape[1]
-    assert np.all(np.sqrt(out[:, n]) <= 1e-10 * np.sqrt(out[:, n + 1]))
-    return lu, x
+    rel = relative_residuals(out)
+    assert np.all(rel <= 1e-10)
+    return lu, x, rel
+
+
+def relative_residuals(out):
+    """Each row's ||A x_t - b_t|| / ||b_t||, or ||A x_t - b_t|| for b_t = 0,
+    from the checks out, (k, n + 2), of the solve kernel, as the phases
+    compute it."""
+    res, norm = np.sqrt(out[:, -2]), np.sqrt(out[:, -1])
+    return np.where(norm > 0, res / np.where(norm > 0, norm, 1.0), res)
+
+
+def growth(lu, system):
+    """max |U| / max |A| of the band storage lu of system's matrix."""
+    return np.abs(lu[:system.pattern.band.ku + 1]).max() / np.abs(system.data).max()
+
+
+def state_of(mesh, u):
+    """The state of the velocity u on mesh, with zero pressure, at t = 0."""
+    return FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0)
+
+
+def mapped(status, **details):
+    """The error that :meth:`~capflow.forms.Workspace.error` makes of a
+    phase's status, the struct holding the details of the failure given
+    (column, row, rel), row t of a solve named ("state", "bottom-load")[t]."""
+    ws = workspace(build_structured_mesh(1.0, 1.0, 2, 2).topology)
+    for name, value in details.items():
+        setattr(ws.struct, name, value)
+    return ws.error(status, ("state", "bottom-load"), None)
 
 
 def test_identity_system_returns_rhs():
-    """The identity, hand-made on the saddle pattern: u and p are the load,
-    zero on the eliminated radial dofs."""
+    """The identity, hand-made on the saddle pattern: the solution is the
+    load, with a zero residual."""
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = mesh.num_nodes
     rng = np.random.default_rng(0)
     b = rng.standard_normal(3 * n)
-    b[mesh.radial_constrained_nodes] = 0.0      # scattered into u_r slots
     sys = on_saddle(mesh, sp.eye(3 * n), b)
-    u, p, res, _, _ = solve(factorize(sys))
-    assert np.array_equal(np.concatenate((u.values[:, 0], u.values[:, 1], p.values)), b)
-    assert res <= 1e-15
+    _, x, rel = solve_rows(sys, sys.rhs)
+    assert np.array_equal(x[0], sys.rhs)
+    assert rel[0] <= 1e-15
 
 
 def test_spd_block_manufactured_solution():
@@ -138,20 +164,25 @@ def test_spd_block_manufactured_solution():
     b = np.zeros(3 * n)
     b[:2 * n] = A @ x
     sys = on_saddle(mesh, sp.block_diag((A, sp.eye(n))), b)
-    u, _, _, _, _ = solve(factorize(sys))
-    got = np.concatenate((u.values[:, 0], u.values[:, 1]))
+    _, solved, _ = solve_rows(sys, sys.rhs)
+    full = np.zeros(3 * n)
+    full[sys.pattern.free] = solved[0]
+    got = full[:2 * n]
     assert np.abs(got - x).max() <= 1e-10 * max(np.abs(x).max(), 1.0)
 
 
 def test_singular_matrix_detected():
+    """An exactly zero first pivot: the factor kernel returns its 1-based
+    column, which the workspace reports as SingularMatrix naming it."""
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     n = mesh.num_nodes
     first = mesh.topology.memo(_saddle_pattern).free[0]     # reduced column 1
     mat = sp.eye(3 * n, format="lil")
     mat[first, first] = 0.0
     sys = on_saddle(mesh, mat, np.ones(3 * n))
-    with pytest.raises(SingularMatrix, match="zero pivot in column 1 "):
-        factorize(sys)
+    assert factor_band(band_storage(sys), sys.pattern.band) == 1
+    with pytest.raises(SingularMatrix, match="^zero pivot in column 1 of the banded LU$"):
+        raise mapped(kernels.ZERO_PIVOT, column=1)
 
 
 def test_zero_pivot_left_by_the_elimination_names_its_column():
@@ -163,98 +194,88 @@ def test_zero_pivot_left_by_the_elimination_names_its_column():
     mat = sp.eye(3 * n, format="lil")
     mat[i, j] = mat[j, i] = 1.0
     sys = on_saddle(mesh, mat, np.ones(3 * n))
-    with pytest.raises(SingularMatrix, match="zero pivot in column 6 "):
-        factorize(sys)
+    assert factor_band(band_storage(sys), sys.pattern.band) == 6
+    with pytest.raises(SingularMatrix, match="^zero pivot in column 6 of the banded LU$"):
+        raise mapped(kernels.ZERO_PIVOT, column=6)
+
+
+def misplaced_saddle(monkeypatch, diagonal):
+    """From here on, each saddle pattern built sends one entry of column 0
+    to another entry's place in the band, so the factor phase factors
+    another matrix than the one its residuals are checked in: the diagonal
+    entry to the first off-diagonal's place, or that entry to the
+    diagonal's.  Returns the tc1 refill's initial state on a 4x8 grid, whose
+    topology builds its pattern so, and its parameters."""
+    build = capflow.forms._saddle_pattern
+
+    def misplaced(topology):
+        pattern = build(topology)
+        column = pattern.indices[:pattern.indptr[1]]
+        on, off = np.flatnonzero(column == 0)[0], np.flatnonzero(column != 0)[0]
+        moved, place = (on, off) if diagonal else (off, on)
+        position = pattern.band.position.copy()
+        position[moved] = position[place]
+        position.setflags(write=False)
+        return replace(pattern, band=replace(pattern.band, position=position))
+
+    monkeypatch.setattr(capflow.forms, "_saddle_pattern", misplaced)
+    cfg = replace(tc1_config(), N1=4, N3=8)
+    phys, num = phys_params(cfg), num_params(cfg)
+    return initial_state(cfg.radius, cfg.init_height, num), phys, num
+
+
+def test_a_zero_pivot_of_the_step_raises_singular_matrix(monkeypatch):
+    """A step whose band lacks the first diagonal entry meets an exactly
+    zero first pivot: SingularMatrix naming column 1."""
+    state, phys, num = misplaced_saddle(monkeypatch, diagonal=True)
+    with pytest.raises(SingularMatrix, match="^zero pivot in column 1 of the banded LU$"):
+        step(state, 1e-4, phys, num, gradient=True)
+
+
+def test_a_step_whose_factors_miss_the_matrix_fails_the_state_gate(monkeypatch):
+    """A step that factors another matrix than its own raises the state
+    row's ResidualTooLarge; the residual of each row, state and bottom load,
+    is numpy's ||A x_t - b_t|| / ||b_t|| of the data, loads and solution
+    rows the step left in the workspace."""
+    state, phys, num = misplaced_saddle(monkeypatch, diagonal=False)
+    with pytest.raises(ResidualTooLarge, match="^state solve: relative residual "):
+        step(state, 1e-4, phys, num, gradient=True)
+    ws = workspace(state.mesh.topology)
+    pattern = ws.saddle
+    A = sp.csc_matrix((ws.data, pattern.indices, pattern.indptr), shape=(len(pattern.free),) * 2)
+    for t in range(2):
+        b, x = ws.loads[t], ws.x[t]
+        reference = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+        assert ws.struct.rel[t] == pytest.approx(reference, rel=1e-12, abs=0.0), t
+    assert ws.struct.rel[0] > 1e-10
 
 
 def test_mismatched_field_mesh_rejected():
     mesh_a = build_structured_mesh(1.0, 1.0, 4, 4)
     mesh_b = build_structured_mesh(1.0, 1.0, 4, 4)
-    u = zero_vector_field(mesh_b)
-    V = zero_vector_field(mesh_b)
-    with pytest.raises(DimensionMismatch):
-        assemble_state_system(mesh_a, mesh_a, u, V, 0.0, PHYS, NUM)
+    state = state_of(mesh_a, zero_vector_field(mesh_b))
+    for slab_of in (step, slab_system):
+        with pytest.raises(DimensionMismatch):
+            slab_of(state, 0.0, PHYS, NUM)
 
 
 def test_solved_velocity_respects_essential_conditions():
     mesh_old = build_structured_mesh(5e-4, 5e-5, 4, 4)
-    u = zero_vector_field(mesh_old)
-    V = zero_vector_field(mesh_old)
-    sys = assemble_state_system(mesh_old, mesh_old, u, V, 0.0, PHYS, NUM)
-    u_new, _, _, _, _ = solve(factorize(sys))
-    assert np.abs(u_new.values[mesh_old.radial_constrained_nodes, 0]).max() == 0.0
+    new, _ = step(state_of(mesh_old, zero_vector_field(mesh_old)), 0.0, PHYS, NUM)
+    assert np.abs(new.u.values).max() > 0.0
+    assert np.abs(new.u.values[mesh_old.radial_constrained_nodes, 0]).max() == 0.0
 
 
-def test_lu_carries_the_system_it_factors():
+def test_the_slab_system_is_frozen():
+    """The system slab_system copies out is frozen and its arrays read-only:
+    the matrix the residual gate read is the one factored."""
     mesh = build_structured_mesh(5e-4, 5e-5, 4, 4)
-    u = zero_vector_field(mesh)
-    system = assemble_state_system(mesh, mesh, u, u, 0.0, PHYS, NUM)
-    lu = factorize(system)
-    assert lu.system is system
-    # frozen: the matrix the residual gate reads is the one factored
+    system, _ = slab_system(state_of(mesh, zero_vector_field(mesh)), 0.0, PHYS, NUM)
     with pytest.raises(FrozenInstanceError):
         system.data = np.ones_like(system.data)
-
-
-def test_only_the_saddle_system_is_factored_and_solved(monkeypatch):
-    """A system on another pattern than its topology's saddle pattern, a
-    hand-built identity's, a copy of the saddle pattern or the mesh-velocity
-    extension's, is refused by factorize, solve and BandLU.solve before any
-    phase runs; the saddle system itself is factored and solved by them."""
-    mesh_new, mesh, u, *_ = slab = tc1_slab(4, 8)
-    system = assemble_state_system(*slab)
-    n = len(system.rhs)
-    hand_built = LinearSystem(pattern=pattern_of(sp.eye(n, format="csc"), np.arange(n), n),
-                              data=read_only(np.ones(n)), rhs=np.ones(n), mesh=mesh_new)
-    copied = replace(system, pattern=replace(system.pattern))
-    phases = []
-    phase_calls(monkeypatch, lambda name, struct: phases.append(name), ("factor", "solve"))
-    for other in (hand_built, copied, mesh_velocity_system(mesh, u)):
-        lu = band_lu(other)
-        for refused in (lambda: factorize(other), lambda: solve(lu),
-                        lambda: lu.solve(("state",))):
-            with pytest.raises(DimensionMismatch, match="saddle pattern"):
-                refused()
-    assert phases == []
-    solve(factorize(system))
-    assert phases == ["factor", "solve"]
-
-
-def test_matrix_and_lu_arrays_are_refused_before_any_phase_runs(monkeypatch):
-    """Matrix data of the pattern's nnz entries but float32, or a strided
-    view of the right shape, an LU in float32 or in C order, such a load of
-    the system and such eliminated loads of the LU: each is refused with
-    TypeError by factorize, solve and BandLU.solve, as far as each reads it,
-    which would read past its end or the entries of its base."""
-    system = assemble_state_system(*tc1_slab(4, 8))
-    lu = factorize(system)
-    phases = []
-    phase_calls(monkeypatch, lambda name, struct: phases.append(name), ("factor", "solve"))
-    float32 = read_only(system.data.astype(np.float32))
-    strided = read_only(np.repeat(system.data, 2))[::2]
-    assert float32.shape == strided.shape == system.data.shape
-    for data in (float32, strided):
-        bad = replace(system, data=data)
-        held = BandLU(system=bad, lu=lu.lu, loads=lu.loads)
-        for refused in (lambda: factorize(bad), lambda: solve(held),
-                        lambda: held.solve(("state",))):
-            with pytest.raises(TypeError, match="^matrix data: a C_CONTIGUOUS float64 "):
-                refused()
-    for factors in (lu.lu.astype(np.float32, order="F"), np.ascontiguousarray(lu.lu)):
-        with pytest.raises(TypeError, match="^LU: a F_CONTIGUOUS float64 "):
-            BandLU(system=system, lu=factors, loads=lu.loads).solve(("state",))
-        with pytest.raises(TypeError, match="^LU: a F_CONTIGUOUS float64 "):
-            solve(BandLU(system=system, lu=factors, loads=lu.loads))
-    for rhs in (system.rhs.astype(np.float32), np.repeat(system.rhs, 2)[::2]):
-        for bad in (replace(system, rhs=rhs), replace(system, bottom_load=rhs)):
-            for refused in (lambda: factorize(bad),
-                            lambda: solve(BandLU(system=bad, lu=lu.lu, loads=lu.loads))):
-                with pytest.raises(TypeError, match="^right-hand side: a C_CONTIGUOUS float64 "):
-                    refused()
-    for loads in (lu.loads.astype(np.float32), np.asfortranarray(lu.loads)):
-        with pytest.raises(TypeError, match="^eliminated loads: a C_CONTIGUOUS float64 "):
-            solve(BandLU(system=system, lu=lu.lu, loads=loads))
-    assert phases == []
+    for a in (system.data, system.rhs, system.bottom_load):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 # -- the compiled kernel -------------------------------------------------------
@@ -289,16 +310,13 @@ def bits(a):
 
 
 def test_kernel_factors_equal_the_dense_lu_without_pivoting():
-    system = assemble_state_system(*tc1_slab(4, 8))
+    """The LU that a step leaves in the workspace is Doolittle's, bit for bit."""
+    system = saddle(*tc1_slab(4, 8))
     band = system.pattern.band
-    A = system.matrix.toarray()
-    reference = dense_lu_without_pivoting(A)
-    lu = factorize(system)
+    reference = dense_lu_without_pivoting(system.matrix.toarray())
     values, places = on_band(reference, band.kl, band.ku)
-    assert np.array_equal(lu.lu[places], values)
+    assert np.array_equal(workspace(system.mesh.topology).band[places], values)
     assert np.count_nonzero(values) == np.count_nonzero(reference)    # none outside the band
-    upper = np.triu(reference)
-    assert lu.growth == np.abs(upper).max() / np.abs(A).max()
 
 
 def test_kernel_handles_every_band_shape():
@@ -378,8 +396,8 @@ def test_band_layout_reaches_are_the_profiles_of_the_structure():
     """L's reach of every column is the row profile's, U's reach of every
     row the column profile's; both stay in the band and never end earlier
     for a later column."""
-    saddle = assemble_state_system(*tc1_slab(4, 8))
-    structures = [saddle.matrix, extension_system(4, 8)[1],
+    system = saddle(*tc1_slab(4, 8))
+    structures = [system.matrix, extension_system(4, 8)[1],
                   sp.csc_matrix(unsymmetric_envelope())]
     for matrix in structures:
         band = BandLayout.of(matrix.indices, matrix.indptr)
@@ -393,7 +411,7 @@ def test_band_layout_reaches_are_the_profiles_of_the_structure():
             assert np.all(np.diff(j + reach) >= 0)
             assert np.all((reach >= 0) & (reach <= np.minimum(k, n - 1 - j)))
     # the step matrices are structurally symmetric, the hand-built one is not
-    band = saddle.pattern.band
+    band = system.pattern.band
     assert np.array_equal(band.lower, band.upper)
     assert (band.lower < full_band(len(band.lower), band.kl, band.ku).lower).any()
     other = BandLayout.of(structures[2].indices, structures[2].indptr)
@@ -402,7 +420,7 @@ def test_band_layout_reaches_are_the_profiles_of_the_structure():
 
 @pytest.mark.parametrize("grid", [(4, 8), (8, 16)], ids=["4x8", "8x16"])
 def test_lu_without_pivoting_fills_nothing_outside_the_envelope(grid):
-    systems = [assemble_state_system(*slab(config, *grid)) for config in (tc1_config, tc2_config)]
+    systems = [saddle(*slab(config, *grid)) for config in (tc1_config, tc2_config)]
     matrices = [(system.pattern.band, system.matrix) for system in systems]
     pattern, stiffness = extension_system(*grid)
     matrices.append((pattern.band, stiffness))
@@ -456,25 +474,33 @@ def test_unsymmetric_envelope_factors_like_the_dense_loop():
 def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     """On the 16x32 tc1 slab, whose envelope leaves part of the band out,
     the factors, the eliminated loads and a solve are those of the full
-    band, bit for bit."""
-    system = assemble_state_system(*tc1_slab())
+    band, bit for bit, and so are the LU and the solutions of the system's
+    rhs and bottom load that the step left in the workspace."""
+    system = saddle(*tc1_slab())
+    ws = workspace(system.mesh.topology)
     band = system.pattern.band
     n = system.matrix.shape[0]
     full = full_band(n, band.kl, band.ku)
     assert band.lower.sum() < full.lower.sum() and band.upper.sum() < full.upper.sum()
-    lu = factorize(system)
     ab = np.zeros(band.ldab * n)
     ab[band.position] = system.matrix.data
     ab = ab.reshape((band.ldab, n), order="F")
-    b = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
-    loads = b.copy()
-    factored = ab.copy(order="F")
-    assert factor_band(factored, full, loads) == 0
-    assert np.array_equal(bits(factored), bits(lu.lu))
-    assert np.array_equal(bits(loads), bits(lu.loads))
+    assert np.array_equal(bits(system.bottom_load),
+                          bits(system.pattern.reduce(bottom_load_vector(system.mesh))))
+    b = np.stack((system.rhs, system.bottom_load))
+    factors = []
+    for layout in (band, full):
+        loads, factored = b.copy(), ab.copy(order="F")
+        assert factor_band(factored, layout, loads) == 0
+        factors.append((factored, loads))
+    (envelope, eliminated), (factored, loads) = factors
+    assert np.array_equal(bits(factored), bits(envelope))
+    assert np.array_equal(bits(factored), bits(ws.band))
+    assert np.array_equal(bits(loads), bits(eliminated))
     _, x, _, _ = solve_system(ab, band, system.pattern, system.data, b)
     _, y, _, _ = solve_system(ab, full, system.pattern, system.data, b)
     assert np.array_equal(bits(x), bits(y))
+    assert np.array_equal(bits(x), bits(ws.x))
 
 
 def test_band_storage_past_int32_positions_is_refused():
@@ -513,7 +539,7 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
     def moving(state, *args, **kwargs):
         system = mesh_velocity_system(state.mesh, state.u)
         extensions.append(system)
-        _, (x,) = solve_rows(system, system.rhs)
+        _, (x,), _ = solve_rows(system, system.rhs)
         V, _ = solve_domain_velocity(state.mesh, state.u)
         assert np.array_equal(bits(V.values[system.pattern.free, 1]), bits(x))
         return run_step(state, *args, **kwargs)
@@ -526,19 +552,24 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
     for k, system in enumerate(s for pair in zip(extensions, systems) for s in pair):
         A = system.matrix.toarray()
         b = np.stack((system.rhs, rng.standard_normal(len(A))))
-        lu, x = solve_rows(system, b)
+        lu, x, _ = solve_rows(system, b)
         for t in range(2):
             ref = np.linalg.solve(A, b[t])
             assert np.linalg.norm(x[t] - ref) <= 1e-10 * np.linalg.norm(ref), k
-        assert lu.growth <= 10.0, (k, lu.growth)
+        assert growth(lu, system) <= 10.0, (k, growth(lu, system))
 
 
 def test_factorizations_are_bitwise_equal():
-    system = assemble_state_system(*tc1_slab(8, 16))
-    first, second = factorize(system), factorize(system)
-    assert np.array_equal(first.lu, second.lu)
-    assert np.array_equal(bits(first.loads), bits(second.loads))
-    assert np.array_equal(first.solve(("state",))[0], second.solve(("state",))[0])
+    """Two steps from one state leave the same LU and solutions, bit for bit."""
+    _, mesh, u, _, zeta, phys, num = tc1_slab(8, 16)
+    ws = workspace(mesh.topology)
+    left = []
+    for _ in range(2):
+        step(state_of(mesh, u), zeta, phys, num, gradient=True)
+        left.append((ws.band.copy(order="F"), ws.x.copy()))
+    (first, x), (second, y) = left
+    assert np.array_equal(bits(first), bits(second))
+    assert np.array_equal(bits(x), bits(y))
 
 
 def step_solves():
@@ -547,11 +578,11 @@ def step_solves():
     bottom-load solve included, one per row of each call: the mesh
     velocity's with its system rebuilt kernel by kernel, the step's mesh
     velocity on the kept nodes and the step's residual; the state's and the
-    bottom load's with the slab's system from the inspection route, the
+    bottom load's with the slab's system as slab_system copies it out, the
     step's solutions (the bottom load's read from the workspace) and its
     residuals."""
     _, mesh, u, _, zeta, phys, num = tc1_slab()
-    state = FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0)
+    state = state_of(mesh, u)
     new, diag = step(state, zeta, phys, num, gradient=True)
     w = workspace(mesh.topology).w.copy()
     system, _ = slab_system(state, zeta, phys, num)
@@ -587,17 +618,16 @@ def test_residual_kernel_is_scipys_product_and_numpys_norms():
 
 
 def test_non_finite_solution_raises_singular_matrix_naming_the_solve():
-    """The kernel flags each row whose solution is not finite, and the solve
-    raises SingularMatrix naming it: a finite load checked with a poisoned
-    solution, a finite load whose solve overflows on a pivot of 1e-320, a
-    load with a non-finite entry, and the bottom-load row of a slab whose
-    state row is finite, its assembled bottom load poisoned before the
-    factor."""
-    system = assemble_state_system(*tc1_slab(4, 8))
-    lu = factorize(system)
+    """The kernel flags each row whose solution is not finite: a finite load
+    checked with a poisoned solution, a finite load whose solve overflows on
+    a pivot of 1e-320, and a load with a non-finite entry; the workspace
+    reports the flagged row t as SingularMatrix naming its solve.  A step
+    whose state load is poisoned, by a NaN zeta, raises it for the state."""
+    system = saddle(*tc1_slab(4, 8))
     band, what, ptr = system.pattern.band, ("state", "bottom-load"), system.pattern.ptr
-    loads = np.stack((system.rhs, system.pattern.reduce(bottom_load_vector(system.mesh))))
-    x, n = lu.solve(what)[0], loads.shape[1]
+    loads = np.stack((system.rhs, system.bottom_load))
+    lu, x, _ = solve_rows(system, loads)
+    n = loads.shape[1]
     for bad in (np.nan, np.inf, -np.inf):
         for t in range(2):
             y = x.copy()
@@ -606,21 +636,20 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve():
                 out = np.empty((len(b), n + 2))
                 assert kernels.kernel().residual(n, ptr.indptr, ptr.indices, system.data, len(b),
                                                  b, rows, out) == flag
-    tiny = lu.lu.copy(order="F")
+    tiny = lu.copy(order="F")
     tiny[band.ku] = 1e-320                  # every pivot: the backward solve overflows
     for t in range(2):
         b = np.zeros_like(loads)
         b[t] = loads[t]
         assert np.all(np.isfinite(b))
         # L, and so the forward elimination, does not see the pivots
-        eliminated = band_lu(system, b).loads
+        _, eliminated = band_lu(system, b)
         assert solve_band(tiny, band, system.pattern, system.data, b,
                           eliminated.copy())[1] == 1 << t
         assert solve_band(tiny, band, system.pattern, system.data, b[t:t + 1],
                           eliminated[t:t + 1].copy())[1] == 1
         with pytest.raises(SingularMatrix, match=f"^{what[t]} solve produced non-finite values$"):
-            BandLU(system=replace(system, rhs=b[0], bottom_load=b[1]), lu=tiny,
-                   loads=eliminated).solve(what)
+            raise mapped(kernels.NOT_FINITE, row=t)
     for bad in (np.nan, np.inf, -np.inf):
         for t in range(2):
             b = loads.copy()
@@ -628,35 +657,27 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve():
             ab = band_storage(system)
             assert solve_system(ab, band, system.pattern, system.data, b)[3] == 1 << t
             assert solve_system(ab, band, system.pattern, system.data, b[t])[3] == 1
-            with pytest.raises(SingularMatrix, match=f"^{what[t]} solve produced non-finite "
-                                                     f"values$"):
-                factorize(replace(system, rhs=b[0], bottom_load=b[1])).solve(what)
-    _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
-    slab, _ = slab_system(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta,
-                          phys, num)
-    # the assembled bottom load, between the assembly and the factor
-    slab.bottom_load[len(slab.bottom_load) // 2] = np.nan
-    with pytest.raises(SingularMatrix, match="^bottom-load solve produced non-finite values$"):
-        solve(factorize(slab))
+    _, mesh, u, _, _, phys, num = tc1_slab(4, 8)
+    with pytest.raises(SingularMatrix, match="^state solve produced non-finite values$"):
+        step(state_of(mesh, u), np.nan, phys, num, gradient=True)
 
 
 @pytest.mark.parametrize("row, what", [(1, "bottom-load"), (0, "state")],
                          ids=["bottom-load", "state"])
 def test_each_row_of_a_solve_has_its_own_residual_gate(row, what):
     """A slab's two-row solve gates each row on its own relative residual.
-    Between the factor and the solve, two entries of one row i of the matrix
-    that the residuals are checked in, not of its LU, move by d_j and d_k:
-    row t's residual moves by d_j x_t[j] + d_k x_t[k] in row i, which is made
-    0 for one row and 1e-9 of its load's norm for the other.  That row
-    raises ResidualTooLarge naming its solve, and the other's stays under the
-    1e-10 gate.  The two loads' norms differ by far more than 1e-9 / 1e-10,
-    so a row checked against the other's norm would pass or fail the other way."""
-    _, mesh, u, _, zeta, phys, num = tc1_slab(4, 8)
-    system, _ = slab_system(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), zeta,
-                            phys, num)
-    lu = factorize(system)
+    Two entries of one row i of the matrix that the residuals are checked
+    in, not of its LU, move by d_j and d_k: row t's residual moves by
+    d_j x_t[j] + d_k x_t[k] in row i, which is made 0 for one row and 1e-9
+    of its load's norm for the other.  The solve kernel's checks put that
+    row over the 1e-10 gate, for which the workspace raises
+    ResidualTooLarge naming its solve, and keep the other's under it.  The
+    two loads' norms differ by far more than 1e-9 / 1e-10, so a row checked
+    against the other's norm would pass or fail the other way."""
+    system = saddle(*tc1_slab(4, 8))
     b = np.stack((system.rhs, system.bottom_load))
-    x, _ = lu.solve(("state", "bottom-load"))
+    lu, eliminated = band_lu(system, b)
+    x = workspace(system.mesh.topology).x.copy()        # the step's solutions
     pattern, other = system.pattern, x[1 - row]
     # row i = j of the largest |x_t[j]| / ||b_t||, against the other row's
     j = int(np.argmax(np.abs(x[row]) / (np.abs(other) + 1e-300)))
@@ -667,37 +688,48 @@ def test_each_row_of_a_solve_has_its_own_residual_gate(row, what):
     k = column[at_k]
     ratio = other[j] / other[k]         # d_k = -ratio d_j: the other row's moves cancel
     d_j = 1e-9 * np.linalg.norm(b[row]) / abs(x[row, j] - ratio * x[row, k])
-    data = system.data.base
-    data.setflags(write=True)
+    data = system.data.copy()
     data[at_j] += d_j
     data[at_k] -= ratio * d_j
-    data.setflags(write=False)
-    with pytest.raises(ResidualTooLarge, match=f"^{what} solve: relative residual "):
-        solve(lu)
-    rel = workspace(mesh.topology).struct.rel
+    out, flags = solve_band(lu, pattern.band, pattern, read_only(data), b, eliminated)
+    assert flags == 0
+    assert np.array_equal(bits(eliminated), bits(x))
+    rel = relative_residuals(out)
     assert rel[row] == pytest.approx(1e-9, rel=0.01)
     assert rel[1 - row] <= 1e-10
+    with pytest.raises(ResidualTooLarge, match=f"^{what} solve: relative residual "
+                                               f"{rel[row]:.3e}$"):
+        raise mapped(kernels.OVER_GATE, row=row, rel=tuple(rel))
     norms = np.linalg.norm(b, axis=1)
     assert max(norms[0] / norms[1], norms[1] / norms[0]) > 100
 
 
-# every function of the kernel source
+# every function of the kernel source with target clones
 KERNELS = ("element_data", "r_stiffness", "triangle_blocks", "edge_blocks", "mass_action",
            "bottom_load", "state_rhs", "extension_rhs", "gather", "scatter_add", "band_factor",
            "band_solve", "residual")
 
 
 def test_every_kernel_is_listed():
+    """The kernels with target clones are KERNELS, and the functions the
+    source exports at file scope, every definition that is not static, are
+    exactly those kernels.Kernel binds: the kernels, the slab's one call,
+    the mesh velocity and the formatter.  An entry no caller binds cannot
+    stay exported."""
     assert sorted(re.findall(r"^CLONES \w+ (\w+)\(", kernels.SOURCE, re.M)) == sorted(KERNELS)
+    exported = re.findall(r"^(?:CLONES )?(?!static\b)\w+ \**(\w+)\(", kernels.SOURCE, re.M)
+    bound = [fn.__name__ for fn in vars(kernels.kernel()).values()]
+    assert sorted(exported) == sorted(bound) == sorted(
+        (*KERNELS, "slab_step", "slab_mesh_velocity", "fill_template"))
 
 
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     """The source built without target clones, the code any x86-64 or other
-    host runs, computes every kernel's output, the step's matrix and reduced
-    loads, and factors with their eliminated loads, one- and two-row solves
-    and residual checks, bit for
-    bit as the run path's build, every function of which dispatches among its
-    clones on x86-64."""
+    host runs, computes every kernel's output, a controlled step's outputs,
+    the LU, solutions and reduced mass action it leaves in the workspace and
+    the saddle system slab_system copies out, and one- and two-row solves
+    and residual checks of that system, bit for bit as the run path's
+    build, every function of which dispatches among its clones on x86-64."""
     cloned = ctypes.CDLL(str(kernels.build()))
     monkeypatch.setattr(kernels, "CACHE", tmp_path)
     path = kernels.build(flags=kernels.FLAGS + ("-DKERNELS_PORTABLE",))
@@ -712,20 +744,23 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
         """Each kernel's output on a fresh 16x32 tc1 slab, and the step's."""
         slab = tc1_slab()
         got, _ = compiled_kernels(*slab)
-        system = assemble_state_system(*slab)
+        _, mesh, u, _, zeta, phys, num = slab
+        new, _ = step(state_of(mesh, u), zeta, phys, num, gradient=True)
+        ws = workspace(mesh.topology)
+        got |= {"z": new.mesh.z, "u": new.u.values, "p": new.p.values, "lu": ws.band.copy(),
+                "step's solutions": ws.x.copy(), "reduced mass action": ws.reduced.copy()}
+        system = saddle(*slab)
         pattern, n = system.pattern, len(system.rhs)
-        lu = factorize(system)
-        loads = np.stack((system.rhs, pattern.reduce(bottom_load_vector(slab[0]))))
+        loads = np.stack((system.rhs, system.bottom_load))
         ab = band_storage(system)
         _, one, one_out, _ = solve_system(ab, pattern.band, pattern, system.data, loads[0])
         _, two, two_out, _ = solve_system(ab, pattern.band, pattern, system.data, loads)
         checks = np.empty((2, n + 2))
         kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices, system.data, 2,
                                   loads, two, checks)
-        x, _ = lu.solve(("state", "bottom-load"))
-        got |= {"matrix": system.data, "lu": lu.lu, "eliminated loads": lu.loads, "solve": one,
-                "residual": one_out, "two-row solve": two, "two-row residual": two_out,
-                "residual alone": checks, "phase solve": x, "reduced bottom load": loads[1]}
+        got |= {"matrix": system.data, "rhs": system.rhs, "reduced bottom load": loads[1],
+                "solve": one, "residual": one_out, "two-row solve": two,
+                "two-row residual": two_out, "residual alone": checks}
         return got
 
     run_path = computed()
@@ -746,7 +781,8 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
     system = on_saddle(mesh, sp.eye(3 * mesh.num_nodes), np.ones(3 * mesh.num_nodes))
     n = len(system.rhs)
-    lu, band, pattern, data = factorize(system), system.pattern.band, system.pattern, system.data
+    (lu, _), band, pattern, data = band_lu(system), system.pattern.band, system.pattern, \
+        system.data
     other = pattern_of(sp.eye(n + 1, format="csc"), np.arange(n + 1), n + 1)
     b = np.ones((2, n))
     for args in ((full_band(n + 1, band.kl, band.ku), pattern, data, b, b.copy()),
@@ -758,14 +794,7 @@ def test_band_arguments_are_checked_before_the_kernel_runs():
                  (band, pattern, data, np.ones((3, n)), np.ones((3, n))),
                  (band, pattern, data, b[0], b[0].copy())):
         with pytest.raises(DimensionMismatch):
-            solve_band(lu.lu, *args)
-    # rows the LU did not eliminate: none, or a bottom load of a system without one
-    for what in ((), ("state", "bottom-load")):
-        with pytest.raises(DimensionMismatch):
-            lu.solve(what)
-    with pytest.raises(DimensionMismatch, match="^2 rows of 1 eliminated loads$"):
-        BandLU(system=replace(system, bottom_load=system.rhs), lu=lu.lu,
-               loads=lu.loads).solve(("state", "bottom-load"))
+            solve_band(lu, *args)
 
 
 def test_kernel_calls_leave_no_garbage_cycles():
@@ -775,22 +804,22 @@ def test_kernel_calls_leave_no_garbage_cycles():
     is still refused before the kernel runs."""
     mesh_new, mesh_old, u, V, zeta, phys, num = slab = tc1_slab(4, 8)
     ed = element_data(mesh_new)
-    system = assemble_state_system(*slab)
+    system = saddle(*slab)
     band = system.pattern.band
-    lu = factorize(system)
+    lu, _ = band_lu(system)
     blocks = np.empty((len(ed.tri), 9, 9))
     stiffness = np.empty((len(ed.tri), 3, 3))
     b = np.stack((system.rhs, system.rhs))
     x = b.copy()
-    state = FlowState(mesh=mesh_old, u=u, p=zero_scalar_field(mesh_old), t=0.0)
+    state = state_of(mesh_old, u)
     gc.collect()
     gc.disable()
     try:
         for _ in range(20):
             triangle_blocks(ed, u, V, num.dt, phys.nu, num.Cs, blocks)
             r_stiffness(ed, stiffness)
-            factor_band(lu.lu.copy(order="F"), band, b.copy())
-            solve_band(lu.lu, band, system.pattern, system.data, b, x)
+            factor_band(lu.copy(order="F"), band, b.copy())
+            solve_band(lu, band, system.pattern, system.data, b, x)
             # a whole step and its gradient: every kernel, on new meshes and fields
             new, _ = step(state, zeta, phys, num, gradient=True)
             kinetic_energy(new.u)
@@ -801,13 +830,13 @@ def test_kernel_calls_leave_no_garbage_cycles():
         kernels.kernel().scatter_add(0, system.pattern.ptr.slot, np.zeros(0, np.float32),
                                      np.zeros(1))
     with pytest.raises(ctypes.ArgumentError):
-        factor_band(np.ascontiguousarray(lu.lu), band)
+        factor_band(np.ascontiguousarray(lu), band)
     with pytest.raises(ctypes.ArgumentError):
-        factor_band(lu.lu.copy(order="F"), band, b.astype(np.float32))
+        factor_band(lu.copy(order="F"), band, b.astype(np.float32))
     with pytest.raises(ctypes.ArgumentError):
         system.pattern.reduce(np.zeros(3, dtype=np.int64))
     with pytest.raises(ctypes.ArgumentError):
-        solve_band(lu.lu, band, system.pattern, system.data, b,
+        solve_band(lu, band, system.pattern, system.data, b,
                            np.zeros(b.shape, np.float32))
 
 
@@ -850,7 +879,7 @@ def test_a_copied_state_reads_only_its_own_arrays(copy_of):
     copies: with every bound array of the original overwritten, a step from
     the copy gives the original's bits."""
     mesh_new, mesh, u, V, zeta, phys, num = tc1_slab(4, 8)
-    state = FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0)
+    state = state_of(mesh, u)
     expected, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
     copied = copy_of(state)
     topology, ed, table = mesh.topology, element_data(mesh), radial_table(mesh.topology)
