@@ -109,7 +109,7 @@ def phases(n1: int, n3: int) -> tuple[list[tuple[str, float]], str]:
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
         state, _ = step(state, ZETA, phys, num)
-    system, _ = slab_system(state, ZETA, phys, num)
+    system = slab_system(state, ZETA, phys, num)
     x = forms.workspace(state.mesh.topology).x.copy()   # the controlled step's solutions
     band = system.pattern.band
     scattered = np.zeros(band.ldab * len(band.lower))

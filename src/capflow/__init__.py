@@ -7,7 +7,7 @@ from .errors import (CapflowError, ConfigError, DimensionMismatch, DomainEmptied
                      KernelBuildError, MeshTangled, ResidualTooLarge, SingularMatrix,
                      SurfaceFolded, WallViolation)
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1
-from .forms import LinearSystem, beta_h, mass_action, solve_domain_velocity
+from .forms import LinearSystem, beta_h, mass_action
 from .geometry import (AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh,
                        contact_line_height, displace_mesh, mesh_quality)
 from .observables import equilibrium_height, transient_time

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,11 +82,6 @@ class VectorFieldP1(_Memo):
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ptr", Pointers(values=values))
-
-    @cached_property
-    def magnitude_max(self) -> float:
-        """max |u| over the nodes; the values are read-only, so computed once."""
-        return float(np.sqrt((self.values ** 2).sum(axis=1)).max(initial=0.0))
 
 
 def trusted(cls, **attrs):

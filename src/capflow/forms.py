@@ -23,9 +23,10 @@ ACM TOMS 32(3)); mesh motion is vertical, so the former, the
 A slab runs as one compiled call on the topology's :class:`Workspace`
 (:meth:`Workspace.step`), which binds every array of the topology, its
 radial table and its two patterns once, and owns, once per topology, the
-storage its phases use: the motion, whose first part is the mesh velocity
-(:func:`solve_domain_velocity`, also a call of its own), the assembly, the
-factor and the solve.  A slab is inspected in what the step leaves there: a
+storage its phases use, which the compiled code sizes and lays out: the
+motion, whose first part is the mesh velocity, the assembly, the factor and
+the solve.  A slab is inspected in what the step leaves there: its mesh
+velocity; a
 :class:`LinearSystem`, copied out by :meth:`Workspace.system`, carries the
 topology's saddle pattern, the fill's read-only CSC data, its right-hand
 side and the load of a unit bottom stress; the band holds the LU of its
@@ -154,26 +155,6 @@ def beta_h(chi: float, h3: float, nu: float) -> float:
     return nu / (chi * h3)
 
 
-def bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
-    """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr.
-
-    It is d rhs / d zeta, the right-hand side of the solve that gives the
-    control gradient (:func:`~capflow.stepping.step`), so that gradient is
-    the exact derivative of the discrete objective.  Computed once per mesh and shared,
-    so it is read-only.
-    """
-    return mesh.memo(_bottom_load_vector)
-
-
-def _bottom_load_vector(mesh: AxiMesh) -> np.ndarray:
-    n, topology = mesh.num_nodes, mesh.topology
-    f = np.zeros(2 * n)
-    kernels.kernel().bottom_load(n, len(topology.boundary_edges[BoundaryTag.BOTTOM]),
-                                 topology.ptr.bottom, topology.ptr.radii, mesh.ptr.z, f)
-    f.setflags(write=False)
-    return f
-
-
 # -- monolithic system ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -274,11 +255,11 @@ class FixedPattern:
     read-only, bound once for the kernels (``ptr``).
 
     Reduced row and column k is the dof free[k]: the caller numbers the kept
-    dofs, the build keeps that order, and :meth:`reduce` maps every load onto
-    them.  Both patterns of a step pass them vertex by vertex in the
-    topology's :func:`vertex_order`, which keeps every stored entry in a
-    narrow band about the diagonal that the factor phase factors as a banded
-    matrix.  The band layout of the stored entries is found once, at build time.
+    dofs, and the build keeps that order.  Both patterns of a step pass them
+    vertex by vertex in the topology's :func:`vertex_order`, which keeps every
+    stored entry in a narrow band about the diagonal that the factor phase
+    factors as a banded matrix.  The band layout of the stored entries is
+    found once, at build time.
     """
 
     free: np.ndarray      # int64 kept dof of each reduced row/column, in the caller's order
@@ -330,13 +311,6 @@ class FixedPattern:
         return cls(free=free, size=size, shapes=[d.shape for d in families], slot=slot,
                    indices=indices, indptr=indptr, band=BandLayout.of(indices, indptr))
 
-    def reduce(self, f: np.ndarray) -> np.ndarray:
-        """A load f, float64, on the first len(f) dofs, zero on the rest (the
-        pressure rows, for a velocity load), on the reduced dofs in their order."""
-        out = np.empty(len(self.free))
-        kernels.kernel().gather(len(self.free), self.ptr.free, len(f), f, out)
-        return out
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -344,7 +318,7 @@ class LinearSystem:
     saddle :class:`FixedPattern` (:meth:`Workspace.system`); frozen, and its
     data read-only."""
 
-    pattern: FixedPattern      # the matrix's sparsity, band layout, dof order and load reduction
+    pattern: FixedPattern      # the matrix's sparsity, band layout and dof order
     data: np.ndarray           # the pattern's fill, a value per stored entry, kept dofs only
     rhs: np.ndarray
     mesh: AxiMesh
@@ -442,25 +416,6 @@ def _extension_pattern(topology: MeshTopology) -> FixedPattern:
     return FixedPattern.build([topology.triangles], free, topology.num_nodes)
 
 
-def solve_domain_velocity(mesh: AxiMesh, u: VectorFieldP1) -> tuple[VectorFieldP1, float]:
-    """The domain velocity V = (0, V_z) of mesh for the velocity u, and the
-    relative residual of its solve: the mesh moves vertically, so V_z is the
-    harmonic (r-weighted Laplace) extension of the surface's vertical speed
-    (u . nu)/nu_3, zero on the bottom and with no flux through the wall and
-    the axis.  The motion phase's first part, one compiled call: the
-    stiffness, the surface data and its lifting, the fill on the extension
-    pattern, one banded LU and one gated solve."""
-    if u.mesh is not mesh:
-        raise DimensionMismatch("velocity field lives on a different mesh")
-    ws = workspace(mesh.topology)
-    s = ws.struct
-    s.z_old, s.areas_old, s.u_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values
-    status = kernels.kernel().mesh_velocity(s)
-    if status:
-        raise ws.error(status, ("mesh-velocity",), mesh)
-    return VectorFieldP1(ws.V.copy(), mesh), s.ale_residual
-
-
 # -- the workspace -------------------------------------------------------------
 
 def workspace(topology: MeshTopology) -> Workspace:
@@ -492,19 +447,19 @@ class Workspace:
     and sizes of the topology's arrays, its :class:`RadialTable` and its two
     patterns with their band layouts are taken once too.
 
-    The storage is one block: the mesh velocity, which the motion leaves for
-    the assembly; a work array for a phase's sums and checks; the saddle
-    system's data and loads, the solution rows and the reduced mass action
-    of the new velocity; and the region that each phase in turn uses for the
-    arrays of its own size, as large as the largest need (the saddle band,
-    but on a tiny mesh).  :meth:`step` advances a slab in one compiled call
-    on that storage and returns records made from one output array allocated
-    per step, so nothing a caller holds is the workspace's.  Until the next
-    call on the workspace, a step or a mesh velocity, the storage holds the
-    slab it solved: the saddle system's data and loads (:meth:`system`
-    copies them out), the LU of its matrix in :attr:`band` and the
-    solutions of its loads in :attr:`x`.  A failing phase's status and
-    details raise the typed error, with the message, of the check it
+    The storage is one block, which the compiled ``slab_storage`` sizes and
+    lays out: among it the mesh velocity, which the motion leaves for the
+    assembly (:attr:`V`), the saddle system's data and loads, the solution
+    rows and the reduced mass action of the new velocity, and the region
+    that each phase in turn uses for the arrays of its own size, the saddle
+    band last.  :meth:`step` advances a slab in one compiled call on that
+    storage and returns records made from one output array allocated per
+    step, so nothing a caller holds is the workspace's.  Until the next step
+    on the workspace, the storage holds the slab it solved: its mesh
+    velocity in :attr:`V`, the saddle system's data and loads
+    (:meth:`system` copies them out), the LU of its matrix in :attr:`band`
+    and the solutions of its loads in :attr:`x`.  A failing phase's status
+    and details raise the typed error, with the message, of the check it
     replaced (:meth:`error`).  The storage is shared, so a topology's slabs
     run one at a time, in one thread.  A copy or an unpickled workspace is
     built anew from the copied records (:meth:`__reduce__`), so it binds
@@ -516,46 +471,31 @@ class Workspace:
         self._parts = (topology, sizes, table, saddle, extension)
         self.saddle = saddle
         self.n, self.m = n, m = sizes[:2]
-        nf, ne = len(saddle.free), len(extension.free)
-        # one block: the mesh velocity; the work array of the loads' sums and
-        # the saddle solve's checks; the saddle data (nnz and the trash slot),
-        # its two loads, the solution rows and the reduced mass action; last
-        # the region, for the element data with the mesh velocity's data,
-        # loads, solution, checks and stiffness or band, or with the
-        # assembly's local blocks, and for the saddle band
-        motion = (len(extension.indices) + 1 + 3 * ne + 2
-                  + max(len(extension.slot), extension.band.ldab * ne))
-        sizes_of = dict(V=2 * n, work=max(6 * n, 2 * nf + 4), data=len(saddle.indices) + 1,
-                        loads=2 * nf, x=2 * nf, reduced=nf,
-                        region=max(10 * m + max(motion, len(saddle.slot)),
-                                   saddle.band.ldab * nf))
-        self.storage = np.empty(sum(sizes_of.values()))
-        part, at = {}, 0
-        for name, size in sizes_of.items():
-            part[name] = self.storage[at:at + size]
-            at += size
-        self.V = part["V"].reshape(n, 2)
-        self.data = part["data"][:-1]
-        self.loads, self.x = part["loads"].reshape(2, nf), part["x"].reshape(2, nf)
-        self.reduced, self.w = part["reduced"], self.x[1]
-        ldab = saddle.band.ldab
-        self.band = part["region"][:ldab * nf].reshape((ldab, nf), order="F")
         s = self.struct = kernels.Workspace(*sizes)
         s.tri, s.wall, s.surface, s.bottom, s.r = (topology.triangles, topology.wall,
                                                    topology.free_surface, topology.bottom,
                                                    topology.radii)
         for name in ("rq", "inv_r", "dr", "rn", "hoop", "zz", "coupling_z"):
             setattr(s, name, getattr(table.ptr, name))
-        at = {name: a.ctypes.data for name, a in part.items()}
-        s.V, s.work, s.region, s.reduced = at["V"], at["work"], at["region"], at["reduced"]
-        # the saddle data, its two loads, the solution rows and the band
-        s.data, s.b[0], s.b[1], s.x, s.lu = (at["data"], at["loads"], at["loads"] + 8 * nf,
-                                             at["x"], at["region"])
+        _bind(saddle, s.saddle)
+        _bind(extension, s.extension)
+        lib = kernels.kernel()
+        self.storage = np.empty(lib.storage(s, None))
+        base = self.storage.ctypes.data
+        lib.storage(s, base)
+
+        def view(at, shape, order="C"):
+            return np.ndarray(shape, buffer=self.storage, offset=at - base, order=order)
+
+        nf = len(saddle.free)
+        self.V, self.data = view(s.V, (n, 2)), view(s.data, len(saddle.indices))
+        self.loads = view(s.b[0], (2, nf))          # b[1] follows b[0]
+        self.x, self.reduced = view(s.x, (2, nf)), view(s.reduced, nf)
+        self.w = self.x[1]
+        self.band = view(s.lu, (saddle.band.ldab, nf), "F")
         # the step's output array: z (n), areas (m), u (n, 2), its mass action
         # (2 n), p (n), the byte offset of each
         self._out = (6 * n + m, 8 * n, 8 * (n + m), 8 * (3 * n + m), 8 * (5 * n + m))
-        _bind(saddle, s.saddle)
-        _bind(extension, s.extension)
 
     def __reduce__(self):
         return Workspace, self._parts
@@ -584,8 +524,8 @@ class Workspace:
     def step(self, mesh: AxiMesh, u: VectorFieldP1, zeta: float, phys, num, floor: float,
              gradient: bool) -> tuple[AxiMesh, VectorFieldP1, ScalarFieldP1]:
         """The slab from mesh and velocity u with the bottom control stress
-        zeta, one compiled call: the new mesh, velocity (with its mass action
-        and max |u|) and pressure.  The struct then holds the residuals, the
+        zeta, one compiled call: the new mesh, velocity (with its mass action)
+        and pressure.  The struct then holds the residuals, the
         phases' times and, with gradient, the bottom-load solve's solution
         in :attr:`w` and the reduced mass action of the new velocity in
         :attr:`reduced`.  Raises the typed error of a failing phase
@@ -612,7 +552,7 @@ class Workspace:
         out.setflags(write=False)
         mesh_new = _moved(mesh, out[:n], out[n:n + m], at, at + areas_at)
         u_new = _solved(mesh_new, out[n + m:3 * n + m], out[3 * n + m:5 * n + m], at + u_at,
-                        at + mass_at, s.u_max)
+                        at + mass_at)
         return mesh_new, u_new, trusted(ScalarFieldP1, values=out[5 * n + m:], mesh=mesh_new)
 
     def system(self, mesh: AxiMesh) -> LinearSystem:
@@ -636,13 +576,12 @@ def _moved(mesh: AxiMesh, z: np.ndarray, areas: np.ndarray, z_at: int,
                    ptr=Pointers.of(dict(z=z, areas=areas), dict(z=z_at, areas=areas_at)))
 
 
-def _solved(mesh: AxiMesh, values: np.ndarray, mass: np.ndarray, values_at: int, mass_at: int,
-            u_max: float) -> VectorFieldP1:
+def _solved(mesh: AxiMesh, values: np.ndarray, mass: np.ndarray, values_at: int,
+            mass_at: int) -> VectorFieldP1:
     """The velocity on mesh of the flat (N, 2) values and their mass action
-    that the solve phase wrote, read-only, at values_at and mass_at, with its
-    max |u|."""
+    that the solve phase wrote, read-only, at values_at and mass_at."""
     values = values.reshape(-1, 2)
-    return trusted(VectorFieldP1, values=values, mesh=mesh, magnitude_max=u_max,
+    return trusted(VectorFieldP1, values=values, mesh=mesh,
                    ptr=Pointers.of(dict(values=values, mass=mass),
                                    dict(values=values_at, mass=mass_at)),
                    _memo={_mass_action: mass})

@@ -7,10 +7,12 @@
    values; the mesh-velocity stiffness (r_stiffness); the mass action, the
    bottom load, the loads summed onto the kept dofs (state_rhs) and the
    mesh-velocity extension's data (extension_rhs); and the pattern's fill
-   (scatter_add) and load reduction (gather).  Every entry takes the operations
-   of the numpy expressions these replaced (the tests keep those as their
-   reference) in their order, but where numpy's matrix products sum in an order
-   of their own; sums over elements run in element order, as np.bincount's do.
+   (scatter_add) and load reduction (gather); the bottom load and the load
+   reduction are static, called by the phases alone.  Every entry takes the
+   operations of the numpy expressions these replaced (the tests keep those
+   as their reference) in their order, but where numpy's matrix products sum
+   in an order of their own; sums over elements run in element order, as
+   np.bincount's do.
 
    Factorization.  The step's saddle matrix has a positive semidefinite
    symmetric part diag(K_sym, Sp), and the mesh-velocity stiffness is symmetric
@@ -295,8 +297,8 @@ CLONES void mass_action(ptrdiff_t m, ptrdiff_t n, const int64_t *tri, const doub
 
 /* f += the load of a unit vertical stress on the nb bottom edges, the
    integral of N_i r on u_z of their ends. */
-CLONES void bottom_load(ptrdiff_t n, ptrdiff_t nb, const int64_t *bottom, const double *r,
-                        const double *z, double *f)
+static CLONES void bottom_load(ptrdiff_t n, ptrdiff_t nb, const int64_t *bottom, const double *r,
+                               const double *z, double *f)
 {
     double B[2][2];
     edge_basis(B);
@@ -379,8 +381,8 @@ CLONES void extension_rhs(ptrdiff_t n, ptrdiff_t ns, const int64_t *surface, con
 }
 
 /* out[k] = f[free[k]] on the nf kept dofs, 0 where free[k] >= nfull. */
-CLONES void gather(ptrdiff_t nf, const int64_t *free, ptrdiff_t nfull, const double *f,
-                   double *out)
+static CLONES void gather(ptrdiff_t nf, const int64_t *free, ptrdiff_t nfull, const double *f,
+                          double *out)
 {
     for (ptrdiff_t k = 0; k < nf; ++k)
         out[k] = free[k] < nfull ? f[free[k]] : 0.0;
@@ -678,24 +680,14 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
 
    A workspace holds what the phases of one topology's slabs read: its sizes,
    connectivity and radii, its radial table and its two patterns with their
-   band layouts, all bound once; the mesh velocity (2 n doubles), which the
-   motion leaves for the assembly of a slab; the work array (6 n doubles, or
-   the 2 nf + 4 of the saddle solve's checks if more), which each phase uses
-   for its own sums and checks, so that it carries nothing from one phase to
-   the next; the region, which each phase in turn uses for the arrays of its
-   own size (the element data, 10 m doubles, with the mesh velocity's
-   stiffness, data, loads, solution, checks and band, then with the
-   assembly's local blocks; then the saddle band, which the factor zeroes
-   with one memset and the solve reads); the reduced mass action of the new
-   velocity (nf); the slab's parameters; the inputs of a call and the
-   outputs its caller owns; and what a phase reports: the residuals, u_max,
-   the details of a failure and each phase's wall time.  The owner allocates
-   every array once per topology, the region as large as the largest phase's
-   need, so no phase allocates.  The factor and the solve serve the saddle
-   pattern alone; the mesh velocity's system is filled, factored and solved
-   within its own phase.  Each phase returns DONE or the status of the first
-   failure, in the order of the checks it replaces.  Only slab_step and
-   slab_mesh_velocity, the mesh velocity of any field, are exported. */
+   band layouts, all bound once; the storage the phases use, which
+   slab_storage sizes and lays out; the slab's parameters; the inputs of a
+   call and the outputs its caller owns; and what a phase reports: the
+   residuals, u_max, the details of a failure and each phase's wall time.
+   The factor and the solve serve the saddle pattern alone; the mesh
+   velocity's system is filled, factored and solved within the motion.  Each
+   phase returns DONE or the status of the first failure, in the order of
+   the checks it replaces.  Only slab_storage and slab_step are exported. */
 
 enum status { DONE, ZERO_PIVOT, NOT_FINITE, OVER_GATE, EMPTIED, MOVED_BADLY };
 
@@ -817,25 +809,20 @@ static ptrdiff_t mesh_velocity(struct workspace *ws)
     return status;
 }
 
-/* The mesh velocity alone (mesh_velocity). */
-ptrdiff_t slab_mesh_velocity(struct workspace *ws)
-{
-    const double t0 = clock_ms();
-    const ptrdiff_t status = mesh_velocity(ws);
-    ws->phase_ms[ALE] = clock_ms() - t0;
-    return status;
-}
-
-/* The mesh velocity, then the emptying guard: EMPTIED if the contact line
-   would reach ws->floor, at ws->z_next; then the new heights z = z_old + dt
-   V_z and their triangle areas, half the sum of z_i dr_i relative to z_0,
-   MOVED_BADLY if a height is not finite or an area not positive. */
+/* The mesh velocity (mesh_velocity) on the ALE clock, then, on the motion's,
+   which starts where that one stops, the emptying guard: EMPTIED if the
+   contact line would reach ws->floor, at ws->z_next; then the new heights
+   z = z_old + dt V_z and their triangle areas, half the sum of z_i dr_i
+   relative to z_0, MOVED_BADLY if a height is not finite or an area not
+   positive. */
 static ptrdiff_t slab_motion(struct workspace *ws)
 {
-    ptrdiff_t status = slab_mesh_velocity(ws);
+    const double start = clock_ms();
+    ptrdiff_t status = mesh_velocity(ws);
+    const double t0 = clock_ms(), dt = ws->dt, *V = ws->V, *dr = ws->dr;
+    ws->phase_ms[ALE] = t0 - start;
     if (status != DONE)
         return status;
-    const double t0 = clock_ms(), dt = ws->dt, *V = ws->V, *dr = ws->dr;
     const ptrdiff_t n = ws->n, c = ws->contact;
     double *z = ws->z;
     ws->z_next = ws->z_old[c] + dt * V[2 * c + 1];
@@ -936,11 +923,54 @@ static ptrdiff_t slab_solve(struct workspace *ws)
     return status;
 }
 
+static inline ptrdiff_t larger(ptrdiff_t a, ptrdiff_t b)
+{
+    return a > b ? a : b;
+}
+
+/* The storage of the phases, one block of doubles in this order: the mesh
+   velocity V (2 n), which the motion leaves for the assembly; the work array
+   (6 n, or the 2 nf + 4 of the saddle solve's checks if more), which each
+   phase uses for its own sums and checks, so that it carries nothing from
+   one phase to the next; the saddle data (nnz and the trash slot), its loads
+   b[0] and b[1] (nf each), the solution rows x (2 nf) and the reduced mass
+   action of the new velocity (nf); last the region, which each phase in turn
+   uses for the arrays of its own size: the element data (10 m) with the
+   mesh velocity's data, loads, solution, checks and stiffness or band
+   (mesh_velocity), then with the assembly's local blocks (slab_assembly);
+   then the saddle band lu, which the factor zeroes with one memset and the
+   solve reads.  The region is as large as the largest of these needs, so no
+   phase allocates.  Returns the doubles of the block; with a base, which
+   holds that many, also points the storage of the workspace into it.  The
+   workspace's sizes and patterns are bound first. */
+ptrdiff_t slab_storage(struct workspace *ws, double *base)
+{
+    const struct pattern *s = &ws->saddle, *e = &ws->extension;
+    const ptrdiff_t n = ws->n, nf = s->n, ne = e->n;
+    /* the mesh velocity's data, loads, solution, checks and stiffness or band */
+    const ptrdiff_t motion = (e->nnz + 1) + 3 * ne + 2
+                             + larger(e->nslot, (e->kl + e->ku + 1) * ne);
+    const ptrdiff_t size[] = {2 * n, larger(6 * n, 2 * nf + 4), s->nnz + 1, nf, nf, 2 * nf, nf,
+                              larger(10 * ws->m + larger(motion, s->nslot),
+                                     (s->kl + s->ku + 1) * nf)};
+    double **const part[] = {&ws->V, &ws->work, &ws->data, &ws->b[0], &ws->b[1], &ws->x,
+                             &ws->reduced, &ws->region};
+    ptrdiff_t total = 0;
+    for (int i = 0; i < 8; ++i) {
+        if (base)
+            *part[i] = base + total;
+        total += size[i];
+    }
+    if (base)
+        ws->lu = ws->region;
+    return total;
+}
+
 /* One slab: the motion, the assembly on the moved mesh with the mesh
-   velocity in V, the factor and the solve, the saddle band in the region.
+   velocity in V, the factor and the solve, on the storage of slab_storage.
    Each phase has a clock of its own, and the clocks are disjoint: the
-   motion's starts once the mesh velocity's (ALE) has stopped.  On a
-   failure the phase that failed is in ws->failed. */
+   motion's starts where the mesh velocity's (ALE) stops.  On a failure the
+   phase that failed is in ws->failed. */
 ptrdiff_t slab_step(struct workspace *ws)
 {
     ptrdiff_t (*const phase[])(struct workspace *) = {slab_motion, slab_assembly, slab_factor,

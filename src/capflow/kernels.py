@@ -8,8 +8,9 @@ loads summed onto the kept dofs, the mesh-velocity extension's data, the
 fill of a fixed pattern, the banded LU without pivoting within the envelope
 of a :class:`~capflow.forms.BandLayout`, which also eliminates one or two
 loads forward by each column as it scales it, the back-substitution of those
-loads with each one's residual check, and the formatter.  Every kernel takes
-the operations of the numpy expressions it replaced (the tests keep those as
+loads with each one's residual check, and the formatter; the phases alone
+call the bottom load and the load reduction.  Every kernel takes the
+operations of the numpy expressions it replaced (the tests keep those as
 their reference) in their order.
 
 **Phases.**  A slab is one compiled call, ``slab_step``, on the
@@ -22,19 +23,17 @@ check), the assembly (element data, blocks, loads and fill), and the factor
 and the solve (one- or two-row back-substitution and checks, the scatter
 into u and p, the mass action and max |u|) of the saddle system alone: the
 mesh velocity's system never leaves the motion.  The phases are static in
-the source; the one other entry on the struct is ``slab_mesh_velocity``,
-the motion's first part, the mesh velocity of any field.  An entry takes
-the struct alone, which holds every pointer and size a phase reads, and its
-storage, which the owner allocates once per topology, so no phase
-allocates; it returns a status, 0 or one of :data:`ZERO_PIVOT` to
-:data:`MOVED_BADLY`, and the details of a failure, the phase that failed
-and each phase's wall time (``phase_ms``, :data:`PHASES`, from
-``CLOCK_MONOTONIC``) come back in the struct.  The five clocks are
-disjoint: "ALE" times the mesh velocity and "motion" the rest of the motion
-phase, so the two together are the whole motion.  The kernels the tests and
-the writers call one at a time read a record's read-only arrays through
-pointers taken once (:class:`Pointers`), and check the arrays they write
-per call.
+the source.  The struct holds every pointer and size a phase reads; its
+storage is one block that ``slab_storage`` sizes and lays out and the owner
+allocates once per topology, so no phase allocates.  The step returns a
+status, 0 or one of :data:`ZERO_PIVOT` to :data:`MOVED_BADLY`, and the
+details of a failure, the phase that failed and each phase's wall time
+(``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``) come back in the
+struct.  The five clocks are disjoint: "ALE" times the mesh velocity and
+"motion" the rest of the motion phase, so the two together are the whole
+motion.  The kernels the tests and the writers call one at a time read a
+record's read-only arrays through pointers taken once (:class:`Pointers`),
+and check the arrays they write per call.
 
 The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
 at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
@@ -224,12 +223,10 @@ class Kernel:
         self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,
                                                 out, out))
         self.mass_action = bind("mass_action", (size, size, at, at, at, at, out))
-        self.bottom_load = bind("bottom_load", (size, size, at, at, at, out))
         self.state_rhs = bind("state_rhs", (size, size, at, at, size, at, at, at, values, values,
                                             real, real, real, real, size, real, size, at, out, out))
         self.extension_rhs = bind("extension_rhs", (size, size, at, at, at, at, size, at, values,
                                                     size, at, out, out))
-        self.gather = bind("gather", (size, at, size, values, out))
         self.scatter_add = bind("scatter_add", (size, at, values, out))
         band = _Array(np.float64, "F_CONTIGUOUS", writeable=True)
         self.band_factor = bind("band_factor", (size, size, size, at, at, band, size, out), size)
@@ -239,10 +236,10 @@ class Kernel:
         self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
                                                     _Array(np.int64), values,
                                                     _Array(np.uint8, writeable=True)), size)
-        # the slab and its mesh velocity, each on one workspace: the struct is passed by reference
-        workspace = (ctypes.POINTER(Workspace),)
-        self.mesh_velocity = bind("slab_mesh_velocity", workspace, size)
-        self.step = bind("slab_step", workspace, size)
+        # the storage of a workspace and its slab: the struct is passed by reference
+        workspace = ctypes.POINTER(Workspace)
+        self.storage = bind("slab_storage", (workspace, at), size)
+        self.step = bind("slab_step", (workspace,), size)
 
 
 def expect(what: str, array: np.ndarray, shape: tuple) -> None:

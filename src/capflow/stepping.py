@@ -9,15 +9,17 @@ phase in turn: the motion, the assembly, the factor of the saddle system
 with the forward elimination of its loads, and the solve.  Asked for the
 control gradient, the step solves for it in the state's solve with that LU,
 which never leaves the workspace.  :func:`slab_system`, for the tests and
-scripts that inspect a slab's matrix, takes the step and copies out the
-saddle system it left in the workspace.  Every solve of the step, the
+scripts that inspect a slab's matrix, takes a controlled step and copies
+out the saddle system it left in the workspace, which keeps that step's
+mesh velocity, LU and solutions until the next.  Every solve of the step, the
 mesh velocity, the state and the gradient's, is gated on its relative
 residual, and the step reports each, with each phase's wall time from the
 phases' own clocks.
 
-The workspace allocates the band, the element blocks and the other arrays of
-the phases once per topology, so a step allocates only its records' arrays,
-a few pages.  The rest of a run still frees and reallocates blocks in an
+The workspace allocates the storage of the phases, the band and the element
+blocks among it, once per topology, in one block that the compiled code
+sizes and lays out, so a step allocates only its records' arrays, a few
+pages.  The rest of a run still frees and reallocates blocks in an
 order that glibc's default thresholds follow: its trim threshold is twice the
 largest mmapped block freed so far, and a process that leaves more free space
 than that at the heap top gives the pages back and faults them in again
@@ -109,18 +111,16 @@ def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
     return FlowState(mesh=mesh, u=zero_vector_field(mesh), p=zero_scalar_field(mesh), t=0.0)
 
 
-def slab_system(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
-                floor: float = 0.0) -> tuple[LinearSystem, float]:
+def slab_system(state: FlowState, zeta: float, phys: PhysParams, num: NumParams) -> LinearSystem:
     """The saddle system that :func:`step` factors for the slab from state
     with the bottom control stress zeta, assembled on the moved mesh
-    (``system.mesh``), and the mesh-velocity solve's relative residual: a
-    controlled step, and copies of what it left in the topology's workspace
-    (:meth:`~capflow.forms.Workspace.system`).  Raises what the step raises,
-    DomainEmptied if the contact line would reach ``floor`` among it.
+    (``system.mesh``): a controlled step, and copies of what it left in the
+    topology's workspace (:meth:`~capflow.forms.Workspace.system`).  Raises
+    what the step raises.
     """
     ws = workspace(state.mesh.topology)
-    mesh_new, _, _ = ws.step(state.mesh, state.u, zeta, phys, num, floor, True)
-    return ws.system(mesh_new), ws.struct.ale_residual
+    mesh_new, _, _ = ws.step(state.mesh, state.u, zeta, phys, num, 0.0, True)
+    return ws.system(mesh_new)
 
 
 def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,

@@ -21,7 +21,7 @@ import numpy as np
 from capflow import kernels
 from capflow.errors import DimensionMismatch
 from capflow.forms import (FixedPattern, LinearSystem, RadialTable, _extension_pattern,
-                           bottom_load_vector, mass_action, radial_table)
+                           mass_action, radial_table)
 from capflow.geometry import AxiMesh, BoundaryTag
 from capflow.kernels import Pointers, expect
 
@@ -108,21 +108,22 @@ def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
                                  w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
 
 
-def loads(mesh, u, dt, zeta, phys, pattern) -> np.ndarray:
+def loads(mesh, u, dt, zeta, phys, pattern, bottom) -> np.ndarray:
     """On the kept dofs of pattern, 0 on a pressure dof: the mass action of
     u, a field over mesh's topology, over dt, plus the loads on mesh: gravity,
-    bottom stress (p_bar + zeta) e3, the Laplace-Beltrami weak form of surface
-    tension (integrated by parts, so no curvature is evaluated) and the
-    contact-line force gamma cos(theta_s) on the contact circle."""
+    bottom stress (p_bar + zeta) e3 with bottom the (2 N,) load of a unit
+    one, the Laplace-Beltrami weak form of surface tension (integrated by
+    parts, so no curvature is evaluated) and the contact-line force
+    gamma cos(theta_s) on the contact circle."""
     ed, topology, n = element_data(mesh), mesh.topology, mesh.num_nodes
     surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
     contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
     rhs = np.empty(len(pattern.free))
     kernels.kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
                                topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                               mass_action(u), bottom_load_vector(mesh), dt, phys.g,
-                               phys.p_bar + zeta, phys.gamma, mesh.contact_node, contact,
-                               len(pattern.free), pattern.ptr.free, np.zeros(4 * n), rhs)
+                               mass_action(u), bottom, dt, phys.g, phys.p_bar + zeta,
+                               phys.gamma, mesh.contact_node, contact, len(pattern.free),
+                               pattern.ptr.free, np.zeros(4 * n), rhs)
     return rhs
 
 

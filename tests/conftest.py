@@ -7,8 +7,10 @@ import capflow.forms
 from capflow import kernels
 from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
-from capflow.fields import VectorFieldP1
+from capflow.fields import VectorFieldP1, zero_scalar_field
+from capflow.forms import workspace
 from capflow.geometry import AxiMesh, BoundaryTag, MeshTopology, build_structured_mesh
+from capflow.stepping import FlowState, step
 
 
 def two_triangle_mesh(radius=1.0, height=1.0):
@@ -61,6 +63,18 @@ def random_vector_field(mesh, seed=0, scale=1.0):
     vals = scale * rng.standard_normal((mesh.num_nodes, 2))
     vals[mesh.radial_constrained_nodes, 0] = 0.0
     return VectorFieldP1(vals, mesh)
+
+
+def mesh_velocity(mesh, u):
+    """The mesh velocity of the velocity u on mesh, and the relative residual
+    of its solve: what the motion of a step from mesh and u leaves in the
+    topology's workspace.  V does not depend on dt, so the step takes tc1's
+    parameters with a hundredth of its dt, which moves the mesh too little
+    to tangle it."""
+    cfg = tc1_config()
+    phys, num = phys_params(cfg), num_params(replace(cfg, dt=cfg.dt / 100))
+    _, diag = step(FlowState(mesh=mesh, u=u, p=zero_scalar_field(mesh), t=0.0), 0.0, phys, num)
+    return VectorFieldP1(workspace(mesh.topology).V.copy(), mesh), diag.ale_residual
 
 
 def factored_systems(monkeypatch):

@@ -15,10 +15,10 @@ LU whose plain solve the step uses.
 
 import numpy as np
 
-from capflow.forms import beta_h, bottom_load_vector
+from capflow.forms import beta_h
 from capflow.geometry import BoundaryTag, contact_line_height
 
-from .pattern_forms import surface_normals
+from .pattern_forms import bottom_load_reference, surface_normals
 
 MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -347,4 +347,4 @@ def oracle_bottom_integral(system, mass_u):
     with b the bottom load on all velocity dofs."""
     z = np.zeros(3 * system.mesh.num_nodes)
     z[system.pattern.free] = oracle_adjoint_solution(system, mass_u)
-    return float(bottom_load_vector(system.mesh) @ z[:len(mass_u)])
+    return float(bottom_load_reference(system.mesh) @ z[:len(mass_u)])

@@ -6,12 +6,14 @@ The run path computes the element data, each triangle's saddle block, the
 mesh-velocity stiffness, the boundary-edge blocks, the mass action, the
 loads with the reduction onto the kept dofs and the mesh-velocity
 extension's data in compiled loops (:mod:`capflow.kernels`).  The numpy
-functions below are the expressions those loops replaced, kept as they were:
-:func:`triangle_blocks_reference` sums the triangle kernels as the step did,
-and the tests check that the compiled kernels equal these to 1e-15 of each
-block's largest entry.  Each form's kernel is summed through a
-:class:`~capflow.forms.FixedPattern` over all dofs, with none eliminated,
-and its ``fill``, whose rows are the dofs in order.  This is the one scatter
+functions below are the expressions those loops replaced, kept as they were
+but for the bottom load's, whose matrix product is written out as the
+kernel sums it: :func:`triangle_blocks_reference` sums the triangle kernels
+as the step did, the tests check that the compiled kernels equal these to
+1e-15 of each block's largest entry, and the step's bottom load equals
+:func:`bottom_load_reference` bit for bit.  Each form's kernel is summed
+through a :class:`~capflow.forms.FixedPattern` over all dofs, with none
+eliminated, and its ``fill``, whose rows are the dofs in order.  This is the one scatter
 of the run path, so the oracle, identity and symmetry tests that use these
 matrices check the reference kernels, and through them the compiled ones,
 and the fill the step uses, one form at a time.  The step sums the mass,
@@ -196,10 +198,13 @@ def gravity_load(mesh: AxiMesh, params: PhysParams) -> np.ndarray:
 
 
 def bottom_load_reference(mesh: AxiMesh) -> np.ndarray:
-    """Load of a unit vertical stress on the open bottom: entries of integral phi_i r dr."""
+    """Load of a unit vertical stress on the open bottom: entries of integral
+    phi_i r dr.  The two Gauss points' terms are summed in order, not by a
+    matrix product, so the step's bottom load has these bits."""
     bottom = edge_geometry(mesh, BoundaryTag.BOTTOM)
     n = mesh.num_nodes
-    vals = (0.5 * bottom.length[:, None] * _gauss_radii(bottom)) @ _EDGE_BASIS
+    wr = 0.5 * bottom.length[:, None] * _gauss_radii(bottom)
+    vals = wr[:, :1] * _EDGE_BASIS[0] + wr[:, 1:] * _EDGE_BASIS[1]
     return np.bincount((bottom.edges + n).ravel(), weights=vals.ravel(), minlength=2 * n)
 
 
@@ -245,6 +250,12 @@ def state_rhs_reference(pattern: FixedPattern, mesh_new: AxiMesh, u_old: VectorF
                         zeta: float, params: PhysParams, dt: float) -> np.ndarray:
     """The step's reduced right-hand side: the old mass action over dt plus the loads."""
     f = mass_action_reference(u_old) / dt + rhs_F_reference(mesh_new, zeta, params)
+    return reduced(pattern, f)
+
+
+def reduced(pattern: FixedPattern, f: np.ndarray) -> np.ndarray:
+    """The load f on the first len(f) dofs, zero on the rest, on the kept
+    dofs of pattern in their order, as the phases reduce the loads."""
     return np.concatenate((f, np.zeros(pattern.size - len(f))))[pattern.free]
 
 

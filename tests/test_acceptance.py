@@ -58,7 +58,7 @@ def test_criterion_6_discrete_transpose():
     vals[state.mesh.radial_constrained_nodes, 0] = 0.0
     state = replace(state, u=VectorFieldP1(vals, state.mesh))
     new, _ = step(state, 0.0, phys, num)
-    system, _ = slab_system(state, 0.0, phys, num)
+    system = slab_system(state, 0.0, phys, num)
     # the mesh velocity, recovered from the mesh motion
     V = VectorFieldP1((new.mesh.nodes - state.mesh.nodes) / num.dt, state.mesh)
     free = system.pattern.free

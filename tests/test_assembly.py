@@ -1,6 +1,5 @@
 """The step's fixed-pattern assembly against the dense oracle of the whole system."""
 
-import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -9,23 +8,22 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
 from capflow.acceptance import run_tc1, tc1_config, tc2_config
-from capflow import solve_domain_velocity
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch
 from capflow.fields import NumParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, _extension_pattern, _saddle_pattern, beta_h,
-                           bottom_load_vector, mass_action, reverse_cuthill_mckee, vertex_order,
-                           workspace)
+                           mass_action, reverse_cuthill_mckee, vertex_order, workspace)
 from capflow.geometry import AxiMesh, build_structured_mesh, contact_line_height, displace_mesh
 from capflow.stepping import FlowState, initial_state, slab_system, step
 
 from .compiled import (band_storage, edge_blocks, element_data, extension_rhs, factor_band, fill,
                        loads, r_stiffness, triangle_blocks, values)
-from .conftest import factored_systems, random_vector_field
+from .conftest import factored_systems, mesh_velocity, random_vector_field
 from .oracles import oracle_saddle
 from .pattern_forms import (_gradient_products, bottom_load_reference, edge_blocks_reference,
                             element_data_reference, extension_rhs_reference, filled,
-                            mass_action_reference, state_rhs_reference, triangle_blocks_reference)
+                            mass_action_reference, reduced, state_rhs_reference,
+                            triangle_blocks_reference)
 from .test_forms import PHYS, meshes
 
 NUM = NumParams(dt=2e-3, Cs=0.4, N1=2, N3=2, alpha=0.0, lam=0.0, T=0.1)
@@ -53,7 +51,7 @@ def moved_case(idx):
     """The slab from form_case's mesh and velocity: the mesh moved by the
     mesh velocity V of the velocity, and the rest of form_case with that V."""
     _, mesh, u, _, zeta, phys, num = form_case(idx)
-    V, _ = solve_domain_velocity(mesh, u)
+    V, _ = mesh_velocity(mesh, u)
     return displace_mesh(mesh, V, num.dt), mesh, u, V, zeta, phys, num
 
 
@@ -73,7 +71,7 @@ def slab(config, n1=16, n3=32):
     state = initial_state(cfg.radius, cfg.init_height, num)
     for _ in range(3):
         state, *_ = step(state, 1e-4, phys, num)
-    V, _ = solve_domain_velocity(state.mesh, state.u)
+    V, _ = mesh_velocity(state.mesh, state.u)
     return displace_mesh(state.mesh, V, num.dt), state.mesh, state.u, V, 1e-4, phys, num
 
 
@@ -83,7 +81,7 @@ def saddle(mesh_new, mesh_old, u, V, zeta, phys, num):
     heights bit for bit, so a slab's prefix here (V, then the displacement)
     cannot drift from the step's."""
     state = FlowState(mesh=mesh_old, u=u, p=zero_scalar_field(mesh_old), t=0.0)
-    system, _ = slab_system(state, zeta, phys, num)
+    system = slab_system(state, zeta, phys, num)
     assert system.mesh.z.tobytes() == mesh_new.z.tobytes()
     return system
 
@@ -96,7 +94,8 @@ def rel(matrix, dense):
                                   lambda: moved_case(2), tc1_slab],
                          ids=["two-triangle", "perturbed", "structured", "tc1-16x32-slab"])
 def test_fixed_pattern_equals_coo_reference(case):
-    """The step's reduced matrix and rhs equal the dense oracle's on its dofs."""
+    """The step's reduced matrix and rhs equal the dense oracle's on its
+    dofs, and its bottom load is the numpy reference's, bit for bit."""
     args = case()
     system = saddle(*args)
     matrix, rhs = reference_system(*args, system.pattern.free)
@@ -109,6 +108,8 @@ def test_fixed_pattern_equals_coo_reference(case):
     assert system.matrix.shape == matrix.shape
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+    assert system.bottom_load.tobytes() == reduced(system.pattern,
+                                                   bottom_load_reference(system.mesh)).tobytes()
 
 
 # meshes with quadrature points on the axis
@@ -122,8 +123,8 @@ def compiled_kernels(mesh_new, mesh_old, u, V, zeta, phys, num):
     """What each compiled kernel computes for a slab, by name, and the same
     from the numpy kernels it replaced: the triangle blocks, the r-weighted
     stiffness, the element data of the new mesh, the boundary-edge blocks,
-    the mass action of u, the bottom load, the reduced right-hand side and
-    the mesh-velocity extension's data and right-hand side on the old mesh."""
+    the mass action of u, the reduced right-hand side and the mesh-velocity
+    extension's data and right-hand side on the old mesh."""
     ed = element_data(mesh_new)
     m = len(ed.tri)
     blocks, stiffness = np.empty((m, 9, 9)), np.empty((m, 3, 3))
@@ -143,9 +144,7 @@ def compiled_kernels(mesh_new, mesh_old, u, V, zeta, phys, num):
     want["wall"], want["surface"] = edge_blocks_reference(mesh_new, u.values, V.values, beta,
                                                           phys, num.dt)
     got["mass action"], want["mass action"] = mass_action(u), mass_action_reference(u)
-    got["bottom load"] = bottom_load_vector(mesh_new)
-    want["bottom load"] = bottom_load_reference(mesh_new)
-    got["rhs"] = loads(mesh_new, u, num.dt, zeta, phys, saddle)
+    got["rhs"] = loads(mesh_new, u, num.dt, zeta, phys, saddle, bottom_load_reference(mesh_new))
     want["rhs"] = state_rhs_reference(saddle, mesh_new, u, zeta, phys, num.dt)
     extension = mesh_old.topology.memo(_extension_pattern)
     stiffness = np.empty((m, 3, 3))
@@ -210,8 +209,6 @@ def test_kernel_arguments_are_checked_before_the_kernel_runs():
                     num)
     with pytest.raises(DimensionMismatch):
         extension_rhs(u, np.empty((m - 1, 3, 3)))
-    with pytest.raises(ctypes.ArgumentError):
-        pattern.reduce(np.zeros(3, np.float32))
 
 
 @pytest.mark.parametrize("grid, nnz, width", [((16, 32), 31811, 51), ((32, 64), 128147, 102)],
@@ -363,18 +360,6 @@ def test_symmetric_part_of_the_step_matrix_is_semidefinite(monkeypatch, config, 
             assert lam[0] >= -10 * eps * lam[-1], f"step {k}: {name} lambda_min {lam[0]:.3e}"
 
 
-def test_reduce_maps_a_load_onto_the_kept_dofs():
-    """A load on the first len(f) dofs, zero on the rest, in the pattern's order."""
-    mesh = build_structured_mesh(1.0, 1.0, 3, 4)
-    pattern = mesh.topology.memo(_saddle_pattern)
-    n = mesh.num_nodes
-    f = np.random.default_rng(6).standard_normal(2 * n)
-    full = np.concatenate((f, np.zeros(n)))
-    assert pattern.size == 3 * n
-    assert np.array_equal(pattern.reduce(f), full[pattern.free])
-    assert np.array_equal(pattern.reduce(full), full[pattern.free])
-
-
 def test_fill_sums_like_bincount():
     """The fill adds each local value into its slot in order, as a bincount
     does, bit for bit."""
@@ -445,7 +430,7 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
                     NUM)
 
     w = random_vector_field(flipped, seed=4)
-    V, _ = solve_domain_velocity(flipped, w)
+    V, _ = mesh_velocity(flipped, w)
     args = displace_mesh(flipped, V, NUM.dt), flipped, w, V, 0.0, PHYS, NUM
     system = saddle(*args)
     # the flipped connectivity's own vertex order

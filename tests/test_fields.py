@@ -61,10 +61,3 @@ def test_num_params_validation():
             NumParams(dt=1e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=T)
     assert NumParams(dt=2e-3, Cs=0.4, N1=4, N3=4, alpha=0.0, lam=0.0, T=0.2).T == 0.2
 
-
-def test_magnitude_max():
-    mesh = build_structured_mesh(1.0, 1.0, 2, 2)
-    vals = np.zeros((mesh.num_nodes, 2))
-    vals[4] = (0.0, -2.5)    # interior node
-    u = VectorFieldP1(vals, mesh)
-    assert u.magnitude_max == 2.5

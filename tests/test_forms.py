@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.fields import PhysParams, VectorFieldP1, zero_vector_field
-from capflow.forms import _QBASIS, _QQ, _saddle_pattern, beta_h, bottom_load_vector, radial_table
+from capflow.forms import _QBASIS, _QQ, _saddle_pattern, beta_h, radial_table
 from capflow.geometry import BoundaryTag, build_structured_mesh, displace_mesh
 from capflow.writers import _snapshot_template
 
@@ -14,9 +14,10 @@ from . import oracles
 from . import compiled
 from .compiled import element_data
 from .conftest import mesh_at, perturbed_mesh, random_vector_field, two_triangle_mesh
-from .pattern_forms import (_coupling_block, _gradient_products, _viscous_block, form_a, form_b,
-                            form_c_ALE, form_S_Gamma, form_s, form_s_p, gravity_load, mass_matrix,
-                            r_stiffness, surface_tension_load)
+from .pattern_forms import (_coupling_block, _gradient_products, _viscous_block,
+                            bottom_load_reference, form_a, form_b, form_c_ALE, form_S_Gamma,
+                            form_s, form_s_p, gravity_load, mass_matrix, r_stiffness, reduced,
+                            surface_tension_load)
 
 PHYS = PhysParams(nu=1.87e-5, gamma=3.91e-8, chi=850.0, theta_s=np.pi / 2,
                   p_bar=9.81e-4, g=9.81)
@@ -35,12 +36,7 @@ def rel_err(dense, sparse):
 def loads(mesh, zeta, phys):
     """The compiled loads on the kept dofs of the step's saddle system, at rest."""
     return compiled.loads(mesh, zero_vector_field(mesh), 1.0, zeta, phys,
-                  mesh.topology.memo(_saddle_pattern))
-
-
-def reduced(mesh, f):
-    """A load on the 2N velocity dofs on the kept dofs of the saddle system."""
-    return mesh.topology.memo(_saddle_pattern).reduce(f)
+                          mesh.topology.memo(_saddle_pattern), bottom_load_reference(mesh))
 
 
 class TestOracleAgreement:
@@ -94,7 +90,8 @@ class TestOracleAgreement:
         mesh = meshes()[idx]
         phys = PhysParams(nu=PHYS.nu, gamma=2e-3, chi=850.0, theta_s=np.radians(70),
                           p_bar=1e-3, g=9.81)
-        dense = reduced(mesh, oracles.oracle_rhs_F(mesh, 0.3e-3, phys))
+        dense = reduced(mesh.topology.memo(_saddle_pattern),
+                        oracles.oracle_rhs_F(mesh, 0.3e-3, phys))
         ours = loads(mesh, 0.3e-3, phys)
         assert np.abs(ours - dense).max() < 1e-12 * max(np.abs(dense).max(), 1e-300)
 
@@ -228,7 +225,8 @@ class TestFormIdentities:
     def test_contact_term_vanishes_at_ninety_degrees(self):
         mesh = perturbed_mesh()
         f_total = loads(mesh, 0.0, PHYS)
-        f_ref = reduced(mesh, gravity_load(mesh, PHYS) + PHYS.p_bar * bottom_load_vector(mesh)
+        f_ref = reduced(mesh.topology.memo(_saddle_pattern),
+                        gravity_load(mesh, PHYS) + PHYS.p_bar * bottom_load_reference(mesh)
                         + surface_tension_load(mesh, PHYS))
         assert np.allclose(f_total, f_ref, atol=0.0)
 

@@ -20,13 +20,12 @@ from capflow.acceptance import run_tc1, tc1_config, tc2_config
 from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
-from capflow.forms import (BandLayout, FixedPattern, LinearSystem, bottom_load_vector,
-                           kinetic_energy, _saddle_pattern, radial_table, workspace)
-from capflow import solve_domain_velocity
+from capflow.forms import (BandLayout, FixedPattern, LinearSystem, kinetic_energy,
+                           _saddle_pattern, radial_table, workspace)
 from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, initial_state, slab_system, step
 
-from .pattern_forms import filled, form_a, mass_matrix
+from .pattern_forms import bottom_load_reference, filled, form_a, mass_matrix, reduced
 from .compiled import (band_storage, element_data, factor_band, mesh_velocity_system,
                        r_stiffness, solve_band, solve_system, triangle_blocks, values)
 from .conftest import factored_systems
@@ -270,7 +269,7 @@ def test_the_slab_system_is_frozen():
     """The system slab_system copies out is frozen and its arrays read-only:
     the matrix the residual gate read is the one factored."""
     mesh = build_structured_mesh(5e-4, 5e-5, 4, 4)
-    system, _ = slab_system(state_of(mesh, zero_vector_field(mesh)), 0.0, PHYS, NUM)
+    system = slab_system(state_of(mesh, zero_vector_field(mesh)), 0.0, PHYS, NUM)
     with pytest.raises(FrozenInstanceError):
         system.data = np.ones_like(system.data)
     for a in (system.data, system.rhs, system.bottom_load):
@@ -475,7 +474,8 @@ def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     """On the 16x32 tc1 slab, whose envelope leaves part of the band out,
     the factors, the eliminated loads and a solve are those of the full
     band, bit for bit, and so are the LU and the solutions of the system's
-    rhs and bottom load that the step left in the workspace."""
+    rhs and bottom load that the step left in the workspace; the bottom
+    load is the numpy reference's, bit for bit."""
     system = saddle(*tc1_slab())
     ws = workspace(system.mesh.topology)
     band = system.pattern.band
@@ -486,7 +486,7 @@ def test_envelope_factor_equals_the_full_band_on_the_reference_slab():
     ab[band.position] = system.matrix.data
     ab = ab.reshape((band.ldab, n), order="F")
     assert np.array_equal(bits(system.bottom_load),
-                          bits(system.pattern.reduce(bottom_load_vector(system.mesh))))
+                          bits(reduced(system.pattern, bottom_load_reference(system.mesh))))
     b = np.stack((system.rhs, system.bottom_load))
     factors = []
     for layout in (band, full):
@@ -531,7 +531,8 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
     random right-hand side, solves them in one two-row solve as a dense solve
     does, to 1e-10 relative, with growth max|U|/max|A| at most 10.  The
     mesh-velocity system of each step is rebuilt from its state, kernel by
-    kernel, and its solution is the step's mesh velocity, bit for bit."""
+    kernel, and its solution is the mesh velocity that the step left in the
+    workspace, bit for bit."""
     systems = factored_systems(monkeypatch)
     extensions = []
     run_step = capflow.control.step
@@ -540,9 +541,10 @@ def test_kernel_solves_every_step_system_like_a_dense_solve(monkeypatch, config,
         system = mesh_velocity_system(state.mesh, state.u)
         extensions.append(system)
         _, (x,), _ = solve_rows(system, system.rhs)
-        V, _ = solve_domain_velocity(state.mesh, state.u)
-        assert np.array_equal(bits(V.values[system.pattern.free, 1]), bits(x))
-        return run_step(state, *args, **kwargs)
+        result = run_step(state, *args, **kwargs)
+        V = workspace(state.mesh.topology).V
+        assert np.array_equal(bits(V[system.pattern.free, 1]), bits(x))
+        return result
 
     monkeypatch.setattr(capflow.control, "step", moving)
     cfg = config()
@@ -584,12 +586,12 @@ def step_solves():
     _, mesh, u, _, zeta, phys, num = tc1_slab()
     state = state_of(mesh, u)
     new, diag = step(state, zeta, phys, num, gradient=True)
-    w = workspace(mesh.topology).w.copy()
-    system, _ = slab_system(state, zeta, phys, num)
+    ws = workspace(mesh.topology)
+    w, V = ws.w.copy(), ws.V.copy()
+    system = slab_system(state, zeta, phys, num)
     extension = mesh_velocity_system(mesh, u)
-    V, _ = solve_domain_velocity(mesh, u)
     full = np.concatenate((new.u.values[:, 0], new.u.values[:, 1], new.p.values))
-    return [(extension, extension.rhs, "mesh-velocity", V.values[extension.pattern.free, 1],
+    return [(extension, extension.rhs, "mesh-velocity", V[extension.pattern.free, 1],
              diag.ale_residual),
             (system, system.rhs, "state", full[system.pattern.free], diag.residual),
             (system, system.bottom_load, "bottom-load", w, diag.bottom_residual)]
@@ -704,23 +706,28 @@ def test_each_row_of_a_solve_has_its_own_residual_gate(row, what):
     assert max(norms[0] / norms[1], norms[1] / norms[0]) > 100
 
 
-# every function of the kernel source with target clones
+# every function of the kernel source with target clones, and those of
+# them that only the phases call, static in the source
 KERNELS = ("element_data", "r_stiffness", "triangle_blocks", "edge_blocks", "mass_action",
            "bottom_load", "state_rhs", "extension_rhs", "gather", "scatter_add", "band_factor",
            "band_solve", "residual")
+STATIC_KERNELS = ("bottom_load", "gather")
+BOUND_KERNELS = tuple(name for name in KERNELS if name not in STATIC_KERNELS)
 
 
 def test_every_kernel_is_listed():
-    """The kernels with target clones are KERNELS, and the functions the
-    source exports at file scope, every definition that is not static, are
-    exactly those kernels.Kernel binds: the kernels, the slab's one call,
-    the mesh velocity and the formatter.  An entry no caller binds cannot
-    stay exported."""
-    assert sorted(re.findall(r"^CLONES \w+ (\w+)\(", kernels.SOURCE, re.M)) == sorted(KERNELS)
+    """The kernels with target clones, static ones included, are KERNELS,
+    and the functions the source exports at file scope, every definition
+    that is not static, are exactly those kernels.Kernel binds: the bound
+    kernels, the workspace's storage, the slab's one call and the
+    formatter.  An entry no caller binds cannot stay exported."""
+    cloned = re.findall(r"^(static )?CLONES \w+ (\w+)\(", kernels.SOURCE, re.M)
+    assert sorted(name for _, name in cloned) == sorted(KERNELS)
+    assert sorted(name for static, name in cloned if static) == sorted(STATIC_KERNELS)
     exported = re.findall(r"^(?:CLONES )?(?!static\b)\w+ \**(\w+)\(", kernels.SOURCE, re.M)
     bound = [fn.__name__ for fn in vars(kernels.kernel()).values()]
     assert sorted(exported) == sorted(bound) == sorted(
-        (*KERNELS, "slab_step", "slab_mesh_velocity", "fill_template"))
+        (*BOUND_KERNELS, "slab_storage", "slab_step", "fill_template"))
 
 
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
@@ -735,7 +742,7 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     path = kernels.build(flags=kernels.FLAGS + ("-DKERNELS_PORTABLE",))
     portable = kernels.Kernel(path)
     if platform.machine() == "x86_64":      # only the cloned build dispatches
-        for name in KERNELS:
+        for name in BOUND_KERNELS:
             cloned[f"{name}.resolver"]
             with pytest.raises(AttributeError):
                 ctypes.CDLL(str(path))[f"{name}.resolver"]
@@ -833,8 +840,6 @@ def test_kernel_calls_leave_no_garbage_cycles():
         factor_band(np.ascontiguousarray(lu), band)
     with pytest.raises(ctypes.ArgumentError):
         factor_band(lu.copy(order="F"), band, b.astype(np.float32))
-    with pytest.raises(ctypes.ArgumentError):
-        system.pattern.reduce(np.zeros(3, dtype=np.int64))
     with pytest.raises(ctypes.ArgumentError):
         solve_band(lu, band, system.pattern, system.data, b,
                            np.zeros(b.shape, np.float32))
@@ -1006,3 +1011,15 @@ def test_workspace_struct_matches_the_source(tmp_path):
     want = [getattr(mirrors[struct], name).offset if name else ctypes.sizeof(mirrors[struct])
             for struct, name in checks]
     assert list(map(int, got.stdout.split())) == want
+
+
+@pytest.mark.parametrize("grid, doubles", [((4, 4), 4513), ((16, 32), 210936)],
+                         ids=["4x4", "16x32"])
+def test_workspace_storage_keeps_its_size(grid, doubles):
+    """The storage block that slab_storage sizes holds as many doubles as
+    the layout it took over from the owner did, the saddle band last in it."""
+    ws = workspace(build_structured_mesh(1.0, 1.0, *grid).topology)
+    s, start = ws.struct, ws.storage.ctypes.data
+    assert ws.storage.size == doubles
+    assert s.V == start and s.lu == s.region == ws.band.ctypes.data
+    assert s.lu + ws.band.nbytes <= start + ws.storage.nbytes

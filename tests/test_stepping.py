@@ -13,14 +13,14 @@ from scipy.sparse._compressed import _cs_matrix
 import capflow.stepping
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
-from capflow import solve_domain_velocity
 from capflow.errors import MeshTangled
 from capflow.fields import NumParams, PhysParams, VectorFieldP1
-from capflow.forms import bottom_load_vector, _flatten, kinetic_energy, mass_action, workspace
+from capflow.forms import _flatten, kinetic_energy, mass_action, workspace
 from capflow.geometry import displace_mesh, mesh_quality
 from capflow.stepping import initial_state, pin_heap, slab_system, step
 
-from .conftest import phase_calls
+from .conftest import mesh_velocity, phase_calls
+from .pattern_forms import bottom_load_reference
 
 
 def _volume(mesh):
@@ -95,7 +95,7 @@ def test_volume_change_equals_bottom_flux():
         prev = state
         state, *_ = step(state, 0.0, phys, num)
     dvol = _volume(state.mesh) - _volume(prev.mesh)
-    flux = float(bottom_load_vector(prev.mesh) @ _flatten(prev.u.values))
+    flux = float(bottom_load_reference(prev.mesh) @ _flatten(prev.u.values))
     assert dvol == pytest.approx(num.dt * flux, rel=1e-6)
 
 
@@ -186,7 +186,7 @@ def test_no_record_aliases_the_workspace():
     solution still solves the system under the residual gate."""
     state, phys, num = advanced(2)
     new, _ = step(state, 1e-4, phys, num, gradient=True)
-    system, _ = slab_system(state, 1e-4, phys, num)
+    system = slab_system(state, 1e-4, phys, num)
     arrays = {"z": new.mesh.z, "areas": new.mesh.areas, "u": new.u.values, "p": new.p.values,
               "mass": mass_action(new.u), "data": system.data, "rhs": system.rhs,
               "bottom load": system.bottom_load, "system z": system.mesh.z}
@@ -272,7 +272,7 @@ def test_a_tangling_step_raises_the_displacements_error():
     values = state.u.values.copy()
     values[state.mesh.surface_nodes[2], 1] = -1.0      # one surface node plunges
     state = replace(state, u=VectorFieldP1(values, state.mesh))
-    V, _ = solve_domain_velocity(state.mesh, state.u)
+    V, _ = mesh_velocity(state.mesh, state.u)
     with pytest.raises(MeshTangled) as expected:
         displace_mesh(state.mesh, V, num.dt)
     assert str(expected.value).endswith(f", after a step of dt = {num.dt:.6e} s")
