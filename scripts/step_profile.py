@@ -34,7 +34,10 @@ no earlier grid's heap enters, and cProfile's function calls per controlled
 step, all of them and those in SciPy, from a run of 1 + PROFILE_STEPS steps
 less a run of one (which builds the patterns and the workspace), both after
 a one-step run that loads the kernels.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) for comparable times.
+(OPENBLAS_NUM_THREADS=1) for comparable times.  The factor kernel and the
+residual checks are called through the tests' wrappers of the kernels
+(``tests/compiled.py``, which needs numpy and capflow alone), found from
+this checkout.
 Last comes the band table, one row per grid, on the profiled slab's saddle
 system: the number of reduced dofs and of stored entries (from the
 pattern's ``indptr`` and ``indices``), the band's kl and ku, the
@@ -47,6 +50,7 @@ upper[j] over the columns, per ns of that row's minimum.
     PYTHONPATH=src python scripts/step_profile.py
 """
 
+import argparse
 import cProfile
 import os
 import platform
@@ -67,6 +71,9 @@ from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
 from capflow.stepping import initial_state, slab_system, step
 from capflow.writers import write_history_csv, write_vtk_snapshot
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.compiled import band_storage, factor_band, residual  # noqa: E402
 
 GRIDS = ((16, 32), (32, 64), (64, 128))  # N1 x N3
 REPEATS = 20                    # calls per phase; the minimum is reported
@@ -112,18 +119,16 @@ def phases(n1: int, n3: int) -> tuple[list[tuple[str, float]], str]:
     system = slab_system(state, ZETA, phys, num)
     x = forms.workspace(state.mesh.topology).x.copy()   # the controlled step's solutions
     band = system.pattern.band
-    scattered = np.zeros(band.ldab * len(band.lower))
-    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, scattered)
+    scattered = band_storage(system)
     loads = np.stack((system.rhs, system.bottom_load))
     factored = [None]       # the factor kernel's last copy of the band
 
     def copies():
-        factored[0] = scattered.reshape((band.ldab, -1), order="F").copy(order="F")
-        return factored[0], 2, loads.copy()
+        factored[0] = scattered.copy(order="F")
+        return factored[0], band, loads.copy()
 
     free, controlled = (clocks_ms(state, phys, num, gradient) for gradient in (False, True))
-    kernel_ms = best_ms(lambda args: kernels.kernel().band_factor(
-        len(band.lower), band.kl, band.ku, band.ptr.lower, band.ptr.upper, *args), copies)
+    kernel_ms = best_ms(lambda args: factor_band(*args), copies)
     rows = [
         ("ALE", controlled["ALE"]),
         ("motion", controlled["motion"]),
@@ -173,11 +178,10 @@ def band_row(n1: int, n3: int, system, kernel_ms: float, growth: float) -> str:
 def residual_ms(system, x) -> float:
     """The compiled residual checks of the solutions x, (k, n), of system's
     first k loads, on their own: the second half of the solve kernel's call."""
-    pattern, (k, n) = system.pattern, x.shape
+    k, n = x.shape
     rhs = np.stack((system.rhs, system.bottom_load)[:k])
     out = np.empty((k, n + 2))
-    return best_ms(lambda _: kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices,
-                                                       system.data, k, rhs, x, out))
+    return best_ms(lambda _: residual(system.pattern, system.data, rhs, x, out))
 
 
 def writers_ms(state, dt: float) -> list[tuple[str, float]]:
@@ -255,7 +259,16 @@ def calls_per_step(n1: int, n3: int) -> tuple[float, float]:
     return (total_more - total) / PROFILE_STEPS, (scipy_more - scipy_calls) / PROFILE_STEPS
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--faults", nargs=3, type=int, metavar=("N1", "N3", "STEPS"),
+                        help="internal: print the median minor page faults per step of one "
+                             "grid's STEPS-step controlled run, counted in this process, "
+                             "and nothing else")
+    args = parser.parse_args(argv)
+    if args.faults:
+        print(count_faults(*args.faults))
+        return
     print(f"# {platform.processor() or platform.machine()}, python {platform.python_version()}, "
           f"numpy {np.__version__}; kernels built with {kernels.COMPILER} "
           f"{' '.join(kernels.FLAGS)}; min of {REPEATS} calls (writers: median of {RUN_FILES} "
@@ -275,7 +288,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--faults"]:       # one grid's count, in this fresh process
-        print(count_faults(*map(int, sys.argv[2:5])))
-    else:
-        main()
+    main()

@@ -17,6 +17,7 @@ only that its triangles keep positive areas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -234,8 +235,8 @@ def build_structured_mesh(radius: float, height: float, n1: int, n3: int) -> Axi
     element bookkeeping (and the vertical mesh size at the wall) stays
     deterministic.  The contact node sits at (radius, height).
     """
-    if radius <= 0 or height <= 0:
-        raise ValueError("radius and height must be positive")
+    if not (0 < radius < math.inf and 0 < height < math.inf):     # NaN fails too
+        raise ValueError("radius and height must be positive and finite")
     if n1 < 2 or n3 < 2:
         raise ValueError("n1 and n3 must be at least 2")
 

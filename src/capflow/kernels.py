@@ -31,9 +31,12 @@ details of a failure, the phase that failed and each phase's wall time
 (``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``) come back in the
 struct.  The five clocks are disjoint: "ALE" times the mesh velocity and
 "motion" the rest of the motion phase, so the two together are the whole
-motion.  The kernels the tests and the writers call one at a time read a
-record's read-only arrays through pointers taken once (:class:`Pointers`),
-and check the arrays they write per call.
+motion.  Besides the storage and the step, the package binds two kernels
+(:class:`Kernel`): the mass action, for a velocity that no step produced,
+and the formatter; the tests bind the others on the same library
+(:meth:`Kernel.bind`) to call them one at a time.  A kernel called alone
+reads a record's read-only arrays through pointers taken once
+(:class:`Pointers`), and checks the arrays it writes per call.
 
 The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
 at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
@@ -205,41 +208,29 @@ class Workspace(ctypes.Structure):
 
 
 class Kernel:
-    """The functions of one built library (:func:`build`)."""
+    """The functions of one built library (:func:`build`) that the package
+    calls: the workspace's storage, the slab's step, the mass action of a
+    velocity no step produced, and the formatter.  ``lib`` is the loaded
+    library, on which :meth:`bind` binds any other of its functions."""
 
     def __init__(self, path: Path):
-        lib = ctypes.CDLL(str(path))
-        size, real, at = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
-
-        def bind(name, argtypes, restype=None):
-            fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, restype
-            return fn
-
-        values, out = _Array(np.float64), _Array(np.float64, writeable=True)
-        self.element_data = bind("element_data", (size, *(at,) * 5, out))
-        self.triangle_blocks = bind("triangle_blocks", (size, *(at,) * 13, real, real, real, out))
-        self.r_stiffness = bind("r_stiffness", (size, *(at,) * 4, out))
-        self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,
-                                                out, out))
-        self.mass_action = bind("mass_action", (size, size, at, at, at, at, out))
-        self.state_rhs = bind("state_rhs", (size, size, at, at, size, at, at, at, values, values,
-                                            real, real, real, real, size, real, size, at, out, out))
-        self.extension_rhs = bind("extension_rhs", (size, size, at, at, at, at, size, at, values,
-                                                    size, at, out, out))
-        self.scatter_add = bind("scatter_add", (size, at, values, out))
-        band = _Array(np.float64, "F_CONTIGUOUS", writeable=True)
-        self.band_factor = bind("band_factor", (size, size, size, at, at, band, size, out), size)
-        self.band_solve = bind("band_solve", (size, size, size, at, _Array(np.float64, "F_CONTIGUOUS"),
-                                              at, at, values, size, values, values, out, out), size)
-        self.residual = bind("residual", (size, at, at, values, size, values, values, out), size)
-        self.fill_template = bind("fill_template", (size, ctypes.c_char_p, size,
-                                                    _Array(np.int64), values,
-                                                    _Array(np.uint8, writeable=True)), size)
+        self.lib = ctypes.CDLL(str(path))
+        size, at = ctypes.c_ssize_t, ctypes.c_void_p
+        self.mass_action = self.bind("mass_action", (size, size, at, at, at, at,
+                                                     _Array(np.float64, writeable=True)))
+        self.fill_template = self.bind("fill_template", (size, ctypes.c_char_p, size,
+                                                         _Array(np.int64), _Array(np.float64),
+                                                         _Array(np.uint8, writeable=True)), size)
         # the storage of a workspace and its slab: the struct is passed by reference
         workspace = ctypes.POINTER(Workspace)
-        self.storage = bind("slab_storage", (workspace, at), size)
-        self.step = bind("slab_step", (workspace,), size)
+        self.storage = self.bind("slab_storage", (workspace, at), size)
+        self.step = self.bind("slab_step", (workspace,), size)
+
+    def bind(self, name: str, argtypes: tuple, restype=None):
+        """The library's function name, with its argument and result types set."""
+        fn = getattr(self.lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
+        return fn
 
 
 def expect(what: str, array: np.ndarray, shape: tuple) -> None:

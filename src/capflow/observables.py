@@ -35,8 +35,8 @@ def equilibrium_height(phys: PhysParams, radius: float, zeta_final: float = 0.0)
     spherical-cap contact offset; the last two vanish for a 90-degree
     contact angle.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:       # NaN fails too
+        raise ValueError("radius must be positive and finite")
     capillary = 2.0 * phys.gamma * math.cos(phys.theta_s) / (phys.g * radius)
     return (phys.p_bar + zeta_final) / phys.g + capillary \
         + spherical_cap_offset(phys.theta_s, radius)

@@ -19,18 +19,11 @@ phases' own clocks.
 The workspace allocates the storage of the phases, the band and the element
 blocks among it, once per topology, in one block that the compiled code
 sizes and lays out, so a step allocates only its records' arrays, a few
-pages.  The rest of a run still frees and reallocates blocks in an
-order that glibc's default thresholds follow: its trim threshold is twice the
-largest mmapped block freed so far, and a process that leaves more free space
-than that at the heap top gives the pages back and faults them in again
-later.  :func:`initial_state` fixes both thresholds once (:func:`pin_heap`),
-so that what else a process allocates (a benchmark's yardstick among it)
-runs on the same pages whatever came before.
+pages.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 
 from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
@@ -83,30 +76,8 @@ class StepDiagnostics:
         return self.mesh.memo(mesh_quality)[1]
 
 
-# glibc's mallopt parameters, and the values fixed for them
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20  # blocks below it (the 32x64 band, 9.9 MiB) come from the heap
-_TRIM_THRESHOLD = 64 << 20  # free space at the heap top is kept up to it
-
-
-def pin_heap() -> bool:
-    """Fix glibc's mmap and trim thresholds, so that they no longer follow
-    allocation order; True if both were set.  Idempotent, and a no-op where
-    the C library has no ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) \
-        and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
-
-
 def initial_state(radius: float, height: float, num: NumParams) -> FlowState:
-    """Liquid column at rest; pins the heap (:func:`pin_heap`) for the steps
-    that follow."""
-    pin_heap()
+    """Liquid column at rest."""
     mesh = build_structured_mesh(radius, height, num.N1, num.N3)
     return FlowState(mesh=mesh, u=zero_vector_field(mesh), p=zero_scalar_field(mesh), t=0.0)
 

@@ -1,19 +1,23 @@
 """The compiled kernels of the step one by one, each on its own arrays.
 
 A step runs them inside its compiled phases (:class:`capflow.forms.Workspace`),
-which hand each kernel the workspace's storage.  The tests call them here
-one at a time, to hold each against the numpy kernel it replaced
-(``pattern_forms``) and to build the mesh-velocity system a step solves; the
-band factor, with its forward elimination of the loads, and the
-back-substitution with its checks factor and solve that system, hand-made
-ones and copies of a step's, to hold the envelope LU against dense loops.
-Each wrapper checks the shapes its kernel reads and writes, as far as the
-records' shapes reach, and finds the library through ``kernels.kernel()``
-when called, so a test may hand them another build.
+which hand each kernel the workspace's storage; the package binds only the
+library's storage, step, mass action and formatter (``kernels.Kernel``).
+Here the tests bind the other kernels on the same library
+(:func:`entries`) and call them one at a time, to hold each against the
+numpy kernel it replaced (``pattern_forms``) and to build the mesh-velocity
+system a step solves; the band factor, with its forward elimination of the
+loads, and the back-substitution with its checks factor and solve that
+system, hand-made ones and copies of a step's, to hold the envelope LU
+against dense loops.  Each wrapper checks the shapes its kernel reads and
+writes, as far as the records' shapes reach, and finds the library through
+``kernels.kernel()`` when called, so a test may hand them another build.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,44 @@ from capflow.errors import DimensionMismatch
 from capflow.forms import (FixedPattern, LinearSystem, RadialTable, _extension_pattern,
                            mass_action, radial_table)
 from capflow.geometry import AxiMesh, BoundaryTag
-from capflow.kernels import Pointers, expect
+from capflow.kernels import Pointers, _Array, expect
+
+
+class Entries:
+    """The kernels of a :class:`~capflow.kernels.Kernel`'s library that only
+    the tests call, bound on its handle (:meth:`~capflow.kernels.Kernel.bind`)."""
+
+    def __init__(self, kernel: kernels.Kernel):
+        size, real, at = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+        values, out = _Array(np.float64), _Array(np.float64, writeable=True)
+        bind = kernel.bind
+        self.element_data = bind("element_data", (size, *(at,) * 5, out))
+        self.triangle_blocks = bind("triangle_blocks", (size, *(at,) * 13, real, real, real, out))
+        self.r_stiffness = bind("r_stiffness", (size, *(at,) * 4, out))
+        self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,
+                                                out, out))
+        self.state_rhs = bind("state_rhs", (size, size, at, at, size, at, at, at, values, values,
+                                            real, real, real, real, size, real, size, at, out, out))
+        self.extension_rhs = bind("extension_rhs", (size, size, at, at, at, at, size, at, values,
+                                                    size, at, out, out))
+        self.scatter_add = bind("scatter_add", (size, at, values, out))
+        band = _Array(np.float64, "F_CONTIGUOUS", writeable=True)
+        self.band_factor = bind("band_factor", (size, size, size, at, at, band, size, out), size)
+        self.band_solve = bind("band_solve", (size, size, size, at,
+                                              _Array(np.float64, "F_CONTIGUOUS"), at, at, values,
+                                              size, values, values, out, out), size)
+        self.residual = bind("residual", (size, at, at, values, size, values, values, out), size)
+
+
+@functools.cache
+def entries(kernel: kernels.Kernel) -> Entries:
+    """The test-only kernels of kernel's library, bound once per Kernel."""
+    return Entries(kernel)
+
+
+def lib() -> Entries:
+    """The test-only kernels of the library ``kernels.kernel()`` gives now."""
+    return entries(kernels.kernel())
 
 
 @dataclass(frozen=True)
@@ -61,8 +102,8 @@ def _element_data(mesh: AxiMesh) -> ElementData:
     table = radial_table(mesh.topology)
     m = len(mesh.triangles)
     out = np.empty(10 * m)
-    kernels.kernel().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
-                                  table.ptr.rq, table.ptr.dr, out)
+    lib().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
+                       table.ptr.rq, table.ptr.dr, out)
     out.setflags(write=False)
     grad_r, grad_z, wr = out[:9 * m].reshape(3, m, 3)
     return ElementData(tri=mesh.triangles, area=mesh.areas, grad_r=grad_r, grad_z=grad_z, wr=wr,
@@ -79,9 +120,9 @@ def triangle_blocks(ed, w, V, dt: float, nu: float, Cs: float, out: np.ndarray) 
     if not w.mesh.triangles is V.mesh.triangles is ed.tri:
         raise DimensionMismatch("fields over another topology")
     e, t = ed.ptr, ed.radial.ptr
-    kernels.kernel().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr,
-                                     t.inv_r, t.rn, t.hoop, t.zz, t.coupling_z, w.ptr.values,
-                                     V.ptr.values, dt, nu, Cs, out)
+    lib().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr,
+                          t.inv_r, t.rn, t.hoop, t.zz, t.coupling_z, w.ptr.values,
+                          V.ptr.values, dt, nu, Cs, out)
 
 
 def r_stiffness(ed, out: np.ndarray) -> None:
@@ -89,8 +130,7 @@ def r_stiffness(ed, out: np.ndarray) -> None:
     r grad N_i . grad N_j, into out, (M, 3, 3); ed as for :func:`triangle_blocks`."""
     m = len(ed.tri)
     expect("stiffness blocks", out, (m, 3, 3))
-    kernels.kernel().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz,
-                                 out)
+    lib().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz, out)
 
 
 def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
@@ -103,9 +143,9 @@ def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
     expect("wall blocks", wall, (len(topology.boundary_edges[BoundaryTag.WALL]), 2, 2))
     expect("surface blocks", surface,
            (len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]), 4, 4))
-    kernels.kernel().edge_blocks(len(wall), topology.ptr.wall, len(surface),
-                                 topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                                 w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
+    lib().edge_blocks(len(wall), topology.ptr.wall, len(surface),
+                      topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                      w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
 
 
 def loads(mesh, u, dt, zeta, phys, pattern, bottom) -> np.ndarray:
@@ -119,11 +159,11 @@ def loads(mesh, u, dt, zeta, phys, pattern, bottom) -> np.ndarray:
     surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
     contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
     rhs = np.empty(len(pattern.free))
-    kernels.kernel().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
-                               topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                               mass_action(u), bottom, dt, phys.g, phys.p_bar + zeta,
-                               phys.gamma, mesh.contact_node, contact, len(pattern.free),
-                               pattern.ptr.free, np.zeros(4 * n), rhs)
+    lib().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
+                    topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                    mass_action(u), bottom, dt, phys.g, phys.p_bar + zeta,
+                    phys.gamma, mesh.contact_node, contact, len(pattern.free),
+                    pattern.ptr.free, np.zeros(4 * n), rhs)
     return rhs
 
 
@@ -136,10 +176,10 @@ def extension_rhs(u, stiffness) -> tuple[np.ndarray, np.ndarray]:
     expect("stiffness blocks", stiffness, (len(ed.tri), 3, 3))
     pattern = topology.memo(_extension_pattern)
     work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
-    kernels.kernel().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
-                                   topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                                   u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness,
-                                   len(pattern.free), pattern.ptr.free, work, rhs)
+    lib().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
+                        topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
+                        u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness,
+                        len(pattern.free), pattern.ptr.free, work, rhs)
     return work[:n], rhs
 
 
@@ -163,7 +203,7 @@ def fill(pattern: FixedPattern, data: np.ndarray, vals: np.ndarray) -> np.ndarra
     ``scatter_add``; the sums are those of a bincount, bit for bit."""
     expect("data", data, (len(pattern.indices) + 1,))
     expect("values", vals, pattern.slot.shape)
-    kernels.kernel().scatter_add(len(pattern.slot), pattern.ptr.slot, vals, data)
+    lib().scatter_add(len(pattern.slot), pattern.ptr.slot, vals, data)
     data.setflags(write=False)
     return data[:-1]
 
@@ -176,7 +216,7 @@ def band_storage(system: LinearSystem) -> np.ndarray:
     n = len(band.lower)
     expect("matrix data", system.data, band.position.shape)
     ab = np.zeros(band.ldab * n)
-    kernels.kernel().scatter_add(len(band.position), band.ptr.position, system.data, ab)
+    lib().scatter_add(len(band.position), band.ptr.position, system.data, ab)
     return ab.reshape((band.ldab, n), order="F")
 
 
@@ -191,8 +231,7 @@ def factor_band(ab: np.ndarray, band, y: np.ndarray | None = None) -> int:
     if len(y) not in (0, 1, 2):
         raise DimensionMismatch(f"{len(y)} loads, not 1 or 2")
     expect("loads", y, (len(y), n))
-    return kernels.kernel().band_factor(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab,
-                                        len(y), y)
+    return lib().band_factor(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab, len(y), y)
 
 
 def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
@@ -209,11 +248,24 @@ def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
     expect("right-hand sides", b, (k, n))
     expect("solutions", x, (k, n))
     out = np.empty((k, n + 2))
-    flags = kernels.kernel().band_solve(n, band.kl, band.ku, band.ptr.upper, lu,
-                                        pattern.ptr.indptr, pattern.ptr.indices, data, k, b[0],
-                                        b[-1], x, out)
+    flags = lib().band_solve(n, band.kl, band.ku, band.ptr.upper, lu,
+                             pattern.ptr.indptr, pattern.ptr.indices, data, k, b[0],
+                             b[-1], x, out)
     return out, flags
 
+
+
+def residual(pattern, data: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarray) -> int:
+    """The checks of :func:`solve_band` alone, of the solutions x, (k, n),
+    k = 1 or 2, of the loads b, (k, n), A the CSC matrix of data on
+    pattern's structure, into out, (k, n + 2), as :func:`solve_band` writes
+    them; the flags, bit t if x_t is not finite."""
+    n, k = len(pattern.indptr) - 1, min(max(len(x), 1), 2)
+    expect("matrix data", data, pattern.indices.shape)
+    expect("right-hand sides", b, (k, n))
+    expect("solutions", x, (k, n))
+    expect("checks", out, (k, n + 2))
+    return lib().residual(n, pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x, out)
 
 def solve_system(ab: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray):
     """The factor of the band storage ab, unfactored, on a copy, with the

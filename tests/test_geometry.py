@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -44,10 +45,10 @@ class TestBuild:
         assert min_area == pytest.approx((5e-4 / 16) * (5e-5 / 32) / 2, rel=1e-12)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            build_structured_mesh(-1.0, 1.0, 4, 4)
-        with pytest.raises(ValueError):
-            build_structured_mesh(1.0, 0.0, 4, 4)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            for radius, height in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError, match="^radius and height must be positive"):
+                    build_structured_mesh(radius, height, 4, 4)
         with pytest.raises(ValueError):
             build_structured_mesh(1.0, 1.0, 1, 4)
 

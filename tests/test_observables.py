@@ -40,8 +40,9 @@ class TestEquilibrium:
         assert spherical_cap_offset(math.radians(120), 1e-3) < 0.0
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            equilibrium_height(TC1, 0.0)
+        for radius in (0.0, -1e-4, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^radius must be positive and finite$"):
+                equilibrium_height(TC1, radius)
 
 
 class TestTransientTime:

@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -50,7 +52,7 @@ def test_step_profile_prints_its_tables(capsys):
     step_profile.PROFILE_STEPS = 2
     step_profile.RUN_FILES = 2
     step_profile.RUN_STEPS = 2
-    step_profile.main()
+    step_profile.main([])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 25     # header, 2 + 19 phase rows, faults, calls, 2 band rows
     assert lines[0].startswith("# ") and lines[1].split() == ["phase", "4x8"]
@@ -69,3 +71,23 @@ def test_step_profile_prints_its_tables(capsys):
     assert 0.0 < float(envelope) <= 1.0 and 0.0 < float(work) <= 1.0
     assert 0.0 < float(growth) <= 10.0
     assert math.isfinite(float(rate)) and float(rate) > 0.0
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2), (["--faults", "4"], 2)],
+                         ids=["help", "unknown", "short faults"])
+def test_step_profile_parses_its_arguments(monkeypatch, capsys, argv, code):
+    """--help prints the usage and exits 0, and an argument the script does
+    not take exits 2; neither profiles anything."""
+    step_profile = load("step_profile")
+
+    def no_profile(*args):
+        raise AssertionError("profiled")
+
+    for name in ("phases", "count_faults", "calls_per_step"):
+        monkeypatch.setattr(step_profile, name, no_profile)
+    with pytest.raises(SystemExit) as exited:
+        step_profile.main(argv)
+    assert exited.value.code == code
+    captured = capsys.readouterr()
+    usage = (captured.out if code == 0 else captured.err).splitlines()[0]
+    assert usage.startswith("usage: ") and usage.endswith("[--faults N1 N3 STEPS]")

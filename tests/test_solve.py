@@ -26,8 +26,9 @@ from capflow.geometry import build_structured_mesh
 from capflow.stepping import FlowState, initial_state, slab_system, step
 
 from .pattern_forms import bottom_load_reference, filled, form_a, mass_matrix, reduced
-from .compiled import (band_storage, element_data, factor_band, mesh_velocity_system,
-                       r_stiffness, solve_band, solve_system, triangle_blocks, values)
+from .compiled import (band_storage, element_data, entries, factor_band, lib,
+                       mesh_velocity_system, r_stiffness, residual, solve_band, solve_system,
+                       triangle_blocks, values)
 from .conftest import factored_systems
 from .test_assembly import compiled_kernels, saddle, slab, tc1_slab
 
@@ -626,7 +627,7 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve():
     reports the flagged row t as SingularMatrix naming its solve.  A step
     whose state load is poisoned, by a NaN zeta, raises it for the state."""
     system = saddle(*tc1_slab(4, 8))
-    band, what, ptr = system.pattern.band, ("state", "bottom-load"), system.pattern.ptr
+    band, what = system.pattern.band, ("state", "bottom-load")
     loads = np.stack((system.rhs, system.bottom_load))
     lu, x, _ = solve_rows(system, loads)
     n = loads.shape[1]
@@ -636,8 +637,7 @@ def test_non_finite_solution_raises_singular_matrix_naming_the_solve():
             y[t, -1 - t] = bad
             for b, rows, flag in ((loads, y, 1 << t), (loads[t:t + 1], y[t:t + 1], 1)):
                 out = np.empty((len(b), n + 2))
-                assert kernels.kernel().residual(n, ptr.indptr, ptr.indices, system.data, len(b),
-                                                 b, rows, out) == flag
+                assert residual(system.pattern, system.data, b, rows, out) == flag
     tiny = lu.copy(order="F")
     tiny[band.ku] = 1e-320                  # every pivot: the backward solve overflows
     for t in range(2):
@@ -706,28 +706,34 @@ def test_each_row_of_a_solve_has_its_own_residual_gate(row, what):
     assert max(norms[0] / norms[1], norms[1] / norms[0]) > 100
 
 
-# every function of the kernel source with target clones, and those of
-# them that only the phases call, static in the source
+# every function of the kernel source with target clones, those of them
+# that only the phases call, static in the source, and every function that
+# kernels.Kernel binds, the run path's
 KERNELS = ("element_data", "r_stiffness", "triangle_blocks", "edge_blocks", "mass_action",
            "bottom_load", "state_rhs", "extension_rhs", "gather", "scatter_add", "band_factor",
            "band_solve", "residual")
 STATIC_KERNELS = ("bottom_load", "gather")
 BOUND_KERNELS = tuple(name for name in KERNELS if name not in STATIC_KERNELS)
+RUN_PATH = ("slab_storage", "slab_step", "mass_action", "fill_template")
 
 
 def test_every_kernel_is_listed():
-    """The kernels with target clones, static ones included, are KERNELS,
-    and the functions the source exports at file scope, every definition
-    that is not static, are exactly those kernels.Kernel binds: the bound
-    kernels, the workspace's storage, the slab's one call and the
-    formatter.  An entry no caller binds cannot stay exported."""
+    """The kernels with target clones, static ones included, are KERNELS.
+    kernels.Kernel binds exactly the run path's functions, RUN_PATH: the
+    workspace's storage, the slab's one call, the mass action and the
+    formatter; the tests bind the other kernels (compiled.Entries).  The
+    functions the source exports at file scope, every definition that is
+    not static, are exactly those two sets of bindings, which share none.
+    An entry no caller binds cannot stay exported."""
     cloned = re.findall(r"^(static )?CLONES \w+ (\w+)\(", kernels.SOURCE, re.M)
     assert sorted(name for _, name in cloned) == sorted(KERNELS)
     assert sorted(name for static, name in cloned if static) == sorted(STATIC_KERNELS)
     exported = re.findall(r"^(?:CLONES )?(?!static\b)\w+ \**(\w+)\(", kernels.SOURCE, re.M)
-    bound = [fn.__name__ for fn in vars(kernels.kernel()).values()]
-    assert sorted(exported) == sorted(bound) == sorted(
-        (*BOUND_KERNELS, "slab_storage", "slab_step", "fill_template"))
+    kernel = kernels.kernel()
+    run_path = [fn.__name__ for name, fn in vars(kernel).items() if name != "lib"]
+    tested = [fn.__name__ for fn in vars(entries(kernel)).values()]
+    assert sorted(run_path) == sorted(RUN_PATH)
+    assert sorted(exported) == sorted(run_path + tested) == sorted({*BOUND_KERNELS, *RUN_PATH})
 
 
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
@@ -763,8 +769,7 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
         _, one, one_out, _ = solve_system(ab, pattern.band, pattern, system.data, loads[0])
         _, two, two_out, _ = solve_system(ab, pattern.band, pattern, system.data, loads)
         checks = np.empty((2, n + 2))
-        kernels.kernel().residual(n, pattern.ptr.indptr, pattern.ptr.indices, system.data, 2,
-                                  loads, two, checks)
+        residual(pattern, system.data, loads, two, checks)
         got |= {"matrix": system.data, "rhs": system.rhs, "reduced bottom load": loads[1],
                 "solve": one, "residual": one_out, "two-row solve": two,
                 "two-row residual": two_out, "residual alone": checks}
@@ -834,8 +839,7 @@ def test_kernel_calls_leave_no_garbage_cycles():
     finally:
         gc.enable()
     with pytest.raises(ctypes.ArgumentError):
-        kernels.kernel().scatter_add(0, system.pattern.ptr.slot, np.zeros(0, np.float32),
-                                     np.zeros(1))
+        lib().scatter_add(0, system.pattern.ptr.slot, np.zeros(0, np.float32), np.zeros(1))
     with pytest.raises(ctypes.ArgumentError):
         factor_band(np.ascontiguousarray(lu), band)
     with pytest.raises(ctypes.ArgumentError):

@@ -1,5 +1,4 @@
 import copy
-import ctypes
 import gc
 import pickle
 import time
@@ -10,14 +9,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse._compressed import _cs_matrix
 
-import capflow.stepping
-from capflow.acceptance import tc1_config
+from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.errors import MeshTangled
 from capflow.fields import NumParams, PhysParams, VectorFieldP1
 from capflow.forms import _flatten, kinetic_energy, mass_action, workspace
 from capflow.geometry import displace_mesh, mesh_quality
-from capflow.stepping import initial_state, pin_heap, slab_system, step
+from capflow.stepping import initial_state, slab_system, step
 
 from .conftest import mesh_velocity, phase_calls
 from .pattern_forms import bottom_load_reference
@@ -146,26 +144,6 @@ def test_gradient_figures_are_zero_unless_asked_for():
     assert plain[1].residual == asked[1].residual
 
 
-def test_pin_heap_is_idempotent():
-    if not hasattr(ctypes.CDLL(None), "mallopt"):
-        pytest.skip("the C library has no mallopt")
-    assert pin_heap() is True
-    assert pin_heap() is True
-
-
-@pytest.mark.parametrize("libc", ["raises", "no mallopt"])
-def test_pin_heap_is_a_no_op_without_mallopt(monkeypatch, libc):
-    def cdll(name):
-        if libc == "raises":
-            raise OSError("no C library")
-        return object()
-
-    monkeypatch.setattr(capflow.stepping.ctypes, "CDLL", cdll)
-    assert pin_heap() is False
-    _, num = tc1_params()
-    assert initial_state(5e-4, 5e-5, num).t == 0.0
-
-
 # -- the workspace the phases run on -------------------------------------------
 
 def advanced(nsteps, n1=4, n3=8):
@@ -231,8 +209,9 @@ def test_a_copied_mid_run_state_steps_to_the_same_history(copy_of):
 def test_steps_leave_no_cyclic_garbage():
     """The steps free all they allocate by reference counting: with the
     collector off, 25 controlled steps and their objectives, after a first
-    one that builds the workspace, leave nothing for it.  (A run's
-    initial_state leaves the C library handle of pin_heap, once.)"""
+    one that builds the workspace and loads the kernels, leave nothing for
+    it, and nor does a whole 25-step controlled run, its initial state,
+    topology, workspace and history among it."""
     state, phys, num = advanced(1)
     gc.collect()
     gc.disable()
@@ -240,6 +219,9 @@ def test_steps_leave_no_cyclic_garbage():
         for _ in range(25):
             state, _ = step(state, 1e-4, phys, num, gradient=True)
             kinetic_energy(state.u)
+        assert gc.collect() == 0
+        history = run_tc1(True, N1=4, N3=8, T=25 * num.dt)
+        assert history.abort_reason is None and len(history.t) == 26
         assert gc.collect() == 0
     finally:
         gc.enable()
