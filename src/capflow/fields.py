@@ -3,26 +3,44 @@
 Velocity-like quantities live in :class:`VectorFieldP1` (one (r, z) pair per
 node), pressure-like quantities in :class:`ScalarFieldP1`.  Fields keep a
 reference to the mesh they were built on; mixing a field with a different
-mesh raises :class:`~capflow.errors.DimensionMismatch`.
+mesh raises :class:`~capflow.errors.DimensionMismatch`.  A field's values
+are read-only, a copy's too (:func:`read_only`), and hold no kernel
+pointer: a step copies its velocity into the topology's workspace and the
+new one out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import Pointers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .geometry import AxiMesh
 
 
+def read_only(*parts) -> None:
+    """Make read-only every array among parts, and in the dicts and the
+    records among them, nested, but for other :class:`_Memo` records:
+    deepcopy and pickle hand the copies of a record's arrays back writeable."""
+    stack = list(parts)
+    while stack:
+        part = stack.pop()
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+        elif isinstance(part, dict):
+            stack += part.values()
+        elif is_dataclass(part) and not isinstance(part, _Memo):
+            stack += vars(part).values()
+
+
 class _Memo:
-    """Per-object cache of derived data; the object itself is immutable."""
+    """Per-object cache of derived data; the object itself is immutable, and
+    so are its arrays and a copy's (:meth:`__setstate__`)."""
 
     def memo(self, build):
         """build(self) on the first call with this build function, its stored result after."""
@@ -30,6 +48,10 @@ class _Memo:
         if build not in cache:
             cache[build] = build(self)
         return cache[build]
+
+    def __setstate__(self, state):
+        read_only(state)
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)
@@ -58,9 +80,7 @@ class VectorFieldP1(_Memo):
     Nodes on the wall or on the symmetry axis must carry a zero radial
     component (the essential condition of the flow problem); this is checked
     on construction.  Values are read-only, so products of the field alone
-    (its mass action) are computed once through :meth:`memo`, and the
-    compiled kernels read them through the pointer bound on construction
-    (``ptr``).
+    (its mass action) are computed once through :meth:`memo`.
     """
 
     values: np.ndarray
@@ -81,7 +101,6 @@ class VectorFieldP1(_Memo):
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "ptr", Pointers(values=values))
 
 
 def trusted(cls, **attrs):

@@ -25,23 +25,23 @@ A slab runs as one compiled call on the topology's :class:`Workspace`
 radial table and its two patterns once, and owns, once per topology, the
 storage its phases use, which the compiled code sizes and lays out: the
 motion, whose first part is the mesh velocity, the assembly, the factor and
-the solve.  A slab is inspected in what the step leaves there: its mesh
-velocity; a
-:class:`LinearSystem`, copied out by :meth:`Workspace.system`, carries the
-topology's saddle pattern, the fill's read-only CSC data, its right-hand
-side and the load of a unit bottom stress; the band holds the LU of its
-matrix without pivoting, within the envelope of the pattern's
-:class:`BandLayout` (George & Liu 1981, ch. 4), which eliminated the loads
-forward as it went, and the solution rows hold their back-substitution,
-each gated on its own residual in the system's matrix.  The mesh-velocity
-system is filled, factored and solved within the motion.  The vertex
-order behind the narrow band is a reverse Cuthill-McKee search in plain
-Python, once per topology; the package needs numpy alone, and SciPy is
-imported only to build a system's matrix when its ``matrix`` is read (the
-tests).  The mass action
-of a velocity (:func:`mass_action`) is computed once per field, where the
-objective and gradient of step n and the assembly of step n+1 meet: the
-solve phase writes it with the field.
+the solve, with the old state, which the step copies in, and the new one,
+which it copies out as the arrays of its records.  A slab is inspected in
+what the step leaves there: its mesh velocity; a :class:`LinearSystem`,
+copied out by :meth:`Workspace.system`, carries the topology's saddle
+pattern, the fill's read-only CSC data, its right-hand side and the load of
+a unit bottom stress; the band holds the LU of its matrix without pivoting,
+within the envelope of the pattern's :class:`BandLayout` (George & Liu 1981,
+ch. 4), which eliminated the loads forward as it went, and the solution
+rows hold their back-substitution, each gated on its own residual in the
+system's matrix.  The mesh-velocity system is filled, factored and solved
+within the motion.  The vertex order behind the narrow band is a reverse
+Cuthill-McKee search in plain Python, once per topology; the package needs
+numpy alone, and SciPy is imported only to build a system's matrix when its
+``matrix`` is read (the tests).  The mass action of a velocity
+(:func:`mass_action`) is computed once per field, where the objective and
+gradient of step n and the assembly of step n+1 meet: the solve phase
+writes it with the field.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, DomainEmptied, ResidualTooLarge, SingularMatrix
-from .fields import ScalarFieldP1, VectorFieldP1, trusted
+from .fields import ScalarFieldP1, VectorFieldP1, read_only, trusted
 from .geometry import AxiMesh, BoundaryTag, MeshTopology, displace_mesh, radial_differences
-from .kernels import Pointers
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
 _QBASIS = np.array([
@@ -74,7 +73,7 @@ _ONES = np.ones(3)
 class RadialTable:
     """The parts of the volume kernels that depend on the node radii alone,
     computed once per topology (see :func:`radial_table`); read-only and
-    C-contiguous, each bound once for the kernels (``ptr``).  A is a
+    C-contiguous, as the topology's :class:`Workspace` binds them.  A is a
     triangle's signed area."""
 
     rq: np.ndarray          # (M, 3) r at the quadrature points
@@ -84,9 +83,6 @@ class RadialTable:
     hoop: np.ndarray        # (M, 9) integral of N_i N_j / r, per unit area
     zz: np.ndarray          # (M, 3, 3) integral of r dN_i/dz dN_j/dz, times A
     coupling_z: np.ndarray  # (M, 3, 3) -integral of r dN_i/dz N_j, the z rows of the coupling
-
-    def __post_init__(self):
-        object.__setattr__(self, "ptr", Pointers(**vars(self)))
 
 
 def radial_table(topology: MeshTopology) -> RadialTable:
@@ -135,9 +131,8 @@ def mass_action(u: VectorFieldP1) -> np.ndarray:
 def _mass_action(u: VectorFieldP1) -> np.ndarray:
     mesh = u.mesh
     f = np.zeros(2 * mesh.num_nodes)
-    kernels.kernel().mass_action(len(mesh.areas), mesh.num_nodes, mesh.topology.ptr.triangles,
-                                 mesh.ptr.areas, radial_table(mesh.topology).ptr.rq,
-                                 u.ptr.values, f)
+    kernels.kernel().mass_action(len(mesh.areas), mesh.num_nodes, mesh.triangles, mesh.areas,
+                                 radial_table(mesh.topology).rq, u.values, f)
     f.setflags(write=False)
     return f
 
@@ -195,9 +190,6 @@ class BandLayout:
         if not valid:
             raise DimensionMismatch(f"no envelope of a band with kl = {self.kl}, "
                                     f"ku = {self.ku} on {n} columns")
-        object.__setattr__(self, "ptr", Pointers(position=(self.position, np.int32),
-                                                 lower=(self.lower, np.int32),
-                                                 upper=(self.upper, np.int32)))
 
     @property
     def ldab(self) -> int:
@@ -252,7 +244,7 @@ class FixedPattern:
     eliminated row or column go to the trash slot len(indices), past the
     stored entries.  The pattern depends on no values: entries that cancel to
     zero stay stored.  ``free``, ``slot``, ``indices`` and ``indptr`` are
-    read-only, bound once for the kernels (``ptr``).
+    read-only, as the topology's :class:`Workspace` binds them.
 
     Reduced row and column k is the dof free[k]: the caller numbers the kept
     dofs, and the build keeps that order.  Both patterns of a step pass them
@@ -269,12 +261,6 @@ class FixedPattern:
     indices: np.ndarray   # int32 row of each stored entry
     indptr: np.ndarray    # int32 column starts
     band: BandLayout      # band storage position of each stored entry
-
-    def __post_init__(self):
-        object.__setattr__(self, "ptr", Pointers(free=(self.free, np.int64),
-                                                 slot=(self.slot, np.int32),
-                                                 indices=(self.indices, np.int32),
-                                                 indptr=(self.indptr, np.int32)))
 
     @classmethod
     def build(cls, families: list[np.ndarray], free: np.ndarray, size: int) -> "FixedPattern":
@@ -428,55 +414,71 @@ def _workspace(topology: MeshTopology) -> Workspace:
     sizes = (topology.num_nodes, len(topology.triangles), len(edges[BoundaryTag.WALL]),
              len(edges[BoundaryTag.FREE_SURFACE]), len(edges[BoundaryTag.BOTTOM]),
              topology.contact_node)
-    return Workspace(topology.ptr, sizes, radial_table(topology), topology.memo(_saddle_pattern),
+    arrays = dict(tri=topology.triangles, wall=edges[BoundaryTag.WALL],
+                  surface=edges[BoundaryTag.FREE_SURFACE], bottom=edges[BoundaryTag.BOTTOM],
+                  r=topology.radii)
+    return Workspace(arrays, sizes, radial_table(topology), topology.memo(_saddle_pattern),
                      topology.memo(_extension_pattern))
 
 
+def _copied(*parts) -> Workspace:
+    """The workspace of copied parts: deepcopy and pickle build it within the
+    copy of its topology's memo, before the topology's arrays are read-only
+    again (:func:`~capflow.fields.read_only`)."""
+    read_only(*parts)
+    return Workspace(*parts)
+
+
 def _bind(pattern: FixedPattern, into: kernels.Pattern) -> None:
-    """Fill into with the sizes and pointers of pattern and its band layout."""
-    ptr, band = pattern.ptr, pattern.band
+    """Fill into with the sizes and arrays of pattern and its band layout."""
+    band = pattern.band
     into.n, into.nslot, into.nnz = len(pattern.free), len(pattern.slot), len(pattern.indices)
     into.kl, into.ku = band.kl, band.ku
-    into.free, into.slot, into.indices, into.indptr = ptr.free, ptr.slot, ptr.indices, ptr.indptr
-    into.position, into.lower, into.upper = band.ptr.position, band.ptr.lower, band.ptr.upper
+    into.free = kernels.address(pattern.free, np.int64)
+    for record, names in ((pattern, "slot indices indptr"), (band, "position lower upper")):
+        for name in names.split():
+            setattr(into, name, kernels.address(getattr(record, name), np.int32))
 
 
 class Workspace:
     """The :class:`~capflow.kernels.Workspace` struct that a topology's slabs
-    run on, and the storage it points to, allocated once, here.  The pointers
-    and sizes of the topology's arrays, its :class:`RadialTable` and its two
-    patterns with their band layouts are taken once too.
+    run on, and the storage it points to, allocated once, here.  The arrays
+    of the topology (``arrays``, by the struct's names), its
+    :class:`RadialTable` and its two patterns with their band layouts are
+    bound once too, each through :func:`~capflow.kernels.address`.  The
+    workspace holds the topology's arrays, not the topology, whose memo
+    holds the workspace.
 
     The storage is one block, which the compiled ``slab_storage`` sizes and
     lays out: among it the mesh velocity, which the motion leaves for the
     assembly (:attr:`V`), the saddle system's data and loads, the solution
-    rows and the reduced mass action of the new velocity, and the region
-    that each phase in turn uses for the arrays of its own size, the saddle
-    band last.  :meth:`step` advances a slab in one compiled call on that
-    storage and returns records made from one output array allocated per
-    step, so nothing a caller holds is the workspace's.  Until the next step
-    on the workspace, the storage holds the slab it solved: its mesh
-    velocity in :attr:`V`, the saddle system's data and loads
-    (:meth:`system` copies them out), the LU of its matrix in :attr:`band`
-    and the solutions of its loads in :attr:`x`.  A failing phase's status
-    and details raise the typed error, with the message, of the check it
-    replaced (:meth:`error`).  The storage is shared, so a topology's slabs
-    run one at a time, in one thread.  A copy or an unpickled workspace is
-    built anew from the copied records (:meth:`__reduce__`), so it binds
-    their arrays.
+    rows and the reduced mass action of the new velocity, the old state a
+    slab reads (:attr:`old`) and the new one it writes (:attr:`new`), and
+    the region that each phase in turn uses for the arrays of its own size,
+    the saddle band last.  :meth:`step` copies the old state in, advances a
+    slab in one compiled call on that storage and copies the new state out
+    as its records' arrays, so nothing a caller holds is the workspace's and
+    nothing carries from one call to the next.  Until the next step on the
+    workspace, the storage holds the slab it solved: its mesh velocity in
+    :attr:`V`, the saddle system's data and loads (:meth:`system` copies
+    them out), the LU of its matrix in :attr:`band` and the solutions of its
+    loads in :attr:`x`.  A failing phase's status and details raise the
+    typed error, with the message, of the check it replaced (:meth:`error`).
+    The storage is shared, so a topology's slabs run one at a time, in one
+    thread.  A copy or an unpickled workspace is built anew from the copied
+    records (:meth:`__reduce__`), so it binds their arrays.
     """
 
-    def __init__(self, topology: Pointers, sizes: tuple, table: RadialTable,
-                 saddle: FixedPattern, extension: FixedPattern):
-        self._parts = (topology, sizes, table, saddle, extension)
+    def __init__(self, arrays: dict, sizes: tuple, table: RadialTable, saddle: FixedPattern,
+                 extension: FixedPattern):
+        self._parts = (arrays, sizes, table, saddle, extension)
         self.saddle = saddle
         self.n, self.m = n, m = sizes[:2]
         s = self.struct = kernels.Workspace(*sizes)
-        s.tri, s.wall, s.surface, s.bottom, s.r = (topology.triangles, topology.wall,
-                                                   topology.free_surface, topology.bottom,
-                                                   topology.radii)
-        for name in ("rq", "inv_r", "dr", "rn", "hoop", "zz", "coupling_z"):
-            setattr(s, name, getattr(table.ptr, name))
+        for name, a in arrays.items():
+            setattr(s, name, kernels.address(a, np.float64 if name == "r" else np.int64))
+        for name, a in vars(table).items():
+            setattr(s, name, kernels.address(a))
         _bind(saddle, s.saddle)
         _bind(extension, s.extension)
         lib = kernels.kernel()
@@ -493,12 +495,12 @@ class Workspace:
         self.x, self.reduced = view(s.x, (2, nf)), view(s.reduced, nf)
         self.w = self.x[1]
         self.band = view(s.lu, (saddle.band.ldab, nf), "F")
-        # the step's output array: z (n), areas (m), u (n, 2), its mass action
-        # (2 n), p (n), the byte offset of each
-        self._out = (6 * n + m, 8 * n, 8 * (n + m), 8 * (3 * n + m), 8 * (5 * n + m))
+        # the old state: z (n), areas (m), u (n, 2) and its mass action (2 n);
+        # the new one: the same and p (n)
+        self.old, self.new = view(s.z_old, 5 * n + m), view(s.z, 6 * n + m)
 
     def __reduce__(self):
-        return Workspace, self._parts
+        return _copied, self._parts
 
     def error(self, status: int, what: tuple[str, ...], mesh: AxiMesh | None) -> Exception:
         """The typed error of a phase's status, row t of a solve named
@@ -524,23 +526,20 @@ class Workspace:
     def step(self, mesh: AxiMesh, u: VectorFieldP1, zeta: float, phys, num, floor: float,
              gradient: bool) -> tuple[AxiMesh, VectorFieldP1, ScalarFieldP1]:
         """The slab from mesh and velocity u with the bottom control stress
-        zeta, one compiled call: the new mesh, velocity (with its mass action)
-        and pressure.  The struct then holds the residuals, the
-        phases' times and, with gradient, the bottom-load solve's solution
-        in :attr:`w` and the reduced mass action of the new velocity in
-        :attr:`reduced`.  Raises the typed error of a failing phase
-        (:meth:`error`)."""
+        zeta, one compiled call between copying the old state into
+        :attr:`old` and the new one out of :attr:`new`: the new mesh,
+        velocity (with its mass action) and pressure, each a slice of that
+        one read-only copy.  Nothing is cached from call to call, so one
+        state may be stepped any number of times.  The struct then holds the
+        residuals, the phases' times and, with gradient, the bottom-load
+        solve's solution in :attr:`w` and the reduced mass action of the new
+        velocity in :attr:`reduced`.  Raises the typed error of a failing
+        phase (:meth:`error`)."""
         if u.mesh is not mesh:
             raise DimensionMismatch("velocity field lives on a different mesh")
         s, n, m = self.struct, self.n, self.m
-        size, areas_at, u_at, mass_at, p_at = self._out
-        out = np.empty(size)
-        at = out.ctypes.data
-        # the mass action of a velocity the solve wrote comes with its pointer
-        mass_old = getattr(u.ptr, "mass", 0) or kernels.address(mass_action(u))
-        s.z_old, s.areas_old, s.u_old, s.mass_old = mesh.ptr.z, mesh.ptr.areas, u.ptr.values, \
-            mass_old
-        s.z, s.areas, s.u, s.mass, s.p = at, at + areas_at, at + u_at, at + mass_at, at + p_at
+        # the mass action of a velocity the solve wrote is its memo's
+        np.concatenate((mesh.z, mesh.areas, u.values.reshape(-1), mass_action(u)), out=self.old)
         s.floor, s.k = floor, 1 + gradient
         s.dt, s.nu, s.Cs, s.chi, s.N3 = num.dt, phys.nu, num.Cs, phys.chi, num.N3
         s.gamma, s.g, s.stress = phys.gamma, phys.g, phys.p_bar + zeta
@@ -549,11 +548,12 @@ class Workspace:
         if status:
             raise self.error(status, ("mesh-velocity",) if kernels.PHASES[s.failed] == "motion"
                              else ("state", "bottom-load"), mesh)
-        out.setflags(write=False)
-        mesh_new = _moved(mesh, out[:n], out[n:n + m], at, at + areas_at)
-        u_new = _solved(mesh_new, out[n + m:3 * n + m], out[3 * n + m:5 * n + m], at + u_at,
-                        at + mass_at)
-        return mesh_new, u_new, trusted(ScalarFieldP1, values=out[5 * n + m:], mesh=mesh_new)
+        new = self.new.copy()
+        new.setflags(write=False)
+        mesh_new = trusted(AxiMesh, z=new[:n], topology=mesh.topology, areas=new[n:n + m])
+        u_new = trusted(VectorFieldP1, values=new[n + m:3 * n + m].reshape(n, 2), mesh=mesh_new,
+                        _memo={_mass_action: new[3 * n + m:5 * n + m]})
+        return mesh_new, u_new, trusted(ScalarFieldP1, values=new[5 * n + m:], mesh=mesh_new)
 
     def system(self, mesh: AxiMesh) -> LinearSystem:
         """The saddle system that the last step factored, on mesh, its new
@@ -567,25 +567,6 @@ class Workspace:
 
 
 # -- helpers ----------------------------------------------------------------
-
-def _moved(mesh: AxiMesh, z: np.ndarray, areas: np.ndarray, z_at: int,
-           areas_at: int) -> AxiMesh:
-    """The mesh over mesh's topology of the heights z and triangle areas that
-    a compiled phase wrote, read-only, at z_at and areas_at."""
-    return trusted(AxiMesh, z=z, topology=mesh.topology, areas=areas,
-                   ptr=Pointers.of(dict(z=z, areas=areas), dict(z=z_at, areas=areas_at)))
-
-
-def _solved(mesh: AxiMesh, values: np.ndarray, mass: np.ndarray, values_at: int,
-            mass_at: int) -> VectorFieldP1:
-    """The velocity on mesh of the flat (N, 2) values and their mass action
-    that the solve phase wrote, read-only, at values_at and mass_at."""
-    values = values.reshape(-1, 2)
-    return trusted(VectorFieldP1, values=values, mesh=mesh,
-                   ptr=Pointers.of(dict(values=values, mass=mass),
-                                   dict(values=values_at, mass=mass_at)),
-                   _memo={_mass_action: mass})
-
 
 def _flatten(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:, 0], values[:, 1]))

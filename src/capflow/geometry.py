@@ -12,7 +12,10 @@ are immutable; :func:`displace_mesh` returns a new mesh over the same
 topology, so what depends on the topology alone is computed once per run
 through :meth:`MeshTopology.memo`.  The topology checks its free-surface arc
 once; as the radii never change, it stays a graph over r, and a mesh checks
-only that its triangles keep positive areas.
+only that its triangles keep positive areas.  The arrays of both are
+read-only, a copy's too, and hold no kernel pointer: the topology's
+workspace binds the topology's once and copies a mesh's heights and areas
+in per step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, MeshTangled, SurfaceFolded, WallViolation
 from .fields import VectorFieldP1, _Memo
-from .kernels import Pointers
 
 
 class BoundaryTag(Enum):
@@ -51,15 +53,16 @@ class MeshTopology(_Memo):
                    they are fixed for a run; N is num_nodes
     radius         cylinder radius [m]
 
-    The arrays are kept as read-only copies (int64 indices, float radii),
-    bound once for the compiled kernels (``ptr``, by their names and each
-    tag's value); the caller's stay as they were.  All is checked once, here:
-    the shapes, tags and vertex indices, and finite radii, none negative, the axis nodes on
-    r = 0 and the wall nodes on a cylinder of finite positive radius; a
-    free-surface arc that breaks its order raises :class:`SurfaceFolded`.
-    Whatever derives from the topology alone (boundary node sets, the radial
-    kernel table, the vertex order and sparsity patterns through
-    :meth:`memo`) is computed once per topology, not once per mesh.
+    The arrays are kept as read-only C-contiguous copies (int64 indices,
+    float radii), which the topology's workspace binds once for the compiled
+    kernels; the caller's stay as they were.  All is checked once, here: the
+    shapes, tags and vertex indices, and finite radii, none negative, the
+    axis nodes on r = 0 and the wall nodes on a cylinder of finite positive
+    radius; a free-surface arc that breaks its order raises
+    :class:`SurfaceFolded`.  Whatever derives from the topology alone
+    (boundary node sets, the radial kernel table, the vertex order and
+    sparsity patterns through :meth:`memo`) is computed once per topology,
+    not once per mesh.
     """
 
     triangles: np.ndarray
@@ -108,9 +111,6 @@ class MeshTopology(_Memo):
             k = int(np.argmax(bad))
             raise SurfaceFolded(f"free-surface edge {k} ({left[k]}, {right[k]}) breaks the arc "
                                 "from the axis to the contact node with r increasing")
-        object.__setattr__(self, "ptr", Pointers(
-            triangles=(tris, np.int64), radii=r,
-            **{tag.value: (edges[tag], np.int64) for tag in BoundaryTag}))
 
     @property
     def num_nodes(self) -> int:
@@ -154,8 +154,7 @@ class AxiMesh(_Memo):
     """Node heights over a :class:`MeshTopology`.
 
     z              (N,) finite node heights [m], N = topology.num_nodes; kept
-                   as a read-only copy, bound once for the kernels (``ptr.z``,
-                   and the triangle areas ``ptr.areas``)
+                   as a read-only copy
     topology       connectivity, tags and radii, also read through the mesh's
                    properties
     """
@@ -172,7 +171,6 @@ class AxiMesh(_Memo):
             raise DimensionMismatch("non-finite mesh height")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "ptr", Pointers(z=z, areas=self.areas))
         tangled = self.areas <= 0.0
         if tangled.any():
             k = int(np.argmax(tangled))

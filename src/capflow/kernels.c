@@ -681,9 +681,10 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
    A workspace holds what the phases of one topology's slabs read: its sizes,
    connectivity and radii, its radial table and its two patterns with their
    band layouts, all bound once; the storage the phases use, which
-   slab_storage sizes and lays out; the slab's parameters; the inputs of a
-   call and the outputs its caller owns; and what a phase reports: the
-   residuals, u_max, the details of a failure and each phase's wall time.
+   slab_storage sizes and lays out, the old state a slab reads and the new
+   one it writes among it; the slab's parameters; and what a phase reports:
+   the residuals, u_max, the details of a failure and each phase's wall
+   time.
    The factor and the solve serve the saddle pattern alone; the mesh
    velocity's system is filled, factored and solved within the motion.  Each
    phase returns DONE or the status of the first failure, in the order of
@@ -934,15 +935,19 @@ static inline ptrdiff_t larger(ptrdiff_t a, ptrdiff_t b)
    phase uses for its own sums and checks, so that it carries nothing from
    one phase to the next; the saddle data (nnz and the trash slot), its loads
    b[0] and b[1] (nf each), the solution rows x (2 nf) and the reduced mass
-   action of the new velocity (nf); last the region, which each phase in turn
-   uses for the arrays of its own size: the element data (10 m) with the
-   mesh velocity's data, loads, solution, checks and stiffness or band
-   (mesh_velocity), then with the assembly's local blocks (slab_assembly);
-   then the saddle band lu, which the factor zeroes with one memset and the
-   solve reads.  The region is as large as the largest of these needs, so no
-   phase allocates.  Returns the doubles of the block; with a base, which
-   holds that many, also points the storage of the workspace into it.  The
-   workspace's sizes and patterns are bound first. */
+   action of the new velocity (nf); the old state, which the caller copies
+   in: z_old (n), areas_old (m), u_old and mass_old (2 n each); the new
+   state, which the caller copies out: z (n), areas (m), u and mass (2 n
+   each) and p (n), a block of its own, so that no phase reads what an
+   earlier one wrote; last the region, which each phase in turn uses for the
+   arrays of its own size: the element data (10 m) with the mesh velocity's
+   data, loads, solution, checks and stiffness or band (mesh_velocity), then
+   with the assembly's local blocks (slab_assembly); then the saddle band
+   lu, which the factor zeroes with one memset and the solve reads.  The
+   region is as large as the largest of these needs, so no phase allocates.
+   Returns the doubles of the block; with a base, which holds that many,
+   also points the storage of the workspace into it.  The workspace's sizes
+   and patterns are bound first. */
 ptrdiff_t slab_storage(struct workspace *ws, double *base)
 {
     const struct pattern *s = &ws->saddle, *e = &ws->extension;
@@ -950,19 +955,30 @@ ptrdiff_t slab_storage(struct workspace *ws, double *base)
     /* the mesh velocity's data, loads, solution, checks and stiffness or band */
     const ptrdiff_t motion = (e->nnz + 1) + 3 * ne + 2
                              + larger(e->nslot, (e->kl + e->ku + 1) * ne);
+    const ptrdiff_t m = ws->m;
     const ptrdiff_t size[] = {2 * n, larger(6 * n, 2 * nf + 4), s->nnz + 1, nf, nf, 2 * nf, nf,
-                              larger(10 * ws->m + larger(motion, s->nslot),
-                                     (s->kl + s->ku + 1) * nf)};
+                              5 * n + m, 6 * n + m,
+                              larger(10 * m + larger(motion, s->nslot), (s->kl + s->ku + 1) * nf)};
+    double *old = NULL;
     double **const part[] = {&ws->V, &ws->work, &ws->data, &ws->b[0], &ws->b[1], &ws->x,
-                             &ws->reduced, &ws->region};
+                             &ws->reduced, &old, &ws->z, &ws->region};
     ptrdiff_t total = 0;
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 10; ++i) {
         if (base)
             *part[i] = base + total;
         total += size[i];
     }
-    if (base)
+    if (base) {
+        ws->z_old = old;
+        ws->areas_old = old + n;
+        ws->u_old = old + n + m;
+        ws->mass_old = old + 3 * n + m;
+        ws->areas = ws->z + n;
+        ws->u = ws->z + n + m;
+        ws->mass = ws->z + 3 * n + m;
+        ws->p = ws->z + 5 * n + m;
         ws->lu = ws->region;
+    }
     return total;
 }
 

@@ -34,16 +34,17 @@ struct.  The five clocks are disjoint: "ALE" times the mesh velocity and
 motion.  Besides the storage and the step, the package binds two kernels
 (:class:`Kernel`): the mass action, for a velocity that no step produced,
 and the formatter; the tests bind the others on the same library
-(:meth:`Kernel.bind`) to call them one at a time.  A kernel called alone
-reads a record's read-only arrays through pointers taken once
-(:class:`Pointers`), and checks the arrays it writes per call.
+(:meth:`Kernel.bind`) to call them one at a time.  A workspace binds the
+read-only arrays of its topology once (:func:`address`) and copies the state
+of each slab in and out of its storage; a kernel called alone checks every
+array it is passed, per call.
 
 The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
 at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
 ``__pycache__/kernels-<sha256 of source and flags>.so`` beside this module,
 written under a temporary name and moved into place, so concurrent first
 uses are safe, and removes the libraries of earlier sources there; later
-processes find it and only load it.  Binding a pointer loads nothing.  No
+processes find it and only load it.  Binding an array loads nothing.  No
 contraction into fused multiply-adds is allowed and no sum is reassociated,
 so the x86-64 AVX-512 and AVX2 clones and a build without clones
 (``-DKERNELS_PORTABLE``) give the same bits.
@@ -136,39 +137,6 @@ def address(array: np.ndarray, dtype=np.float64) -> int:
     return array.ctypes.data
 
 
-class Pointers:
-    """The data pointers of a record's arrays, each taken once by
-    :func:`address` and read as the attribute of its name; an array is
-    float64 unless given as (array, dtype).  It keeps the arrays, so a copy
-    or an unpickled record, whose arrays are new, binds those
-    (:meth:`__reduce__`), not the addresses of the original's."""
-
-    def __init__(self, **arrays):
-        self._arrays = arrays
-        for name, a in arrays.items():
-            setattr(self, name, address(*a) if isinstance(a, tuple) else address(a))
-
-    @classmethod
-    def of(cls, arrays: dict, addresses: dict) -> Pointers:
-        """The pointers of arrays that a compiled phase wrote at addresses,
-        taken with no check: the phase made them read-only C-contiguous float64."""
-        ptr = cls.__new__(cls)
-        ptr._arrays = arrays
-        ptr.__dict__.update(addresses)
-        return ptr
-
-    def __reduce__(self):
-        # deepcopy and pickle pass the arrays through their copies (deepcopy's
-        # memo makes them the copied record's own), which come back writeable
-        return _rebind, (self._arrays,)
-
-
-def _rebind(arrays: dict) -> Pointers:
-    for a in arrays.values():
-        (a[0] if isinstance(a, tuple) else a).setflags(write=False)
-    return Pointers(**arrays)
-
-
 def _fields(**kinds) -> list:
     """ctypes fields in C's order, each keyword a ctypes type's space-separated names."""
     types = dict(size=ctypes.c_ssize_t, real=ctypes.c_double, at=ctypes.c_void_p)
@@ -215,9 +183,9 @@ class Kernel:
 
     def __init__(self, path: Path):
         self.lib = ctypes.CDLL(str(path))
-        size, at = ctypes.c_ssize_t, ctypes.c_void_p
-        self.mass_action = self.bind("mass_action", (size, size, at, at, at, at,
-                                                     _Array(np.float64, writeable=True)))
+        size, at, values = ctypes.c_ssize_t, ctypes.c_void_p, _Array(np.float64)
+        self.mass_action = self.bind("mass_action", (size, size, _Array(np.int64), values, values,
+                                                     values, _Array(np.float64, writeable=True)))
         self.fill_template = self.bind("fill_template", (size, ctypes.c_char_p, size,
                                                          _Array(np.int64), _Array(np.float64),
                                                          _Array(np.uint8, writeable=True)), size)

@@ -16,10 +16,11 @@ mesh velocity, the state and the gradient's, is gated on its relative
 residual, and the step reports each, with each phase's wall time from the
 phases' own clocks.
 
-The workspace allocates the storage of the phases, the band and the element
-blocks among it, once per topology, in one block that the compiled code
-sizes and lays out, so a step allocates only its records' arrays, a few
-pages.
+The workspace allocates the storage of the phases, the band, the element
+blocks and the old and the new state among it, once per topology, in one
+block that the compiled code sizes and lays out.  A step copies the old
+state in and the new one out, as one array that its records slice, so it
+allocates only that, a few pages, and its records hold plain arrays.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     plain solve, never one with A transposed.  The slab is one compiled call
     on the topology's workspace (:meth:`~capflow.forms.Workspace.step`),
     whose storage holds the one factorization and its solutions; the step's
-    records own their arrays.  Raises DomainEmptied if the contact line would
+    records hold copies of the state it wrote there.  Raises DomainEmptied if the contact line would
     reach ``floor``.
     """
     ws = workspace(state.mesh.topology)

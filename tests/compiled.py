@@ -10,7 +10,8 @@ system a step solves; the band factor, with its forward elimination of the
 loads, and the back-substitution with its checks factor and solve that
 system, hand-made ones and copies of a step's, to hold the envelope LU
 against dense loops.  Each wrapper checks the shapes its kernel reads and
-writes, as far as the records' shapes reach, and finds the library through
+writes, as far as the records' shapes reach, its binding checks the dtype
+and layout of every array it passes, and it finds the library through
 ``kernels.kernel()`` when called, so a test may hand them another build.
 """
 
@@ -27,33 +28,39 @@ from capflow.errors import DimensionMismatch
 from capflow.forms import (FixedPattern, LinearSystem, RadialTable, _extension_pattern,
                            mass_action, radial_table)
 from capflow.geometry import AxiMesh, BoundaryTag
-from capflow.kernels import Pointers, _Array, expect
+from capflow.kernels import _Array, expect
 
 
 class Entries:
     """The kernels of a :class:`~capflow.kernels.Kernel`'s library that only
-    the tests call, bound on its handle (:meth:`~capflow.kernels.Kernel.bind`)."""
+    the tests call, bound on its handle (:meth:`~capflow.kernels.Kernel.bind`),
+    every array checked per call."""
 
     def __init__(self, kernel: kernels.Kernel):
-        size, real, at = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+        size, real = ctypes.c_ssize_t, ctypes.c_double
         values, out = _Array(np.float64), _Array(np.float64, writeable=True)
+        index, at32 = _Array(np.int64), _Array(np.int32)
         bind = kernel.bind
-        self.element_data = bind("element_data", (size, *(at,) * 5, out))
-        self.triangle_blocks = bind("triangle_blocks", (size, *(at,) * 13, real, real, real, out))
-        self.r_stiffness = bind("r_stiffness", (size, *(at,) * 4, out))
-        self.edge_blocks = bind("edge_blocks", (size, at, size, *(at,) * 5, real, real, real,
-                                                out, out))
-        self.state_rhs = bind("state_rhs", (size, size, at, at, size, at, at, at, values, values,
-                                            real, real, real, real, size, real, size, at, out, out))
-        self.extension_rhs = bind("extension_rhs", (size, size, at, at, at, at, size, at, values,
-                                                    size, at, out, out))
-        self.scatter_add = bind("scatter_add", (size, at, values, out))
+        self.element_data = bind("element_data", (size, index, *(values,) * 4, out))
+        self.triangle_blocks = bind("triangle_blocks", (size, index, *(values,) * 12, real, real,
+                                                        real, out))
+        self.r_stiffness = bind("r_stiffness", (size, *(values,) * 4, out))
+        self.edge_blocks = bind("edge_blocks", (size, index, size, index, *(values,) * 4, real,
+                                                real, real, out, out))
+        self.state_rhs = bind("state_rhs", (size, size, index, values, size, index, values, values,
+                                            values, values, real, real, real, real, size, real,
+                                            size, index, out, out))
+        self.extension_rhs = bind("extension_rhs", (size, size, index, values, values, values,
+                                                    size, index, values, size, index, out, out))
+        self.scatter_add = bind("scatter_add", (size, at32, values, out))
         band = _Array(np.float64, "F_CONTIGUOUS", writeable=True)
-        self.band_factor = bind("band_factor", (size, size, size, at, at, band, size, out), size)
-        self.band_solve = bind("band_solve", (size, size, size, at,
-                                              _Array(np.float64, "F_CONTIGUOUS"), at, at, values,
-                                              size, values, values, out, out), size)
-        self.residual = bind("residual", (size, at, at, values, size, values, values, out), size)
+        self.band_factor = bind("band_factor", (size, size, size, at32, at32, band, size, out),
+                                size)
+        self.band_solve = bind("band_solve", (size, size, size, at32,
+                                              _Array(np.float64, "F_CONTIGUOUS"), at32, at32,
+                                              values, size, values, values, out, out), size)
+        self.residual = bind("residual", (size, at32, at32, values, size, values, values, out),
+                             size)
 
 
 @functools.cache
@@ -70,8 +77,7 @@ def lib() -> Entries:
 @dataclass(frozen=True)
 class ElementData:
     """Per-triangle geometry reused by every volume form: what changes with z,
-    read-only, C-contiguous and bound once for the kernels (``ptr``), and the
-    mesh's :class:`RadialTable`."""
+    read-only and C-contiguous, and the mesh's :class:`RadialTable`."""
 
     tri: np.ndarray         # (M, 3) vertex indices
     area: np.ndarray        # (M,)
@@ -80,11 +86,6 @@ class ElementData:
     wr: np.ndarray          # (M, 3) r-weighted quadrature weight: area/3 times r at each point
     r_int: np.ndarray       # (M,) integral of r over the element
     radial: RadialTable
-
-    def __post_init__(self):
-        object.__setattr__(self, "ptr", Pointers(
-            tri=(self.tri, np.int64), area=self.area, grad_r=self.grad_r, grad_z=self.grad_z,
-            wr=self.wr, r_int=self.r_int))
 
 
 def check_fields(mesh: AxiMesh, *fields) -> None:
@@ -102,8 +103,7 @@ def _element_data(mesh: AxiMesh) -> ElementData:
     table = radial_table(mesh.topology)
     m = len(mesh.triangles)
     out = np.empty(10 * m)
-    lib().element_data(m, mesh.topology.ptr.triangles, mesh.ptr.z, mesh.ptr.areas,
-                       table.ptr.rq, table.ptr.dr, out)
+    lib().element_data(m, mesh.triangles, mesh.z, mesh.areas, table.rq, table.dr, out)
     out.setflags(write=False)
     grad_r, grad_z, wr = out[:9 * m].reshape(3, m, 3)
     return ElementData(tri=mesh.triangles, area=mesh.areas, grad_r=grad_r, grad_z=grad_z, wr=wr,
@@ -119,10 +119,9 @@ def triangle_blocks(ed, w, V, dt: float, nu: float, Cs: float, out: np.ndarray) 
     expect("triangle blocks", out, (m, 9, 9))
     if not w.mesh.triangles is V.mesh.triangles is ed.tri:
         raise DimensionMismatch("fields over another topology")
-    e, t = ed.ptr, ed.radial.ptr
-    lib().triangle_blocks(m, e.tri, e.area, e.r_int, e.grad_r, e.grad_z, e.wr,
-                          t.inv_r, t.rn, t.hoop, t.zz, t.coupling_z, w.ptr.values,
-                          V.ptr.values, dt, nu, Cs, out)
+    t = ed.radial
+    lib().triangle_blocks(m, ed.tri, ed.area, ed.r_int, ed.grad_r, ed.grad_z, ed.wr, t.inv_r,
+                          t.rn, t.hoop, t.zz, t.coupling_z, w.values, V.values, dt, nu, Cs, out)
 
 
 def r_stiffness(ed, out: np.ndarray) -> None:
@@ -130,7 +129,7 @@ def r_stiffness(ed, out: np.ndarray) -> None:
     r grad N_i . grad N_j, into out, (M, 3, 3); ed as for :func:`triangle_blocks`."""
     m = len(ed.tri)
     expect("stiffness blocks", out, (m, 3, 3))
-    lib().r_stiffness(m, ed.ptr.area, ed.ptr.r_int, ed.ptr.grad_r, ed.radial.ptr.zz, out)
+    lib().r_stiffness(m, ed.area, ed.r_int, ed.grad_r, ed.radial.zz, out)
 
 
 def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
@@ -143,9 +142,10 @@ def edge_blocks(mesh, w, V, beta, gamma, dt, wall, surface) -> None:
     expect("wall blocks", wall, (len(topology.boundary_edges[BoundaryTag.WALL]), 2, 2))
     expect("surface blocks", surface,
            (len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]), 4, 4))
-    lib().edge_blocks(len(wall), topology.ptr.wall, len(surface),
-                      topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                      w.ptr.values, V.ptr.values, beta, gamma, dt, wall, surface)
+    edges = topology.boundary_edges
+    lib().edge_blocks(len(wall), edges[BoundaryTag.WALL], len(surface),
+                      edges[BoundaryTag.FREE_SURFACE], topology.radii, mesh.z, w.values,
+                      V.values, beta, gamma, dt, wall, surface)
 
 
 def loads(mesh, u, dt, zeta, phys, pattern, bottom) -> np.ndarray:
@@ -159,11 +159,10 @@ def loads(mesh, u, dt, zeta, phys, pattern, bottom) -> np.ndarray:
     surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
     contact = phys.gamma * np.cos(phys.theta_s) * topology.radii[mesh.contact_node]
     rhs = np.empty(len(pattern.free))
-    lib().state_rhs(n, len(ed.tri), ed.ptr.tri, ed.ptr.wr, len(surface),
-                    topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                    mass_action(u), bottom, dt, phys.g, phys.p_bar + zeta,
-                    phys.gamma, mesh.contact_node, contact, len(pattern.free),
-                    pattern.ptr.free, np.zeros(4 * n), rhs)
+    lib().state_rhs(n, len(ed.tri), ed.tri, ed.wr, len(surface), surface, topology.radii,
+                    mesh.z, mass_action(u), bottom, dt, phys.g, phys.p_bar + zeta,
+                    phys.gamma, mesh.contact_node, contact, len(pattern.free), pattern.free,
+                    np.zeros(4 * n), rhs)
     return rhs
 
 
@@ -176,10 +175,9 @@ def extension_rhs(u, stiffness) -> tuple[np.ndarray, np.ndarray]:
     expect("stiffness blocks", stiffness, (len(ed.tri), 3, 3))
     pattern = topology.memo(_extension_pattern)
     work, rhs = np.zeros(2 * n), np.empty(len(pattern.free))     # g, then its lifting
-    lib().extension_rhs(n, len(topology.boundary_edges[BoundaryTag.FREE_SURFACE]),
-                        topology.ptr.free_surface, topology.ptr.radii, mesh.ptr.z,
-                        u.ptr.values, len(ed.tri), ed.ptr.tri, stiffness,
-                        len(pattern.free), pattern.ptr.free, work, rhs)
+    surface = topology.boundary_edges[BoundaryTag.FREE_SURFACE]
+    lib().extension_rhs(n, len(surface), surface, topology.radii, mesh.z, u.values, len(ed.tri),
+                        ed.tri, stiffness, len(pattern.free), pattern.free, work, rhs)
     return work[:n], rhs
 
 
@@ -203,7 +201,7 @@ def fill(pattern: FixedPattern, data: np.ndarray, vals: np.ndarray) -> np.ndarra
     ``scatter_add``; the sums are those of a bincount, bit for bit."""
     expect("data", data, (len(pattern.indices) + 1,))
     expect("values", vals, pattern.slot.shape)
-    lib().scatter_add(len(pattern.slot), pattern.ptr.slot, vals, data)
+    lib().scatter_add(len(pattern.slot), pattern.slot, vals, data)
     data.setflags(write=False)
     return data[:-1]
 
@@ -216,7 +214,7 @@ def band_storage(system: LinearSystem) -> np.ndarray:
     n = len(band.lower)
     expect("matrix data", system.data, band.position.shape)
     ab = np.zeros(band.ldab * n)
-    lib().scatter_add(len(band.position), band.ptr.position, system.data, ab)
+    lib().scatter_add(len(band.position), band.position, system.data, ab)
     return ab.reshape((band.ldab, n), order="F")
 
 
@@ -231,7 +229,7 @@ def factor_band(ab: np.ndarray, band, y: np.ndarray | None = None) -> int:
     if len(y) not in (0, 1, 2):
         raise DimensionMismatch(f"{len(y)} loads, not 1 or 2")
     expect("loads", y, (len(y), n))
-    return lib().band_factor(n, band.kl, band.ku, band.ptr.lower, band.ptr.upper, ab, len(y), y)
+    return lib().band_factor(n, band.kl, band.ku, band.lower, band.upper, ab, len(y), y)
 
 
 def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
@@ -248,11 +246,9 @@ def solve_band(lu: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray,
     expect("right-hand sides", b, (k, n))
     expect("solutions", x, (k, n))
     out = np.empty((k, n + 2))
-    flags = lib().band_solve(n, band.kl, band.ku, band.ptr.upper, lu,
-                             pattern.ptr.indptr, pattern.ptr.indices, data, k, b[0],
-                             b[-1], x, out)
+    flags = lib().band_solve(n, band.kl, band.ku, band.upper, lu, pattern.indptr,
+                             pattern.indices, data, k, b[0], b[-1], x, out)
     return out, flags
-
 
 
 def residual(pattern, data: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarray) -> int:
@@ -265,7 +261,8 @@ def residual(pattern, data: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.nd
     expect("right-hand sides", b, (k, n))
     expect("solutions", x, (k, n))
     expect("checks", out, (k, n + 2))
-    return lib().residual(n, pattern.ptr.indptr, pattern.ptr.indices, data, k, b, x, out)
+    return lib().residual(n, pattern.indptr, pattern.indices, data, k, b, x, out)
+
 
 def solve_system(ab: np.ndarray, band, pattern, data: np.ndarray, b: np.ndarray):
     """The factor of the band storage ab, unfactored, on a copy, with the

@@ -1,3 +1,4 @@
+import ctypes
 import importlib
 import math
 import sys
@@ -511,8 +512,9 @@ class TestRunLoop:
             return build(u)
 
         def phases(struct):
-            read.append(struct.mass_old)
-            written.append(struct.mass)
+            # their bytes: the workspace copies each step's state in and out
+            read.append(ctypes.string_at(struct.mass_old, 16 * struct.n))
+            written.append(ctypes.string_at(struct.mass, 16 * struct.n))
 
         def counting_layout(cls, indices, indptr):
             layouts.append(len(indptr) - 1)

@@ -839,7 +839,7 @@ def test_kernel_calls_leave_no_garbage_cycles():
     finally:
         gc.enable()
     with pytest.raises(ctypes.ArgumentError):
-        lib().scatter_add(0, system.pattern.ptr.slot, np.zeros(0, np.float32), np.zeros(1))
+        lib().scatter_add(0, system.pattern.slot, np.zeros(0, np.float32), np.zeros(1))
     with pytest.raises(ctypes.ArgumentError):
         factor_band(np.ascontiguousarray(lu), band)
     with pytest.raises(ctypes.ArgumentError):
@@ -850,12 +850,14 @@ def test_kernel_calls_leave_no_garbage_cycles():
 
 
 def test_binding_refuses_a_writeable_or_wrongly_typed_array():
-    """A kernel reads a bound array through a pointer taken once, with no
-    check per call: only a read-only C-contiguous array of the kernel's
-    dtype is bound, so a record holding any other cannot be made."""
-    table = radial_table(build_structured_mesh(1.0, 1.0, 2, 2).topology)
+    """A workspace binds the arrays of its topology, radial table and
+    patterns through pointers taken once, with no check per step: only a
+    read-only C-contiguous array of the kernel's dtype is bound, so a
+    workspace of any other cannot be made."""
+    topology = build_structured_mesh(1.0, 1.0, 2, 2).topology
+    table = radial_table(topology)
     rq = table.rq.copy()
-    assert kernels.address(table.rq) == table.ptr.rq == table.rq.ctypes.data
+    assert kernels.address(table.rq) == table.rq.ctypes.data
     for array, dtype in ((rq, np.float64),                          # writeable
                          (table.rq.astype(np.float32), np.float64),
                          (table.rq, np.int64),
@@ -865,11 +867,14 @@ def test_binding_refuses_a_writeable_or_wrongly_typed_array():
             array.setflags(write=array is rq)
         with pytest.raises(TypeError):
             kernels.address(array, dtype)
-    with pytest.raises(TypeError):
-        replace(table, rq=rq)
-    band = full_band(6, 2, 1)
-    with pytest.raises(TypeError):
-        replace(band, position=np.zeros(0, np.int32))
+    arrays, sizes, _, saddle, extension = workspace(topology)._parts
+    wrong_tri = dict(arrays, tri=read_only(topology.triangles.astype(np.int32)))
+    band = replace(saddle.band, position=np.zeros(0, np.int32))
+    for parts in ((arrays, sizes, replace(table, rq=rq), saddle, extension),
+                  (wrong_tri, sizes, table, saddle, extension),
+                  (arrays, sizes, table, replace(saddle, band=band), extension)):
+        with pytest.raises(TypeError):
+            capflow.forms.Workspace(*parts)
 
 
 def spoil(*arrays):
@@ -884,9 +889,10 @@ def spoil(*arrays):
                          ids=["deepcopy", "pickle"])
 def test_a_copied_state_reads_only_its_own_arrays(copy_of):
     """deepcopy and pickle copy the arrays of a state, its mesh, topology,
-    field and memoised element data, radial table and patterns, and bind the
-    copies: with every bound array of the original overwritten, a step from
-    the copy gives the original's bits."""
+    field and memoised element data, radial table and patterns, and the
+    copy's workspace binds the copies and copies in the copied state: with
+    every array of the original overwritten, a step from the copy gives the
+    original's bits."""
     mesh_new, mesh, u, V, zeta, phys, num = tc1_slab(4, 8)
     state = state_of(mesh, u)
     expected, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
@@ -919,7 +925,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path, defines):
 
 def test_import_and_initial_state_load_no_kernels():
     """Importing capflow and making a run's initial state builds and loads no
-    kernel library: binding arrays takes their pointers with numpy alone."""
+    kernel library: the records hold plain arrays, and only a topology's
+    first step, which builds its workspace, loads the kernels."""
     code = ("import capflow\n"
             "from capflow import kernels\n"
             "from capflow.acceptance import tc1_config\n"
@@ -1017,13 +1024,18 @@ def test_workspace_struct_matches_the_source(tmp_path):
     assert list(map(int, got.stdout.split())) == want
 
 
-@pytest.mark.parametrize("grid, doubles", [((4, 4), 4513), ((16, 32), 210936)],
+@pytest.mark.parametrize("grid, doubles", [((4, 4), 4852), ((16, 32), 219155)],
                          ids=["4x4", "16x32"])
 def test_workspace_storage_keeps_its_size(grid, doubles):
-    """The storage block that slab_storage sizes holds as many doubles as
-    the layout it took over from the owner did, the saddle band last in it."""
+    """The storage block that slab_storage sizes holds the phases' storage,
+    4513 doubles at 4x4 and 210936 at 16x32, and the old state (5 n + m)
+    and the new one (6 n + m) between the reduced mass action and the
+    region, V first and the saddle band last in it."""
     ws = workspace(build_structured_mesh(1.0, 1.0, *grid).topology)
     s, start = ws.struct, ws.storage.ctypes.data
-    assert ws.storage.size == doubles
+    phases = {(4, 4): 4513, (16, 32): 210936}[grid]
+    assert ws.storage.size == doubles == phases + 11 * ws.n + 2 * ws.m
+    assert s.reduced < s.z_old == ws.old.ctypes.data < s.z == ws.new.ctypes.data < s.region
+    assert s.z == s.z_old + ws.old.nbytes and s.region == s.z + ws.new.nbytes
     assert s.V == start and s.lu == s.region == ws.band.ctypes.data
     assert s.lu + ws.band.nbytes <= start + ws.storage.nbytes

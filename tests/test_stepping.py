@@ -13,7 +13,7 @@ from capflow.acceptance import run_tc1, tc1_config
 from capflow.config import num_params, phys_params
 from capflow.errors import MeshTangled
 from capflow.fields import NumParams, PhysParams, VectorFieldP1
-from capflow.forms import _flatten, kinetic_energy, mass_action, workspace
+from capflow.forms import _flatten, kinetic_energy, mass_action, radial_table, workspace
 from capflow.geometry import displace_mesh, mesh_quality
 from capflow.stepping import initial_state, slab_system, step
 
@@ -64,6 +64,11 @@ def test_first_step_moves_upward():
 
 
 def test_step_is_bitwise_deterministic():
+    """A step from one state gives the same bits each time, and the
+    workspace carries nothing from one call to the next: two controlled
+    trajectories from one mid-run state, at zeta = 1e-4 and -1e-4, stepped
+    in turn on the one topology's workspace, each match their own run
+    alone, bit for bit."""
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     a1, *_ = step(state, 1e-4, phys, num)
@@ -71,6 +76,29 @@ def test_step_is_bitwise_deterministic():
     assert np.array_equal(a1.u.values, a2.u.values)
     assert np.array_equal(a1.p.values, a2.p.values)
     assert np.array_equal(a1.mesh.nodes, a2.mesh.nodes)
+    mid = a1
+    for _ in range(3):
+        mid, _ = step(mid, 1e-4, phys, num)
+
+    def record(s, diag):
+        arrays = (s.mesh.z, s.mesh.areas, s.u.values, mass_action(s.u), s.p.values)
+        return [a.tobytes() for a in arrays] + [diag.residual, diag.bottom_residual,
+                                                diag.bottom_integral, diag.z_cl]
+
+    zetas = (1e-4, -1e-4)
+    alone = {}
+    for zeta in zetas:
+        s, alone[zeta] = mid, []
+        for _ in range(5):
+            s, diag = step(s, zeta, phys, num, gradient=True)
+            alone[zeta].append(record(s, diag))
+    states, interleaved = dict.fromkeys(zetas, mid), {zeta: [] for zeta in zetas}
+    for _ in range(5):
+        for zeta in zetas:
+            states[zeta], diag = step(states[zeta], zeta, phys, num, gradient=True)
+            interleaved[zeta].append(record(states[zeta], diag))
+    assert alone[1e-4] != alone[-1e-4]
+    assert interleaved == alone
 
 
 def test_mesh_quality_diagnostics_are_those_of_the_new_mesh():
@@ -190,7 +218,8 @@ def test_no_record_aliases_the_workspace():
 def test_a_copied_mid_run_state_steps_to_the_same_history(copy_of):
     """A copy of a mid-run state, its topology's workspace among what it
     takes along, steps to the original's history bit for bit, on a
-    workspace of its own that binds the copy's arrays."""
+    workspace of its own that binds the copy's arrays, read-only again, and
+    copies in the copy's state."""
     state, phys, num = advanced(3)
     copied = copy_of(state)
     histories = []
@@ -204,6 +233,27 @@ def test_a_copied_mid_run_state_steps_to_the_same_history(copy_of):
     ws, own = workspace(state.mesh.topology), workspace(copied.mesh.topology)
     assert own is not ws and own.struct.r == copied.mesh.topology.radii.ctypes.data
     assert own.struct.saddle.indices == own.saddle.indices.ctypes.data != ws.struct.saddle.indices
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["deepcopy", "pickle"])
+def test_a_state_copied_before_its_first_step_steps_alike(copy_of):
+    """A copy of an initial state, whose topology has a radial table but no
+    workspace yet, holds read-only arrays, as the original does, though
+    deepcopy and pickle hand the copies back writeable; it builds a
+    workspace of its own that binds them and steps to the original's bits."""
+    phys, num = tc1_params()
+    state = initial_state(5e-4, 5e-5, num)
+    kinetic_energy(state.u)                         # memoises the radial table
+    copied = copy_of(state)
+    mesh, topology = copied.mesh, copied.mesh.topology
+    assert not any(a.flags.writeable for a in (
+        mesh.z, mesh.areas, copied.u.values, mass_action(copied.u), topology.triangles,
+        topology.radii, *topology.boundary_edges.values(), *vars(radial_table(topology)).values()))
+    got, _ = step(copied, 1e-4, phys, num, gradient=True)
+    expected, _ = step(state, 1e-4, phys, num, gradient=True)
+    assert got.u.values.tobytes() == expected.u.values.tobytes()
+    assert got.mesh.z.tobytes() == expected.mesh.z.tobytes()
 
 
 def test_steps_leave_no_cyclic_garbage():
