@@ -31,13 +31,13 @@ Two lines follow the table: the median number of minor page faults per step
 (ru_minflt) over a FAULT_STEPS-step controlled run of each grid, counted
 between the run's per-step callbacks in a fresh process per grid, so that
 no earlier grid's heap enters, and cProfile's function calls per controlled
-step, all of them and those in SciPy, from a run of 1 + PROFILE_STEPS steps
-less a run of one (which builds the patterns and the workspace), both after
-a one-step run that loads the kernels.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) for comparable times.  The factor kernel and the
-residual checks are called through the tests' wrappers of the kernels
-(``tests/compiled.py``, which needs numpy and capflow alone), found from
-this checkout.
+step, all of them and those in SciPy, counted per code object, from a run
+of 1 + PROFILE_STEPS steps less a run of one (which builds the patterns and
+the workspace), both after a one-step run that loads the kernels.  Pin BLAS
+to one thread (OPENBLAS_NUM_THREADS=1) for comparable times.  The factor
+kernel and the residual checks are called through the tests' wrappers of
+the kernels (``tests/compiled.py``, which needs numpy and capflow alone),
+found from this checkout.
 Last comes the band table, one row per grid, on the profiled slab's saddle
 system: the number of reduced dofs and of stored entries (from the
 pattern's ``indptr`` and ``indices``), the band's kl and ku, the
@@ -54,7 +54,6 @@ import argparse
 import cProfile
 import os
 import platform
-import pstats
 import resource
 import subprocess
 import sys
@@ -249,10 +248,11 @@ def calls_per_step(n1: int, n3: int) -> tuple[float, float]:
         profile.runcall(run_instantaneous_control, phys_params(cfg),
                         replace(num_params(cfg), T=steps * cfg.dt), cfg.radius, cfg.init_height,
                         controlled=True)
-        stats = pstats.Stats(profile).stats     # (file, line, name): (cc, calls, ...)
-        return (sum(s[1] for s in stats.values()),
-                sum(s[1] for (file, _, name), s in stats.items()
-                    if "scipy" in file or "scipy" in name))
+        # per code object: pstats keys by (file, line, name) and keeps one of
+        # the dataclasses' __init__s, which all read ("<string>", 2, "__init__")
+        entries = [(e.callcount, e.code if isinstance(e.code, str)
+                    else f"{e.code.co_filename} {e.code.co_name}") for e in profile.getstats()]
+        return sum(n for n, _ in entries), sum(n for n, where in entries if "scipy" in where)
 
     calls(1)
     (total, scipy_calls), (total_more, scipy_more) = calls(1), calls(1 + PROFILE_STEPS)

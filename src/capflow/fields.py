@@ -3,16 +3,17 @@
 Velocity-like quantities live in :class:`VectorFieldP1` (one (r, z) pair per
 node), pressure-like quantities in :class:`ScalarFieldP1`.  Fields keep a
 reference to the mesh they were built on; mixing a field with a different
-mesh raises :class:`~capflow.errors.DimensionMismatch`.  A field's values
-are read-only, a copy's too (:func:`read_only`), and hold no kernel
-pointer: a step copies its velocity into the topology's workspace and the
-new one out.
+mesh raises :class:`~capflow.errors.DimensionMismatch`.  A field keeps a
+read-only copy of the values it is given, so the caller's array stays
+writeable, and holds no kernel pointer: a step copies its velocity into the
+topology's workspace and the new one out.  A copy or an unpickled field is
+built anew from its fields, through its constructor (:class:`_Memo`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,24 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .geometry import AxiMesh
 
 
-def read_only(*parts) -> None:
-    """Make read-only every array among parts, and in the dicts and the
-    records among them, nested, but for other :class:`_Memo` records:
-    deepcopy and pickle hand the copies of a record's arrays back writeable."""
-    stack = list(parts)
-    while stack:
-        part = stack.pop()
-        if isinstance(part, np.ndarray):
-            part.setflags(write=False)
-        elif isinstance(part, dict):
-            stack += part.values()
-        elif is_dataclass(part) and not isinstance(part, _Memo):
-            stack += vars(part).values()
-
-
 class _Memo:
     """Per-object cache of derived data; the object itself is immutable, and
-    so are its arrays and a copy's (:meth:`__setstate__`)."""
+    so are its arrays.  A record's state is its dataclass fields: a copy or
+    an unpickled record is rebuilt from them through its constructor, with
+    its checks, and builds its caches anew."""
 
     def memo(self, build):
         """build(self) on the first call with this build function, its stored result after."""
@@ -49,20 +37,19 @@ class _Memo:
             cache[build] = build(self)
         return cache[build]
 
-    def __setstate__(self, state):
-        read_only(state)
-        self.__dict__.update(state)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
-class ScalarFieldP1:
+class ScalarFieldP1(_Memo):
     """One scalar value per mesh node."""
 
     values: np.ndarray
     mesh: "AxiMesh"
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         if values.shape != (self.mesh.num_nodes,):
             raise DimensionMismatch(
                 f"scalar field has {values.shape}, mesh has {self.mesh.num_nodes} nodes"
@@ -87,7 +74,7 @@ class VectorFieldP1(_Memo):
     mesh: "AxiMesh"
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         if values.shape != (self.mesh.num_nodes, 2):
             raise DimensionMismatch(
                 f"vector field has {values.shape}, mesh has {self.mesh.num_nodes} nodes"

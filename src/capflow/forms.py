@@ -41,7 +41,8 @@ numpy alone, and SciPy is imported only to build a system's matrix when its
 ``matrix`` is read (the tests).  The mass action of a velocity
 (:func:`mass_action`) is computed once per field, where the objective and
 gradient of step n and the assembly of step n+1 meet: the solve phase
-writes it with the field.
+writes it with the field.  No record holds the workspace's storage or
+addresses, so a copied record takes none along.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, DomainEmptied, ResidualTooLarge, SingularMatrix
-from .fields import ScalarFieldP1, VectorFieldP1, read_only, trusted
+from .fields import ScalarFieldP1, VectorFieldP1, trusted
 from .geometry import AxiMesh, BoundaryTag, MeshTopology, displace_mesh, radial_differences
 
 # mid-edge quadrature: rows = points, cols = vertex basis values
@@ -421,14 +422,6 @@ def _workspace(topology: MeshTopology) -> Workspace:
                      topology.memo(_extension_pattern))
 
 
-def _copied(*parts) -> Workspace:
-    """The workspace of copied parts: deepcopy and pickle build it within the
-    copy of its topology's memo, before the topology's arrays are read-only
-    again (:func:`~capflow.fields.read_only`)."""
-    read_only(*parts)
-    return Workspace(*parts)
-
-
 def _bind(pattern: FixedPattern, into: kernels.Pattern) -> None:
     """Fill into with the sizes and arrays of pattern and its band layout."""
     band = pattern.band
@@ -465,13 +458,13 @@ class Workspace:
     loads in :attr:`x`.  A failing phase's status and details raise the
     typed error, with the message, of the check it replaced (:meth:`error`).
     The storage is shared, so a topology's slabs run one at a time, in one
-    thread.  A copy or an unpickled workspace is built anew from the copied
-    records (:meth:`__reduce__`), so it binds their arrays.
+    thread.  The struct holds raw addresses, so a workspace cannot be
+    deep-copied or pickled; a copied topology builds its own on its first
+    slab.
     """
 
     def __init__(self, arrays: dict, sizes: tuple, table: RadialTable, saddle: FixedPattern,
                  extension: FixedPattern):
-        self._parts = (arrays, sizes, table, saddle, extension)
         self.saddle = saddle
         self.n, self.m = n, m = sizes[:2]
         s = self.struct = kernels.Workspace(*sizes)
@@ -499,9 +492,6 @@ class Workspace:
         # the new one: the same and p (n)
         self.old, self.new = view(s.z_old, 5 * n + m), view(s.z, 6 * n + m)
 
-    def __reduce__(self):
-        return _copied, self._parts
-
     def error(self, status: int, what: tuple[str, ...], mesh: AxiMesh | None) -> Exception:
         """The typed error of a phase's status, row t of a solve named
         what[t]; for a mesh moved badly, what displacing mesh by the mesh
@@ -520,7 +510,7 @@ class Workspace:
                                  f"(guard {s.floor:.3e} m)")
         if status == kernels.MOVED_BADLY:
             # the checked displacement of the same velocity raises its error and message
-            displace_mesh(mesh, VectorFieldP1(self.V.copy(), mesh), s.dt)
+            displace_mesh(mesh, VectorFieldP1(self.V, mesh), s.dt)
         raise AssertionError(f"compiled phase status {status}")
 
     def step(self, mesh: AxiMesh, u: VectorFieldP1, zeta: float, phys, num, floor: float,

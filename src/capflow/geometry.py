@@ -13,9 +13,10 @@ topology, so what depends on the topology alone is computed once per run
 through :meth:`MeshTopology.memo`.  The topology checks its free-surface arc
 once; as the radii never change, it stays a graph over r, and a mesh checks
 only that its triangles keep positive areas.  The arrays of both are
-read-only, a copy's too, and hold no kernel pointer: the topology's
-workspace binds the topology's once and copies a mesh's heights and areas
-in per step.
+read-only, the topology's node sets too, and hold no kernel pointer: the
+topology's workspace binds the topology's once and copies a mesh's heights
+and areas in per step.  A copy or an unpickled mesh or topology is rebuilt
+from its fields through its constructor, and computes its memo anew.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class MeshTopology(_Memo):
         return len(self.radii)
 
     def _boundary_nodes(self, tag: BoundaryTag) -> np.ndarray:
-        return np.unique(self.boundary_edges[tag])
+        return _frozen(np.unique(self.boundary_edges[tag]))
 
     @cached_property
     def wall_nodes(self) -> np.ndarray:
@@ -136,12 +137,18 @@ class MeshTopology(_Memo):
         """Free-surface node indices along the arc, from the axis to the
         contact node, r increasing."""
         edges = self.boundary_edges[BoundaryTag.FREE_SURFACE]
-        return np.append(edges[0, 0], edges[:, 1])
+        return _frozen(np.append(edges[0, 0], edges[:, 1]))
 
     @cached_property
     def radial_constrained_nodes(self) -> np.ndarray:
         """Nodes whose radial velocity component is an essential zero."""
-        return np.union1d(self.wall_nodes, self.axis_nodes)
+        return _frozen(np.union1d(self.wall_nodes, self.axis_nodes))
+
+
+def _frozen(nodes: np.ndarray) -> np.ndarray:
+    """nodes, made read-only: a node set is kept for the topology's lifetime."""
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _on_topology(name: str) -> property:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fields import NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field, zero_vector_field
+from .fields import (NumParams, PhysParams, ScalarFieldP1, VectorFieldP1, zero_scalar_field,
+                     zero_vector_field)
 from .forms import LinearSystem, workspace
 from .geometry import AxiMesh, build_structured_mesh, mesh_quality
 from .kernels import PHASES
@@ -110,8 +111,8 @@ def step(state: FlowState, zeta: float, phys: PhysParams, num: NumParams,
     plain solve, never one with A transposed.  The slab is one compiled call
     on the topology's workspace (:meth:`~capflow.forms.Workspace.step`),
     whose storage holds the one factorization and its solutions; the step's
-    records hold copies of the state it wrote there.  Raises DomainEmptied if the contact line would
-    reach ``floor``.
+    records hold copies of the state it wrote there.  Raises DomainEmptied
+    if the contact line would reach ``floor``.
     """
     ws = workspace(state.mesh.topology)
     mesh_new, u_new, p_new = ws.step(state.mesh, state.u, zeta, phys, num, floor, gradient)

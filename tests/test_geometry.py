@@ -53,9 +53,17 @@ class TestBuild:
             build_structured_mesh(1.0, 1.0, 1, 4)
 
     def test_nodes_read_only(self):
+        """The nodes and the topology's node sets are read-only: a velocity's
+        wall/axis check reads radial_constrained_nodes."""
         mesh = build_structured_mesh(1.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             mesh.nodes[0, 0] = 1.0
+        for name in ("wall_nodes", "axis_nodes", "bottom_nodes", "surface_nodes",
+                     "radial_constrained_nodes"):
+            nodes = getattr(mesh.topology, name)
+            assert nodes is getattr(mesh, name) and nodes.size, name
+            with pytest.raises(ValueError):
+                nodes[:] = 0
 
     def test_nodes_are_the_topology_radii_beside_the_heights(self):
         mesh = perturbed_mesh(seed=2)

@@ -22,7 +22,7 @@ from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, kinetic_energy,
                            _saddle_pattern, radial_table, workspace)
-from capflow.geometry import build_structured_mesh
+from capflow.geometry import BoundaryTag, build_structured_mesh
 from capflow.stepping import FlowState, initial_state, slab_system, step
 
 from .pattern_forms import bottom_load_reference, filled, form_a, mass_matrix, reduced
@@ -867,7 +867,16 @@ def test_binding_refuses_a_writeable_or_wrongly_typed_array():
             array.setflags(write=array is rq)
         with pytest.raises(TypeError):
             kernels.address(array, dtype)
-    arrays, sizes, _, saddle, extension = workspace(topology)._parts
+    edges = topology.boundary_edges
+    wall, surface, bottom = (edges[tag] for tag in (BoundaryTag.WALL, BoundaryTag.FREE_SURFACE,
+                                                    BoundaryTag.BOTTOM))
+    sizes = (topology.num_nodes, len(topology.triangles), len(wall), len(surface), len(bottom),
+             topology.contact_node)
+    arrays = dict(tri=topology.triangles, wall=wall, surface=surface, bottom=bottom,
+                  r=topology.radii)
+    saddle = topology.memo(_saddle_pattern)
+    extension = topology.memo(capflow.forms._extension_pattern)
+    capflow.forms.Workspace(arrays, sizes, table, saddle, extension)     # the parts bind
     wrong_tri = dict(arrays, tri=read_only(topology.triangles.astype(np.int32)))
     band = replace(saddle.band, position=np.zeros(0, np.int32))
     for parts in ((arrays, sizes, replace(table, rq=rq), saddle, extension),
@@ -888,14 +897,15 @@ def spoil(*arrays):
 @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
                          ids=["deepcopy", "pickle"])
 def test_a_copied_state_reads_only_its_own_arrays(copy_of):
-    """deepcopy and pickle copy the arrays of a state, its mesh, topology,
-    field and memoised element data, radial table and patterns, and the
-    copy's workspace binds the copies and copies in the copied state: with
-    every array of the original overwritten, a step from the copy gives the
-    original's bits."""
+    """deepcopy and pickle rebuild a state's mesh, topology and fields from
+    their fields, through their constructors, and take no memo along: the
+    copy builds its own radial table, patterns and workspace, which binds
+    the copy's arrays and copies in the copied state.  With every array of
+    the original and of its caches overwritten, a step from the copy gives
+    the original's bits."""
     mesh_new, mesh, u, V, zeta, phys, num = tc1_slab(4, 8)
     state = state_of(mesh, u)
-    expected, _ = step(state, zeta, phys, num)     # fills the memos the copy takes along
+    expected, _ = step(state, zeta, phys, num)     # fills the memos, which the copy leaves
     copied = copy_of(state)
     topology, ed, table = mesh.topology, element_data(mesh), radial_table(mesh.topology)
     patterns = [topology.memo(_saddle_pattern), topology.memo(capflow.forms._extension_pattern)]

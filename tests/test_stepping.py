@@ -216,10 +216,10 @@ def test_no_record_aliases_the_workspace():
 @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
                          ids=["deepcopy", "pickle"])
 def test_a_copied_mid_run_state_steps_to_the_same_history(copy_of):
-    """A copy of a mid-run state, its topology's workspace among what it
-    takes along, steps to the original's history bit for bit, on a
-    workspace of its own that binds the copy's arrays, read-only again, and
-    copies in the copy's state."""
+    """A copy of a mid-run state, rebuilt from its records' fields with no
+    memo, steps to the original's history bit for bit, on a workspace of
+    its own that it builds on its first step, which binds the copy's
+    read-only arrays and copies in the copy's state."""
     state, phys, num = advanced(3)
     copied = copy_of(state)
     histories = []
@@ -239,9 +239,10 @@ def test_a_copied_mid_run_state_steps_to_the_same_history(copy_of):
                          ids=["deepcopy", "pickle"])
 def test_a_state_copied_before_its_first_step_steps_alike(copy_of):
     """A copy of an initial state, whose topology has a radial table but no
-    workspace yet, holds read-only arrays, as the original does, though
-    deepcopy and pickle hand the copies back writeable; it builds a
-    workspace of its own that binds them and steps to the original's bits."""
+    workspace yet, is rebuilt through its records' constructors, so it holds
+    read-only arrays, as the original does; it takes no memo along, builds
+    its own radial table and workspace, which binds its arrays, and steps to
+    the original's bits."""
     phys, num = tc1_params()
     state = initial_state(5e-4, 5e-5, num)
     kinetic_energy(state.u)                         # memoises the radial table
