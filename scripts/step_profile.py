@@ -2,9 +2,10 @@
 """Time of each phase of one slab step, and the band of its saddle matrix,
 on refined grids.
 
-For each grid, advances the controlled test-case-1 refill three slabs and
-takes the fourth REPEATS times, free and controlled, each step one compiled
-call on the topology's workspace (``capflow.forms.Workspace``).  A phase's
+For each grid (the three of GRIDS, or the one that ``--grid N1 N3`` names),
+advances the controlled test-case-1 refill three slabs and takes the fourth
+REPEATS times, free and controlled, each step one compiled call on the
+topology's workspace (``capflow.forms.Workspace``).  A phase's
 row is the minimum over those steps of its own clock
 (``StepDiagnostics.phase_ms``; the clocks are disjoint): the mesh-velocity
 extension (ALE), the rest of the motion (the emptying guard and the
@@ -19,14 +20,16 @@ radial table (built once per run) and the whole step, free and controlled,
 are timed around their calls.  Each figure is the minimum over REPEATS, in
 ms, except those of the two writers, the VTK snapshot of the state and a
 history.csv of HISTORY_ROWS rows of random values at the columns' scales.
-They are timed as a run meets them, over files that
-already exist on disk: each writer first writes RUN_FILES files in a
-temporary directory (as many as a 100-step run with a snapshot every step
-writes) and flushes each with fsync, as the files of an earlier run are,
-rewrites one untimed, then rewrites each once, and its row is the median of
-those rewrites.  The minimum of rewrites of one file hides what freeing a
-file's blocks costs.  Last come the phases as a run meets them: the median
-over RUN_STEPS controlled steps of each phase's clock.
+They are timed as a run meets them, over files that already exist on disk:
+each writer first writes RUN_FILES files in a temporary directory (as many
+as a 100-step run with a snapshot every step writes) and flushes each with
+fsync, as the files of an earlier run are, rewrites one untimed, then
+rewrites each once, and its row is the median of those rewrites.  The
+minimum of rewrites of one file hides what freeing a file's blocks costs.
+The snapshot has two rows, the fill of its template and the write of those
+bytes over the file, each the median of its own clock; the history's row
+is the median of the two together.  Last come the phases as a run meets
+them: the median over RUN_STEPS controlled steps of each phase's clock.
 Two lines follow the table: the median number of minor page faults per step
 (ru_minflt) over a FAULT_STEPS-step controlled run of each grid, counted
 between the run's per-step callbacks in a fresh process per grid, so that
@@ -47,7 +50,7 @@ of the LU without pivoting that the factor kernel row made, and the factor
 kernel's rate: the envelope's multiply-subtracts, the sum of lower[j]
 upper[j] over the columns, per ns of that row's minimum.
 
-    PYTHONPATH=src python scripts/step_profile.py
+    PYTHONPATH=src python scripts/step_profile.py [--grid N1 N3]
 """
 
 import argparse
@@ -64,12 +67,11 @@ from pathlib import Path
 
 import numpy as np
 
-from capflow import forms, kernels
+from capflow import forms, kernels, writers
 from capflow.acceptance import tc1_config
 from capflow.config import num_params, phys_params
 from capflow.control import RunHistory, run_instantaneous_control
 from capflow.stepping import initial_state, slab_system, step
-from capflow.writers import write_history_csv, write_vtk_snapshot
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.compiled import band_storage, factor_band, residual  # noqa: E402
@@ -184,34 +186,40 @@ def residual_ms(system, x) -> float:
 
 
 def writers_ms(state, dt: float) -> list[tuple[str, float]]:
-    """write_vtk_snapshot of the state, and write_history_csv of HISTORY_ROWS
-    rows (t, Z_CL, zeta, J increment, gradient, max |u|) at the columns'
-    scales, each timed by :func:`rewrite_ms`."""
+    """The VTK snapshot of the state, its fill and its write, and the
+    history.csv of HISTORY_ROWS rows (t, Z_CL, zeta, J increment, gradient,
+    max |u|) at the columns' scales, fill and write together, each timed by
+    :func:`rewrite_ms`."""
     history = RunHistory()
     rng = np.random.default_rng(0)
     for k in range(HISTORY_ROWS):
         history.append(k * dt, *(rng.standard_normal(5) * (1e-4, 1e-4, 1e-15, 1e-12, 1e-2)))
-    return [("VTK snapshot", rewrite_ms(lambda path: write_vtk_snapshot(state, path))),
-            (f"history.csv ({HISTORY_ROWS} rows)",
-             rewrite_ms(lambda path: write_history_csv(history, path)))]
+    fill, write = np.median(rewrite_ms(lambda: writers._snapshot_bytes(state)), axis=0)
+    csv = np.median(rewrite_ms(lambda: writers._history_bytes(history)).sum(axis=1))
+    return [("snapshot fill", fill), ("snapshot write", write),
+            (f"history.csv ({HISTORY_ROWS} rows)", csv)]
 
 
-def rewrite_ms(write) -> float:
-    """Median wall time in ms of write(path) over RUN_FILES files that write
-    made and fsync flushed beforehand."""
+def rewrite_ms(content) -> np.ndarray:
+    """The wall times in ms, (RUN_FILES, 2), of content(), a file's bytes,
+    and of writing them over the file as the writers do
+    (``writers._overwrite``), for each of RUN_FILES files written so and
+    flushed by fsync beforehand."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / f"{k:05d}" for k in range(RUN_FILES)]
         for path in paths:
-            write(path)
+            writers._overwrite(path, content())
             with open(path, "rb") as fh:
                 os.fsync(fh.fileno())
-        write(paths[0])                 # untimed: the first rewrite pays a warm-up
+        writers._overwrite(paths[0], content())     # untimed: the first rewrite pays a warm-up
         times = []
         for path in paths:
             t0 = time.perf_counter()
-            write(path)
-            times.append(time.perf_counter() - t0)
-    return 1e3 * float(np.median(times))
+            data = content()
+            t1 = time.perf_counter()
+            writers._overwrite(path, data)
+            times.append((t1 - t0, time.perf_counter() - t1))
+    return 1e3 * np.array(times)
 
 
 def faults_per_step(n1: int, n3: int) -> float:
@@ -261,6 +269,9 @@ def calls_per_step(n1: int, n3: int) -> tuple[float, float]:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--grid", nargs=2, type=int, metavar=("N1", "N3"),
+                        help="profile this N1 x N3 grid alone (default: "
+                             + ", ".join(f"{n1}x{n3}" for n1, n3 in GRIDS) + ")")
     parser.add_argument("--faults", nargs=3, type=int, metavar=("N1", "N3", "STEPS"),
                         help="internal: print the median minor page faults per step of one "
                              "grid's STEPS-step controlled run, counted in this process, "
@@ -273,13 +284,14 @@ def main(argv: list[str] | None = None) -> None:
           f"numpy {np.__version__}; kernels built with {kernels.COMPILER} "
           f"{' '.join(kernels.FLAGS)}; min of {REPEATS} calls (writers: median of {RUN_FILES} "
           f"rewrites), ms; the factor kernel's rate in multiply-subtracts per ns")
-    columns, bands = zip(*(phases(n1, n3) for n1, n3 in GRIDS))
-    print(f"{'phase':<30}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in GRIDS))
+    grids = [tuple(args.grid)] if args.grid else GRIDS
+    columns, bands = zip(*(phases(n1, n3) for n1, n3 in grids))
+    print(f"{'phase':<30}" + "".join(f"{f'{n1}x{n3}':>10}" for n1, n3 in grids))
     for i, (name, _) in enumerate(columns[0]):
         print(f"{name:<30}" + "".join(f"{col[i][1]:>10.3f}" for col in columns))
     print(f"{'minor faults / step':<30}"
-          + "".join(f"{faults_per_step(n1, n3):>10.0f}" for n1, n3 in GRIDS))
-    calls = [calls_per_step(n1, n3) for n1, n3 in GRIDS]
+          + "".join(f"{faults_per_step(n1, n3):>10.0f}" for n1, n3 in grids))
+    calls = [calls_per_step(n1, n3) for n1, n3 in grids]
     print(f"{'python calls / step (scipy)':<30}"
           + "".join(f"{f'{total:.0f} ({scipy_calls:.0f})':>10}" for total, scipy_calls in calls))
     print(f"{'grid':<9} {'ndof':>7} {'nnz':>9} {'kl':>5} {'ku':>5} {'envelope':>8} "

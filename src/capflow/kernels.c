@@ -54,8 +54,11 @@
    revisited: printf floating point conversion", Proc. ACM Program. Lang. 3,
    OOPSLA).  The decimal exponent comes from the binary one, corrected by
    comparing with 10^16 and 10^17; no libm log10 enters.  Subnormals and the
-   other exponents take glibc's correctly rounded digits.  The formatter is
-   integer code, so it has no target clones. */
+   other exponents take glibc's correctly rounded digits.  The digits are
+   written two at a time from a table of pairs, their trailing zeros are found
+   a word of eight at a time, and each notation copies them in fixed sizes,
+   so a value writes a few bytes past its end, which the next text or value
+   overwrites.  The formatter is integer code, so it has no target clones. */
 
 #include <math.h>
 #include <stddef.h>
@@ -1019,15 +1022,18 @@ static const uint64_t POW5[28] = {
    [10^16, 10^17) nearest to m 2^e 10^k, ties to even, k = 16 - x, and the
    decimal exponent x.  Exact: m 5^k fits 128 bits for 0 <= k <= 27, and the
    factor 2^(e + k) is a shift, whose shifted-out bits decide the rounding.
-   x starts from the binary exponent, (e + 52) log10 2 truncated, and is
-   corrected by comparing the truncated scaled value with 10^16 and 10^17; a
-   rounding up to 10^17 gives 10^16 at the next exponent.  Returns 0, and
-   leaves d and x alone, where k would leave 0..27. */
+   x starts from the floor of (e + 52) log10 2, the decimal exponent of 2^(e +
+   52) <= m 2^e, so from x or x - 1, and is corrected by comparing the
+   truncated scaled value with 10^16 and 10^17: a value at or above the power
+   of ten after 2^(e + 52) takes a second pass.  A rounding up to 10^17 gives
+   10^16 at the next exponent.  Returns 0, and leaves d and x alone, where k
+   would leave 0..27. */
 static int digits17(uint64_t m, int e, uint64_t *d, int *x)
 {
 #ifdef __SIZEOF_INT128__
     typedef unsigned __int128 u128;
-    int ex = (e + 52) * 78913 / 262144;                 /* 78913 / 2^18 = log10 2 - 8e-7 */
+    const int t = (e + 52) * 78913;                     /* 78913 / 2^18 = log10 2 - 8e-7 */
+    int ex = (t >= 0 ? t : t - 262143) / 262144;        /* the floor of t / 2^18 */
     for (;;) {
         const int k = 16 - ex, s = e + k;
         if (k < 0 || k > 27 || s > 8 || s < -127)
@@ -1060,55 +1066,86 @@ static int digits17(uint64_t m, int e, uint64_t *d, int *x)
 #endif
 }
 
+/* "00" to "99", the two digits of each number below 100. */
+static const char PAIRS[200] __attribute__((nonstring)) =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The 8 digits of v < 10^8 at out, from four pairs. */
+static inline void write8(uint32_t v, char *out)
+{
+    const uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(out, PAIRS + 2 * (hi / 100), 2);
+    memcpy(out + 2, PAIRS + 2 * (hi % 100), 2);
+    memcpy(out + 4, PAIRS + 2 * (lo / 100), 2);
+    memcpy(out + 6, PAIRS + 2 * (lo % 100), 2);
+}
+
+/* The number of '0' bytes that end the 8 digit bytes at c. */
+static inline int last_zeros(const char *c)
+{
+    uint64_t w;
+    memcpy(&w, c, 8);
+    w ^= 0x3030303030303030ULL;                         /* a '0' becomes a zero byte */
+    if (w == 0)
+        return 8;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    return __builtin_ctzll(w) / 8;                      /* the last byte is the lowest */
+#else
+    return __builtin_clzll(w) / 8;                      /* the last byte is the highest */
+#endif
+}
+
 /* The 17 digits d, 10^16 <= d < 10^17, at decimal exponent x, as %.17g
    writes them: trailing zeros dropped, fixed notation for -4 <= x < 17, else
-   d.ddde+xx with two exponent digits or more.  Returns the bytes written. */
+   d.ddde+xx with two exponent digits or more.  The digits are the leading one
+   of the upper 9 and two groups of 8, and every notation copies them in
+   fixed sizes: it writes at most 34 bytes from out, whatever the length it
+   returns. */
 static ptrdiff_t write17(uint64_t d, int x, char *out)
 {
-    char digit[17], *o = out;
-    for (int i = 16; i >= 0; --i, d /= 10)
-        digit[i] = (char)('0' + d % 10);
-    int nd = 17;
-    while (digit[nd - 1] == '0')
-        --nd;
+    char digit[33] = {0};       /* 16 bytes past the digits for the fixed copies */
+    const uint64_t hi = d / 100000000;
+    digit[0] = (char)('0' + hi / 100000000);
+    write8((uint32_t)(hi % 100000000), digit + 1);
+    write8((uint32_t)(d % 100000000), digit + 9);
+    const int zeros = last_zeros(digit + 9);
+    const int nd = 17 - (zeros < 8 ? zeros : 8 + last_zeros(digit + 1));
+    char *o = out;
     if (x < -4 || x >= 17) {
-        *o++ = digit[0];
-        if (nd > 1) {
-            *o++ = '.';
-            memcpy(o, digit + 1, nd - 1);
-            o += nd - 1;
-        }
+        o[0] = digit[0];
+        o[1] = '.';
+        memcpy(o + 2, digit + 1, 16);
+        o += nd > 1 ? nd + 1 : 1;
         const int a = x < 0 ? -x : x;
-        *o++ = 'e';
-        *o++ = x < 0 ? '-' : '+';
-        if (a >= 100)
-            *o++ = (char)('0' + a / 100);
-        *o++ = (char)('0' + a / 10 % 10);
-        *o++ = (char)('0' + a % 10);
-    } else if (x >= 0) {
-        memcpy(o, digit, x + 1);
-        o += x + 1;
-        if (nd > x + 1) {
-            *o++ = '.';
-            memcpy(o, digit + x + 1, nd - x - 1);
-            o += nd - x - 1;
+        o[0] = 'e';
+        o[1] = x < 0 ? '-' : '+';
+        if (a >= 100) {
+            o[2] = (char)('0' + a / 100);
+            memcpy(o + 3, PAIRS + 2 * (a % 100), 2);
+            return o + 5 - out;
         }
-    } else {
-        *o++ = '0';
-        *o++ = '.';
-        for (int i = x + 1; i < 0; ++i)
-            *o++ = '0';
-        memcpy(o, digit, nd);
-        o += nd;
+        memcpy(o + 2, PAIRS + 2 * a, 2);
+        return o + 4 - out;
     }
-    return o - out;
+    if (x >= 0) {
+        memcpy(o, digit, 17);
+        o[x + 1] = '.';
+        memcpy(o + x + 2, digit + x + 1, 16);
+        return nd > x + 1 ? nd + 1 : x + 1;
+    }
+    memcpy(o, "0.000000", 8);
+    memcpy(o + 1 - x, digit, 17);
+    return 1 - x + nd;
 }
 
 /* v as Python's format(v, ".17g") writes it, at out; returns the bytes
-   written, at most 24.  NaN of either sign is "nan", as in Python (glibc
-   writes "-nan").  Subnormals and exponents that digits17 does not reach
-   take their digits from glibc's correctly rounded "%.16e", read back as
-   digits and exponent, so no locale's decimal point enters. */
+   written, at most 24, and writes at most 35 bytes (write17's fixed copies
+   after the sign).  NaN of either sign is "nan", as in Python (glibc writes
+   "-nan").  Subnormals and exponents that digits17 does not reach take their
+   digits from glibc's correctly rounded "%.16e", read back as digits and
+   exponent, so no locale's decimal point enters. */
 static ptrdiff_t format17(double v, char *out)
 {
     uint64_t bits, d = 0;
@@ -1145,8 +1182,10 @@ static ptrdiff_t format17(double v, char *out)
 
 /* The len bytes of text with the n values v written into it as format17
    does, value i at byte offset slot[i] of text (slot never decreasing, at
-   most len), into out, which holds len + 24 n bytes.  Returns the bytes
-   written. */
+   most len), into out, which holds len + 24 n + 11 bytes: a value takes at
+   most 24 bytes and writes at most 35 from where it starts, and what it
+   writes past its end the text and values after it overwrite.  Returns the
+   bytes written. */
 ptrdiff_t fill_template(ptrdiff_t len, const char *text, ptrdiff_t n, const int64_t *slot,
                         const double *v, char *out)
 {

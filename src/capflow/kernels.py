@@ -39,6 +39,13 @@ read-only arrays of its topology once (:func:`address`) and copies the state
 of each slab in and out of its storage; a kernel called alone checks every
 array it is passed, per call.
 
+**Formatter.**  ``fill_template`` fills a :class:`Template` in one call: it
+copies the static text and writes each value's 17 digits two at a time from
+a table of pairs, finds their trailing zeros a word at a time and copies them
+in fixed sizes, so a value writes up to 35 bytes from where it starts, past
+its at most 24; the text and values after it overwrite the excess, and
+:meth:`Template.fill` allocates 11 bytes past the last value's 24.
+
 The first use compiles :data:`SOURCE`, the text of ``kernels.c`` read once
 at import, with :data:`COMPILER` and the fixed portable :data:`FLAGS` into
 ``__pycache__/kernels-<sha256 of source and flags>.so`` beside this module,
@@ -246,5 +253,6 @@ class Template:
         ``format(x, ".17g")`` writes it, as a uint8 array."""
         n = len(self.slots)
         expect("template values", values, (n,))
-        out = np.empty(len(self.text) + 24 * n, np.uint8)
+        # a value takes at most 24 bytes, and its fixed-size copies reach 11 past them
+        out = np.empty(len(self.text) + 24 * n + 11, np.uint8)
         return out[:kernel().fill_template(len(self.text), self.text, n, self.slots, values, out)]

@@ -1,7 +1,9 @@
 import csv
 import math
 import os
+import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from capflow.control import RunHistory
 from capflow.errors import DimensionMismatch
 from capflow.fields import ScalarFieldP1, VectorFieldP1
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
-from capflow.kernels import SLOT, Template
+from capflow.kernels import SLOT, Template, kernel
 from capflow.stepping import FlowState
 from capflow.writers import CSV_HEADER, _snapshot_template, write_history_csv, write_vtk_snapshot
 
@@ -196,6 +198,54 @@ def test_formatter_writes_what_format_does_at_the_edges():
     assert compiled([-math.nan, -0.0]) == ["nan", "-0"]
 
 
+def short_decimals() -> list[float]:
+    """Doubles that format(v, ".17g") writes with 1 to 17 significant digits,
+    at decimal exponents -8 to 20 and -123 to -100 and 100 to 123, with their
+    negatives: for each exponent x and count n, the first of up to 200 random
+    d 10^(x - n + 1), d of n digits and a last one nonzero, that format writes
+    with exactly d's digits, if any."""
+    rng = random.Random(5)
+    values = []
+    for x in [*range(-123, -99), *range(-8, 21), *range(100, 124)]:
+        for n in range(1, 18):
+            for _ in range(200):
+                d = rng.randrange(10 ** (n - 1), 10 ** n)
+                v = float(f"{d - d % 10 + rng.randrange(1, 10)}e{x - n + 1}")
+                written = Decimal(format(v, ".17g"))
+                if written.adjusted() == x and len(written.normalize().as_tuple().digits) == n:
+                    values += [v, -v]
+                    break
+    return values
+
+
+def test_formatter_drops_every_count_of_trailing_zeros():
+    """Every count of significant digits, so of trailing zeros among the 17,
+    in each notation and exponent width, signed, in a template that begins
+    and ends on a slot."""
+    values = short_decimals()
+    written = {(Decimal(s).adjusted(), len(Decimal(s).normalize().as_tuple().digits), s[0] == "-")
+               for s in expected(values)}
+    for low, high in ((-123, -100), (-8, -5), (-4, -1), (0, 16), (17, 20), (100, 123)):
+        for sign in (False, True):
+            assert {n for x, n, negative in written
+                    if low <= x <= high and negative == sign} == set(range(1, 18)), (low, sign)
+    out = Template.of(",".join([SLOT] * len(values))).fill(np.array(values))
+    assert out.tobytes().decode("ascii") == ",".join(expected(values))
+
+
+def test_formatter_writes_within_the_slack_fill_allocates():
+    """fill_template writes nothing past the len + 24 n + 11 bytes that
+    Template.fill allocates, its fixed-size copies included: each value alone
+    in a template that is one slot, the 35 bytes of a signed 17-digit
+    integer's copies reaching the end."""
+    values = short_decimals() + [-12345678901234567.0, -1.2345678901234567e-100, -1e-300, -5e-324]
+    for v in values:
+        buffer = np.full(35 + 16, 0xA5, np.uint8)
+        n = kernel().fill_template(0, b"", 1, np.zeros(1, np.int64), np.array([v]), buffer[:35])
+        assert buffer[:n].tobytes().decode("ascii") == format(v, ".17g")
+        assert np.all(buffer[35:] == 0xA5), v
+
+
 def test_history_csv_bytes_match_per_value_format(tmp_path):
     hist = RunHistory()
     rng = np.random.default_rng(11)
@@ -221,24 +271,39 @@ def test_template_slots_and_values_are_checked():
         template.slots[0] = 1
 
 
-@pytest.mark.parametrize("writer", ["history", "snapshot"])
-def test_writers_overwrite_in_place(tmp_path, writer):
+@pytest.mark.parametrize("writer, chunk", [("history", None), ("snapshot", None),
+                                           ("history", 4096), ("snapshot", 4096)],
+                         ids=["history", "snapshot", "history, partial writes",
+                              "snapshot, partial writes"])
+def test_writers_overwrite_in_place(tmp_path, monkeypatch, writer, chunk):
     """Each writer leaves exactly its bytes over a longer, a shorter or an
     empty existing file, in the same inode (the file is not replaced by a new
-    one), creates a missing file and writes to os.devnull."""
+    one), creates a missing file and writes to os.devnull, also when each
+    os.write writes at most chunk bytes."""
     if writer == "history":
         hist = RunHistory()
-        hist.append(0.0, 5e-5, 0.0, 0.0, 0.0, 0.0)
+        rng = np.random.default_rng(4)
+        for k in range(100):
+            hist.append(k * 2e-3, *rng.standard_normal(5))
         write = lambda path: write_history_csv(hist, path)     # noqa: E731
     else:
-        mesh = build_structured_mesh(1.0, 1.0, 2, 2)
+        mesh = build_structured_mesh(1.0, 1.0, 16, 16)
         state = FlowState(mesh=mesh, u=random_vector_field(mesh, seed=2),
                           p=ScalarFieldP1(np.linspace(0, 1, mesh.num_nodes), mesh), t=0.5)
         write = lambda path: write_vtk_snapshot(state, path)   # noqa: E731
     fresh = tmp_path / "fresh"
     write(fresh)
     expected = fresh.read_bytes()
-    assert expected
+    assert len(expected) > 2 * 4096
+    calls = []
+    if chunk is not None:
+        whole = os.write
+
+        def partial(fd, data):
+            calls.append(len(data))
+            return whole(fd, data[:chunk])
+
+        monkeypatch.setattr(os, "write", partial)
     for old in (b"x" * (3 * len(expected)), expected[:len(expected) // 2][::-1], b""):
         path = tmp_path / "existing"
         path.write_bytes(old)
@@ -247,3 +312,5 @@ def test_writers_overwrite_in_place(tmp_path, writer):
         assert path.read_bytes() == expected
         assert path.stat().st_ino == inode
     write(os.devnull)
+    if chunk is not None:       # each file took one call per chunk
+        assert len(calls) == 4 * -(-len(expected) // chunk)
