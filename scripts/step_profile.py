@@ -16,10 +16,13 @@ and the solves, the back-substitution and checks of the state load alone
 step's).  Under the factor, the factor kernel alone (on copies of the
 scattered band and the loads, made untimed), and under each solve a
 ``residual`` row, its compiled checks alone on the step's solutions; the
-radial table (built once per run) and the whole step, free and controlled,
-are timed around their calls.  Each figure is the minimum over REPEATS, in
-ms, except those of the two writers, the VTK snapshot of the state and a
-history.csv of HISTORY_ROWS rows of random values at the columns' scales.
+radial table (built once per run), the topology's set-up (once per run: the
+vertex order, both patterns and the workspace, on a fresh copy of the
+topology whose radial table is built untimed) and the whole step, free and
+controlled, are timed around their calls.  Each figure is the minimum over
+REPEATS, in ms, except those of the two writers, the VTK snapshot of the
+state and a history.csv of HISTORY_ROWS rows of random values at the
+columns' scales.
 They are timed as a run meets them, over files that already exist on disk:
 each writer first writes RUN_FILES files in a temporary directory (as many
 as a 100-step run with a snapshot every step writes) and flushes each with
@@ -134,6 +137,7 @@ def phases(n1: int, n3: int) -> tuple[list[tuple[str, float]], str]:
         ("ALE", controlled["ALE"]),
         ("motion", controlled["motion"]),
         ("  radial table (once)", best_ms(lambda _: forms._radial_table(state.mesh.topology))),
+        ("  topology set-up (once)", setup_ms(state.mesh.topology)),
         ("assembly", controlled["assembly"]),
         ("factor", controlled["factor"]),
         ("  factor kernel", kernel_ms),
@@ -148,6 +152,18 @@ def phases(n1: int, n3: int) -> tuple[list[tuple[str, float]], str]:
     ]
     growth = np.abs(factored[0][:band.ku + 1]).max() / np.abs(system.data).max()
     return rows, band_row(n1, n3, system, kernel_ms, growth)
+
+
+def setup_ms(topology) -> float:
+    """The minimum over REPEATS of the set-up of a fresh copy of topology:
+    its vertex order, both patterns and its workspace; the copy and its
+    radial table are made untimed."""
+    def fresh():
+        copy = replace(topology)
+        forms.radial_table(copy)
+        return copy
+
+    return best_ms(forms.workspace, fresh)
 
 
 def run_phases_ms(state, phys, num) -> list[tuple[str, float]]:

@@ -35,14 +35,17 @@ within the envelope of the pattern's :class:`BandLayout` (George & Liu 1981,
 ch. 4), which eliminated the loads forward as it went, and the solution
 rows hold their back-substitution, each gated on its own residual in the
 system's matrix.  The mesh-velocity system is filled, factored and solved
-within the motion.  The vertex order behind the narrow band is a reverse
-Cuthill-McKee search in plain Python, once per topology; the package needs
-numpy alone, and SciPy is imported only to build a system's matrix when its
-``matrix`` is read (the tests).  The mass action of a velocity
-(:func:`mass_action`) is computed once per field, where the objective and
-gradient of step n and the assembly of step n+1 meet: the solve phase
-writes it with the field.  No record holds the workspace's storage or
-addresses, so a copied record takes none along.
+within the motion.  The symbolic phase is compiled too and runs once per
+topology: the structure and slots of both patterns (``fixed_pattern``),
+their band layouts (``band_layout``), and the vertex order behind the
+narrow band, a reverse Cuthill-McKee search (``reverse_cuthill_mckee``) on
+the vertex graph that ``fixed_pattern`` finds from the triangles.  The
+package needs numpy alone, and SciPy is imported only to build a system's
+matrix when its ``matrix`` is read (the tests).  The mass action of a
+velocity (:func:`mass_action`) is computed once per field, where the
+objective and gradient of step n and the assembly of step n+1 meet: the
+solve phase writes it with the field.  No record holds the workspace's
+storage or addresses, so a copied record takes none along.
 """
 
 from __future__ import annotations
@@ -199,40 +202,34 @@ class BandLayout:
 
     @classmethod
     def of(cls, indices: np.ndarray, indptr: np.ndarray) -> "BandLayout":
-        """The layout of the square CSC structure (indices, indptr).  Raises
-        DimensionMismatch when the band storage would pass 2**31 entries (16
-        GiB), beyond the int32 positions the compiled scatter reads."""
+        """The layout of the square CSC structure (indices, indptr), from the
+        compiled ``band_layout``.  Raises DimensionMismatch for what is no
+        such structure, or when the band storage would pass 2**31 entries
+        (16 GiB), beyond the int32 positions the compiled scatter reads."""
         n = len(indptr) - 1
-        row = indices.astype(np.int32, copy=False)
-        column = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-        offset = row - column
-        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        ldab = kl + ku + 1
-        if ldab * n >= 2 ** 31:
+        indices, indptr = _checked(indices, indptr)
+        position, lower, upper = (np.empty(k, np.int32) for k in (len(indices), n, n))
+        kl_ku = np.empty(2, np.intp)
+        if kernels.kernel().band_layout(n, indptr, indices, position, lower, upper, kl_ku):
+            ldab = kl_ku.sum() + 1
             raise DimensionMismatch(f"band storage of {ldab} x {n} = {ldab * n} entries "
                                     f"passes 2**31")
-        position = offset
-        position += ku
-        position += column * np.int32(ldab)
-        position.setflags(write=False)
-        # the first column of each row and the first row of each column
-        first_column, first_row = np.full(n, n, np.int32), np.full(n, n, np.int32)
-        np.minimum.at(first_column, row, column)
-        np.minimum.at(first_row, column, row)
-        return cls(kl=kl, ku=ku, position=position,
-                   lower=_reach(first_column), upper=_reach(first_row))
+        for a in (position, lower, upper):
+            a.setflags(write=False)
+        return cls(kl=int(kl_ku[0]), ku=int(kl_ku[1]), position=position, lower=lower,
+                   upper=upper)
 
 
-def _reach(first: np.ndarray) -> np.ndarray:
-    """max(j, max{i : first[i] <= j}) - j for each j, read-only int32: the
-    reach past the diagonal of an envelope whose line i starts at first[i]."""
-    n = len(first)
-    last = np.arange(n)
-    starts = first < n
-    np.maximum.at(last, first[starts], np.flatnonzero(starts))
-    reach = (np.maximum.accumulate(last) - np.arange(n)).astype(np.int32)
-    reach.setflags(write=False)
-    return reach
+def _checked(indices: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indices and indptr as C-contiguous int32 arrays, for the compiled
+    kernels to read; DimensionMismatch unless they are a CSC structure of
+    len(indptr) - 1 columns with every row among them."""
+    n = len(indptr) - 1
+    indices, indptr = (np.ascontiguousarray(a, dtype=np.int32) for a in (indices, indptr))
+    if n < 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0) \
+            or np.any((indices < 0) | (indices >= n)):
+        raise DimensionMismatch(f"no CSC structure of {n} columns")
+    return indices, indptr
 
 
 @dataclass(frozen=True)
@@ -240,12 +237,14 @@ class FixedPattern:
     """CSC sparsity of a reduced square matrix summed from local blocks, and
     the position in its data of every local entry.
 
-    Connectivity never changes, so a pattern is built once per mesh topology
-    and each fill is one compiled ``scatter_add``.  Local entries on an
-    eliminated row or column go to the trash slot len(indices), past the
-    stored entries.  The pattern depends on no values: entries that cancel to
-    zero stay stored.  ``free``, ``slot``, ``indices`` and ``indptr`` are
-    read-only, as the topology's :class:`Workspace` binds them.
+    Connectivity never changes, so a pattern is built once per mesh topology,
+    by one compiled pass over the local entries (``fixed_pattern``, see
+    :meth:`build`), and each fill is one compiled ``scatter_add``.  Local
+    entries on an eliminated row or column go to the trash slot
+    len(indices), past the stored entries.  The pattern depends on no
+    values: entries that cancel to zero stay stored.  ``free``, ``slot``,
+    ``indices`` and ``indptr`` are read-only, as the topology's
+    :class:`Workspace` binds them.
 
     Reduced row and column k is the dof free[k]: the caller numbers the kept
     dofs, and the build keeps that order.  Both patterns of a step pass them
@@ -266,37 +265,47 @@ class FixedPattern:
     @classmethod
     def build(cls, families: list[np.ndarray], free: np.ndarray, size: int) -> "FixedPattern":
         """families: (E, k) dof arrays; entry (i, j) of element e's k x k block
-        adds to row dofs[e, i], column dofs[e, j] of the size x size matrix."""
+        adds to row dofs[e, i], column dofs[e, j] of the size x size matrix.
+        The compiled ``fixed_pattern`` (:func:`_structure`) counts the kept
+        entries of each column, sorts each column's distinct rows and writes
+        indptr, indices and every local entry's slot, with no sort of the
+        entries; the compiled ``band_layout`` then lays them out in the band
+        (:meth:`BandLayout.of`).  Raises DimensionMismatch for a family that
+        is not (E, k), a dof outside the matrix or a kept dof given twice."""
         free = np.array(free, dtype=np.int64)
         free.setflags(write=False)
-        nf = len(free)
-        base = nf + 1
-        key_type = np.int32 if base ** 2 < 2 ** 31 else np.int64
-        trash = key_type(nf * base)                 # sorts after every kept (column, row)
-        reduced = np.full(size, nf, dtype=key_type)
-        reduced[free] = np.arange(nf)
-        keys = np.empty(sum(d.size * d.shape[1] for d in families), key_type)
-        at = 0
-        for dofs in families:
-            r = reduced[dofs]
-            block = keys[at:at + r.size * r.shape[1]].reshape(*r.shape, r.shape[1])
-            np.add(r[:, None, :] * key_type(base), r[:, :, None], out=block)
-            block[(r == nf)[:, :, None] | (r == nf)[:, None, :]] = trash
-            at += block.size
-        # sort-based unique: np.unique's temporaries cost more resident memory
-        stored = np.sort(keys)                      # column-major order
-        stored = stored[np.concatenate(([True], stored[1:] != stored[:-1]))]
-        slot = np.searchsorted(stored, keys).astype(np.int32)
-        del keys, block, reduced        # freed before the CSC arrays: peak memory
-        if stored[-1] == trash:
-            stored = stored[:-1]
-        indices = (stored % base).astype(np.int32)
-        indptr = np.searchsorted(stored // base, np.arange(base)).astype(np.int32)
-        for a in (slot, indices, indptr):   # every filled matrix shares indices and indptr
-            a.setflags(write=False)
-        del stored
+        families = [np.ascontiguousarray(d, dtype=np.int64) for d in families]
+        if any(d.ndim != 2 for d in families) or free.ndim != 1:
+            raise DimensionMismatch("families must be (E, k) and free one-dimensional")
+        slot, indices, indptr = _structure(families, free, size)
         return cls(free=free, size=size, shapes=[d.shape for d in families], slot=slot,
                    indices=indices, indptr=indptr, band=BandLayout.of(indices, indptr))
+
+
+def _structure(families: list[np.ndarray], free: np.ndarray,
+               size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot of each local entry of the (E, k) int64 dof arrays families,
+    families in order, and the CSC indices and indptr of the reduced matrix
+    they sum into, its row and column k the dof free[k] of size: the
+    compiled ``fixed_pattern``, whose first call sizes its work array; each
+    read-only int32.  Raises DimensionMismatch for a dof outside the matrix,
+    a kept dof given twice, or more entries than int32 slots number."""
+    nf, nslot = len(free), sum(d.size * d.shape[1] for d in families)
+    if max(size, nslot) >= 2 ** 31:
+        raise DimensionMismatch(f"{nslot} local entries on {size} dofs pass int32 slots")
+    shape = np.array([d.shape for d in families], dtype=np.int64).reshape(-1, 2)
+    dofs = np.array([d.ctypes.data for d in families], dtype=np.uintp)   # their addresses
+    slot, indptr = np.empty(nslot, np.int32), np.empty(nf + 1, np.int32)
+    lib = kernels.kernel()
+    args = (size, nf, free, len(families), shape, dofs, slot, indptr)
+    work = np.empty(lib.fixed_pattern(*args, None), np.int32)
+    nnz = lib.fixed_pattern(*args, work.ctypes.data)
+    if nnz < 0:
+        raise DimensionMismatch(f"a dof outside 0..{size - 1} or a kept dof twice")
+    indices = work[:nnz].copy()         # the stored rows lead the work array
+    for a in (slot, indices, indptr):   # every filled matrix shares indices and indptr
+        a.setflags(write=False)
+    return slot, indices, indptr
 
 
 @dataclass(frozen=True)
@@ -331,9 +340,9 @@ def vertex_order(topology: MeshTopology) -> np.ndarray:
 
 
 def _vertex_order(topology: MeshTopology) -> np.ndarray:
-    tri, n = topology.triangles, topology.num_nodes
-    edges = np.unique(tri[:, _COL].ravel() * n + tri[:, _ROW].ravel())  # column * n + row
-    order = reverse_cuthill_mckee(edges % n, np.searchsorted(edges // n, np.arange(n + 1)))
+    n = topology.num_nodes
+    _, indices, indptr = _structure([topology.triangles], np.arange(n), n)
+    order = reverse_cuthill_mckee(indices, indptr)
     order.setflags(write=False)
     return order
 
@@ -344,41 +353,31 @@ def reverse_cuthill_mckee(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray
     for step scipy's ``reverse_cuthill_mckee(graph, symmetric_mode=True)``:
     a degree is a column's length with the diagonal counted twice; the
     seeds come in numpy's default, unstable argsort of the int32 degrees
-    (a stable sort breaks ties otherwise); from each unplaced seed a
-    breadth-first search places a node's unplaced neighbours in index
-    order, each batch sorted stably by degree; the order is reversed."""
+    (a stable sort breaks ties otherwise); the compiled
+    ``reverse_cuthill_mckee`` searches breadth first from each unplaced
+    seed, places a node's unplaced neighbours in index order, each batch
+    sorted stably by degree, and reverses the order.  Raises
+    DimensionMismatch for what is no CSC structure of n columns."""
     n = len(indptr) - 1
-    degree = np.diff(indptr).astype(np.int32)
+    indices, indptr = _checked(indices, indptr)
+    degree = np.diff(indptr)
     column = np.repeat(np.arange(n), degree)
     degree[column[indices == column]] += 1
-    seeds = np.argsort(degree).tolist()
-    key, indices, indptr = degree.tolist().__getitem__, indices.tolist(), indptr.tolist()
-    placed, order = [False] * n, []
-    for seed in seeds:
-        if placed[seed]:
-            continue
-        placed[seed] = True
-        order.append(seed)
-        head = len(order) - 1
-        while head < len(order):
-            i = order[head]
-            head += 1
-            batch = []
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if not placed[j]:
-                    placed[j] = True
-                    batch.append(j)
-            batch.sort(key=key)
-            order += batch
-    return np.array(order[::-1])
+    order = np.empty(n, np.int64)
+    kernels.kernel().reverse_cuthill_mckee(n, indptr, indices, degree, np.argsort(degree),
+                                           np.zeros(n, np.uint8), order)
+    return order
 
 
 def in_vertex_order(topology: MeshTopology, components: int, fixed: np.ndarray) -> np.ndarray:
     """The dofs of a field with components dofs per vertex (c N + v is component
     c of vertex v) less the dofs fixed, vertex by vertex in :func:`vertex_order`
     with each vertex's kept dofs next to each other."""
-    dofs = (vertex_order(topology)[:, None] + topology.num_nodes * np.arange(components)).ravel()
-    return dofs[~np.isin(dofs, fixed)]
+    n = topology.num_nodes
+    dofs = (vertex_order(topology)[:, None] + n * np.arange(components)).ravel()
+    kept = np.ones(components * n, dtype=bool)
+    kept[fixed] = False
+    return dofs[kept[dofs]]
 
 
 def _saddle_pattern(topology: MeshTopology) -> FixedPattern:

@@ -45,6 +45,18 @@
    csc_matvec sums it, so with its bits, and the squared norms of A x - b and
    b in row order.  Each x has the bits of a solve and a check of its own.
 
+   Symbolic.  The structure each topology's patterns and vertex order rest
+   on is found once per topology, in integer code.  fixed_pattern buckets
+   the elements of each column, sorts the column's distinct rows as it
+   finds them and writes the CSC indptr and indices and every local entry's
+   slot in the data, the trash slot for one on an eliminated dof; a first
+   call sizes its work array, as slab_storage sizes the workspace.
+   band_layout lays a pattern out in the band and finds its envelope.  On
+   the triangles over all vertices fixed_pattern gives the vertex graph,
+   whose reverse Cuthill-McKee order reverse_cuthill_mckee finds by
+   breadth-first search from seeds and degrees the caller computes, so the
+   order is scipy's, ties included.
+
    Output.  fill_template copies a template's static text and writes each
    slot's double exactly as Python's format(x, ".17g") does. The 17 digits of a
    double m 2^e are the integer nearest m 2^e 10^k, ties to even, k = 16 minus
@@ -677,6 +689,221 @@ CLONES ptrdiff_t residual(ptrdiff_t n, const int32_t *indptr, const int32_t *ind
     if (k == 2)
         return check_x2(n, indptr, indices, data, b, b + n, x, out);
     return check_x1(n, indptr, indices, data, b, x, out);
+}
+
+/* -- Symbolic ----------------------------------------------------------------
+
+   What a topology's patterns and vertex order need, found once per topology:
+   integer code, so it has no target clones. */
+
+/* The dofs of the element that starts at index at of the dofs of all
+   families, family f being shape[2 f] elements of shape[2 f + 1] dofs at
+   dofs[f], taken in order; the element's width into w. */
+static inline const int64_t *element_at(ptrdiff_t at, const int64_t *shape,
+                                        const int64_t *const *dofs, ptrdiff_t *w)
+{
+    ptrdiff_t f = 0;
+    for (; at >= shape[2 * f] * shape[2 * f + 1]; ++f)
+        at -= shape[2 * f] * shape[2 * f + 1];
+    *w = shape[2 * f + 1];
+    return dofs[f] + at;
+}
+
+/* The CSC structure of the nf x nf matrix summed from nfam families of
+   local blocks (FixedPattern.build).  Family f is shape[2 f] elements of
+   shape[2 f + 1] dofs each, row-major at dofs[f]; entry (i, j) of element
+   e's block adds to row dofs[e, i], column dofs[e, j] of the size x size
+   matrix, whose dof free[k] is reduced row and column k.  With work NULL,
+   returns the int32s of work it needs and reads nothing else.  Otherwise
+   it writes the column starts into indptr (nf + 1), the rows of each
+   column's stored entries, ascending, to the front of work, and into slot
+   (nslot, the local entries, families in order and each element's block
+   row-major) the data position of each local entry, or nnz, the trash
+   slot, for one on an eliminated dof.  Returns nnz, or -1 for a dof
+   outside 0..size-1 or a kept dof twice in free.
+
+   Work holds, after the stored rows (at most nslot), the occurrences of
+   each column, bucketed by column: an occurrence is an element whose dof j
+   is the column's kept dof, and it is kept as the local entry (0, j) and,
+   nocc (the dofs of all families) further on, the index of the element's
+   first dof among those of all families (element_at).  Then come the
+   occurrences' starts (nf + 1), the reduced number of each dof (size), nf
+   for an eliminated one, and a mark per reduced dof (nf).  Column c marks
+   the rows of its occurrences' elements -1 - c as it finds them and sorts
+   each new one into its rows by insertion (at most ~27 on these meshes);
+   it then marks each row with its position, which each local entry on
+   that row of the column takes as its slot.  So the pass is O(entries +
+   nf) but for the insertion. */
+ptrdiff_t fixed_pattern(ptrdiff_t size, ptrdiff_t nf, const int64_t *free, ptrdiff_t nfam,
+                        const int64_t *shape, const int64_t *const *dofs, int32_t *slot,
+                        int32_t *indptr, int32_t *work)
+{
+    ptrdiff_t nslot = 0, nocc = 0;
+    for (ptrdiff_t f = 0; f < nfam; ++f) {
+        nslot += shape[2 * f] * shape[2 * f + 1] * shape[2 * f + 1];
+        nocc += shape[2 * f] * shape[2 * f + 1];
+    }
+    if (!work)
+        return nslot + 2 * nocc + (nf + 1) + size + nf;
+    int32_t *rows = work, *occ = rows + nslot, *start = occ + 2 * nocc, *reduced = start + nf + 1;
+    int32_t *mark = reduced + size;
+    for (ptrdiff_t d = 0; d < size; ++d)
+        reduced[d] = (int32_t)nf;
+    for (ptrdiff_t k = 0; k < nf; ++k) {
+        if (free[k] < 0 || free[k] >= size || reduced[free[k]] != nf)
+            return -1;
+        reduced[free[k]] = (int32_t)k;
+    }
+    /* each column's occurrences counted into start[c], then their end */
+    memset(start, 0, (size_t)(nf + 1) * sizeof(int32_t));
+    for (ptrdiff_t f = 0; f < nfam; ++f) {
+        const ptrdiff_t w = shape[2 * f + 1];
+        for (const int64_t *d = dofs[f], *end = d + shape[2 * f] * w; d < end; d += w)
+            for (ptrdiff_t j = 0; j < w; ++j) {
+                if (d[j] < 0 || d[j] >= size)
+                    return -1;
+                if (reduced[d[j]] < nf)
+                    ++start[reduced[d[j]]];
+            }
+    }
+    int32_t total = 0;
+    for (ptrdiff_t c = 0; c < nf; ++c) {
+        total += start[c];
+        start[c] = total;
+    }
+    start[nf] = total;
+    /* the occurrences bucketed by column, each column's end counted back to its start */
+    for (ptrdiff_t f = 0, code = 0, at = 0; f < nfam; ++f) {
+        const ptrdiff_t w = shape[2 * f + 1];
+        for (const int64_t *d = dofs[f], *end = d + shape[2 * f] * w; d < end; d += w) {
+            for (ptrdiff_t j = 0; j < w; ++j)
+                if (reduced[d[j]] < nf) {
+                    const int32_t o = --start[reduced[d[j]]];
+                    occ[o] = (int32_t)(code + j);
+                    occ[nocc + o] = (int32_t)at;
+                }
+            code += w * w;
+            at += w;
+        }
+    }
+    memset(slot, 0xff, (size_t)nslot * sizeof(int32_t));       /* -1: the trash, for now */
+    memset(mark, 0, (size_t)nf * sizeof(int32_t));
+    ptrdiff_t nnz = 0;
+    for (ptrdiff_t c = 0; c < nf; ++c) {
+        const ptrdiff_t head = nnz;
+        const int32_t seen = (int32_t)(-1 - c);
+        indptr[c] = (int32_t)head;
+        for (ptrdiff_t o = start[c]; o < start[c + 1]; ++o) {
+            ptrdiff_t w;
+            const int64_t *d = element_at(occ[nocc + o], shape, dofs, &w);
+            for (ptrdiff_t i = 0; i < w; ++i) {
+                const int32_t r = reduced[d[i]];
+                if (r == nf || mark[r] == seen)
+                    continue;
+                mark[r] = seen;
+                ptrdiff_t q = nnz++;
+                for (; q > head && rows[q - 1] > r; --q)
+                    rows[q] = rows[q - 1];
+                rows[q] = r;
+            }
+        }
+        for (ptrdiff_t q = head; q < nnz; ++q)
+            mark[rows[q]] = (int32_t)q;
+        for (ptrdiff_t o = start[c]; o < start[c + 1]; ++o) {
+            ptrdiff_t w;
+            const int64_t *d = element_at(occ[nocc + o], shape, dofs, &w);
+            for (ptrdiff_t i = 0; i < w; ++i)
+                if (reduced[d[i]] < nf)
+                    slot[occ[o] + i * w] = mark[reduced[d[i]]];
+        }
+    }
+    indptr[nf] = (int32_t)nnz;
+    for (ptrdiff_t s = 0; s < nslot; ++s)
+        slot[s] = slot[s] < 0 ? (int32_t)nnz : slot[s];
+    return nnz;
+}
+
+/* The band layout of the n x n CSC structure (indptr, indices)
+   (BandLayout.of): its subdiagonals and superdiagonals into kl_ku[0] and
+   kl_ku[1] and, when the (kl + ku + 1, n) band storage has fewer than 2^31
+   entries, each entry's flat index ku + i - j + (kl + ku + 1) j there into
+   position and the reaches of the envelope into lower and upper (n each).
+   Column j of L reaches the last row with an entry in a column up to j,
+   the running maximum over the columns of each column's last row, and row
+   j of U the last column with an entry in a row up to j, the running
+   maximum over the rows of each row's last column; each less j, and at
+   least 0.  Returns 0, or -1 with nothing but kl_ku written when the band
+   storage would pass 2^31 entries. */
+ptrdiff_t band_layout(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
+                      int32_t *position, int32_t *lower, int32_t *upper, ptrdiff_t *kl_ku)
+{
+    ptrdiff_t kl = 0, ku = 0;
+    for (ptrdiff_t j = 0; j < n; ++j)
+        for (int32_t p = indptr[j]; p < indptr[j + 1]; ++p) {
+            kl = indices[p] - j > kl ? indices[p] - j : kl;
+            ku = j - indices[p] > ku ? j - indices[p] : ku;
+        }
+    kl_ku[0] = kl;
+    kl_ku[1] = ku;
+    const ptrdiff_t ldab = kl + ku + 1;
+    if (ldab * n >= (ptrdiff_t)1 << 31)
+        return -1;
+    for (ptrdiff_t j = 0; j < n; ++j)
+        lower[j] = upper[j] = (int32_t)j;
+    for (ptrdiff_t j = 0; j < n; ++j)
+        for (int32_t p = indptr[j]; p < indptr[j + 1]; ++p) {
+            const int32_t i = indices[p];
+            position[p] = (int32_t)(ku + i - j + ldab * j);
+            lower[j] = i > lower[j] ? i : lower[j];
+            upper[i] = (int32_t)j > upper[i] ? (int32_t)j : upper[i];
+        }
+    for (ptrdiff_t j = 0, l = 0, u = 0; j < n; ++j) {
+        l = lower[j] > l ? lower[j] : l;
+        u = upper[j] > u ? upper[j] : u;
+        lower[j] = (int32_t)(l - j);
+        upper[j] = (int32_t)(u - j);
+    }
+    return 0;
+}
+
+/* The reverse Cuthill-McKee order of the n nodes of the symmetric CSC
+   structure (indptr, indices) into order (Cuthill & McKee 1969; George &
+   Liu 1981, ch. 4), as scipy's reverse_cuthill_mckee in symmetric mode
+   finds it from the nodes' degrees and its seeds, the nodes in the order
+   to try them: from each seed not yet placed, a breadth-first search
+   places each node's unplaced neighbours in index order, each such batch
+   sorted stably by degree as it is placed; the order is then reversed.
+   placed (n), zero on entry, marks the nodes placed. */
+void reverse_cuthill_mckee(ptrdiff_t n, const int32_t *indptr, const int32_t *indices,
+                           const int32_t *degree, const int64_t *seeds, uint8_t *placed,
+                           int64_t *order)
+{
+    ptrdiff_t count = 0;
+    for (ptrdiff_t s = 0; s < n && count < n; ++s) {
+        if (placed[seeds[s]])
+            continue;
+        placed[seeds[s]] = 1;
+        order[count++] = seeds[s];
+        for (ptrdiff_t head = count - 1; head < count; ++head) {
+            const int64_t i = order[head];
+            const ptrdiff_t batch = count;
+            for (int32_t jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+                const int32_t j = indices[jj];
+                if (placed[j])
+                    continue;
+                placed[j] = 1;
+                ptrdiff_t q = count++;
+                for (; q > batch && degree[order[q - 1]] > degree[j]; --q)
+                    order[q] = order[q - 1];
+                order[q] = j;
+            }
+        }
+    }
+    for (ptrdiff_t a = 0, b = n - 1; a < b; ++a, --b) {
+        const int64_t t = order[a];
+        order[a] = order[b];
+        order[b] = t;
+    }
 }
 
 /* -- The slab's phases ------------------------------------------------------

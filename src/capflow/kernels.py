@@ -13,6 +13,16 @@ call the bottom load and the load reduction.  Every kernel takes the
 operations of the numpy expressions it replaced (the tests keep those as
 their reference) in their order.
 
+**Symbolic.**  What a topology's slabs share is found once per topology by
+three integer kernels, without target clones: ``fixed_pattern``, the CSC
+structure of a :class:`~capflow.forms.FixedPattern` and the slot of every
+local entry, in one pass over the entries, its work array sized by a first
+call; ``band_layout``, the pattern's :class:`~capflow.forms.BandLayout`;
+and ``reverse_cuthill_mckee``, the breadth-first search of the vertex order
+(:func:`~capflow.forms.reverse_cuthill_mckee`, which takes its seeds from
+numpy's argsort so the order is scipy's).  The tests keep the numpy build
+they replaced as their reference.
+
 **Phases.**  A slab is one compiled call, ``slab_step``, on the
 :class:`Workspace` struct of its topology, which
 :class:`~capflow.forms.Workspace` owns.  It runs four phases in turn: the
@@ -31,13 +41,13 @@ details of a failure, the phase that failed and each phase's wall time
 (``phase_ms``, :data:`PHASES`, from ``CLOCK_MONOTONIC``) come back in the
 struct.  The five clocks are disjoint: "ALE" times the mesh velocity and
 "motion" the rest of the motion phase, so the two together are the whole
-motion.  Besides the storage and the step, the package binds two kernels
-(:class:`Kernel`): the mass action, for a velocity that no step produced,
-and the formatter; the tests bind the others on the same library
-(:meth:`Kernel.bind`) to call them one at a time.  A workspace binds the
-read-only arrays of its topology once (:func:`address`) and copies the state
-of each slab in and out of its storage; a kernel called alone checks every
-array it is passed, per call.
+motion.  Besides the symbolic kernels, the storage and the step, the
+package binds two kernels (:class:`Kernel`): the mass action, for a
+velocity that no step produced, and the formatter; the tests bind the
+others on the same library (:meth:`Kernel.bind`) to call them one at a
+time.  A workspace binds the read-only arrays of its topology once
+(:func:`address`) and copies the state of each slab in and out of its
+storage; a kernel called alone checks every array it is passed, per call.
 
 **Formatter.**  ``fill_template`` fills a :class:`Template` in one call: it
 copies the static text and writes each value's 17 digits two at a time from
@@ -184,9 +194,10 @@ class Workspace(ctypes.Structure):
 
 class Kernel:
     """The functions of one built library (:func:`build`) that the package
-    calls: the workspace's storage, the slab's step, the mass action of a
-    velocity no step produced, and the formatter.  ``lib`` is the loaded
-    library, on which :meth:`bind` binds any other of its functions."""
+    calls: the symbolic pass of a topology, the workspace's storage, the
+    slab's step, the mass action of a velocity no step produced, and the
+    formatter.  ``lib`` is the loaded library, on which :meth:`bind` binds
+    any other of its functions."""
 
     def __init__(self, path: Path):
         self.lib = ctypes.CDLL(str(path))
@@ -196,6 +207,17 @@ class Kernel:
         self.fill_template = self.bind("fill_template", (size, ctypes.c_char_p, size,
                                                          _Array(np.int64), _Array(np.float64),
                                                          _Array(np.uint8, writeable=True)), size)
+        # the symbolic pass of a topology: a pattern's structure, sized by a
+        # first call with no work array, its band layout and the vertex order
+        index32, out32 = _Array(np.int32), _Array(np.int32, writeable=True)
+        self.fixed_pattern = self.bind("fixed_pattern", (size, size, _Array(np.int64), size,
+                                                         _Array(np.int64), _Array(np.uintp),
+                                                         out32, out32, at), size)
+        self.band_layout = self.bind("band_layout", (size, index32, index32, out32, out32, out32,
+                                                     _Array(np.intp, writeable=True)), size)
+        self.reverse_cuthill_mckee = self.bind("reverse_cuthill_mckee", (
+            size, index32, index32, index32, _Array(np.int64), _Array(np.uint8, writeable=True),
+            _Array(np.int64, writeable=True)))
         # the storage of a workspace and its slab: the struct is passed by reference
         workspace = ctypes.POINTER(Workspace)
         self.storage = self.bind("slab_storage", (workspace, at), size)

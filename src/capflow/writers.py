@@ -17,7 +17,8 @@ baked in because mesh motion is vertical only, so they live on the topology
 only t, the z column, the velocity and the pressure.  Field values are never
 baked in, not even the essential zero radial velocity on the wall and axis,
 which a field may hold as -0.0.  ``history.csv``'s template, the header and
-one line of six slots per row, is built per write.
+one line of six slots per row, is built per write from the template of one
+row, its slots placed by arithmetic.
 
 Both writers overwrite an existing file in place (:func:`_overwrite`).  A
 run that writes a snapshot every step rewrites the files of an earlier run in
@@ -64,11 +65,23 @@ def _overwrite(path, data: np.ndarray) -> None:
         os.close(fd)
 
 
+# one row of history.csv: the six columns' slots
+_HISTORY_ROW = Template.of(f"{SLOT}," * 5 + f"{SLOT}\n")
+
+
+def _history_template(rows: int) -> Template:
+    """The header and rows copies of :data:`_HISTORY_ROW`: the slots of row
+    i lie i row lengths past the header, at the row's own offsets."""
+    header, row = (CSV_HEADER + "\n").encode("ascii"), _HISTORY_ROW
+    slots = len(header) + len(row.text) * np.arange(rows)[:, None] + row.slots
+    return Template(header + row.text * rows, slots.ravel())
+
+
 def _history_bytes(history) -> np.ndarray:
     """The bytes of history's ``history.csv``."""
     columns = (history.t, history.z_cl, history.zeta, history.j_increment, history.grad,
                history.u_max)
-    template = Template.of(CSV_HEADER + "\n" + (f"{SLOT}," * 5 + f"{SLOT}\n") * len(history.t))
+    template = _history_template(len(history.t))
     return template.fill(np.array(columns, dtype=float).T.ravel())
 
 

@@ -10,12 +10,14 @@ by dr(v_r) there) are shared with the implementation; the arithmetic is not.
 the wall friction coefficient of ``forms.beta_h``.  :func:`oracle_bottom_integral`
 is the reference for the control gradient: the adjoint bottom integral from
 a dense solve with the slab's reduced matrix transposed, independent of the
-LU whose plain solve the step uses.
+LU whose plain solve the step uses.  :func:`oracle_pattern` is the
+reference for the compiled symbolic pass: a fixed pattern built with numpy
+sorts, as the package once built it.
 """
 
 import numpy as np
 
-from capflow.forms import beta_h
+from capflow.forms import BandLayout, FixedPattern, beta_h
 from capflow.geometry import BoundaryTag, contact_line_height
 
 from .pattern_forms import bottom_load_reference, surface_normals
@@ -348,3 +350,64 @@ def oracle_bottom_integral(system, mass_u):
     z = np.zeros(3 * system.mesh.num_nodes)
     z[system.pattern.free] = oracle_adjoint_solution(system, mass_u)
     return float(bottom_load_reference(system.mesh) @ z[:len(mass_u)])
+
+
+def oracle_pattern(families, free, size) -> FixedPattern:
+    """The FixedPattern of FixedPattern.build's arguments from numpy alone:
+    a (column, row) key per local entry, int64 once (nf + 1)^2 passes 2^31,
+    the trash key after every kept one; the stored keys a sort-based
+    unique of them, each entry's slot its key's position among those, the
+    CSC arrays from the stored keys, and the band layout of
+    :func:`oracle_band_layout`."""
+    free = np.array(free, dtype=np.int64)
+    free.setflags(write=False)
+    nf = len(free)
+    base = nf + 1
+    key_type = np.int32 if base ** 2 < 2 ** 31 else np.int64
+    trash = key_type(nf * base)                 # sorts after every kept (column, row)
+    reduced = np.full(size, nf, dtype=key_type)
+    reduced[free] = np.arange(nf)
+    keys = np.empty(sum(d.size * d.shape[1] for d in families), key_type)
+    at = 0
+    for dofs in families:
+        r = reduced[dofs]
+        block = keys[at:at + r.size * r.shape[1]].reshape(*r.shape, r.shape[1])
+        np.add(r[:, None, :] * key_type(base), r[:, :, None], out=block)
+        block[(r == nf)[:, :, None] | (r == nf)[:, None, :]] = trash
+        at += block.size
+    stored = np.sort(keys)                      # column-major order
+    stored = stored[np.concatenate(([True], stored[1:] != stored[:-1]))]
+    slot = np.searchsorted(stored, keys).astype(np.int32)
+    if stored[-1] == trash:
+        stored = stored[:-1]
+    indices = (stored % base).astype(np.int32)
+    indptr = np.searchsorted(stored // base, np.arange(base)).astype(np.int32)
+    return FixedPattern(free=free, size=size, shapes=[d.shape for d in families], slot=slot,
+                        indices=indices, indptr=indptr, band=oracle_band_layout(indices, indptr))
+
+
+def oracle_band_layout(indices, indptr) -> BandLayout:
+    """BandLayout.of from numpy alone: the offsets i - j of the entries give
+    kl, ku and the flat positions; the first column of each row and the
+    first row of each column, by ``np.minimum.at``, give the reaches."""
+    n = len(indptr) - 1
+    row = indices.astype(np.int32, copy=False)
+    column = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    offset = row - column
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    position = offset + ku + column * np.int32(kl + ku + 1)
+    first_column, first_row = np.full(n, n, np.int32), np.full(n, n, np.int32)
+    np.minimum.at(first_column, row, column)
+    np.minimum.at(first_row, column, row)
+    return BandLayout(kl=kl, ku=ku, position=position, lower=_reach(first_column),
+                      upper=_reach(first_row))
+
+
+def _reach(first):
+    """max(j, max{i : first[i] <= j}) - j for each j, int32: the reach past
+    the diagonal of an envelope whose line i starts at first[i]."""
+    n = len(first)
+    last = np.arange(n)
+    starts = first < n
+    np.maximum.at(last, first[starts], np.flatnonzero(starts))
+    return (np.maximum.accumulate(last) - np.arange(n)).astype(np.int32)

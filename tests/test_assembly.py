@@ -19,7 +19,7 @@ from capflow.stepping import FlowState, initial_state, slab_system, step
 from .compiled import (band_storage, edge_blocks, element_data, extension_rhs, factor_band, fill,
                        loads, r_stiffness, triangle_blocks, values)
 from .conftest import factored_systems, mesh_velocity, random_vector_field
-from .oracles import oracle_saddle
+from .oracles import oracle_pattern, oracle_saddle
 from .pattern_forms import (_gradient_products, bottom_load_reference, edge_blocks_reference,
                             element_data_reference, extension_rhs_reference, filled,
                             mass_action_reference, reduced, state_rhs_reference,
@@ -391,10 +391,10 @@ def test_build_keeps_the_callers_dof_order():
     assert np.array_equal(shuffled_matrix, sorted_matrix[np.ix_(at, at)])
 
 
-def test_build_with_int64_keys_fills_like_the_int32_build():
-    """From 46 340 kept dofs (nf + 1)^2 passes 2^31 and the build sorts int64
-    (column, row) keys: a family on the first 40 of 50 000 kept dofs fills as
-    it does on those 40 alone, bit for bit, with int32 slots and rows."""
+def test_build_on_50000_kept_dofs_fills_like_the_build_on_40():
+    """A family on the first 40 of 50 000 kept dofs fills as it does on
+    those 40 alone, bit for bit, with int32 slots and rows, and the 49 960
+    columns it does not reach stay empty."""
     rng = np.random.default_rng(0)
     family = np.array([rng.choice(40, 3, replace=False) for _ in range(30)])
     small = FixedPattern.build([family], np.arange(40), 40)
@@ -415,15 +415,20 @@ def test_build_with_int64_keys_fills_like_the_int32_build():
     assert np.array_equal(fills[1][:40, :40].toarray(), fills[0].toarray())
 
 
-def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
+def flipped_grid() -> tuple[AxiMesh, AxiMesh]:
+    """The 2x2 structured mesh, and the same nodes with every cell split
+    along its other diagonal."""
     mesh = build_structured_mesh(1.0, 1.0, 2, 2)
-    # the same nodes with every cell split along its other diagonal
     other = []
     for i in range(2):
         for j in range(2):
             a, b, c, d = 3 * i + j, 3 * (i + 1) + j, 3 * (i + 1) + j + 1, 3 * i + j + 1
             other += [(a, b, d), (b, c, d)]
-    flipped = AxiMesh(z=mesh.z, topology=replace(mesh.topology, triangles=other))
+    return mesh, AxiMesh(z=mesh.z, topology=replace(mesh.topology, triangles=other))
+
+
+def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
+    mesh, flipped = flipped_grid()
     u = zero_vector_field(mesh)
     with pytest.raises(DimensionMismatch):
         slab_system(FlowState(mesh=flipped, u=u, p=zero_scalar_field(flipped), t=0.0), 0.0, PHYS,
@@ -438,3 +443,72 @@ def test_other_connectivity_is_rejected_and_gets_its_own_pattern():
     matrix, rhs = reference_system(*args, system.pattern.free)
     assert rel(system.matrix, matrix) <= 1e-14
     assert np.abs(system.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+
+def assert_same_pattern(got: FixedPattern, want: FixedPattern) -> None:
+    """got has want's dofs, shapes, slots, CSC arrays and band layout, the
+    slots, rows and column starts int32."""
+    assert (got.size, got.shapes) == (want.size, want.shapes)
+    assert np.array_equal(got.free, want.free)
+    for name in ("slot", "indices", "indptr"):
+        assert getattr(got, name).dtype == np.int32, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.band.kl, got.band.ku) == (want.band.kl, want.band.ku)
+    for name in ("position", "lower", "upper"):
+        assert np.array_equal(getattr(got.band, name), getattr(want.band, name)), name
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (8, 16), (16, 32), (32, 64), None],
+                         ids=["4x4", "8x16", "16x32", "32x64", "flipped"])
+@pytest.mark.parametrize("pattern_of", [_saddle_pattern, _extension_pattern],
+                         ids=["saddle", "mesh-velocity"])
+def test_compiled_pattern_is_the_numpy_build(monkeypatch, pattern_of, grid):
+    """Each pattern of a topology, on structured grids and on the flipped
+    connectivity, is the numpy build's of the same families and dofs."""
+    mesh = flipped_grid()[1] if grid is None else build_structured_mesh(1.0, 1.0, *grid)
+    built, build = [], FixedPattern.build
+    monkeypatch.setattr(FixedPattern, "build", lambda *args: built.append(args) or build(*args))
+    assert_same_pattern(pattern_of(mesh.topology), oracle_pattern(*built[0]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compiled_pattern_is_the_numpy_build_on_random_families(seed):
+    """Random families of several widths, repeated dofs within an element
+    included, on a shuffled set of kept dofs, with a family wholly on
+    eliminated dofs and an empty one among them, build the numpy build's
+    pattern; so does the family on eliminated dofs alone, which stores
+    nothing; an empty family alone stores nothing either."""
+    rng = np.random.default_rng(seed)
+    size = 60
+    free = rng.permutation(size)[:45]
+    eliminated = np.setdiff1d(np.arange(size), free)
+    on_eliminated = rng.choice(eliminated, (6, 2))
+    families = [rng.integers(0, size, (40, 3)), on_eliminated, rng.integers(0, size, (25, 5)),
+                np.empty((0, 4), np.int64), rng.integers(0, size, (10, 1))]
+    assert_same_pattern(FixedPattern.build(families, free, size),
+                        oracle_pattern(families, free, size))
+    alone = FixedPattern.build([on_eliminated], free, size)
+    assert_same_pattern(alone, oracle_pattern([on_eliminated], free, size))
+    assert len(alone.indices) == 0 and np.all(alone.slot == 0)
+    empty = FixedPattern.build([np.empty((0, 4), np.int64)], free, size)
+    assert len(empty.slot) == len(empty.indices) == 0
+    assert np.array_equal(empty.indptr, np.zeros(46, np.int32))
+
+
+@pytest.mark.parametrize("families, free", [
+    ([[[0, 1, 3]]], [0, 1, 2]), ([[[-1, 1, 2]]], [0, 1, 2]), ([[[0, 1, 2]]], [0, 1, 3]),
+    ([[[0, 1, 2]]], [0, 1, 1]), ([[0, 1, 2]], [0, 1, 2]), ([[[0, 1, 2]]], [[0, 1, 2]])],
+    ids=["dof past", "negative dof", "kept dof past", "kept twice", "flat family", "2-d free"])
+def test_build_refuses_dofs_outside_the_matrix_or_kept_twice(families, free):
+    with pytest.raises(DimensionMismatch):
+        FixedPattern.build([np.array(d) for d in families], free, 3)
+
+
+@pytest.mark.parametrize("indices, indptr", [([0, 2], [0, 1, 2]), ([0, -1], [0, 1, 2]),
+                                             ([0, 1], [0, 1, 3]), ([0, 1], [0, 2, 1])],
+                         ids=["row past", "negative row", "short indices", "column backwards"])
+@pytest.mark.parametrize("reader", [reverse_cuthill_mckee, BandLayout.of],
+                         ids=["order", "band layout"])
+def test_compiled_readers_refuse_what_is_no_structure_of_its_columns(reader, indices, indptr):
+    with pytest.raises(DimensionMismatch):
+        reader(np.array(indices), np.array(indptr))

@@ -22,7 +22,7 @@ def test_step_profile_times_every_phase():
     step_profile.REPEATS = 1
     step_profile.RUN_STEPS = 2
     rows, band = step_profile.phases(4, 8)
-    assert len(rows) == 20
+    assert len(rows) == 21
     assert all(math.isfinite(ms) and ms > 0 for _, ms in rows[:-5]), rows
     # first the steps' phase clocks, each row named by its clock, with the
     # factor's kernel under the factor and a residual row under each solve;
@@ -31,6 +31,9 @@ def test_step_profile_times_every_phase():
     assert [name.split(",")[0] for name in names if not name.startswith(" ")][:6] == [
         "ALE", "motion", "assembly", "factor", "solves", "solves"]
     assert names[names.index("factor") + 1] == "  factor kernel"
+    # the set-ups once per topology under the motion
+    assert names[names.index("motion") + 1:names.index("assembly")] == [
+        "  radial table (once)", "  topology set-up (once)"]
     assert names[names.index("whole step") + 1] == "whole step, controlled"
     # the writers, the snapshot's fill and write apart
     assert names[-8:-5] == ["snapshot fill", "snapshot write", "history.csv (100 rows)"]
@@ -56,17 +59,17 @@ def test_step_profile_prints_its_tables(capsys):
     step_profile.RUN_STEPS = 2
     step_profile.main(["--grid", "4", "8"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 26     # header, 2 + 20 phase rows, faults, calls, 2 band rows
+    assert len(lines) == 27     # header, 2 + 21 phase rows, faults, calls, 2 band rows
     assert lines[0].startswith("# ") and lines[1].split() == ["phase", "4x8"]
-    label, faults = lines[22].rsplit(None, 1)
+    label, faults = lines[23].rsplit(None, 1)
     assert label == "minor faults / step" and float(faults) >= 0
-    label, calls, scipy_calls = lines[23].rsplit(None, 2)
+    label, calls, scipy_calls = lines[24].rsplit(None, 2)
     assert label == "python calls / step (scipy)"
     # the step's glue around its one compiled call, none in SciPy
     assert 0 < float(calls) <= 41 and scipy_calls == "(0)"
-    assert lines[24].split() == ["grid", "ndof", "nnz", "kl", "ku", "envelope", "work",
+    assert lines[25].split() == ["grid", "ndof", "nnz", "kl", "ku", "envelope", "work",
                                  "growth", "msub/ns"]
-    grid, n, nnz, kl, ku, envelope, work, growth, rate = lines[25].split()
+    grid, n, nnz, kl, ku, envelope, work, growth, rate = lines[26].split()
     assert grid == "4x8"
     assert int(n) > 0 and int(nnz) > int(n)
     assert 0 < int(kl) == int(ku) < int(n)

@@ -21,7 +21,8 @@ from capflow.config import num_params, phys_params
 from capflow.errors import DimensionMismatch, KernelBuildError, ResidualTooLarge, SingularMatrix
 from capflow.fields import NumParams, PhysParams, zero_scalar_field, zero_vector_field
 from capflow.forms import (BandLayout, FixedPattern, LinearSystem, kinetic_energy,
-                           _saddle_pattern, radial_table, workspace)
+                           _extension_pattern, _saddle_pattern, radial_table, vertex_order,
+                           workspace)
 from capflow.geometry import BoundaryTag, build_structured_mesh
 from capflow.stepping import FlowState, initial_state, slab_system, step
 
@@ -714,14 +715,17 @@ KERNELS = ("element_data", "r_stiffness", "triangle_blocks", "edge_blocks", "mas
            "band_solve", "residual")
 STATIC_KERNELS = ("bottom_load", "gather")
 BOUND_KERNELS = tuple(name for name in KERNELS if name not in STATIC_KERNELS)
-RUN_PATH = ("slab_storage", "slab_step", "mass_action", "fill_template")
+RUN_PATH = ("fixed_pattern", "band_layout", "reverse_cuthill_mckee", "slab_storage", "slab_step",
+            "mass_action", "fill_template")
 
 
 def test_every_kernel_is_listed():
     """The kernels with target clones, static ones included, are KERNELS.
     kernels.Kernel binds exactly the run path's functions, RUN_PATH: the
-    workspace's storage, the slab's one call, the mass action and the
-    formatter; the tests bind the other kernels (compiled.Entries).  The
+    symbolic pass of a topology (its patterns' structure and band layout
+    and its vertex order), the workspace's storage, the slab's one call,
+    the mass action and the formatter; the tests bind the other kernels
+    (compiled.Entries).  The
     functions the source exports at file scope, every definition that is
     not static, are exactly those two sets of bindings, which share none.
     An entry no caller binds cannot stay exported."""
@@ -738,11 +742,13 @@ def test_every_kernel_is_listed():
 
 def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
     """The source built without target clones, the code any x86-64 or other
-    host runs, computes every kernel's output, a controlled step's outputs,
-    the LU, solutions and reduced mass action it leaves in the workspace and
-    the saddle system slab_system copies out, and one- and two-row solves
-    and residual checks of that system, bit for bit as the run path's
-    build, every function of which dispatches among its clones on x86-64."""
+    host runs, computes every kernel's output, the vertex order and both
+    patterns with their band layouts of a fresh topology, a controlled
+    step's outputs, the LU, solutions and reduced mass action it leaves in
+    the workspace and the saddle system slab_system copies out, and one- and
+    two-row solves and residual checks of that system, bit for bit as the
+    run path's build, every function of which dispatches among its clones on
+    x86-64."""
     cloned = ctypes.CDLL(str(kernels.build()))
     monkeypatch.setattr(kernels, "CACHE", tmp_path)
     path = kernels.build(flags=kernels.FLAGS + ("-DKERNELS_PORTABLE",))
@@ -758,6 +764,15 @@ def test_portable_build_gives_the_same_bits(monkeypatch, tmp_path):
         slab = tc1_slab()
         got, _ = compiled_kernels(*slab)
         _, mesh, u, _, zeta, phys, num = slab
+        topology = mesh.topology
+        got["vertex order"] = vertex_order(topology)
+        for name, pattern_of in (("saddle", _saddle_pattern), ("extension", _extension_pattern)):
+            pattern = topology.memo(pattern_of)
+            for record, fields in ((pattern, "slot indices indptr"),
+                                   (pattern.band, "position lower upper")):
+                for field in fields.split():
+                    got[f"{name} {field}"] = getattr(record, field).astype(np.int64)
+            got[f"{name} kl, ku"] = np.array([pattern.band.kl, pattern.band.ku])
         new, _ = step(state_of(mesh, u), zeta, phys, num, gradient=True)
         ws = workspace(mesh.topology)
         got |= {"z": new.mesh.z, "u": new.u.values, "p": new.p.values, "lu": ws.band.copy(),

@@ -17,7 +17,8 @@ from capflow.fields import ScalarFieldP1, VectorFieldP1
 from capflow.geometry import AxiMesh, build_structured_mesh, displace_mesh
 from capflow.kernels import SLOT, Template, kernel
 from capflow.stepping import FlowState
-from capflow.writers import CSV_HEADER, _snapshot_template, write_history_csv, write_vtk_snapshot
+from capflow.writers import (CSV_HEADER, _history_template, _snapshot_template, write_history_csv,
+                             write_vtk_snapshot)
 
 from .conftest import random_vector_field
 
@@ -257,6 +258,18 @@ def test_history_csv_bytes_match_per_value_format(tmp_path):
     rows = zip(hist.t, hist.z_cl, hist.zeta, hist.j_increment, hist.grad, hist.u_max)
     lines = [CSV_HEADER] + [",".join(expected(row)) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 100, 1001])
+def test_history_template_is_the_template_of_the_whole_text(rows):
+    """history.csv's template, built from one row's, has the text and slots
+    that Template.of finds in the whole text, and fills to its bytes."""
+    whole = Template.of(CSV_HEADER + "\n" + (f"{SLOT}," * 5 + f"{SLOT}\n") * rows)
+    got = _history_template(rows)
+    assert got.text == whole.text
+    assert got.slots.dtype == whole.slots.dtype and np.array_equal(got.slots, whole.slots)
+    values = np.random.default_rng(rows).standard_normal(6 * rows)
+    assert got.fill(values).tobytes() == whole.fill(values).tobytes()
 
 
 def test_template_slots_and_values_are_checked():
